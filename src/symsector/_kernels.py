@@ -1,12 +1,22 @@
 """Adaptive Dormand-Prince 5(4) kernels for the model flow.
 
-The downward gradient flow on the symmetric square is integrated with an
-embedded 5(4) pair (FSAL).  The state is [Re z, Im z, Re w, Im w]; the
-w-subsystem is autonomous, so a dedicated 2-component kernel serves the
-branch-locus asymptotics.  Every jit kernel is also runnable as plain
-Python (the decorator degrades to a no-op without numba), and the batch
-entry points additionally have vectorized numpy twins used when jit is
+The downward gradient flow on the symmetric square is integrated with the
+embedded Dormand-Prince 5(4) pair (FSAL) and the standard step-size
+controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).  The
+state is [Re z, Im z, Re w, Im w]; the w-subsystem is autonomous, so a
+dedicated 2-component kernel serves the branch-locus asymptotics.
+
+Each formula has one vectorized numpy definition: the w-flow coefficients
+(_kappa_shrink_np, _rhs_w_np, _rhs_np), one DP5 attempt with its scaled
+error (_attempt_np), the step controller (_next_h_np) and the pair
+coordinates (pair_re_np).  The lockstep batch kernels _drive_batch_np and
+_delta_batch_np are built from them and run when jit is unavailable or
 disabled via SYMSECTOR_NUMBA=0.
+
+The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
+_step2/_step4, _next_h and _pair_re.  They are jit-compiled under numba
+and run as plain Python otherwise (the decorator degrades to a no-op);
+scalar callers use them directly and never build a one-row numpy batch.
 """
 
 import numpy as np
@@ -188,21 +198,43 @@ def _single4(y0, y1, y2, y3, h, alpha, table, fdir):
 
 
 @njit(cache=True)
-def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
-    """Event predicate at a state; returns (hit, sign).
+def _pair_re(x, re_w, r):
+    """Real parts (x_hi, x_lo) of the two pair coordinates.
 
-    Pair coordinates are recovered through u = |Re sqrt(w)|: the two
-    unstable coordinates are x1 = Re z + u >= x2 = Re z - u.
+    With Re z = x, Re w = re_w and |w| = r, the pair is z +- sqrt(w) and
+    u = |Re sqrt(w)| = sqrt((r + Re w)/2), so x_hi = x + u >= x_lo = x - u.
     """
-    if kind == EVENT_NONE:
-        return False, 0
-    r = np.hypot(y2, y3)
-    s = r + y2
+    s = r + re_w
     if s < 0.0:
         s = 0.0
     u = np.sqrt(0.5 * s)
-    x1 = y0 + u
-    x2 = y0 - u
+    return x + u, x - u
+
+
+@njit(cache=True)
+def _next_h(err, h_use, h_max):
+    """Step size after an attempt of size h_use with scaled error err."""
+    if err <= 1e-30:
+        fac = 5.0
+    else:
+        fac = 0.9 * err ** (-0.2)
+        if fac < 0.2:
+            fac = 0.2
+        elif fac > 5.0:
+            fac = 5.0
+    h = h_use * fac
+    if h > h_max:
+        h = h_max
+    return h
+
+
+@njit(cache=True)
+def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
+    """Event predicate at a state; returns (hit, sign)."""
+    if kind == EVENT_NONE:
+        return False, 0
+    r = np.hypot(y2, y3)
+    x1, x2 = _pair_re(y0, y2, r)
     if kind == EVENT_PAIR_ESCAPE:
         a1 = abs(x1)
         a2 = abs(x2)
@@ -217,6 +249,31 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
         if -epsilon < x2 < epsilon and x1 > 2.0 * epsilon:
             return True, 1
     return False, 0
+
+
+@njit(cache=True)
+def _bisect_event(p0, p1, p2, p3, h_acc, alpha, table, fdir, radius, epsilon, kind):
+    """Bisect an event crossing inside one accepted step of size h_acc.
+
+    The step starts at state p and ends inside the event region.  Returns
+    (y0, y1, y2, y3, dt, sign): the first state found inside the region,
+    its time offset from p, and the event sign there.
+    """
+    lo = 0.0
+    hi = h_acc
+    for _ in range(64):
+        if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        m0, m1, m2, m3 = _single4(p0, p1, p2, p3, mid, alpha, table, fdir)
+        mhit, _ = _event_val(m0, m1, m2, m3, radius, epsilon, kind)
+        if mhit:
+            hi = mid
+        else:
+            lo = mid
+    y0, y1, y2, y3 = _single4(p0, p1, p2, p3, hi, alpha, table, fdir)
+    _, sign = _event_val(y0, y1, y2, y3, radius, epsilon, kind)
+    return y0, y1, y2, y3, hi, sign
 
 
 @njit(cache=True)
@@ -294,38 +351,18 @@ def _drive(
         q3 = e3 / s3
         err = np.sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
         if err <= 1.0:
-            p0, p1, p2, p3 = y0, y1, y2, y3
-            pt = t
-            y0, y1, y2, y3 = n0, n1, n2, n3
-            t = pt + h_use
-            f10, f11, f12, f13 = out[8], out[9], out[10], out[11]
-            hit, sgn = _event_val(y0, y1, y2, y3, radius, epsilon, event_kind)
+            hit, _ = _event_val(n0, n1, n2, n3, radius, epsilon, event_kind)
             if hit:
-                # bisect the crossing time inside the accepted step
-                lo = 0.0
-                hi = h_use
-                for _ in range(64):
-                    if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    m0, m1, m2, m3 = _single4(p0, p1, p2, p3, mid, alpha, table, fdir)
-                    mhit, _ = _event_val(m0, m1, m2, m3, radius, epsilon, event_kind)
-                    if mhit:
-                        hi = mid
-                    else:
-                        lo = mid
-                y0, y1, y2, y3 = _single4(p0, p1, p2, p3, hi, alpha, table, fdir)
-                t = pt + hi
-                _, esign = _event_val(y0, y1, y2, y3, radius, epsilon, event_kind)
-                if want_rec and nrec < cap:
-                    rec[nrec, 0] = t
-                    rec[nrec, 1] = y0
-                    rec[nrec, 2] = y1
-                    rec[nrec, 3] = y2
-                    rec[nrec, 4] = y3
-                    nrec += 1
+                y0, y1, y2, y3, dt, esign = _bisect_event(
+                    y0, y1, y2, y3, h_use, alpha, table, fdir,
+                    radius, epsilon, event_kind,
+                )
+                t += dt
                 status = STATUS_EVENT
-                break
+            else:
+                y0, y1, y2, y3 = n0, n1, n2, n3
+                t += h_use
+                f10, f11, f12, f13 = out[8], out[9], out[10], out[11]
             if want_rec and nrec < cap:
                 rec[nrec, 0] = t
                 rec[nrec, 1] = y0
@@ -333,17 +370,9 @@ def _drive(
                 rec[nrec, 3] = y2
                 rec[nrec, 4] = y3
                 nrec += 1
-        if err <= 1e-30:
-            fac = 5.0
-        else:
-            fac = 0.9 * err ** (-0.2)
-            if fac < 0.2:
-                fac = 0.2
-            elif fac > 5.0:
-                fac = 5.0
-        h = h_use * fac
-        if h > h_max:
-            h = h_max
+            if hit:
+                break
+        h = _next_h(err, h_use, h_max)
     if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
@@ -516,17 +545,7 @@ def _delta_one(
             dplus = abs(rt - s)
             dminus = abs(-rt - s)
             s = rt if dplus <= dminus else -rt
-        if err <= 1e-30:
-            fac = 5.0
-        else:
-            fac = 0.9 * err ** (-0.2)
-            if fac < 0.2:
-                fac = 0.2
-            elif fac > 5.0:
-                fac = 5.0
-        h = h * fac
-        if h > h_max:
-            h = h_max
+        h = _next_h(err, h, h_max)
     return STATUS_TIME_END, best_re, best_im, t
 
 
@@ -573,39 +592,43 @@ def _delta_batch(
         out_t[i] = res[3]
 
 
-def _w_terms_np(r, alpha, table):
-    """Vectorized drift and shrink coefficients of the w-subsystem."""
+def _kappa_shrink_np(r, table):
+    """Vectorized w-flow coefficients at radii r: (kappa, shrink).
+
+    kappa = 2r/m'(r) and shrink = m(r)/(r m'(r)), so that the drift of
+    Re w is kappa (2 alpha - 1)/2.  The pure profile has the closed form
+    below; cutoff mode uses it inside table[2], the Horner cubics of m on
+    the two bridge segments, and kappa = 2r, shrink = 1 from table[4] on.
+    """
     eps = table[1]
-    drift = np.empty_like(r)
-    shrink = np.empty_like(r)
     if table[0] == MODE_PURE:
-        pure = np.ones(r.shape, dtype=bool)
-    else:
-        pure = r < table[2]
-    rho2 = r[pure] ** 2 + eps
-    den = r[pure] ** 2 + 2.0 * eps
-    kappa = 2.0 * rho2 * np.sqrt(rho2) / den
-    drift[pure] = 0.5 * kappa * (2.0 * alpha - 1.0)
-    shrink[pure] = rho2 / den
-    rest = ~pure
-    if rest.any():
-        rr = r[rest]
-        outer = rr >= table[4]
-        seg1 = (~outer) & (rr < table[3])
-        seg2 = (~outer) & (~seg1)
-        m = np.empty_like(rr)
-        mp = np.empty_like(rr)
-        m[outer] = rr[outer]
-        mp[outer] = 1.0
-        for mask, base in ((seg1, 5), (seg2, 9)):
-            if mask.any():
-                c0, c1, c2, c3 = table[base : base + 4]
-                rv = rr[mask]
-                m[mask] = c0 + rv * (c1 + rv * (c2 + rv * c3))
-                mp[mask] = c1 + rv * (2.0 * c2 + 3.0 * rv * c3)
-        drift[rest] = 0.5 * (2.0 * rr / mp) * (2.0 * alpha - 1.0)
-        shrink[rest] = m / (rr * mp)
-    return drift, shrink
+        rho2 = r * r + eps
+        den = r * r + 2.0 * eps
+        return 2.0 * rho2 * np.sqrt(rho2) / den, rho2 / den
+    kappa = 2.0 * r
+    shrink = np.ones_like(r)
+    inner = r < table[2]
+    if inner.any():
+        kappa[inner], shrink[inner] = _kappa_shrink_np(r[inner], (MODE_PURE, eps))
+    for lo, hi, base in ((table[2], table[3], 5), (table[3], table[4], 9)):
+        seg = (r >= lo) & (r < hi)
+        if seg.any():
+            c0, c1, c2, c3 = table[base : base + 4]
+            rv = r[seg]
+            m = c0 + rv * (c1 + rv * (c2 + rv * c3))
+            mp = c1 + rv * (2.0 * c2 + 3.0 * rv * c3)
+            kappa[seg] = 2.0 * rv / mp
+            shrink[seg] = m / (rv * mp)
+    return kappa, shrink
+
+
+def _rhs_w_np(W, alpha, table):
+    """Vectorized right-hand side of the w-subsystem on rows [Re w, Im w]."""
+    kappa, shrink = _kappa_shrink_np(np.hypot(W[:, 0], W[:, 1]), table)
+    F = np.empty_like(W)
+    F[:, 0] = 0.5 * kappa * (2.0 * alpha - 1.0) - shrink * W[:, 0]
+    F[:, 1] = -shrink * W[:, 1]
+    return F
 
 
 def _rhs_np(Y, alpha, table, fdir):
@@ -613,34 +636,49 @@ def _rhs_np(Y, alpha, table, fdir):
     F = np.empty_like(Y)
     F[:, 0] = (alpha - 1.0) * Y[:, 0]
     F[:, 1] = -alpha * Y[:, 1]
-    r = np.hypot(Y[:, 2], Y[:, 3])
-    drift, shrink = _w_terms_np(r, alpha, table)
-    F[:, 2] = drift - shrink * Y[:, 2]
-    F[:, 3] = -shrink * Y[:, 3]
+    F[:, 2:] = _rhs_w_np(Y[:, 2:], alpha, table)
     if fdir != 1.0:
         F *= fdir
     return F
 
 
-def _attempt_np(Y, K1, h, alpha, table, fdir):
-    """Vectorized embedded step for all rows with per-row step h."""
+def _attempt_np(Y, K1, h, rhs, rtol, atol):
+    """One embedded Dormand-Prince attempt for all rows with per-row step h.
+
+    rhs maps state rows to derivative rows.  Returns the 5th-order states,
+    the last stage derivative (FSAL seed of the next step) and the scaled
+    RMS error of each row; rows whose new state is not finite get inf.
+    """
     hc = h[:, None]
-    K2 = _rhs_np(Y + hc * (A21 * K1), alpha, table, fdir)
-    K3 = _rhs_np(Y + hc * (A31 * K1 + A32 * K2), alpha, table, fdir)
-    K4 = _rhs_np(Y + hc * (A41 * K1 + A42 * K2 + A43 * K3), alpha, table, fdir)
-    K5 = _rhs_np(
-        Y + hc * (A51 * K1 + A52 * K2 + A53 * K3 + A54 * K4), alpha, table, fdir
-    )
-    K6 = _rhs_np(
-        Y + hc * (A61 * K1 + A62 * K2 + A63 * K3 + A64 * K4 + A65 * K5),
-        alpha,
-        table,
-        fdir,
-    )
+    K2 = rhs(Y + hc * (A21 * K1))
+    K3 = rhs(Y + hc * (A31 * K1 + A32 * K2))
+    K4 = rhs(Y + hc * (A41 * K1 + A42 * K2 + A43 * K3))
+    K5 = rhs(Y + hc * (A51 * K1 + A52 * K2 + A53 * K3 + A54 * K4))
+    K6 = rhs(Y + hc * (A61 * K1 + A62 * K2 + A63 * K3 + A64 * K4 + A65 * K5))
     Yn = Y + hc * (B1 * K1 + B3 * K3 + B4 * K4 + B5 * K5 + B6 * K6)
-    K7 = _rhs_np(Yn, alpha, table, fdir)
+    K7 = rhs(Yn)
     E = hc * (E1 * K1 + E3 * K3 + E4 * K4 + E5 * K5 + E6 * K6 + E7 * K7)
-    return Yn, E, K7
+    scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Yn))
+    with np.errstate(invalid="ignore"):
+        q = E / scale
+        err = np.sqrt((q * q).sum(axis=1) / Y.shape[1])
+    err[~np.isfinite(Yn).all(axis=1)] = np.inf
+    return Yn, K7, err
+
+
+def _next_h_np(err, h_use, h_max):
+    """Vectorized twin of :func:`_next_h`; a non-finite err halves the step."""
+    with np.errstate(divide="ignore", over="ignore"):
+        fac = np.clip(0.9 * err**-0.2, 0.2, 5.0)
+    fac[err <= 1e-30] = 5.0
+    fac[~np.isfinite(err)] = 0.5
+    return np.minimum(h_use * fac, h_max)
+
+
+def pair_re_np(x, re_w, r):
+    """Vectorized twin of :func:`_pair_re`: (x_hi, x_lo) arrays."""
+    u = np.sqrt(0.5 * np.maximum(r + re_w, 0.0))
+    return x + u, x - u
 
 
 def _event_np(Y, radius, epsilon, kind):
@@ -649,9 +687,7 @@ def _event_np(Y, radius, epsilon, kind):
     if kind == EVENT_NONE:
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     r = np.hypot(Y[:, 2], Y[:, 3])
-    u = np.sqrt(0.5 * np.maximum(r + Y[:, 2], 0.0))
-    x1 = Y[:, 0] + u
-    x2 = Y[:, 0] - u
+    x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
     sign = np.zeros(n, dtype=np.int64)
     if kind == EVENT_PAIR_ESCAPE:
         hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
@@ -664,25 +700,6 @@ def _event_np(Y, radius, epsilon, kind):
     sign[minus] = -1
     sign[plus] = 1
     return minus | plus, sign
-
-
-def _refine_event_py(p, pt, h_acc, alpha, table, radius, epsilon, kind, fdir):
-    """Scalar bisection of an event crossing inside one accepted step."""
-    lo = 0.0
-    hi = h_acc
-    for _ in range(64):
-        if hi - lo < 1e-13 * max(hi, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        m = _single4(p[0], p[1], p[2], p[3], mid, alpha, table, fdir)
-        mhit, _ = _event_val(m[0], m[1], m[2], m[3], radius, epsilon, kind)
-        if mhit:
-            hi = mid
-        else:
-            lo = mid
-    y = _single4(p[0], p[1], p[2], p[3], hi, alpha, table, fdir)
-    _, sgn = _event_val(y[0], y[1], y[2], y[3], radius, epsilon, kind)
-    return np.array(y), pt + hi, sgn
 
 
 def _drive_batch_np(
@@ -705,12 +722,16 @@ def _drive_batch_np(
     fdir,
 ):
     """Lockstep vectorized twin of :func:`_drive_batch`."""
+
+    def rhs(Z):
+        return _rhs_np(Z, alpha, table, fdir)
+
     n = Y.shape[0]
     t = np.full(n, float(t0))
     h = np.full(n, min(h_max, 0.05))
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
-    K1 = _rhs_np(Y, alpha, table, fdir)
+    K1 = rhs(Y)
     active = np.ones(n, dtype=bool)
     end_gate = 1e-14 * max(1.0, abs(t_end))
     for _ in range(int(max_steps)):
@@ -730,44 +751,33 @@ def _drive_batch_np(
         idx = np.nonzero(active)[0]
         h_use = np.minimum(h[idx], t_end - t[idx])
         Ya = Y[idx]
-        K1a = K1[idx]
-        Yn, E, K7 = _attempt_np(Ya, K1a, h_use, alpha, table, fdir)
-        bad = ~np.isfinite(Yn).all(axis=1)
-        scale = atol + rtol * np.maximum(np.abs(Ya), np.abs(Yn))
-        with np.errstate(invalid="ignore"):
-            q = E / scale
-            err = np.sqrt(0.25 * (q * q).sum(axis=1))
-        err[bad] = np.inf
+        Yn, K7, err = _attempt_np(Ya, K1[idx], h_use, rhs, rtol, atol)
         acc = err <= 1.0
         if acc.any():
             ai = idx[acc]
-            Yprev = Ya[acc].copy()
-            tprev = t[ai].copy()
-            hprev = h_use[acc].copy()
+            t_prev = t[ai]
             Y[ai] = Yn[acc]
-            t[ai] = tprev + hprev
+            t[ai] = t_prev + h_use[acc]
             K1[ai] = K7[acc]
             hit, _ = _event_np(Y[ai], radius, epsilon, event_kind)
             if hit.any():
+                Y_prev = Ya[acc]
+                h_acc = h_use[acc]
                 for k in np.nonzero(hit)[0]:
                     row = ai[k]
-                    y, tr, sgn = _refine_event_py(
-                        Yprev[k], tprev[k], hprev[k], alpha, table,
-                        radius, epsilon, event_kind, fdir,
+                    y0, y1, y2, y3, dt, sgn = _bisect_event(
+                        *Y_prev[k], h_acc[k], alpha, table, fdir,
+                        radius, epsilon, event_kind,
                     )
-                    Y[row] = y
-                    t[row] = tr
+                    Y[row] = (y0, y1, y2, y3)
+                    t[row] = t_prev[k] + dt
                     out_sign[row] = sgn
                     out_status[row] = STATUS_EVENT
                     active[row] = False
-        fac = np.empty_like(err)
-        tiny = err <= 1e-30
-        fac[tiny] = 5.0
-        with np.errstate(divide="ignore", over="ignore"):
-            fac[~tiny] = np.clip(0.9 * err[~tiny] ** -0.2, 0.2, 5.0)
-        half = ~np.isfinite(err)
-        fac[half] = 0.5
-        h[idx] = np.minimum(h_use * fac, h_max)
+        h[idx] = _next_h_np(err, h_use, h_max)
+        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
+        out_status[dead] = STATUS_NONFINITE
+        active[dead] = False
     out_t[:] = t
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (t >= t_end - end_gate)] = STATUS_TIME_END
@@ -792,6 +802,10 @@ def _delta_batch_np(
     out_t,
 ):
     """Lockstep vectorized twin of :func:`_delta_batch`."""
+
+    def rhs(Z):
+        return _rhs_w_np(Z, alpha, table)
+
     n = W.shape[0]
     y = W.astype(float).copy()
     t = np.zeros(n)
@@ -805,16 +819,7 @@ def _delta_batch_np(
     out_re[:] = np.nan
     out_im[:] = np.nan
     active = np.ones(n, dtype=bool)
-
-    def rhs2_rows(yy):
-        rr = np.hypot(yy[:, 0], yy[:, 1])
-        dr, sh = _w_terms_np(rr, alpha, table)
-        out = np.empty_like(yy)
-        out[:, 0] = dr - sh * yy[:, 0]
-        out[:, 1] = -sh * yy[:, 1]
-        return out
-
-    K1 = rhs2_rows(y)
+    K1 = rhs(y)
     for _ in range(int(max_steps)):
         if not active.any():
             break
@@ -842,24 +847,7 @@ def _delta_batch_np(
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        ya = y[idx]
-        k1 = K1[idx]
-        hc = h[idx][:, None]
-        K2 = rhs2_rows(ya + hc * (A21 * k1))
-        K3 = rhs2_rows(ya + hc * (A31 * k1 + A32 * K2))
-        K4 = rhs2_rows(ya + hc * (A41 * k1 + A42 * K2 + A43 * K3))
-        K5 = rhs2_rows(ya + hc * (A51 * k1 + A52 * K2 + A53 * K3 + A54 * K4))
-        K6 = rhs2_rows(
-            ya + hc * (A61 * k1 + A62 * K2 + A63 * K3 + A64 * K4 + A65 * K5)
-        )
-        Yn = ya + hc * (B1 * k1 + B3 * K3 + B4 * K4 + B5 * K5 + B6 * K6)
-        K7 = rhs2_rows(Yn)
-        E = hc * (E1 * k1 + E3 * K3 + E4 * K4 + E5 * K5 + E6 * K6 + E7 * K7)
-        scale = atol + rtol * np.maximum(np.abs(ya), np.abs(Yn))
-        with np.errstate(invalid="ignore"):
-            q = E / scale
-            err = np.sqrt(0.5 * (q * q).sum(axis=1))
-        err[~np.isfinite(Yn).all(axis=1)] = np.inf
+        Yn, K7, err = _attempt_np(y[idx], K1[idx], h[idx], rhs, rtol, atol)
         acc = err <= 1.0
         if acc.any():
             ai = idx[acc]
@@ -870,13 +858,10 @@ def _delta_batch_np(
             flip = np.abs(rt - s[ai]) > np.abs(-rt - s[ai])
             rt[flip] = -rt[flip]
             s[ai] = rt
-        fac = np.empty_like(err)
-        tiny = err <= 1e-30
-        fac[tiny] = 5.0
-        with np.errstate(divide="ignore", over="ignore"):
-            fac[~tiny] = np.clip(0.9 * err[~tiny] ** -0.2, 0.2, 5.0)
-        fac[~np.isfinite(err)] = 0.5
-        h[idx] = np.minimum(h[idx] * fac, h_max)
+        h[idx] = _next_h_np(err, h[idx], h_max)
+        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
+        out_status[dead] = STATUS_NONFINITE
+        active[dead] = False
     # rows stop advancing the moment they deactivate, so t is final
     unconverged = out_status != STATUS_EVENT
     out_t[unconverged] = t[unconverged]

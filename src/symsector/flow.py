@@ -104,11 +104,6 @@ def flow_unperturbed_z(z0, t, alpha=ALPHA_DEFAULT):
     return np.exp((alpha - 1.0) * t) * z0.real + 1j * np.exp(-alpha * t) * z0.imag
 
 
-def state_of(p):
-    """Real state vector of a SymPoint."""
-    return p.state()
-
-
 def point_of(state):
     """SymPoint of a real state vector."""
     return SymPoint.from_sym(state[0] + 1j * state[1], state[2] + 1j * state[3])
@@ -116,10 +111,7 @@ def point_of(state):
 
 def escape_sign_pair(state):
     """Ordered sign pair of (Re z1, Re z2) recovered from a state."""
-    r = float(np.hypot(state[2], state[3]))
-    u = np.sqrt(max(r + state[2], 0.0) * 0.5)
-    x_hi = state[0] + u
-    x_lo = state[0] - u
+    x_hi, x_lo = _kernels._pair_re(state[0], state[2], np.hypot(state[2], state[3]))
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 

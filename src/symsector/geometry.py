@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import smoothing
+from . import _kernels, smoothing
 
 ALPHA_DEFAULT = 1.5
 EPSILON_DEFAULT = 16.0
@@ -183,10 +183,8 @@ def kahler_factor(w, params=None):
         params = SteinParams()
     if params.smoothing != "pure":
         raise ValueError("kahler_factor is defined for pure smoothing only")
-    epsilon = params.epsilon
     r = np.abs(np.asarray(w, dtype=complex))
-    rho2 = r * r + epsilon
-    return 2.0 * rho2 * np.sqrt(rho2) / (r * r + 2.0 * epsilon)
+    return _kernels._kappa_shrink_np(r, params.table)[0]
 
 
 def sym2_potential(z, w, params=None):
@@ -332,21 +330,8 @@ def flow_field_zw(z, w, params=None):
     z = complex(z)
     w = complex(w)
     dz = complex((a - 1.0) * z.real, -a * z.imag)
-    table = params.table
-    epsilon = params.epsilon
-    r = abs(w)
-    if table[0] == smoothing.MODE_PURE or r < table[2]:
-        rho2 = r * r + epsilon
-        rho = np.sqrt(rho2)
-        kappa = 2.0 * rho2 * rho / (r * r + 2.0 * epsilon)
-        shrink = rho2 / (r * r + 2.0 * epsilon)
-    else:
-        m = float(smoothing.norm_m(r, table))
-        mp = float(smoothing.norm_m_prime(r, table))
-        kappa = 2.0 * r / mp
-        shrink = m / (r * mp)
-    dw = kappa * (2.0 * a - 1.0) / 2.0 - shrink * w
-    return dz, dw
+    drift, shrink = _kernels._w_terms(abs(w), a, params.table)
+    return dz, drift - shrink * w
 
 
 def flow_vector_field(p, params=None):

@@ -14,7 +14,7 @@ near each end of a band where the chart height function I is read off.
 import numpy as np
 
 from . import _kernels, flow
-from .geometry import SteinParams, SymPoint, w_block_coefficient
+from .geometry import SteinParams, SymPoint, symplectic_form_closed
 
 U_MM = "U_MM"
 U_MP = "U_MP"
@@ -85,24 +85,30 @@ def classify_closed_form(p, params=None, settings=None, band_tol=None, **ckw):
     return classify_values(p, params, settings, band_tol, **ckw)[0]
 
 
-def _flow_label_from_state(state, radius, epsilon, escaped):
-    """Sector label read off a final integration state."""
-    lo_sign, hi_sign = flow.escape_sign_pair(state)
-    r = float(np.hypot(state[2], state[3]))
-    u = np.sqrt(max(r + state[2], 0.0) * 0.5)
-    x_hi = state[0] + u
-    x_lo = state[0] - u
-    if escaped:
-        if hi_sign < 0:
+_TERMINATION_STATUS = {
+    flow.TERM_ESCAPED: _kernels.STATUS_EVENT,
+    flow.TERM_MAX_TIME: _kernels.STATUS_TIME_END,
+    flow.TERM_NEAR_CRITICAL: _kernels.STATUS_STALLED,
+}
+
+
+def _flow_label(x_hi, x_lo, status, radius, epsilon):
+    """Flow label from the final pair coordinates and kernel status.
+
+    The one label rule behind :func:`classify_by_flow` and
+    :func:`classify_by_flow_batch`.
+    """
+    if status == _kernels.STATUS_EVENT:
+        if x_hi < 0:
             return U_MM
-        if lo_sign < 0:
-            return U_MP
-        return U_PP
-    small = min(abs(x_lo), abs(x_hi))
-    big = max(abs(x_lo), abs(x_hi))
-    if small < epsilon and big > radius:
-        big_sign = hi_sign if abs(x_hi) > abs(x_lo) else lo_sign
-        return H_MINUS if big_sign < 0 else H_PLUS
+        return U_MP if x_lo < 0 else U_PP
+    if status != _kernels.STATUS_TIME_END:
+        return UNRESOLVED
+    a_hi = abs(x_hi)
+    a_lo = abs(x_lo)
+    if min(a_lo, a_hi) < epsilon and max(a_lo, a_hi) > radius:
+        big = x_hi if a_hi > a_lo else x_lo
+        return H_MINUS if big < 0 else H_PLUS
     return UNRESOLVED
 
 
@@ -112,25 +118,27 @@ def classify_by_flow(p, params=None, settings=None):
     Escape gives an open-sector label from the sign pair at escape; a
     trajectory that still straddles the saddle at max_time, one
     coordinate pinned near zero and the other far out, gets the
-    hypersurface label of the far coordinate's sign; anything else is
-    UNRESOLVED.
+    hypersurface label of the far coordinate's sign; anything else,
+    a stall included, is UNRESOLVED.
     """
     if params is None:
         params = SteinParams()
     if settings is None:
         settings = flow.FlowSettings()
     traj = flow.integrate_flow(p, params, settings, record=False)
-    radius = flow.resolve_escape_radius(settings, params)
-    if traj.termination == flow.TERM_NEAR_CRITICAL:
-        return UNRESOLVED
-    return _flow_label_from_state(
-        traj.final_state(), radius, params.epsilon,
-        traj.termination == flow.TERM_ESCAPED,
+    y0, _, y2, y3 = traj.states[-1].tolist()
+    x_hi, x_lo = _kernels._pair_re(y0, y2, np.hypot(y2, y3))
+    return _flow_label(
+        x_hi, x_lo, _TERMINATION_STATUS[traj.termination],
+        flow.resolve_escape_radius(settings, params), params.epsilon,
     )
 
 
 def classify_by_flow_batch(states, params, settings=None):
-    """Flow labels for rows [Re z, Im z, Re w, Im w]; states are consumed."""
+    """Flow labels for rows [Re z, Im z, Re w, Im w]; states are consumed.
+
+    Each row gets the label :func:`classify_by_flow` gives its point.
+    """
     if settings is None:
         settings = flow.FlowSettings()
     Y = np.array(states, dtype=float)
@@ -138,24 +146,12 @@ def classify_by_flow_batch(states, params, settings=None):
         Y, params, settings, _kernels.EVENT_PAIR_ESCAPE
     )
     radius = flow.resolve_escape_radius(settings, params)
-    n = Y.shape[0]
-    labels = np.empty(n, dtype=object)
-    r = np.hypot(Y[:, 2], Y[:, 3])
-    u = np.sqrt(np.maximum(r + Y[:, 2], 0.0) * 0.5)
-    x_hi = Y[:, 0] + u
-    x_lo = Y[:, 0] - u
-    escaped = status == _kernels.STATUS_EVENT
-    labels[escaped & (x_hi < 0)] = U_MM
-    labels[escaped & (x_hi >= 0) & (x_lo < 0)] = U_MP
-    labels[escaped & (x_lo >= 0)] = U_PP
-    rest = ~escaped
-    small = np.minimum(np.abs(x_lo), np.abs(x_hi))
-    big = np.maximum(np.abs(x_lo), np.abs(x_hi))
-    big_neg = np.where(np.abs(x_hi) > np.abs(x_lo), x_hi, x_lo) < 0
-    stalled_h = rest & (small < params.epsilon) & (big > radius)
-    labels[stalled_h & big_neg] = H_MINUS
-    labels[stalled_h & ~big_neg] = H_PLUS
-    labels[rest & ~stalled_h] = UNRESOLVED
+    x_hi, x_lo = _kernels.pair_re_np(Y[:, 0], Y[:, 2], np.hypot(Y[:, 2], Y[:, 3]))
+    labels = np.empty(Y.shape[0], dtype=object)
+    labels[:] = [
+        _flow_label(hi, lo, st, radius, params.epsilon)
+        for hi, lo, st in zip(x_hi.tolist(), x_lo.tolist(), status.tolist())
+    ]
     return labels
 
 
@@ -248,17 +244,6 @@ def check_ZI_scaling(p, sign, params=None, settings=None, h=0.03):
     return abs(fd + params.alpha * i0)
 
 
-def _omega_matrix(p, params):
-    """Closed-form Kahler block matrix at p (valid in both modes)."""
-    q = w_block_coefficient(p.w, params)
-    omega = np.zeros((4, 4))
-    omega[0, 1] = 2.0
-    omega[1, 0] = -2.0
-    omega[2, 3] = q
-    omega[3, 2] = -q
-    return omega
-
-
 def _offset_gradient(p, sign, params, settings, h_rel=1e-3, **ckw):
     """Gradient of the defining function F = Re z0 -+ c in real coords.
 
@@ -299,7 +284,7 @@ def characteristic_direction(p, sign, params=None, settings=None, **ckw):
     grad = _offset_gradient(p, sign, params, settings, **ckw)
     if not np.isfinite(grad).all() or np.linalg.norm(grad) < 1e-8:
         raise ConditionError("degenerate hypersurface gradient")
-    omega = _omega_matrix(p, params)
+    omega = symplectic_form_closed(p.z, p.w, params)
     if abs(np.linalg.det(omega)) < 1e-12:
         raise ConditionError("degenerate form matrix")
     return np.linalg.solve(omega, grad)

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 from symsector import _kernels
 from symsector.flow import (
     FlowSettings,
+    NonFiniteFlowError,
     TERM_ESCAPED,
     TERM_MAX_TIME,
     compute_c,
     compute_c_batch,
     compute_delta,
+    compute_delta_batch,
     drive_batch,
     escape_sign_pair,
     first_event,
@@ -21,7 +23,6 @@ from symsector.flow import (
     integrate_flow,
     point_of,
     resolve_escape_radius,
-    state_of,
 )
 from symsector.geometry import SteinParams, SymPoint, sym2_potential
 
@@ -96,6 +97,19 @@ def test_near_diagonal_pairs_escape(pure16, rng):
     assert np.all(np.abs(Y[:, 3]) < 1e-3 * np.maximum(np.abs(w0.imag), eps))
 
 
+def test_drive_batch_nonfinite_status_matches_scalar(pure16):
+    # kappa overflows at |w| = 1e150, so every attempt is non-finite
+    settings = FlowSettings(max_steps=2000)
+    state = [1.0, 0.5, 1e150, 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, t, _ = drive_batch(
+            np.array([state]), pure16, settings, _kernels.EVENT_PAIR_ESCAPE
+        )
+        assert status[0] == _kernels.STATUS_NONFINITE and t[0] == 0.0
+        with pytest.raises(NonFiniteFlowError):
+            integrate_flow(state, pure16, settings, record=False)
+
+
 def test_opposite_imaginary_pair_escape_signs():
     params = SteinParams(alpha=1.5, epsilon=1.0, smoothing="pure")
     traj = integrate_flow(SymPoint(1.0j, -1.0j), params, FlowSettings(max_time=60.0))
@@ -132,7 +146,7 @@ def test_potential_monotone_along_trajectory(pure16):
 
 def test_state_point_round_trip():
     p = SymPoint(0.5 - 2.0j, 1.0 + 0.25j)
-    q = point_of(state_of(p))
+    q = point_of(p.state())
     assert q.z == pytest.approx(p.z) and q.w == pytest.approx(p.w)
 
 
@@ -205,6 +219,15 @@ def test_batch_matches_scalar(pure16):
         assert compute_c(s, pure16, settings) == pytest.approx(float(c), rel=1e-12)
 
 
+def test_delta_batch_nonfinite_status_matches_scalar(pure16):
+    settings = FlowSettings(max_steps=2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta, status = compute_delta_batch([1e80], pure16, settings)
+        assert status[0] == _kernels.STATUS_NONFINITE and np.isnan(delta[0])
+        with pytest.raises(NonFiniteFlowError):
+            compute_delta(1e80, pure16, settings)
+
+
 def test_delta_u_star_factor_consistency(pure16):
     settings = FlowSettings(step_tolerance=1e-11)
     s = 1.5 + 4.0j
@@ -219,7 +242,7 @@ def test_delta_u_star_factor_consistency(pure16):
 def test_pair_escape_event():
     params = SteinParams(alpha=1.5, epsilon=1.0, smoothing="pure")
     hit, t, state, _sign = first_event(
-        state_of(SymPoint(1.0j, -1.0j)), _kernels.EVENT_PAIR_ESCAPE, params,
+        SymPoint(1.0j, -1.0j).state(), _kernels.EVENT_PAIR_ESCAPE, params,
         FlowSettings(),
     )
     assert hit and t > 0.0
@@ -229,7 +252,7 @@ def test_pair_escape_event():
 def test_truncation_entry_time():
     params = SteinParams(alpha=1.5, epsilon=1.0, smoothing="pure")
     hit, t, _, _ = first_event(
-        state_of(SymPoint(-0.5, -10.0)), _kernels.EVENT_TRUNC_REGION, params,
+        SymPoint(-0.5, -10.0).state(), _kernels.EVENT_TRUNC_REGION, params,
         FlowSettings(),
     )
     assert hit

@@ -1,0 +1,96 @@
+"""Parity of the scalar kernels with their vectorized numpy twins.
+
+The scalar kernels (jit-compiled when numba is present) and the numpy
+batch kernels evaluate the same formulas in the same order, so they are
+required to agree exactly, not to a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from symsector import _kernels
+from symsector.flow import FlowSettings
+from symsector.geometry import SteinParams, SymPoint
+from symsector.sectors import (
+    U_MM,
+    U_MP,
+    U_PP,
+    UNRESOLVED,
+    classify_by_flow,
+    classify_by_flow_batch,
+)
+
+ALPHA = 1.5
+
+
+def _radii(mode):
+    table = SteinParams(epsilon=16.0, smoothing=mode).table
+    if mode == "pure":
+        return table, [0.0, 1e-3, 0.7, 4.0, 15.0, 16.0, 40.0, 1e4]
+    r0, rm, r1 = table[2:5]
+    return table, [
+        0.0, 0.5 * r0, np.nextafter(r0, 0.0),  # inner
+        r0, 0.5 * (r0 + rm),  # segment 1
+        rm, 0.5 * (rm + r1), np.nextafter(r1, 0.0),  # segment 2
+        r1, 2.0 * r1, 1e4,  # outer
+    ]
+
+
+def _w_rows(radii):
+    # hypot(+-r, 0) and hypot(0, r) are exactly r, so the knots are hit
+    rows = []
+    for r in radii:
+        rows += [(r, 0.0), (-r, 0.0), (0.0, r), (0.6 * r, -0.8 * r)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_rhs_w_twins_agree_exactly(mode):
+    table, radii = _radii(mode)
+    if mode == "cutoff":
+        r = np.asarray(radii)
+        r0, rm, r1 = table[2:5]
+        # every branch of the profile is sampled
+        assert (r < r0).any() and ((r >= r0) & (r < rm)).any()
+        assert ((r >= rm) & (r < r1)).any() and (r >= r1).any()
+    W = _w_rows(radii)
+    vec = _kernels._rhs_w_np(W, ALPHA, table)
+    for (y2, y3), row in zip(W.tolist(), vec.tolist()):
+        assert tuple(_kernels._rhs2(y2, y3, ALPHA, table)) == tuple(row)
+
+
+@pytest.mark.parametrize("h_max", [0.1, 0.01])
+def test_step_controller_twins_agree_exactly(h_max):
+    errs = [1e-40, 1e-3, 0.5, 1.0, 3.0, 1e9]
+    h_use = 0.03
+    vec = _kernels._next_h_np(np.array(errs), np.full(len(errs), h_use), h_max)
+    assert [_kernels._next_h(e, h_use, h_max) for e in errs] == vec.tolist()
+
+
+def test_pair_re_twins_agree_exactly():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-50.0, 50.0, 64)
+    w = rng.uniform(-50.0, 50.0, 64) + 1j * rng.uniform(-50.0, 50.0, 64)
+    # the negative real axis, where |w| + Re w may round below zero
+    w[:8] = -rng.uniform(0.0, 50.0, 8) + 1j * rng.uniform(-1e-12, 1e-12, 8)
+    r = np.abs(w)
+    hi, lo = _kernels.pair_re_np(x, w.real, r)
+    for k in range(x.size):
+        got = _kernels._pair_re(float(x[k]), float(w.real[k]), float(r[k]))
+        assert got == (hi[k], lo[k])
+
+
+@pytest.mark.parametrize(
+    "p, max_time, want",
+    [
+        (SymPoint(-40.0, -64.0 + 1.0j), 60.0, U_MM),
+        (SymPoint(30.0 + 1.0j, -30.0), 60.0, U_MP),
+        (SymPoint(40.0, 64.0 + 1.0j), 60.0, U_PP),
+        (SymPoint(1.0j, -1.0j), 0.5, UNRESOLVED),
+    ],
+)
+def test_flow_label_scalar_matches_batch(pure16, p, max_time, want):
+    settings = FlowSettings(max_time=max_time)
+    label = classify_by_flow(p, pure16, settings)
+    assert label == want
+    assert list(classify_by_flow_batch([p.state()], pure16, settings)) == [label]

@@ -123,7 +123,7 @@ def test_eval_I_after_entry_matches_scaling(cutoff16):
     # I is constant by construction along the flow: flowing a chart
     # point upward by tau and reading from outside must return
     # e^{alpha tau} times its in-chart height
-    from symsector.flow import flow_state_to_time, state_of
+    from symsector.flow import flow_state_to_time
 
     settings = FlowSettings(step_tolerance=1e-11)
     eps = cutoff16.epsilon
@@ -132,7 +132,7 @@ def test_eval_I_after_entry_matches_scaling(cutoff16):
     assert in_V_region(q, -1, cutoff16)
     base = eval_I(q, -1, cutoff16, settings)
     assert base.chart_time == 0.0
-    state = flow_state_to_time(state_of(q), tau, cutoff16, settings, direction=-1.0)
+    state = flow_state_to_time(q.state(), tau, cutoff16, settings, direction=-1.0)
     p_out = SymPoint.from_sym(state[0] + 1j * state[1], state[2] + 1j * state[3])
     assert not in_V_region(p_out, -1, cutoff16)
     iv = eval_I(p_out, -1, cutoff16, settings)
@@ -215,9 +215,9 @@ def test_truncation_absorbing_entry_time():
 
 def test_truncation_forward_invariance():
     params = SteinParams(alpha=1.5, epsilon=1.0, smoothing="pure")
-    from symsector.flow import flow_state_to_time, state_of
+    from symsector.flow import flow_state_to_time
 
-    state = flow_state_to_time(state_of(SymPoint(-2.0, -9.0)), 0.5, params,
+    state = flow_state_to_time(SymPoint(-2.0, -9.0).state(), 0.5, params,
                                FlowSettings())
     p = SymPoint.from_sym(state[0] + 1j * state[1], state[2] + 1j * state[3])
     assert truncation_region_contains(p, params)
