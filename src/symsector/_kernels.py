@@ -7,20 +7,23 @@ state is [Re z, Im z, Re w, Im w]; the w-subsystem is autonomous, so a
 dedicated 2-component kernel serves the branch-locus asymptotics.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
-(_kappa_shrink_np, _rhs_w_np, _rhs_np), one DP5 attempt with its scaled
-error (_attempt_np), the step controller (_next_h_np) and the pair
-coordinates (pair_re_np).  The lockstep batch kernels _drive_batch_np and
+(_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
+_rhs_np), one DP5 attempt with its scaled error (_attempt_np), the step
+controller (_next_h_np), the pair coordinates (pair_re_np) and the event
+regions (_event_np).  The lockstep batch kernels _drive_batch_np and
 _delta_batch_np are built from them and run when jit is unavailable or
 disabled via SYMSECTOR_NUMBA=0.
 
 The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
-_step2/_step4, _next_h and _pair_re.  They are jit-compiled under numba
-and run as plain Python otherwise (the decorator degrades to a no-op);
-scalar callers use them directly and never build a one-row numpy batch.
+_step2/_step4, _next_h, _pair_re and _event_val (also the region test of
+sectors).  They are jit-compiled under numba and run as plain Python
+otherwise (the decorator degrades to a no-op); scalar callers use them
+directly and never build a one-row numpy batch.
 """
 
 import numpy as np
 
+from . import smoothing
 from ._accel import njit, prange
 
 # Dormand-Prince 5(4) tableau, FSAL form
@@ -68,7 +71,7 @@ EVENT_PAIR_ESCAPE = 1
 EVENT_TRUNC_REGION = 2
 EVENT_V_ENTRY = 3
 
-MODE_PURE = 0.0
+MODE_PURE = smoothing.MODE_PURE
 
 
 @njit(cache=True)
@@ -597,28 +600,21 @@ def _kappa_shrink_np(r, table):
 
     kappa = 2r/m'(r) and shrink = m(r)/(r m'(r)), so that the drift of
     Re w is kappa (2 alpha - 1)/2.  The pure profile has the closed form
-    below; cutoff mode uses it inside table[2], the Horner cubics of m on
-    the two bridge segments, and kappa = 2r, shrink = 1 from table[4] on.
+    below, which cutoff mode also uses inside table[2]; from there on m
+    and m' come from the smoothing evaluator.
     """
     eps = table[1]
     if table[0] == MODE_PURE:
         rho2 = r * r + eps
         den = r * r + 2.0 * eps
         return 2.0 * rho2 * np.sqrt(rho2) / den, rho2 / den
-    kappa = 2.0 * r
-    shrink = np.ones_like(r)
+    # inner radii read the profile at the knot and are replaced below
+    rb = np.maximum(r, table[2])
+    m, mp = smoothing._profile(rb, table, (1, 2))
+    kappa = 2.0 * rb / mp
+    shrink = m / (rb * mp)
     inner = r < table[2]
-    if inner.any():
-        kappa[inner], shrink[inner] = _kappa_shrink_np(r[inner], (MODE_PURE, eps))
-    for lo, hi, base in ((table[2], table[3], 5), (table[3], table[4], 9)):
-        seg = (r >= lo) & (r < hi)
-        if seg.any():
-            c0, c1, c2, c3 = table[base : base + 4]
-            rv = r[seg]
-            m = c0 + rv * (c1 + rv * (c2 + rv * c3))
-            mp = c1 + rv * (2.0 * c2 + 3.0 * rv * c3)
-            kappa[seg] = 2.0 * rv / mp
-            shrink[seg] = m / (rv * mp)
+    kappa[inner], shrink[inner] = _kappa_shrink_np(r[inner], (MODE_PURE, eps))
     return kappa, shrink
 
 
@@ -869,9 +865,7 @@ def _delta_batch_np(
 
 def warmup():
     """Touch every jit kernel once so later timings exclude compilation."""
-    table = np.zeros(15)
-    table[0] = 0.0
-    table[1] = 1.0
+    table = smoothing.build_smoothing_table(1.0)
     rec = np.empty((4, 5))
     _drive(
         1.0, 0.5, 0.2, 0.1, 0.0, 0.01, 1.5, table,

@@ -83,16 +83,28 @@ def resolve_config(args):
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    _validate(config)
+    _user_input(_validate, config)
     return config
 
 
-def _write_out(config, text):
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _user_input(build, *args, **kwargs):
+    """build(*args, **kwargs), its TypeError or ValueError a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid option value: {exc}") from exc
+
+
+def _write_out(config, text, default=None):
+    out = config.out or default
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _stein(config):
@@ -108,7 +120,8 @@ def _settings(config):
 
 
 def cmd_verify(config):
-    vconf = verify.VerifyConfig(
+    vconf = _user_input(
+        verify.VerifyConfig,
         seed=config.seed,
         sample_scale=config.sample_scale,
         epsilon=config.epsilon,
@@ -121,9 +134,8 @@ def cmd_verify(config):
 
 
 def _grid_result(config):
-    spec = gridplot.parse_slice(config.slice)
     return gridplot.classify_grid(
-        spec,
+        _user_input(gridplot.parse_slice, config.slice),
         _stein(config),
         _settings(config),
         grid_n=config.grid,
@@ -138,10 +150,7 @@ def cmd_classify_grid(config):
 
 
 def cmd_slice_plot(config):
-    text = gridplot.grid_svg(_grid_result(config))
-    out = config.out or "slice.svg"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_out(config, gridplot.grid_svg(_grid_result(config)), "slice.svg")
     return 0
 
 
@@ -221,10 +230,7 @@ def main(argv=None):
     try:
         config = resolve_config(args)
         return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except smoothing.SmoothingError as exc:
+    except (ConfigError, smoothing.SmoothingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

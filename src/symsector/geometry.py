@@ -213,14 +213,9 @@ def phi_sym_smoothed(p, params=None):
 
 
 def w_block_coefficient(w, params):
-    """Coefficient of dx ^ dy in the w-block of the Kahler form."""
-    r = float(np.abs(w))
-    table = params.table
-    epsilon = params.epsilon
-    if table[0] == smoothing.MODE_PURE or r < table[2]:
-        rho2 = r * r + epsilon
-        return (r * r + 2.0 * epsilon) / (2.0 * rho2 * np.sqrt(rho2))
-    return float(smoothing.norm_m_prime(r, table)) / (2.0 * r)
+    """Coefficient m'(|w|)/(2|w|) = 1/kappa of dx ^ dy in the w-block."""
+    kappa, _ = _kernels._kappa_shrink_np(np.atleast_1d(np.abs(w)), params.table)
+    return float(1.0 / kappa[0])
 
 
 def symplectic_form_closed(z, w, params=None):
@@ -248,8 +243,7 @@ def symplectic_form_fd(z, w, params=None, h=1e-3):
     The coefficient matrix of dd^c Phi is assembled from second
     differences of the potential, with no knowledge of the block
     structure; this is the independent cross-check of
-    :func:`symplectic_form_closed` and the evaluation path used in
-    cutoff mode.
+    :func:`symplectic_form_closed`.
     """
     if params is None:
         params = SteinParams()
@@ -291,18 +285,8 @@ def symplectic_form_fd(z, w, params=None, h=1e-3):
 
 
 def symplectic_form(p, params=None):
-    """Kahler form at a :class:`SymPoint`.
-
-    Pure mode uses the closed block form; cutoff mode assembles the
-    matrix from second finite differences of the potential.  Either way
-    the result is checked for numerical degeneracy.
-    """
-    if params is None:
-        params = SteinParams()
-    if params.smoothing == "pure":
-        omega = symplectic_form_closed(p.z, p.w, params)
-    else:
-        omega = symplectic_form_fd(p.z, p.w, params)
+    """Kahler form at a :class:`SymPoint`, checked for numerical degeneracy."""
+    omega = symplectic_form_closed(p.z, p.w, params)
     if abs(np.linalg.det(omega)) < 1e-12:
         raise DegenerateFormError("assembled form is numerically degenerate")
     return omega

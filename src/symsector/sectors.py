@@ -171,11 +171,10 @@ def in_V_region(p, sign, params=None):
     """
     if params is None:
         params = SteinParams()
-    eps = params.epsilon
-    small, big = _pair_coords(p)
-    if not (-eps < small.real < eps):
-        return False
-    return big.real > 2.0 * eps if sign > 0 else big.real < -2.0 * eps
+    hit, esign = _kernels._event_val(
+        *p.state(), 0.0, params.epsilon, _kernels.EVENT_V_ENTRY
+    )
+    return bool(hit) and esign == (1 if sign > 0 else -1)
 
 
 class IValue:
@@ -397,10 +396,10 @@ def truncation_region_contains(p, params=None):
     """Whether p lies in the absorbing truncation region of U_MM."""
     if params is None:
         params = SteinParams()
-    eps = params.epsilon
-    x1 = p.z1.real
-    x2 = p.z2.real
-    return x1 <= -eps and x2 <= -eps and x1 + x2 <= -3.0 * eps
+    hit, _ = _kernels._event_val(
+        *p.state(), 0.0, params.epsilon, _kernels.EVENT_TRUNC_REGION
+    )
+    return bool(hit)
 
 
 def check_truncation_absorbing(p, params=None, settings=None):

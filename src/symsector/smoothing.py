@@ -17,7 +17,8 @@ The potential on the symmetric square contains a term ``n(|w|)/2`` where
     feasible only for ``epsilon`` above roughly ``2.1``.
 
 Profiles are frozen into a flat float64 table consumed by the numerical
-kernels, so jit-compiled code never touches Python objects.
+kernels, so jit-compiled code never touches Python objects.  One numpy
+evaluator reads it for n, m, m' and the kernels' cutoff coefficients.
 """
 
 import math
@@ -159,11 +160,6 @@ def _bridge_integral(epsilon, lam):
     return _segment_log_integral(seg1, r0, rm) + _segment_log_integral(seg2, rm, r1)
 
 
-def _m_prime_poly(c, t):
-    c0, c1, c2, c3 = c
-    return c1 + 2.0 * c2 * t + 3.0 * c3 * t * t
-
-
 def build_smoothing_table(epsilon, mode="pure"):
     """Freeze a smoothing profile into a flat float64 table.
 
@@ -264,67 +260,53 @@ def build_smoothing_table(epsilon, mode="pure"):
     return table
 
 
-def _cutoff_regions(r, table):
-    r0 = table[2]
-    r1 = table[4]
-    rm = table[3]
-    inner = r < r0
-    outer = r >= r1
-    seg1 = (~inner) & (~outer) & (r < rm)
-    seg2 = (~inner) & (~outer) & (~seg1)
-    return inner, seg1, seg2, outer
+_PURE = (pure_norm, pure_m, pure_m_prime)
+
+
+def _profile(r, table, orders):
+    """Profile values at radii r, one per requested order (0: n, 1: m, 2: m').
+
+    The one evaluator behind norm_value, norm_m, norm_m_prime and the flow
+    kernels' cutoff coefficients.  In cutoff mode one split on the knots
+    table[2:5] serves every order: the pure profile, the two bridge cubics
+    of m in the kernels' Horner form, and n = m = r, m' = 1 from table[4].
+    """
+    r = np.asarray(r, dtype=float)
+    epsilon = table[1]
+    if table[0] == MODE_PURE:
+        return [_PURE[k](r, epsilon) for k in orders]
+    rv = np.atleast_1d(r)
+    inner = rv < table[2]
+    bridge = ~(inner | (rv >= table[4]))
+    t = rv[bridge]
+    # each bridge radius takes the cubic of its segment, split at table[3]
+    first = t < table[3]
+    c0, c1, c2, c3 = np.where(first, table[5:9, None], table[9:13, None])
+    outs = []
+    for k in orders:
+        out = np.ones_like(rv) if k == 2 else rv.copy()
+        out[inner] = _PURE[k](rv[inner], epsilon)
+        if k == 0:
+            const = np.where(first, table[13], table[14])
+            out[bridge] = _segment_antiderivative((c0, c1, c2, c3), t) + const
+        elif k == 1:
+            out[bridge] = c0 + t * (c1 + t * (c2 + t * c3))
+        else:
+            out[bridge] = c1 + t * (2.0 * c2 + 3.0 * t * c3)
+        outs.append(out[0] if r.ndim == 0 else out)
+    return outs
 
 
 def norm_value(r, table):
     """Evaluate n(r) for the profile frozen in ``table``."""
-    r = np.asarray(r, dtype=float)
-    epsilon = table[1]
-    if table[0] == MODE_PURE:
-        return pure_norm(r, epsilon)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    inner, seg1, seg2, outer = _cutoff_regions(r, table)
-    out[inner] = pure_norm(r[inner], epsilon)
-    out[seg1] = _segment_antiderivative(tuple(table[5:9]), r[seg1]) + table[13]
-    out[seg2] = _segment_antiderivative(tuple(table[9:13]), r[seg2]) + table[14]
-    out[outer] = r[outer]
-    return out[0] if scalar else out
+    return _profile(r, table, (0,))[0]
 
 
 def norm_m(r, table):
     """Evaluate m(r) = r n'(r) for the profile frozen in ``table``."""
-    r = np.asarray(r, dtype=float)
-    epsilon = table[1]
-    if table[0] == MODE_PURE:
-        return pure_m(r, epsilon)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    inner, seg1, seg2, outer = _cutoff_regions(r, table)
-    out[inner] = pure_m(r[inner], epsilon)
-    t = r[seg1]
-    c = table[5:9]
-    out[seg1] = c[0] + c[1] * t + c[2] * t * t + c[3] * t * t * t
-    t = r[seg2]
-    c = table[9:13]
-    out[seg2] = c[0] + c[1] * t + c[2] * t * t + c[3] * t * t * t
-    out[outer] = r[outer]
-    return out[0] if scalar else out
+    return _profile(r, table, (1,))[0]
 
 
 def norm_m_prime(r, table):
     """Evaluate m'(r); positivity is equivalent to subharmonicity."""
-    r = np.asarray(r, dtype=float)
-    epsilon = table[1]
-    if table[0] == MODE_PURE:
-        return pure_m_prime(r, epsilon)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    inner, seg1, seg2, outer = _cutoff_regions(r, table)
-    out[inner] = pure_m_prime(r[inner], epsilon)
-    out[seg1] = _m_prime_poly(tuple(table[5:9]), r[seg1])
-    out[seg2] = _m_prime_poly(tuple(table[9:13]), r[seg2])
-    out[outer] = 1.0
-    return out[0] if scalar else out
+    return _profile(r, table, (2,))[0]

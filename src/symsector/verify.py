@@ -66,12 +66,19 @@ def _params(config, epsilon=None, mode=None):
     )
 
 
+def _json_float(x):
+    # JSON has no NaN or infinity; -0.0 would print its sign
+    if x is None or not math.isfinite(x):
+        return None
+    return float(x) + 0.0
+
+
 def _result(passed, samples, worst, gate, detail):
     return {
         "passed": bool(passed),
         "samples": int(samples),
-        "worst": None if worst is None else float(worst),
-        "gate": None if gate is None else float(gate),
+        "worst": _json_float(worst),
+        "gate": _json_float(gate),
         "detail": str(detail),
     }
 
@@ -938,4 +945,4 @@ def run_all(config=None):
 
 def report_json(report):
     """Stable byte representation of a report."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"

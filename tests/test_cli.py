@@ -172,6 +172,41 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+def _assert_user_error(code, err):
+    # exit 2 with one line on stderr, never a traceback
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_slice_exits_2(capsys):
+    code, _, err = run_cli(["classify-grid", "--grid", "3", "--slice", "foo"], capsys)
+    _assert_user_error(code, err)
+    assert "foo" in err
+
+
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"epsilon": "abc"}))
+    code, _, err = run_cli(["classify-grid", "--grid", "3", "--config", str(cfg)],
+                           capsys)
+    _assert_user_error(code, err)
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli(
+        ["decompose", "--surface", "p1-minus-4pts", "--out", str(target)], capsys
+    )
+    _assert_user_error(code, err)
+    assert str(target) in err and out == ""
+
+
+def test_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
+    _assert_user_error(code, err)
+    assert "seed" in err and out == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symsector", "decompose", "--surface",

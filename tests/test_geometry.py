@@ -135,12 +135,17 @@ def test_complex_structure_squares_to_minus_identity():
     assert np.array_equal(J @ J, -np.eye(4))
 
 
-def test_form_closed_matches_fd(pure16, rng):
-    for _ in range(10):
+def test_form_closed_matches_fd(pure16, cutoff16, rng):
+    r0, r1 = cutoff16.table[2], cutoff16.table[4]
+    cases = [(pure16, complex(rng.uniform(-40, 40), rng.uniform(-40, 40)))
+             for _ in range(10)]
+    # cutoff mode on the bridge annulus, where m' is a cubic
+    cases += [(cutoff16, rng.uniform(r0, r1) * np.exp(2j * np.pi * rng.uniform()))
+              for _ in range(10)]
+    for params, w in cases:
         z = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
-        w = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
-        closed = symplectic_form_closed(z, w, pure16)
-        fd = symplectic_form_fd(z, w, pure16)
+        closed = symplectic_form_closed(z, w, params)
+        fd = symplectic_form_fd(z, w, params)
         assert np.max(np.abs(closed - fd)) <= 1e-5 * (1.0 + np.max(np.abs(closed)))
 
 

@@ -8,7 +8,7 @@ required to agree exactly, not to a tolerance.
 import numpy as np
 import pytest
 
-from symsector import _kernels
+from symsector import _kernels, smoothing
 from symsector.flow import FlowSettings
 from symsector.geometry import SteinParams, SymPoint
 from symsector.sectors import (
@@ -78,6 +78,49 @@ def test_pair_re_twins_agree_exactly():
     for k in range(x.size):
         got = _kernels._pair_re(float(x[k]), float(w.real[k]), float(r[k]))
         assert got == (hi[k], lo[k])
+
+
+@pytest.mark.parametrize("epsilon", [2.5, 16.0])
+def test_cutoff_kappa_shrink_reads_smoothing_profile(epsilon):
+    table = SteinParams(epsilon=epsilon, smoothing="cutoff").table
+    r = np.linspace(table[2], table[4], 2001)
+    kappa, shrink = _kernels._kappa_shrink_np(r, table)
+    mp = smoothing.norm_m_prime(r, table)
+    assert np.array_equal(kappa, 2.0 * r / mp)
+    assert np.array_equal(shrink, smoothing.norm_m(r, table) / (r * mp))
+
+
+def _event_rows(epsilon, rng):
+    x = rng.uniform(-4.0 * epsilon, 4.0 * epsilon, 20000)
+    w = rng.uniform(-1.0, 1.0, (20000, 2)) * (4.0 * epsilon) ** 2
+    rows = [np.column_stack([x, np.zeros_like(x), w])]
+    # real w = u^2 gives pair coordinates x +- u exactly, so these rows
+    # sit on the region boundaries x = +-eps, +-2 eps and x1 + x2 = -3 eps
+    xs = epsilon * np.arange(-4.0, 4.5, 0.5)
+    us = epsilon * np.arange(0.0, 4.5, 0.5)
+    for u in us:
+        for re_w in (u * u, -u * u):
+            rows.append([(xk, 0.0, re_w, 0.0) for xk in xs])
+    rows.append([(xk, 0.0, 0.0, epsilon) for xk in xs])  # |w| = eps
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [_kernels.EVENT_NONE, _kernels.EVENT_PAIR_ESCAPE,
+     _kernels.EVENT_TRUNC_REGION, _kernels.EVENT_V_ENTRY],
+    ids=["none", "pair-escape", "trunc-region", "v-entry"],
+)
+def test_event_twins_agree_exactly(kind):
+    epsilon = 16.0
+    radius = 2.0 * epsilon
+    Y = _event_rows(epsilon, np.random.default_rng(5))
+    hit, sign = _kernels._event_np(Y, radius, epsilon, kind)
+    if kind != _kernels.EVENT_NONE:
+        assert hit.any() and not hit.all()
+    for row, h, sg in zip(Y.tolist(), hit.tolist(), sign.tolist()):
+        got = _kernels._event_val(*row, radius, epsilon, kind)
+        assert (bool(got[0]), int(got[1])) == (h, sg)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from symsector.verify import (
     SUITE_NAMES,
     VerifyConfig,
+    _result,
     report_json,
     run_all,
     run_suite,
@@ -73,3 +74,12 @@ def test_config_validation(kwargs):
     with pytest.raises((ValueError, KeyError)):
         cfg = VerifyConfig(**kwargs)
         run_all(cfg)
+
+
+def test_report_numbers_are_valid_json():
+    out = _result(True, 1, -0.0, float("nan"), "signed zero, no gate")
+    assert out["gate"] is None
+    assert json.dumps(out["worst"]) == "0.0"
+    assert _result(False, 1, float("inf"), 1e-6, "")["worst"] is None
+    with pytest.raises(ValueError):
+        report_json({"worst": float("nan")})
