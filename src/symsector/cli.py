@@ -9,6 +9,7 @@ entry over built-in default.  Exit codes: 0 success, 1 suite failure,
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -107,6 +108,24 @@ def _write_out(config, text, default=None):
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
+def _check_out(config, default=None):
+    """Raise the ConfigError of _write_out now, before any computing.
+
+    The probe opens in append mode, so an existing file keeps its bytes,
+    and removes a file it created, so a run that fails later leaves none.
+    """
+    out = config.out or default
+    if not out:
+        return
+    existed = os.path.exists(out)
+    try:
+        open(out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(out)
+
+
 def _stein(config):
     return SteinParams(
         alpha=config.alpha, epsilon=config.epsilon, smoothing=config.smoothing
@@ -128,6 +147,7 @@ def cmd_verify(config):
         alpha=config.alpha,
         smoothing=config.smoothing,
     )
+    _check_out(config)
     report = verify.run_all(vconf)
     _write_out(config, verify.report_json(report))
     return 0 if report["passed"] else 1
@@ -145,11 +165,13 @@ def _grid_result(config):
 
 
 def cmd_classify_grid(config):
+    _check_out(config)
     _write_out(config, gridplot.grid_csv(_grid_result(config)))
     return 0
 
 
 def cmd_slice_plot(config):
+    _check_out(config, "slice.svg")
     _write_out(config, gridplot.grid_svg(_grid_result(config)), "slice.svg")
     return 0
 

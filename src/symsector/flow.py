@@ -387,6 +387,16 @@ def compute_delta_batch(
 
 
 def compute_c_batch(sqrt_w0s, params=None, settings=None, **kw):
-    """Offsets c = |Re Delta| for many w-values (nan where unresolved)."""
-    delta, _ = compute_delta_batch(sqrt_w0s, params, settings, **kw)
-    return np.abs(delta.real)
+    """Offsets c = |Re Delta| for many w-values (nan where unresolved).
+
+    c is bitwise even under s -> -s and s -> conj(s), so each distinct
+    (|Re s|, |Im s|) is integrated once and its offset scattered back
+    to every query that folds to it, in the shape of sqrt_w0s.
+    """
+    s = np.asarray(sqrt_w0s, dtype=complex)
+    key = np.empty(s.size, dtype=complex)
+    key.real = np.abs(s.real).ravel()
+    key.imag = np.abs(s.imag).ravel()
+    key, inverse = np.unique(key, return_inverse=True)
+    delta, _ = compute_delta_batch(key, params, settings, **kw)
+    return np.abs(delta.real)[inverse].reshape(s.shape)

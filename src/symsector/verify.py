@@ -446,9 +446,12 @@ def _suite_offset_evenness(config, rng):
     n = _count(config, 60)
     s = _cbox(rng, n, 3 * eps)
     st = _c_settings()
-    c0 = flow.compute_c_batch(s, params, st)
-    c_neg = flow.compute_c_batch(-s, params, st)
-    c_conj = flow.compute_c_batch(np.conj(s), params, st)
+    # the kernel itself, not compute_c_batch: that folds all three
+    # arguments to the same keys and would compare a result with itself
+    c0, c_neg, c_conj = (
+        np.abs(flow.compute_delta_batch(x, params, st)[0].real)
+        for x in (s, -s, np.conj(s))
+    )
     worst = float(max(np.max(np.abs(c0 - c_neg)), np.max(np.abs(c0 - c_conj))))
     passed = np.isfinite(c0).all() and worst <= 1e-8
     return _result(passed, n, worst, 1e-8,

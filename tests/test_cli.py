@@ -201,6 +201,39 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert str(target) in err and out == ""
 
 
+@pytest.mark.parametrize("command, module, attr", [
+    ("verify", "verify", "run_all"),
+    ("classify-grid", "gridplot", "classify_grid"),
+    ("slice-plot", "gridplot", "classify_grid"),
+])
+def test_unwritable_out_fails_before_computing(
+    command, module, attr, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{module}.{attr} ran before --out was checked")
+
+    monkeypatch.setattr(getattr(cli, module), attr, never)
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli([command, "--out", str(target)], capsys)
+    _assert_user_error(code, err)
+    assert "cannot write" in err and str(target) in err and out == ""
+
+
+def test_out_check_leaves_no_file_when_run_fails(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("grid failed")
+
+    monkeypatch.setattr(cli.gridplot, "classify_grid", broken)
+    target = tmp_path / "grid.csv"
+    with pytest.raises(RuntimeError):
+        cli.main(["classify-grid", "--out", str(target)])
+    assert not target.exists()
+    target.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        cli.main(["classify-grid", "--out", str(target)])
+    assert target.read_text() == "kept\n"
+
+
 def test_negative_seed_exits_2(capsys):
     code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
     _assert_user_error(code, err)

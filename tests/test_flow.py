@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symsector import _kernels
+from symsector import _kernels, flow
 from symsector.flow import (
     FlowSettings,
     NonFiniteFlowError,
@@ -226,6 +226,49 @@ def test_delta_batch_nonfinite_status_matches_scalar(pure16):
         assert status[0] == _kernels.STATUS_NONFINITE and np.isnan(delta[0])
         with pytest.raises(NonFiniteFlowError):
             compute_delta(1e80, pure16, settings)
+
+
+def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
+    # repeats, mirrored pairs (+-s, conj s), +-0.0, an unresolved row and
+    # a NaN: the folded offsets equal the per-row kernel bit for bit
+    settings = FlowSettings(max_steps=2000)
+    x = np.array([
+        [3.0 + 2.0j, -3.0 - 2.0j, 3.0 - 2.0j, -3.0 + 2.0j, 3.0 + 2.0j],
+        [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5.0j],
+        [-5.0j, 2.0, -2.0, 1e80, complex(np.nan, 1.0)],
+    ])
+    rows = []
+
+    def counted(s, *args, **kwargs):
+        rows.append(np.size(s))
+        return compute_delta_batch(s, *args, **kwargs)
+
+    # through the module global, where tracers wrap it
+    monkeypatch.setattr(flow, "compute_delta_batch", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = compute_c_batch(x, pure16, settings)
+        delta, status = compute_delta_batch(x, pure16, settings)
+    assert rows == [6] and c.shape == x.shape
+    assert status[13] == _kernels.STATUS_NONFINITE
+    expect = [float.hex(float(v)) for v in np.abs(delta.real)]
+    assert [float.hex(float(v)) for v in c.ravel()] == expect
+    assert np.isnan(c.ravel()[[13, 14]]).all()
+
+
+def test_pure_offset_scaling_law(rng):
+    # in pure mode w = sqrt(eps) v maps the eps-flow onto the eps = 1
+    # flow, so Delta_eps(eps^(1/4) s) = eps^(1/4) Delta_1(s)
+    settings = FlowSettings(step_tolerance=1e-11)
+    s = rng.uniform(-3.0, 3.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6)
+    unit = SteinParams(alpha=1.5, epsilon=1.0, smoothing="pure")
+    d1, st1 = compute_delta_batch(s, unit, settings)
+    assert np.all(st1 == _kernels.STATUS_EVENT)
+    for eps in (4.0, 16.0):
+        q = eps**0.25
+        params = SteinParams(alpha=1.5, epsilon=eps, smoothing="pure")
+        d, st_eps = compute_delta_batch(q * s, params, settings)
+        assert np.all(st_eps == _kernels.STATUS_EVENT)
+        assert np.all(np.abs(d - q * d1) <= 1e-7 * (1.0 + np.abs(d)))
 
 
 def test_delta_u_star_factor_consistency(pure16):
