@@ -12,7 +12,8 @@ _rhs_np), one DP5 attempt with its scaled error (_attempt_np), the step
 controller (_next_h_np), the pair coordinates (pair_re_np) and the event
 regions (_event_np).  The lockstep batch kernels _drive_batch_np and
 _delta_batch_np are built from them and run when jit is unavailable or
-disabled via SYMSECTOR_NUMBA=0.
+disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and delta_batch_kernel
+are bound once to the batch kernels of the active backend.
 
 The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
 _step2/_step4, _next_h, _pair_re and _event_val (also the region test of
@@ -24,7 +25,7 @@ directly and never build a one-row numpy batch.
 import numpy as np
 
 from . import smoothing
-from ._accel import njit, prange
+from ._accel import njit, prange, using_numba
 
 # Dormand-Prince 5(4) tableau, FSAL form
 C2, C3, C4, C5, C6 = 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0
@@ -861,6 +862,10 @@ def _delta_batch_np(
     # rows stop advancing the moment they deactivate, so t is final
     unconverged = out_status != STATUS_EVENT
     out_t[unconverged] = t[unconverged]
+
+
+drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np
+delta_batch_kernel = _delta_batch if using_numba() else _delta_batch_np
 
 
 def warmup():

@@ -9,6 +9,7 @@ entry over built-in default.  Exit codes: 0 success, 1 suite failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -61,6 +62,8 @@ def _validate(config):
         raise ConfigError("escape-radius must be positive")
     if config.band_tol is not None and config.band_tol < 0.0:
         raise ConfigError("band-tol must be nonnegative")
+    if config.box is not None and not 0.0 < config.box < math.inf:
+        raise ConfigError("box must be positive and finite")
 
 
 def resolve_config(args):

@@ -1,9 +1,11 @@
 """Trajectory integration, escape detection, and branch-direction limits.
 
 Public wrappers around the adaptive kernels: single trajectories with
-optional recording, batched integration (jit or vectorized numpy,
-selected automatically), and the rescaled limit Delta of the w-flow
-whose real part is the hypersurface offset c.
+optional recording, batched integration (the backend _kernels selects:
+jit or vectorized numpy), and the rescaled limit Delta of the w-flow
+whose real part is the hypersurface offset c.  This module is the one
+front end of the kernels: each kernel's shared arguments are built once
+here (_drive_args, _delta_args).
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._accel import using_numba
 from .geometry import ALPHA_DEFAULT, SteinParams, SymPoint
 
 TERM_ESCAPED = "ESCAPED"
@@ -19,6 +20,10 @@ TERM_MAX_TIME = "MAX_TIME"
 TERM_NEAR_CRITICAL = "NEAR_CRITICAL"
 
 _ATOL = 1e-30
+_H_MAX = 0.1  # largest step of the drive and Delta kernels
+_STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
+_AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
+_IM_TOL = 5e-9  # Im Delta residual bound when want_im_converged
 _REC_CAP = 65536
 
 
@@ -36,18 +41,18 @@ class FlowSettings:
 
     escape_radius defaults to 1e3 * max(1, epsilon) when left None, so
     escape always means leaving the region where the perturbation and
-    the hypersurfaces live.
+    the hypersurfaces live.  step_tolerance is the relative tolerance of
+    every adaptive step and max_steps the step budget of one trajectory.
+    The largest step (0.1) and the stall speed (1e-10) are fixed.
     """
 
     max_time: float = 60.0
     escape_radius: float = None
     step_tolerance: float = 1e-9
-    stall_threshold: float = 1e-10
-    h_max: float = 0.1
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_time <= 0 or self.step_tolerance <= 0 or self.h_max <= 0:
+        if self.max_time <= 0 or self.step_tolerance <= 0:
             raise ValueError("flow settings must be positive")
         if self.escape_radius is not None and self.escape_radius <= 0:
             raise ValueError("escape_radius must be positive")
@@ -79,19 +84,13 @@ class Trajectory:
     @property
     def samples(self):
         """Samples as (t, SymPoint) pairs."""
-        out = []
-        for t, row in zip(self.times, self.states):
-            out.append(
-                (float(t), SymPoint.from_sym(row[0] + 1j * row[1], row[2] + 1j * row[3]))
-            )
-        return out
+        return [(float(t), point_of(row)) for t, row in zip(self.times, self.states)]
 
     def final_state(self):
         return self.states[-1].copy()
 
     def final_point(self):
-        row = self.states[-1]
-        return SymPoint.from_sym(row[0] + 1j * row[1], row[2] + 1j * row[3])
+        return point_of(self.states[-1])
 
 
 def flow_unperturbed_z(z0, t, alpha=ALPHA_DEFAULT):
@@ -115,32 +114,25 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _drive_state(state, t0, t_end, params, settings, event_kind, record, fdir=1.0):
-    """Run the scalar kernel from a state; returns kernel outputs."""
+def _drive_args(params, settings, event_kind):
+    """Arguments alpha .. max_steps of _drive and the batch drive kernels."""
     radius = resolve_escape_radius(settings, params)
+    return (params.alpha, params.table, settings.step_tolerance, _ATOL, _H_MAX,
+            radius, params.epsilon, event_kind, _STALL_SPEED, settings.max_steps)
+
+
+def _drive_state(state, t0, t_end, params, settings, event_kind, record, fdir=1.0):
+    """Run the scalar kernel from a state; returns kernel outputs.
+
+    The raw kernel status comes first: STATUS_EVENT, STATUS_TIME_END,
+    STATUS_STALLED, STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
+    """
     rec = np.empty((_REC_CAP if record else 1, 5))
-    res = _kernels._drive(
-        float(state[0]),
-        float(state[1]),
-        float(state[2]),
-        float(state[3]),
-        float(t0),
-        float(t_end),
-        params.alpha,
-        params.table,
-        settings.step_tolerance,
-        _ATOL,
-        settings.h_max,
-        radius,
-        params.epsilon,
-        event_kind,
-        settings.stall_threshold,
-        settings.max_steps,
-        rec,
-        record,
-        fdir,
+    status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
+        float(state[0]), float(state[1]), float(state[2]), float(state[3]),
+        float(t0), float(t_end), *_drive_args(params, settings, event_kind),
+        rec, record, fdir,
     )
-    status, t, y0, y1, y2, y3, esign, nrec, _ = res
     out_state = np.array([y0, y1, y2, y3])
     return status, t, out_state, esign, rec[:nrec]
 
@@ -231,33 +223,16 @@ def first_event(state, event_kind, params, settings):
 def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     """Integrate every row of Y in place; returns (status, t, sign).
 
-    Dispatches to the jit batch kernel when numba is active and to the
-    vectorized numpy twin otherwise.
+    Runs the batch kernel of the active backend (jit or numpy).
     """
     n = Y.shape[0]
     out_status = np.zeros(n, dtype=np.int64)
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
-    radius = resolve_escape_radius(settings, params)
-    fn = _kernels._drive_batch if using_numba() else _kernels._drive_batch_np
-    fn(
-        Y,
-        0.0,
-        float(settings.max_time if t_end is None else t_end),
-        params.alpha,
-        params.table,
-        settings.step_tolerance,
-        _ATOL,
-        settings.h_max,
-        radius,
-        params.epsilon,
-        event_kind,
-        settings.stall_threshold,
-        settings.max_steps,
-        out_status,
-        out_t,
-        out_sign,
-        direction,
+    t_end = float(settings.max_time if t_end is None else t_end)
+    _kernels.drive_batch_kernel(
+        Y, 0.0, t_end, *_drive_args(params, settings, event_kind),
+        out_status, out_t, out_sign, direction,
     )
     return out_status, out_t, out_sign
 
@@ -272,14 +247,25 @@ def default_u_star(epsilon):
     return max(4.0 * epsilon, (3e9 * epsilon * epsilon) ** (1.0 / 7.0))
 
 
+def _delta_args(params, settings, want_im_converged, u_star_factor):
+    """Arguments alpha .. max_steps of _delta_one and the batch Delta kernels."""
+    u_star = default_u_star(params.epsilon) * u_star_factor
+    return (params.alpha, params.table, settings.step_tolerance, _ATOL, _H_MAX,
+            u_star, _AGREE_TOL, _IM_TOL, want_im_converged, settings.max_time,
+            settings.max_steps)
+
+
+def _other_branch(w0, s0):
+    """Whether s0 is the negative of the principal root of w0 = s0^2.
+
+    The kernels continue the branch from the principal root; where this
+    holds, Delta is negated to follow the branch through s0 itself.
+    """
+    return np.abs(np.sqrt(w0) - s0) > np.abs(np.sqrt(w0) + s0)
+
+
 def compute_delta(
-    sqrt_w0,
-    params=None,
-    settings=None,
-    want_im_converged=False,
-    agree_tol=1e-8,
-    im_tol=5e-9,
-    u_star_factor=1.0,
+    sqrt_w0, params=None, settings=None, want_im_converged=False, u_star_factor=1.0
 ):
     """Rescaled branch-direction limit Delta of one w-trajectory.
 
@@ -288,6 +274,10 @@ def compute_delta(
     w0, and Delta = lim exp(-(alpha-1) t) sqrt(w(t)).  Because the
     branch is continued (rather than re-chosen), Delta is exactly odd in
     sqrt_w0 and Re Delta is even under conjugation.
+
+    A reading is taken once |Re sqrt(w)| passes u_star_factor times
+    :func:`default_u_star` and is converged when two readings 0.7 apart
+    agree to 1e-8 (and, with want_im_converged, |Im| is below 5e-9).
 
     Raises
     ------
@@ -300,52 +290,30 @@ def compute_delta(
         settings = FlowSettings()
     s0 = complex(sqrt_w0)
     w0 = s0 * s0
-    u_star = default_u_star(params.epsilon) * u_star_factor
     status, dre, dim, _ = _kernels._delta_one(
-        w0.real,
-        w0.imag,
-        params.alpha,
-        params.table,
-        settings.step_tolerance,
-        _ATOL,
-        settings.h_max,
-        u_star,
-        agree_tol,
-        im_tol,
-        want_im_converged,
-        settings.max_time,
-        settings.max_steps,
+        w0.real, w0.imag, *_delta_args(params, settings, want_im_converged, u_star_factor)
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")
     if status != _kernels.STATUS_EVENT:
         raise NoEscapeError("no stable branch-direction reading before max_time")
     d = complex(dre, dim)
-    # the continued branch starts at the principal root; flip to the
-    # branch through sqrt_w0 itself for odd symmetry
-    if abs(np.sqrt(w0) - s0) > abs(np.sqrt(w0) + s0):
-        d = -d
-    return d
+    return -d if _other_branch(w0, s0) else d
 
 
-def compute_c(sqrt_w0, params=None, settings=None, **kw):
+def compute_c(sqrt_w0, params=None, settings=None):
     """Hypersurface offset c = |Re Delta| >= 0 of one w-value."""
-    return abs(compute_delta(sqrt_w0, params, settings, **kw).real)
+    return abs(compute_delta(sqrt_w0, params, settings).real)
 
 
 def compute_delta_batch(
-    sqrt_w0s,
-    params=None,
-    settings=None,
-    want_im_converged=False,
-    agree_tol=1e-8,
-    im_tol=5e-9,
-    u_star_factor=1.0,
+    sqrt_w0s, params=None, settings=None, want_im_converged=False, u_star_factor=1.0
 ):
     """Branch-direction limits of many w-values.
 
     Returns (delta, status) where delta is complex (nan where the
     reading did not converge) and status is the raw kernel status row.
+    Each row is read as :func:`compute_delta` reads its value.
     """
     if params is None:
         params = SteinParams()
@@ -359,34 +327,18 @@ def compute_delta_batch(
     out_re = np.zeros(n)
     out_im = np.zeros(n)
     out_t = np.zeros(n)
-    u_star = default_u_star(params.epsilon) * u_star_factor
-    fn = _kernels._delta_batch if using_numba() else _kernels._delta_batch_np
-    fn(
-        W,
-        params.alpha,
-        params.table,
-        settings.step_tolerance,
-        _ATOL,
-        settings.h_max,
-        u_star,
-        agree_tol,
-        im_tol,
-        want_im_converged,
-        settings.max_time,
-        settings.max_steps,
-        out_status,
-        out_re,
-        out_im,
-        out_t,
+    _kernels.delta_batch_kernel(
+        W, *_delta_args(params, settings, want_im_converged, u_star_factor),
+        out_status, out_re, out_im, out_t,
     )
     delta = out_re + 1j * out_im
-    flip = np.abs(np.sqrt(w0) - s0) > np.abs(np.sqrt(w0) + s0)
+    flip = _other_branch(w0, s0)
     delta[flip] = -delta[flip]
     delta[out_status != _kernels.STATUS_EVENT] = np.nan
     return delta, out_status
 
 
-def compute_c_batch(sqrt_w0s, params=None, settings=None, **kw):
+def compute_c_batch(sqrt_w0s, params=None, settings=None):
     """Offsets c = |Re Delta| for many w-values (nan where unresolved).
 
     c is bitwise even under s -> -s and s -> conj(s), so each distinct
@@ -398,5 +350,5 @@ def compute_c_batch(sqrt_w0s, params=None, settings=None, **kw):
     key.real = np.abs(s.real).ravel()
     key.imag = np.abs(s.imag).ravel()
     key, inverse = np.unique(key, return_inverse=True)
-    delta, _ = compute_delta_batch(key, params, settings, **kw)
+    delta, _ = compute_delta_batch(key, params, settings)
     return np.abs(delta.real)[inverse].reshape(s.shape)

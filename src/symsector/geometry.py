@@ -212,23 +212,18 @@ def phi_sym_smoothed(p, params=None):
     return float(sym2_potential(p.z, p.w, params))
 
 
-def w_block_coefficient(w, params):
-    """Coefficient m'(|w|)/(2|w|) = 1/kappa of dx ^ dy in the w-block."""
-    kappa, _ = _kernels._kappa_shrink_np(np.atleast_1d(np.abs(w)), params.table)
-    return float(1.0 / kappa[0])
-
-
 def symplectic_form_closed(z, w, params=None):
     """Kahler form of the smoothed potential as a 4x4 matrix.
 
     Block diagonal in the [Re z, Im z, Re w, Im w] ordering: the z-block
     is 2 dx ^ dy for every alpha, and the w-block is m'(|w|)/(2|w|),
     which tends to 1/sqrt(epsilon) at the branch locus and to 1/(2|w|)
-    far from it.
+    far from it; it equals 1/kappa of the w-flow.
     """
     if params is None:
         params = SteinParams()
-    q = w_block_coefficient(w, params)
+    kappa, _ = _kernels._kappa_shrink_np(np.atleast_1d(np.abs(w)), params.table)
+    q = float(1.0 / kappa[0])
     omega = np.zeros((4, 4))
     omega[0, 1] = 2.0
     omega[1, 0] = -2.0

@@ -22,7 +22,6 @@ U_PP = "U_PP"
 H_MINUS = "H_MINUS"
 H_PLUS = "H_PLUS"
 UNRESOLVED = "UNRESOLVED"
-ERROR = "ERROR"
 
 SECTOR_LABELS = (U_MM, H_MINUS, U_MP, H_PLUS, U_PP, UNRESOLVED)
 
@@ -59,14 +58,14 @@ def labels_from_ab(a, b, band_tol):
     return np.select(conds, choices, default=U_PP)
 
 
-def classify_values(p, params=None, settings=None, band_tol=None, **ckw):
+def classify_values(p, params=None, settings=None, band_tol=None):
     """Label and offsets (label, a, b, c) of one point."""
     if params is None:
         params = SteinParams()
     if band_tol is None:
         band_tol = default_band_tol(params)
     sqrt_w0 = 0.5 * (p.z1 - p.z2)
-    c = flow.compute_c(sqrt_w0, params, settings, **ckw)
+    c = flow.compute_c(sqrt_w0, params, settings)
     x0 = p.z.real
     a = x0 + c
     b = x0 - c
@@ -74,7 +73,7 @@ def classify_values(p, params=None, settings=None, band_tol=None, **ckw):
     return label, a, b, c
 
 
-def classify_closed_form(p, params=None, settings=None, band_tol=None, **ckw):
+def classify_closed_form(p, params=None, settings=None, band_tol=None):
     """Closed-form sector label of one point.
 
     Raises
@@ -82,14 +81,7 @@ def classify_closed_form(p, params=None, settings=None, band_tol=None, **ckw):
     flow.NoEscapeError
         If the offset c of the point's w-value cannot be resolved.
     """
-    return classify_values(p, params, settings, band_tol, **ckw)[0]
-
-
-_TERMINATION_STATUS = {
-    flow.TERM_ESCAPED: _kernels.STATUS_EVENT,
-    flow.TERM_MAX_TIME: _kernels.STATUS_TIME_END,
-    flow.TERM_NEAR_CRITICAL: _kernels.STATUS_STALLED,
-}
+    return classify_values(p, params, settings, band_tol)[0]
 
 
 def _flow_label(x_hi, x_lo, status, radius, epsilon):
@@ -118,19 +110,24 @@ def classify_by_flow(p, params=None, settings=None):
     Escape gives an open-sector label from the sign pair at escape; a
     trajectory that still straddles the saddle at max_time, one
     coordinate pinned near zero and the other far out, gets the
-    hypersurface label of the far coordinate's sign; anything else,
-    a stall included, is UNRESOLVED.
+    hypersurface label of the far coordinate's sign; anything else is
+    UNRESOLVED: a stall, a non-finite state or a spent step budget
+    (FlowSettings.max_steps).  Never raises for a flow failure, and
+    always gives the label :func:`classify_by_flow_batch` gives.
     """
     if params is None:
         params = SteinParams()
     if settings is None:
         settings = flow.FlowSettings()
-    traj = flow.integrate_flow(p, params, settings, record=False)
-    y0, _, y2, y3 = traj.states[-1].tolist()
+    status, _, state, _, _ = flow._drive_state(
+        p.state(), 0.0, settings.max_time, params, settings,
+        _kernels.EVENT_PAIR_ESCAPE, False,
+    )
+    y0, _, y2, y3 = state.tolist()
     x_hi, x_lo = _kernels._pair_re(y0, y2, np.hypot(y2, y3))
     return _flow_label(
-        x_hi, x_lo, _TERMINATION_STATUS[traj.termination],
-        flow.resolve_escape_radius(settings, params), params.epsilon,
+        x_hi, x_lo, status, flow.resolve_escape_radius(settings, params),
+        params.epsilon,
     )
 
 
@@ -243,7 +240,7 @@ def check_ZI_scaling(p, sign, params=None, settings=None, h=0.03):
     return abs(fd + params.alpha * i0)
 
 
-def _offset_gradient(p, sign, params, settings, h_rel=1e-3, **ckw):
+def _offset_gradient(p, sign, params, settings):
     """Gradient of the defining function F = Re z0 -+ c in real coords.
 
     F = a = Re z0 + c for the minus hypersurface (sign < 0) and
@@ -254,16 +251,16 @@ def _offset_gradient(p, sign, params, settings, h_rel=1e-3, **ckw):
     csign = 1.0 if sign < 0 else -1.0
     grad = np.array([1.0, 0.0, 0.0, 0.0])
     for k, comp in ((2, 1.0), (3, 1j)):
-        step = h_rel * (1.0 + abs(w))
+        step = 1e-3 * (1.0 + abs(w))
         wp = w + comp * step
         wm = w - comp * step
-        cp = flow.compute_c(np.sqrt(wp), params, settings, **ckw)
-        cm = flow.compute_c(np.sqrt(wm), params, settings, **ckw)
+        cp = flow.compute_c(np.sqrt(wp), params, settings)
+        cm = flow.compute_c(np.sqrt(wm), params, settings)
         grad[k] = csign * (cp - cm) / (2.0 * step)
     return grad
 
 
-def characteristic_direction(p, sign, params=None, settings=None, **ckw):
+def characteristic_direction(p, sign, params=None, settings=None):
     """Characteristic (kernel) direction of the hypersurface at p.
 
     The hypersurface is the level set F = 0 of the offset; its
@@ -280,7 +277,7 @@ def characteristic_direction(p, sign, params=None, settings=None, **ckw):
         params = SteinParams()
     if settings is None:
         settings = flow.FlowSettings()
-    grad = _offset_gradient(p, sign, params, settings, **ckw)
+    grad = _offset_gradient(p, sign, params, settings)
     if not np.isfinite(grad).all() or np.linalg.norm(grad) < 1e-8:
         raise ConditionError("degenerate hypersurface gradient")
     omega = symplectic_form_closed(p.z, p.w, params)
@@ -289,9 +286,7 @@ def characteristic_direction(p, sign, params=None, settings=None, **ckw):
     return np.linalg.solve(omega, grad)
 
 
-def check_dI_characteristic(
-    p, sign, params=None, settings=None, h=1e-3, **ckw
-):
+def check_dI_characteristic(p, sign, params=None, settings=None, h=1e-3):
     """Derivative of I along the oriented characteristic direction.
 
     Positive values mean the characteristic foliation is transverse to
@@ -302,7 +297,7 @@ def check_dI_characteristic(
         params = SteinParams()
     if settings is None:
         settings = flow.FlowSettings()
-    C = characteristic_direction(p, sign, params, settings, **ckw)
+    C = characteristic_direction(p, sign, params, settings)
     scale = h / max(1.0, np.linalg.norm(C))
     state = p.state()
     vals = []
@@ -426,7 +421,7 @@ def check_truncation_absorbing(p, params=None, settings=None):
     return float(t)
 
 
-def hypersurface_point(sign, sqrt_w0, y_z, params=None, settings=None, **ckw):
+def hypersurface_point(sign, sqrt_w0, y_z, params=None, settings=None):
     """A point of H0,- (sign < 0) or H0,+ (sign > 0) over a given w.
 
     The offsets are linear in Re z0, so the hypersurface over w0 is
@@ -434,7 +429,7 @@ def hypersurface_point(sign, sqrt_w0, y_z, params=None, settings=None, **ckw):
     """
     if params is None:
         params = SteinParams()
-    c = flow.compute_c(sqrt_w0, params, settings, **ckw)
+    c = flow.compute_c(sqrt_w0, params, settings)
     x_z = -c if sign < 0 else c
     z0 = complex(x_z, y_z)
     s = complex(sqrt_w0)

@@ -88,6 +88,8 @@ class CombSurface:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Surface from parsed JSON; a field of the wrong type is a TypeError."""
+        _check_json_types(data)
         comps = [
             Component(c["id"], c["genus"], c["ends"], c.get("slots", []))
             for c in data["components"]
@@ -105,6 +107,24 @@ class CombSurface:
     @classmethod
     def loads(cls, text):
         return cls.from_json_dict(json.loads(text))
+
+
+def _check_json_types(data):
+    """genus and ends are integers, slots and each arc lists of strings."""
+
+    def strings(value, length=None):
+        return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+                and length in (None, len(value)))
+
+    for comp in data["components"]:
+        for key in ("genus", "ends"):
+            if isinstance(comp[key], bool) or not isinstance(comp[key], int):
+                raise TypeError(f"{key} must be an integer, not {comp[key]!r}")
+        if not strings(comp.get("slots", [])):
+            raise TypeError(f"slots must be a list of strings, not {comp['slots']!r}")
+    for arc in data.get("arcs", []):
+        if not strings(arc, 2):
+            raise TypeError(f"an arc must be a list of two strings, not {arc!r}")
 
 
 def euler_characteristic(surface):

@@ -219,7 +219,7 @@ def _suite_kahler_factor_bounds(config, rng):
     mono = float(np.min(np.diff(kf)))
     upper = float(np.max(kf - 2.0 * np.sqrt(r * r + eps)))
     try:
-        geometry.kahler_factor(1.0, _params(config, epsilon=PIN_EPSILON, mode="cutoff"))
+        geometry.kahler_factor(1.0, _pin_cutoff(config))
         cutoff_raises = False
     except ValueError:
         cutoff_raises = True
@@ -301,7 +301,7 @@ def _suite_disk_cover_family(config, rng):
 
 
 def _suite_product_flow_regression(config, rng):
-    params = SteinParams(alpha=config.alpha, epsilon=PIN_EPSILON, smoothing="pure")
+    params = _pin_pure(config)
     settings = FlowSettings()
     n = _count(config, 1000)
     # deep product region: |w| >= 9e4, so the smoothing tail perturbs
@@ -355,7 +355,7 @@ def _suite_product_flow_regression(config, rng):
 
 
 def _suite_near_diagonal_escape(config, rng):
-    params = SteinParams(alpha=config.alpha, epsilon=PIN_EPSILON, smoothing="pure")
+    params = _pin_pure(config)
     settings = FlowSettings()
     eps = params.epsilon
     n = _count(config, 100)

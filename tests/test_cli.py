@@ -240,6 +240,33 @@ def test_negative_seed_exits_2(capsys):
     assert "seed" in err and out == ""
 
 
+@pytest.mark.parametrize("box", ["-5", "0", "nan", "inf"])
+def test_bad_box_exits_2(box, capsys):
+    code, out, err = run_cli(["classify-grid", "--grid", "3", "--box", box], capsys)
+    _assert_user_error(code, err)
+    assert "box" in err and out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slots", "pq"),
+    ("arcs", ["pr"]),
+    ("genus", 0.9),
+    ("ends", True),
+], ids=["slots-string", "arc-string", "genus-float", "ends-bool"])
+def test_surface_field_of_wrong_type_exits_2(field, value, tmp_path, capsys):
+    comp = {"id": "a", "genus": 0, "ends": 2, "slots": ["p", "q"]}
+    data = {"components": [comp], "arcs": [["p", "q"]]}
+    if field == "arcs":
+        data["arcs"] = value
+    else:
+        comp[field] = value
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["decompose", "--surface", str(path)], capsys)
+    _assert_user_error(code, err)
+    assert "must be" in err and out == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symsector", "decompose", "--surface",

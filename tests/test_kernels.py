@@ -124,16 +124,20 @@ def test_event_twins_agree_exactly(kind):
 
 
 @pytest.mark.parametrize(
-    "p, max_time, want",
+    "p, settings, want",
     [
-        (SymPoint(-40.0, -64.0 + 1.0j), 60.0, U_MM),
-        (SymPoint(30.0 + 1.0j, -30.0), 60.0, U_MP),
-        (SymPoint(40.0, 64.0 + 1.0j), 60.0, U_PP),
-        (SymPoint(1.0j, -1.0j), 0.5, UNRESOLVED),
+        (SymPoint(-40.0, -64.0 + 1.0j), FlowSettings(), U_MM),
+        (SymPoint(30.0 + 1.0j, -30.0), FlowSettings(), U_MP),
+        (SymPoint(40.0, 64.0 + 1.0j), FlowSettings(), U_PP),
+        (SymPoint(1.0j, -1.0j), FlowSettings(max_time=0.5), UNRESOLVED),
+        # w = 1e308: the kernels end the row STATUS_NONFINITE
+        (SymPoint(1e154, -1e154), FlowSettings(max_steps=2000), UNRESOLVED),
+        # step budget spent: STATUS_RUNNING
+        (SymPoint(-40.0, -64.0 + 1.0j), FlowSettings(max_steps=3), UNRESOLVED),
     ],
+    ids=["U_MM", "U_MP", "U_PP", "time-end", "nonfinite", "running"],
 )
-def test_flow_label_scalar_matches_batch(pure16, p, max_time, want):
-    settings = FlowSettings(max_time=max_time)
+def test_flow_label_scalar_matches_batch(pure16, p, settings, want):
     label = classify_by_flow(p, pure16, settings)
     assert label == want
     assert list(classify_by_flow_batch([p.state()], pure16, settings)) == [label]
