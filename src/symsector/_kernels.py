@@ -74,6 +74,16 @@ EVENT_V_ENTRY = 3
 
 MODE_PURE = smoothing.MODE_PURE
 
+# Beyond this radius the pure coefficients are taken in x = eps/r^2, since
+# r*r (and rho2^1.5 a little earlier) would overflow; below it they keep
+# the closed form in rho2 = r^2 + eps.
+R_BIG = 1e100
+
+# reading rules of the Delta kernels (see _delta_one)
+READ_COMPLEX = 0
+READ_REAL = 1
+READ_COMPLEX_IM = 2
+
 
 @njit(cache=True)
 def _w_terms(r, alpha, table):
@@ -84,10 +94,15 @@ def _w_terms(r, alpha, table):
     mode = table[0]
     eps = table[1]
     if mode == MODE_PURE or r < table[2]:
-        rho2 = r * r + eps
-        den = r * r + 2.0 * eps
-        kappa = 2.0 * rho2 * np.sqrt(rho2) / den
-        shrink = rho2 / den
+        if r > R_BIG:
+            x = eps / r / r
+            shrink = (1.0 + x) / (1.0 + 2.0 * x)
+            kappa = 2.0 * r * np.sqrt(1.0 + x) * shrink
+        else:
+            rho2 = r * r + eps
+            den = r * r + 2.0 * eps
+            kappa = 2.0 * rho2 * np.sqrt(rho2) / den
+            shrink = rho2 / den
     elif r >= table[4]:
         kappa = 2.0 * r
         shrink = 1.0
@@ -486,7 +501,7 @@ def _delta_one(
     u_star,
     agree_tol,
     im_tol,
-    want_im,
+    reading,
     max_time,
     max_steps,
 ):
@@ -495,8 +510,11 @@ def _delta_one(
     Integrates the autonomous w-subsystem while continuing a branch of
     sqrt(w) through the motion, and reads d = exp(-(alpha-1) t) sqrt(w)
     once |Re sqrt(w)| clears u_star.  Convergence is declared when two
-    readings 0.7 apart agree to agree_tol (and, if want_im, the residual
-    imaginary part is below im_tol).  Returns (status, Re d, Im d, t).
+    readings 0.7 apart agree to agree_tol: as complex numbers under
+    READ_COMPLEX, in their real parts only under READ_REAL (Im d decays
+    like exp(-(2 alpha - 1) t), long after Re d has settled), and as
+    complex numbers with |Im d| < im_tol under READ_COMPLEX_IM.
+    Returns (status, Re d, Im d, t).
     """
     rate = alpha - 1.0
     s = np.sqrt(complex(xw, yw))
@@ -520,8 +538,11 @@ def _delta_one(
             best_re = d_re
             best_im = d_im
             if have_prev:
-                gap = np.hypot(d_re - prev_re, d_im - prev_im)
-                im_ok = (not want_im) or abs(d_im) < im_tol
+                if reading == READ_REAL:
+                    gap = abs(d_re - prev_re)
+                else:
+                    gap = np.hypot(d_re - prev_re, d_im - prev_im)
+                im_ok = reading != READ_COMPLEX_IM or abs(d_im) < im_tol
                 if gap < agree_tol and im_ok:
                     return STATUS_EVENT, d_re, d_im, t
             prev_re = d_re
@@ -564,7 +585,7 @@ def _delta_batch(
     u_star,
     agree_tol,
     im_tol,
-    want_im,
+    reading,
     max_time,
     max_steps,
     out_status,
@@ -572,7 +593,10 @@ def _delta_batch(
     out_im,
     out_t,
 ):
-    """Branch-direction limits for every row (Re w, Im w) of W."""
+    """Branch-direction limits for every row (Re w, Im w) of W.
+
+    Each row follows the reading rule of :func:`_delta_one`.
+    """
     n = W.shape[0]
     for i in prange(n):
         res = _delta_one(
@@ -586,7 +610,7 @@ def _delta_batch(
             u_star,
             agree_tol,
             im_tol,
-            want_im,
+            reading,
             max_time,
             max_steps,
         )
@@ -601,11 +625,20 @@ def _kappa_shrink_np(r, table):
 
     kappa = 2r/m'(r) and shrink = m(r)/(r m'(r)), so that the drift of
     Re w is kappa (2 alpha - 1)/2.  The pure profile has the closed form
-    below, which cutoff mode also uses inside table[2]; from there on m
-    and m' come from the smoothing evaluator.
+    below (taken in x = eps/r^2 beyond R_BIG), which cutoff mode also uses
+    inside table[2]; from there on m and m' come from the smoothing
+    evaluator.
     """
     eps = table[1]
     if table[0] == MODE_PURE:
+        big = r > R_BIG
+        if big.any():
+            rf = np.maximum(r, R_BIG)
+            x = eps / rf / rf
+            shrink = (1.0 + x) / (1.0 + 2.0 * x)
+            kappa = 2.0 * rf * np.sqrt(1.0 + x) * shrink
+            near = _kappa_shrink_np(np.minimum(r, R_BIG), table)
+            return np.where(big, kappa, near[0]), np.where(big, shrink, near[1])
         rho2 = r * r + eps
         den = r * r + 2.0 * eps
         return 2.0 * rho2 * np.sqrt(rho2) / den, rho2 / den
@@ -790,7 +823,7 @@ def _delta_batch_np(
     u_star,
     agree_tol,
     im_tol,
-    want_im,
+    reading,
     max_time,
     max_steps,
     out_status,
@@ -798,7 +831,10 @@ def _delta_batch_np(
     out_im,
     out_t,
 ):
-    """Lockstep vectorized twin of :func:`_delta_batch`."""
+    """Lockstep vectorized twin of :func:`_delta_batch`.
+
+    Each row follows the reading rule of :func:`_delta_one`.
+    """
 
     def rhs(Z):
         return _rhs_w_np(Z, alpha, table)
@@ -826,9 +862,13 @@ def _delta_batch_np(
             d = np.exp(-rate * t[ri]) * s[ri]
             out_re[ri] = d.real
             out_im[ri] = d.imag
-            gap = np.abs(d - prev[ri])
-            im_ok = np.abs(d.imag) < im_tol if want_im else np.ones(len(ri), bool)
-            conv = have_prev[ri] & (gap < agree_tol) & im_ok
+            if reading == READ_REAL:
+                gap = np.abs(d.real - prev[ri].real)
+            else:
+                gap = np.abs(d - prev[ri])
+            conv = have_prev[ri] & (gap < agree_tol)
+            if reading == READ_COMPLEX_IM:
+                conv &= np.abs(d.imag) < im_tol
             ci = ri[conv]
             out_status[ci] = STATUS_EVENT
             out_t[ci] = t[ci]
@@ -885,11 +925,14 @@ def warmup():
         Y, 0.0, 0.01, 1.5, table, 1e-6, 1e-30, 0.1, 1e3, 1.0,
         EVENT_NONE, 1e-10, 100, st, tt, sg, 1.0,
     )
-    _delta_one(1.0, 0.5, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, False, 1.0, 50)
+    _delta_one(
+        1.0, 0.5, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, READ_COMPLEX,
+        1.0, 50,
+    )
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)
     di = np.zeros(1)
     _delta_batch(
-        W, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, False, 1.0, 50,
+        W, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, READ_COMPLEX, 1.0, 50,
         st, dr, di, tt,
     )

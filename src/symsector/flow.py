@@ -23,7 +23,12 @@ _ATOL = 1e-30
 _H_MAX = 0.1  # largest step of the drive and Delta kernels
 _STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 _AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
-_IM_TOL = 5e-9  # Im Delta residual bound when want_im_converged
+_IM_TOL = 5e-9  # Im Delta residual bound of the "complex-im" reading
+_READINGS = {
+    "complex": _kernels.READ_COMPLEX,
+    "real": _kernels.READ_REAL,
+    "complex-im": _kernels.READ_COMPLEX_IM,
+}
 _REC_CAP = 65536
 
 
@@ -247,11 +252,13 @@ def default_u_star(epsilon):
     return max(4.0 * epsilon, (3e9 * epsilon * epsilon) ** (1.0 / 7.0))
 
 
-def _delta_args(params, settings, want_im_converged, u_star_factor):
+def _delta_args(params, settings, reading, u_star_factor):
     """Arguments alpha .. max_steps of _delta_one and the batch Delta kernels."""
+    if reading not in _READINGS:
+        raise ValueError(f"reading must be one of {sorted(_READINGS)}, not {reading!r}")
     u_star = default_u_star(params.epsilon) * u_star_factor
     return (params.alpha, params.table, settings.step_tolerance, _ATOL, _H_MAX,
-            u_star, _AGREE_TOL, _IM_TOL, want_im_converged, settings.max_time,
+            u_star, _AGREE_TOL, _IM_TOL, _READINGS[reading], settings.max_time,
             settings.max_steps)
 
 
@@ -265,7 +272,7 @@ def _other_branch(w0, s0):
 
 
 def compute_delta(
-    sqrt_w0, params=None, settings=None, want_im_converged=False, u_star_factor=1.0
+    sqrt_w0, params=None, settings=None, reading="complex", u_star_factor=1.0
 ):
     """Rescaled branch-direction limit Delta of one w-trajectory.
 
@@ -275,9 +282,15 @@ def compute_delta(
     branch is continued (rather than re-chosen), Delta is exactly odd in
     sqrt_w0 and Re Delta is even under conjugation.
 
-    A reading is taken once |Re sqrt(w)| passes u_star_factor times
-    :func:`default_u_star` and is converged when two readings 0.7 apart
-    agree to 1e-8 (and, with want_im_converged, |Im| is below 5e-9).
+    A reading d is taken once |Re sqrt(w)| passes u_star_factor times
+    :func:`default_u_star`, and every 0.7 in time after that.  The reading
+    rule says when two successive readings have converged:
+
+    - "complex": they agree to 1e-8 as complex numbers;
+    - "real": their real parts agree to 1e-8.  Im d decays like
+      exp(-(2 alpha - 1) t) long after Re d has settled, so this rule
+      stops far earlier; Im Delta is then not converged;
+    - "complex-im": as "complex", and |Im d| is below 5e-9.
 
     Raises
     ------
@@ -291,7 +304,7 @@ def compute_delta(
     s0 = complex(sqrt_w0)
     w0 = s0 * s0
     status, dre, dim, _ = _kernels._delta_one(
-        w0.real, w0.imag, *_delta_args(params, settings, want_im_converged, u_star_factor)
+        w0.real, w0.imag, *_delta_args(params, settings, reading, u_star_factor)
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")
@@ -302,18 +315,23 @@ def compute_delta(
 
 
 def compute_c(sqrt_w0, params=None, settings=None):
-    """Hypersurface offset c = |Re Delta| >= 0 of one w-value."""
-    return abs(compute_delta(sqrt_w0, params, settings).real)
+    """Hypersurface offset c = |Re Delta| >= 0 of one w-value.
+
+    Delta is read with the "real" rule of :func:`compute_delta`: the
+    reading stops once Re Delta has settled to 1e-8.
+    """
+    return abs(compute_delta(sqrt_w0, params, settings, reading="real").real)
 
 
 def compute_delta_batch(
-    sqrt_w0s, params=None, settings=None, want_im_converged=False, u_star_factor=1.0
+    sqrt_w0s, params=None, settings=None, reading="complex", u_star_factor=1.0
 ):
     """Branch-direction limits of many w-values.
 
     Returns (delta, status) where delta is complex (nan where the
     reading did not converge) and status is the raw kernel status row.
-    Each row is read as :func:`compute_delta` reads its value.
+    Each row is read as :func:`compute_delta` reads its value, with the
+    same reading rule.
     """
     if params is None:
         params = SteinParams()
@@ -328,7 +346,7 @@ def compute_delta_batch(
     out_im = np.zeros(n)
     out_t = np.zeros(n)
     _kernels.delta_batch_kernel(
-        W, *_delta_args(params, settings, want_im_converged, u_star_factor),
+        W, *_delta_args(params, settings, reading, u_star_factor),
         out_status, out_re, out_im, out_t,
     )
     delta = out_re + 1j * out_im
@@ -341,6 +359,7 @@ def compute_delta_batch(
 def compute_c_batch(sqrt_w0s, params=None, settings=None):
     """Offsets c = |Re Delta| for many w-values (nan where unresolved).
 
+    Delta is read with the "real" rule, as :func:`compute_c` reads it.
     c is bitwise even under s -> -s and s -> conj(s), so each distinct
     (|Re s|, |Im s|) is integrated once and its offset scattered back
     to every query that folds to it, in the shape of sqrt_w0s.
@@ -350,5 +369,5 @@ def compute_c_batch(sqrt_w0s, params=None, settings=None):
     key.real = np.abs(s.real).ravel()
     key.imag = np.abs(s.imag).ravel()
     key, inverse = np.unique(key, return_inverse=True)
-    delta, _ = compute_delta_batch(key, params, settings)
+    delta, _ = compute_delta_batch(key, params, settings, reading="real")
     return np.abs(delta.real)[inverse].reshape(s.shape)

@@ -110,16 +110,21 @@ class CombSurface:
 
 
 def _check_json_types(data):
-    """genus and ends are integers, slots and each arc lists of strings."""
+    """genus, ends and expected_euler are integers, slots and arcs strings."""
 
     def strings(value, length=None):
         return (isinstance(value, list) and all(isinstance(v, str) for v in value)
                 and length in (None, len(value)))
 
+    def check_integer(key, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{key} must be an integer, not {value!r}")
+
+    if data.get("expected_euler") is not None:
+        check_integer("expected_euler", data["expected_euler"])
     for comp in data["components"]:
         for key in ("genus", "ends"):
-            if isinstance(comp[key], bool) or not isinstance(comp[key], int):
-                raise TypeError(f"{key} must be an integer, not {comp[key]!r}")
+            check_integer(key, comp[key])
         if not strings(comp.get("slots", [])):
             raise TypeError(f"slots must be a list of strings, not {comp['slots']!r}")
     for arc in data.get("arcs", []):

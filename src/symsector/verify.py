@@ -446,10 +446,11 @@ def _suite_offset_evenness(config, rng):
     n = _count(config, 60)
     s = _cbox(rng, n, 3 * eps)
     st = _c_settings()
-    # the kernel itself, not compute_c_batch: that folds all three
-    # arguments to the same keys and would compare a result with itself
+    # the kernel in the reading compute_c_batch uses, not compute_c_batch
+    # itself: that folds all three arguments to the same keys and would
+    # compare a result with itself
     c0, c_neg, c_conj = (
-        np.abs(flow.compute_delta_batch(x, params, st)[0].real)
+        np.abs(flow.compute_delta_batch(x, params, st, reading="real")[0].real)
         for x in (s, -s, np.conj(s))
     )
     worst = float(max(np.max(np.abs(c0 - c_neg)), np.max(np.abs(c0 - c_conj))))
@@ -501,7 +502,7 @@ def _suite_delta_reading_consistency(config, rng):
     d2, st2 = flow.compute_delta_batch(s, params, st, u_star_factor=1.5)
     t_dev = float(np.max(np.abs(d1 - d2)))
     u_axis = rng.uniform(0.3 * eps, 2.0 * eps, 10)
-    d_real, st3 = flow.compute_delta_batch(u_axis, params, st, want_im_converged=True)
+    d_real, st3 = flow.compute_delta_batch(u_axis, params, st, reading="complex-im")
     im_dev = float(np.max(np.abs(d_real.imag)))
     resolved = (
         np.all(st1 == _kernels.STATUS_EVENT)

@@ -252,12 +252,15 @@ def test_bad_box_exits_2(box, capsys):
     ("arcs", ["pr"]),
     ("genus", 0.9),
     ("ends", True),
-], ids=["slots-string", "arc-string", "genus-float", "ends-bool"])
+    ("expected_euler", True),
+    ("expected_euler", -1.0),
+], ids=["slots-string", "arc-string", "genus-float", "ends-bool", "euler-bool",
+        "euler-float"])
 def test_surface_field_of_wrong_type_exits_2(field, value, tmp_path, capsys):
     comp = {"id": "a", "genus": 0, "ends": 2, "slots": ["p", "q"]}
     data = {"components": [comp], "arcs": [["p", "q"]]}
-    if field == "arcs":
-        data["arcs"] = value
+    if field in ("arcs", "expected_euler"):
+        data[field] = value
     else:
         comp[field] = value
     path = tmp_path / "surface.json"

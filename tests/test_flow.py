@@ -98,9 +98,9 @@ def test_near_diagonal_pairs_escape(pure16, rng):
 
 
 def test_drive_batch_nonfinite_status_matches_scalar(pure16):
-    # kappa overflows at |w| = 1e150, so every attempt is non-finite
+    # kappa = 2|w| overflows at |w| = 1e308, so every attempt is non-finite
     settings = FlowSettings(max_steps=2000)
-    state = [1.0, 0.5, 1e150, 0.0]
+    state = [1.0, 0.5, 1e308, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         status, t, _ = drive_batch(
             np.array([state]), pure16, settings, _kernels.EVENT_PAIR_ESCAPE
@@ -176,7 +176,7 @@ def test_delta_on_real_axis(pure16):
     eps = pure16.epsilon
     d = compute_delta(2.0 * eps, pure16, settings)
     assert d.real == pytest.approx(2.0 * eps, abs=5e-8)
-    d = compute_delta(2.0 * eps, pure16, settings, want_im_converged=True)
+    d = compute_delta(2.0 * eps, pure16, settings, reading="complex-im")
     assert abs(d.imag) < 5e-9
 
 
@@ -222,10 +222,10 @@ def test_batch_matches_scalar(pure16):
 def test_delta_batch_nonfinite_status_matches_scalar(pure16):
     settings = FlowSettings(max_steps=2000)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta, status = compute_delta_batch([1e80], pure16, settings)
+        delta, status = compute_delta_batch([1e154], pure16, settings)
         assert status[0] == _kernels.STATUS_NONFINITE and np.isnan(delta[0])
         with pytest.raises(NonFiniteFlowError):
-            compute_delta(1e80, pure16, settings)
+            compute_delta(1e154, pure16, settings)
 
 
 def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
@@ -235,7 +235,7 @@ def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
     x = np.array([
         [3.0 + 2.0j, -3.0 - 2.0j, 3.0 - 2.0j, -3.0 + 2.0j, 3.0 + 2.0j],
         [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5.0j],
-        [-5.0j, 2.0, -2.0, 1e80, complex(np.nan, 1.0)],
+        [-5.0j, 2.0, -2.0, 1e154, complex(np.nan, 1.0)],
     ])
     rows = []
 
@@ -247,7 +247,7 @@ def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
     monkeypatch.setattr(flow, "compute_delta_batch", counted)
     with np.errstate(over="ignore", invalid="ignore"):
         c = compute_c_batch(x, pure16, settings)
-        delta, status = compute_delta_batch(x, pure16, settings)
+        delta, status = compute_delta_batch(x, pure16, settings, reading="real")
     assert rows == [6] and c.shape == x.shape
     assert status[13] == _kernels.STATUS_NONFINITE
     expect = [float.hex(float(v)) for v in np.abs(delta.real)]
@@ -269,6 +269,26 @@ def test_pure_offset_scaling_law(rng):
         d, st_eps = compute_delta_batch(q * s, params, settings)
         assert np.all(st_eps == _kernels.STATUS_EVENT)
         assert np.all(np.abs(d - q * d1) <= 1e-7 * (1.0 + np.abs(d)))
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_offset_matches_tight_reference(mode, rng):
+    # c at the default tolerance against |Re Delta| read in the complex
+    # rule at step tolerance 1e-13 with u_star doubled; a reading rule
+    # that stops well before Re Delta settles misses by more than 1e-7
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    s = rng.uniform(-48.0, 48.0, 32) + 1j * rng.uniform(-48.0, 48.0, 32)
+    c = compute_c_batch(s, params)
+    ref, status = compute_delta_batch(
+        s, params, FlowSettings(step_tolerance=1e-13), u_star_factor=2.0
+    )
+    assert np.all(status == _kernels.STATUS_EVENT)
+    assert np.max(np.abs(c - np.abs(ref.real))) <= 1e-7
+
+
+def test_unknown_reading_rule_is_rejected(pure16):
+    with pytest.raises(ValueError, match="reading"):
+        compute_delta(1.0, pure16, reading="imag")
 
 
 def test_delta_u_star_factor_consistency(pure16):

@@ -2,13 +2,15 @@
 
 The scalar kernels (jit-compiled when numba is present) and the numpy
 batch kernels evaluate the same formulas in the same order, so they are
-required to agree exactly, not to a tolerance.
+required to agree exactly, not to a tolerance.  The two Delta kernels are
+the exception: their DP5 steps group the stage products differently, so
+they agree in status and to 1e-8 (1 + |Delta|).
 """
 
 import numpy as np
 import pytest
 
-from symsector import _kernels, smoothing
+from symsector import _kernels, flow, smoothing
 from symsector.flow import FlowSettings
 from symsector.geometry import SteinParams, SymPoint
 from symsector.sectors import (
@@ -26,7 +28,9 @@ ALPHA = 1.5
 def _radii(mode):
     table = SteinParams(epsilon=16.0, smoothing=mode).table
     if mode == "pure":
-        return table, [0.0, 1e-3, 0.7, 4.0, 15.0, 16.0, 40.0, 1e4]
+        # the closed form in rho2 = r^2 + eps up to R_BIG, x = eps/r^2 beyond
+        return table, [0.0, 1e-3, 0.7, 4.0, 15.0, 16.0, 40.0, 1e4, 1e100,
+                       np.nextafter(1e100, np.inf), 1e103, 1e160, 1e300]
     r0, rm, r1 = table[2:5]
     return table, [
         0.0, 0.5 * r0, np.nextafter(r0, 0.0),  # inner
@@ -55,8 +59,35 @@ def test_rhs_w_twins_agree_exactly(mode):
         assert ((r >= rm) & (r < r1)).any() and (r >= r1).any()
     W = _w_rows(radii)
     vec = _kernels._rhs_w_np(W, ALPHA, table)
+    assert np.isfinite(vec).all()
     for (y2, y3), row in zip(W.tolist(), vec.tolist()):
         assert tuple(_kernels._rhs2(y2, y3, ALPHA, table)) == tuple(row)
+
+
+@pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_delta_twins_agree(mode, reading):
+    # not bitwise twins: the lockstep attempt groups its stage products as
+    # h (a f), the scalar step as (h a) f, so the trajectories round apart
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    args = flow._delta_args(params, FlowSettings(max_steps=2000), reading, 1.0)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-48.0, 48.0, 24) + 1j * rng.uniform(-48.0, 48.0, 24)
+    w = np.append(s * s, 1e308)  # kappa = 2|w| overflows: STATUS_NONFINITE
+    W = np.column_stack([w.real, w.imag])
+    n = len(W)
+    status = np.zeros(n, dtype=np.int64)
+    d_re, d_im, t = np.zeros(n), np.zeros(n), np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _kernels._delta_batch_np(W, *args, status, d_re, d_im, t)
+        for k, (xw, yw) in enumerate(W.tolist()):
+            got, re_k, im_k, _ = _kernels._delta_one(xw, yw, *args)
+            assert got == status[k]
+            if got == _kernels.STATUS_EVENT:
+                d = complex(d_re[k], d_im[k])
+                assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
+    assert status[-1] == _kernels.STATUS_NONFINITE
+    assert np.all(status[:-1] == _kernels.STATUS_EVENT)
 
 
 @pytest.mark.parametrize("h_max", [0.1, 0.01])
