@@ -14,12 +14,16 @@ regions (_event_np).  The lockstep batch kernels _drive_batch_np and
 _delta_batch_np are built from them and run when jit is unavailable or
 disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and delta_batch_kernel
 are bound once to the batch kernels of the active backend.
+_drive_batch_np holds each row that enters its event region and refines
+all of them in one vectorized bisection after the lockstep.
 
 The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
 _step2/_step4, _next_h, _pair_re and _event_val (also the region test of
 sectors).  They are jit-compiled under numba and run as plain Python
 otherwise (the decorator degrades to a no-op); scalar callers use them
-directly and never build a one-row numpy batch.
+directly and never build a one-row numpy batch.  The scalar _drive, and
+through it the numba _drive_batch, refines its events with _bisect_event
+and _single4.
 """
 
 import numpy as np
@@ -210,7 +214,11 @@ def _step4(y0, y1, y2, y3, f10, f11, f12, f13, h, alpha, table, fdir):
 
 @njit(cache=True)
 def _single4(y0, y1, y2, y3, h, alpha, table, fdir):
-    """One fixed 5th-order step, no error control (event refinement)."""
+    """One fixed 5th-order step, no error control.
+
+    Only :func:`_bisect_event` uses it, under the scalar :func:`_drive`
+    (and so the numba :func:`_drive_batch`).
+    """
     f10, f11, f12, f13 = _rhs4(y0, y1, y2, y3, alpha, table, fdir)
     out = _step4(y0, y1, y2, y3, f10, f11, f12, f13, h, alpha, table, fdir)
     return out[0], out[1], out[2], out[3]
@@ -276,7 +284,9 @@ def _bisect_event(p0, p1, p2, p3, h_acc, alpha, table, fdir, radius, epsilon, ki
 
     The step starts at state p and ends inside the event region.  Returns
     (y0, y1, y2, y3, dt, sign): the first state found inside the region,
-    its time offset from p, and the event sign there.
+    its time offset from p, and the event sign there.  Only the scalar
+    :func:`_drive` (and so the numba :func:`_drive_batch`) calls it;
+    :func:`_drive_batch_np` applies the same rule to all its rows at once.
     """
     lo = 0.0
     hi = h_acc
@@ -751,7 +761,15 @@ def _drive_batch_np(
     out_sign,
     fdir,
 ):
-    """Lockstep vectorized twin of :func:`_drive_batch`."""
+    """Lockstep vectorized twin of :func:`_drive_batch`.
+
+    A row whose accepted step ends inside the event region stops there
+    with STATUS_EVENT, keeping its pre-step state, FSAL derivative and
+    time, while the step goes to h_event.  After the lockstep every event
+    row is bisected at once through :func:`_attempt_np`, by the rule of
+    :func:`_bisect_event`: at most 64 halvings per row, each row stopping
+    once hi - lo < 1e-13 max(hi, 1).
+    """
 
     def rhs(Z):
         return _rhs_np(Z, alpha, table, fdir)
@@ -759,6 +777,7 @@ def _drive_batch_np(
     n = Y.shape[0]
     t = np.full(n, float(t0))
     h = np.full(n, min(h_max, 0.05))
+    h_event = np.zeros(n)
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
     K1 = rhs(Y)
@@ -780,34 +799,42 @@ def _drive_batch_np(
             break
         idx = np.nonzero(active)[0]
         h_use = np.minimum(h[idx], t_end - t[idx])
-        Ya = Y[idx]
-        Yn, K7, err = _attempt_np(Ya, K1[idx], h_use, rhs, rtol, atol)
+        Yn, K7, err = _attempt_np(Y[idx], K1[idx], h_use, rhs, rtol, atol)
         acc = err <= 1.0
         if acc.any():
+            hit = np.zeros_like(acc)
+            hit[acc] = _event_np(Yn[acc], radius, epsilon, event_kind)[0]
+            ev = idx[hit]
+            h_event[ev] = h_use[hit]
+            out_status[ev] = STATUS_EVENT
+            active[ev] = False
+            acc &= ~hit
             ai = idx[acc]
-            t_prev = t[ai]
             Y[ai] = Yn[acc]
-            t[ai] = t_prev + h_use[acc]
+            t[ai] += h_use[acc]
             K1[ai] = K7[acc]
-            hit, _ = _event_np(Y[ai], radius, epsilon, event_kind)
-            if hit.any():
-                Y_prev = Ya[acc]
-                h_acc = h_use[acc]
-                for k in np.nonzero(hit)[0]:
-                    row = ai[k]
-                    y0, y1, y2, y3, dt, sgn = _bisect_event(
-                        *Y_prev[k], h_acc[k], alpha, table, fdir,
-                        radius, epsilon, event_kind,
-                    )
-                    Y[row] = (y0, y1, y2, y3)
-                    t[row] = t_prev[k] + dt
-                    out_sign[row] = sgn
-                    out_status[row] = STATUS_EVENT
-                    active[row] = False
         h[idx] = _next_h_np(err, h_use, h_max)
         dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
         out_status[dead] = STATUS_NONFINITE
         active[dead] = False
+    ev = np.nonzero(out_status == STATUS_EVENT)[0]
+    if ev.size:
+        P = Y[ev]
+        KP = K1[ev]
+        lo = np.zeros(ev.size)
+        hi = h_event[ev]
+        for _ in range(64):
+            live = np.nonzero(hi - lo >= 1e-13 * np.maximum(hi, 1.0))[0]
+            if not live.size:
+                break
+            mid = 0.5 * (lo[live] + hi[live])
+            Ym = _attempt_np(P[live], KP[live], mid, rhs, rtol, atol)[0]
+            mhit = _event_np(Ym, radius, epsilon, event_kind)[0]
+            hi[live[mhit]] = mid[mhit]
+            lo[live[~mhit]] = mid[~mhit]
+        Y[ev] = _attempt_np(P, KP, hi, rhs, rtol, atol)[0]
+        out_sign[ev] = _event_np(Y[ev], radius, epsilon, event_kind)[1]
+        t[ev] += hi
     out_t[:] = t
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (t >= t_end - end_gate)] = STATUS_TIME_END

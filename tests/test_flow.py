@@ -286,6 +286,33 @@ def test_offset_matches_tight_reference(mode, rng):
     assert np.max(np.abs(c - np.abs(ref.real))) <= 1e-7
 
 
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_delta_is_equivariant_along_the_flow(mode, rng):
+    # Delta = lim exp(-(alpha-1) t) sqrt(w(t)), so continuing the branch of
+    # sqrt(w) along the orbit from s0 to s_tau gives Delta(s_tau) =
+    # exp((alpha-1) tau) Delta(s0); unlike the scaling law, also in cutoff
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(step_tolerance=1e-12)
+    s0 = rng.uniform(-48.0, 48.0, 40) + 1j * rng.uniform(-48.0, 48.0, 40)
+    steps = rng.integers(20, 151, 40)  # tau = 0.01 steps in [0.2, 1.5]
+    s = s0.copy()
+    for k in range(steps.max()):
+        go = steps > k
+        w = s[go] * s[go]
+        Y = np.column_stack([np.zeros((w.size, 2)), w.real, w.imag])
+        status, _, _ = drive_batch(Y, params, settings, _kernels.EVENT_NONE,
+                                   t_end=0.01)
+        assert np.all(status == _kernels.STATUS_TIME_END)
+        root = np.sqrt(Y[:, 2] + 1j * Y[:, 3])
+        s[go] = np.where(np.abs(root - s[go]) <= np.abs(root + s[go]), root, -root)
+    d0, status0 = compute_delta_batch(s0, params, settings)
+    d, status = compute_delta_batch(s, params, settings)
+    assert np.all(status0 == _kernels.STATUS_EVENT)
+    assert np.all(status == _kernels.STATUS_EVENT)
+    want = np.exp((params.alpha - 1.0) * 0.01 * steps) * d0
+    assert np.all(np.abs(d - want) <= 1e-7 * (1.0 + np.abs(want)))
+
+
 def test_unknown_reading_rule_is_rejected(pure16):
     with pytest.raises(ValueError, match="reading"):
         compute_delta(1.0, pure16, reading="imag")

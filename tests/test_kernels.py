@@ -2,9 +2,13 @@
 
 The scalar kernels (jit-compiled when numba is present) and the numpy
 batch kernels evaluate the same formulas in the same order, so they are
-required to agree exactly, not to a tolerance.  The two Delta kernels are
-the exception: their DP5 steps group the stage products differently, so
-they agree in status and to 1e-8 (1 + |Delta|).
+required to agree exactly, not to a tolerance.  Two pairs are the
+exception, because their DP5 steps group the stage products differently
+(h (a f) in the lockstep attempt, (h a) f in the scalar steps) and so
+round apart on a few rows: the Delta kernels agree in status and to
+1e-8 (1 + |Delta|), and the drive kernels agree in status and event sign,
+at events in time and state to 1e-12 (1 + |x|), and elsewhere to
+1e-6 (1 + |x|), since a step one twin accepts the other may retry.
 """
 
 import numpy as np
@@ -152,6 +156,83 @@ def test_event_twins_agree_exactly(kind):
     for row, h, sg in zip(Y.tolist(), hit.tolist(), sign.tolist()):
         got = _kernels._event_val(*row, radius, epsilon, kind)
         assert (bool(got[0]), int(got[1])) == (h, sg)
+
+
+# two rows inside each region at t = 0, with the event signs they take
+_INSIDE = {
+    _kernels.EVENT_PAIR_ESCAPE: [(300.0, 0.0, 1e4, 0.0), (-300.0, 0.0, 1e4, 0.0)],
+    _kernels.EVENT_TRUNC_REGION: [(-40.0, 0.0, 4.0, 0.0), (-60.0, 0.0, 100.0, 0.0)],
+    _kernels.EVENT_V_ENTRY: [(-20.0, 0.0, 400.0, 0.0), (20.0, 0.0, 400.0, 0.0)],
+}
+
+
+def _drive_both(rows, args, t_end, fdir):
+    """(status, t, sign, states) of the numpy batch and of the scalar kernel."""
+    n = len(rows)
+    Y = np.array(rows)
+    status, sign = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    t = np.zeros(n)
+    rec = np.empty((1, 5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _kernels._drive_batch_np(Y, 0.0, t_end, *args, status, t, sign, fdir)
+        res = [_kernels._drive(*row, 0.0, t_end, *args, rec, False, fdir)
+               for row in rows]
+    scalar = [np.array([r[k] for r in res]) for k in (0, 1, 6)]
+    return (status, t, sign, Y), (*scalar, np.array([r[2:6] for r in res]))
+
+
+def _assert_twins(batch, scalar):
+    status, t, sign, Y = batch
+    assert np.array_equal(status, scalar[0])
+    assert np.array_equal(sign, scalar[2])
+    # an attempt whose error estimate the twins round to either side of
+    # 1.0 is accepted by one and retried by the other, after which their
+    # trajectories differ at the step tolerance; the event rows here keep
+    # one step sequence, so their refinement is checked to 1e-12
+    ev = status == _kernels.STATUS_EVENT
+    rel = np.where(ev, 1e-12, 1e-6)
+    assert np.all(np.abs(t - scalar[1]) <= rel * (1.0 + np.abs(scalar[1])))
+    assert np.all(np.abs(Y - scalar[3]) <= rel[:, None] * (1.0 + np.abs(scalar[3])))
+
+
+@pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+@pytest.mark.parametrize(
+    "kind",
+    [_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
+     _kernels.EVENT_V_ENTRY],
+    ids=["pair-escape", "trunc-region", "v-entry"],
+)
+def test_drive_twins_agree_on_events(kind, mode, fdir):
+    # the numpy batch refines all its events after the lockstep, the
+    # scalar kernel bisects each one as it is found
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    args = flow._drive_args(params, settings, kind)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-48.0, 48.0, (8, 2))
+    s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
+    flowing = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
+    # the inside rows hit in the first lockstep iteration, the flowing ones
+    # later and apart; w = 1e308 overflows kappa: STATUS_NONFINITE
+    rows = flowing + _INSIDE[kind] + [(1.0, 0.5, 1e308, 0.0)]
+    batch, scalar = _drive_both(rows, args, 4.0, fdir)
+    _assert_twins(batch, scalar)
+    status, _, sign, _ = batch
+    assert np.all(status[8:10] == _kernels.STATUS_EVENT)
+    assert status[10] == _kernels.STATUS_NONFINITE
+    if kind == _kernels.EVENT_V_ENTRY:
+        assert sign[8:10].tolist() == [-1, 1]
+    # the upward flow shrinks both pair coordinates, so it never enters
+    # the escape region from outside
+    if not (kind == _kernels.EVENT_PAIR_ESCAPE and fdir == -1.0):
+        assert (status[:8] == _kernels.STATUS_EVENT).any()
+    # a batch in which no row reaches the region
+    missed = [row for row, st in zip(flowing, status)
+              if st != _kernels.STATUS_EVENT]
+    batch, scalar = _drive_both(missed, args, 4.0, fdir)
+    _assert_twins(batch, scalar)
+    assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
 
 
 @pytest.mark.parametrize(
