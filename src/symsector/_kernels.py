@@ -15,7 +15,9 @@ _delta_batch_np are built from them and run when jit is unavailable or
 disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and delta_batch_kernel
 are bound once to the batch kernels of the active backend.
 _drive_batch_np holds each row that enters its event region and refines
-all of them in one vectorized bisection after the lockstep.
+all of them in one vectorized bisection after the lockstep.  Both batch
+kernels ignore overflow and invalid-value warnings: a row that leaves
+the float range ends STATUS_NONFINITE, and its status reports it.
 
 The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
 _step2/_step4, _next_h, _pair_re and _event_val (also the region test of
@@ -24,7 +26,19 @@ otherwise (the decorator degrades to a no-op); scalar callers use them
 directly and never build a one-row numpy batch.  The scalar _drive, and
 through it the numba _drive_batch, refines its events with _bisect_event
 and _single4.
+
+As plain Python the scalar kernels run on built-in floats, with the same
+bits as numpy scalars at several times the speed: the front ends pass the
+table as a tuple of floats, |w| is _hypot (abs(complex), which calls libm
+hypot as np.hypot does), and real roots and finiteness tests come from
+math.  Three stdlib twins are avoided because their bits differ:
+math.hypot rounds some pairs apart from libm hypot, cmath.sqrt differs
+from np.sqrt on the imaginary axis (so the complex roots of _delta_one
+stay np.sqrt), and math.exp differs from np.exp in the last place on
+some arguments (so the reading scale stays np.exp).
 """
+
+import math
 
 import numpy as np
 
@@ -90,6 +104,20 @@ READ_COMPLEX_IM = 2
 
 
 @njit(cache=True)
+def _hypot(x, y):
+    """hypot(x, y), bitwise as np.hypot, returned as a built-in float.
+
+    abs(complex) calls libm hypot but raises OverflowError where a finite
+    pair overflows.  Below 1e308 in both coordinates it cannot; beyond,
+    both are halved first (exact, but for a subnormal partner too small
+    to matter) and the result doubled, giving inf where np.hypot does.
+    """
+    if abs(x) < 1e308 and abs(y) < 1e308:
+        return abs(complex(x, y))
+    return 2.0 * abs(complex(0.5 * x, 0.5 * y))
+
+
+@njit(cache=True)
 def _w_terms(r, alpha, table):
     """Drift and shrink coefficients of the w-subsystem at radius r.
 
@@ -101,11 +129,11 @@ def _w_terms(r, alpha, table):
         if r > R_BIG:
             x = eps / r / r
             shrink = (1.0 + x) / (1.0 + 2.0 * x)
-            kappa = 2.0 * r * np.sqrt(1.0 + x) * shrink
+            kappa = 2.0 * r * math.sqrt(1.0 + x) * shrink
         else:
             rho2 = r * r + eps
             den = r * r + 2.0 * eps
-            kappa = 2.0 * rho2 * np.sqrt(rho2) / den
+            kappa = 2.0 * rho2 * math.sqrt(rho2) / den
             shrink = rho2 / den
     elif r >= table[4]:
         kappa = 2.0 * r
@@ -131,7 +159,7 @@ def _w_terms(r, alpha, table):
 
 @njit(cache=True)
 def _rhs4(y0, y1, y2, y3, alpha, table, fdir):
-    r = np.hypot(y2, y3)
+    r = _hypot(y2, y3)
     drift, shrink = _w_terms(r, alpha, table)
     return (
         fdir * (alpha - 1.0) * y0,
@@ -143,7 +171,7 @@ def _rhs4(y0, y1, y2, y3, alpha, table, fdir):
 
 @njit(cache=True)
 def _rhs2(y2, y3, alpha, table):
-    r = np.hypot(y2, y3)
+    r = _hypot(y2, y3)
     drift, shrink = _w_terms(r, alpha, table)
     return drift - shrink * y2, -shrink * y3
 
@@ -234,7 +262,7 @@ def _pair_re(x, re_w, r):
     s = r + re_w
     if s < 0.0:
         s = 0.0
-    u = np.sqrt(0.5 * s)
+    u = math.sqrt(0.5 * s)
     return x + u, x - u
 
 
@@ -260,7 +288,7 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
     """Event predicate at a state; returns (hit, sign)."""
     if kind == EVENT_NONE:
         return False, 0
-    r = np.hypot(y2, y3)
+    r = _hypot(y2, y3)
     x1, x2 = _pair_re(y0, y2, r)
     if kind == EVENT_PAIR_ESCAPE:
         a1 = abs(x1)
@@ -349,7 +377,7 @@ def _drive(
     esign = 0
     steps = 0
     while steps < max_steps:
-        speed = np.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
+        speed = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
         if speed < stall:
             status = STATUS_STALLED
             break
@@ -363,7 +391,10 @@ def _drive(
         e0, e1, e2, e3 = out[4], out[5], out[6], out[7]
         steps += 1
         if not (
-            np.isfinite(n0) and np.isfinite(n1) and np.isfinite(n2) and np.isfinite(n3)
+            math.isfinite(n0)
+            and math.isfinite(n1)
+            and math.isfinite(n2)
+            and math.isfinite(n3)
         ):
             h *= 0.5
             if h < 1e-14:
@@ -378,7 +409,7 @@ def _drive(
         q1 = e1 / s1
         q2 = e2 / s2
         q3 = e3 / s3
-        err = np.sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
+        err = math.sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
         if err <= 1.0:
             hit, _ = _event_val(n0, n1, n2, n3, radius, epsilon, event_kind)
             if hit:
@@ -527,7 +558,7 @@ def _delta_one(
     Returns (status, Re d, Im d, t).
     """
     rate = alpha - 1.0
-    s = np.sqrt(complex(xw, yw))
+    s = complex(np.sqrt(complex(xw, yw)))
     y2 = xw
     y3 = yw
     t = 0.0
@@ -537,12 +568,12 @@ def _delta_one(
     prev_re = 0.0
     prev_im = 0.0
     t_next = 0.0
-    best_re = np.nan
-    best_im = np.nan
+    best_re = math.nan
+    best_im = math.nan
     steps = 0
     while steps < max_steps and t < max_time:
         if abs(s.real) >= u_star and t >= t_next:
-            scale = np.exp(-rate * t)
+            scale = float(np.exp(-rate * t))
             d_re = scale * s.real
             d_im = scale * s.imag
             best_re = d_re
@@ -551,7 +582,7 @@ def _delta_one(
                 if reading == READ_REAL:
                     gap = abs(d_re - prev_re)
                 else:
-                    gap = np.hypot(d_re - prev_re, d_im - prev_im)
+                    gap = _hypot(d_re - prev_re, d_im - prev_im)
                 im_ok = reading != READ_COMPLEX_IM or abs(d_im) < im_tol
                 if gap < agree_tol and im_ok:
                     return STATUS_EVENT, d_re, d_im, t
@@ -562,7 +593,7 @@ def _delta_one(
         out = _step2(y2, y3, f12, f13, h, alpha, table)
         n2, n3, e2, e3 = out[0], out[1], out[2], out[3]
         steps += 1
-        if not (np.isfinite(n2) and np.isfinite(n3)):
+        if not (math.isfinite(n2) and math.isfinite(n3)):
             h *= 0.5
             if h < 1e-14:
                 return STATUS_NONFINITE, best_re, best_im, t
@@ -571,12 +602,12 @@ def _delta_one(
         s3 = atol + rtol * max(abs(y3), abs(n3))
         q2 = e2 / s2
         q3 = e3 / s3
-        err = np.sqrt(0.5 * (q2 * q2 + q3 * q3))
+        err = math.sqrt(0.5 * (q2 * q2 + q3 * q3))
         if err <= 1.0:
             y2, y3 = n2, n3
             t += h
             f12, f13 = out[4], out[5]
-            rt = np.sqrt(complex(y2, y3))
+            rt = complex(np.sqrt(complex(y2, y3)))
             dplus = abs(rt - s)
             dminus = abs(-rt - s)
             s = rt if dplus <= dminus else -rt
@@ -699,9 +730,8 @@ def _attempt_np(Y, K1, h, rhs, rtol, atol):
     K7 = rhs(Yn)
     E = hc * (E1 * K1 + E3 * K3 + E4 * K4 + E5 * K5 + E6 * K6 + E7 * K7)
     scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Yn))
-    with np.errstate(invalid="ignore"):
-        q = E / scale
-        err = np.sqrt((q * q).sum(axis=1) / Y.shape[1])
+    q = E / scale
+    err = np.sqrt((q * q).sum(axis=1) / Y.shape[1])
     err[~np.isfinite(Yn).all(axis=1)] = np.inf
     return Yn, K7, err
 
@@ -742,6 +772,7 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _drive_batch_np(
     Y,
     t0,
@@ -840,6 +871,7 @@ def _drive_batch_np(
     out_status[leftover & (t >= t_end - end_gate)] = STATUS_TIME_END
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _delta_batch_np(
     W,
     alpha,
@@ -938,9 +970,11 @@ delta_batch_kernel = _delta_batch if using_numba() else _delta_batch_np
 def warmup():
     """Touch every jit kernel once so later timings exclude compilation."""
     table = smoothing.build_smoothing_table(1.0)
+    # the scalar front ends pass the table as a tuple, the batches as is
+    scalar_table = tuple(table.tolist())
     rec = np.empty((4, 5))
     _drive(
-        1.0, 0.5, 0.2, 0.1, 0.0, 0.01, 1.5, table,
+        1.0, 0.5, 0.2, 0.1, 0.0, 0.01, 1.5, scalar_table,
         1e-6, 1e-30, 0.1, 1e3, 1.0, EVENT_PAIR_ESCAPE, 1e-10, 100, rec, True,
         1.0,
     )
@@ -953,8 +987,8 @@ def warmup():
         EVENT_NONE, 1e-10, 100, st, tt, sg, 1.0,
     )
     _delta_one(
-        1.0, 0.5, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, READ_COMPLEX,
-        1.0, 50,
+        1.0, 0.5, 1.5, scalar_table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6,
+        READ_COMPLEX, 1.0, 50,
     )
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)

@@ -115,14 +115,16 @@ def point_of(state):
 
 def escape_sign_pair(state):
     """Ordered sign pair of (Re z1, Re z2) recovered from a state."""
-    x_hi, x_lo = _kernels._pair_re(state[0], state[2], np.hypot(state[2], state[3]))
+    y0, _, y2, y3 = np.asarray(state, dtype=float).tolist()
+    x_hi, x_lo = _kernels._pair_re(y0, y2, _kernels._hypot(y2, y3))
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _drive_args(params, settings, event_kind):
-    """Arguments alpha .. max_steps of _drive and the batch drive kernels."""
+def _drive_args(params, settings, event_kind, scalar=False):
+    """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels."""
     radius = resolve_escape_radius(settings, params)
-    return (params.alpha, params.table, settings.step_tolerance, _ATOL, _H_MAX,
+    table = params.scalar_table if scalar else params.table
+    return (params.alpha, table, settings.step_tolerance, _ATOL, _H_MAX,
             radius, params.epsilon, event_kind, _STALL_SPEED, settings.max_steps)
 
 
@@ -135,7 +137,8 @@ def _drive_state(state, t0, t_end, params, settings, event_kind, record, fdir=1.
     rec = np.empty((_REC_CAP if record else 1, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
-        float(t0), float(t_end), *_drive_args(params, settings, event_kind),
+        float(t0), float(t_end),
+        *_drive_args(params, settings, event_kind, scalar=True),
         rec, record, fdir,
     )
     out_state = np.array([y0, y1, y2, y3])
@@ -252,12 +255,13 @@ def default_u_star(epsilon):
     return max(4.0 * epsilon, (3e9 * epsilon * epsilon) ** (1.0 / 7.0))
 
 
-def _delta_args(params, settings, reading, u_star_factor):
-    """Arguments alpha .. max_steps of _delta_one and the batch Delta kernels."""
+def _delta_args(params, settings, reading, u_star_factor, scalar=False):
+    """Arguments alpha .. max_steps of _delta_one (scalar) or the batch kernels."""
     if reading not in _READINGS:
         raise ValueError(f"reading must be one of {sorted(_READINGS)}, not {reading!r}")
     u_star = default_u_star(params.epsilon) * u_star_factor
-    return (params.alpha, params.table, settings.step_tolerance, _ATOL, _H_MAX,
+    table = params.scalar_table if scalar else params.table
+    return (params.alpha, table, settings.step_tolerance, _ATOL, _H_MAX,
             u_star, _AGREE_TOL, _IM_TOL, _READINGS[reading], settings.max_time,
             settings.max_steps)
 
@@ -304,7 +308,8 @@ def compute_delta(
     s0 = complex(sqrt_w0)
     w0 = s0 * s0
     status, dre, dim, _ = _kernels._delta_one(
-        w0.real, w0.imag, *_delta_args(params, settings, reading, u_star_factor)
+        w0.real, w0.imag,
+        *_delta_args(params, settings, reading, u_star_factor, scalar=True),
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")

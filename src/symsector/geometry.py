@@ -72,6 +72,15 @@ class SteinParams:
             )
         return self._table
 
+    @property
+    def scalar_table(self):
+        """The table as a tuple of built-in floats, for the scalar kernels.
+
+        As plain Python they stay off numpy scalars on it: the same bits,
+        several times faster.  The numpy batch kernels slice the ndarray.
+        """
+        return tuple(self.table.tolist())
+
 
 @dataclass(frozen=True)
 class SymPoint:
@@ -309,7 +318,7 @@ def flow_field_zw(z, w, params=None):
     z = complex(z)
     w = complex(w)
     dz = complex((a - 1.0) * z.real, -a * z.imag)
-    drift, shrink = _kernels._w_terms(abs(w), a, params.table)
+    drift, shrink = _kernels._w_terms(abs(w), a, params.scalar_table)
     return dz, drift - shrink * w
 
 

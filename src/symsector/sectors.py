@@ -124,7 +124,7 @@ def classify_by_flow(p, params=None, settings=None):
         _kernels.EVENT_PAIR_ESCAPE, False,
     )
     y0, _, y2, y3 = state.tolist()
-    x_hi, x_lo = _kernels._pair_re(y0, y2, np.hypot(y2, y3))
+    x_hi, x_lo = _kernels._pair_re(y0, y2, _kernels._hypot(y2, y3))
     return _flow_label(
         x_hi, x_lo, status, flow.resolve_escape_radius(settings, params),
         params.epsilon,
@@ -143,7 +143,10 @@ def classify_by_flow_batch(states, params, settings=None):
         Y, params, settings, _kernels.EVENT_PAIR_ESCAPE
     )
     radius = flow.resolve_escape_radius(settings, params)
-    x_hi, x_lo = _kernels.pair_re_np(Y[:, 0], Y[:, 2], np.hypot(Y[:, 2], Y[:, 3]))
+    # a STATUS_NONFINITE row may overflow here; its status labels it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.hypot(Y[:, 2], Y[:, 3])
+        x_hi, x_lo = _kernels.pair_re_np(Y[:, 0], Y[:, 2], r)
     labels = np.empty(Y.shape[0], dtype=object)
     labels[:] = [
         _flow_label(hi, lo, st, radius, params.epsilon)

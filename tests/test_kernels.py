@@ -11,10 +11,14 @@ at events in time and state to 1e-12 (1 + |x|), and elsewhere to
 1e-6 (1 + |x|), since a step one twin accepts the other may retry.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from symsector import _kernels, flow, smoothing
+from symsector._accel import using_numba
 from symsector.flow import FlowSettings
 from symsector.geometry import SteinParams, SymPoint
 from symsector.sectors import (
@@ -25,6 +29,9 @@ from symsector.sectors import (
     classify_by_flow,
     classify_by_flow_batch,
 )
+
+# a new overflow or invalid-value warning from the kernels fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 ALPHA = 1.5
 
@@ -253,3 +260,95 @@ def test_flow_label_scalar_matches_batch(pure16, p, settings, want):
     label = classify_by_flow(p, pure16, settings)
     assert label == want
     assert list(classify_by_flow_batch([p.state()], pure16, settings)) == [label]
+
+
+def _same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    nan = np.isnan(got) & np.isnan(want)
+    return bool(np.all(nan | (got.view(np.uint64) == want.view(np.uint64))))
+
+
+_EDGE = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-320,
+         2.2250738585072014e-308, 1e-300, 1.0, -3.0, 1e300, 1e307, -1e307]
+
+
+def test_complex_abs_is_bitwise_np_hypot():
+    # the scalar kernels take |w| as abs(complex(x, y)): CPython calls libm
+    # hypot there, as np.hypot does (math.hypot rounds some pairs apart)
+    rng = np.random.default_rng(11)
+    n = 120_000
+    mant = rng.uniform(1.0, 10.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+    xy = mant * 10.0 ** rng.integers(-300, 301, (n, 2))
+    xy = np.vstack([xy, list(itertools.product(_EDGE, repeat=2))])
+    got = [abs(complex(x, y)) for x, y in xy.tolist()]
+    assert _same_bits(got, np.hypot(xy[:, 0], xy[:, 1]))
+
+
+def test_hypot_matches_np_hypot_where_it_overflows():
+    # abs(complex) raises OverflowError there; _hypot halves both first
+    big = [1.7976931348623157e308, -1.2e308, 1e308, np.nextafter(1e308, 0.0)]
+    rng = np.random.default_rng(12)
+    xy = rng.uniform(-1.79, 1.79, (20_000, 2)) * 1e308
+    xy = np.vstack([xy, list(itertools.product(_EDGE + big, repeat=2))])
+    got = [_kernels._hypot(x, y) for x, y in xy.tolist()]
+    assert all(type(v) is float for v in got)
+    with np.errstate(over="ignore"):
+        want = np.hypot(xy[:, 0], xy[:, 1])
+    assert np.isinf(want[np.isfinite(xy).all(axis=1)]).any()
+    assert _same_bits(got, want)
+
+
+@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_scalar_kernels_stay_on_builtin_floats(mode):
+    # the front ends pass the table as a tuple of floats, so no numpy
+    # scalar enters the arithmetic of the plain-Python kernels
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(max_steps=20000)
+    table = params.scalar_table
+    for r in _radii(mode)[1]:
+        assert all(type(v) is float for v in _kernels._w_terms(float(r), ALPHA, table))
+    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE, scalar=True)
+    state = SymPoint(-40.0, -64.0 + 1.0j).state().tolist()
+    res = _kernels._drive(*state, 0.0, 60.0, *args, np.empty((1, 5)), False, 1.0)
+    assert res[0] == _kernels.STATUS_EVENT
+    assert all(type(v) is float for v in res[1:6])
+    for reading in flow._READINGS:
+        args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
+        res = _kernels._delta_one(300.0, 400.0, *args)
+        assert res[0] == _kernels.STATUS_EVENT
+        assert all(type(v) is float for v in res[1:])
+
+
+_HOSTILE = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7e308, 1e-320]
+_HOSTILE_W = sorted(
+    {(a, b) for a in _HOSTILE for b in (0.0, a)}
+    | {(0.0, b) for b in _HOSTILE}
+    | {(1e308, 1.7e308), (1.7e308, -1.7e308), (1e-320, math.inf)},
+    key=repr,
+)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
+    # built-in floats raise where numpy scalars only warned: x / 0.0,
+    # ** and abs(complex) past the float range, math.sqrt below zero
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(max_time=4.0, max_steps=2000)
+    rec = np.empty((1, 5))
+    ends = []
+    for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
+        args = flow._drive_args(params, settings, kind, scalar=True)
+        for w in _HOSTILE_W:
+            ends.append(
+                (w, _kernels._drive(1.0, 0.5, *w, 0.0, 4.0, *args, rec, False, fdir)[0])
+            )
+    for reading in flow._READINGS:
+        args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
+        ends += [(w, _kernels._delta_one(*w, *args)[0]) for w in _HOSTILE_W]
+    for w, status in ends:
+        if all(abs(v) < 1e-300 for v in w):
+            assert status in (_kernels.STATUS_EVENT, _kernels.STATUS_TIME_END)
+        else:
+            assert status == _kernels.STATUS_NONFINITE
