@@ -24,8 +24,8 @@ _step2/_step4, _next_h, _pair_re and _event_val (also the region test of
 sectors).  They are jit-compiled under numba and run as plain Python
 otherwise (the decorator degrades to a no-op); scalar callers use them
 directly and never build a one-row numpy batch.  The scalar _drive, and
-through it the numba _drive_batch, refines its events with _bisect_event
-and _single4.
+through it the numba _drive_batch, refines its events with _bisect_event,
+which steps with _step4 from the FSAL derivative.
 
 As plain Python the scalar kernels run on built-in floats, with the same
 bits as numpy scalars at several times the speed: the front ends pass the
@@ -241,18 +241,6 @@ def _step4(y0, y1, y2, y3, f10, f11, f12, f13, h, alpha, table, fdir):
 
 
 @njit(cache=True)
-def _single4(y0, y1, y2, y3, h, alpha, table, fdir):
-    """One fixed 5th-order step, no error control.
-
-    Only :func:`_bisect_event` uses it, under the scalar :func:`_drive`
-    (and so the numba :func:`_drive_batch`).
-    """
-    f10, f11, f12, f13 = _rhs4(y0, y1, y2, y3, alpha, table, fdir)
-    out = _step4(y0, y1, y2, y3, f10, f11, f12, f13, h, alpha, table, fdir)
-    return out[0], out[1], out[2], out[3]
-
-
-@njit(cache=True)
 def _pair_re(x, re_w, r):
     """Real parts (x_hi, x_lo) of the two pair coordinates.
 
@@ -307,14 +295,17 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
 
 
 @njit(cache=True)
-def _bisect_event(p0, p1, p2, p3, h_acc, alpha, table, fdir, radius, epsilon, kind):
+def _bisect_event(
+    p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, radius, epsilon, kind
+):
     """Bisect an event crossing inside one accepted step of size h_acc.
 
-    The step starts at state p and ends inside the event region.  Returns
-    (y0, y1, y2, y3, dt, sign): the first state found inside the region,
-    its time offset from p, and the event sign there.  Only the scalar
-    :func:`_drive` (and so the numba :func:`_drive_batch`) calls it;
-    :func:`_drive_batch_np` applies the same rule to all its rows at once.
+    The step starts at state p, with FSAL derivative f there, and ends
+    inside the event region.  Returns (y0, y1, y2, y3, dt, sign): the
+    first state found inside the region, its time offset from p, and the
+    event sign there.  Only the scalar :func:`_drive` (and so the numba
+    :func:`_drive_batch`) calls it; :func:`_drive_batch_np` applies the
+    same rule to all its rows at once.
     """
     lo = 0.0
     hi = h_acc
@@ -322,15 +313,15 @@ def _bisect_event(p0, p1, p2, p3, h_acc, alpha, table, fdir, radius, epsilon, ki
         if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
             break
         mid = 0.5 * (lo + hi)
-        m0, m1, m2, m3 = _single4(p0, p1, p2, p3, mid, alpha, table, fdir)
-        mhit, _ = _event_val(m0, m1, m2, m3, radius, epsilon, kind)
+        m = _step4(p0, p1, p2, p3, f0, f1, f2, f3, mid, alpha, table, fdir)
+        mhit, _ = _event_val(m[0], m[1], m[2], m[3], radius, epsilon, kind)
         if mhit:
             hi = mid
         else:
             lo = mid
-    y0, y1, y2, y3 = _single4(p0, p1, p2, p3, hi, alpha, table, fdir)
-    _, sign = _event_val(y0, y1, y2, y3, radius, epsilon, kind)
-    return y0, y1, y2, y3, hi, sign
+    y = _step4(p0, p1, p2, p3, f0, f1, f2, f3, hi, alpha, table, fdir)
+    _, sign = _event_val(y[0], y[1], y[2], y[3], radius, epsilon, kind)
+    return y[0], y[1], y[2], y[3], hi, sign
 
 
 @njit(cache=True)
@@ -414,8 +405,8 @@ def _drive(
             hit, _ = _event_val(n0, n1, n2, n3, radius, epsilon, event_kind)
             if hit:
                 y0, y1, y2, y3, dt, esign = _bisect_event(
-                    y0, y1, y2, y3, h_use, alpha, table, fdir,
-                    radius, epsilon, event_kind,
+                    y0, y1, y2, y3, f10, f11, f12, f13, h_use, alpha, table,
+                    fdir, radius, epsilon, event_kind,
                 )
                 t += dt
                 status = STATUS_EVENT
@@ -548,9 +539,12 @@ def _delta_one(
 ):
     """Rescaled branch-direction limit of one w-trajectory.
 
-    Integrates the autonomous w-subsystem while continuing a branch of
-    sqrt(w) through the motion, and reads d = exp(-(alpha-1) t) sqrt(w)
-    once |Re sqrt(w)| clears u_star.  Convergence is declared when two
+    Integrates the autonomous w-subsystem and reads d = exp(-(alpha-1) t)
+    sqrt(w) once |Re sqrt(w)| clears u_star > 0.  sqrt is the principal
+    root, taken only when a reading is due.  Im w keeps its sign along
+    the w-flow, so off the negative real axis (where |Re sqrt(w)| = 0 and
+    no reading is taken) this is the branch continued from the principal
+    root of w0.  Convergence is declared when two
     readings 0.7 apart agree to agree_tol: as complex numbers under
     READ_COMPLEX, in their real parts only under READ_REAL (Im d decays
     like exp(-(2 alpha - 1) t), long after Re d has settled), and as
@@ -558,7 +552,6 @@ def _delta_one(
     Returns (status, Re d, Im d, t).
     """
     rate = alpha - 1.0
-    s = complex(np.sqrt(complex(xw, yw)))
     y2 = xw
     y3 = yw
     t = 0.0
@@ -572,24 +565,26 @@ def _delta_one(
     best_im = math.nan
     steps = 0
     while steps < max_steps and t < max_time:
-        if abs(s.real) >= u_star and t >= t_next:
-            scale = float(np.exp(-rate * t))
-            d_re = scale * s.real
-            d_im = scale * s.imag
-            best_re = d_re
-            best_im = d_im
-            if have_prev:
-                if reading == READ_REAL:
-                    gap = abs(d_re - prev_re)
-                else:
-                    gap = _hypot(d_re - prev_re, d_im - prev_im)
-                im_ok = reading != READ_COMPLEX_IM or abs(d_im) < im_tol
-                if gap < agree_tol and im_ok:
-                    return STATUS_EVENT, d_re, d_im, t
-            prev_re = d_re
-            prev_im = d_im
-            have_prev = True
-            t_next = t + 0.7
+        if t >= t_next:
+            s = complex(np.sqrt(complex(y2, y3)))
+            if abs(s.real) >= u_star:
+                scale = float(np.exp(-rate * t))
+                d_re = scale * s.real
+                d_im = scale * s.imag
+                best_re = d_re
+                best_im = d_im
+                if have_prev:
+                    if reading == READ_REAL:
+                        gap = abs(d_re - prev_re)
+                    else:
+                        gap = _hypot(d_re - prev_re, d_im - prev_im)
+                    im_ok = reading != READ_COMPLEX_IM or abs(d_im) < im_tol
+                    if gap < agree_tol and im_ok:
+                        return STATUS_EVENT, d_re, d_im, t
+                prev_re = d_re
+                prev_im = d_im
+                have_prev = True
+                t_next = t + 0.7
         out = _step2(y2, y3, f12, f13, h, alpha, table)
         n2, n3, e2, e3 = out[0], out[1], out[2], out[3]
         steps += 1
@@ -607,10 +602,6 @@ def _delta_one(
             y2, y3 = n2, n3
             t += h
             f12, f13 = out[4], out[5]
-            rt = complex(np.sqrt(complex(y2, y3)))
-            dplus = abs(rt - s)
-            dminus = abs(-rt - s)
-            s = rt if dplus <= dminus else -rt
         h = _next_h(err, h, h_max)
     return STATUS_TIME_END, best_re, best_im, t
 
@@ -902,7 +893,6 @@ def _delta_batch_np(
     y = W.astype(float).copy()
     t = np.zeros(n)
     h = np.full(n, min(h_max, 0.05))
-    s = np.sqrt(y[:, 0] + 1j * y[:, 1])
     rate = alpha - 1.0
     have_prev = np.zeros(n, dtype=bool)
     prev = np.zeros(n, dtype=complex)
@@ -915,10 +905,12 @@ def _delta_batch_np(
     for _ in range(int(max_steps)):
         if not active.any():
             break
-        readable = active & (np.abs(s.real) >= u_star) & (t >= t_next)
-        if readable.any():
-            ri = np.nonzero(readable)[0]
-            d = np.exp(-rate * t[ri]) * s[ri]
+        due = np.nonzero(active & (t >= t_next))[0]
+        if due.size:
+            s = np.sqrt(y[due, 0] + 1j * y[due, 1])
+            readable = np.abs(s.real) >= u_star
+            ri = due[readable]
+            d = np.exp(-rate * t[ri]) * s[readable]
             out_re[ri] = d.real
             out_im[ri] = d.imag
             if reading == READ_REAL:
@@ -950,10 +942,6 @@ def _delta_batch_np(
             y[ai] = Yn[acc]
             t[ai] += h[ai]
             K1[ai] = K7[acc]
-            rt = np.sqrt(y[ai, 0] + 1j * y[ai, 1])
-            flip = np.abs(rt - s[ai]) > np.abs(-rt - s[ai])
-            rt[flip] = -rt[flip]
-            s[ai] = rt
         h[idx] = _next_h_np(err, h[idx], h_max)
         dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
         out_status[dead] = STATUS_NONFINITE

@@ -269,7 +269,7 @@ def _delta_args(params, settings, reading, u_star_factor, scalar=False):
 def _other_branch(w0, s0):
     """Whether s0 is the negative of the principal root of w0 = s0^2.
 
-    The kernels continue the branch from the principal root; where this
+    The kernels read the branch through the principal root; where this
     holds, Delta is negated to follow the branch through s0 itself.
     """
     return np.abs(np.sqrt(w0) - s0) > np.abs(np.sqrt(w0) + s0)
@@ -280,11 +280,12 @@ def compute_delta(
 ):
     """Rescaled branch-direction limit Delta of one w-trajectory.
 
-    The w-flow started at w0 = sqrt_w0^2 is integrated while a branch of
-    sqrt(w) is continued through the motion from the principal root of
-    w0, and Delta = lim exp(-(alpha-1) t) sqrt(w(t)).  Because the
-    branch is continued (rather than re-chosen), Delta is exactly odd in
-    sqrt_w0 and Re Delta is even under conjugation.
+    The w-flow started at w0 = sqrt_w0^2 is integrated, and
+    Delta = lim exp(-(alpha-1) t) sqrt(w(t)) on the branch of sqrt(w)
+    continued from the principal root of w0.  Im w keeps its sign along
+    the flow, so that branch is the principal root wherever it is read.
+    Where sqrt_w0 is the other root, Delta is negated, so Delta is exactly
+    odd in sqrt_w0 and Re Delta is even under conjugation.
 
     A reading d is taken once |Re sqrt(w)| passes u_star_factor times
     :func:`default_u_star`, and every 0.7 in time after that.  The reading

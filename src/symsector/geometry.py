@@ -318,7 +318,8 @@ def flow_field_zw(z, w, params=None):
     z = complex(z)
     w = complex(w)
     dz = complex((a - 1.0) * z.real, -a * z.imag)
-    drift, shrink = _kernels._w_terms(abs(w), a, params.scalar_table)
+    r = _kernels._hypot(w.real, w.imag)
+    drift, shrink = _kernels._w_terms(r, a, params.scalar_table)
     return dz, drift - shrink * w
 
 

@@ -8,6 +8,7 @@ label for that cell only.  Exports are a fixed-header CSV and a
 hand-assembled SVG 1.1 document, both byte-deterministic.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,41 +132,43 @@ def classify_grid(
 
 
 def grid_csv(result):
-    """CSV text of a classified grid, row-major in (coord1, coord2)."""
-    lines = [CSV_HEADER]
-    axis1 = result.axis1
-    axis2 = result.axis2
-    for i in range(axis1.size):
-        for j in range(axis2.size):
-            lines.append(
-                "%.6g,%.6g,%s,%.6g,%.6g"
-                % (
-                    axis1[i],
-                    axis2[j],
-                    result.labels[i, j],
-                    result.a[i, j],
-                    result.b[i, j],
-                )
-            )
-    return "\n".join(lines) + "\n"
+    """CSV text of a classified grid, row-major in (coord1, coord2).
+
+    Values are taken out of the arrays one grid row at a time, so no
+    numpy scalar is indexed per cell, and each grid row is joined into
+    one string before the next is formatted.
+    """
+    rows = [CSV_HEADER + "\n"]
+    coord2 = ["%.6g" % x for x in result.axis2.tolist()]
+    for x1, labels, a, b in zip(
+        result.axis1.tolist(), result.labels, result.a, result.b
+    ):
+        coord1 = "%.6g," % x1
+        cells = zip(coord2, labels.tolist(), a.tolist(), b.tolist())
+        rows.append(
+            "".join("%s%s,%s,%.6g,%.6g\n" % (coord1, x2, lab, u, v)
+                    for x2, lab, u, v in cells)
+        )
+    return "".join(rows)
 
 
 def _edge_segments(F, cw, ch, size):
-    """Cell-edge segments where F changes sign between neighbours."""
-    n1, n2 = F.shape
+    """Cell-edge segments where F changes sign between neighbours.
+
+    np.nonzero lists cells in row-major order: first every edge between
+    rows i and i + 1, then every edge between columns j and j + 1.
+    """
     segs = []
-    for i in range(n1 - 1):
-        for j in range(n2):
-            if F[i, j] * F[i + 1, j] < 0.0:
-                x = (i + 1) * cw
-                y = size - (j + 1) * ch
-                segs.append((x, y, x, y + ch))
-    for i in range(n1):
-        for j in range(n2 - 1):
-            if F[i, j] * F[i, j + 1] < 0.0:
-                y = size - (j + 1) * ch
-                x = i * cw
-                segs.append((x, y, x + cw, y))
+    ii, jj = np.nonzero(F[:-1] * F[1:] < 0.0)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        x = (i + 1) * cw
+        y = size - (j + 1) * ch
+        segs.append((x, y, x, y + ch))
+    ii, jj = np.nonzero(F[:, :-1] * F[:, 1:] < 0.0)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        y = size - (j + 1) * ch
+        x = i * cw
+        segs.append((x, y, x + cw, y))
     return segs
 
 
@@ -186,28 +189,20 @@ def grid_svg(result, size=640):
     the zero sets of the two offsets are stroked along cell edges.
     coord1 runs right, coord2 runs up.
     """
-    axis1 = result.axis1
-    axis2 = result.axis2
-    n1 = axis1.size
-    n2 = axis2.size
-    cw = size / n1
-    ch = size / n2
+    cw = size / result.axis1.size
+    ch = size / result.axis2.size
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n',
         f"<title>sector slice {result.spec.kind} {result.spec.value:g}</title>\n",
     ]
-    labels = result.labels
-    for j in range(n2):
+    for j, column in enumerate(result.labels.T.tolist()):
         y = size - (j + 1) * ch
         i = 0
-        while i < n1:
-            lab = labels[i, j]
-            k = i
-            while k < n1 and labels[k, j] == lab:
-                k += 1
-            fill = PALETTE.get(str(lab), PALETTE[ERROR_LABEL])
+        for lab, run in itertools.groupby(column):
+            k = i + sum(1 for _ in run)
+            fill = PALETTE.get(lab, PALETTE[ERROR_LABEL])
             parts.append(
                 '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>\n'
                 % (i * cw, y, (k - i) * cw, ch, fill)

@@ -181,6 +181,14 @@ def test_flow_field_is_downhill(pure16, rng):
         assert after < before
 
 
+def test_flow_field_beyond_the_float_range_is_not_finite(pure16, cutoff16):
+    # |w| overflows to inf: the field is infinite, no OverflowError
+    for params in (pure16, cutoff16):
+        dz, dw = flow_field_zw(0.0, complex(1.5e308, 1.5e308), params)
+        assert dz == 0.0
+        assert dw.real == np.inf and np.isfinite(dw.imag)
+
+
 def test_liouville_is_negated_flow(pure16):
     p = SymPoint(1.0 + 2.0j, 3.0 - 4.0j)
     f = flow_vector_field(p, pure16)

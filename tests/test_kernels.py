@@ -75,6 +75,10 @@ def test_rhs_w_twins_agree_exactly(mode):
         assert tuple(_kernels._rhs2(y2, y3, ALPHA, table)) == tuple(row)
 
 
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
 @pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_delta_twins_agree(mode, reading):
@@ -99,6 +103,34 @@ def test_delta_twins_agree(mode, reading):
                 assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
     assert status[-1] == _kernels.STATUS_NONFINITE
     assert np.all(status[:-1] == _kernels.STATUS_EVENT)
+
+
+@pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_delta_twins_on_the_negative_real_axis(mode, reading):
+    # sqrt(w0) is +i or -i times sqrt(-w0) by the sign of the zero Im w0,
+    # but no reading is taken before w has drifted right, and the first
+    # accepted step sets Im w to +0.0: both zeros give the same bits
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    args = flow._delta_args(params, FlowSettings(max_steps=2000), reading, 1.0)
+    W = np.array([[x, z] for x in (-0.5, -40.0, -900.0) for z in (0.0, -0.0)])
+    n = len(W)
+    status = np.zeros(n, dtype=np.int64)
+    d_re, d_im, t = np.zeros(n), np.zeros(n), np.zeros(n)
+    _kernels._delta_batch_np(W, *args, status, d_re, d_im, t)
+    scalar = [_kernels._delta_one(xw, yw, *args) for xw, yw in W.tolist()]
+    assert [r[0] for r in scalar] == status.tolist()
+    assert np.all(status == _kernels.STATUS_EVENT)
+    for k in range(0, n, 2):
+        assert scalar[k] == scalar[k + 1]
+        assert _bits(d_re[k], d_im[k], t[k]) == _bits(d_re[k + 1], d_im[k + 1], t[k + 1])
+    if mode == "pure":
+        # in cutoff mode these rows cross the profile knots radially, where
+        # the step controller rejects many attempts and the twins end up to
+        # 1.3e-7 (1 + |Delta|) apart: that mode is held to statuses only
+        for (_, re_k, im_k, _), dr, di in zip(scalar, d_re, d_im):
+            d = complex(dr, di)
+            assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
 
 
 @pytest.mark.parametrize("h_max", [0.1, 0.01])
@@ -240,6 +272,41 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     batch, scalar = _drive_both(missed, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_batch_rows_are_independent(mode):
+    # a row's outputs are the same bits alone and at any place in a larger
+    # batch, so callers may join batches (offset-evenness runs three as one)
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    rng = np.random.default_rng(9)
+    s = rng.uniform(-48.0, 48.0, 10) + 1j * rng.uniform(-48.0, 48.0, 10)
+    s = np.append(s, [2.0j, -2.0j, 1e154])  # w0 on the negative axis; overflow
+    perm = rng.permutation(s.size)
+    d, status = flow.compute_delta_batch(s, params, settings, reading="real")
+    d_p, status_p = flow.compute_delta_batch(s[perm], params, settings, reading="real")
+    assert _bits(d[perm], status[perm]) == _bits(d_p, status_p)
+    for k in (0, 10, 12):
+        d_k, status_k = flow.compute_delta_batch(s[k:k + 1], params, settings,
+                                                 reading="real")
+        assert _bits(d[k:k + 1], status[k:k + 1]) == _bits(d_k, status_k)
+    assert status[-1] == _kernels.STATUS_NONFINITE
+
+    kind = _kernels.EVENT_PAIR_ESCAPE
+    z = rng.uniform(-48.0, 48.0, (8, 2))
+    Y = np.column_stack([z, (s[:8] * s[:8]).real, (s[:8] * s[:8]).imag])
+    Y = np.vstack([Y, _INSIDE[kind], [(1.0, 0.5, 1e308, 0.0)]])
+    perm = rng.permutation(len(Y))
+    Y_all, Y_p = Y.copy(), Y[perm]
+    out = flow.drive_batch(Y_all, params, settings, kind, t_end=4.0)
+    out_p = flow.drive_batch(Y_p, params, settings, kind, t_end=4.0)
+    assert _bits(Y_all[perm], *(o[perm] for o in out)) == _bits(Y_p, *out_p)
+    for k in (0, 8, 10):
+        Y_k = Y[k:k + 1].copy()
+        out_k = flow.drive_batch(Y_k, params, settings, kind, t_end=4.0)
+        assert _bits(Y_all[k:k + 1], *(o[k:k + 1] for o in out)) == _bits(Y_k, *out_k)
+    assert (out[0][:8] == _kernels.STATUS_EVENT).any()
 
 
 @pytest.mark.parametrize(
