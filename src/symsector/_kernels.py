@@ -3,8 +3,12 @@
 The downward gradient flow on the symmetric square is integrated with the
 embedded Dormand-Prince 5(4) pair (FSAL) and the standard step-size
 controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).  The
-state is [Re z, Im z, Re w, Im w]; the w-subsystem is autonomous, so a
-dedicated 2-component kernel serves the branch-locus asymptotics.
+state is [Re z, Im z, Re w, Im w]; the linear z-subsystem and the
+autonomous w-subsystem are decoupled, and the w-subsystem alone also
+serves the branch-locus asymptotics.  The flow direction (+1 downward,
+-1 upward) is the sign of the step h: derivatives, FSAL seeds included,
+are those of the downward flow.  Negation is exact, so h (-f) and (-h) f
+round alike and either form gives the same bits.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
@@ -19,13 +23,15 @@ all of them in one vectorized bisection after the lockstep.  Both batch
 kernels ignore overflow and invalid-value warnings: a row that leaves
 the float range ends STATUS_NONFINITE, and its status reports it.
 
-The scalar kernels are the one permitted twin: _w_terms, _rhs2/_rhs4,
-_step2/_step4, _next_h, _pair_re and _event_val (also the region test of
-sectors).  They are jit-compiled under numba and run as plain Python
-otherwise (the decorator degrades to a no-op); scalar callers use them
-directly and never build a one-row numpy batch.  The scalar _drive, and
-through it the numba _drive_batch, refines its events with _bisect_event,
-which steps with _step4 from the FSAL derivative.
+The scalar kernels are the one permitted twin: _w_terms, the right-hand
+sides _rhs_z and _rhs2, one DP5 step _step2 that takes its right-hand
+side as an argument, _next_h, _pair_re and _event_val (also the region
+test of sectors).  They are jit-compiled under numba and run as plain
+Python otherwise (the decorator degrades to a no-op); scalar callers use
+them directly and never build a one-row numpy batch.  Each attempt of
+the scalar _drive, and of the bisection _bisect_event with which it (and
+through it the numba _drive_batch) refines its events, is one _step2 on
+z with _rhs_z and one on w with _rhs2; _delta_one steps w alone.
 
 As plain Python the scalar kernels run on built-in floats, with the same
 bits as numpy scalars at several times the speed: the front ends pass the
@@ -158,86 +164,61 @@ def _w_terms(r, alpha, table):
 
 
 @njit(cache=True)
-def _rhs4(y0, y1, y2, y3, alpha, table, fdir):
-    r = _hypot(y2, y3)
-    drift, shrink = _w_terms(r, alpha, table)
-    return (
-        fdir * (alpha - 1.0) * y0,
-        fdir * -alpha * y1,
-        fdir * (drift - shrink * y2),
-        fdir * -shrink * y3,
-    )
+def _rhs_z(y0, y1, alpha, table):
+    """Right-hand side of the linear z-subsystem.
+
+    table is unused; it keeps the signature of _rhs2 for _step2.
+    """
+    return (alpha - 1.0) * y0, -alpha * y1
 
 
 @njit(cache=True)
 def _rhs2(y2, y3, alpha, table):
+    """Right-hand side of the autonomous w-subsystem."""
     r = _hypot(y2, y3)
     drift, shrink = _w_terms(r, alpha, table)
     return drift - shrink * y2, -shrink * y3
 
 
 @njit(cache=True)
-def _step4(y0, y1, y2, y3, f10, f11, f12, f13, h, alpha, table, fdir):
-    """One embedded step of the 4-component system.
+def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
+    """One embedded step of a 2-component subsystem with right-hand side rhs.
 
+    rhs is _rhs_z or _rhs2, and h carries the flow direction as its sign.
     Returns the 5th order solution, the error estimate, and the last
     stage derivative (FSAL seed for the next step).
     """
-    f20, f21, f22, f23 = _rhs4(
-        y0 + h * A21 * f10,
-        y1 + h * A21 * f11,
-        y2 + h * A21 * f12,
-        y3 + h * A21 * f13,
+    a2, b2 = rhs(ya + h * A21 * fa, yb + h * A21 * fb, alpha, table)
+    a3, b3 = rhs(
+        ya + h * (A31 * fa + A32 * a2),
+        yb + h * (A31 * fb + A32 * b2),
         alpha,
         table,
-        fdir,
     )
-    f30, f31, f32, f33 = _rhs4(
-        y0 + h * (A31 * f10 + A32 * f20),
-        y1 + h * (A31 * f11 + A32 * f21),
-        y2 + h * (A31 * f12 + A32 * f22),
-        y3 + h * (A31 * f13 + A32 * f23),
+    a4, b4 = rhs(
+        ya + h * (A41 * fa + A42 * a2 + A43 * a3),
+        yb + h * (A41 * fb + A42 * b2 + A43 * b3),
         alpha,
         table,
-        fdir,
     )
-    f40, f41, f42, f43 = _rhs4(
-        y0 + h * (A41 * f10 + A42 * f20 + A43 * f30),
-        y1 + h * (A41 * f11 + A42 * f21 + A43 * f31),
-        y2 + h * (A41 * f12 + A42 * f22 + A43 * f32),
-        y3 + h * (A41 * f13 + A42 * f23 + A43 * f33),
+    a5, b5 = rhs(
+        ya + h * (A51 * fa + A52 * a2 + A53 * a3 + A54 * a4),
+        yb + h * (A51 * fb + A52 * b2 + A53 * b3 + A54 * b4),
         alpha,
         table,
-        fdir,
     )
-    f50, f51, f52, f53 = _rhs4(
-        y0 + h * (A51 * f10 + A52 * f20 + A53 * f30 + A54 * f40),
-        y1 + h * (A51 * f11 + A52 * f21 + A53 * f31 + A54 * f41),
-        y2 + h * (A51 * f12 + A52 * f22 + A53 * f32 + A54 * f42),
-        y3 + h * (A51 * f13 + A52 * f23 + A53 * f33 + A54 * f43),
+    a6, b6 = rhs(
+        ya + h * (A61 * fa + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5),
+        yb + h * (A61 * fb + A62 * b2 + A63 * b3 + A64 * b4 + A65 * b5),
         alpha,
         table,
-        fdir,
     )
-    f60, f61, f62, f63 = _rhs4(
-        y0 + h * (A61 * f10 + A62 * f20 + A63 * f30 + A64 * f40 + A65 * f50),
-        y1 + h * (A61 * f11 + A62 * f21 + A63 * f31 + A64 * f41 + A65 * f51),
-        y2 + h * (A61 * f12 + A62 * f22 + A63 * f32 + A64 * f42 + A65 * f52),
-        y3 + h * (A61 * f13 + A62 * f23 + A63 * f33 + A64 * f43 + A65 * f53),
-        alpha,
-        table,
-        fdir,
-    )
-    n0 = y0 + h * (B1 * f10 + B3 * f30 + B4 * f40 + B5 * f50 + B6 * f60)
-    n1 = y1 + h * (B1 * f11 + B3 * f31 + B4 * f41 + B5 * f51 + B6 * f61)
-    n2 = y2 + h * (B1 * f12 + B3 * f32 + B4 * f42 + B5 * f52 + B6 * f62)
-    n3 = y3 + h * (B1 * f13 + B3 * f33 + B4 * f43 + B5 * f53 + B6 * f63)
-    f70, f71, f72, f73 = _rhs4(n0, n1, n2, n3, alpha, table, fdir)
-    e0 = h * (E1 * f10 + E3 * f30 + E4 * f40 + E5 * f50 + E6 * f60 + E7 * f70)
-    e1 = h * (E1 * f11 + E3 * f31 + E4 * f41 + E5 * f51 + E6 * f61 + E7 * f71)
-    e2 = h * (E1 * f12 + E3 * f32 + E4 * f42 + E5 * f52 + E6 * f62 + E7 * f72)
-    e3 = h * (E1 * f13 + E3 * f33 + E4 * f43 + E5 * f53 + E6 * f63 + E7 * f73)
-    return n0, n1, n2, n3, e0, e1, e2, e3, f70, f71, f72, f73
+    na = ya + h * (B1 * fa + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
+    nb = yb + h * (B1 * fb + B3 * b3 + B4 * b4 + B5 * b5 + B6 * b6)
+    a7, b7 = rhs(na, nb, alpha, table)
+    ea = h * (E1 * fa + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * a7)
+    eb = h * (E1 * fb + E3 * b3 + E4 * b4 + E5 * b5 + E6 * b6 + E7 * b7)
+    return na, nb, ea, eb, a7, b7
 
 
 @njit(cache=True)
@@ -301,11 +282,12 @@ def _bisect_event(
     """Bisect an event crossing inside one accepted step of size h_acc.
 
     The step starts at state p, with FSAL derivative f there, and ends
-    inside the event region.  Returns (y0, y1, y2, y3, dt, sign): the
-    first state found inside the region, its time offset from p, and the
-    event sign there.  Only the scalar :func:`_drive` (and so the numba
-    :func:`_drive_batch`) calls it; :func:`_drive_batch_np` applies the
-    same rule to all its rows at once.
+    inside the event region; fdir is the sign of each trial step.
+    Returns (y0, y1, y2, y3, dt, sign): the first state found inside the
+    region, its time offset from p, and the event sign there.  Only the
+    scalar :func:`_drive` (and so the numba :func:`_drive_batch`) calls
+    it; :func:`_drive_batch_np` applies the same rule to all its rows at
+    once.
     """
     lo = 0.0
     hi = h_acc
@@ -313,15 +295,19 @@ def _bisect_event(
         if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
             break
         mid = 0.5 * (lo + hi)
-        m = _step4(p0, p1, p2, p3, f0, f1, f2, f3, mid, alpha, table, fdir)
-        mhit, _ = _event_val(m[0], m[1], m[2], m[3], radius, epsilon, kind)
+        hs = fdir * mid
+        mz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
+        mw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
+        mhit, _ = _event_val(mz[0], mz[1], mw[0], mw[1], radius, epsilon, kind)
         if mhit:
             hi = mid
         else:
             lo = mid
-    y = _step4(p0, p1, p2, p3, f0, f1, f2, f3, hi, alpha, table, fdir)
-    _, sign = _event_val(y[0], y[1], y[2], y[3], radius, epsilon, kind)
-    return y[0], y[1], y[2], y[3], hi, sign
+    hs = fdir * hi
+    yz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
+    yw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
+    _, sign = _event_val(yz[0], yz[1], yw[0], yw[1], radius, epsilon, kind)
+    return yz[0], yz[1], yw[0], yw[1], hi, sign
 
 
 @njit(cache=True)
@@ -349,12 +335,15 @@ def _drive(
     """Integrate one trajectory with adaptive steps and event location.
 
     Returns (status, t, y0, y1, y2, y3, event_sign, n_recorded, n_steps).
-    When want_rec is true, accepted states are appended to rec as rows
-    (t, y0, y1, y2, y3) until its capacity is reached.
+    t advances by the step size; fdir (+1 or -1) is the sign of every
+    step, so fdir = -1 follows the upward flow.  When want_rec is true,
+    accepted states are appended to rec as rows (t, y0, y1, y2, y3) until
+    its capacity is reached.
     """
     t = t0
     h = h_max if h_max < 0.05 else 0.05
-    f10, f11, f12, f13 = _rhs4(y0, y1, y2, y3, alpha, table, fdir)
+    f10, f11 = _rhs_z(y0, y1, alpha, table)
+    f12, f13 = _rhs2(y2, y3, alpha, table)
     nrec = 0
     cap = rec.shape[0]
     if want_rec and nrec < cap:
@@ -377,9 +366,9 @@ def _drive(
             status = STATUS_TIME_END
             break
         h_use = h if h < remaining else remaining
-        out = _step4(y0, y1, y2, y3, f10, f11, f12, f13, h_use, alpha, table, fdir)
-        n0, n1, n2, n3 = out[0], out[1], out[2], out[3]
-        e0, e1, e2, e3 = out[4], out[5], out[6], out[7]
+        hs = fdir * h_use
+        n0, n1, e0, e1, k0, k1 = _step2(y0, y1, f10, f11, hs, _rhs_z, alpha, table)
+        n2, n3, e2, e3, k2, k3 = _step2(y2, y3, f12, f13, hs, _rhs2, alpha, table)
         steps += 1
         if not (
             math.isfinite(n0)
@@ -413,7 +402,7 @@ def _drive(
             else:
                 y0, y1, y2, y3 = n0, n1, n2, n3
                 t += h_use
-                f10, f11, f12, f13 = out[8], out[9], out[10], out[11]
+                f10, f11, f12, f13 = k0, k1, k2, k3
             if want_rec and nrec < cap:
                 rec[nrec, 0] = t
                 rec[nrec, 1] = y0
@@ -486,42 +475,6 @@ def _drive_batch(
 
 
 @njit(cache=True)
-def _step2(y2, y3, f12, f13, h, alpha, table):
-    """One embedded step of the autonomous w-subsystem."""
-    f22, f23 = _rhs2(y2 + h * A21 * f12, y3 + h * A21 * f13, alpha, table)
-    f32, f33 = _rhs2(
-        y2 + h * (A31 * f12 + A32 * f22),
-        y3 + h * (A31 * f13 + A32 * f23),
-        alpha,
-        table,
-    )
-    f42, f43 = _rhs2(
-        y2 + h * (A41 * f12 + A42 * f22 + A43 * f32),
-        y3 + h * (A41 * f13 + A42 * f23 + A43 * f33),
-        alpha,
-        table,
-    )
-    f52, f53 = _rhs2(
-        y2 + h * (A51 * f12 + A52 * f22 + A53 * f32 + A54 * f42),
-        y3 + h * (A51 * f13 + A52 * f23 + A53 * f33 + A54 * f43),
-        alpha,
-        table,
-    )
-    f62, f63 = _rhs2(
-        y2 + h * (A61 * f12 + A62 * f22 + A63 * f32 + A64 * f42 + A65 * f52),
-        y3 + h * (A61 * f13 + A62 * f23 + A63 * f33 + A64 * f43 + A65 * f53),
-        alpha,
-        table,
-    )
-    n2 = y2 + h * (B1 * f12 + B3 * f32 + B4 * f42 + B5 * f52 + B6 * f62)
-    n3 = y3 + h * (B1 * f13 + B3 * f33 + B4 * f43 + B5 * f53 + B6 * f63)
-    f72, f73 = _rhs2(n2, n3, alpha, table)
-    e2 = h * (E1 * f12 + E3 * f32 + E4 * f42 + E5 * f52 + E6 * f62 + E7 * f72)
-    e3 = h * (E1 * f13 + E3 * f33 + E4 * f43 + E5 * f53 + E6 * f63 + E7 * f73)
-    return n2, n3, e2, e3, f72, f73
-
-
-@njit(cache=True)
 def _delta_one(
     xw,
     yw,
@@ -585,7 +538,7 @@ def _delta_one(
                 prev_im = d_im
                 have_prev = True
                 t_next = t + 0.7
-        out = _step2(y2, y3, f12, f13, h, alpha, table)
+        out = _step2(y2, y3, f12, f13, h, _rhs2, alpha, table)
         n2, n3, e2, e3 = out[0], out[1], out[2], out[3]
         steps += 1
         if not (math.isfinite(n2) and math.isfinite(n3)):
@@ -693,14 +646,12 @@ def _rhs_w_np(W, alpha, table):
     return F
 
 
-def _rhs_np(Y, alpha, table, fdir):
+def _rhs_np(Y, alpha, table):
     """Vectorized right-hand side on rows [Re z, Im z, Re w, Im w]."""
     F = np.empty_like(Y)
     F[:, 0] = (alpha - 1.0) * Y[:, 0]
     F[:, 1] = -alpha * Y[:, 1]
     F[:, 2:] = _rhs_w_np(Y[:, 2:], alpha, table)
-    if fdir != 1.0:
-        F *= fdir
     return F
 
 
@@ -794,7 +745,7 @@ def _drive_batch_np(
     """
 
     def rhs(Z):
-        return _rhs_np(Z, alpha, table, fdir)
+        return _rhs_np(Z, alpha, table)
 
     n = Y.shape[0]
     t = np.full(n, float(t0))
@@ -821,7 +772,7 @@ def _drive_batch_np(
             break
         idx = np.nonzero(active)[0]
         h_use = np.minimum(h[idx], t_end - t[idx])
-        Yn, K7, err = _attempt_np(Y[idx], K1[idx], h_use, rhs, rtol, atol)
+        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol, atol)
         acc = err <= 1.0
         if acc.any():
             hit = np.zeros_like(acc)
@@ -850,11 +801,11 @@ def _drive_batch_np(
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
-            Ym = _attempt_np(P[live], KP[live], mid, rhs, rtol, atol)[0]
+            Ym = _attempt_np(P[live], KP[live], fdir * mid, rhs, rtol, atol)[0]
             mhit = _event_np(Ym, radius, epsilon, event_kind)[0]
             hi[live[mhit]] = mid[mhit]
             lo[live[~mhit]] = mid[~mhit]
-        Y[ev] = _attempt_np(P, KP, hi, rhs, rtol, atol)[0]
+        Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol, atol)[0]
         out_sign[ev] = _event_np(Y[ev], radius, epsilon, event_kind)[1]
         t[ev] += hi
     out_t[:] = t

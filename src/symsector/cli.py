@@ -43,10 +43,10 @@ class ConfigError(ValueError):
 
 
 def _validate(config):
-    if not config.alpha > 1.0:
+    if not 1.0 < config.alpha < math.inf:
         raise ConfigError(
-            "alpha=%g is not allowed: the saddle model requires alpha > 1 "
-            "(the unstable rate alpha-1 must be positive)" % config.alpha
+            "alpha=%g is not allowed: the saddle model requires finite "
+            "alpha > 1 (the unstable rate alpha-1 must be positive)" % config.alpha
         )
     if not config.epsilon > 0.0:
         raise ConfigError("epsilon must be positive")
@@ -54,8 +54,8 @@ def _validate(config):
         raise ConfigError("smoothing must be 'pure' or 'cutoff'")
     if config.grid < 1:
         raise ConfigError("grid must be at least 1")
-    if not config.sample_scale > 0.0:
-        raise ConfigError("sample-scale must be positive")
+    if not 0.0 < config.sample_scale < math.inf:
+        raise ConfigError("sample-scale must be positive and finite")
     if not config.max_time > 0.0:
         raise ConfigError("max-time must be positive")
     if config.escape_radius is not None and not config.escape_radius > 0.0:
@@ -148,7 +148,6 @@ def cmd_verify(config):
         sample_scale=config.sample_scale,
         epsilon=config.epsilon,
         alpha=config.alpha,
-        smoothing=config.smoothing,
     )
     _check_out(config)
     report = verify.run_all(vconf)

@@ -12,6 +12,7 @@ differentiable at the branch locus.  All real 4-vectors are ordered
 [Re z, Im z, Re w, Im w].
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ class SteinParams:
     _table: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must exceed 1")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 1")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.smoothing not in ("pure", "cutoff"):
@@ -317,7 +318,7 @@ def flow_field_zw(z, w, params=None):
     a = params.alpha
     z = complex(z)
     w = complex(w)
-    dz = complex((a - 1.0) * z.real, -a * z.imag)
+    dz = complex(*_kernels._rhs_z(z.real, z.imag, a, params.scalar_table))
     r = _kernels._hypot(w.real, w.imag)
     drift, shrink = _kernels._w_terms(r, a, params.scalar_table)
     return dz, drift - shrink * w

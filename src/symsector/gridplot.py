@@ -119,10 +119,12 @@ def classify_grid(
         z1 = np.full(A1.shape, complex(spec.value, 0.0))
         z2 = A1 + 1j * A2
     s = 0.5 * (z1 - z2)
-    z0 = 0.5 * (z1 + z2)
+    # Re z0 from the real parts alone: Im(z1 + z2) overflows on im-slices
+    # beyond |v| ~ 9e307, and 0.5 * z0 as a complex product would be nan
+    x0 = 0.5 * (z1.real + z2.real)
     c = flow.compute_c_batch(s.ravel(), params, settings).reshape(s.shape)
-    a = z0.real + c
-    b = z0.real - c
+    a = x0 + c
+    b = x0 - c
     labels = np.asarray(sectors.labels_from_ab(a, b, band_tol), dtype="U16")
     bad = ~np.isfinite(c)
     if bad.any():

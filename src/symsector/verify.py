@@ -33,18 +33,18 @@ class VerifyConfig:
 
     sample_scale multiplies the sample counts (and shrinks grids), so a
     small scale gives a fast determinism check with the same code paths.
+    Every suite pins its own smoothing profile.
     """
 
     seed: int = 0
     sample_scale: float = 1.0
     epsilon: float = 16.0
     alpha: float = 1.5
-    smoothing: str = "pure"
     suites: tuple = None
 
     def __post_init__(self):
-        if not self.sample_scale > 0.0:
-            raise ValueError("sample_scale must be positive")
+        if not 0.0 < self.sample_scale < math.inf:
+            raise ValueError("sample_scale must be positive and finite")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -58,12 +58,8 @@ def _grid_n(config, base):
     return g + 1 if g % 2 == 0 else g
 
 
-def _params(config, epsilon=None, mode=None):
-    return SteinParams(
-        alpha=config.alpha,
-        epsilon=config.epsilon if epsilon is None else epsilon,
-        smoothing=config.smoothing if mode is None else mode,
-    )
+def _params(config):
+    return SteinParams(alpha=config.alpha, epsilon=config.epsilon, smoothing="pure")
 
 
 def _json_float(x):
@@ -176,7 +172,7 @@ def _phi_gradient(z, w, params):
 
 
 def _suite_kahler_form_consistency(config, rng):
-    params = _params(config, mode="pure")
+    params = _params(config)
     eps = params.epsilon
     n = _count(config, 40)
     J = geometry.complex_structure()
@@ -209,7 +205,7 @@ def _suite_kahler_form_consistency(config, rng):
 
 
 def _suite_kahler_factor_bounds(config, rng):
-    params = _params(config, mode="pure")
+    params = _params(config)
     eps = params.epsilon
     r = np.linspace(0.0, 10.0 * eps, 2001)
     kf = geometry.kahler_factor(r, params)
@@ -381,7 +377,7 @@ def _suite_near_diagonal_escape(config, rng):
 
 
 def _suite_potential_monotone(config, rng):
-    params = _params(config, mode="pure")
+    params = _params(config)
     eps = params.epsilon
     settings = FlowSettings(max_time=3.0)
     n = _count(config, 40)
@@ -940,7 +936,6 @@ def run_all(config=None):
             "numba": bool(using_numba()),
             "sample_scale": float(config.sample_scale),
             "seed": int(config.seed),
-            "smoothing": str(config.smoothing),
         },
         "failed": failed,
         "passed": not failed,

@@ -140,8 +140,9 @@ def test_decompose_missing_file(capsys):
     assert err
 
 
-def test_bad_alpha_rejected(capsys):
-    code, _, err = run_cli(["verify", "--alpha", "0.5"], capsys)
+@pytest.mark.parametrize("alpha", ["0.5", "inf"])
+def test_bad_alpha_rejected(alpha, capsys):
+    code, _, err = run_cli(["verify", "--alpha", alpha], capsys)
     assert code == 2
     assert "alpha" in err
 
@@ -238,6 +239,17 @@ def test_negative_seed_exits_2(capsys):
     code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
     _assert_user_error(code, err)
     assert "seed" in err and out == ""
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_bad_sample_scale_exits_2_before_computing(scale, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["verify", "--sample-scale", scale, "--out", str(target)], capsys
+    )
+    _assert_user_error(code, err)
+    assert "sample-scale" in err and out == ""
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("box", ["-5", "0", "nan", "inf"])

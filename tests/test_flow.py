@@ -313,6 +313,33 @@ def test_delta_is_equivariant_along_the_flow(mode, rng):
     assert np.all(np.abs(d - want) <= 1e-7 * (1.0 + np.abs(want)))
 
 
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_backward_flow_undoes_forward_flow(mode, rng):
+    # the flow direction is the sign of the step; a sign slip in the z part
+    # or in the w part alone misses the start by O(1).  At the default
+    # tolerance, cutoff rows whose w crosses the profile knots come back
+    # only to about 1e-5: the error estimate does not see the kinks
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(step_tolerance=1e-11)
+    z = rng.uniform(-8.0, 8.0, (8, 2))
+    s = rng.uniform(-8.0, 8.0, 8) + 1j * rng.uniform(-8.0, 8.0, 8)
+    X = np.column_stack([z, (s * s).real, (s * s).imag])
+    tol = 1e-6 * (1.0 + np.abs(X))
+    for tau in (0.2, 0.5, 1.0):
+        Y = X.copy()
+        for direction in (1.0, -1.0):
+            status, _, _ = drive_batch(Y, params, settings, _kernels.EVENT_NONE,
+                                       t_end=tau, direction=direction)
+            assert np.all(status == _kernels.STATUS_TIME_END)
+        assert np.all(np.abs(Y - X) <= tol)
+        back = [
+            flow.flow_state_to_time(flow.flow_state_to_time(x, tau, params, settings),
+                                    tau, params, settings, direction=-1.0)
+            for x in X
+        ]
+        assert np.all(np.abs(np.array(back) - X) <= tol)
+
+
 def test_unknown_reading_rule_is_rejected(pure16):
     with pytest.raises(ValueError, match="reading"):
         compute_delta(1.0, pure16, reading="imag")

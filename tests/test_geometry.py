@@ -118,7 +118,7 @@ def test_phi_sym_smoothed_matches_coordinates(pure16):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(alpha=1.0), dict(alpha=0.5), dict(epsilon=0.0), dict(epsilon=-2.0),
-     dict(smoothing="nope")],
+     dict(smoothing="nope"), dict(alpha=math.inf)],
 )
 def test_stein_params_validation(kwargs):
     base = dict(alpha=1.5, epsilon=16.0, smoothing="pure")

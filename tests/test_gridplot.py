@@ -1,5 +1,6 @@
 """Grid classification, CSV dumps, and SVG rendering."""
 
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -51,6 +52,21 @@ def test_grid_symmetry_under_pair_swap(pure16):
     # unordered pairs: the label grid is symmetric in the two coordinates
     res = classify_grid(parse_slice("im:0"), pure16, FlowSettings(), grid_n=15)
     assert np.array_equal(res.labels, res.labels.T)
+
+
+def test_far_imaginary_slice_matches_im0(pure16):
+    # s and Re z0 do not depend on v on an im-slice, even where Im(z1 + z2)
+    # overflows
+    grids = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("im:0", "im:1e308", "im:-1.7e308"):
+            grids.append(classify_grid(parse_slice(text), pure16, FlowSettings(),
+                                       grid_n=5, box=1.0))
+    for res in grids[1:]:
+        assert np.array_equal(res.labels, grids[0].labels)
+        assert np.array_equal(res.a, grids[0].a)
+        assert np.array_equal(res.b, grids[0].b)
 
 
 def test_z1_fixed_slice_runs(pure16):

@@ -73,6 +73,12 @@ def test_rhs_w_twins_agree_exactly(mode):
     assert np.isfinite(vec).all()
     for (y2, y3), row in zip(W.tolist(), vec.tolist()):
         assert tuple(_kernels._rhs2(y2, y3, ALPHA, table)) == tuple(row)
+    # _rhs_z is the z-part of _rhs_np, here fed the w rows as z values
+    Y = np.column_stack([W, W])
+    full = _kernels._rhs_np(Y, ALPHA, table)
+    assert np.array_equal(full[:, 2:], vec)
+    for (y0, y1), row in zip(W.tolist(), full[:, :2].tolist()):
+        assert _kernels._rhs_z(y0, y1, ALPHA, table) == tuple(row)
 
 
 def _bits(*arrays):

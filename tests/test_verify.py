@@ -1,6 +1,7 @@
 """Verification suite runner and report plumbing."""
 
 import json
+import math
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_seed_changes_are_isolated():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(sample_scale=0.0), dict(sample_scale=-1.0), dict(seed=-1),
-     dict(seed=1.5), dict(suites=["nope"])],
+     dict(seed=1.5), dict(suites=["nope"]), dict(sample_scale=math.inf)],
 )
 def test_config_validation(kwargs):
     with pytest.raises((ValueError, KeyError)):
