@@ -36,6 +36,8 @@ class RunConfig:
     slice: str = "im:0"
     sample_scale: float = 1.0
     box: float = None
+    suite: list = None
+    timings: str = None
 
 
 class ConfigError(ValueError):
@@ -99,8 +101,7 @@ def _user_input(build, *args, **kwargs):
         raise ConfigError(f"invalid option value: {exc}") from exc
 
 
-def _write_out(config, text, default=None):
-    out = config.out or default
+def _write_out(out, text):
     if not out:
         sys.stdout.write(text)
         return
@@ -111,13 +112,12 @@ def _write_out(config, text, default=None):
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _check_out(config, default=None):
+def _check_out(out):
     """Raise the ConfigError of _write_out now, before any computing.
 
     The probe opens in append mode, so an existing file keeps its bytes,
     and removes a file it created, so a run that fails later leaves none.
     """
-    out = config.out or default
     if not out:
         return
     existed = os.path.exists(out)
@@ -148,33 +148,42 @@ def cmd_verify(config):
         sample_scale=config.sample_scale,
         epsilon=config.epsilon,
         alpha=config.alpha,
+        suites=config.suite,
     )
-    _check_out(config)
-    report = verify.run_all(vconf)
-    _write_out(config, verify.report_json(report))
+    _check_out(config.out)
+    _check_out(config.timings)
+    timings = {}
+    report = (verify.run_all(vconf, timings) if config.timings
+              else verify.run_all(vconf))
+    _write_out(config.out, verify.report_json(report))
+    if config.timings:
+        _write_out(config.timings, json.dumps(timings, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 
 def _grid_result(config):
+    spec = _user_input(gridplot.parse_slice, config.slice)
+    params = _stein(config)
     return gridplot.classify_grid(
-        _user_input(gridplot.parse_slice, config.slice),
-        _stein(config),
+        spec,
+        params,
         _settings(config),
         grid_n=config.grid,
-        box=config.box,
+        box=_user_input(gridplot.grid_box, spec, params, config.box),
         band_tol=config.band_tol,
     )
 
 
 def cmd_classify_grid(config):
-    _check_out(config)
-    _write_out(config, gridplot.grid_csv(_grid_result(config)))
+    _check_out(config.out)
+    _write_out(config.out, gridplot.grid_csv(_grid_result(config)))
     return 0
 
 
 def cmd_slice_plot(config):
-    _check_out(config, "slice.svg")
-    _write_out(config, gridplot.grid_svg(_grid_result(config)), "slice.svg")
+    out = config.out or "slice.svg"
+    _check_out(out)
+    _write_out(out, gridplot.grid_svg(_grid_result(config)))
     return 0
 
 
@@ -193,7 +202,7 @@ def cmd_decompose(config):
                                     indent=2) + "\n")
         return 2
     report = surfaces.enumerate_decomposition(surf).to_report()
-    _write_out(config, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_out(config.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -234,8 +243,14 @@ def build_parser():
         "numerical model and combinatorial enumeration.",
     )
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("verify", parents=[common],
-                   help="run every property suite and emit a JSON report")
+    verify_cmd = sub.add_parser(
+        "verify", parents=[common],
+        help="run the property suites and emit a JSON report")
+    verify_cmd.add_argument("--suite", action="append",
+                            help="run only this suite (repeatable)")
+    verify_cmd.add_argument("--timings",
+                            help="also write per-suite wall times to this "
+                            "JSON file")
     sub.add_parser("classify-grid", parents=[common],
                    help="classify one slice and emit CSV")
     sub.add_parser("slice-plot", parents=[common],

@@ -9,6 +9,8 @@ hand-assembled SVG 1.1 document, both byte-deterministic.
 """
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,9 @@ Z1_FIXED = "Z1_FIXED"
 ERROR_LABEL = "ERROR"
 
 CSV_HEADER = "coord1,coord2,label,re_z0_plus_c,re_z0_minus_c"
+
+# largest |s| whose w = s*s is finite
+_S_MAX = math.sqrt(sys.float_info.max)
 
 # fixed fill palette; the two hypersurface contours are stroked in
 # black (minus side, a = 0) and white (plus side, b = 0)
@@ -95,6 +100,25 @@ class GridResult:
     b: np.ndarray
 
 
+def grid_box(spec, params, box=None):
+    """Half-width of the grid window, 3 epsilon by default.
+
+    Raises ValueError where a cell's s = (z1 - z2)/2 would overflow w = s*s.
+    """
+    if box is None:
+        box = 3.0 * params.epsilon
+    if spec.kind == IM_FIXED:
+        s_max = box
+    else:
+        s_max = 0.5 * math.hypot(abs(spec.value) + box, box)
+    if not s_max <= _S_MAX:
+        raise ValueError(
+            f"box {box:g} on the {spec.kind} slice at {spec.value:g} puts "
+            f"|z1 - z2|/2 at {s_max:g}; w = s*s overflows beyond {_S_MAX:.4g}"
+        )
+    return box
+
+
 def classify_grid(
     spec, params=None, settings=None, grid_n=201, box=None, band_tol=None
 ):
@@ -103,8 +127,7 @@ def classify_grid(
         params = SteinParams()
     if settings is None:
         settings = FlowSettings()
-    if box is None:
-        box = 3.0 * params.epsilon
+    box = grid_box(spec, params, box)
     if band_tol is None:
         band_tol = sectors.default_band_tol(params)
     if grid_n < 1:

@@ -12,6 +12,8 @@ always produces identical bytes.
 
 import json
 import math
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,11 @@ class VerifyConfig:
             raise ValueError("sample_scale must be positive and finite")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if isinstance(self.suites, str):
+            raise TypeError("suites must be a sequence of suite names")
+        unknown = sorted(set(self.suites or ()) - set(SUITE_NAMES))
+        if unknown:
+            raise ValueError("unknown suite name(s): " + ", ".join(unknown))
 
 
 def _count(config, base):
@@ -892,42 +899,83 @@ REGISTRY = (
 SUITE_NAMES = tuple(name for name, _ in REGISTRY)
 
 
+def _raised(exc):
+    return _result(False, 0, None, None, f"raised {type(exc).__name__}: {exc}")
+
+
+def _run_indexed(config, idx):
+    """(result, wall seconds) of REGISTRY[idx], drawing from its own rng."""
+    name, fn = REGISTRY[idx]
+    rng = np.random.default_rng((int(config.seed), idx))
+    start = time.perf_counter()
+    try:
+        out = fn(config, rng)
+    except Exception as exc:  # honest failure, never silent
+        out = _raised(exc)
+    out["name"] = name
+    return out, time.perf_counter() - start
+
+
+def _cpus():
+    if hasattr(os, "sched_getaffinity"):  # not on macOS
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_suite(name, config=None):
     """Run one suite by name and return its result dict."""
     if config is None:
         config = VerifyConfig()
-    for idx, (key, fn) in enumerate(REGISTRY):
-        if key == name:
-            rng = np.random.default_rng((int(config.seed), idx))
-            out = fn(config, rng)
-            out["name"] = key
-            return out
-    raise KeyError(name)
+    if name not in SUITE_NAMES:
+        raise KeyError(name)
+    return _run_indexed(config, SUITE_NAMES.index(name))[0]
 
 
-def run_all(config=None):
-    """Run every registered suite and assemble the deterministic report."""
+def run_all(config=None, timings=None):
+    """Run the wanted suites and assemble the deterministic report.
+
+    Suites run in forked worker processes, at most one per available
+    CPU, or one by one here where fork is unavailable.  Results are
+    taken in registry order, so the report does not depend on the
+    schedule; a worker that dies fails each suite it left unfinished.
+    If timings is a dict, it receives the worker count, the total wall
+    time and each suite's wall time in its worker (None if unfinished);
+    none of it enters the report.
+    """
+    import concurrent.futures
+    import multiprocessing
+
     if config is None:
         config = VerifyConfig()
-    wanted = set(config.suites) if config.suites else None
-    if wanted is not None:
-        unknown = wanted - set(SUITE_NAMES)
-        if unknown:
-            raise KeyError(
-                "unknown suite name(s): " + ", ".join(sorted(unknown))
-            )
-    results = []
-    for idx, (name, fn) in enumerate(REGISTRY):
-        if wanted is not None and name not in wanted:
-            continue
-        rng = np.random.default_rng((int(config.seed), idx))
-        try:
-            out = fn(config, rng)
-        except Exception as exc:  # honest failure, never silent
-            out = _result(False, 0, None, None,
-                          f"raised {type(exc).__name__}: {exc}")
-        out["name"] = name
-        results.append(out)
+    idxs = [idx for idx, name in enumerate(SUITE_NAMES)
+            if not config.suites or name in config.suites]
+    start = time.perf_counter()
+    if "fork" in multiprocessing.get_all_start_methods():
+        # Workers inherit the imported modules and REGISTRY as they are
+        # now.  The CLI runs no kernel before this fork, so no numba
+        # thread pool has started that the children would lack.
+        workers = min(len(idxs), _cpus())
+        runs = []
+        with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = [pool.submit(_run_indexed, config, idx) for idx in idxs]
+            for idx, future in zip(idxs, futures):
+                try:
+                    runs.append(future.result())
+                except concurrent.futures.process.BrokenProcessPool as exc:
+                    out = dict(_raised(exc), name=SUITE_NAMES[idx])
+                    runs.append((out, None))
+    else:
+        workers = 1
+        runs = [_run_indexed(config, idx) for idx in idxs]
+    if timings is not None:
+        timings.update(
+            workers=workers,
+            wall_s=time.perf_counter() - start,
+            suites={out["name"]: wall_s for out, wall_s in runs},
+        )
+    results = [out for out, _ in runs]
     failed = [r["name"] for r in results if not r["passed"]]
     return {
         "config": {

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -34,12 +35,49 @@ def test_verify_report_to_stdout(capsys):
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):
+    # the second run also writes the timings sidecar, which must not
+    # change the report
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
+    t = tmp_path / "timings.json"
     args = ["verify", "--sample-scale", "0.02", "--seed", "11"]
     assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
-    assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
+    assert run_cli(args + ["--out", str(b), "--timings", str(t)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+    timings = json.loads(t.read_text())
+    report = json.loads(a.read_text())
+    assert list(timings["suites"]) == [s["name"] for s in report["suites"]]
+    assert all(s >= 0.0 for s in timings["suites"].values())
+    assert timings["workers"] >= 1 and timings["wall_s"] > 0.0
+
+
+@pytest.mark.parametrize("names", [
+    ["corner-pairing"],
+    ["surface-validation", "pair-sym-round-trip"],
+])
+def test_verify_suite_option(names, tmp_path, capsys):
+    t = tmp_path / "timings.json"
+    args = ["verify", "--sample-scale", "0.05", "--timings", str(t)]
+    for name in names:
+        args += ["--suite", name]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    ran = [s["name"] for s in json.loads(out)["suites"]]
+    assert ran == [name for name in cli.verify.SUITE_NAMES if name in names]
+    timings = json.loads(t.read_text())
+    assert list(timings["suites"]) == ran
+    assert timings["workers"] <= len(names)
+
+
+def test_verify_unknown_suite_exits_2(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["verify", "--suite", "pair-sym-round-trip", "--suite", "no-such-suite",
+         "--out", str(target)], capsys
+    )
+    _assert_user_error(code, err)
+    assert "no-such-suite" in err and out == ""
+    assert not target.exists()
 
 
 def test_verify_infeasible_cutoff_is_expected(capsys):
@@ -290,3 +328,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["euler"] == 1
+
+
+@pytest.mark.parametrize("command", ["classify-grid", "slice-plot"])
+@pytest.mark.parametrize("args", [
+    ["--box", "1e308"],
+    ["--slice", "z1:1e308", "--box", "1"],
+], ids=["linspace", "w-product"])
+def test_grid_beyond_float_range_exits_2(command, args, tmp_path, capsys):
+    target = tmp_path / "grid.out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            [command, "--grid", "3", "--out", str(target)] + args, capsys
+        )
+    _assert_user_error(code, err)
+    assert "overflows" in err and out == ""
+    assert caught == [] and not target.exists()

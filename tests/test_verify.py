@@ -2,9 +2,13 @@
 
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from symsector import verify
+from symsector._accel import using_numba
 from symsector.verify import (
     SUITE_NAMES,
     VerifyConfig,
@@ -84,3 +88,37 @@ def test_report_numbers_are_valid_json():
     assert _result(False, 1, float("inf"), 1e-6, "")["worst"] is None
     with pytest.raises(ValueError):
         report_json({"worst": float("nan")})
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pool_report_matches_serial_loop(seed):
+    cfg = VerifyConfig(seed=seed, sample_scale=0.05)
+    results = [run_suite(name, cfg) for name in SUITE_NAMES]
+    failed = [r["name"] for r in results if not r["passed"]]
+    serial = {
+        "config": {"alpha": 1.5, "epsilon": 16.0, "numba": using_numba(),
+                   "sample_scale": 0.05, "seed": seed},
+        "failed": failed,
+        "passed": not failed,
+        "suites": results,
+    }
+    assert report_json(run_all(cfg)) == report_json(serial)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="in-process suites would end the test run")
+def test_dead_worker_fails_its_suite(monkeypatch):
+    def die(config, rng):
+        os._exit(3)
+
+    dead = FAST_SUITES[1]
+    monkeypatch.setattr(verify, "REGISTRY", tuple(
+        (name, die if name == dead else fn) for name, fn in verify.REGISTRY
+    ))
+    timings = {}
+    rep = run_all(VerifyConfig(sample_scale=0.05, suites=FAST_SUITES), timings)
+    assert [s["name"] for s in rep["suites"]] == FAST_SUITES
+    assert rep["passed"] is False and dead in rep["failed"]
+    out = rep["suites"][1]
+    assert out["detail"].startswith("raised BrokenProcessPool")
+    assert out["samples"] == 0 and timings["suites"][dead] is None
