@@ -35,3 +35,10 @@ except ImportError:  # pragma: no cover - exercised via env flag in tests
 def using_numba():
     """Return True when jit-compiled kernels are active."""
     return HAVE_NUMBA
+
+
+def available_cpus():
+    """CPUs this process may run on, the bound of every worker pool."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

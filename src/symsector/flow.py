@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._accel import available_cpus, using_numba
 from .geometry import ALPHA_DEFAULT, SteinParams, SymPoint
 
 TERM_ESCAPED = "ESCAPED"
@@ -30,6 +31,7 @@ _READINGS = {
     "complex-im": _kernels.READ_COMPLEX_IM,
 }
 _REC_CAP = 65536
+_SPLIT_ROWS = 1000  # fewest Delta rows worth a forked process
 
 
 class NoEscapeError(RuntimeError):
@@ -329,6 +331,64 @@ def compute_c(sqrt_w0, params=None, settings=None):
     return abs(compute_delta(sqrt_w0, params, settings, reading="real").real)
 
 
+def _delta_rows(W, args):
+    """(status, re, im, t) of the batch Delta kernel on the rows of W."""
+    n = W.shape[0]
+    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
+    _kernels.delta_batch_kernel(W, *args, *out)
+    return out
+
+
+def _delta_workers(n):
+    """Processes to share an n-row Delta batch; 1 keeps it here.
+
+    Only the numpy kernel splits (the jit kernel is parallel already,
+    and fork is unsafe once numba threads run), only with fork, never
+    inside a worker, and only with _SPLIT_ROWS rows or more per process.
+    """
+    k = min(available_cpus(), n // _SPLIT_ROWS)
+    if k < 2 or using_numba():
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    return k
+
+
+def _delta_split(W, args):
+    """:func:`_delta_rows` of W, with its rows shared among processes.
+
+    Process j takes rows j, j+k, ...: the rows of compute_c_batch come
+    sorted, so strided chunks mix short and long trajectories.  Every
+    kernel operation is per row, and each active row makes one attempt
+    per lockstep iteration, so any split gives the same bits.  Chunk 0
+    runs here; a chunk whose worker dies is run here too.
+    """
+    k = _delta_workers(W.shape[0])
+    if k == 1:
+        return _delta_rows(W, args)
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        k - 1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        futures = [pool.submit(_delta_rows, W[j::k], args) for j in range(1, k)]
+        parts = [_delta_rows(W[0::k], args)]
+        for j, future in enumerate(futures, 1):
+            try:
+                parts.append(future.result())
+            except concurrent.futures.process.BrokenProcessPool:
+                parts.append(_delta_rows(W[j::k], args))
+    outs = tuple(np.empty(W.shape[0], dtype=got.dtype) for got in parts[0])
+    for j, part in enumerate(parts):
+        for out, got in zip(outs, part):
+            out[j::k] = got
+    return outs
+
+
 def compute_delta_batch(
     sqrt_w0s, params=None, settings=None, reading="complex", u_star_factor=1.0
 ):
@@ -345,16 +405,9 @@ def compute_delta_batch(
         settings = FlowSettings()
     s0 = np.asarray(sqrt_w0s, dtype=complex).ravel()
     w0 = s0 * s0
-    n = w0.size
     W = np.column_stack([w0.real, w0.imag])
-    out_status = np.zeros(n, dtype=np.int64)
-    out_re = np.zeros(n)
-    out_im = np.zeros(n)
-    out_t = np.zeros(n)
-    _kernels.delta_batch_kernel(
-        W, *_delta_args(params, settings, reading, u_star_factor),
-        out_status, out_re, out_im, out_t,
-    )
+    args = _delta_args(params, settings, reading, u_star_factor)
+    out_status, out_re, out_im, _ = _delta_split(W, args)
     delta = out_re + 1j * out_im
     flip = _other_branch(w0, s0)
     delta[flip] = -delta[flip]

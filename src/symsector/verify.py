@@ -12,14 +12,13 @@ always produces identical bytes.
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, flow, geometry, sectors, smoothing, surfaces
-from ._accel import using_numba
+from ._accel import available_cpus, using_numba
 from .flow import FlowSettings
 from .geometry import SteinParams, SymPoint
 
@@ -916,12 +915,6 @@ def _run_indexed(config, idx):
     return out, time.perf_counter() - start
 
 
-def _cpus():
-    if hasattr(os, "sched_getaffinity"):  # not on macOS
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_suite(name, config=None):
     """Run one suite by name and return its result dict."""
     if config is None:
@@ -935,9 +928,10 @@ def run_all(config=None, timings=None):
     """Run the wanted suites and assemble the deterministic report.
 
     Suites run in forked worker processes, at most one per available
-    CPU, or one by one here where fork is unavailable.  Results are
-    taken in registry order, so the report does not depend on the
-    schedule; a worker that dies fails each suite it left unfinished.
+    CPU, or one by one here where fork is unavailable.  The longest
+    suite starts first; results are taken in registry order, so the
+    report does not depend on the schedule.  A worker that dies fails
+    each suite it left unfinished.
     If timings is a dict, it receives the worker count, the total wall
     time and each suite's wall time in its worker (None if unfinished);
     none of it enters the report.
@@ -954,15 +948,18 @@ def run_all(config=None, timings=None):
         # Workers inherit the imported modules and REGISTRY as they are
         # now.  The CLI runs no kernel before this fork, so no numba
         # thread pool has started that the children would lack.
-        workers = min(len(idxs), _cpus())
+        workers = min(len(idxs), available_cpus())
         runs = []
         with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            futures = [pool.submit(_run_indexed, config, idx) for idx in idxs]
-            for idx, future in zip(idxs, futures):
+            # label-agreement is about half of all suite time at full
+            # scale; it starts first, and the other suites fill the rest
+            first = sorted(idxs, key=lambda i: SUITE_NAMES[i] != "label-agreement")
+            futures = {idx: pool.submit(_run_indexed, config, idx) for idx in first}
+            for idx in idxs:
                 try:
-                    runs.append(future.result())
+                    runs.append(futures[idx].result())
                 except concurrent.futures.process.BrokenProcessPool as exc:
                     out = dict(_raised(exc), name=SUITE_NAMES[idx])
                     runs.append((out, None))

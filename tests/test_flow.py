@@ -1,12 +1,16 @@
 """Flow integration, escape behavior, and offset readings."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from symsector import _kernels, flow
+from symsector._accel import using_numba
 from symsector.flow import (
     FlowSettings,
     NonFiniteFlowError,
@@ -351,6 +355,123 @@ def test_delta_u_star_factor_consistency(pure16):
     d1 = compute_delta(s, pure16, settings, u_star_factor=1.0)
     d2 = compute_delta(s, pure16, settings, u_star_factor=1.5)
     assert abs(d1 - d2) <= 1e-7 * (1.0 + abs(d1))
+
+
+# --------------------------------------------------- Delta batches split by fork
+
+needs_split = pytest.mark.skipif(
+    using_numba() or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only the numpy backend splits, and only with fork",
+)
+_delta_rows = flow._delta_rows
+
+
+def _split_keys():
+    # 2,005 principal roots: far real ones converge at once, near ones
+    # run out of time, and 1e154 (w overflows) and NaN end NONFINITE
+    rng = np.random.default_rng(5)
+    x = rng.uniform(64.0, 400.0, 1000)
+    far = x + 1j * x * rng.uniform(-1e-10, 1e-10, 1000)
+    near = rng.uniform(0.0, 48.0, 1000) + 1j * rng.uniform(-48.0, 48.0, 1000)
+    return np.concatenate([far, near, [1e154, np.nan, 0.0, 1e-300, 3.0j]])
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _die_in_worker(W, args):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _delta_rows(W, args)
+
+
+def _batch_without_pool(keys, params, settings):
+    # runs in a pool worker: a nested pool would raise here
+    concurrent.futures.ProcessPoolExecutor = _no_pool
+    return compute_delta_batch(keys, params, settings)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was made")
+
+
+@pytest.fixture()
+def two_way(monkeypatch):
+    """Two CPUs, and a record of the process count of each Delta batch."""
+    counts = []
+    delta_workers = flow._delta_workers
+
+    def workers(n):
+        counts.append(delta_workers(n))
+        return counts[-1]
+
+    monkeypatch.setattr(flow, "available_cpus", lambda: 2)
+    monkeypatch.setattr(flow, "_delta_workers", workers)
+    return counts
+
+
+@needs_split
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+@pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
+def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(max_time=1.0)
+    keys = _split_keys()
+    w0 = keys * keys
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta, status = compute_delta_batch(keys, params, settings, reading)
+        W = np.column_stack([w0.real, w0.imag])
+        args = flow._delta_args(params, settings, reading, 1.0)
+        n = keys.size
+        want = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
+        _kernels.delta_batch_kernel(W, *args, *want)
+    assert two_way == [2]
+    assert status.tolist() == want[0].tolist()
+    assert set(status.tolist()) == {
+        _kernels.STATUS_EVENT, _kernels.STATUS_TIME_END, _kernels.STATUS_NONFINITE,
+    }
+    event = status == _kernels.STATUS_EVENT
+    assert _hex(delta.real[event]) == _hex(want[1][event])
+    assert _hex(delta.imag[event]) == _hex(want[2][event])
+    assert np.isnan(delta[~event]).all()
+
+
+@needs_split
+def test_split_delta_survives_a_dead_worker(pure16, two_way, monkeypatch):
+    keys = _split_keys()
+    w0 = keys * keys
+    W = np.column_stack([w0.real, w0.imag])
+    args = flow._delta_args(pure16, FlowSettings(max_time=1.0), "real", 1.0)
+    monkeypatch.setattr(flow, "_delta_rows", _die_in_worker)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = flow._delta_split(W, args)
+        want = _delta_rows(W, args)
+    assert two_way == [2]
+    for g, w in zip(got, want):
+        assert _hex(g) == _hex(w)
+
+
+@needs_split
+def test_delta_batch_stays_serial(pure16, two_way, monkeypatch):
+    settings = FlowSettings(max_time=0.5)
+    keys = _split_keys()[:2000]
+    # in a worker of a fork pool, as verify runs its suites
+    with concurrent.futures.ProcessPoolExecutor(
+        1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        in_worker = pool.submit(_batch_without_pool, keys, pure16, settings)
+        in_worker = in_worker.result()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    below_floor = compute_delta_batch(keys[1:], pure16, settings)
+    monkeypatch.setattr(flow, "using_numba", lambda: True)
+    serial = compute_delta_batch(keys, pure16, settings)
+    assert two_way == [1, 1]
+    tail = (serial[0][1:], serial[1][1:])
+    for got, want in ((in_worker, serial), (below_floor, tail)):
+        assert got[1].tolist() == want[1].tolist()
+        assert _hex(got[0].real) == _hex(want[0].real)
+        assert _hex(got[0].imag) == _hex(want[0].imag)
 
 
 # ------------------------------------------------------------- event driving
