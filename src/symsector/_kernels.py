@@ -14,14 +14,17 @@ Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
 _rhs_np), one DP5 attempt with its scaled error (_attempt_np), the step
 controller (_next_h_np), the pair coordinates (pair_re_np) and the event
-regions (_event_np).  The lockstep batch kernels _drive_batch_np and
-_delta_batch_np are built from them and run when jit is unavailable or
-disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and delta_batch_kernel
-are bound once to the batch kernels of the active backend.
-_drive_batch_np holds each row that enters its event region and refines
-all of them in one vectorized bisection after the lockstep.  Both batch
-kernels ignore overflow and invalid-value warnings: a row that leaves
-the float range ends STATUS_NONFINITE, and its status reports it.
+regions (_event_np).  _lockstep is the one numpy loop: it owns the step
+budget, the attempt, acceptance, the controller and the dead-row rule.
+The batch kernels _drive_batch_np and _delta_batch_np pass it the stop
+rule run before each attempt: stall and end of time for the drive, the
+reading rule and max_time for Delta.  The drive also passes its event
+predicate, holds each row that enters its region and refines all of them
+in one vectorized bisection after the lockstep.  The numpy kernels run
+when jit is unavailable or disabled via SYMSECTOR_NUMBA=0;
+drive_batch_kernel and delta_batch_kernel are bound once to the batch
+kernels of the active backend.  Both ignore overflow and invalid-value
+warnings: a row that leaves the float range ends STATUS_NONFINITE.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs_z and _rhs2, one DP5 step _step2 that takes its right-hand
@@ -714,6 +717,49 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
+def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
+              t_end=np.inf, fdir=1.0, event=None):
+    """Advance the rows of Y and t in place, one attempt per active row in
+    each of at most max_steps iterations.
+
+    Each iteration stop(active, K1) first clears the rows that end there,
+    setting their status; steps are clipped to t_end - t.  An accepted
+    step ending where event(Yn) holds is not taken: the row stops with
+    STATUS_EVENT and its step goes to h_event.  Returns (K1, h_event).
+    """
+    n = Y.shape[0]
+    h = np.full(n, min(h_max, 0.05))
+    h_event = np.zeros(n)
+    K1 = rhs(Y)
+    active = np.ones(n, dtype=bool)
+    for _ in range(int(max_steps)):
+        stop(active, K1)
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        h_use = np.minimum(h[idx], t_end - t[idx])
+        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol, atol)
+        acc = err <= 1.0
+        if acc.any():
+            if event is not None:
+                hit = np.zeros_like(acc)
+                hit[acc] = event(Yn[acc])
+                ev = idx[hit]
+                h_event[ev] = h_use[hit]
+                status[ev] = STATUS_EVENT
+                active[ev] = False
+                acc &= ~hit
+            ai = idx[acc]
+            Y[ai] = Yn[acc]
+            t[ai] += h_use[acc]
+            K1[ai] = K7[acc]
+        h[idx] = _next_h_np(err, h_use, h_max)
+        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
+        status[dead] = STATUS_NONFINITE
+        active[dead] = False
+    return K1, h_event
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _drive_batch_np(
     Y,
@@ -738,58 +784,32 @@ def _drive_batch_np(
 
     A row whose accepted step ends inside the event region stops there
     with STATUS_EVENT, keeping its pre-step state, FSAL derivative and
-    time, while the step goes to h_event.  After the lockstep every event
-    row is bisected at once through :func:`_attempt_np`, by the rule of
-    :func:`_bisect_event`: at most 64 halvings per row, each row stopping
-    once hi - lo < 1e-13 max(hi, 1).
+    time.  After the lockstep every event row is bisected at once through
+    :func:`_attempt_np`, by the rule of :func:`_bisect_event`: at most 64
+    halvings per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
     """
 
     def rhs(Z):
         return _rhs_np(Z, alpha, table)
 
-    n = Y.shape[0]
-    t = np.full(n, float(t0))
-    h = np.full(n, min(h_max, 0.05))
-    h_event = np.zeros(n)
+    def event(Z):
+        return _event_np(Z, radius, epsilon, event_kind)[0]
+
+    end_gate = 1e-14 * max(1.0, abs(t_end))
+
+    def stop(active, K1):
+        stalled = active & (np.sqrt((K1 * K1).sum(axis=1)) < stall)
+        out_status[stalled] = STATUS_STALLED
+        active &= ~stalled
+        done = active & (t_end - out_t <= end_gate)
+        out_status[done] = STATUS_TIME_END
+        active &= ~done
+
+    out_t[:] = t0
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
-    K1 = rhs(Y)
-    active = np.ones(n, dtype=bool)
-    end_gate = 1e-14 * max(1.0, abs(t_end))
-    for _ in range(int(max_steps)):
-        if not active.any():
-            break
-        speed = np.sqrt((K1 * K1).sum(axis=1))
-        stalled = active & (speed < stall)
-        if stalled.any():
-            out_status[stalled] = STATUS_STALLED
-            active &= ~stalled
-        done = active & (t_end - t <= end_gate)
-        if done.any():
-            out_status[done] = STATUS_TIME_END
-            active &= ~done
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        h_use = np.minimum(h[idx], t_end - t[idx])
-        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol, atol)
-        acc = err <= 1.0
-        if acc.any():
-            hit = np.zeros_like(acc)
-            hit[acc] = _event_np(Yn[acc], radius, epsilon, event_kind)[0]
-            ev = idx[hit]
-            h_event[ev] = h_use[hit]
-            out_status[ev] = STATUS_EVENT
-            active[ev] = False
-            acc &= ~hit
-            ai = idx[acc]
-            Y[ai] = Yn[acc]
-            t[ai] += h_use[acc]
-            K1[ai] = K7[acc]
-        h[idx] = _next_h_np(err, h_use, h_max)
-        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
-        out_status[dead] = STATUS_NONFINITE
-        active[dead] = False
+    K1, h_event = _lockstep(Y, out_t, rhs, rtol, atol, h_max, max_steps, out_status,
+                            stop, t_end, fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
         P = Y[ev]
@@ -802,15 +822,14 @@ def _drive_batch_np(
                 break
             mid = 0.5 * (lo[live] + hi[live])
             Ym = _attempt_np(P[live], KP[live], fdir * mid, rhs, rtol, atol)[0]
-            mhit = _event_np(Ym, radius, epsilon, event_kind)[0]
+            mhit = event(Ym)
             hi[live[mhit]] = mid[mhit]
             lo[live[~mhit]] = mid[~mhit]
         Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol, atol)[0]
         out_sign[ev] = _event_np(Y[ev], radius, epsilon, event_kind)[1]
-        t[ev] += hi
-    out_t[:] = t
+        out_t[ev] += hi
     leftover = out_status == STATUS_RUNNING
-    out_status[leftover & (t >= t_end - end_gate)] = STATUS_TIME_END
+    out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -841,27 +860,19 @@ def _delta_batch_np(
         return _rhs_w_np(Z, alpha, table)
 
     n = W.shape[0]
-    y = W.astype(float).copy()
-    t = np.zeros(n)
-    h = np.full(n, min(h_max, 0.05))
+    y = W.astype(float)
     rate = alpha - 1.0
     have_prev = np.zeros(n, dtype=bool)
     prev = np.zeros(n, dtype=complex)
     t_next = np.zeros(n)
-    out_status[:] = STATUS_TIME_END
-    out_re[:] = np.nan
-    out_im[:] = np.nan
-    active = np.ones(n, dtype=bool)
-    K1 = rhs(y)
-    for _ in range(int(max_steps)):
-        if not active.any():
-            break
-        due = np.nonzero(active & (t >= t_next))[0]
+
+    def stop(active, K1):
+        due = np.nonzero(active & (out_t >= t_next))[0]
         if due.size:
             s = np.sqrt(y[due, 0] + 1j * y[due, 1])
             readable = np.abs(s.real) >= u_star
             ri = due[readable]
-            d = np.exp(-rate * t[ri]) * s[readable]
+            d = np.exp(-rate * out_t[ri]) * s[readable]
             out_re[ri] = d.real
             out_im[ri] = d.imag
             if reading == READ_REAL:
@@ -871,35 +882,19 @@ def _delta_batch_np(
             conv = have_prev[ri] & (gap < agree_tol)
             if reading == READ_COMPLEX_IM:
                 conv &= np.abs(d.imag) < im_tol
-            ci = ri[conv]
-            out_status[ci] = STATUS_EVENT
-            out_t[ci] = t[ci]
-            active[ci] = False
+            out_status[ri[conv]] = STATUS_EVENT
+            active[ri[conv]] = False
             rest = ri[~conv]
             prev[rest] = d[~conv]
             have_prev[rest] = True
-            t_next[rest] = t[rest] + 0.7
-        over = active & (t >= max_time)
-        if over.any():
-            out_t[over] = t[over]
-            active &= ~over
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        Yn, K7, err = _attempt_np(y[idx], K1[idx], h[idx], rhs, rtol, atol)
-        acc = err <= 1.0
-        if acc.any():
-            ai = idx[acc]
-            y[ai] = Yn[acc]
-            t[ai] += h[ai]
-            K1[ai] = K7[acc]
-        h[idx] = _next_h_np(err, h[idx], h_max)
-        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
-        out_status[dead] = STATUS_NONFINITE
-        active[dead] = False
-    # rows stop advancing the moment they deactivate, so t is final
-    unconverged = out_status != STATUS_EVENT
-    out_t[unconverged] = t[unconverged]
+            t_next[rest] = out_t[rest] + 0.7
+        active[out_t >= max_time] = False
+
+    out_status[:] = STATUS_TIME_END
+    out_re[:] = np.nan
+    out_im[:] = np.nan
+    out_t[:] = 0.0
+    _lockstep(y, out_t, rhs, rtol, atol, h_max, max_steps, out_status, stop)
 
 
 drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np

@@ -404,12 +404,14 @@ def compute_delta_batch(
     if settings is None:
         settings = FlowSettings()
     s0 = np.asarray(sqrt_w0s, dtype=complex).ravel()
-    w0 = s0 * s0
+    # beyond |s| ~ 1.34e154 w0 overflows; the kernel ends such a row NONFINITE
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = s0 * s0
+        flip = _other_branch(w0, s0)
     W = np.column_stack([w0.real, w0.imag])
     args = _delta_args(params, settings, reading, u_star_factor)
     out_status, out_re, out_im, _ = _delta_split(W, args)
     delta = out_re + 1j * out_im
-    flip = _other_branch(w0, s0)
     delta[flip] = -delta[flip]
     delta[out_status != _kernels.STATUS_EVENT] = np.nan
     return delta, out_status

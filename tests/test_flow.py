@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -224,12 +225,18 @@ def test_batch_matches_scalar(pure16):
 
 
 def test_delta_batch_nonfinite_status_matches_scalar(pure16):
+    # w0 = s0^2 overflows in Im for the second: NONFINITE all the same, with
+    # Delta and c nan, and no numpy warning reaches the caller
     settings = FlowSettings(max_steps=2000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta, status = compute_delta_batch([1e154], pure16, settings)
-        assert status[0] == _kernels.STATUS_NONFINITE and np.isnan(delta[0])
+    for s0 in (1e154, 1e154 + 1e154j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta, status = compute_delta_batch([s0, 1.0], pure16, settings)
+            c = compute_c_batch([s0, 1.0], pure16, settings)
+        assert status.tolist() == [_kernels.STATUS_NONFINITE, _kernels.STATUS_EVENT]
+        assert np.isnan(delta[0]) and np.isnan(c[0]) and np.isfinite(c[1])
         with pytest.raises(NonFiniteFlowError):
-            compute_delta(1e154, pure16, settings)
+            compute_delta(s0, pure16, settings)
 
 
 def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):

