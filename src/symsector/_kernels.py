@@ -23,8 +23,18 @@ predicate, holds each row that enters its region and refines all of them
 in one vectorized bisection after the lockstep.  The numpy kernels run
 when jit is unavailable or disabled via SYMSECTOR_NUMBA=0;
 drive_batch_kernel and delta_batch_kernel are bound once to the batch
-kernels of the active backend.  Both ignore overflow and invalid-value
-warnings: a row that leaves the float range ends STATUS_NONFINITE.
+kernels of the active backend, whose jit and numpy forms take the same
+parameters.  Both ignore overflow and invalid-value warnings: a row that
+leaves the float range ends STATUS_NONFINITE.
+
+What no caller varies is a module constant, not a parameter: the
+absolute tolerance ATOL, the largest step H_MAX, the stall speed
+STALL_SPEED, and for Delta the reading agreement AGREE_TOL and the
+READ_COMPLEX_IM bound IM_TOL.  epsilon is read from the table (table[1]),
+and every drive starts at t = 0.  The step controllers (_next_h,
+_next_h_np) still take the cap h_max, and the event predicates
+(_event_val, _event_np) epsilon, since sectors calls the region test
+without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs_z and _rhs2, one DP5 step _step2 that takes its right-hand
@@ -87,6 +97,13 @@ E1, E3, E4, E5, E6, E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+
+# fixed integration constants of every kernel
+ATOL = 1e-30  # absolute part of the error scale
+H_MAX = 0.1  # largest step of the drive and Delta kernels
+STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
+AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
+IM_TOL = 5e-9  # Im Delta residual bound of READ_COMPLEX_IM
 
 STATUS_RUNNING = 0
 STATUS_EVENT = 1
@@ -279,9 +296,8 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
 
 
 @njit(cache=True)
-def _bisect_event(
-    p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, radius, epsilon, kind
-):
+def _bisect_event(p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, radius,
+                  kind):
     """Bisect an event crossing inside one accepted step of size h_acc.
 
     The step starts at state p, with FSAL derivative f there, and ends
@@ -301,7 +317,7 @@ def _bisect_event(
         hs = fdir * mid
         mz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
         mw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
-        mhit, _ = _event_val(mz[0], mz[1], mw[0], mw[1], radius, epsilon, kind)
+        mhit, _ = _event_val(mz[0], mz[1], mw[0], mw[1], radius, table[1], kind)
         if mhit:
             hi = mid
         else:
@@ -309,47 +325,29 @@ def _bisect_event(
     hs = fdir * hi
     yz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
     yw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
-    _, sign = _event_val(yz[0], yz[1], yw[0], yw[1], radius, epsilon, kind)
+    _, sign = _event_val(yz[0], yz[1], yw[0], yw[1], radius, table[1], kind)
     return yz[0], yz[1], yw[0], yw[1], hi, sign
 
 
 @njit(cache=True)
 def _drive(
-    y0,
-    y1,
-    y2,
-    y3,
-    t0,
-    t_end,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    radius,
-    epsilon,
-    event_kind,
-    stall,
-    max_steps,
-    rec,
-    want_rec,
-    fdir,
+    y0, y1, y2, y3, t_end, alpha, table, rtol, radius, event_kind, max_steps, rec, fdir
 ):
-    """Integrate one trajectory with adaptive steps and event location.
+    """Integrate one trajectory from t = 0 with adaptive steps and event location.
 
     Returns (status, t, y0, y1, y2, y3, event_sign, n_recorded, n_steps).
     t advances by the step size; fdir (+1 or -1) is the sign of every
-    step, so fdir = -1 follows the upward flow.  When want_rec is true,
-    accepted states are appended to rec as rows (t, y0, y1, y2, y3) until
-    its capacity is reached.
+    step, so fdir = -1 follows the upward flow.  The start and accepted
+    states are appended to rec as rows (t, y0, y1, y2, y3) until its
+    capacity is reached; a rec of zero rows records nothing.
     """
-    t = t0
-    h = h_max if h_max < 0.05 else 0.05
+    t = 0.0
+    h = min(H_MAX, 0.05)
     f10, f11 = _rhs_z(y0, y1, alpha, table)
     f12, f13 = _rhs2(y2, y3, alpha, table)
     nrec = 0
     cap = rec.shape[0]
-    if want_rec and nrec < cap:
+    if nrec < cap:
         rec[nrec, 0] = t
         rec[nrec, 1] = y0
         rec[nrec, 2] = y1
@@ -361,7 +359,7 @@ def _drive(
     steps = 0
     while steps < max_steps:
         speed = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
-        if speed < stall:
+        if speed < STALL_SPEED:
             status = STATUS_STALLED
             break
         remaining = t_end - t
@@ -384,21 +382,21 @@ def _drive(
                 status = STATUS_NONFINITE
                 break
             continue
-        s0 = atol + rtol * max(abs(y0), abs(n0))
-        s1 = atol + rtol * max(abs(y1), abs(n1))
-        s2 = atol + rtol * max(abs(y2), abs(n2))
-        s3 = atol + rtol * max(abs(y3), abs(n3))
+        s0 = ATOL + rtol * max(abs(y0), abs(n0))
+        s1 = ATOL + rtol * max(abs(y1), abs(n1))
+        s2 = ATOL + rtol * max(abs(y2), abs(n2))
+        s3 = ATOL + rtol * max(abs(y3), abs(n3))
         q0 = e0 / s0
         q1 = e1 / s1
         q2 = e2 / s2
         q3 = e3 / s3
         err = math.sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
         if err <= 1.0:
-            hit, _ = _event_val(n0, n1, n2, n3, radius, epsilon, event_kind)
+            hit, _ = _event_val(n0, n1, n2, n3, radius, table[1], event_kind)
             if hit:
                 y0, y1, y2, y3, dt, esign = _bisect_event(
                     y0, y1, y2, y3, f10, f11, f12, f13, h_use, alpha, table,
-                    fdir, radius, epsilon, event_kind,
+                    fdir, radius, event_kind,
                 )
                 t += dt
                 status = STATUS_EVENT
@@ -406,7 +404,7 @@ def _drive(
                 y0, y1, y2, y3 = n0, n1, n2, n3
                 t += h_use
                 f10, f11, f12, f13 = k0, k1, k2, k3
-            if want_rec and nrec < cap:
+            if nrec < cap:
                 rec[nrec, 0] = t
                 rec[nrec, 1] = y0
                 rec[nrec, 2] = y1
@@ -415,7 +413,7 @@ def _drive(
                 nrec += 1
             if hit:
                 break
-        h = _next_h(err, h_use, h_max)
+        h = _next_h(err, h_use, H_MAX)
     if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
@@ -425,48 +423,16 @@ def _drive(
 
 @njit(cache=True, parallel=True)
 def _drive_batch(
-    Y,
-    t0,
-    t_end,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    radius,
-    epsilon,
-    event_kind,
-    stall,
-    max_steps,
-    out_status,
-    out_t,
-    out_sign,
-    fdir,
+    Y, t_end, alpha, table, rtol, radius, event_kind, max_steps,
+    out_status, out_t, out_sign, fdir,
 ):
     """Integrate every row of Y in place; fill status, time, event sign."""
     n = Y.shape[0]
+    rec = np.empty((0, 5))
     for i in prange(n):
-        rec = np.empty((1, 5))
         res = _drive(
-            Y[i, 0],
-            Y[i, 1],
-            Y[i, 2],
-            Y[i, 3],
-            t0,
-            t_end,
-            alpha,
-            table,
-            rtol,
-            atol,
-            h_max,
-            radius,
-            epsilon,
-            event_kind,
-            stall,
-            max_steps,
-            rec,
-            False,
-            fdir,
+            Y[i, 0], Y[i, 1], Y[i, 2], Y[i, 3], t_end, alpha, table, rtol, radius,
+            event_kind, max_steps, rec, fdir,
         )
         out_status[i] = res[0]
         out_t[i] = res[1]
@@ -478,21 +444,7 @@ def _drive_batch(
 
 
 @njit(cache=True)
-def _delta_one(
-    xw,
-    yw,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    u_star,
-    agree_tol,
-    im_tol,
-    reading,
-    max_time,
-    max_steps,
-):
+def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps):
     """Rescaled branch-direction limit of one w-trajectory.
 
     Integrates the autonomous w-subsystem and reads d = exp(-(alpha-1) t)
@@ -501,17 +453,17 @@ def _delta_one(
     the w-flow, so off the negative real axis (where |Re sqrt(w)| = 0 and
     no reading is taken) this is the branch continued from the principal
     root of w0.  Convergence is declared when two
-    readings 0.7 apart agree to agree_tol: as complex numbers under
+    readings 0.7 apart agree to AGREE_TOL: as complex numbers under
     READ_COMPLEX, in their real parts only under READ_REAL (Im d decays
     like exp(-(2 alpha - 1) t), long after Re d has settled), and as
-    complex numbers with |Im d| < im_tol under READ_COMPLEX_IM.
+    complex numbers with |Im d| < IM_TOL under READ_COMPLEX_IM.
     Returns (status, Re d, Im d, t).
     """
     rate = alpha - 1.0
     y2 = xw
     y3 = yw
     t = 0.0
-    h = h_max if h_max < 0.05 else 0.05
+    h = min(H_MAX, 0.05)
     f12, f13 = _rhs2(y2, y3, alpha, table)
     have_prev = False
     prev_re = 0.0
@@ -534,8 +486,8 @@ def _delta_one(
                         gap = abs(d_re - prev_re)
                     else:
                         gap = _hypot(d_re - prev_re, d_im - prev_im)
-                    im_ok = reading != READ_COMPLEX_IM or abs(d_im) < im_tol
-                    if gap < agree_tol and im_ok:
+                    im_ok = reading != READ_COMPLEX_IM or abs(d_im) < IM_TOL
+                    if gap < AGREE_TOL and im_ok:
                         return STATUS_EVENT, d_re, d_im, t
                 prev_re = d_re
                 prev_im = d_im
@@ -549,8 +501,8 @@ def _delta_one(
             if h < 1e-14:
                 return STATUS_NONFINITE, best_re, best_im, t
             continue
-        s2 = atol + rtol * max(abs(y2), abs(n2))
-        s3 = atol + rtol * max(abs(y3), abs(n3))
+        s2 = ATOL + rtol * max(abs(y2), abs(n2))
+        s3 = ATOL + rtol * max(abs(y3), abs(n3))
         q2 = e2 / s2
         q3 = e3 / s3
         err = math.sqrt(0.5 * (q2 * q2 + q3 * q3))
@@ -558,28 +510,14 @@ def _delta_one(
             y2, y3 = n2, n3
             t += h
             f12, f13 = out[4], out[5]
-        h = _next_h(err, h, h_max)
+        h = _next_h(err, h, H_MAX)
     return STATUS_TIME_END, best_re, best_im, t
 
 
 @njit(cache=True, parallel=True)
 def _delta_batch(
-    W,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    u_star,
-    agree_tol,
-    im_tol,
-    reading,
-    max_time,
-    max_steps,
-    out_status,
-    out_re,
-    out_im,
-    out_t,
+    W, alpha, table, rtol, u_star, reading, max_time, max_steps,
+    out_status, out_re, out_im, out_t,
 ):
     """Branch-direction limits for every row (Re w, Im w) of W.
 
@@ -588,19 +526,7 @@ def _delta_batch(
     n = W.shape[0]
     for i in prange(n):
         res = _delta_one(
-            W[i, 0],
-            W[i, 1],
-            alpha,
-            table,
-            rtol,
-            atol,
-            h_max,
-            u_star,
-            agree_tol,
-            im_tol,
-            reading,
-            max_time,
-            max_steps,
+            W[i, 0], W[i, 1], alpha, table, rtol, u_star, reading, max_time, max_steps
         )
         out_status[i] = res[0]
         out_re[i] = res[1]
@@ -658,7 +584,7 @@ def _rhs_np(Y, alpha, table):
     return F
 
 
-def _attempt_np(Y, K1, h, rhs, rtol, atol):
+def _attempt_np(Y, K1, h, rhs, rtol):
     """One embedded Dormand-Prince attempt for all rows with per-row step h.
 
     rhs maps state rows to derivative rows.  Returns the 5th-order states,
@@ -674,7 +600,7 @@ def _attempt_np(Y, K1, h, rhs, rtol, atol):
     Yn = Y + hc * (B1 * K1 + B3 * K3 + B4 * K4 + B5 * K5 + B6 * K6)
     K7 = rhs(Yn)
     E = hc * (E1 * K1 + E3 * K3 + E4 * K4 + E5 * K5 + E6 * K6 + E7 * K7)
-    scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Yn))
+    scale = ATOL + rtol * np.maximum(np.abs(Y), np.abs(Yn))
     q = E / scale
     err = np.sqrt((q * q).sum(axis=1) / Y.shape[1])
     err[~np.isfinite(Yn).all(axis=1)] = np.inf
@@ -717,8 +643,8 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
-def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
-              t_end=np.inf, fdir=1.0, event=None):
+def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, t_end=np.inf, fdir=1.0,
+              event=None):
     """Advance the rows of Y and t in place, one attempt per active row in
     each of at most max_steps iterations.
 
@@ -728,7 +654,7 @@ def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
     STATUS_EVENT and its step goes to h_event.  Returns (K1, h_event).
     """
     n = Y.shape[0]
-    h = np.full(n, min(h_max, 0.05))
+    h = np.full(n, min(H_MAX, 0.05))
     h_event = np.zeros(n)
     K1 = rhs(Y)
     active = np.ones(n, dtype=bool)
@@ -738,7 +664,7 @@ def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
             break
         idx = np.nonzero(active)[0]
         h_use = np.minimum(h[idx], t_end - t[idx])
-        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol, atol)
+        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol)
         acc = err <= 1.0
         if acc.any():
             if event is not None:
@@ -753,7 +679,7 @@ def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
             Y[ai] = Yn[acc]
             t[ai] += h_use[acc]
             K1[ai] = K7[acc]
-        h[idx] = _next_h_np(err, h_use, h_max)
+        h[idx] = _next_h_np(err, h_use, H_MAX)
         dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
         status[dead] = STATUS_NONFINITE
         active[dead] = False
@@ -762,23 +688,8 @@ def _lockstep(Y, t, rhs, rtol, atol, h_max, max_steps, status, stop,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _drive_batch_np(
-    Y,
-    t0,
-    t_end,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    radius,
-    epsilon,
-    event_kind,
-    stall,
-    max_steps,
-    out_status,
-    out_t,
-    out_sign,
-    fdir,
+    Y, t_end, alpha, table, rtol, radius, event_kind, max_steps,
+    out_status, out_t, out_sign, fdir,
 ):
     """Lockstep vectorized twin of :func:`_drive_batch`.
 
@@ -793,23 +704,23 @@ def _drive_batch_np(
         return _rhs_np(Z, alpha, table)
 
     def event(Z):
-        return _event_np(Z, radius, epsilon, event_kind)[0]
+        return _event_np(Z, radius, table[1], event_kind)[0]
 
     end_gate = 1e-14 * max(1.0, abs(t_end))
 
     def stop(active, K1):
-        stalled = active & (np.sqrt((K1 * K1).sum(axis=1)) < stall)
+        stalled = active & (np.sqrt((K1 * K1).sum(axis=1)) < STALL_SPEED)
         out_status[stalled] = STATUS_STALLED
         active &= ~stalled
         done = active & (t_end - out_t <= end_gate)
         out_status[done] = STATUS_TIME_END
         active &= ~done
 
-    out_t[:] = t0
+    out_t[:] = 0.0
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
-    K1, h_event = _lockstep(Y, out_t, rhs, rtol, atol, h_max, max_steps, out_status,
-                            stop, t_end, fdir, event)
+    K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop, t_end,
+                            fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
         P = Y[ev]
@@ -821,12 +732,12 @@ def _drive_batch_np(
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
-            Ym = _attempt_np(P[live], KP[live], fdir * mid, rhs, rtol, atol)[0]
+            Ym = _attempt_np(P[live], KP[live], fdir * mid, rhs, rtol)[0]
             mhit = event(Ym)
             hi[live[mhit]] = mid[mhit]
             lo[live[~mhit]] = mid[~mhit]
-        Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol, atol)[0]
-        out_sign[ev] = _event_np(Y[ev], radius, epsilon, event_kind)[1]
+        Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol)[0]
+        out_sign[ev] = _event_np(Y[ev], radius, table[1], event_kind)[1]
         out_t[ev] += hi
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
@@ -834,22 +745,8 @@ def _drive_batch_np(
 
 @np.errstate(over="ignore", invalid="ignore")
 def _delta_batch_np(
-    W,
-    alpha,
-    table,
-    rtol,
-    atol,
-    h_max,
-    u_star,
-    agree_tol,
-    im_tol,
-    reading,
-    max_time,
-    max_steps,
-    out_status,
-    out_re,
-    out_im,
-    out_t,
+    W, alpha, table, rtol, u_star, reading, max_time, max_steps,
+    out_status, out_re, out_im, out_t,
 ):
     """Lockstep vectorized twin of :func:`_delta_batch`.
 
@@ -879,9 +776,9 @@ def _delta_batch_np(
                 gap = np.abs(d.real - prev[ri].real)
             else:
                 gap = np.abs(d - prev[ri])
-            conv = have_prev[ri] & (gap < agree_tol)
+            conv = have_prev[ri] & (gap < AGREE_TOL)
             if reading == READ_COMPLEX_IM:
-                conv &= np.abs(d.imag) < im_tol
+                conv &= np.abs(d.imag) < IM_TOL
             out_status[ri[conv]] = STATUS_EVENT
             active[ri[conv]] = False
             rest = ri[~conv]
@@ -894,7 +791,7 @@ def _delta_batch_np(
     out_re[:] = np.nan
     out_im[:] = np.nan
     out_t[:] = 0.0
-    _lockstep(y, out_t, rhs, rtol, atol, h_max, max_steps, out_status, stop)
+    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop)
 
 
 drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np
@@ -908,26 +805,16 @@ def warmup():
     scalar_table = tuple(table.tolist())
     rec = np.empty((4, 5))
     _drive(
-        1.0, 0.5, 0.2, 0.1, 0.0, 0.01, 1.5, scalar_table,
-        1e-6, 1e-30, 0.1, 1e3, 1.0, EVENT_PAIR_ESCAPE, 1e-10, 100, rec, True,
-        1.0,
+        1.0, 0.5, 0.2, 0.1, 0.01, 1.5, scalar_table, 1e-6, 1e3, EVENT_PAIR_ESCAPE,
+        100, rec, 1.0,
     )
     Y = np.array([[1.0, 0.0, 0.5, 0.2]])
     st = np.zeros(1, dtype=np.int64)
     tt = np.zeros(1)
     sg = np.zeros(1, dtype=np.int64)
-    _drive_batch(
-        Y, 0.0, 0.01, 1.5, table, 1e-6, 1e-30, 0.1, 1e3, 1.0,
-        EVENT_NONE, 1e-10, 100, st, tt, sg, 1.0,
-    )
-    _delta_one(
-        1.0, 0.5, 1.5, scalar_table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6,
-        READ_COMPLEX, 1.0, 50,
-    )
+    _drive_batch(Y, 0.01, 1.5, table, 1e-6, 1e3, EVENT_NONE, 100, st, tt, sg, 1.0)
+    _delta_one(1.0, 0.5, 1.5, scalar_table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)
     di = np.zeros(1)
-    _delta_batch(
-        W, 1.5, table, 1e-6, 1e-30, 0.1, 2.0, 1e-6, 1e-6, READ_COMPLEX, 1.0, 50,
-        st, dr, di, tt,
-    )
+    _delta_batch(W, 1.5, table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50, st, dr, di, tt)

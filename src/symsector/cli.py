@@ -54,8 +54,13 @@ def _validate(config):
         raise ConfigError("epsilon must be positive")
     if config.smoothing not in ("pure", "cutoff"):
         raise ConfigError("smoothing must be 'pure' or 'cutoff'")
+    if not isinstance(config.grid, int):
+        raise ConfigError("grid must be an integer")
     if config.grid < 1:
         raise ConfigError("grid must be at least 1")
+    for name in ("out", "timings", "surface"):
+        if not isinstance(getattr(config, name), (str, type(None))):
+            raise ConfigError(f"{name} must be a string")
     if not 0.0 < config.sample_scale < math.inf:
         raise ConfigError("sample-scale must be positive and finite")
     if not config.max_time > 0.0:
@@ -84,6 +89,8 @@ def resolve_config(args):
             name = key.replace("-", "_")
             if name not in names:
                 raise ConfigError(f"unknown config key {key!r}")
+            if isinstance(value, bool):  # no option is a flag
+                raise ConfigError(f"config key {key!r} cannot be {json.dumps(value)}")
             setattr(config, name, value)
     for name in names:
         value = getattr(args, name, None)

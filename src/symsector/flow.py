@@ -20,11 +20,6 @@ TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
 TERM_NEAR_CRITICAL = "NEAR_CRITICAL"
 
-_ATOL = 1e-30
-_H_MAX = 0.1  # largest step of the drive and Delta kernels
-_STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
-_AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
-_IM_TOL = 5e-9  # Im Delta residual bound of the "complex-im" reading
 _READINGS = {
     "complex": _kernels.READ_COMPLEX,
     "real": _kernels.READ_REAL,
@@ -50,7 +45,8 @@ class FlowSettings:
     escape always means leaving the region where the perturbation and
     the hypersurfaces live.  step_tolerance is the relative tolerance of
     every adaptive step and max_steps the step budget of one trajectory.
-    The largest step (0.1) and the stall speed (1e-10) are fixed.
+    The largest step and the stall speed are fixed: _kernels.H_MAX (0.1)
+    and _kernels.STALL_SPEED (1e-10).
     """
 
     max_time: float = 60.0
@@ -126,22 +122,21 @@ def _drive_args(params, settings, event_kind, scalar=False):
     """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels."""
     radius = resolve_escape_radius(settings, params)
     table = params.scalar_table if scalar else params.table
-    return (params.alpha, table, settings.step_tolerance, _ATOL, _H_MAX,
-            radius, params.epsilon, event_kind, _STALL_SPEED, settings.max_steps)
+    return (params.alpha, table, settings.step_tolerance, radius, event_kind,
+            settings.max_steps)
 
 
-def _drive_state(state, t0, t_end, params, settings, event_kind, record, fdir=1.0):
-    """Run the scalar kernel from a state; returns kernel outputs.
+def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
+    """Run the scalar kernel from a state at t = 0; returns kernel outputs.
 
     The raw kernel status comes first: STATUS_EVENT, STATUS_TIME_END,
     STATUS_STALLED, STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
     """
-    rec = np.empty((_REC_CAP if record else 1, 5))
+    rec = np.empty((_REC_CAP if record else 0, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
-        float(t0), float(t_end),
-        *_drive_args(params, settings, event_kind, scalar=True),
-        rec, record, fdir,
+        float(t_end), *_drive_args(params, settings, event_kind, scalar=True),
+        rec, fdir,
     )
     out_state = np.array([y0, y1, y2, y3])
     return status, t, out_state, esign, rec[:nrec]
@@ -166,8 +161,7 @@ def integrate_flow(p0, params=None, settings=None, record=True):
         settings = FlowSettings()
     state = p0.state() if isinstance(p0, SymPoint) else np.asarray(p0, dtype=float)
     status, t, out_state, _, rec = _drive_state(
-        state, 0.0, settings.max_time, params, settings,
-        _kernels.EVENT_PAIR_ESCAPE, record,
+        state, settings.max_time, params, settings, _kernels.EVENT_PAIR_ESCAPE, record
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
@@ -196,7 +190,7 @@ def flow_state_to_time(state, t, params, settings=None, direction=1.0):
     if settings is None:
         settings = FlowSettings()
     status, _, out_state, _, _ = _drive_state(
-        np.asarray(state, dtype=float), 0.0, float(t), params, settings,
+        np.asarray(state, dtype=float), float(t), params, settings,
         _kernels.EVENT_NONE, False, fdir=direction,
     )
     if status == _kernels.STATUS_NONFINITE:
@@ -221,7 +215,7 @@ def first_event(state, event_kind, params, settings):
     if hit0:
         return True, 0.0, state.copy(), int(sign0)
     status, t, out_state, esign, _ = _drive_state(
-        state, 0.0, settings.max_time, params, settings, event_kind, False
+        state, settings.max_time, params, settings, event_kind, False
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
@@ -241,7 +235,7 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = float(settings.max_time if t_end is None else t_end)
     _kernels.drive_batch_kernel(
-        Y, 0.0, t_end, *_drive_args(params, settings, event_kind),
+        Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,
     )
     return out_status, out_t, out_sign
@@ -263,9 +257,8 @@ def _delta_args(params, settings, reading, u_star_factor, scalar=False):
         raise ValueError(f"reading must be one of {sorted(_READINGS)}, not {reading!r}")
     u_star = default_u_star(params.epsilon) * u_star_factor
     table = params.scalar_table if scalar else params.table
-    return (params.alpha, table, settings.step_tolerance, _ATOL, _H_MAX,
-            u_star, _AGREE_TOL, _IM_TOL, _READINGS[reading], settings.max_time,
-            settings.max_steps)
+    return (params.alpha, table, settings.step_tolerance, u_star, _READINGS[reading],
+            settings.max_time, settings.max_steps)
 
 
 def _other_branch(w0, s0):

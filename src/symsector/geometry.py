@@ -54,7 +54,7 @@ class SteinParams:
     alpha: float = ALPHA_DEFAULT
     epsilon: float = EPSILON_DEFAULT
     smoothing: str = "pure"
-    _table: np.ndarray = field(default=None, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:

@@ -120,7 +120,7 @@ def classify_by_flow(p, params=None, settings=None):
     if settings is None:
         settings = flow.FlowSettings()
     status, _, state, _, _ = flow._drive_state(
-        p.state(), 0.0, settings.max_time, params, settings,
+        p.state(), settings.max_time, params, settings,
         _kernels.EVENT_PAIR_ESCAPE, False,
     )
     y0, _, y2, y3 = state.tolist()

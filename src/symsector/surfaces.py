@@ -110,7 +110,11 @@ class CombSurface:
 
 
 def _check_json_types(data):
-    """genus, ends and expected_euler are integers, slots and arcs strings."""
+    """Raise TypeError where a surface field has the wrong JSON type.
+
+    The surface and its components are objects, genus, ends and
+    expected_euler integers, slots and arcs strings.
+    """
 
     def strings(value, length=None):
         return (isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -120,9 +124,13 @@ def _check_json_types(data):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{key} must be an integer, not {value!r}")
 
+    if not isinstance(data, dict):
+        raise TypeError("a surface must be a JSON object")
     if data.get("expected_euler") is not None:
         check_integer("expected_euler", data["expected_euler"])
     for comp in data["components"]:
+        if not isinstance(comp, dict):
+            raise TypeError("a component must be a JSON object")
         for key in ("genus", "ends"):
             check_integer(key, comp[key])
         if not strings(comp.get("slots", [])):

@@ -224,11 +224,25 @@ def test_bad_slice_exits_2(capsys):
 
 
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    # out = true or 1 would open file descriptor 1, grid = true draw a 1x1 grid
+    cases = [
+        ("classify-grid", {"epsilon": "abc"}),
+        ("classify-grid", {"grid": 3.5}),
+        ("classify-grid", {"grid": True}),
+        ("classify-grid", {"box": True}),
+        ("verify", {"seed": False}),
+        ("classify-grid", {"out": True}),
+        ("classify-grid", {"out": 1}),
+        ("decompose", {"out": 1, "surface": "example-5.3"}),
+        ("decompose", {"surface": ["example-5.3"]}),
+        ("verify", {"timings": 2}),
+    ]
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"epsilon": "abc"}))
-    code, _, err = run_cli(["classify-grid", "--grid", "3", "--config", str(cfg)],
-                           capsys)
-    _assert_user_error(code, err)
+    for command, data in cases:
+        cfg.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        _assert_user_error(code, err)
+        assert out == ""
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -318,6 +332,16 @@ def test_surface_field_of_wrong_type_exits_2(field, value, tmp_path, capsys):
     code, out, err = run_cli(["decompose", "--surface", str(path)], capsys)
     _assert_user_error(code, err)
     assert "must be" in err and out == ""
+
+
+@pytest.mark.parametrize("data", [[], {"components": [5]}],
+                         ids=["surface-list", "component-int"])
+def test_surface_not_an_object_exits_2(data, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["decompose", "--surface", str(path)], capsys)
+    _assert_user_error(code, err)
+    assert "must be a JSON object" in err and out == ""
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """Potential, form, and disk-potential geometry checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from symsector.geometry import (
     symplectic_form_closed,
     symplectic_form_fd,
 )
+from symsector.smoothing import build_smoothing_table
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -125,6 +127,15 @@ def test_stein_params_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SteinParams(**base)
+
+
+def test_replaced_params_build_their_own_table():
+    # the kernels read epsilon from table[1], so a copy must not inherit
+    # the cached table of the original
+    params = SteinParams(epsilon=16.0, smoothing="cutoff")
+    assert params.table[1] == 16.0
+    copy = dataclasses.replace(params, epsilon=4.0, smoothing="pure")
+    assert np.array_equal(copy.table, build_smoothing_table(4.0, "pure"))
 
 
 # ------------------------------------------------------------- form algebra

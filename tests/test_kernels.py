@@ -11,6 +11,7 @@ at events in time and state to 1e-12 (1 + |x|), and elsewhere to
 1e-6 (1 + |x|), since a step one twin accepts the other may retry.
 """
 
+import inspect
 import itertools
 import math
 
@@ -228,11 +229,10 @@ def _drive_both(rows, args, t_end, fdir):
     Y = np.array(rows)
     status, sign = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     t = np.zeros(n)
-    rec = np.empty((1, 5))
+    rec = np.empty((0, 5))
     with np.errstate(over="ignore", invalid="ignore"):
-        _kernels._drive_batch_np(Y, 0.0, t_end, *args, status, t, sign, fdir)
-        res = [_kernels._drive(*row, 0.0, t_end, *args, rec, False, fdir)
-               for row in rows]
+        _kernels._drive_batch_np(Y, t_end, *args, status, t, sign, fdir)
+        res = [_kernels._drive(*row, t_end, *args, rec, fdir) for row in rows]
     scalar = [np.array([r[k] for r in res]) for k in (0, 1, 6)]
     return (status, t, sign, Y), (*scalar, np.array([r[2:6] for r in res]))
 
@@ -305,6 +305,54 @@ def test_drive_twins_agree_on_stalls():
     for row in rows:
         traj = flow.integrate_flow(np.array(row), params, settings, record=False)
         assert traj.termination == flow.TERM_NEAR_CRITICAL
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_jit_batch_kernels_loop_the_scalar_kernels(mode):
+    # without numba _drive_batch and _delta_batch run as plain Python; each
+    # row gets the bits of its scalar kernel called with the same arguments,
+    # which pins the argument order of both bindings
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    rng = np.random.default_rng(13)
+    z = rng.uniform(-48.0, 48.0, (5, 2))
+    s = rng.uniform(-48.0, 48.0, 4) + 1j * rng.uniform(-48.0, 48.0, 4)
+    w = np.append(s * s, 1e308)  # STATUS_NONFINITE
+    rows = [(x, y, v.real, v.imag) for (x, y), v in zip(z, w)]
+    rec = np.empty((0, 5))
+    for kind, fdir in [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0)]:
+        args = flow._drive_args(params, settings, kind)
+        Y = np.array(rows + _INSIDE.get(kind, []))
+        out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
+               np.zeros(len(Y), dtype=np.int64))
+        # the batch table holds numpy floats, on which the overflow row warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_kernels._drive(*row, 4.0, *args, rec, fdir) for row in Y.tolist()]
+            _kernels._drive_batch(Y, 4.0, *args, *out, fdir)
+        assert [r[7] for r in want] == [0] * len(Y)  # a zero-row rec records none
+        assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in want])
+                                         for k in (0, 1, 6)), [r[2:6] for r in want])
+    W = np.column_stack([w.real, w.imag])
+    n = len(W)
+    for reading in flow._READINGS:
+        args = flow._delta_args(params, settings, reading, 1.0)
+        out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_kernels._delta_one(*row, *args) for row in W.tolist()]
+            _kernels._delta_batch(W, *args, *out)
+        assert _bits(*out) == _bits(*(np.array(col) for col in zip(*want)))
+
+
+@pytest.mark.parametrize("jit, vec", [
+    (_kernels._drive_batch, _kernels._drive_batch_np),
+    (_kernels._delta_batch, _kernels._delta_batch_np),
+], ids=["drive", "delta"])
+def test_batch_kernel_backends_share_one_signature(jit, vec):
+    # drive_batch_kernel and delta_batch_kernel are either backend
+    def signature(f):
+        return inspect.signature(getattr(f, "py_func", f))
+
+    assert signature(jit) == signature(vec)
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
@@ -411,7 +459,7 @@ def test_scalar_kernels_stay_on_builtin_floats(mode):
         assert all(type(v) is float for v in _kernels._w_terms(float(r), ALPHA, table))
     args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE, scalar=True)
     state = SymPoint(-40.0, -64.0 + 1.0j).state().tolist()
-    res = _kernels._drive(*state, 0.0, 60.0, *args, np.empty((1, 5)), False, 1.0)
+    res = _kernels._drive(*state, 60.0, *args, np.empty((0, 5)), 1.0)
     assert res[0] == _kernels.STATUS_EVENT
     assert all(type(v) is float for v in res[1:6])
     for reading in flow._READINGS:
@@ -436,14 +484,12 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     # ** and abs(complex) past the float range, math.sqrt below zero
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=4.0, max_steps=2000)
-    rec = np.empty((1, 5))
+    rec = np.empty((0, 5))
     ends = []
     for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
         args = flow._drive_args(params, settings, kind, scalar=True)
         for w in _HOSTILE_W:
-            ends.append(
-                (w, _kernels._drive(1.0, 0.5, *w, 0.0, 4.0, *args, rec, False, fdir)[0])
-            )
+            ends.append((w, _kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)[0]))
     for reading in flow._READINGS:
         args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
         ends += [(w, _kernels._delta_one(*w, *args)[0]) for w in _HOSTILE_W]
