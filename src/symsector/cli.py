@@ -50,8 +50,8 @@ def _validate(config):
             "alpha=%g is not allowed: the saddle model requires finite "
             "alpha > 1 (the unstable rate alpha-1 must be positive)" % config.alpha
         )
-    if not config.epsilon > 0.0:
-        raise ConfigError("epsilon must be positive")
+    if not 0.0 < config.epsilon < math.inf:
+        raise ConfigError("epsilon must be positive and finite")
     if config.smoothing not in ("pure", "cutoff"):
         raise ConfigError("smoothing must be 'pure' or 'cutoff'")
     if not isinstance(config.grid, int):
@@ -63,10 +63,10 @@ def _validate(config):
             raise ConfigError(f"{name} must be a string")
     if not 0.0 < config.sample_scale < math.inf:
         raise ConfigError("sample-scale must be positive and finite")
-    if not config.max_time > 0.0:
-        raise ConfigError("max-time must be positive")
-    if config.escape_radius is not None and not config.escape_radius > 0.0:
-        raise ConfigError("escape-radius must be positive")
+    if not 0.0 < config.max_time < math.inf:
+        raise ConfigError("max-time must be positive and finite")
+    if config.escape_radius is not None and not 0.0 < config.escape_radius < math.inf:
+        raise ConfigError("escape-radius must be positive and finite")
     if config.band_tol is not None and config.band_tol < 0.0:
         raise ConfigError("band-tol must be nonnegative")
     if config.box is not None and not 0.0 < config.box < math.inf:

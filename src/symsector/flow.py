@@ -8,13 +8,15 @@ front end of the kernels: each kernel's shared arguments are built once
 here (_drive_args, _delta_args).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._accel import available_cpus, using_numba
-from .geometry import ALPHA_DEFAULT, SteinParams, SymPoint
+from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint
 
 TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
@@ -37,14 +39,15 @@ class NonFiniteFlowError(RuntimeError):
     """The integrator produced a non-finite state."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowSettings:
-    """Integration controls shared by all flow-based operations.
+    """Integration controls shared by all flow-based operations; immutable.
 
     escape_radius defaults to 1e3 * max(1, epsilon) when left None, so
     escape always means leaving the region where the perturbation and
     the hypersurfaces live.  step_tolerance is the relative tolerance of
-    every adaptive step and max_steps the step budget of one trajectory.
+    every adaptive step and max_steps (an integer >= 1) the step budget
+    of one trajectory; the three floats must be finite and positive.
     The largest step and the stall speed are fixed: _kernels.H_MAX (0.1)
     and _kernels.STALL_SPEED (1e-10).
     """
@@ -55,10 +58,17 @@ class FlowSettings:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_time <= 0 or self.step_tolerance <= 0:
-            raise ValueError("flow settings must be positive")
-        if self.escape_radius is not None and self.escape_radius <= 0:
-            raise ValueError("escape_radius must be positive")
+        for value in (self.max_time, self.step_tolerance):
+            if not 0.0 < value < math.inf:
+                raise ValueError("flow settings must be finite and positive")
+        if self.escape_radius is not None and not 0.0 < self.escape_radius < math.inf:
+            raise ValueError("escape_radius must be finite and positive")
+        n = self.max_steps
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("max_steps must be an integer >= 1")
+
+
+DEFAULT_SETTINGS = FlowSettings()
 
 
 def resolve_escape_radius(settings, params):
@@ -126,6 +136,16 @@ def _drive_args(params, settings, event_kind, scalar=False):
             settings.max_steps)
 
 
+def _end_time(t_end, direction):
+    """float(t_end), checked finite and >= 0, with direction 1.0 or -1.0."""
+    t_end = float(t_end)
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"end time must be finite and nonnegative, not {t_end!r}")
+    if direction not in (1.0, -1.0):
+        raise ValueError(f"direction must be 1.0 or -1.0, not {direction!r}")
+    return t_end
+
+
 def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
     """Run the scalar kernel from a state at t = 0; returns kernel outputs.
 
@@ -135,14 +155,15 @@ def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
     rec = np.empty((_REC_CAP if record else 0, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
-        float(t_end), *_drive_args(params, settings, event_kind, scalar=True),
+        _end_time(t_end, fdir), *_drive_args(params, settings, event_kind, scalar=True),
         rec, fdir,
     )
     out_state = np.array([y0, y1, y2, y3])
     return status, t, out_state, esign, rec[:nrec]
 
 
-def integrate_flow(p0, params=None, settings=None, record=True):
+def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                   record=True):
     """Integrate the downward flow from p0 until escape or max_time.
 
     The trajectory terminates ESCAPED when both pair coordinates have
@@ -155,10 +176,6 @@ def integrate_flow(p0, params=None, settings=None, record=True):
     NonFiniteFlowError
         If the state leaves the representable range.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = FlowSettings()
     state = p0.state() if isinstance(p0, SymPoint) else np.asarray(p0, dtype=float)
     status, t, out_state, _, rec = _drive_state(
         state, settings.max_time, params, settings, _kernels.EVENT_PAIR_ESCAPE, record
@@ -185,12 +202,14 @@ def integrate_flow(p0, params=None, settings=None, record=True):
     return Trajectory(times, states, termination, escape_data)
 
 
-def flow_state_to_time(state, t, params, settings=None, direction=1.0):
-    """State advanced by time t along the downward (or upward) flow."""
-    if settings is None:
-        settings = FlowSettings()
+def flow_state_to_time(state, t, params, settings=DEFAULT_SETTINGS, direction=1.0):
+    """State advanced by time t along the downward (or upward) flow.
+
+    t must be finite and >= 0, and direction 1.0 (downward) or -1.0
+    (upward); anything else raises ValueError.
+    """
     status, _, out_state, _, _ = _drive_state(
-        np.asarray(state, dtype=float), float(t), params, settings,
+        np.asarray(state, dtype=float), t, params, settings,
         _kernels.EVENT_NONE, False, fdir=direction,
     )
     if status == _kernels.STATUS_NONFINITE:
@@ -227,13 +246,15 @@ def first_event(state, event_kind, params, settings):
 def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     """Integrate every row of Y in place; returns (status, t, sign).
 
-    Runs the batch kernel of the active backend (jit or numpy).
+    Runs the batch kernel of the active backend (jit or numpy) up to
+    t_end (default max_time), which must be finite and >= 0, downward
+    for direction 1.0 and upward for -1.0.
     """
     n = Y.shape[0]
     out_status = np.zeros(n, dtype=np.int64)
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
-    t_end = float(settings.max_time if t_end is None else t_end)
+    t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
     _kernels.drive_batch_kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,
@@ -270,9 +291,8 @@ def _other_branch(w0, s0):
     return np.abs(np.sqrt(w0) - s0) > np.abs(np.sqrt(w0) + s0)
 
 
-def compute_delta(
-    sqrt_w0, params=None, settings=None, reading="complex", u_star_factor=1.0
-):
+def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                  reading="complex", u_star_factor=1.0):
     """Rescaled branch-direction limit Delta of one w-trajectory.
 
     The w-flow started at w0 = sqrt_w0^2 is integrated, and
@@ -297,10 +317,6 @@ def compute_delta(
     NoEscapeError
         If no stable reading is reached within max_time.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = FlowSettings()
     s0 = complex(sqrt_w0)
     w0 = s0 * s0
     status, dre, dim, _ = _kernels._delta_one(
@@ -315,7 +331,7 @@ def compute_delta(
     return -d if _other_branch(w0, s0) else d
 
 
-def compute_c(sqrt_w0, params=None, settings=None):
+def compute_c(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Hypersurface offset c = |Re Delta| >= 0 of one w-value.
 
     Delta is read with the "real" rule of :func:`compute_delta`: the
@@ -382,9 +398,8 @@ def _delta_split(W, args):
     return outs
 
 
-def compute_delta_batch(
-    sqrt_w0s, params=None, settings=None, reading="complex", u_star_factor=1.0
-):
+def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                        reading="complex", u_star_factor=1.0):
     """Branch-direction limits of many w-values.
 
     Returns (delta, status) where delta is complex (nan where the
@@ -392,10 +407,6 @@ def compute_delta_batch(
     Each row is read as :func:`compute_delta` reads its value, with the
     same reading rule.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = FlowSettings()
     s0 = np.asarray(sqrt_w0s, dtype=complex).ravel()
     # beyond |s| ~ 1.34e154 w0 overflows; the kernel ends such a row NONFINITE
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,7 +421,7 @@ def compute_delta_batch(
     return delta, out_status
 
 
-def compute_c_batch(sqrt_w0s, params=None, settings=None):
+def compute_c_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Offsets c = |Re Delta| for many w-values (nan where unresolved).
 
     Delta is read with the "real" rule, as :func:`compute_c` reads it.

@@ -36,9 +36,17 @@ class DegenerateFormError(ValueError):
     """Raised when an assembled 2-form matrix is numerically singular."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteinParams:
     """Parameters of the smoothed plurisubharmonic potential.
+
+    Immutable: equal parameters compare and hash equal, one object can be
+    shared, and :func:`dataclasses.replace` makes a changed copy.  The
+    smoothing table is built once, at construction: ``table`` for the
+    numpy and jit kernels, and ``scalar_table``, the same bits as a tuple
+    of built-in floats, for the plain-Python scalar kernels.  A table
+    that cannot be built raises :class:`smoothing.SmoothingError`, a
+    ValueError (a cutoff profile below epsilon ~ 2.1, for one).
 
     Parameters
     ----------
@@ -54,7 +62,8 @@ class SteinParams:
     alpha: float = ALPHA_DEFAULT
     epsilon: float = EPSILON_DEFAULT
     smoothing: str = "pure"
-    _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    scalar_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
@@ -63,24 +72,12 @@ class SteinParams:
             raise ValueError("epsilon must be positive")
         if self.smoothing not in ("pure", "cutoff"):
             raise ValueError("smoothing must be 'pure' or 'cutoff'")
+        table = smoothing.build_smoothing_table(self.epsilon, self.smoothing)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "scalar_table", tuple(table.tolist()))
 
-    @property
-    def table(self):
-        """Flat smoothing table consumed by the numerical kernels."""
-        if self._table is None:
-            self._table = smoothing.build_smoothing_table(
-                self.epsilon, self.smoothing
-            )
-        return self._table
 
-    @property
-    def scalar_table(self):
-        """The table as a tuple of built-in floats, for the scalar kernels.
-
-        As plain Python they stay off numpy scalars on it: the same bits,
-        several times faster.  The numpy batch kernels slice the ndarray.
-        """
-        return tuple(self.table.tolist())
+DEFAULT_PARAMS = SteinParams()
 
 
 @dataclass(frozen=True)
@@ -165,18 +162,16 @@ def pair_from_sym(z, w):
     return z + root, z - root
 
 
-def smoothed_norm(w, params=None):
+def smoothed_norm(w, params=DEFAULT_PARAMS):
     """Smoothed |w| used by the potential.
 
     Equals sqrt(|w|^2 + epsilon) in pure mode; in cutoff mode it is
     exactly |w| once |w| >= epsilon.
     """
-    if params is None:
-        params = SteinParams()
     return smoothing.norm_value(np.abs(np.asarray(w, dtype=complex)), params.table)
 
 
-def kahler_factor(w, params=None):
+def kahler_factor(w, params=DEFAULT_PARAMS):
     """Inverse Kahler density 2|w| / m'(|w|) of the w-direction.
 
     This is the factor by which the metric rescales Euclidean gradients
@@ -189,15 +184,13 @@ def kahler_factor(w, params=None):
     ValueError
         In cutoff mode, where the closed form below does not apply.
     """
-    if params is None:
-        params = SteinParams()
     if params.smoothing != "pure":
         raise ValueError("kahler_factor is defined for pure smoothing only")
     r = np.abs(np.asarray(w, dtype=complex))
     return _kernels._kappa_shrink_np(r, params.table)[0]
 
 
-def sym2_potential(z, w, params=None):
+def sym2_potential(z, w, params=DEFAULT_PARAMS):
     """Smoothed potential on the symmetric square (vectorized).
 
     Phi(z, w) = (1-alpha) (Re z)^2 + alpha (Im z)^2
@@ -207,8 +200,6 @@ def sym2_potential(z, w, params=None):
     this is the sum of the two chart potentials; the smoothing replaces
     the |w| kink along the branch locus.
     """
-    if params is None:
-        params = SteinParams()
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     a = params.alpha
@@ -217,12 +208,12 @@ def sym2_potential(z, w, params=None):
     return zpart + 0.5 * n + 0.5 * (1.0 - 2.0 * a) * w.real
 
 
-def phi_sym_smoothed(p, params=None):
+def phi_sym_smoothed(p, params=DEFAULT_PARAMS):
     """Smoothed potential at one :class:`SymPoint`."""
     return float(sym2_potential(p.z, p.w, params))
 
 
-def symplectic_form_closed(z, w, params=None):
+def symplectic_form_closed(z, w, params=DEFAULT_PARAMS):
     """Kahler form of the smoothed potential as a 4x4 matrix.
 
     Block diagonal in the [Re z, Im z, Re w, Im w] ordering: the z-block
@@ -230,8 +221,6 @@ def symplectic_form_closed(z, w, params=None):
     which tends to 1/sqrt(epsilon) at the branch locus and to 1/(2|w|)
     far from it; it equals 1/kappa of the w-flow.
     """
-    if params is None:
-        params = SteinParams()
     kappa, _ = _kernels._kappa_shrink_np(np.atleast_1d(np.abs(w)), params.table)
     q = float(1.0 / kappa[0])
     omega = np.zeros((4, 4))
@@ -242,7 +231,7 @@ def symplectic_form_closed(z, w, params=None):
     return omega
 
 
-def symplectic_form_fd(z, w, params=None, h=1e-3):
+def symplectic_form_fd(z, w, params=DEFAULT_PARAMS, h=1e-3):
     """Kahler form assembled from a finite-difference real Hessian.
 
     The coefficient matrix of dd^c Phi is assembled from second
@@ -250,8 +239,6 @@ def symplectic_form_fd(z, w, params=None, h=1e-3):
     structure; this is the independent cross-check of
     :func:`symplectic_form_closed`.
     """
-    if params is None:
-        params = SteinParams()
     p0 = np.array([np.real(z), np.imag(z), np.real(w), np.imag(w)])
 
     def val(p):
@@ -289,7 +276,7 @@ def symplectic_form_fd(z, w, params=None, h=1e-3):
     return omega
 
 
-def symplectic_form(p, params=None):
+def symplectic_form(p, params=DEFAULT_PARAMS):
     """Kahler form at a :class:`SymPoint`, checked for numerical degeneracy."""
     omega = symplectic_form_closed(p.z, p.w, params)
     if abs(np.linalg.det(omega)) < 1e-12:
@@ -302,7 +289,7 @@ def complex_structure():
     return _J_MATRIX.copy()
 
 
-def flow_field_zw(z, w, params=None):
+def flow_field_zw(z, w, params=DEFAULT_PARAMS):
     """Downward metric gradient of the potential at (z, w).
 
     Returns the pair (dz/dt, dw/dt) as complex numbers.  The z-part is
@@ -313,8 +300,6 @@ def flow_field_zw(z, w, params=None):
     with r = |w| and kappa = 2r/m'(r).  At the branch locus this is the
     constant drift (sqrt(epsilon) (2 alpha - 1)/2, 0).
     """
-    if params is None:
-        params = SteinParams()
     a = params.alpha
     z = complex(z)
     w = complex(w)
@@ -324,13 +309,13 @@ def flow_field_zw(z, w, params=None):
     return dz, drift - shrink * w
 
 
-def flow_vector_field(p, params=None):
+def flow_vector_field(p, params=DEFAULT_PARAMS):
     """Downward gradient field at a :class:`SymPoint`."""
     dz, dw = flow_field_zw(p.z, p.w, params)
     return TangentVector(dz, dw)
 
 
-def liouville_vector_field(p, params=None):
+def liouville_vector_field(p, params=DEFAULT_PARAMS):
     """Upward gradient field; the negation of :func:`flow_vector_field`."""
     dz, dw = flow_field_zw(p.z, p.w, params)
     return TangentVector(-dz, -dw)

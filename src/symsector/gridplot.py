@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, sectors
-from .flow import FlowSettings
-from .geometry import SteinParams
+from .flow import DEFAULT_SETTINGS
+from .geometry import DEFAULT_PARAMS
 
 IM_FIXED = "IM_FIXED"
 Z1_FIXED = "Z1_FIXED"
@@ -119,14 +119,9 @@ def grid_box(spec, params, box=None):
     return box
 
 
-def classify_grid(
-    spec, params=None, settings=None, grid_n=201, box=None, band_tol=None
-):
+def classify_grid(spec, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                  grid_n=201, box=None, band_tol=None):
     """Classify one slice on a grid_n x grid_n grid over [-box, box]^2."""
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = FlowSettings()
     box = grid_box(spec, params, box)
     if band_tol is None:
         band_tol = sectors.default_band_tol(params)

@@ -14,7 +14,8 @@ near each end of a band where the chart height function I is read off.
 import numpy as np
 
 from . import _kernels, flow
-from .geometry import SteinParams, SymPoint, symplectic_form_closed
+from .flow import DEFAULT_SETTINGS
+from .geometry import DEFAULT_PARAMS, SymPoint, symplectic_form_closed
 
 U_MM = "U_MM"
 U_MP = "U_MP"
@@ -58,10 +59,8 @@ def labels_from_ab(a, b, band_tol):
     return np.select(conds, choices, default=U_PP)
 
 
-def classify_values(p, params=None, settings=None, band_tol=None):
+def classify_values(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS, band_tol=None):
     """Label and offsets (label, a, b, c) of one point."""
-    if params is None:
-        params = SteinParams()
     if band_tol is None:
         band_tol = default_band_tol(params)
     sqrt_w0 = 0.5 * (p.z1 - p.z2)
@@ -73,7 +72,8 @@ def classify_values(p, params=None, settings=None, band_tol=None):
     return label, a, b, c
 
 
-def classify_closed_form(p, params=None, settings=None, band_tol=None):
+def classify_closed_form(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                         band_tol=None):
     """Closed-form sector label of one point.
 
     Raises
@@ -104,7 +104,7 @@ def _flow_label(x_hi, x_lo, status, radius, epsilon):
     return UNRESOLVED
 
 
-def classify_by_flow(p, params=None, settings=None):
+def classify_by_flow(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Sector label of one point by integrating the downward flow.
 
     Escape gives an open-sector label from the sign pair at escape; a
@@ -115,10 +115,6 @@ def classify_by_flow(p, params=None, settings=None):
     (FlowSettings.max_steps).  Never raises for a flow failure, and
     always gives the label :func:`classify_by_flow_batch` gives.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     status, _, state, _, _ = flow._drive_state(
         p.state(), settings.max_time, params, settings,
         _kernels.EVENT_PAIR_ESCAPE, False,
@@ -131,13 +127,11 @@ def classify_by_flow(p, params=None, settings=None):
     )
 
 
-def classify_by_flow_batch(states, params, settings=None):
+def classify_by_flow_batch(states, params, settings=DEFAULT_SETTINGS):
     """Flow labels for rows [Re z, Im z, Re w, Im w]; states are consumed.
 
     Each row gets the label :func:`classify_by_flow` gives its point.
     """
-    if settings is None:
-        settings = flow.FlowSettings()
     Y = np.array(states, dtype=float)
     status, _, _ = flow.drive_batch(
         Y, params, settings, _kernels.EVENT_PAIR_ESCAPE
@@ -163,14 +157,12 @@ def _pair_coords(p):
     return (z1, z2) if k1 <= k2 else (z2, z1)
 
 
-def in_V_region(p, sign, params=None):
+def in_V_region(p, sign, params=DEFAULT_PARAMS):
     """Whether p lies in the V-chart at the given end of the band.
 
     V- is the set where one pair coordinate has Re in (-eps, eps) and
     the other has Re < -2 eps; V+ mirrors it with Re > 2 eps.
     """
-    if params is None:
-        params = SteinParams()
     hit, esign = _kernels._event_val(
         *p.state(), 0.0, params.epsilon, _kernels.EVENT_V_ENTRY
     )
@@ -188,7 +180,7 @@ class IValue:
         return f"IValue(value={self.value!r}, chart_time={self.chart_time!r})"
 
 
-def eval_I(p, sign, params=None, settings=None):
+def eval_I(p, sign, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Height function of the stable chart at the given band end.
 
     For p already in the V-region this is Im of the near-saddle pair
@@ -201,10 +193,6 @@ def eval_I(p, sign, params=None, settings=None):
     NotInNeighborhoodError
         If the flow does not enter the requested V-region.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     if in_V_region(p, sign, params):
         small, _ = _pair_coords(p)
         return IValue(small.imag, 0.0)
@@ -220,17 +208,13 @@ def eval_I(p, sign, params=None, settings=None):
     return IValue(np.exp(params.alpha * t) * small.imag, t)
 
 
-def check_ZI_scaling(p, sign, params=None, settings=None, h=0.03):
+def check_ZI_scaling(p, sign, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS, h=0.03):
     """Residual of the Liouville scaling identity Z I = alpha I.
 
     The derivative of s -> I(downward flow at time s) is estimated by a
     fourth-order central difference and compared with -alpha I(p);
     the absolute residual is returned.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     i0 = eval_I(p, sign, params, settings).value
     vals = {}
     state = p.state()
@@ -263,7 +247,7 @@ def _offset_gradient(p, sign, params, settings):
     return grad
 
 
-def characteristic_direction(p, sign, params=None, settings=None):
+def characteristic_direction(p, sign, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Characteristic (kernel) direction of the hypersurface at p.
 
     The hypersurface is the level set F = 0 of the offset; its
@@ -276,10 +260,6 @@ def characteristic_direction(p, sign, params=None, settings=None):
     ConditionError
         If the gradient degenerates or the form matrix is singular.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     grad = _offset_gradient(p, sign, params, settings)
     if not np.isfinite(grad).all() or np.linalg.norm(grad) < 1e-8:
         raise ConditionError("degenerate hypersurface gradient")
@@ -289,17 +269,14 @@ def characteristic_direction(p, sign, params=None, settings=None):
     return np.linalg.solve(omega, grad)
 
 
-def check_dI_characteristic(p, sign, params=None, settings=None, h=1e-3):
+def check_dI_characteristic(p, sign, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
+                            h=1e-3):
     """Derivative of I along the oriented characteristic direction.
 
     Positive values mean the characteristic foliation is transverse to
     the level sets of I in the orientation fixed by the model; at a
     V-chart point of the hypersurface the value is 1 exactly.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     C = characteristic_direction(p, sign, params, settings)
     scale = h / max(1.0, np.linalg.norm(C))
     state = p.state()
@@ -323,7 +300,7 @@ def saddle_reading(z, site, epsilon):
     return zeta.imag
 
 
-def check_poisson_bracket(za, zb, i, j, params=None, h=1e-5):
+def check_poisson_bracket(za, zb, i, j, params=DEFAULT_PARAMS, h=1e-5):
     """Residual of {I_i, I_j} = 0 in a two-saddle product chart.
 
     The state is an ordered pair (za, zb) of surface points near two
@@ -332,8 +309,6 @@ def check_poisson_bracket(za, zb, i, j, params=None, h=1e-5):
     differences of the two chart readings; for i = j the result is
     zero by antisymmetry.
     """
-    if params is None:
-        params = SteinParams()
     eps = params.epsilon
     sites = (0.0, 8.0 * eps)
     coords = np.array([za.real, za.imag, zb.real, zb.imag])
@@ -367,17 +342,14 @@ def check_poisson_bracket(za, zb, i, j, params=None, h=1e-5):
     return float(abs(gj @ x_i))
 
 
-def check_disjointness(params=None, settings=None, grid_n=21, box=None):
+def check_disjointness(params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS, grid_n=21,
+                       box=None):
     """Minimum over a coordinate grid of max(|a|, |b|).
 
     Since a - b = 2c, the two hypersurfaces stay apart by at least
     2 min c; the returned minimum is strictly positive exactly when no
     grid point lies on both bands at once.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     if box is None:
         box = 3.0 * params.epsilon
     axis = np.linspace(-box, box, grid_n)
@@ -390,17 +362,15 @@ def check_disjointness(params=None, settings=None, grid_n=21, box=None):
     return float(np.abs(axis).min() + c.min())
 
 
-def truncation_region_contains(p, params=None):
+def truncation_region_contains(p, params=DEFAULT_PARAMS):
     """Whether p lies in the absorbing truncation region of U_MM."""
-    if params is None:
-        params = SteinParams()
     hit, _ = _kernels._event_val(
         *p.state(), 0.0, params.epsilon, _kernels.EVENT_TRUNC_REGION
     )
     return bool(hit)
 
 
-def check_truncation_absorbing(p, params=None, settings=None):
+def check_truncation_absorbing(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """First entry time of the downward flow into the truncation region.
 
     Returns 0 for a point already inside.  Once entered, the region is
@@ -412,10 +382,6 @@ def check_truncation_absorbing(p, params=None, settings=None):
     flow.NoEscapeError
         If the region is not entered before max_time.
     """
-    if params is None:
-        params = SteinParams()
-    if settings is None:
-        settings = flow.FlowSettings()
     hit, t, _, _ = flow.first_event(
         p.state(), _kernels.EVENT_TRUNC_REGION, params, settings
     )
@@ -424,14 +390,13 @@ def check_truncation_absorbing(p, params=None, settings=None):
     return float(t)
 
 
-def hypersurface_point(sign, sqrt_w0, y_z, params=None, settings=None):
+def hypersurface_point(sign, sqrt_w0, y_z, params=DEFAULT_PARAMS,
+                       settings=DEFAULT_SETTINGS):
     """A point of H0,- (sign < 0) or H0,+ (sign > 0) over a given w.
 
     The offsets are linear in Re z0, so the hypersurface over w0 is
     exactly Re z0 = -+ c(w0).
     """
-    if params is None:
-        params = SteinParams()
     c = flow.compute_c(sqrt_w0, params, settings)
     x_z = -c if sign < 0 else c
     z0 = complex(x_z, y_z)

@@ -311,6 +311,21 @@ def test_bad_box_exits_2(box, capsys):
     assert "box" in err and out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option", ["--epsilon", "--max-time", "--escape-radius"])
+@pytest.mark.parametrize("command", ["verify", "classify-grid", "slice-plot"])
+def test_non_finite_value_exits_2(command, option, value, tmp_path, capsys):
+    # verify --epsilon inf crashed on the JSON report and exited 1
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(
+        [command, "--grid", "3", "--sample-scale", "0.02", "--out", str(target),
+         option, value], capsys
+    )
+    _assert_user_error(code, err)
+    assert option[2:] in err and out == ""
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("slots", "pq"),
     ("arcs", ["pr"]),

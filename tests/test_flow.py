@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from symsector import _kernels, flow
 from symsector._accel import using_numba
@@ -161,10 +161,53 @@ def test_escape_radius_resolution(pure16):
 
 
 def test_flow_settings_validation():
+    # max_time=inf made every drive stop at t = 0 (its end gate 1e-14 * t_end
+    # is inf); step_tolerance=nan spent the whole step budget
+    bad = [
+        dict(max_time=0.0), dict(step_tolerance=-1.0), dict(max_time=math.inf),
+        dict(max_time=math.nan), dict(step_tolerance=math.nan),
+        dict(escape_radius=math.nan), dict(escape_radius=math.inf),
+        dict(escape_radius=0.0), dict(max_steps=0), dict(max_steps=-1),
+        dict(max_steps=2.5), dict(max_steps=True),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            FlowSettings(**kwargs)
+    assert FlowSettings(max_steps=np.int64(5)).max_steps == 5
+
+
+@given(st.sampled_from(["max_time", "step_tolerance", "escape_radius"]), st.floats())
+@example("max_time", math.inf)
+@example("step_tolerance", math.nan)
+@example("escape_radius", -math.inf)
+@example("max_time", 0.0)
+def test_flow_settings_take_exactly_finite_positive_floats(name, value):
+    if math.isfinite(value) and value > 0.0:
+        assert getattr(FlowSettings(**{name: value}), name) == value
+    else:
+        with pytest.raises(ValueError):
+            FlowSettings(**{name: value})
+
+
+@pytest.mark.parametrize("t, direction", [
+    (-0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0.5, 2.0), (0.5, 0.0),
+], ids=["negative-time", "infinite-time", "nan-time", "direction-2", "direction-0"])
+def test_flow_state_to_time_rejects_bad_time_or_direction(pure16, t, direction):
+    # each of these used to return the state unchanged or flow a wrong time
     with pytest.raises(ValueError):
-        FlowSettings(max_time=0.0)
+        flow.flow_state_to_time([1.0, 0.5, 3.0, 1.0], t, pure16, direction=direction)
+
+
+@pytest.mark.parametrize("t_end, direction", [
+    (math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, 2.0),
+], ids=["nan-time", "negative-time", "infinite-time", "direction-2"])
+def test_drive_batch_rejects_bad_time_or_direction(pure16, t_end, direction):
+    # t_end = nan ran the whole step budget and ended STATUS_RUNNING, where
+    # the scalar kernel ends the same row STATUS_NONFINITE
+    Y = np.array([[1.0, 0.5, 3.0, 1.0]])
     with pytest.raises(ValueError):
-        FlowSettings(step_tolerance=-1.0)
+        drive_batch(Y, pure16, FlowSettings(max_steps=2000), _kernels.EVENT_NONE,
+                    t_end=t_end, direction=direction)
 
 
 # ----------------------------------------------------------- offset readings

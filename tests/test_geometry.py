@@ -1,12 +1,15 @@
 """Potential, form, and disk-potential geometry checks."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from symsector import flow, geometry, gridplot, sectors
+from symsector.flow import FlowSettings
 from symsector.geometry import (
     SteinParams,
     SymPoint,
@@ -120,7 +123,8 @@ def test_phi_sym_smoothed_matches_coordinates(pure16):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(alpha=1.0), dict(alpha=0.5), dict(epsilon=0.0), dict(epsilon=-2.0),
-     dict(smoothing="nope"), dict(alpha=math.inf)],
+     dict(smoothing="nope"), dict(alpha=math.inf), dict(epsilon=math.inf),
+     dict(epsilon=1.0, smoothing="cutoff")],
 )
 def test_stein_params_validation(kwargs):
     base = dict(alpha=1.5, epsilon=16.0, smoothing="pure")
@@ -136,6 +140,39 @@ def test_replaced_params_build_their_own_table():
     assert params.table[1] == 16.0
     copy = dataclasses.replace(params, epsilon=4.0, smoothing="pure")
     assert np.array_equal(copy.table, build_smoothing_table(4.0, "pure"))
+
+
+def test_params_are_immutable_values():
+    # a mutable SteinParams kept the table of its first epsilon after
+    # p.epsilon was assigned, so the kernels and the Python code disagreed
+    p = SteinParams(epsilon=16.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.epsilon = 4.0
+    settings = FlowSettings()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        settings.max_time = 1.0
+    assert p.table[1] == 16.0
+    assert p.scalar_table == tuple(p.table.tolist())
+    assert hash(p) == hash(SteinParams(epsilon=16.0)) and p == SteinParams()
+    assert hash(settings) == hash(FlowSettings(max_time=60.0))
+
+
+@pytest.mark.parametrize("module", [flow, geometry, gridplot, sectors],
+                         ids=lambda m: m.__name__)
+def test_params_and_settings_never_default_to_none(module):
+    # the shared defaults are DEFAULT_PARAMS and DEFAULT_SETTINGS; a None
+    # default would bring back one "if params is None" branch per function
+    checked = []
+    for name, func in vars(module).items():
+        if name.startswith("_") or not inspect.isfunction(func):
+            continue
+        if func.__module__ != module.__name__:
+            continue
+        for arg in inspect.signature(func).parameters.values():
+            if arg.name in ("params", "settings"):
+                checked.append((name, arg.name, arg.default))
+    assert checked
+    assert [c for c in checked if c[2] is None] == []
 
 
 # ------------------------------------------------------------- form algebra
