@@ -42,10 +42,10 @@ class SteinParams:
 
     Immutable: equal parameters compare and hash equal, one object can be
     shared, and :func:`dataclasses.replace` makes a changed copy.  The
-    smoothing table is built once, at construction: ``table`` for the
-    numpy and jit kernels, and ``scalar_table``, the same bits as a tuple
-    of built-in floats, for the plain-Python scalar kernels.  A table
-    that cannot be built raises :class:`smoothing.SmoothingError`, a
+    smoothing table is built once, at construction: ``table``, a read-only
+    array for the numpy and jit kernels, and ``scalar_table``, the same
+    bits as a tuple of built-in floats, for the plain-Python scalar
+    kernels.  A table that cannot be built raises :class:`smoothing.SmoothingError`, a
     ValueError (a cutoff profile below epsilon ~ 2.1, for one).
 
     Parameters
@@ -73,6 +73,7 @@ class SteinParams:
         if self.smoothing not in ("pure", "cutoff"):
             raise ValueError("smoothing must be 'pure' or 'cutoff'")
         table = smoothing.build_smoothing_table(self.epsilon, self.smoothing)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "scalar_table", tuple(table.tolist()))
 

@@ -1,17 +1,22 @@
 """Property verification suites for the model and the combinatorics.
 
-Each suite draws a deterministic sample stream, measures the worst
-residual of one structural property, and compares it against a fixed
-gate.  Suites that depend on the smoothing tail being absent pin the
-cutoff profile at epsilon = 16, where the exact region contains every
-sampled chart; offset-bound suites pin the pure profile at the same
-scale, where the branch-locus offset stays far below the bound.  The
-report is a JSON-ready dict with no timing data, so one configuration
-always produces identical bytes.
+Each suite draws a deterministic sample stream, measures one structural
+property and returns its gated checks as data: a check is a name, a
+measured value, a sense (<=, <, >=, > or ==) and a bound.  One rule,
+``passes``, decides every suite: it passes when it has at least one
+check and every check value is finite and meets its bound.  A suite
+that stops early (an integration that ended early, unresolved offsets,
+an exception) returns no checks, so it fails.  Suites that depend on
+the smoothing tail being absent pin the cutoff profile at epsilon = 16,
+where the exact region contains every sampled chart; offset-bound
+suites pin the pure profile at the same scale, where the branch-locus
+offset stays far below the bound.  The report is a JSON-ready dict with
+no timing data, so one configuration always produces identical bytes.
 """
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -26,6 +31,9 @@ from .geometry import SteinParams, SymPoint
 PIN_EPSILON = 16.0
 
 _LN4 = 2.0 * math.log(2.0)
+
+SENSES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+          ">": operator.gt, "==": operator.eq}
 
 
 @dataclass
@@ -68,19 +76,38 @@ def _params(config):
     return SteinParams(alpha=config.alpha, epsilon=config.epsilon, smoothing="pure")
 
 
-def _json_float(x):
+def _json_value(x):
     # JSON has no NaN or infinity; -0.0 would print its sign
-    if x is None or not math.isfinite(x):
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if not math.isfinite(x):
         return None
     return float(x) + 0.0
 
 
-def _result(passed, samples, worst, gate, detail):
+def holds(check):
+    """Whether one check's value is finite and meets its bound."""
+    value = check["value"]
+    return (value is not None and math.isfinite(value)
+            and SENSES[check["sense"]](value, check["bound"]))
+
+
+def passes(checks):
+    """The pass rule of every suite: some checks, and all of them hold."""
+    return bool(checks) and all(holds(c) for c in checks)
+
+
+def _result(samples, checks, detail):
+    """Result dict of one suite from (name, value, sense, bound) checks."""
+    checks = [
+        {"name": name, "value": _json_value(value), "sense": sense,
+         "bound": _json_value(bound)}
+        for name, value, sense, bound in checks
+    ]
     return {
-        "passed": bool(passed),
+        "passed": passes(checks),
         "samples": int(samples),
-        "worst": _json_float(worst),
-        "gate": _json_float(gate),
+        "checks": checks,
         "detail": str(detail),
     }
 
@@ -96,68 +123,70 @@ def _suite_pair_sym_round_trip(config, rng):
     n = _count(config, 400)
     z1 = _cbox(rng, n, 50.0)
     z2 = _cbox(rng, n, 50.0)
-    worst = 0.0
-    swap_worst = 0.0
+    errs = []
+    swaps = []
     for a, b in zip(z1, z2):
         p = SymPoint(a, b)
         q = SymPoint.from_sym(p.z, p.w)
         direct = abs(q.z1 - a) + abs(q.z2 - b)
         crossed = abs(q.z1 - b) + abs(q.z2 - a)
-        scale = 1.0 + abs(a) + abs(b)
-        worst = max(worst, min(direct, crossed) / scale)
-        swap_worst = max(swap_worst, abs(SymPoint(b, a).w - p.w))
+        errs.append(np.minimum(direct, crossed) / (1.0 + abs(a) + abs(b)))
+        swaps.append(abs(SymPoint(b, a).w - p.w))
     zc, wc = geometry.sym_from_pair(z1, z2)
     r1, r2 = geometry.pair_from_sym(zc, wc)
-    pair_err = float(
-        np.max(
-            np.minimum(np.abs(r1 - z1) + np.abs(r2 - z2),
-                       np.abs(r1 - z2) + np.abs(r2 - z1))
-            / (1.0 + np.abs(z1) + np.abs(z2))
-        )
-    )
-    worst = max(worst, pair_err)
-    passed = worst <= 1e-9 and swap_worst == 0.0
-    return _result(
-        passed, n, worst, 1e-9,
-        f"unordered round trip; swap invariance exact ({swap_worst:g})",
-    )
+    errs.append(np.max(
+        np.minimum(np.abs(r1 - z1) + np.abs(r2 - z2),
+                   np.abs(r1 - z2) + np.abs(r2 - z1))
+        / (1.0 + np.abs(z1) + np.abs(z2))
+    ))
+    checks = [
+        ("round-trip error", np.max(errs), "<=", 1e-9),
+        ("swap change of w", np.max(swaps), "==", 0.0),
+    ]
+    return _result(n, checks, "unordered round trip, scalar and batch; "
+                   "swapping the pair leaves w exactly unchanged")
 
 
 def _suite_smoothing_profile_bounds(config, rng):
     eps = config.epsilon
     pure = smoothing.build_smoothing_table(eps, "pure")
     r = np.linspace(0.0, 10.0 * eps, 2001)
-    n_pure = smoothing.norm_value(r, pure)
-    worst = float(np.max(np.abs(n_pure - np.sqrt(r * r + eps))))
-    worst = max(worst, abs(float(smoothing.norm_value(0.0, pure)) - math.sqrt(eps)))
+    pure_err = np.max([
+        np.max(np.abs(smoothing.norm_value(r, pure) - np.sqrt(r * r + eps))),
+        abs(float(smoothing.norm_value(0.0, pure)) - math.sqrt(eps)),
+    ])
     detail = "pure profile matches sqrt(r^2+eps)"
-    samples = r.size
     try:
         cut = smoothing.build_smoothing_table(eps, "cutoff")
     except smoothing.SmoothingError:
-        passed = worst <= 1e-9 and eps < 2.1
+        checks = [("pure profile error", pure_err, "<=", 1e-9),
+                  ("epsilon", eps, "<", 2.1)]
         return _result(
-            passed, samples, worst, 1e-9,
+            r.size, checks,
             detail + "; cutoff profile infeasible at this epsilon (expected "
             "below roughly 2.1, where the annulus gap cannot fit a "
             "monotone bridge)",
         )
     r0, rm, r1 = cut[2], cut[3], cut[4]
     outer = np.linspace(r1, 10.0 * eps, 501)
-    exact = float(np.max(np.abs(smoothing.norm_value(outer, cut) - outer)))
-    jump = 0.0
+    jumps = []
     for knot in (r0, rm, r1):
         lo = float(smoothing.norm_value(knot * (1.0 - 1e-9), cut))
         hi = float(smoothing.norm_value(knot * (1.0 + 1e-9), cut))
-        jump = max(jump, abs(hi - lo) / (1.0 + knot))
+        jumps.append(abs(hi - lo) / (1.0 + knot))
     bridge = np.linspace(r0, r1, 2001)
-    mp_min = float(np.min(smoothing.norm_m_prime(bridge, cut)))
-    worst = max(worst, exact, jump)
-    passed = worst <= 1e-7 and mp_min > 0.0
+    checks = [
+        ("pure profile error", pure_err, "<=", 1e-7),
+        ("cutoff error beyond r1",
+         np.max(np.abs(smoothing.norm_value(outer, cut) - outer)), "<=", 1e-7),
+        ("knot jump", np.max(jumps), "<=", 1e-7),
+        ("min m' on the bridge",
+         np.min(smoothing.norm_m_prime(bridge, cut)), ">", 0.0),
+    ]
     return _result(
-        passed, samples + outer.size + bridge.size, worst, 1e-7,
-        detail + f"; cutoff exact beyond r={r1:g}, continuous knots, "
-        f"min m' = {mp_min:g} > 0",
+        r.size + outer.size + bridge.size, checks,
+        detail + f"; cutoff exact beyond r1={r1:g}, continuous knots, "
+        "increasing bridge",
     )
 
 
@@ -182,32 +211,26 @@ def _suite_kahler_form_consistency(config, rng):
     eps = params.epsilon
     n = _count(config, 40)
     J = geometry.complex_structure()
-    worst_fd = 0.0
-    worst_metric = 0.0
+    fd_errs = []
+    metric_errs = []
     for _ in range(n):
         z = complex(rng.uniform(-3 * eps, 3 * eps), rng.uniform(-3 * eps, 3 * eps))
         w = complex(rng.uniform(-3 * eps, 3 * eps), rng.uniform(-3 * eps, 3 * eps))
         closed = geometry.symplectic_form_closed(z, w, params)
         fd = geometry.symplectic_form_fd(z, w, params)
-        worst_fd = max(
-            worst_fd, float(np.max(np.abs(closed - fd)) / (1.0 + np.max(np.abs(closed))))
-        )
+        fd_errs.append(np.max(np.abs(closed - fd)) / (1.0 + np.max(np.abs(closed))))
         dz, dw = geometry.flow_field_zw(z, w, params)
         X = np.array([dz.real, dz.imag, dw.real, dw.imag])
         grad = _phi_gradient(z, w, params)
         # omega(X, J v) + dPhi(v) = 0 for the downward metric gradient
         row = X @ closed @ J
-        worst_metric = max(
-            worst_metric,
-            float(np.max(np.abs(row + grad)) / (1.0 + np.linalg.norm(grad))),
-        )
-    worst = max(worst_fd, worst_metric)
-    passed = worst_fd <= 1e-5 and worst_metric <= 1e-9
-    return _result(
-        passed, n, worst, 1e-5,
-        f"form entries fd vs closed {worst_fd:g}; metric gradient identity "
-        f"{worst_metric:g}",
-    )
+        metric_errs.append(np.max(np.abs(row + grad)) / (1.0 + np.linalg.norm(grad)))
+    checks = [
+        ("form entries, fd vs closed", np.max(fd_errs), "<=", 1e-5),
+        ("metric gradient identity", np.max(metric_errs), "<=", 1e-9),
+    ]
+    return _result(n, checks, "closed-form symplectic form against finite "
+                   "differences; the flow is the downward metric gradient")
 
 
 def _suite_kahler_factor_bounds(config, rng):
@@ -216,28 +239,21 @@ def _suite_kahler_factor_bounds(config, rng):
     r = np.linspace(0.0, 10.0 * eps, 2001)
     kf = geometry.kahler_factor(r, params)
     root = math.sqrt(eps)
-    below = float(np.min(kf) - root)
-    at_zero = abs(float(kf[0]) - root)
-    mono = float(np.min(np.diff(kf)))
-    upper = float(np.max(kf - 2.0 * np.sqrt(r * r + eps)))
     try:
         geometry.kahler_factor(1.0, _pin_cutoff(config))
         cutoff_raises = False
     except ValueError:
         cutoff_raises = True
-    worst = max(-below, at_zero, -mono, upper)
-    passed = (
-        below >= -1e-12 * root
-        and at_zero <= 1e-12 * root
-        and mono >= -1e-9
-        and upper <= 1e-9
-        and cutoff_raises
-    )
-    return _result(
-        passed, r.size, worst, 1e-9,
-        f"factor >= sqrt(eps) with equality only at the branch locus; "
-        f"monotone; cutoff mode rejected: {cutoff_raises}",
-    )
+    checks = [
+        ("min factor - sqrt(eps)", np.min(kf) - root, ">=", -1e-12 * root),
+        ("|factor(0) - sqrt(eps)|", abs(float(kf[0]) - root), "<=", 1e-12 * root),
+        ("min increment", np.min(np.diff(kf)), ">=", -1e-9),
+        ("max factor - 2 sqrt(r^2+eps)",
+         np.max(kf - 2.0 * np.sqrt(r * r + eps)), "<=", 1e-9),
+        ("cutoff mode rejected", cutoff_raises, "==", True),
+    ]
+    return _result(r.size, checks, "factor >= sqrt(eps) with equality only at "
+                   "the branch locus; monotone")
 
 
 def _disk_floor(alpha):
@@ -252,19 +268,19 @@ def _suite_disk_blend_psh(config, rng):
     m5 = geometry.check_psh(
         lambda Z: geometry.phi_D1(Z, alpha), (-5.0, 5.0, -5.0, 5.0), 401
     )
-    floor = _disk_floor(alpha)
-    passed = m5 > 0.0 and m5 >= floor - 1e-6
-    return _result(
-        passed, 401 * 401, m5, 0.0,
-        f"min Laplacian {m5:g} on [-5,5]^2 at 401^2; designed floor {floor:g}",
-    )
+    checks = [
+        ("min Laplacian", m5, ">", 0.0),
+        ("min Laplacian against the designed floor", m5, ">=",
+         _disk_floor(alpha) - 1e-6),
+    ]
+    return _result(401 * 401, checks, "blended disk potential on [-5,5]^2 at 401^2")
 
 
 def _suite_disk_cover_family(config, rng):
     alpha = config.alpha
-    worst = 0.0
-    slope_worst = 0.0
-    lap_min = np.inf
+    jumps = []
+    slope_jumps = []
+    laps = []
     samples = 0
     for n in range(1, 5):
         rn = 0.25 ** (1.0 / n)
@@ -272,31 +288,29 @@ def _suite_disk_cover_family(config, rng):
             e = complex(np.cos(theta), np.sin(theta))
             lo = geometry.phi_Dn((rn - 1e-9) * e, n, alpha)
             hi = geometry.phi_Dn((rn + 1e-9) * e, n, alpha)
-            worst = max(worst, abs(hi - lo))
+            jumps.append(abs(hi - lo))
             d = 1e-6
             s_in = (geometry.phi_Dn(rn * e, n, alpha)
                     - geometry.phi_Dn((rn - d) * e, n, alpha)) / d
             s_out = (geometry.phi_Dn((rn + d) * e, n, alpha)
                      - geometry.phi_Dn(rn * e, n, alpha)) / d
-            slope_worst = max(slope_worst, abs(s_out - s_in))
+            slope_jumps.append(abs(s_out - s_in))
             samples += 1
         for _ in range(20):
             zp = _cbox(rng, 1, 1.3)[0]
             lap = geometry.laplacian_fd(lambda q: geometry.phi_Dn(q, n, alpha), zp)
-            lap_min = min(lap_min, float(np.real(lap)))
+            laps.append(float(np.real(lap)))
             samples += 1
     z = _cbox(rng, 64, 1.3)
-    base_dev = float(np.max(np.abs(geometry.phi_Dn(z, 1, alpha)
-                                   - geometry.phi_D1(z, alpha))))
-    passed = (
-        worst <= 1e-6 and slope_worst <= 1e-3
-        and lap_min > -1e-6 and base_dev <= 1e-9
-    )
-    return _result(
-        passed, samples, max(worst, base_dev), 1e-6,
-        f"value jump {worst:g}, slope jump {slope_worst:g}, min Laplacian "
-        f"{lap_min:g}, n=1 deviation {base_dev:g}",
-    )
+    checks = [
+        ("value jump", np.max(jumps), "<=", 1e-6),
+        ("slope jump", np.max(slope_jumps), "<=", 1e-3),
+        ("min Laplacian", np.min(laps), ">", -1e-6),
+        ("n=1 deviation", np.max(np.abs(geometry.phi_Dn(z, 1, alpha)
+                                        - geometry.phi_D1(z, alpha))), "<=", 1e-9),
+    ]
+    return _result(samples, checks, "covers phi_Dn glue continuously and stay "
+                   "subharmonic; n=1 is the disk potential")
 
 
 # -------------------------------------------------------------------- flow
@@ -319,7 +333,7 @@ def _suite_product_flow_regression(config, rng):
     t = _LN4
     status, _, _ = flow.drive_batch(Y, params, settings, _kernels.EVENT_NONE, t_end=t)
     if not np.all(status == _kernels.STATUS_TIME_END):
-        return _result(False, n, None, 1e-6, "fixed-time integration terminated early")
+        return _result(n, [], "fixed-time integration terminated early")
     zf = Y[:, 0] + 1j * Y[:, 1]
     sf = np.sqrt(Y[:, 2] + 1j * Y[:, 3])
     num1 = zf + sf
@@ -330,7 +344,6 @@ def _suite_product_flow_regression(config, rng):
     for num, ex in ((num1, ex1), (num2, ex2)):
         devs.append(np.abs(num.real - ex.real) / np.abs(ex.real))
         devs.append(np.abs(num.imag - ex.imag) / np.abs(ex.imag))
-    worst = float(np.max(devs))
 
     ok_two = abs(flow.flow_unperturbed_z(1.0, _LN4) - 2.0) < 1e-12
     ok_half = abs(flow.flow_unperturbed_z(4j, _LN4) - 0.5j) < 1e-12
@@ -344,16 +357,17 @@ def _suite_product_flow_regression(config, rng):
     q = flow.point_of(out)
     e1 = flow.flow_unperturbed_z(-5.0, t)
     e2 = flow.flow_unperturbed_z(-8.0 + 1.0j, t)
-    pair_dev = float(min(
-        max(abs(q.z1 - e1) / abs(e1), abs(q.z2 - e2) / abs(e2)),
-        max(abs(q.z1 - e2) / abs(e2), abs(q.z2 - e1) / abs(e1)),
-    ))
-    passed = worst <= 1e-6 and pair_dev <= 1e-4 and ok_two and ok_half
-    return _result(
-        passed, 2 * n + 1, worst, 1e-6,
-        f"per-coordinate relative deviation from the product law; fixed "
-        f"pair deviation {pair_dev:g} (own gate 1e-4)",
-    )
+    pair_dev = np.min(np.max([
+        [abs(q.z1 - e1) / abs(e1), abs(q.z2 - e2) / abs(e2)],
+        [abs(q.z1 - e2) / abs(e2), abs(q.z2 - e1) / abs(e1)],
+    ], axis=1))
+    checks = [
+        ("per-coordinate deviation", np.max(devs), "<=", 1e-6),
+        ("fixed pair deviation", pair_dev, "<=", 1e-4),
+        ("phi(1) = 2 at t = ln 4", ok_two, "==", True),
+        ("phi(4i) = i/2 at t = ln 4", ok_half, "==", True),
+    ]
+    return _result(2 * n + 1, checks, "relative deviation from the product law")
 
 
 def _suite_near_diagonal_escape(config, rng):
@@ -371,15 +385,14 @@ def _suite_near_diagonal_escape(config, rng):
     Y = np.column_stack([x_z, y_z, w0.real, w0.imag])
     status, _, _ = flow.drive_batch(Y, params, settings, _kernels.EVENT_NONE, t_end=18.0)
     if not np.all(status == _kernels.STATUS_TIME_END):
-        return _result(False, n, None, None, "fixed-time integration terminated early")
-    re_short = float(np.max(1e3 * eps - Y[:, 2]))
-    im_ratio = float(np.max(np.abs(Y[:, 3]) / (1e-3 * np.maximum(im0, eps))))
-    passed = re_short < 0.0 and im_ratio < 1.0
-    return _result(
-        passed, n, im_ratio, 1.0,
-        f"all reached Re w > 1000 eps (worst shortfall {re_short:g}); "
-        f"worst |Im w| at fraction {im_ratio:g} of its allowance",
-    )
+        return _result(n, [], "fixed-time integration terminated early")
+    checks = [
+        ("shortfall of Re w below 1000 eps", np.max(1e3 * eps - Y[:, 2]), "<", 0.0),
+        ("|Im w| over its allowance",
+         np.max(np.abs(Y[:, 3]) / (1e-3 * np.maximum(im0, eps))), "<", 1.0),
+    ]
+    return _result(n, checks, "near-diagonal starts leave through large "
+                   "positive Re w")
 
 
 def _suite_potential_monotone(config, rng):
@@ -387,7 +400,7 @@ def _suite_potential_monotone(config, rng):
     eps = params.epsilon
     settings = FlowSettings(max_time=3.0)
     n = _count(config, 40)
-    worst = 0.0
+    rises = [0.0]
     for _ in range(n):
         p = SymPoint(*geometry.pair_from_sym(_cbox(rng, 1, 2 * eps)[0],
                                              _cbox(rng, 1, 2 * eps)[0]))
@@ -399,9 +412,8 @@ def _suite_potential_monotone(config, rng):
         )
         rise = np.diff(vals) / (1.0 + np.abs(vals[:-1]))
         if rise.size:
-            worst = max(worst, float(np.max(rise)))
-    passed = worst <= 1e-9
-    return _result(passed, n, worst, 1e-9,
+            rises.append(np.max(rise))
+    return _result(n, [("relative rise", np.max(rises), "<=", 1e-9)],
                    "potential is nonincreasing along the downward flow")
 
 
@@ -429,17 +441,15 @@ def _suite_offset_grid_bounds(config, rng):
     roots = (uu + 1j * vv).ravel()
     c = flow.compute_c_batch(roots, params, _c_settings())
     if not np.isfinite(c).all():
-        return _result(False, roots.size, None, 1e-6, "unresolved offsets on the grid")
+        return _result(roots.size, [], "unresolved offsets on the grid")
     absu = np.abs(roots.real)
-    lower = float(np.max(absu - c))
-    upper = float(np.max(c - np.maximum(absu, eps)))
-    worst = max(lower, upper)
-    passed = lower <= 1e-6 and upper <= 1e-6
-    return _result(
-        passed, roots.size, worst, 1e-6,
-        f"|Re| <= c <= max(|Re|, eps) on a {g}x{g} grid; lower excess "
-        f"{lower:g}, upper excess {upper:g}",
-    )
+    checks = [
+        ("lower excess |Re| - c", np.max(absu - c), "<=", 1e-6),
+        ("upper excess c - max(|Re|, eps)", np.max(c - np.maximum(absu, eps)),
+         "<=", 1e-6),
+    ]
+    return _result(roots.size, checks,
+                   f"|Re| <= c <= max(|Re|, eps) on a {g}x{g} grid")
 
 
 def _suite_offset_evenness(config, rng):
@@ -456,10 +466,12 @@ def _suite_offset_evenness(config, rng):
         np.concatenate([s, -s, np.conj(s)]), params, st, reading="real"
     )
     c0, c_neg, c_conj = np.split(np.abs(delta.real), 3)
-    worst = float(max(np.max(np.abs(c0 - c_neg)), np.max(np.abs(c0 - c_conj))))
-    passed = np.isfinite(c0).all() and worst <= 1e-8
-    return _result(passed, n, worst, 1e-8,
-                   "offset is even under both negation and conjugation")
+    # an unresolved offset makes its difference non-finite, so it fails
+    checks = [
+        ("change under negation", np.max(np.abs(c0 - c_neg)), "<=", 1e-8),
+        ("change under conjugation", np.max(np.abs(c0 - c_conj)), "<=", 1e-8),
+    ]
+    return _result(n, checks, "offset is even under both negation and conjugation")
 
 
 def _suite_offset_identity_region(config, rng):
@@ -469,9 +481,7 @@ def _suite_offset_identity_region(config, rng):
     u = rng.uniform(1.052 * eps, 3 * eps, n) * rng.choice([-1.0, 1.0], n)
     v = rng.uniform(-3 * eps, 3 * eps, n)
     c = flow.compute_c_batch(u + 1j * v, params, _c_settings())
-    worst = float(np.max(np.abs(c - np.abs(u))))
-    passed = np.isfinite(c).all() and worst <= 1e-6
-    return _result(passed, n, worst, 1e-6,
+    return _result(n, [("|c - |Re||", np.max(np.abs(c - np.abs(u))), "<=", 1e-6)],
                    "c equals |Re sqrt(w)| beyond 1.05 eps")
 
 
@@ -483,11 +493,9 @@ def _suite_offset_smoothness(config, rng):
     h = u[1] - u[0]
     c = flow.compute_c_batch(u + 0.3j * eps, params, _c_settings())
     if not np.isfinite(c).all():
-        return _result(False, g, None, h, "unresolved offsets on the section")
-    worst = float(np.max(np.abs(np.diff(c, 2))))
-    passed = worst < h
+        return _result(g, [], "unresolved offsets on the section")
     return _result(
-        passed, g, worst, h,
+        g, [("max second difference", np.max(np.abs(np.diff(c, 2))), "<", h)],
         "second differences along a section stay below the grid step "
         "(no jumps across the branch locus)",
     )
@@ -498,27 +506,25 @@ def _suite_delta_reading_consistency(config, rng):
     eps = params.epsilon
     st = _c_settings()
     d_id = flow.compute_delta(2.0 * eps, params, st)
-    id_err = abs(d_id - 2.0 * eps)
     n = _count(config, 30)
     s = _cbox(rng, n, 3 * eps)
     d1, st1 = flow.compute_delta_batch(s, params, st)
     d2, st2 = flow.compute_delta_batch(s, params, st, u_star_factor=1.5)
-    t_dev = float(np.max(np.abs(d1 - d2)))
     u_axis = rng.uniform(0.3 * eps, 2.0 * eps, 10)
     d_real, st3 = flow.compute_delta_batch(u_axis, params, st, reading="complex-im")
-    im_dev = float(np.max(np.abs(d_real.imag)))
     resolved = (
         np.all(st1 == _kernels.STATUS_EVENT)
         and np.all(st2 == _kernels.STATUS_EVENT)
         and np.all(st3 == _kernels.STATUS_EVENT)
     )
-    worst = max(float(id_err), t_dev, im_dev)
-    passed = resolved and id_err <= 5e-8 and t_dev <= 1e-7 and im_dev <= 5e-9
-    return _result(
-        passed, n + 11, worst, 1e-7,
-        f"identity point {float(id_err):g}; reading-threshold independence "
-        f"{t_dev:g}; real-axis imaginary part {im_dev:g}",
-    )
+    checks = [
+        ("all readings resolved", resolved, "==", True),
+        ("identity point error", abs(d_id - 2.0 * eps), "<=", 5e-8),
+        ("reading-threshold dependence", np.max(np.abs(d1 - d2)), "<=", 1e-7),
+        ("real-axis imaginary part", np.max(np.abs(d_real.imag)), "<=", 5e-9),
+    ]
+    return _result(n + 11, checks, "Delta readings agree across thresholds and "
+                   "with the identity region")
 
 
 # ----------------------------------------------------------------- sectors
@@ -534,7 +540,7 @@ def _suite_label_agreement(config, rng):
     s0 = _cbox(rng, n, 3 * eps)
     c = flow.compute_c_batch(s0, params, settings)
     if not np.isfinite(c).all():
-        return _result(False, n, None, band, "unresolved offsets in the sample")
+        return _result(n, [], "unresolved offsets in the sample")
     a = z0.real + c
     b = z0.real - c
     closed = sectors.labels_from_ab(a, b, band)
@@ -542,10 +548,7 @@ def _suite_label_agreement(config, rng):
     Y = np.column_stack([z0.real, z0.imag, w0.real, w0.imag])
     flowed = sectors.classify_by_flow_batch(Y, params, settings)
     agree = closed == flowed
-    frac = float(np.mean(agree))
-    bad = ~agree
     in_band = np.minimum(np.abs(a), np.abs(b)) < band
-    stray = int(np.sum(bad & ~in_band))
 
     # points constructed on the hypersurfaces must classify as such
     h_ok = True
@@ -557,23 +560,19 @@ def _suite_label_agreement(config, rng):
                 sign, u0 + 0.3j * eps, 0.5 * eps, params, tight
             )
             h_ok = h_ok and sectors.classify_by_flow(p, params, hs) == want
-    passed = frac >= 0.999 and stray == 0 and h_ok
-    return _result(
-        passed, n + 6, 1.0 - frac, 1e-3,
-        f"agreement {frac:.6f}; disagreements outside the band: {stray}; "
-        f"constructed hypersurface points labelled by flow: {h_ok}",
-    )
+    checks = [
+        ("agreement fraction", np.mean(agree), ">=", 0.999),
+        ("disagreements outside the band", np.sum(~agree & ~in_band), "==", 0),
+        ("constructed hypersurface points labelled by flow", h_ok, "==", True),
+    ]
+    return _result(n + 6, checks, "closed-form labels against flow-limit labels")
 
 
 def _suite_hypersurface_disjointness(config, rng):
     params = _pin_pure(config)
     gap = sectors.check_disjointness(params, _c_settings(), grid_n=21)
-    passed = gap > 0.0
-    return _result(
-        passed, 21 * 21, gap, 0.0,
-        f"min over the grid of max(|a|,|b|) = {gap:g} > 0: the two "
-        f"hypersurfaces never meet",
-    )
+    return _result(21 * 21, [("min of max(|a|,|b|)", gap, ">", 0.0)],
+                   "the two hypersurfaces never meet on the grid")
 
 
 def _v_sample(rng, eps, sign):
@@ -588,16 +587,12 @@ def _suite_chart_scaling_identity(config, rng):
     eps = params.epsilon
     settings = FlowSettings()
     per_side = _count(config, 100)
-    worst = 0.0
-    for sign in (-1, 1):
-        for _ in range(per_side):
-            p = _v_sample(rng, eps, sign)
-            worst = max(worst, sectors.check_ZI_scaling(p, sign, params, settings))
-    passed = worst <= 1e-4
-    return _result(
-        passed, 2 * per_side, worst, 1e-4,
-        "Liouville scaling of the chart height on both band ends",
-    )
+    residuals = [
+        sectors.check_ZI_scaling(_v_sample(rng, eps, sign), sign, params, settings)
+        for sign in (-1, 1) for _ in range(per_side)
+    ]
+    return _result(2 * per_side, [("ZI + alpha I", np.max(residuals), "<=", 1e-4)],
+                   "Liouville scaling of the chart height on both band ends")
 
 
 def _suite_characteristic_transversality(config, rng):
@@ -605,42 +600,36 @@ def _suite_characteristic_transversality(config, rng):
     eps = params.epsilon
     settings = FlowSettings()
     per_side = _count(config, 100)
-    lo = np.inf
-    worst = 0.0
+    vals = []
     for sign in (-1, 1):
         for _ in range(per_side):
             u0 = rng.uniform(1.2 * eps, 3.0 * eps)
             v0 = rng.uniform(-eps, eps)
             y_z = rng.uniform(-eps, eps)
             p = sectors.hypersurface_point(sign, u0 + 1j * v0, y_z, params, settings)
-            val = sectors.check_dI_characteristic(p, sign, params, settings)
-            lo = min(lo, val)
-            worst = max(worst, abs(val - 1.0))
-    passed = lo > 0.0 and worst <= 1e-2
-    return _result(
-        passed, 2 * per_side, worst, 1e-2,
-        f"chart height grows along the characteristic direction "
-        f"(min {float(lo):g}, exact value 1 in the chart)",
-    )
+            vals.append(sectors.check_dI_characteristic(p, sign, params, settings))
+    checks = [
+        ("min dI(C)", np.min(vals), ">", 0.0),
+        ("|dI(C) - 1|", np.max(np.abs(np.subtract(vals, 1.0))), "<=", 1e-2),
+    ]
+    return _result(2 * per_side, checks, "chart height grows along the "
+                   "characteristic direction (exact value 1 in the chart)")
 
 
 def _suite_chart_poisson_brackets(config, rng):
     params = _pin_cutoff(config)
     eps = params.epsilon
     n = _count(config, 100)
-    worst = 0.0
+    brackets = []
     for k in range(n):
         za = complex(rng.uniform(-0.8 * eps, 0.8 * eps), rng.uniform(-eps, eps))
         zb = 8.0 * eps + complex(
             rng.uniform(-0.8 * eps, 0.8 * eps), rng.uniform(-eps, eps)
         )
         i, j = (0, 1) if k % 10 else (k // 10 % 2, k // 10 % 2)
-        worst = max(worst, sectors.check_poisson_bracket(za, zb, i, j, params))
-    passed = worst <= 1e-4
-    return _result(
-        passed, n, worst, 1e-4,
-        "two-saddle chart heights commute in the product form",
-    )
+        brackets.append(sectors.check_poisson_bracket(za, zb, i, j, params))
+    return _result(n, [("|{I_i, I_j}|", np.max(brackets), "<=", 1e-4)],
+                   "two-saddle chart heights commute in the product form")
 
 
 def _suite_chart_independence(config, rng):
@@ -649,7 +638,7 @@ def _suite_chart_independence(config, rng):
     settings = FlowSettings()
     n = _count(config, 60)
     tau = 0.5
-    worst = 0.0
+    rels = [0.0]
     bad = 0
     for k in range(n):
         sign = -1 if k % 2 else 1
@@ -667,14 +656,13 @@ def _suite_chart_independence(config, rng):
             continue
         i_out = sectors.eval_I(p_out, sign, params, settings)
         rel = abs(i_out.value * math.exp(-params.alpha * tau) - i_in.value)
-        rel /= max(abs(i_in.value), 1e-9)
-        worst = max(worst, rel)
-    passed = bad == 0 and worst <= 1e-6
-    return _result(
-        passed, n, worst, 1e-6,
-        "height read inside the chart agrees with the flow-transported "
-        "reading from outside",
-    )
+        rels.append(rel / np.maximum(abs(i_in.value), 1e-9))
+    checks = [
+        ("transported points still in the chart", bad, "==", 0),
+        ("relative height mismatch", np.max(rels), "<=", 1e-6),
+    ]
+    return _result(n, checks, "height read inside the chart agrees with the "
+                   "flow-transported reading from outside")
 
 
 def _suite_truncation_absorption(config, rng):
@@ -692,20 +680,18 @@ def _suite_truncation_absorption(config, rng):
     s0 = 0.5 * (z1 - z2)
     c = flow.compute_c_batch(s0, params, settings)
     if not np.isfinite(c).all():
-        return _result(False, draw, None, None, "unresolved offsets in the sample")
+        return _result(draw, [], "unresolved offsets in the sample")
     z0 = 0.5 * (z1 + z2)
     labels = sectors.labels_from_ab(z0.real + c, z0.real - c, 1e-6)
     keep = np.flatnonzero(labels == sectors.U_MM)
     if keep.size < n:
-        return _result(False, draw, None, None,
-                       "sampler produced too few points of the lower sector")
+        return _result(draw, [], "sampler produced too few points of the "
+                       "lower sector")
     keep = keep[:n]
     w0 = s0[keep] * s0[keep]
     Y = np.column_stack([z0.real[keep], z0.imag[keep], w0.real, w0.imag])
     status, t, _ = flow.drive_batch(Y, params, settings,
                                     _kernels.EVENT_TRUNC_REGION)
-    absorbed = int(np.sum(status == _kernels.STATUS_EVENT))
-    worst = float(np.max(t))
 
     # once inside, the region is invariant under further flow
     stay = True
@@ -719,21 +705,27 @@ def _suite_truncation_absorption(config, rng):
     t_ex = sectors.check_truncation_absorbing(
         SymPoint(-0.5, -10.0), ex_params, settings
     )
-    ex_err = abs(t_ex - _LN4)
-    passed = absorbed == n and stay and ex_err <= 1e-5
-    return _result(
-        passed, n + 1, worst, None,
-        f"{absorbed}/{n} absorbed (latest entry t={worst:g}); region "
-        f"invariant under further flow: {stay}; reference entry time "
-        f"deviation {float(ex_err):g}",
-    )
+    checks = [
+        ("lower-sector points absorbed", np.sum(status == _kernels.STATUS_EVENT),
+         "==", n),
+        ("region invariant under further flow", stay, "==", True),
+        ("reference entry time deviation", abs(t_ex - _LN4), "<=", 1e-5),
+    ]
+    return _result(n + 1, checks, f"latest entry t={float(np.max(t)):g}")
 
 
 # ----------------------------------------------------------- combinatorics
 
 
+def _defects(samples, defects, detail):
+    """Result of a combinatorics suite: its first defect, if any, as detail."""
+    return _result(samples, [("defects", len(defects), "==", 0)],
+                   defects[0] if defects else detail)
+
+
 def _suite_decomposition_counts(config, rng):
     samples = 0
+    defects = []
     for m in range(0, 7):
         for n in range(1, 7):
             for _ in range(2):
@@ -741,19 +733,18 @@ def _suite_decomposition_counts(config, rng):
                 errs = [v for v in surfaces.validate(surf)
                         if v["severity"] == surfaces.SEV_ERROR]
                 if errs:
-                    return _result(False, samples, None, None,
-                                   f"random surface invalid: {errs[0]['code']}")
-                dec = surfaces.enumerate_decomposition(surf)
-                if dec.counts() != surfaces.counts_formula(m, n):
-                    return _result(False, samples, None, None,
-                                   f"count mismatch at m={m}, n={n}")
+                    defects.append(f"random surface invalid: {errs[0]['code']}")
+                elif (surfaces.enumerate_decomposition(surf).counts()
+                      != surfaces.counts_formula(m, n)):
+                    defects.append(f"count mismatch at m={m}, n={n}")
                 samples += 1
-    return _result(True, samples, 0.0, None,
-                   "piece/hypersurface/corner counts match the closed formulas")
+    return _defects(samples, defects,
+                    "piece/hypersurface/corner counts match the closed formulas")
 
 
 def _suite_corner_pairing(config, rng):
     samples = 0
+    defects = []
     for m in range(0, 7):
         surf = surfaces.random_valid_surface(m, 3, rng)
         dec = surfaces.enumerate_decomposition(surf)
@@ -766,46 +757,45 @@ def _suite_corner_pairing(config, rng):
             tag = surfaces.corner_tag(si, sj)
             ok = ok and si in tag and sj in tag and "gamma" in tag
         if not ok:
-            return _result(False, samples, None, None, f"corner defect at m={m}")
+            defects.append(f"corner defect at m={m}")
         samples += 1 + len(corners)
-    return _result(True, samples, 0.0, None,
-                   "every unordered saddle pair appears exactly once")
+    return _defects(samples, defects,
+                    "every unordered saddle pair appears exactly once")
 
 
 def _suite_builtin_decompositions(config, rng):
     ex = surfaces.builtin_surface("example-5.3")
     four = surfaces.builtin_surface("p1-minus-4pts")
-    checks = []
-    checks.append(surfaces.is_valid(ex))
-    checks.append(surfaces.is_valid(four))
-    checks.append(surfaces.euler_characteristic(ex) == 1)
-    checks.append(surfaces.euler_characteristic(four) == -2)
+    facts = []
+    facts.append(surfaces.is_valid(ex))
+    facts.append(surfaces.is_valid(four))
+    facts.append(surfaces.euler_characteristic(ex) == 1)
+    facts.append(surfaces.euler_characteristic(four) == -2)
     dec_ex = surfaces.enumerate_decomposition(ex)
     dec_four = surfaces.enumerate_decomposition(four)
-    checks.append(dec_ex.counts() == {"pieces": 6, "hypersurfaces": 6, "corners": 1})
-    checks.append(dec_four.counts() == {"pieces": 3, "hypersurfaces": 2, "corners": 0})
+    facts.append(dec_ex.counts() == {"pieces": 6, "hypersurfaces": 6, "corners": 1})
+    facts.append(dec_four.counts() == {"pieces": 3, "hypersurfaces": 2, "corners": 0})
     disp = {surfaces.completion_of(four, i, j)["display"]
             for i, j in dec_four.pieces}
-    checks.append(disp == {"(C*)^2", "P x C*", "C x C*"})
+    facts.append(disp == {"(C*)^2", "P x C*", "C x C*"})
     lg = surfaces.lg_labels(four)
-    checks.append(set(lg) == {"U_MM", "U_PP", "U_MP+U_PP", "mirror"})
-    checks.append("{xyz=0}" in lg.get("mirror", ""))
-    checks.append(surfaces.lg_labels(ex) == {})
+    facts.append(set(lg) == {"U_MM", "U_PP", "U_MP+U_PP", "mirror"})
+    facts.append("{xyz=0}" in lg.get("mirror", ""))
+    facts.append(surfaces.lg_labels(ex) == {})
     fib = surfaces.fiber_of(four, "s1", "minus")
-    checks.append(fib["adjacent"] and fib["text"].startswith("COMPLETION_OF"))
+    facts.append(fib["adjacent"] and fib["text"].startswith("COMPLETION_OF"))
     far = surfaces.fiber_of(ex, "s1", "m3")
-    checks.append((not far["adjacent"]) and far["text"] == "POINT(s1) x m3")
+    facts.append((not far["adjacent"]) and far["text"] == "POINT(s1) x m3")
     rt = surfaces.CombSurface.loads(four.dumps())
-    checks.append(rt.to_json_dict() == four.to_json_dict())
-    passed = all(checks)
-    return _result(
-        passed, len(checks), 0.0 if passed else 1.0, None,
-        "built-in decompositions, completions, labels and round trip",
-    )
+    facts.append(rt.to_json_dict() == four.to_json_dict())
+    defects = [f"built-in fact {k} fails" for k, ok in enumerate(facts) if not ok]
+    return _defects(len(facts), defects,
+                    "built-in decompositions, completions, labels and round trip")
 
 
 def _suite_fiber_adjacency(config, rng):
     samples = 0
+    defects = []
     for m in range(1, 7):
         surf = surfaces.random_valid_surface(m, 4, rng)
         dec = surfaces.enumerate_decomposition(surf)
@@ -816,15 +806,12 @@ def _suite_fiber_adjacency(config, rng):
             fib = surfaces.fiber_of(surf, s, comp)
             want = comp in owners
             if fib["adjacent"] != want:
-                return _result(False, samples, None, None,
-                               f"adjacency mismatch at {s}, {comp}")
-            prefix = "COMPLETION_OF" if want else "POINT"
-            if not fib["text"].startswith(prefix):
-                return _result(False, samples, None, None,
-                               f"fiber text mismatch at {s}, {comp}")
+                defects.append(f"adjacency mismatch at {s}, {comp}")
+            elif not fib["text"].startswith("COMPLETION_OF" if want else "POINT"):
+                defects.append(f"fiber text mismatch at {s}, {comp}")
             samples += 1
-    return _result(True, samples, 0.0, None,
-                   "fiber form follows arc adjacency on random surfaces")
+    return _defects(samples, defects,
+                    "fiber form follows arc adjacency on random surfaces")
 
 
 def _suite_surface_validation(config, rng):
@@ -853,17 +840,17 @@ def _suite_surface_validation(config, rng):
                              [("p", "q")])
     cases.append(("DISCONNECTED", s))
 
+    defects = []
     for code, surf in cases:
         found = [v for v in surfaces.validate(surf) if v["code"] == code]
         if not found:
-            return _result(False, len(cases), None, None, f"missing {code}")
-        want_err = code != "DISCONNECTED"
-        if (found[0]["severity"] == surfaces.SEV_ERROR) != want_err:
-            return _result(False, len(cases), None, None,
-                           f"wrong severity for {code}")
-    ok_warn = surfaces.is_valid(cases[-1][1])
-    return _result(ok_warn, len(cases), 0.0, None,
-                   "every defect code fires with the right severity")
+            defects.append(f"missing {code}")
+        elif (found[0]["severity"] == surfaces.SEV_ERROR) != (code != "DISCONNECTED"):
+            defects.append(f"wrong severity for {code}")
+    if not surfaces.is_valid(cases[-1][1]):
+        defects.append("a disconnected surface is rejected, not warned about")
+    return _defects(len(cases), defects,
+                    "every defect code fires with the right severity")
 
 
 REGISTRY = (
@@ -899,7 +886,7 @@ SUITE_NAMES = tuple(name for name, _ in REGISTRY)
 
 
 def _raised(exc):
-    return _result(False, 0, None, None, f"raised {type(exc).__name__}: {exc}")
+    return _result(0, [], f"raised {type(exc).__name__}: {exc}")
 
 
 def _run_indexed(config, idx):

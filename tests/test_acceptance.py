@@ -19,6 +19,13 @@ def _run_suites(names):
     return results, elapsed
 
 
+def _why(result):
+    """Assertion message naming each failed check of a suite result."""
+    failed = [f"{c['name']} = {c['value']} (needs {c['sense']} {c['bound']})"
+              for c in result["checks"] if not verify.holds(c)]
+    return f"{result['name']}: {'; '.join(failed) or 'no checks'}; {result['detail']}"
+
+
 def _gate(capsys, key, results, elapsed, cap):
     ok = all(r["passed"] for r in results) and elapsed < cap
     status = "PASS" if ok else "FAIL"
@@ -26,7 +33,7 @@ def _gate(capsys, key, results, elapsed, cap):
         print(f"\n[ACCEPTANCE] {key}: {status} "
               f"({elapsed:.2f}s, cap {cap:g}s)")
     for r in results:
-        assert r["passed"], f"{r['name']}: {r['detail']}"
+        assert r["passed"], _why(r)
     assert elapsed < cap, f"runtime {elapsed:.2f}s exceeds {cap:g}s cap"
 
 
@@ -93,7 +100,7 @@ def test_criterion_7_combinatorial_exactness(capsys):
         print(f"\n[ACCEPTANCE] criterion-7: {'PASS' if ok else 'FAIL'} "
               f"({elapsed:.2f}s, cap 10s)")
     for r in results:
-        assert r["passed"], f"{r['name']}: {r['detail']}"
+        assert r["passed"], _why(r)
     assert counts_ok and completions_ok and mirror_ok
     assert elapsed < 10.0
 

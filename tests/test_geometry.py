@@ -155,6 +155,11 @@ def test_params_are_immutable_values():
     assert p.scalar_table == tuple(p.table.tolist())
     assert hash(p) == hash(SteinParams(epsilon=16.0)) and p == SteinParams()
     assert hash(settings) == hash(FlowSettings(max_time=60.0))
+    # a writable table let p.table[1] = 4.0 make the numpy kernels read
+    # epsilon 4 while p.epsilon and p.scalar_table said 16
+    with pytest.raises(ValueError):
+        p.table[1] = 4.0
+    assert p.table[1] == p.scalar_table[1] == 16.0
 
 
 @pytest.mark.parametrize("module", [flow, geometry, gridplot, sectors],

@@ -7,12 +7,14 @@ import os
 
 import pytest
 
-from symsector import verify
+from symsector import geometry, sectors, verify
 from symsector._accel import using_numba
 from symsector.verify import (
+    SENSES,
     SUITE_NAMES,
     VerifyConfig,
     _result,
+    passes,
     report_json,
     run_all,
     run_suite,
@@ -39,9 +41,10 @@ def test_unknown_suite_raises():
 
 def test_run_suite_result_shape():
     out = run_suite("pair-sym-round-trip", VerifyConfig(sample_scale=0.05))
-    assert set(out) == {"passed", "samples", "worst", "gate", "detail", "name"}
+    assert set(out) == {"passed", "samples", "checks", "detail", "name"}
     assert out["passed"] is True
     assert isinstance(out["samples"], int)
+    assert [set(c) for c in out["checks"]] == [{"name", "value", "sense", "bound"}] * 2
 
 
 def test_run_all_subset():
@@ -65,7 +68,7 @@ def test_report_json_deterministic():
 
 def test_seed_changes_are_isolated():
     # different seed still passes; the report text may differ only in
-    # sampled worst values
+    # sampled check values
     rep = run_all(VerifyConfig(seed=99, sample_scale=0.05, suites=FAST_SUITES))
     assert rep["passed"] is True
 
@@ -82,12 +85,53 @@ def test_config_validation(kwargs):
 
 
 def test_report_numbers_are_valid_json():
-    out = _result(True, 1, -0.0, float("nan"), "signed zero, no gate")
-    assert out["gate"] is None
-    assert json.dumps(out["worst"]) == "0.0"
-    assert _result(False, 1, float("inf"), 1e-6, "")["worst"] is None
+    out = _result(1, [("signed zero", -0.0, "==", 0.0),
+                      ("nan", float("nan"), "<=", 1.0),
+                      ("inf", float("inf"), ">", 0.0)], "")
+    assert [json.dumps(c["value"]) for c in out["checks"]] == ["0.0", "null", "null"]
+    assert out["passed"] is False
     with pytest.raises(ValueError):
-        report_json({"worst": float("nan")})
+        report_json({"value": float("nan")})
+
+
+def _checks(*rows):
+    return [dict(name=str(k), value=v, sense=s, bound=b)
+            for k, (v, s, b) in enumerate(rows)]
+
+
+def test_pass_rule():
+    assert passes([]) is False
+    assert passes(_checks((1.0, "<=", 1.0))) is True
+    assert passes(_checks((1.0, "<", 1.0))) is False
+    assert passes(_checks((1.0, ">=", 1.0), (True, "==", True))) is True
+    assert passes(_checks((1.0, ">", 1.0))) is False
+    for bad in (math.nan, math.inf, -math.inf, None):
+        for sense in SENSES:
+            assert passes(_checks((bad, sense, 0.0))) is False
+    assert passes(_checks((0.0, "<=", 1.0), (2.0, "<=", 1.0))) is False
+    # a suite that stops early returns no checks, so it fails
+    assert _result(5, [], "stopped early")["passed"] is False
+
+
+# suite: (module, measurement made NaN, the check that reads it)
+NAN_CASES = {
+    "chart-poisson-brackets": (sectors, "check_poisson_bracket", "|{I_i, I_j}|"),
+    "characteristic-transversality": (sectors, "check_dI_characteristic",
+                                      "min dI(C)"),
+    "disk-cover-family": (geometry, "laplacian_fd", "min Laplacian"),
+}
+
+
+@pytest.mark.parametrize("suite", NAN_CASES)
+def test_nan_measurement_fails_its_suite(monkeypatch, suite):
+    # the built-in max and min drop a NaN that comes second, so these
+    # suites used to pass on NaN measurements
+    module, measurement, check = NAN_CASES[suite]
+    monkeypatch.setattr(module, measurement, lambda *args, **kwargs: math.nan)
+    out = run_suite(suite, VerifyConfig(sample_scale=0.05))
+    assert out["passed"] is False
+    printed = json.loads(report_json(out))["checks"]
+    assert {c["name"]: c["value"] for c in printed}[check] is None
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -103,6 +147,10 @@ def test_pool_report_matches_serial_loop(seed):
         "suites": results,
     }
     assert report_json(run_all(cfg)) == report_json(serial)
+    for r in results:
+        assert r["checks"], r["name"]
+        assert {c["sense"] for c in r["checks"]} <= set(SENSES)
+        assert r["passed"] is passes(r["checks"])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
