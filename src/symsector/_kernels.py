@@ -1,50 +1,76 @@
-"""Adaptive Dormand-Prince 5(4) kernels for the model flow.
+"""Adaptive Dormand-Prince 8(5,3) kernels for the model flow.
 
 The downward gradient flow on the symmetric square is integrated with the
-embedded Dormand-Prince 5(4) pair (FSAL) and the standard step-size
-controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).  The
-state is [Re z, Im z, Re w, Im w]; the linear z-subsystem and the
-autonomous w-subsystem are decoupled, and the w-subsystem alone also
-serves the branch-locus asymptotics.  The flow direction (+1 downward,
--1 upward) is the sign of the step h: derivatives, FSAL seeds included,
-are those of the downward flow.  Negation is exact, so h (-f) and (-h) f
-round alike and either form gives the same bits.
+embedded Dormand-Prince 8(5,3) pair (DOP853) and its step-size controller
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10).  An attempt
+takes 11 new stage derivatives; an accepted one adds the derivative at
+its end, which seeds the next step.  The state is [Re z, Im z, Re w,
+Im w]; the linear z-subsystem and the autonomous w-subsystem are
+decoupled, and the w-subsystem alone also serves the branch-locus
+asymptotics.  The flow direction (+1 downward, -1 upward) is the sign of
+the step h: derivatives, seeds included, are those of the downward flow.
+Negation is exact, so h (-f) and (-h) f round alike and either form
+gives the same bits.
+
+The scaled error of an attempt is |h| E5^2 / sqrt(n (E5^2 + 0.01 E3^2)),
+from the 5th and 3rd order estimates summed over the n components, and
+the controller scales the step by 0.9 err^(-1/8) within [0.2, 10].  The
+largest step is H_MAX_V_ENTRY for the V-entry event, whose band one long
+step could jump over, and H_MAX for every other drive and for Delta
+(whose readings are due every 0.7).  In cutoff mode the profile knots
+|w| = table[2:5], where m'' has kinks that the error estimate misjudges,
+are step boundaries (Gear & Osterby, ACM TOMS 10, 1984).  An accepted
+attempt, or a rejected one whose ends lie on either side of a knot, is
+retaken if |w| crosses a knot within it: h is cut to the first crossing
+of the cubic Hermite interpolant of |w|^2 over the step (_knot_fraction),
+which needs no stage beyond the derivative at the end: the next seed of
+an accepted attempt, one more evaluation for a rejected one.  A step that ends within
+KNOT_TOL of the knot has landed on it; the next one starts from the
+derivative there, since the right-hand side is continuous at the knots,
+and with no less than the step that was cut.  Pure mode has no knots and
+skips all of this.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
-_rhs_np), one DP5 attempt with its scaled error (_attempt_np), the step
-controller (_next_h_np), the pair coordinates (pair_re_np) and the event
-regions (_event_np).  _lockstep is the one numpy loop: it owns the step
-budget, the attempt, acceptance, the controller and the dead-row rule.
-The batch kernels _drive_batch_np and _delta_batch_np pass it the stop
-rule run before each attempt: stall and end of time for the drive, the
-reading rule and max_time for Delta.  The drive also passes its event
-predicate, holds each row that enters its region and refines all of them
-in one vectorized bisection after the lockstep.  The numpy kernels run
-when jit is unavailable or disabled via SYMSECTOR_NUMBA=0;
-drive_batch_kernel and delta_batch_kernel are bound once to the batch
-kernels of the active backend, whose jit and numpy forms take the same
-parameters.  Both ignore overflow and invalid-value warnings: a row that
-leaves the float range ends STATUS_NONFINITE.
+_rhs_np), one DOP853 attempt with its scaled error (_attempt_np), the
+step controller (_next_h_np), the knot cut (_knot_fraction_np and its
+helpers), the pair coordinates (pair_re_np) and the event regions
+(_event_np).  _lockstep is the one numpy loop: it owns the step budget,
+the attempt, acceptance, the knot cut, the controller and the dead-row
+rule.  The batch kernels
+_drive_batch_np and _delta_batch_np pass it the stop rule run before
+each attempt: stall and end of time for the drive, the reading rule and
+max_time for Delta.  The drive also passes its event predicate, holds
+each row that enters its region and refines all of them in one
+vectorized bisection after the lockstep.  The numpy kernels run when jit
+is unavailable or disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and
+delta_batch_kernel are bound once to the batch kernels of the active
+backend, whose jit and numpy forms take the same parameters.  Both
+ignore overflow and invalid-value warnings: a row that leaves the float
+range ends STATUS_NONFINITE.
 
 What no caller varies is a module constant, not a parameter: the
-absolute tolerance ATOL, the largest step H_MAX, the stall speed
-STALL_SPEED, and for Delta the reading agreement AGREE_TOL and the
-READ_COMPLEX_IM bound IM_TOL.  epsilon is read from the table (table[1]),
-and every drive starts at t = 0.  The step controllers (_next_h,
+absolute tolerance ATOL, the step caps, the knot tolerance, the stall
+speed STALL_SPEED, and for Delta the reading agreement AGREE_TOL and the
+READ_COMPLEX_IM bound IM_TOL.  epsilon and the knots are read from the
+table, and every drive starts at t = 0.  The step controllers (_next_h,
 _next_h_np) still take the cap h_max, and the event predicates
 (_event_val, _event_np) epsilon, since sectors calls the region test
 without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
-sides _rhs_z and _rhs2, one DP5 step _step2 that takes its right-hand
-side as an argument, _next_h, _pair_re and _event_val (also the region
-test of sectors).  They are jit-compiled under numba and run as plain
-Python otherwise (the decorator degrades to a no-op); scalar callers use
-them directly and never build a one-row numpy batch.  Each attempt of
-the scalar _drive, and of the bisection _bisect_event with which it (and
-through it the numba _drive_batch) refines its events, is one _step2 on
-z with _rhs_z and one on w with _rhs2; _delta_one steps w alone.
+sides _rhs_z and _rhs2, one DOP853 step _step2 that takes its right-hand
+side as an argument, _err_norm, _next_h, _knot_fraction and its helpers,
+_pair_re and _event_val (also the region test of sectors).  They are jit-compiled
+under numba and run as plain Python otherwise (the decorator degrades to
+a no-op); scalar callers use them directly and never build a one-row
+numpy batch.  Each attempt of the scalar _drive, and of the bisection
+_bisect_event with which it (and through it the numba _drive_batch)
+refines its events, is one _step2 on z with _rhs_z and one on w with
+_rhs2; _delta_one steps w alone.  Both twins write every stage sum as
+h (sum of a_ij k_j) with the same terms in the same order, sum squares
+over components left to right and take err^(-1/8) as three correctly
+rounded square roots, so on the same rows they give the same bits.
 
 As plain Python the scalar kernels run on built-in floats, with the same
 bits as numpy scalars at several times the speed: the front ends pass the
@@ -64,43 +90,126 @@ import numpy as np
 from . import smoothing
 from ._accel import njit, prange, using_numba
 
-# Dormand-Prince 5(4) tableau, FSAL form
-C2, C3, C4, C5, C6 = 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0
-A21 = 0.2
-A31, A32 = 3.0 / 40.0, 9.0 / 40.0
-A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-A51, A52, A53, A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5; Prince & Dormand, J. Comput. Appl. Math. 7, 1981), named after the
+# 1-based stage indices of Hairer's DOP853 code: Aij = a(i, j), Bj, the
+# 5th order error weights ERj and the 3rd order ones E3j = Bj - bhh.  The
+# right-hand side is autonomous, so the nodes C_NODES only document the
+# tableau (each row of A sums to its node).
+A21 = 5.26001519587677318785587544488e-2
+A31 = 1.97250569845378994544595329183e-2
+A32 = 5.91751709536136983633785987549e-2
+A41 = 2.95875854768068491816892993775e-2
+A43 = 8.87627564304205475450678981324e-2
+A51 = 2.41365134159266685502369798665e-1
+A53 = -8.84549479328286085344864962717e-1
+A54 = 9.24834003261792003115737966543e-1
+A61 = 3.7037037037037037037037037037e-2
+A64 = 1.70828608729473871279604482173e-1
+A65 = 1.25467687566822425016691814123e-1
+A71 = 3.7109375e-2
+A74 = 1.70252211019544039314978060272e-1
+A75 = 6.02165389804559606850219397283e-2
+A76 = -1.7578125e-2
+A81 = 3.70920001185047927108779319836e-2
+A84 = 1.70383925712239993810214054705e-1
+A85 = 1.07262030446373284651809199168e-1
+A86 = -1.53194377486244017527936158236e-2
+A87 = 8.27378916381402288758473766002e-3
+A91 = 6.24110958716075717114429577812e-1
+A94 = -3.36089262944694129406857109825
+A95 = -8.68219346841726006818189891453e-1
+A96 = 2.75920996994467083049415600797e1
+A97 = 2.01540675504778934086186788979e1
+A98 = -4.34898841810699588477366255144e1
+A101 = 4.77662536438264365890433908527e-1
+A104 = -2.48811461997166764192642586468
+A105 = -5.90290826836842996371446475743e-1
+A106 = 2.12300514481811942347288949897e1
+A107 = 1.52792336328824235832596922938e1
+A108 = -3.32882109689848629194453265587e1
+A109 = -2.03312017085086261358222928593e-2
+A111 = -9.3714243008598732571704021658e-1
+A114 = 5.18637242884406370830023853209
+A115 = 1.09143734899672957818500254654
+A116 = -8.14978701074692612513997267357
+A117 = -1.85200656599969598641566180701e1
+A118 = 2.27394870993505042818970056734e1
+A119 = 2.49360555267965238987089396762
+A1110 = -3.0467644718982195003823669022
+A121 = 2.27331014751653820792359768449
+A124 = -1.05344954667372501984066689879e1
+A125 = -2.00087205822486249909675718444
+A126 = -1.79589318631187989172765950534e1
+A127 = 2.79488845294199600508499808837e1
+A128 = -2.85899827713502369474065508674
+A129 = -8.87285693353062954433549289258
+A1210 = 1.23605671757943030647266201528e1
+A1211 = 6.43392746015763530355970484046e-1
+B1 = 5.42937341165687622380535766363e-2
+B6 = 4.45031289275240888144113950566
+B7 = 1.89151789931450038304281599044
+B8 = -5.8012039600105847814672114227
+B9 = 3.1116436695781989440891606237e-1
+B10 = -1.52160949662516078556178806805e-1
+B11 = 2.01365400804030348374776537501e-1
+B12 = 4.47106157277725905176885569043e-2
+ER1 = 0.1312004499419488073250102996e-1
+ER6 = -0.1225156446376204440720569753e1
+ER7 = -0.4957589496572501915214079952
+ER8 = 0.1664377182454986536961530415e1
+ER9 = -0.3503288487499736816886487290
+ER10 = 0.3341791187130174790297318841
+ER11 = 0.8192320648511571246570742613e-1
+ER12 = -0.2235530786388629525884427845e-1
+E31 = B1 - 0.244094488188976377952755905512
+E39 = B9 - 0.733846688281611857341361741547
+E312 = B12 - 0.220588235294117647058823529412e-1
+C_NODES = (
+    0.0,
+    0.526001519587677318785587544488e-1,
+    0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 )
-A61, A62, A63, A64, A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+# the same tableau as (stage, coefficient) terms in the order the scalar
+# _step2 sums them, stage 0 being the derivative at the start of the step
+STAGES = (
+    ((0, A21),),
+    ((0, A31), (1, A32)),
+    ((0, A41), (2, A43)),
+    ((0, A51), (2, A53), (3, A54)),
+    ((0, A61), (3, A64), (4, A65)),
+    ((0, A71), (3, A74), (4, A75), (5, A76)),
+    ((0, A81), (3, A84), (4, A85), (5, A86), (6, A87)),
+    ((0, A91), (3, A94), (4, A95), (5, A96), (6, A97), (7, A98)),
+    ((0, A101), (3, A104), (4, A105), (5, A106), (6, A107), (7, A108), (8, A109)),
+    ((0, A111), (3, A114), (4, A115), (5, A116), (6, A117), (7, A118), (8, A119),
+     (9, A1110)),
+    ((0, A121), (3, A124), (4, A125), (5, A126), (6, A127), (7, A128), (8, A129),
+     (9, A1210), (10, A1211)),
 )
-B1, B3, B4, B5, B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-E1, E3, E4, E5, E6, E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+WEIGHTS = ((0, B1), (5, B6), (6, B7), (7, B8), (8, B9), (9, B10), (10, B11),
+           (11, B12))
+ERR5 = ((0, ER1), (5, ER6), (6, ER7), (7, ER8), (8, ER9), (9, ER10), (10, ER11),
+        (11, ER12))
+ERR3 = ((0, E31), (5, B6), (6, B7), (7, B8), (8, E39), (9, B10), (10, B11),
+        (11, E312))
 
 # fixed integration constants of every kernel
 ATOL = 1e-30  # absolute part of the error scale
-H_MAX = 0.1  # largest step of the drive and Delta kernels
+H_FIRST = 0.05  # first step of every drive and Delta trajectory
+H_MAX = 0.5  # largest step of the Delta kernels and of most drives
+H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band
+KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
+KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
 IM_TOL = 5e-9  # Im Delta residual bound of READ_COMPLEX_IM
@@ -202,43 +311,99 @@ def _rhs2(y2, y3, alpha, table):
 
 @njit(cache=True)
 def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
-    """One embedded step of a 2-component subsystem with right-hand side rhs.
+    """One embedded DOP853 attempt on a 2-component subsystem.
 
-    rhs is _rhs_z or _rhs2, and h carries the flow direction as its sign.
-    Returns the 5th order solution, the error estimate, and the last
-    stage derivative (FSAL seed for the next step).
+    rhs is _rhs_z or _rhs2, h carries the flow direction as its sign and
+    (fa, fb) is the derivative at the start.  Returns the 8th order
+    solution and the unscaled 5th and 3rd order error estimates (E5, E3:
+    the error of the step is h times them), (na, nb, e5a, e5b, e3a, e3b).
+    Each stage sum is h (sum of a_ij k_j) in the term order of STAGES.
     """
-    a2, b2 = rhs(ya + h * A21 * fa, yb + h * A21 * fb, alpha, table)
+    a2, b2 = rhs(ya + h * (A21 * fa), yb + h * (A21 * fb), alpha, table)
     a3, b3 = rhs(
-        ya + h * (A31 * fa + A32 * a2),
-        yb + h * (A31 * fb + A32 * b2),
-        alpha,
-        table,
+        ya + h * (A31 * fa + A32 * a2), yb + h * (A31 * fb + A32 * b2), alpha, table
     )
     a4, b4 = rhs(
-        ya + h * (A41 * fa + A42 * a2 + A43 * a3),
-        yb + h * (A41 * fb + A42 * b2 + A43 * b3),
-        alpha,
-        table,
+        ya + h * (A41 * fa + A43 * a3), yb + h * (A41 * fb + A43 * b3), alpha, table
     )
     a5, b5 = rhs(
-        ya + h * (A51 * fa + A52 * a2 + A53 * a3 + A54 * a4),
-        yb + h * (A51 * fb + A52 * b2 + A53 * b3 + A54 * b4),
+        ya + h * (A51 * fa + A53 * a3 + A54 * a4),
+        yb + h * (A51 * fb + A53 * b3 + A54 * b4),
         alpha,
         table,
     )
     a6, b6 = rhs(
-        ya + h * (A61 * fa + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5),
-        yb + h * (A61 * fb + A62 * b2 + A63 * b3 + A64 * b4 + A65 * b5),
+        ya + h * (A61 * fa + A64 * a4 + A65 * a5),
+        yb + h * (A61 * fb + A64 * b4 + A65 * b5),
         alpha,
         table,
     )
-    na = ya + h * (B1 * fa + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
-    nb = yb + h * (B1 * fb + B3 * b3 + B4 * b4 + B5 * b5 + B6 * b6)
-    a7, b7 = rhs(na, nb, alpha, table)
-    ea = h * (E1 * fa + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * a7)
-    eb = h * (E1 * fb + E3 * b3 + E4 * b4 + E5 * b5 + E6 * b6 + E7 * b7)
-    return na, nb, ea, eb, a7, b7
+    a7, b7 = rhs(
+        ya + h * (A71 * fa + A74 * a4 + A75 * a5 + A76 * a6),
+        yb + h * (A71 * fb + A74 * b4 + A75 * b5 + A76 * b6),
+        alpha,
+        table,
+    )
+    a8, b8 = rhs(
+        ya + h * (A81 * fa + A84 * a4 + A85 * a5 + A86 * a6 + A87 * a7),
+        yb + h * (A81 * fb + A84 * b4 + A85 * b5 + A86 * b6 + A87 * b7),
+        alpha,
+        table,
+    )
+    a9, b9 = rhs(
+        ya + h * (A91 * fa + A94 * a4 + A95 * a5 + A96 * a6 + A97 * a7 + A98 * a8),
+        yb + h * (A91 * fb + A94 * b4 + A95 * b5 + A96 * b6 + A97 * b7 + A98 * b8),
+        alpha,
+        table,
+    )
+    a10, b10 = rhs(
+        ya + h * (A101 * fa + A104 * a4 + A105 * a5 + A106 * a6 + A107 * a7
+                  + A108 * a8 + A109 * a9),
+        yb + h * (A101 * fb + A104 * b4 + A105 * b5 + A106 * b6 + A107 * b7
+                  + A108 * b8 + A109 * b9),
+        alpha,
+        table,
+    )
+    a11, b11 = rhs(
+        ya + h * (A111 * fa + A114 * a4 + A115 * a5 + A116 * a6 + A117 * a7
+                  + A118 * a8 + A119 * a9 + A1110 * a10),
+        yb + h * (A111 * fb + A114 * b4 + A115 * b5 + A116 * b6 + A117 * b7
+                  + A118 * b8 + A119 * b9 + A1110 * b10),
+        alpha,
+        table,
+    )
+    a12, b12 = rhs(
+        ya + h * (A121 * fa + A124 * a4 + A125 * a5 + A126 * a6 + A127 * a7
+                  + A128 * a8 + A129 * a9 + A1210 * a10 + A1211 * a11),
+        yb + h * (A121 * fb + A124 * b4 + A125 * b5 + A126 * b6 + A127 * b7
+                  + A128 * b8 + A129 * b9 + A1210 * b10 + A1211 * b11),
+        alpha,
+        table,
+    )
+    na = ya + h * (B1 * fa + B6 * a6 + B7 * a7 + B8 * a8 + B9 * a9 + B10 * a10
+                   + B11 * a11 + B12 * a12)
+    nb = yb + h * (B1 * fb + B6 * b6 + B7 * b7 + B8 * b8 + B9 * b9 + B10 * b10
+                   + B11 * b11 + B12 * b12)
+    e5a = (ER1 * fa + ER6 * a6 + ER7 * a7 + ER8 * a8 + ER9 * a9 + ER10 * a10
+           + ER11 * a11 + ER12 * a12)
+    e5b = (ER1 * fb + ER6 * b6 + ER7 * b7 + ER8 * b8 + ER9 * b9 + ER10 * b10
+           + ER11 * b11 + ER12 * b12)
+    e3a = (E31 * fa + B6 * a6 + B7 * a7 + B8 * a8 + E39 * a9 + B10 * a10
+           + B11 * a11 + E312 * a12)
+    e3b = (E31 * fb + B6 * b6 + B7 * b7 + B8 * b8 + E39 * b9 + B10 * b10
+           + B11 * b11 + E312 * b12)
+    return na, nb, e5a, e5b, e3a, e3b
+
+
+@njit(cache=True)
+def _err_norm(sq5, sq3, n, h):
+    """Scaled DOP853 error of an attempt of size h over n components.
+
+    sq5 and sq3 are the sums, over the components left to right, of the
+    squared E5 and E3 estimates each divided by its error scale.
+    """
+    root = math.sqrt(n * (sq5 + 0.01 * sq3))
+    return abs(h) * sq5 / (root if root > 0.0 else 1.0)
 
 
 @njit(cache=True)
@@ -257,19 +422,150 @@ def _pair_re(x, re_w, r):
 
 @njit(cache=True)
 def _next_h(err, h_use, h_max):
-    """Step size after an attempt of size h_use with scaled error err."""
-    if err <= 1e-30:
-        fac = 5.0
-    else:
-        fac = 0.9 * err ** (-0.2)
+    """Step size after an attempt of size h_use with scaled error err.
+
+    The factor 0.9 err^(-1/8), within [0.2, 10], takes the eighth root as
+    three square roots; a non-finite err halves the step.
+    """
+    if not err < math.inf:
+        fac = 0.5
+    elif err > 0.0:
+        fac = 0.9 / math.sqrt(math.sqrt(math.sqrt(err)))
         if fac < 0.2:
             fac = 0.2
-        elif fac > 5.0:
-            fac = 5.0
+        elif fac > 10.0:
+            fac = 10.0
+    else:
+        fac = 10.0
     h = h_use * fac
     if h > h_max:
         h = h_max
     return h
+
+
+@njit(cache=True)
+def _h_max(event_kind):
+    """Largest step of a drive to the event region event_kind."""
+    return H_MAX_V_ENTRY if event_kind == EVENT_V_ENTRY else H_MAX
+
+
+@njit(cache=True)
+def _band(k):
+    """Squares of k (1 - KNOT_TOL) and k (1 + KNOT_TOL) for a knot k."""
+    lo = k - KNOT_TOL * k
+    hi = k + KNOT_TOL * k
+    return lo * lo, hi * hi
+
+
+@njit(cache=True)
+def _knot_crossed(qa, qb, table):
+    """The cutoff knot that |w|^2 crosses first going monotonically from qa to qb.
+
+    |w| crosses a knot k in table[2:5] when it passes from beyond
+    k (1 + KNOT_TOL) to within k (1 - KNOT_TOL), or back; closer to k it
+    is on the knot.  Returns 0.0 if it crosses none.
+    """
+    if qb > qa:
+        for i in range(2, 5):
+            lo, hi = _band(table[i])
+            if qa < lo and qb > hi:
+                return table[i]
+    else:
+        for i in range(4, 1, -1):
+            lo, hi = _band(table[i])
+            if qa > hi and qb < lo:
+                return table[i]
+    return 0.0
+
+
+@njit(cache=True)
+def _on_knot(x, y, table):
+    """Whether w = (x, y) is on a cutoff knot, in the sense of _knot_crossed."""
+    q = x * x + y * y
+    for i in range(2, 5):
+        lo, hi = _band(table[i])
+        if lo <= q <= hi:
+            return True
+    return False
+
+
+@njit(cache=True)
+def _turning_points(da, c2, c3):
+    """Roots in (0, 1) of da + 2 c2 s + 3 c3 s^2, ascending; 1.0 fills for none."""
+    t1 = 1.0
+    t2 = 1.0
+    if c3 != 0.0:
+        disc = c2 * c2 - 3.0 * c3 * da
+        if disc > 0.0:
+            sq = math.sqrt(disc)
+            t1 = (-c2 - sq) / (3.0 * c3)
+            t2 = (-c2 + sq) / (3.0 * c3)
+            if t2 < t1:
+                t1, t2 = t2, t1
+    elif c2 != 0.0:
+        t1 = -da / (2.0 * c2)
+    if not 0.0 < t2 < 1.0:
+        t2 = 1.0
+    if not 0.0 < t1 < 1.0:
+        t1 = t2
+        t2 = 1.0
+    return t1, t2
+
+
+@njit(cache=True)
+def _hermite_root(qa, da, c2, c3, kk, lo, hi, plo, phi):
+    """Root of p(s) = qa + s (da + s (c2 + s c3)) = kk in [lo, hi].
+
+    p(lo) = plo and p(hi) = phi lie on either side of kk.  KNOT_NEWTON
+    Newton steps from the secant root; one that leaves the bracket kept
+    from the signs of p - kk is replaced by its midpoint.
+    """
+    up = plo < kk
+    th = lo + (hi - lo) * (kk - plo) / (phi - plo)
+    for _ in range(KNOT_NEWTON):
+        g = qa + th * (da + th * (c2 + th * c3)) - kk
+        dg = da + th * (2.0 * c2 + 3.0 * th * c3)
+        if (g < 0.0) == up:
+            lo = th
+        else:
+            hi = th
+        nt = th - g / dg if dg != 0.0 else -1.0
+        if not lo <= nt <= hi:
+            nt = 0.5 * (lo + hi)
+        th = nt
+    return th
+
+
+@njit(cache=True)
+def _knot_fraction(xa, ya, fxa, fya, xb, yb, fxb, fyb, h, table):
+    """Fraction of a step of size h before |w| first crosses a cutoff knot.
+
+    The step takes w from (xa, ya) to (xb, yb), with derivatives (fxa,
+    fya) and (fxb, fyb) there.  The crossing is located on the cubic
+    Hermite interpolant p(s), s in [0, 1], of |w|^2 over the step, split
+    at its turning points into monotone pieces: the first piece that
+    crosses a knot (as _knot_crossed) holds it, so a step that dips
+    across a knot and back is caught too.  Returns 1.0 if p crosses none.
+    """
+    qa = xa * xa + ya * ya
+    qb = xb * xb + yb * yb
+    da = 2.0 * h * (xa * fxa + ya * fya)
+    db = 2.0 * h * (xb * fxb + yb * fyb)
+    d = qb - qa
+    c2 = 3.0 * d - 2.0 * da - db
+    c3 = da + db - 2.0 * d
+    t1, t2 = _turning_points(da, c2, c3)
+    lo = 0.0
+    plo = qa
+    for hi in (t1, t2, 1.0):
+        if hi > lo:
+            phi = qb if hi == 1.0 else qa + hi * (da + hi * (c2 + hi * c3))
+            k = _knot_crossed(plo, phi, table)
+            if k > 0.0:
+                return _hermite_root(qa, da, c2, c3, k * k, lo, hi, plo, phi)
+            lo = hi
+            plo = phi
+    return 1.0
 
 
 @njit(cache=True)
@@ -300,7 +596,7 @@ def _bisect_event(p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, rad
                   kind):
     """Bisect an event crossing inside one accepted step of size h_acc.
 
-    The step starts at state p, with FSAL derivative f there, and ends
+    The step starts at state p, with derivative f there, and ends
     inside the event region; fdir is the sign of each trial step.
     Returns (y0, y1, y2, y3, dt, sign): the first state found inside the
     region, its time offset from p, and the event sign there.  Only the
@@ -342,9 +638,13 @@ def _drive(
     capacity is reached; a rec of zero rows records nothing.
     """
     t = 0.0
-    h = min(H_MAX, 0.05)
+    h = H_FIRST
+    h_land = 0.0
+    h_max = _h_max(event_kind)
+    cutoff = table[0] != MODE_PURE
     f10, f11 = _rhs_z(y0, y1, alpha, table)
     f12, f13 = _rhs2(y2, y3, alpha, table)
+    k2 = k3 = 0.0  # the derivative at the end of an attempt, in cutoff mode
     nrec = 0
     cap = rec.shape[0]
     if nrec < cap:
@@ -368,30 +668,50 @@ def _drive(
             break
         h_use = h if h < remaining else remaining
         hs = fdir * h_use
-        n0, n1, e0, e1, k0, k1 = _step2(y0, y1, f10, f11, hs, _rhs_z, alpha, table)
-        n2, n3, e2, e3, k2, k3 = _step2(y2, y3, f12, f13, hs, _rhs2, alpha, table)
+        n0, n1, u0, u1, v0, v1 = _step2(y0, y1, f10, f11, hs, _rhs_z, alpha, table)
+        n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f12, f13, hs, _rhs2, alpha, table)
         steps += 1
-        if not (
+        err = math.inf
+        if (
             math.isfinite(n0)
             and math.isfinite(n1)
             and math.isfinite(n2)
             and math.isfinite(n3)
         ):
-            h *= 0.5
-            if h < 1e-14:
-                status = STATUS_NONFINITE
-                break
-            continue
-        s0 = ATOL + rtol * max(abs(y0), abs(n0))
-        s1 = ATOL + rtol * max(abs(y1), abs(n1))
-        s2 = ATOL + rtol * max(abs(y2), abs(n2))
-        s3 = ATOL + rtol * max(abs(y3), abs(n3))
-        q0 = e0 / s0
-        q1 = e1 / s1
-        q2 = e2 / s2
-        q3 = e3 / s3
-        err = math.sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
+            s0 = ATOL + rtol * max(abs(y0), abs(n0))
+            s1 = ATOL + rtol * max(abs(y1), abs(n1))
+            s2 = ATOL + rtol * max(abs(y2), abs(n2))
+            s3 = ATOL + rtol * max(abs(y3), abs(n3))
+            u0 /= s0
+            u1 /= s1
+            u2 /= s2
+            u3 /= s3
+            v0 /= s0
+            v1 /= s1
+            v2 /= s2
+            v3 /= s3
+            err = _err_norm(
+                u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3,
+                v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3,
+                4.0,
+                hs,
+            )
+            if cutoff and (
+                err <= 1.0
+                or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
+            ):
+                k2, k3 = _rhs2(n2, n3, alpha, table)
+                frac = _knot_fraction(y2, y3, f12, f13, n2, n3, k2, k3, hs, table)
+                if frac < 1.0:
+                    h = h_use * frac
+                    h_land = max(h_land, h_use)
+                    continue
+        h = _next_h(err, h_use, h_max)
         if err <= 1.0:
+            if h_land > 0.0:
+                if _on_knot(n2, n3, table):
+                    h = max(h, h_land)
+                h_land = 0.0
             hit, _ = _event_val(n0, n1, n2, n3, radius, table[1], event_kind)
             if hit:
                 y0, y1, y2, y3, dt, esign = _bisect_event(
@@ -403,7 +723,11 @@ def _drive(
             else:
                 y0, y1, y2, y3 = n0, n1, n2, n3
                 t += h_use
-                f10, f11, f12, f13 = k0, k1, k2, k3
+                f10, f11 = _rhs_z(y0, y1, alpha, table)
+                if cutoff:
+                    f12, f13 = k2, k3
+                else:
+                    f12, f13 = _rhs2(y2, y3, alpha, table)
             if nrec < cap:
                 rec[nrec, 0] = t
                 rec[nrec, 1] = y0
@@ -413,7 +737,9 @@ def _drive(
                 nrec += 1
             if hit:
                 break
-        h = _next_h(err, h_use, H_MAX)
+        elif not err < math.inf and h < 1e-14:
+            status = STATUS_NONFINITE
+            break
     if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
@@ -463,8 +789,11 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
     y2 = xw
     y3 = yw
     t = 0.0
-    h = min(H_MAX, 0.05)
+    h = H_FIRST
+    h_land = 0.0
+    cutoff = table[0] != MODE_PURE
     f12, f13 = _rhs2(y2, y3, alpha, table)
+    k2 = k3 = 0.0  # the derivative at the end of an attempt, in cutoff mode
     have_prev = False
     prev_re = 0.0
     prev_im = 0.0
@@ -493,24 +822,42 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
                 prev_im = d_im
                 have_prev = True
                 t_next = t + 0.7
-        out = _step2(y2, y3, f12, f13, h, _rhs2, alpha, table)
-        n2, n3, e2, e3 = out[0], out[1], out[2], out[3]
+        h_use = h
+        n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f12, f13, h_use, _rhs2, alpha, table)
         steps += 1
-        if not (math.isfinite(n2) and math.isfinite(n3)):
-            h *= 0.5
-            if h < 1e-14:
-                return STATUS_NONFINITE, best_re, best_im, t
-            continue
-        s2 = ATOL + rtol * max(abs(y2), abs(n2))
-        s3 = ATOL + rtol * max(abs(y3), abs(n3))
-        q2 = e2 / s2
-        q3 = e3 / s3
-        err = math.sqrt(0.5 * (q2 * q2 + q3 * q3))
+        err = math.inf
+        if math.isfinite(n2) and math.isfinite(n3):
+            s2 = ATOL + rtol * max(abs(y2), abs(n2))
+            s3 = ATOL + rtol * max(abs(y3), abs(n3))
+            u2 /= s2
+            u3 /= s3
+            v2 /= s2
+            v3 /= s3
+            err = _err_norm(u2 * u2 + u3 * u3, v2 * v2 + v3 * v3, 2.0, h_use)
+            if cutoff and (
+                err <= 1.0
+                or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
+            ):
+                k2, k3 = _rhs2(n2, n3, alpha, table)
+                frac = _knot_fraction(y2, y3, f12, f13, n2, n3, k2, k3, h_use, table)
+                if frac < 1.0:
+                    h = h_use * frac
+                    h_land = max(h_land, h_use)
+                    continue
+        h = _next_h(err, h_use, H_MAX)
         if err <= 1.0:
+            if h_land > 0.0:
+                if _on_knot(n2, n3, table):
+                    h = max(h, h_land)
+                h_land = 0.0
             y2, y3 = n2, n3
-            t += h
-            f12, f13 = out[4], out[5]
-        h = _next_h(err, h, H_MAX)
+            t += h_use
+            if cutoff:
+                f12, f13 = k2, k3
+            else:
+                f12, f13 = _rhs2(y2, y3, alpha, table)
+        elif not err < math.inf and h < 1e-14:
+            return STATUS_NONFINITE, best_re, best_im, t
     return STATUS_TIME_END, best_re, best_im, t
 
 
@@ -584,36 +931,148 @@ def _rhs_np(Y, alpha, table):
     return F
 
 
-def _attempt_np(Y, K1, h, rhs, rtol):
-    """One embedded Dormand-Prince attempt for all rows with per-row step h.
+def _combo(K, terms):
+    """Sum of a K[j] over the (j, a) of terms, added left to right."""
+    (j, a), *rest = terms
+    acc = a * K[j]
+    for j, a in rest:
+        acc += a * K[j]
+    return acc
 
-    rhs maps state rows to derivative rows.  Returns the 5th-order states,
-    the last stage derivative (FSAL seed of the next step) and the scaled
-    RMS error of each row; rows whose new state is not finite get inf.
+
+def _sum_sq(Q):
+    """Row sums of squares of Q, over the columns left to right."""
+    acc = Q[:, 0] * Q[:, 0]
+    for j in range(1, Q.shape[1]):
+        acc += Q[:, j] * Q[:, j]
+    return acc
+
+
+def _attempt_np(Y, K1, h, rhs, rtol):
+    """One embedded DOP853 attempt for all rows with per-row step h.
+
+    rhs maps state rows to derivative rows and K1 is the derivative at Y.
+    Returns the 8th order states and the scaled error of each row (as
+    :func:`_err_norm`); rows whose new state is not finite get inf.
     """
     hc = h[:, None]
-    K2 = rhs(Y + hc * (A21 * K1))
-    K3 = rhs(Y + hc * (A31 * K1 + A32 * K2))
-    K4 = rhs(Y + hc * (A41 * K1 + A42 * K2 + A43 * K3))
-    K5 = rhs(Y + hc * (A51 * K1 + A52 * K2 + A53 * K3 + A54 * K4))
-    K6 = rhs(Y + hc * (A61 * K1 + A62 * K2 + A63 * K3 + A64 * K4 + A65 * K5))
-    Yn = Y + hc * (B1 * K1 + B3 * K3 + B4 * K4 + B5 * K5 + B6 * K6)
-    K7 = rhs(Yn)
-    E = hc * (E1 * K1 + E3 * K3 + E4 * K4 + E5 * K5 + E6 * K6 + E7 * K7)
+    K = [K1]
+    for terms in STAGES:
+        K.append(rhs(Y + hc * _combo(K, terms)))
+    Yn = Y + hc * _combo(K, WEIGHTS)
     scale = ATOL + rtol * np.maximum(np.abs(Y), np.abs(Yn))
-    q = E / scale
-    err = np.sqrt((q * q).sum(axis=1) / Y.shape[1])
+    sq5 = _sum_sq(_combo(K, ERR5) / scale)
+    sq3 = _sum_sq(_combo(K, ERR3) / scale)
+    root = np.sqrt(Y.shape[1] * (sq5 + 0.01 * sq3))
+    err = np.abs(h) * sq5 / np.where(root > 0.0, root, 1.0)
     err[~np.isfinite(Yn).all(axis=1)] = np.inf
-    return Yn, K7, err
+    return Yn, err
 
 
 def _next_h_np(err, h_use, h_max):
-    """Vectorized twin of :func:`_next_h`; a non-finite err halves the step."""
-    with np.errstate(divide="ignore", over="ignore"):
-        fac = np.clip(0.9 * err**-0.2, 0.2, 5.0)
-    fac[err <= 1e-30] = 5.0
-    fac[~np.isfinite(err)] = 0.5
+    """Vectorized twin of :func:`_next_h`."""
+    with np.errstate(divide="ignore"):
+        fac = np.clip(0.9 / np.sqrt(np.sqrt(np.sqrt(err))), 0.2, 10.0)
+    fac[~(err < np.inf)] = 0.5
     return np.minimum(h_use * fac, h_max)
+
+
+def _knot_crossed_np(qa, qb, knots):
+    """Vectorized twin of :func:`_knot_crossed`; knots is _knots(table)."""
+    up = qb > qa
+    knot = np.zeros(qa.size)
+    # the knot crossed first is the one written last
+    for k in knots[::-1]:
+        lo, hi = _band(k)
+        knot[up & (qa < lo) & (qb > hi)] = k
+    for k in knots:
+        lo, hi = _band(k)
+        knot[~up & (qa > hi) & (qb < lo)] = k
+    return knot
+
+
+def _on_knot_np(W, knots):
+    """Vectorized twin of :func:`_on_knot` on rows [Re w, Im w]."""
+    q = _sum_sq(W)
+    on = np.zeros(q.size, dtype=bool)
+    for k in knots:
+        lo, hi = _band(k)
+        on |= (lo <= q) & (q <= hi)
+    return on
+
+
+def _turning_points_np(da, c2, c3):
+    """Vectorized twin of :func:`_turning_points`."""
+    t1 = np.ones_like(da)
+    t2 = np.ones_like(da)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = c2 * c2 - 3.0 * c3 * da
+        sq = np.sqrt(disc)
+        a = (-c2 - sq) / (3.0 * c3)
+        b = (-c2 + sq) / (3.0 * c3)
+        lin = -da / (2.0 * c2)
+    cub = (c3 != 0.0) & (disc > 0.0)
+    t1[cub] = np.minimum(a, b)[cub]
+    t2[cub] = np.maximum(a, b)[cub]
+    lin_rows = (c3 == 0.0) & (c2 != 0.0)
+    t1[lin_rows] = lin[lin_rows]
+    t2[~((t2 > 0.0) & (t2 < 1.0))] = 1.0
+    out = ~((t1 > 0.0) & (t1 < 1.0))
+    t1[out] = t2[out]
+    t2[out] = 1.0
+    return t1, t2
+
+
+def _hermite_root_np(qa, da, c2, c3, kk, lo, hi, plo, phi):
+    """Vectorized twin of :func:`_hermite_root`."""
+    up = plo < kk
+    th = lo + (hi - lo) * (kk - plo) / (phi - plo)
+    for _ in range(KNOT_NEWTON):
+        g = qa + th * (da + th * (c2 + th * c3)) - kk
+        dg = da + th * (2.0 * c2 + 3.0 * th * c3)
+        below = (g < 0.0) == up
+        lo = np.where(below, th, lo)
+        hi = np.where(below, hi, th)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nt = th - g / dg
+        nt[dg == 0.0] = -1.0
+        out = ~((lo <= nt) & (nt <= hi))
+        nt[out] = 0.5 * (lo[out] + hi[out])
+        th = nt
+    return th
+
+
+def _knot_fraction_np(Wa, Fa, Wb, Fb, h, knots):
+    """Vectorized twin of :func:`_knot_fraction` on rows [Re w, Im w]."""
+    xa, ya, xb, yb = Wa[:, 0], Wa[:, 1], Wb[:, 0], Wb[:, 1]
+    qa = xa * xa + ya * ya
+    qb = xb * xb + yb * yb
+    da = 2.0 * h * (xa * Fa[:, 0] + ya * Fa[:, 1])
+    db = 2.0 * h * (xb * Fb[:, 0] + yb * Fb[:, 1])
+    d = qb - qa
+    c2 = 3.0 * d - 2.0 * da - db
+    c3 = da + db - 2.0 * d
+    t1, t2 = _turning_points_np(da, c2, c3)
+    # per row: the knot crossed and the piece [lo, hi] that crosses it
+    knot, lo, hi = np.zeros_like(qa), np.zeros_like(qa), np.ones_like(qa)
+    plo, phi = qa.copy(), qb.copy()
+    at, p_at = np.zeros_like(qa), qa
+    for end in (t1, t2, np.ones_like(qa)):
+        live = (end > at) & (knot == 0.0)
+        p_end = np.where(end == 1.0, qb, qa + end * (da + end * (c2 + end * c3)))
+        crossed = np.where(live, _knot_crossed_np(p_at, p_end, knots), 0.0)
+        found = crossed > 0.0
+        knot[found] = crossed[found]
+        lo[found], hi[found] = at[found], end[found]
+        plo[found], phi[found] = p_at[found], p_end[found]
+        at = np.where(live, end, at)
+        p_at = np.where(live, p_end, p_at)
+    frac = np.ones_like(qa)
+    f = np.nonzero(knot)[0]
+    if f.size:
+        frac[f] = _hermite_root_np(qa[f], da[f], c2[f], c3[f], knot[f] * knot[f],
+                                   lo[f], hi[f], plo[f], phi[f])
+    return frac
 
 
 def pair_re_np(x, re_w, r):
@@ -643,18 +1102,28 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
-def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, t_end=np.inf, fdir=1.0,
-              event=None):
+def _knots(table):
+    """The cutoff knots table[2:5] as floats; none in pure mode."""
+    return () if table[0] == MODE_PURE else tuple(float(k) for k in table[2:5])
+
+
+def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.inf,
+              fdir=1.0, event=None):
     """Advance the rows of Y and t in place, one attempt per active row in
     each of at most max_steps iterations.
 
     Each iteration stop(active, K1) first clears the rows that end there,
-    setting their status; steps are clipped to t_end - t.  An accepted
-    step ending where event(Yn) holds is not taken: the row stops with
-    STATUS_EVENT and its step goes to h_event.  Returns (K1, h_event).
+    setting their status; steps are clipped to t_end - t and capped at
+    h_max.  The last two columns of Y are w: a finite attempt that carries
+    |w| across one of the knots is retaken, cut to the crossing as in
+    :func:`_drive`, and the step after the cut one resumes at no less than
+    the step it cut.  An accepted step ending where event(Yn) holds is not
+    taken: the row stops with STATUS_EVENT and its step goes to h_event.
+    Returns (K1, h_event).
     """
     n = Y.shape[0]
-    h = np.full(n, min(H_MAX, 0.05))
+    h = np.full(n, H_FIRST)
+    h_land = np.zeros(n)
     h_event = np.zeros(n)
     K1 = rhs(Y)
     active = np.ones(n, dtype=bool)
@@ -664,23 +1133,48 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, t_end=np.inf, fdir=1.0,
             break
         idx = np.nonzero(active)[0]
         h_use = np.minimum(h[idx], t_end - t[idx])
-        Yn, K7, err = _attempt_np(Y[idx], K1[idx], fdir * h_use, rhs, rtol)
-        acc = err <= 1.0
-        if acc.any():
+        hs = fdir * h_use
+        Yn, err = _attempt_np(Y[idx], K1[idx], hs, rhs, rtol)
+        h[idx] = _next_h_np(err, h_use, h_max)
+        ok = err <= 1.0
+        judged = np.ones(idx.size, dtype=bool)
+        if knots:
+            # accepted attempts, and rejected ones whose ends straddle a knot
+            test = np.isfinite(Yn).all(axis=1) & (
+                ok | (_knot_crossed_np(_sum_sq(Y[idx, -2:]), _sum_sq(Yn[:, -2:]),
+                                       knots) > 0.0))
+            test = np.nonzero(test)[0]
+            Kn = np.empty_like(Yn)
+            Kn[test] = rhs(Yn[test])
+            ti = idx[test]
+            frac = _knot_fraction_np(Y[ti, -2:], K1[ti, -2:], Yn[test, -2:],
+                                     Kn[test, -2:], hs[test], knots)
+            cut = frac < 1.0
+            c, ci = test[cut], ti[cut]
+            h[ci] = h_use[c] * frac[cut]
+            h_land[ci] = np.maximum(h_land[ci], h_use[c])
+            judged[c] = False
+        acc = np.nonzero(judged & ok)[0]
+        if acc.size:
+            ai = idx[acc]
+            Ya = Yn[acc]
+            land = np.nonzero(h_land[ai])[0]
+            if land.size:
+                li = ai[land]
+                on = li[_on_knot_np(Ya[land, -2:], knots)]
+                h[on] = np.maximum(h[on], h_land[on])
+                h_land[li] = 0.0
             if event is not None:
-                hit = np.zeros_like(acc)
-                hit[acc] = event(Yn[acc])
-                ev = idx[hit]
-                h_event[ev] = h_use[hit]
+                hit = event(Ya)
+                ev = ai[hit]
+                h_event[ev] = h_use[acc[hit]]
                 status[ev] = STATUS_EVENT
                 active[ev] = False
-                acc &= ~hit
-            ai = idx[acc]
-            Y[ai] = Yn[acc]
+                acc, ai, Ya = acc[~hit], ai[~hit], Ya[~hit]
+            Y[ai] = Ya
             t[ai] += h_use[acc]
-            K1[ai] = K7[acc]
-        h[idx] = _next_h_np(err, h_use, H_MAX)
-        dead = idx[~np.isfinite(err) & (h[idx] < 1e-14)]
+            K1[ai] = Kn[acc] if knots else rhs(Ya)
+        dead = idx[judged & ~(err < np.inf) & (h[idx] < 1e-14)]
         status[dead] = STATUS_NONFINITE
         active[dead] = False
     return K1, h_event
@@ -694,8 +1188,8 @@ def _drive_batch_np(
     """Lockstep vectorized twin of :func:`_drive_batch`.
 
     A row whose accepted step ends inside the event region stops there
-    with STATUS_EVENT, keeping its pre-step state, FSAL derivative and
-    time.  After the lockstep every event row is bisected at once through
+    with STATUS_EVENT, keeping its pre-step state, derivative and time.
+    After the lockstep every event row is bisected at once through
     :func:`_attempt_np`, by the rule of :func:`_bisect_event`: at most 64
     halvings per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
     """
@@ -709,7 +1203,7 @@ def _drive_batch_np(
     end_gate = 1e-14 * max(1.0, abs(t_end))
 
     def stop(active, K1):
-        stalled = active & (np.sqrt((K1 * K1).sum(axis=1)) < STALL_SPEED)
+        stalled = active & (np.sqrt(_sum_sq(K1)) < STALL_SPEED)
         out_status[stalled] = STATUS_STALLED
         active &= ~stalled
         done = active & (t_end - out_t <= end_gate)
@@ -719,8 +1213,8 @@ def _drive_batch_np(
     out_t[:] = 0.0
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
-    K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop, t_end,
-                            fdir, event)
+    K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop,
+                            _h_max(event_kind), _knots(table), t_end, fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
         P = Y[ev]
@@ -760,38 +1254,47 @@ def _delta_batch_np(
     y = W.astype(float)
     rate = alpha - 1.0
     have_prev = np.zeros(n, dtype=bool)
-    prev = np.zeros(n, dtype=complex)
+    prev_re = np.zeros(n)
+    prev_im = np.zeros(n)
     t_next = np.zeros(n)
 
     def stop(active, K1):
+        # as in _delta_one, a row at max_time takes no further reading
+        active[out_t >= max_time] = False
         due = np.nonzero(active & (out_t >= t_next))[0]
         if due.size:
-            s = np.sqrt(y[due, 0] + 1j * y[due, 1])
+            s = np.empty(due.size, dtype=complex)  # x + 1j y is nan for y = inf
+            s.real, s.imag = y[due, 0], y[due, 1]
+            s = np.sqrt(s)
             readable = np.abs(s.real) >= u_star
             ri = due[readable]
-            d = np.exp(-rate * out_t[ri]) * s[readable]
-            out_re[ri] = d.real
-            out_im[ri] = d.imag
+            # scaled apart, as _delta_one scales them (a complex product
+            # would turn an infinite part into nan)
+            scale = np.exp(-rate * out_t[ri])
+            d_re = scale * s.real[readable]
+            d_im = scale * s.imag[readable]
+            out_re[ri] = d_re
+            out_im[ri] = d_im
             if reading == READ_REAL:
-                gap = np.abs(d.real - prev[ri].real)
+                gap = np.abs(d_re - prev_re[ri])
             else:
-                gap = np.abs(d - prev[ri])
+                gap = np.hypot(d_re - prev_re[ri], d_im - prev_im[ri])
             conv = have_prev[ri] & (gap < AGREE_TOL)
             if reading == READ_COMPLEX_IM:
-                conv &= np.abs(d.imag) < IM_TOL
+                conv &= np.abs(d_im) < IM_TOL
             out_status[ri[conv]] = STATUS_EVENT
             active[ri[conv]] = False
             rest = ri[~conv]
-            prev[rest] = d[~conv]
+            prev_re[rest] = d_re[~conv]
+            prev_im[rest] = d_im[~conv]
             have_prev[rest] = True
             t_next[rest] = out_t[rest] + 0.7
-        active[out_t >= max_time] = False
 
     out_status[:] = STATUS_TIME_END
     out_re[:] = np.nan
     out_im[:] = np.nan
     out_t[:] = 0.0
-    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop)
+    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, _knots(table))
 
 
 drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np
@@ -799,20 +1302,25 @@ delta_batch_kernel = _delta_batch if using_numba() else _delta_batch_np
 
 
 def warmup():
-    """Touch every jit kernel once so later timings exclude compilation."""
-    table = smoothing.build_smoothing_table(1.0)
+    """Touch every jit kernel once so later timings exclude compilation.
+
+    The table is a read-only cutoff table, as SteinParams builds it, and
+    the trajectories cross its knots, so the knot cut runs too.
+    """
+    table = smoothing.build_smoothing_table(4.0, "cutoff")
+    table.flags.writeable = False
     # the scalar front ends pass the table as a tuple, the batches as is
     scalar_table = tuple(table.tolist())
     rec = np.empty((4, 5))
     _drive(
-        1.0, 0.5, 0.2, 0.1, 0.01, 1.5, scalar_table, 1e-6, 1e3, EVENT_PAIR_ESCAPE,
+        1.0, 0.5, 0.5, 0.2, 1.0, 1.5, scalar_table, 1e-6, 1e3, EVENT_PAIR_ESCAPE,
         100, rec, 1.0,
     )
     Y = np.array([[1.0, 0.0, 0.5, 0.2]])
     st = np.zeros(1, dtype=np.int64)
     tt = np.zeros(1)
     sg = np.zeros(1, dtype=np.int64)
-    _drive_batch(Y, 0.01, 1.5, table, 1e-6, 1e3, EVENT_NONE, 100, st, tt, sg, 1.0)
+    _drive_batch(Y, 1.0, 1.5, table, 1e-6, 1e3, EVENT_NONE, 100, st, tt, sg, 1.0)
     _delta_one(1.0, 0.5, 1.5, scalar_table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)

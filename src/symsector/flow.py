@@ -48,8 +48,9 @@ class FlowSettings:
     the hypersurfaces live.  step_tolerance is the relative tolerance of
     every adaptive step and max_steps (an integer >= 1) the step budget
     of one trajectory; the three floats must be finite and positive.
-    The largest step and the stall speed are fixed: _kernels.H_MAX (0.1)
-    and _kernels.STALL_SPEED (1e-10).
+    The largest step and the stall speed are fixed: _kernels.H_MAX (0.5;
+    _kernels.H_MAX_V_ENTRY, 0.1, for the V-entry event) and
+    _kernels.STALL_SPEED (1e-10).
     """
 
     max_time: float = 60.0
@@ -415,7 +416,9 @@ def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTIN
     W = np.column_stack([w0.real, w0.imag])
     args = _delta_args(params, settings, reading, u_star_factor)
     out_status, out_re, out_im, _ = _delta_split(W, args)
-    delta = out_re + 1j * out_im
+    # out_re + 1j out_im would turn an infinite Im into a nan Re, with a warning
+    delta = np.empty(out_re.size, dtype=complex)
+    delta.real, delta.imag = out_re, out_im
     delta[flip] = -delta[flip]
     delta[out_status != _kernels.STATUS_EVENT] = np.nan
     return delta, out_status

@@ -340,6 +340,34 @@ def test_offset_matches_tight_reference(mode, rng):
     assert np.max(np.abs(c - np.abs(ref.real))) <= 1e-7
 
 
+def test_cutoff_offsets_match_tight_reference(cutoff16, rng):
+    # keys with |s| <= 6 start inside the profile knots |w| = 4, 6.66 and 16
+    # and cross them; stepping onto each knot keeps c at the default
+    # tolerance within 1e-8 of c at step tolerance 1e-13
+    s = rng.uniform(0.0, 6.0, 24) + 1j * rng.uniform(0.0, 6.0, 24)
+    c = compute_c_batch(s, cutoff16)
+    ref = compute_c_batch(s, cutoff16, FlowSettings(step_tolerance=1e-13))
+    assert np.all(np.isfinite(c))
+    assert np.max(np.abs(c - ref)) <= 1e-8
+
+
+def test_escape_times_match_tight_reference(pure16, rng):
+    # label-agreement rows: at the default tolerance every status and event
+    # sign equals that of a step tolerance 1e-13 run, and the escape times
+    # are as close as the rows near the hypersurfaces allow
+    n = 200
+    z = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
+    s = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
+    X = np.column_stack([z.real, z.imag, (s * s).real, (s * s).imag])
+    got = drive_batch(X.copy(), pure16, FlowSettings(), _kernels.EVENT_PAIR_ESCAPE)
+    ref = drive_batch(X.copy(), pure16, FlowSettings(step_tolerance=1e-13),
+                      _kernels.EVENT_PAIR_ESCAPE)
+    assert np.all(ref[0] == _kernels.STATUS_EVENT)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[2], ref[2])
+    err = np.abs(got[1] - ref[1])
+    assert np.max(err) <= 1e-6 and np.median(err) <= 5e-10
+
+
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_delta_is_equivariant_along_the_flow(mode, rng):
     # Delta = lim exp(-(alpha-1) t) sqrt(w(t)), so continuing the branch of
@@ -370,9 +398,7 @@ def test_delta_is_equivariant_along_the_flow(mode, rng):
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_backward_flow_undoes_forward_flow(mode, rng):
     # the flow direction is the sign of the step; a sign slip in the z part
-    # or in the w part alone misses the start by O(1).  At the default
-    # tolerance, cutoff rows whose w crosses the profile knots come back
-    # only to about 1e-5: the error estimate does not see the kinks
+    # or in the w part alone misses the start by O(1)
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(step_tolerance=1e-11)
     z = rng.uniform(-8.0, 8.0, (8, 2))
@@ -392,6 +418,25 @@ def test_backward_flow_undoes_forward_flow(mode, rng):
             for x in X
         ]
         assert np.all(np.abs(np.array(back) - X) <= tol)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_round_trip_at_the_default_tolerance(mode, rng):
+    # w crosses the cutoff knots |w| = 4, 6.66 and 16 on many of these
+    # rows, some only dipping across one and back within a step; the
+    # kernels step onto every crossing, so cutoff returns as pure mode does
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    n = 200
+    z = rng.uniform(-8.0, 8.0, (n, 2))
+    s = rng.uniform(-8.0, 8.0, n) + 1j * rng.uniform(-8.0, 8.0, n)
+    X = np.column_stack([z, (s * s).real, (s * s).imag])
+    for tau in (0.2, 0.5, 1.0):
+        Y = X.copy()
+        for direction in (1.0, -1.0):
+            status, _, _ = drive_batch(Y, params, FlowSettings(), _kernels.EVENT_NONE,
+                                       t_end=tau, direction=direction)
+            assert np.all(status == _kernels.STATUS_TIME_END)
+        assert np.all(np.abs(Y - X) <= 1e-7 * (1.0 + np.abs(X)))
 
 
 def test_unknown_reading_rule_is_rejected(pure16):

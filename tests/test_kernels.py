@@ -1,14 +1,10 @@
 """Parity of the scalar kernels with their vectorized numpy twins.
 
 The scalar kernels (jit-compiled when numba is present) and the numpy
-batch kernels evaluate the same formulas in the same order, so they are
-required to agree exactly, not to a tolerance.  Two pairs are the
-exception, because their DP5 steps group the stage products differently
-(h (a f) in the lockstep attempt, (h a) f in the scalar steps) and so
-round apart on a few rows: the Delta kernels agree in status and to
-1e-8 (1 + |Delta|), and the drive kernels agree in status and event sign,
-at events in time and state to 1e-12 (1 + |x|), and elsewhere to
-1e-6 (1 + |x|), since a step one twin accepts the other may retry.
+batch kernels evaluate the same formulas in the same order, with the
+same correctly rounded operations, so they are required to agree
+exactly, not to a tolerance: each formula, and each whole trajectory of
+the drive and Delta kernels, status, time and state alike.
 """
 
 import inspect
@@ -83,35 +79,40 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+def _delta_both(W, args):
+    """Statuses of the Delta rows W; both twins must give the same bits."""
+    n = len(W)
+    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _kernels._delta_batch_np(W, *args, *out)
+        scalar = [_kernels._delta_one(xw, yw, *args) for xw, yw in W.tolist()]
+    assert _bits(*out) == _bits(*(np.array(col) for col in zip(*scalar)))
+    return out[0]
+
+
 @pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_delta_twins_agree(mode, reading):
-    # not bitwise twins: the lockstep attempt groups its stage products as
-    # h (a f), the scalar step as (h a) f, so the trajectories round apart
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     args = flow._delta_args(params, FlowSettings(max_steps=2000), reading, 1.0)
     rng = np.random.default_rng(3)
     s = rng.uniform(-48.0, 48.0, 24) + 1j * rng.uniform(-48.0, 48.0, 24)
     w = np.append(s * s, 1e308)  # kappa = 2|w| overflows: STATUS_NONFINITE
-    W = np.column_stack([w.real, w.imag])
-    n = len(W)
-    status = np.zeros(n, dtype=np.int64)
-    d_re, d_im, t = np.zeros(n), np.zeros(n), np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _kernels._delta_batch_np(W, *args, status, d_re, d_im, t)
-        for k, (xw, yw) in enumerate(W.tolist()):
-            got, re_k, im_k, _ = _kernels._delta_one(xw, yw, *args)
-            assert got == status[k]
-            if got == _kernels.STATUS_EVENT:
-                d = complex(d_re[k], d_im[k])
-                assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
+    status = _delta_both(np.column_stack([w.real, w.imag]), args)
     assert status[-1] == _kernels.STATUS_NONFINITE
     assert np.all(status[:-1] == _kernels.STATUS_EVENT)
+    # rows stopped by max_time, some with a reading due when they reach it:
+    # neither twin takes that reading
+    args = flow._delta_args(params, FlowSettings(max_time=4.0, max_steps=2000),
+                            reading, 1.0)
+    w = np.array([150.0, 1000.0, 200.0 + 50.0j, 80.0 + 1.0j]) ** 2
+    status = _delta_both(np.column_stack([w.real, w.imag]), args)
+    assert (status == _kernels.STATUS_TIME_END).any()
 
 
 @pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
 def test_delta_twins_spend_the_same_step_budget(reading):
-    # three attempts take w0 = 9 + 40i to t = 0.0633, long before a reading
+    # three attempts take w0 = 9 + 40i to t = 0.4695, long before a reading
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing="pure")
     args = flow._delta_args(params, FlowSettings(max_steps=3), reading, 1.0)
     status = np.zeros(1, dtype=np.int64)
@@ -119,7 +120,7 @@ def test_delta_twins_spend_the_same_step_budget(reading):
     _kernels._delta_batch_np(np.array([[9.0, 40.0]]), *args, status, d_re, d_im, t)
     got, re_k, im_k, t_k = _kernels._delta_one(9.0, 40.0, *args)
     assert got == status[0] == _kernels.STATUS_TIME_END
-    assert t_k == t[0] == pytest.approx(0.06331595106659027, rel=1e-12)
+    assert t_k == t[0] == pytest.approx(0.46949795488546775, rel=1e-12)
     assert np.isnan([re_k, im_k, d_re[0], d_im[0]]).all()
 
 
@@ -137,26 +138,139 @@ def test_delta_twins_on_the_negative_real_axis(mode, reading):
     d_re, d_im, t = np.zeros(n), np.zeros(n), np.zeros(n)
     _kernels._delta_batch_np(W, *args, status, d_re, d_im, t)
     scalar = [_kernels._delta_one(xw, yw, *args) for xw, yw in W.tolist()]
-    assert [r[0] for r in scalar] == status.tolist()
     assert np.all(status == _kernels.STATUS_EVENT)
     for k in range(0, n, 2):
         assert scalar[k] == scalar[k + 1]
         assert _bits(d_re[k], d_im[k], t[k]) == _bits(d_re[k + 1], d_im[k + 1], t[k + 1])
-    if mode == "pure":
-        # in cutoff mode these rows cross the profile knots radially, where
-        # the step controller rejects many attempts and the twins end up to
-        # 1.3e-7 (1 + |Delta|) apart: that mode is held to statuses only
-        for (_, re_k, im_k, _), dr, di in zip(scalar, d_re, d_im):
-            d = complex(dr, di)
-            assert abs(complex(re_k, im_k) - d) <= 1e-8 * (1.0 + abs(d))
+    # in cutoff mode these rows cross the profile knots radially, which the
+    # kernels land on as step boundaries, as bitwise twins in both modes
+    assert _bits(status, d_re, d_im, t) == _bits(*(np.array(c) for c in zip(*scalar)))
 
 
 @pytest.mark.parametrize("h_max", [0.1, 0.01])
 def test_step_controller_twins_agree_exactly(h_max):
-    errs = [1e-40, 1e-3, 0.5, 1.0, 3.0, 1e9]
+    # every factor from its clip at 10 to its clip at 0.2, and the halving
+    # of a non-finite attempt
+    rng = np.random.default_rng(6)
+    errs = [0.0, 1e-40, 1e-3, 0.5, 1.0, 3.0, 1e9, math.inf, math.nan]
+    errs += (10.0 ** rng.uniform(-12.0, 8.0, 200)).tolist()
     h_use = 0.03
     vec = _kernels._next_h_np(np.array(errs), np.full(len(errs), h_use), h_max)
     assert [_kernels._next_h(e, h_use, h_max) for e in errs] == vec.tolist()
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_step_twins_agree_exactly(mode):
+    # one attempt from random states, steps of either sign: the numpy
+    # attempt and two scalar steps (z, then w) give the same new state and
+    # scaled error; a regrouped stage sum parts them on a few rows in 1e3
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    table, scalar_table = params.table, params.scalar_table
+    rng = np.random.default_rng(8)
+    n = 4000
+    Y = rng.uniform(-48.0, 48.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 1))
+    h = rng.uniform(0.01, 0.5, n) * rng.choice([-1.0, 1.0], n)
+    rtol = 1e-9
+
+    def rhs(Z):
+        return _kernels._rhs_np(Z, ALPHA, table)
+
+    K1 = rhs(Y)
+    Yn, err = _kernels._attempt_np(Y, K1, h, rhs, rtol)
+    for k, (y, f, hk) in enumerate(zip(Y.tolist(), K1.tolist(), h.tolist())):
+        z = _kernels._step2(y[0], y[1], f[0], f[1], hk, _kernels._rhs_z, ALPHA,
+                            scalar_table)
+        w = _kernels._step2(y[2], y[3], f[2], f[3], hk, _kernels._rhs2, ALPHA,
+                            scalar_table)
+        new = [z[0], z[1], w[0], w[1]]
+        scale = [_kernels.ATOL + rtol * max(abs(a), abs(b)) for a, b in zip(y, new)]
+        q5 = [e / c for e, c in zip([z[2], z[3], w[2], w[3]], scale)]
+        q3 = [e / c for e, c in zip([z[4], z[5], w[4], w[5]], scale)]
+        sq5 = q5[0] * q5[0] + q5[1] * q5[1] + q5[2] * q5[2] + q5[3] * q5[3]
+        sq3 = q3[0] * q3[0] + q3[1] * q3[1] + q3[2] * q3[2] + q3[3] * q3[3]
+        assert new == Yn[k].tolist()
+        assert _kernels._err_norm(sq5, sq3, 4.0, hk) == err[k]
+
+
+def test_tableau_is_consistent():
+    # each row of A sums to its node, the weights to 1 and both error
+    # estimates to 0, as in any consistent embedded pair
+    for terms, node in zip(_kernels.STAGES, _kernels.C_NODES[1:]):
+        assert sum(a for _, a in terms) == pytest.approx(node, abs=1e-14)
+    assert sum(b for _, b in _kernels.WEIGHTS) == pytest.approx(1.0, abs=1e-14)
+    for row in (_kernels.ERR5, _kernels.ERR3):
+        assert sum(e for _, e in row) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_step_is_eighth_order():
+    # the z-subsystem is linear with a known flow; the local error of an
+    # 8th order step shrinks 2^9-fold when the step halves
+    table = SteinParams(epsilon=16.0).scalar_table
+
+    def error(h):
+        f = _kernels._rhs_z(1.0, 1.0, ALPHA, table)
+        na, nb = _kernels._step2(1.0, 1.0, *f, h, _kernels._rhs_z, ALPHA, table)[:2]
+        return abs(na - math.exp((ALPHA - 1.0) * h)), abs(nb - math.exp(-ALPHA * h))
+
+    for big, small in zip(error(0.8), error(0.4)):
+        assert 2.0**8 < big / small < 2.0**10
+
+
+def _knot_cut_both(rows, table):
+    """Fractions of steps w(s) = w0 + s v over [0, 1] from both twins."""
+    W0 = np.array([r[:2] for r in rows], dtype=float)
+    V = np.array([r[2:] for r in rows], dtype=float)
+    W1 = W0 + V
+    vec = _kernels._knot_fraction_np(W0, V, W1, V, np.ones(len(rows)),
+                                     _kernels._knots(table))
+    scalar = [_kernels._knot_fraction(*w0, *v, *w1, *v, 1.0, table)
+              for w0, v, w1 in zip(W0.tolist(), V.tolist(), W1.tolist())]
+    assert scalar == vec.tolist()
+    return vec
+
+
+def test_knot_cut_finds_the_first_crossing():
+    # on a straight path |w|^2 is quadratic in s, which its cubic Hermite
+    # interpolant reproduces, so the cut falls on the exact crossing
+    table = SteinParams(epsilon=16.0, smoothing="cutoff").scalar_table
+    r0, rm, r1 = table[2:5]
+    assert (r0, r1) == (4.0, 16.0)
+    cases = [
+        ((3.5, 0.0, 1.0, 0.0), 0.5),  # outward across r0
+        ((17.0, 0.0, -2.0, 0.0), 0.5),  # inward across r1
+        ((3.0, 0.0, 14.0, 0.0), 1.0 / 14.0),  # across all three: r0 first
+        ((17.0, 0.0, -14.0, 0.0), 1.0 / 14.0),  # inward: r1 first
+        ((5.0, 1.0, 2.0, 0.0), None),  # |w|^2 = (5 + 2 s)^2 + 1 meets rm^2
+        ((-1.0, 3.9, 2.0, 0.0), (1.0 - math.sqrt(0.79)) / 2.0),  # dips under r0
+        ((5.0, 0.0, 1.0, 0.0), 1.0),  # inside one segment
+        ((4.0, 0.0, 1.0, 0.0), 1.0),  # from the knot itself
+        ((4.0 * (1.0 - 2e-9), 0.0, 1.0, 0.0), 2e-9 * 4.0),  # just inside it
+    ]
+    got = _knot_cut_both([row for row, _ in cases], table)
+    for (row, want), frac in zip(cases, got):
+        if want is None:
+            want = 0.5 * (math.sqrt(rm * rm - 1.0) - 5.0)
+        assert frac == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
+def test_pure_mode_never_reaches_the_knot_cut(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("knot code ran in pure mode")
+
+    for name in ("_knot_crossed", "_knot_fraction", "_on_knot", "_knot_crossed_np",
+                 "_knot_fraction_np", "_on_knot_np"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing="pure")
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    rows = [(1.0, 0.5, 3.5, 0.0), (-1.0, 2.0, -300.0, 40.0)]
+    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
+    batch, scalar = _drive_both(rows, args, 4.0, 1.0)
+    _assert_twins(batch, scalar)
+    W = np.array([row[2:] for row in rows])
+    d, status = flow.compute_delta_batch(np.sqrt(W[:, 0] + 1j * W[:, 1]), params,
+                                         settings)
+    assert np.all(status == _kernels.STATUS_EVENT)
 
 
 def test_pair_re_twins_agree_exactly():
@@ -238,17 +352,7 @@ def _drive_both(rows, args, t_end, fdir):
 
 
 def _assert_twins(batch, scalar):
-    status, t, sign, Y = batch
-    assert np.array_equal(status, scalar[0])
-    assert np.array_equal(sign, scalar[2])
-    # an attempt whose error estimate the twins round to either side of
-    # 1.0 is accepted by one and retried by the other, after which their
-    # trajectories differ at the step tolerance; the event rows here keep
-    # one step sequence, so their refinement is checked to 1e-12
-    ev = status == _kernels.STATUS_EVENT
-    rel = np.where(ev, 1e-12, 1e-6)
-    assert np.all(np.abs(t - scalar[1]) <= rel * (1.0 + np.abs(scalar[1])))
-    assert np.all(np.abs(Y - scalar[3]) <= rel[:, None] * (1.0 + np.abs(scalar[3])))
+    assert _bits(*batch) == _bits(scalar[0], scalar[1], scalar[2], scalar[3])
 
 
 @pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
@@ -292,8 +396,10 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
 
 
 def test_drive_twins_agree_on_stalls():
-    # at epsilon = 1e-30 the flow from (0, 1e-9 i, 0) slows below the stall
-    # speed at t = 1.841, and the critical point stalls at once
+    # at epsilon = 1e-30 the flow from (0, 1e-9 i, 0) has speed
+    # 1.5e-9 exp(-1.5 t), below the stall speed from t = ln(15)/1.5 = 1.805;
+    # the kernels see it at the end of the step past it, t = 1.911, and the
+    # critical point stalls at once
     params = SteinParams(alpha=ALPHA, epsilon=1e-30, smoothing="pure")
     settings = FlowSettings()
     args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
@@ -301,7 +407,7 @@ def test_drive_twins_agree_on_stalls():
     batch, scalar = _drive_both(rows, args, settings.max_time, 1.0)
     _assert_twins(batch, scalar)
     assert np.all(batch[0] == _kernels.STATUS_STALLED)
-    assert batch[1][0] == pytest.approx(1.841, abs=1e-3) and batch[1][1] == 0.0
+    assert batch[1][0] == pytest.approx(1.911, abs=1e-3) and batch[1][1] == 0.0
     for row in rows:
         traj = flow.integrate_flow(np.array(row), params, settings, record=False)
         assert traj.termination == flow.TERM_NEAR_CRITICAL
@@ -481,18 +587,34 @@ _HOSTILE_W = sorted(
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     # built-in floats raise where numpy scalars only warned: x / 0.0,
-    # ** and abs(complex) past the float range, math.sqrt below zero
+    # ** and abs(complex) past the float range, math.sqrt below zero; the
+    # numpy twins end every row with the same bits
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=4.0, max_steps=2000)
     rec = np.empty((0, 5))
     ends = []
     for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
         args = flow._drive_args(params, settings, kind, scalar=True)
-        for w in _HOSTILE_W:
-            ends.append((w, _kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)[0]))
+        scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)
+                  for w in _HOSTILE_W]
+        Y = np.array([(1.0, 0.5, *w) for w in _HOSTILE_W])
+        out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
+               np.zeros(len(Y), dtype=np.int64))
+        batch_args = flow._drive_args(params, settings, kind)
+        _kernels._drive_batch_np(Y, 4.0, *batch_args, *out, fdir)
+        assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in scalar])
+                                         for k in (0, 1, 6)), [r[2:6] for r in scalar])
+        ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
+    W = np.array(_HOSTILE_W)
     for reading in flow._READINGS:
         args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
-        ends += [(w, _kernels._delta_one(*w, *args)[0]) for w in _HOSTILE_W]
+        scalar = [_kernels._delta_one(*w, *args) for w in _HOSTILE_W]
+        out = (np.zeros(len(W), dtype=np.int64), np.zeros(len(W)), np.zeros(len(W)),
+               np.zeros(len(W)))
+        batch_args = flow._delta_args(params, settings, reading, 1.0)
+        _kernels._delta_batch_np(W, *batch_args, *out)
+        assert _bits(*out) == _bits(*(np.array(col) for col in zip(*scalar)))
+        ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
     for w, status in ends:
         if all(abs(v) < 1e-300 for v in w):
             assert status in (_kernels.STATUS_EVENT, _kernels.STATUS_TIME_END)
