@@ -72,11 +72,14 @@ h (sum of a_ij k_j) with the same terms in the same order, sum squares
 over components left to right and take err^(-1/8) as three correctly
 rounded square roots, so on the same rows they give the same bits.
 
-As plain Python the scalar kernels run on built-in floats, with the same
-bits as numpy scalars at several times the speed: the front ends pass the
-table as a tuple of floats, |w| is _hypot (abs(complex), which calls libm
-hypot as np.hypot does), and real roots and finiteness tests come from
-math.  Three stdlib twins are avoided because their bits differ:
+Every kernel takes the smoothing table as the one tuple of built-in
+floats that SteinParams holds (under numba a UniTuple(float64, 15)).  The
+numpy batch kernels read it as an array once per call: numpy combines
+its own scalars with arrays faster than built-in floats.  As plain Python
+the scalar kernels run on built-in floats, with the same bits as numpy
+scalars at several times the speed: |w| is _hypot (abs(complex), which
+calls libm hypot as np.hypot does), and real roots and finiteness tests
+come from math.  Three stdlib twins are avoided because their bits differ:
 math.hypot rounds some pairs apart from libm hypot, cmath.sqrt differs
 from np.sqrt on the imaginary axis (so the complex roots of _delta_one
 stay np.sqrt), and math.exp differs from np.exp in the last place on
@@ -1103,8 +1106,8 @@ def _event_np(Y, radius, epsilon, kind):
 
 
 def _knots(table):
-    """The cutoff knots table[2:5] as floats; none in pure mode."""
-    return () if table[0] == MODE_PURE else tuple(float(k) for k in table[2:5])
+    """The cutoff knots table[2:5]; none in pure mode."""
+    return () if table[0] == MODE_PURE else table[2:5]
 
 
 def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.inf,
@@ -1193,6 +1196,8 @@ def _drive_batch_np(
     :func:`_attempt_np`, by the rule of :func:`_bisect_event`: at most 64
     halvings per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
     """
+    knots = _knots(table)
+    table = np.asarray(table)
 
     def rhs(Z):
         return _rhs_np(Z, alpha, table)
@@ -1214,7 +1219,7 @@ def _drive_batch_np(
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
     K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop,
-                            _h_max(event_kind), _knots(table), t_end, fdir, event)
+                            _h_max(event_kind), knots, t_end, fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
         P = Y[ev]
@@ -1246,6 +1251,8 @@ def _delta_batch_np(
 
     Each row follows the reading rule of :func:`_delta_one`.
     """
+    knots = _knots(table)
+    table = np.asarray(table)
 
     def rhs(Z):
         return _rhs_w_np(Z, alpha, table)
@@ -1294,7 +1301,7 @@ def _delta_batch_np(
     out_re[:] = np.nan
     out_im[:] = np.nan
     out_t[:] = 0.0
-    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, _knots(table))
+    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, knots)
 
 
 drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np
@@ -1304,24 +1311,20 @@ delta_batch_kernel = _delta_batch if using_numba() else _delta_batch_np
 def warmup():
     """Touch every jit kernel once so later timings exclude compilation.
 
-    The table is a read-only cutoff table, as SteinParams builds it, and
-    the trajectories cross its knots, so the knot cut runs too.
+    The table is a cutoff table, as SteinParams builds it, and the
+    trajectories cross its knots, so the knot cut runs too.
     """
     table = smoothing.build_smoothing_table(4.0, "cutoff")
-    table.flags.writeable = False
-    # the scalar front ends pass the table as a tuple, the batches as is
-    scalar_table = tuple(table.tolist())
     rec = np.empty((4, 5))
     _drive(
-        1.0, 0.5, 0.5, 0.2, 1.0, 1.5, scalar_table, 1e-6, 1e3, EVENT_PAIR_ESCAPE,
-        100, rec, 1.0,
+        1.0, 0.5, 0.5, 0.2, 1.0, 1.5, table, 1e-6, 1e3, EVENT_PAIR_ESCAPE, 100, rec, 1.0,
     )
     Y = np.array([[1.0, 0.0, 0.5, 0.2]])
     st = np.zeros(1, dtype=np.int64)
     tt = np.zeros(1)
     sg = np.zeros(1, dtype=np.int64)
     _drive_batch(Y, 1.0, 1.5, table, 1e-6, 1e3, EVENT_NONE, 100, st, tt, sg, 1.0)
-    _delta_one(1.0, 0.5, 1.5, scalar_table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
+    _delta_one(1.0, 0.5, 1.5, table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)
     di = np.zeros(1)

@@ -67,8 +67,8 @@ def _validate(config):
         raise ConfigError("max-time must be positive and finite")
     if config.escape_radius is not None and not 0.0 < config.escape_radius < math.inf:
         raise ConfigError("escape-radius must be positive and finite")
-    if config.band_tol is not None and config.band_tol < 0.0:
-        raise ConfigError("band-tol must be nonnegative")
+    if config.band_tol is not None and not 0.0 <= config.band_tol < math.inf:
+        raise ConfigError("band-tol must be nonnegative and finite")
     if config.box is not None and not 0.0 < config.box < math.inf:
         raise ConfigError("box must be positive and finite")
 

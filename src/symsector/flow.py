@@ -129,11 +129,10 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _drive_args(params, settings, event_kind, scalar=False):
+def _drive_args(params, settings, event_kind):
     """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels."""
     radius = resolve_escape_radius(settings, params)
-    table = params.scalar_table if scalar else params.table
-    return (params.alpha, table, settings.step_tolerance, radius, event_kind,
+    return (params.alpha, params.table, settings.step_tolerance, radius, event_kind,
             settings.max_steps)
 
 
@@ -156,7 +155,7 @@ def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
     rec = np.empty((_REC_CAP if record else 0, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
-        _end_time(t_end, fdir), *_drive_args(params, settings, event_kind, scalar=True),
+        _end_time(t_end, fdir), *_drive_args(params, settings, event_kind),
         rec, fdir,
     )
     out_state = np.array([y0, y1, y2, y3])
@@ -273,14 +272,13 @@ def default_u_star(epsilon):
     return max(4.0 * epsilon, (3e9 * epsilon * epsilon) ** (1.0 / 7.0))
 
 
-def _delta_args(params, settings, reading, u_star_factor, scalar=False):
+def _delta_args(params, settings, reading, u_star_factor):
     """Arguments alpha .. max_steps of _delta_one (scalar) or the batch kernels."""
     if reading not in _READINGS:
         raise ValueError(f"reading must be one of {sorted(_READINGS)}, not {reading!r}")
     u_star = default_u_star(params.epsilon) * u_star_factor
-    table = params.scalar_table if scalar else params.table
-    return (params.alpha, table, settings.step_tolerance, u_star, _READINGS[reading],
-            settings.max_time, settings.max_steps)
+    return (params.alpha, params.table, settings.step_tolerance, u_star,
+            _READINGS[reading], settings.max_time, settings.max_steps)
 
 
 def _other_branch(w0, s0):
@@ -322,7 +320,7 @@ def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     w0 = s0 * s0
     status, dre, dim, _ = _kernels._delta_one(
         w0.real, w0.imag,
-        *_delta_args(params, settings, reading, u_star_factor, scalar=True),
+        *_delta_args(params, settings, reading, u_star_factor),
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")

@@ -42,11 +42,11 @@ class SteinParams:
 
     Immutable: equal parameters compare and hash equal, one object can be
     shared, and :func:`dataclasses.replace` makes a changed copy.  The
-    smoothing table is built once, at construction: ``table``, a read-only
-    array for the numpy and jit kernels, and ``scalar_table``, the same
-    bits as a tuple of built-in floats, for the plain-Python scalar
-    kernels.  A table that cannot be built raises :class:`smoothing.SmoothingError`, a
-    ValueError (a cutoff profile below epsilon ~ 2.1, for one).
+    smoothing ``table`` is built once, at construction: the tuple of
+    floats of :func:`smoothing.build_smoothing_table` that the scalar,
+    numpy and jit kernels all take.  A table that cannot be built raises
+    :class:`smoothing.SmoothingError`, a ValueError (a cutoff profile below
+    epsilon ~ 2.1, for one).
 
     Parameters
     ----------
@@ -62,8 +62,7 @@ class SteinParams:
     alpha: float = ALPHA_DEFAULT
     epsilon: float = EPSILON_DEFAULT
     smoothing: str = "pure"
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-    scalar_table: tuple = field(init=False, repr=False, compare=False)
+    table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
@@ -73,9 +72,7 @@ class SteinParams:
         if self.smoothing not in ("pure", "cutoff"):
             raise ValueError("smoothing must be 'pure' or 'cutoff'")
         table = smoothing.build_smoothing_table(self.epsilon, self.smoothing)
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "scalar_table", tuple(table.tolist()))
 
 
 DEFAULT_PARAMS = SteinParams()
@@ -304,9 +301,9 @@ def flow_field_zw(z, w, params=DEFAULT_PARAMS):
     a = params.alpha
     z = complex(z)
     w = complex(w)
-    dz = complex(*_kernels._rhs_z(z.real, z.imag, a, params.scalar_table))
+    dz = complex(*_kernels._rhs_z(z.real, z.imag, a, params.table))
     r = _kernels._hypot(w.real, w.imag)
-    drift, shrink = _kernels._w_terms(r, a, params.scalar_table)
+    drift, shrink = _kernels._w_terms(r, a, params.table)
     return dz, drift - shrink * w
 
 
@@ -338,6 +335,16 @@ def _blend_profile(alpha):
     xs = np.array([x1, x1 + frac * span, x2 - frac * span, x2])
     j2 = np.array([alpha, -depth, -depth, 1.0 - alpha])
     return xs, j2
+
+
+def disk_laplacian_floor(alpha=ALPHA_DEFAULT):
+    """Designed lower bound of the Laplacian of :func:`phi_D1`.
+
+    It is alpha plus the plateau value -depth of j'', the least Laplacian
+    of the bridge; both quadratic ends lie above it.
+    """
+    _, j2 = _blend_profile(alpha)
+    return alpha + float(j2[1])
 
 
 _DISK_CACHE = {}
@@ -406,25 +413,6 @@ def phi_D1(z, alpha=ALPHA_DEFAULT):
         out[mid] = _blend_j(x[mid], alpha)
     out += 0.5 * alpha * y**2
     return float(out[0]) if scalar else out
-
-
-def phi_D1_laplacian(z, alpha=ALPHA_DEFAULT):
-    """Closed-form Laplacian of :func:`phi_D1`."""
-    z = np.asarray(z, dtype=complex)
-    x = np.atleast_1d(z.real)
-    out = np.empty_like(x)
-    left = x < 1.0 / 3.0
-    right = x > 2.0 / 3.0
-    mid = ~(left | right)
-    out[left] = 2.0 * alpha
-    out[right] = 1.0
-    if mid.any():
-        xs, j2, _, _, _ = _disk_tables(alpha)
-        xm = x[mid]
-        idx = np.clip(np.searchsorted(xs, xm, side="right") - 1, 0, 2)
-        q = (j2[idx + 1] - j2[idx]) / (xs[idx + 1] - xs[idx])
-        out[mid] = alpha + j2[idx] + q * (xm - xs[idx])
-    return out[0] if z.ndim == 0 else out
 
 
 def phi_Dn(z, n, alpha=ALPHA_DEFAULT):

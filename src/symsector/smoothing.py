@@ -16,9 +16,10 @@ The potential on the symmetric square contains a term ``n(|w|)/2`` where
     equivalent to ``m' > 0``, which the construction guarantees; it is
     feasible only for ``epsilon`` above roughly ``2.1``.
 
-Profiles are frozen into a flat float64 table consumed by the numerical
-kernels, so jit-compiled code never touches Python objects.  One numpy
-evaluator reads it for n, m, m' and the kernels' cutoff coefficients.
+Profiles are frozen into a flat table, an immutable tuple of 15 built-in
+floats that every kernel takes; jit-compiled code sees a homogeneous
+tuple, never a Python object.  One numpy evaluator reads it for n, m, m'
+and the kernels' cutoff coefficients.
 """
 
 import math
@@ -46,9 +47,9 @@ class SmoothingError(ValueError):
 
 
 def _mode_code(mode):
-    if mode in (MODE_PURE, "pure"):
+    if mode == "pure":
         return MODE_PURE
-    if mode in (MODE_CUTOFF, "cutoff"):
+    if mode == "cutoff":
         return MODE_CUTOFF
     raise SmoothingError("unknown smoothing mode: %r" % (mode,))
 
@@ -161,19 +162,20 @@ def _bridge_integral(epsilon, lam):
 
 
 def build_smoothing_table(epsilon, mode="pure"):
-    """Freeze a smoothing profile into a flat float64 table.
+    """Freeze a smoothing profile into a flat table of floats.
 
     Parameters
     ----------
     epsilon : float
         Smoothing scale, strictly positive.
-    mode : str or float
-        "pure" or "cutoff" (or the numeric codes 0.0 / 1.0).
+    mode : str
+        "pure" or "cutoff".
 
     Returns
     -------
-    numpy.ndarray
-        Shape (15,) float64 table consumed by the flow kernels.
+    tuple
+        TABLE_SIZE built-in floats (layout above), read by every kernel
+        and evaluator; a tuple cannot be written to.
 
     Raises
     ------
@@ -189,7 +191,7 @@ def build_smoothing_table(epsilon, mode="pure"):
     table[0] = code
     table[1] = epsilon
     if code == MODE_PURE:
-        return table
+        return tuple(table.tolist())
 
     r0 = _BRIDGE_START * epsilon
     r1 = epsilon
@@ -257,7 +259,7 @@ def build_smoothing_table(epsilon, mode="pure"):
         raise SmoothingError(
             "cutoff profile lost monotonicity at epsilon=%g" % epsilon
         )
-    return table
+    return tuple(table.tolist())
 
 
 _PURE = (pure_norm, pure_m, pure_m_prime)
@@ -270,8 +272,11 @@ def _profile(r, table, orders):
     kernels' cutoff coefficients.  In cutoff mode one split on the knots
     table[2:5] serves every order: the pure profile, the two bridge cubics
     of m in the kernels' Horner form, and n = m = r, m' = 1 from table[4].
+    The table is read as an array once per call, so its entries enter the
+    array arithmetic as numpy scalars.
     """
     r = np.asarray(r, dtype=float)
+    table = np.asarray(table)
     epsilon = table[1]
     if table[0] == MODE_PURE:
         return [_PURE[k](r, epsilon) for k in orders]

@@ -256,13 +256,6 @@ def _suite_kahler_factor_bounds(config, rng):
                    "the branch locus; monotone")
 
 
-def _disk_floor(alpha):
-    """Designed lower bound of the blended disk Laplacian."""
-    frac = min((alpha - 1.0) / (2.0 * alpha + 1.0), 0.2)
-    depth = (1.0 + 0.5 * frac) / (1.0 - frac)
-    return alpha - depth
-
-
 def _suite_disk_blend_psh(config, rng):
     alpha = config.alpha
     m5 = geometry.check_psh(
@@ -271,7 +264,7 @@ def _suite_disk_blend_psh(config, rng):
     checks = [
         ("min Laplacian", m5, ">", 0.0),
         ("min Laplacian against the designed floor", m5, ">=",
-         _disk_floor(alpha) - 1e-6),
+         geometry.disk_laplacian_floor(alpha) - 1e-6),
     ]
     return _result(401 * 401, checks, "blended disk potential on [-5,5]^2 at 401^2")
 

@@ -312,10 +312,12 @@ def test_bad_box_exits_2(box, capsys):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("option", ["--epsilon", "--max-time", "--escape-radius"])
+@pytest.mark.parametrize("option", ["--epsilon", "--max-time", "--escape-radius",
+                                    "--band-tol"])
 @pytest.mark.parametrize("command", ["verify", "classify-grid", "slice-plot"])
 def test_non_finite_value_exits_2(command, option, value, tmp_path, capsys):
-    # verify --epsilon inf crashed on the JSON report and exited 1
+    # verify --epsilon inf crashed on the JSON report and exited 1;
+    # classify-grid --band-tol nan labelled every cell U_PP and exited 0
     target = tmp_path / "out.txt"
     code, out, err = run_cli(
         [command, "--grid", "3", "--sample-scale", "0.02", "--out", str(target),
@@ -367,6 +369,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["euler"] == 1
+
+
+def test_package_never_imports_scipy():
+    # scipy may be installed, and the DOP853 tableau was copied from its
+    # source, so an accidental import would pass every other test
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symsector, symsector.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", ["classify-grid", "slice-plot"])

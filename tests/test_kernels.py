@@ -11,8 +11,10 @@ import inspect
 import itertools
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symsector import _kernels, flow, smoothing
 from symsector._accel import using_numba
@@ -165,7 +167,7 @@ def test_step_twins_agree_exactly(mode):
     # attempt and two scalar steps (z, then w) give the same new state and
     # scaled error; a regrouped stage sum parts them on a few rows in 1e3
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    table, scalar_table = params.table, params.scalar_table
+    table = params.table
     rng = np.random.default_rng(8)
     n = 4000
     Y = rng.uniform(-48.0, 48.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 1))
@@ -178,10 +180,8 @@ def test_step_twins_agree_exactly(mode):
     K1 = rhs(Y)
     Yn, err = _kernels._attempt_np(Y, K1, h, rhs, rtol)
     for k, (y, f, hk) in enumerate(zip(Y.tolist(), K1.tolist(), h.tolist())):
-        z = _kernels._step2(y[0], y[1], f[0], f[1], hk, _kernels._rhs_z, ALPHA,
-                            scalar_table)
-        w = _kernels._step2(y[2], y[3], f[2], f[3], hk, _kernels._rhs2, ALPHA,
-                            scalar_table)
+        z = _kernels._step2(y[0], y[1], f[0], f[1], hk, _kernels._rhs_z, ALPHA, table)
+        w = _kernels._step2(y[2], y[3], f[2], f[3], hk, _kernels._rhs2, ALPHA, table)
         new = [z[0], z[1], w[0], w[1]]
         scale = [_kernels.ATOL + rtol * max(abs(a), abs(b)) for a, b in zip(y, new)]
         q5 = [e / c for e, c in zip([z[2], z[3], w[2], w[3]], scale)]
@@ -205,7 +205,7 @@ def test_tableau_is_consistent():
 def test_step_is_eighth_order():
     # the z-subsystem is linear with a known flow; the local error of an
     # 8th order step shrinks 2^9-fold when the step halves
-    table = SteinParams(epsilon=16.0).scalar_table
+    table = SteinParams(epsilon=16.0).table
 
     def error(h):
         f = _kernels._rhs_z(1.0, 1.0, ALPHA, table)
@@ -232,7 +232,7 @@ def _knot_cut_both(rows, table):
 def test_knot_cut_finds_the_first_crossing():
     # on a straight path |w|^2 is quadratic in s, which its cubic Hermite
     # interpolant reproduces, so the cut falls on the exact crossing
-    table = SteinParams(epsilon=16.0, smoothing="cutoff").scalar_table
+    table = SteinParams(epsilon=16.0, smoothing="cutoff").table
     r0, rm, r1 = table[2:5]
     assert (r0, r1) == (4.0, 16.0)
     cases = [
@@ -431,7 +431,8 @@ def test_jit_batch_kernels_loop_the_scalar_kernels(mode):
         Y = np.array(rows + _INSIDE.get(kind, []))
         out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
                np.zeros(len(Y), dtype=np.int64))
-        # the batch table holds numpy floats, on which the overflow row warns
+        # the rows are read from the batch as numpy floats, on which the
+        # overflow row warns
         with np.errstate(over="ignore", invalid="ignore"):
             want = [_kernels._drive(*row, 4.0, *args, rec, fdir) for row in Y.tolist()]
             _kernels._drive_batch(Y, 4.0, *args, *out, fdir)
@@ -556,20 +557,20 @@ def test_hypot_matches_np_hypot_where_it_overflows():
 @pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_scalar_kernels_stay_on_builtin_floats(mode):
-    # the front ends pass the table as a tuple of floats, so no numpy
-    # scalar enters the arithmetic of the plain-Python kernels
+    # the table is a tuple of floats, so no numpy scalar enters the
+    # arithmetic of the plain-Python kernels
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_steps=20000)
-    table = params.scalar_table
+    table = params.table
     for r in _radii(mode)[1]:
         assert all(type(v) is float for v in _kernels._w_terms(float(r), ALPHA, table))
-    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE, scalar=True)
+    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
     state = SymPoint(-40.0, -64.0 + 1.0j).state().tolist()
     res = _kernels._drive(*state, 60.0, *args, np.empty((0, 5)), 1.0)
     assert res[0] == _kernels.STATUS_EVENT
     assert all(type(v) is float for v in res[1:6])
     for reading in flow._READINGS:
-        args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
+        args = flow._delta_args(params, settings, reading, 1.0)
         res = _kernels._delta_one(300.0, 400.0, *args)
         assert res[0] == _kernels.STATUS_EVENT
         assert all(type(v) is float for v in res[1:])
@@ -594,25 +595,23 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     rec = np.empty((0, 5))
     ends = []
     for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
-        args = flow._drive_args(params, settings, kind, scalar=True)
+        args = flow._drive_args(params, settings, kind)
         scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)
                   for w in _HOSTILE_W]
         Y = np.array([(1.0, 0.5, *w) for w in _HOSTILE_W])
         out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
                np.zeros(len(Y), dtype=np.int64))
-        batch_args = flow._drive_args(params, settings, kind)
-        _kernels._drive_batch_np(Y, 4.0, *batch_args, *out, fdir)
+        _kernels._drive_batch_np(Y, 4.0, *args, *out, fdir)
         assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in scalar])
                                          for k in (0, 1, 6)), [r[2:6] for r in scalar])
         ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
     W = np.array(_HOSTILE_W)
     for reading in flow._READINGS:
-        args = flow._delta_args(params, settings, reading, 1.0, scalar=True)
+        args = flow._delta_args(params, settings, reading, 1.0)
         scalar = [_kernels._delta_one(*w, *args) for w in _HOSTILE_W]
         out = (np.zeros(len(W), dtype=np.int64), np.zeros(len(W)), np.zeros(len(W)),
                np.zeros(len(W)))
-        batch_args = flow._delta_args(params, settings, reading, 1.0)
-        _kernels._delta_batch_np(W, *batch_args, *out)
+        _kernels._delta_batch_np(W, *args, *out)
         assert _bits(*out) == _bits(*(np.array(col) for col in zip(*scalar)))
         ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
     for w, status in ends:
@@ -620,3 +619,39 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
             assert status in (_kernels.STATUS_EVENT, _kernels.STATUS_TIME_END)
         else:
             assert status == _kernels.STATUS_NONFINITE
+
+
+# Property-based parity: drawn batches of rows, finite ones and ones made of
+# hostile magnitudes, through both twins with the same params.table object.
+# Each example is one batch, since a small numpy batch costs about as much
+# as a large one; the lockstep of a cutoff batch dominates the run time.
+_MAGNITUDES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-320, 1e154, -1e154]
+_PARAMS = {mode: SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+           for mode in ("pure", "cutoff")}
+_DRAWN_SETTINGS = FlowSettings(max_time=8.0, escape_radius=64.0, max_steps=2000)
+
+
+def _drawn_rows(width, half):
+    finite = st.floats(-half, half)
+    hostile = st.one_of(finite, st.sampled_from(_MAGNITUDES))
+    row = st.one_of(st.tuples(*[finite] * width), st.tuples(*[hostile] * width))
+    return st.lists(row, min_size=1, max_size=12)
+
+
+@hypothesis.settings(max_examples=20)
+@given(rows=_drawn_rows(4, 64.0), mode=st.sampled_from(sorted(_PARAMS)),
+       kind=st.sampled_from(range(4)), fdir=st.sampled_from([1.0, -1.0]))
+def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir):
+    args = flow._drive_args(_PARAMS[mode], _DRAWN_SETTINGS, kind)
+    assert args[1] is _PARAMS[mode].table
+    _assert_twins(*_drive_both(rows, args, 2.0, fdir))
+
+
+@hypothesis.settings(max_examples=20)
+@given(rows=_drawn_rows(2, 4096.0), mode=st.sampled_from(sorted(_PARAMS)),
+       reading=st.sampled_from(sorted(flow._READINGS)))
+def test_delta_twins_agree_on_drawn_rows(rows, mode, reading):
+    # w rows up to 4096 start at |sqrt(w)| up to 64, around u_star
+    args = flow._delta_args(_PARAMS[mode], _DRAWN_SETTINGS, reading, 1.0)
+    assert args[1] is _PARAMS[mode].table
+    _delta_both(np.array(rows), args)
