@@ -157,11 +157,13 @@ def cmd_verify(config):
         alpha=config.alpha,
         suites=config.suite,
     )
+    if (config.out and config.timings
+            and os.path.realpath(config.out) == os.path.realpath(config.timings)):
+        raise ConfigError("--out and --timings name the same file")
     _check_out(config.out)
     _check_out(config.timings)
     timings = {}
-    report = (verify.run_all(vconf, timings) if config.timings
-              else verify.run_all(vconf))
+    report = verify.run_all(vconf, timings)
     _write_out(config.out, verify.report_json(report))
     if config.timings:
         _write_out(config.timings, json.dumps(timings, indent=2) + "\n")

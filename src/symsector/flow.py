@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._accel import available_cpus, using_numba
+from ._accel import available_cpus, can_fork, run_forked, using_numba
 from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint
 
 TERM_ESCAPED = "ESCAPED"
@@ -28,7 +28,7 @@ _READINGS = {
     "complex-im": _kernels.READ_COMPLEX_IM,
 }
 _REC_CAP = 65536
-_SPLIT_ROWS = 1000  # fewest Delta rows worth a forked process
+_SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
 
 
 class NoEscapeError(RuntimeError):
@@ -248,8 +248,13 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
 
     Runs the batch kernel of the active backend (jit or numpy) up to
     t_end (default max_time), which must be finite and >= 0, downward
-    for direction 1.0 and upward for -1.0.
+    for direction 1.0 and upward for -1.0.  Y must be a 2-D float64
+    array of 4 columns: another dtype would truncate each state written
+    back, and a converted copy would leave the caller's Y as it was.
     """
+    if not (isinstance(Y, np.ndarray) and Y.dtype == np.float64
+            and Y.ndim == 2 and Y.shape[1] == 4):
+        raise ValueError("Y must be a 2-D float64 array with 4 columns")
     n = Y.shape[0]
     out_status = np.zeros(n, dtype=np.int64)
     out_t = np.zeros(n)
@@ -347,49 +352,24 @@ def _delta_rows(W, args):
     return out
 
 
-def _delta_workers(n):
-    """Processes to share an n-row Delta batch; 1 keeps it here.
+def _delta_split(W, args):
+    """:func:`_delta_rows` of W, with its rows shared among forked workers.
 
     Only the numpy kernel splits (the jit kernel is parallel already,
-    and fork is unsafe once numba threads run), only with fork, never
-    inside a worker, and only with _SPLIT_ROWS rows or more per process.
+    and fork is unsafe once numba threads run), only where
+    _accel.can_fork allows, and only with _SPLIT_ROWS rows or more per
+    process.  Worker j takes rows j, j+k, ...: the rows of
+    compute_c_batch come sorted, so strided chunks mix short and long
+    trajectories.  Every kernel operation is per row, and each active
+    row makes one attempt per lockstep iteration, so any split gives the
+    same bits.  A chunk whose worker died is run here.
     """
-    k = min(available_cpus(), n // _SPLIT_ROWS)
-    if k < 2 or using_numba():
-        return 1
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.parent_process() is not None):
-        return 1
-    return k
-
-
-def _delta_split(W, args):
-    """:func:`_delta_rows` of W, with its rows shared among processes.
-
-    Process j takes rows j, j+k, ...: the rows of compute_c_batch come
-    sorted, so strided chunks mix short and long trajectories.  Every
-    kernel operation is per row, and each active row makes one attempt
-    per lockstep iteration, so any split gives the same bits.  Chunk 0
-    runs here; a chunk whose worker dies is run here too.
-    """
-    k = _delta_workers(W.shape[0])
-    if k == 1:
+    k = min(available_cpus(), W.shape[0] // _SPLIT_ROWS)
+    if k < 2 or using_numba() or not can_fork():
         return _delta_rows(W, args)
-    import concurrent.futures
-    import multiprocessing
-
-    with concurrent.futures.ProcessPoolExecutor(
-        k - 1, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        futures = [pool.submit(_delta_rows, W[j::k], args) for j in range(1, k)]
-        parts = [_delta_rows(W[0::k], args)]
-        for j, future in enumerate(futures, 1):
-            try:
-                parts.append(future.result())
-            except concurrent.futures.process.BrokenProcessPool:
-                parts.append(_delta_rows(W[j::k], args))
+    parts = run_forked(_delta_rows, [(W[j::k], args) for j in range(k)], k)
+    parts = [_delta_rows(W[j::k], args) if isinstance(part, Exception) else part
+             for j, part in enumerate(parts)]
     outs = tuple(np.empty(W.shape[0], dtype=got.dtype) for got in parts[0])
     for j, part in enumerate(parts):
         for out, got in zip(outs, part):

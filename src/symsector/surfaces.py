@@ -245,16 +245,23 @@ _SYM2_SPECIAL = {
 }
 
 
-def completion_description(surface, cid_i, cid_j):
+def completion_of(surface, cid_i, cid_j):
     """Completion of the sector piece indexed by two components.
 
     The diagonal pieces complete to the symmetric square of one
     completed component and the off-diagonal pieces to a product; the
     standard identifications Sym2(P) = (C*)^2 and Sym2(C*) = C x C*
     are applied for display.
+
+    Raises
+    ------
+    UnknownPieceError
+        If either component id does not exist.
     """
-    ci = surface.component(cid_i)
-    cj = surface.component(cid_j)
+    try:
+        ci, cj = surface.component(cid_i), surface.component(cid_j)
+    except KeyError as exc:
+        raise UnknownPieceError(exc.args[0]) from None
     if cid_i == cid_j:
         base = component_symbol(ci)
         display = _SYM2_SPECIAL.get(base, f"Sym2({base})")
@@ -264,13 +271,24 @@ def completion_description(surface, cid_i, cid_j):
     return {"form": "PRODUCT", "of": [cid_i, cid_j], "display": f"{si} x {sj}"}
 
 
-def fiber_description(surface, arc_id, cid):
+def fiber_of(surface, arc_id, cid):
     """Fiber of one hypersurface over its classifying interval.
 
     When the arc cuts into the component the generic fiber is the
     completion of the component with the arc band removed; otherwise it
     is a point of the arc times the untouched component.
+
+    Raises
+    ------
+    UnknownHypersurfaceError
+        If either index does not exist.
     """
+    if arc_id not in surface.arc_ids:
+        raise UnknownHypersurfaceError(arc_id)
+    try:
+        surface.component(cid)
+    except KeyError:
+        raise UnknownHypersurfaceError(cid) from None
     k = surface.arc_ids.index(arc_id)
     sa, sb = surface.arcs[k]
     owners = {surface.slot_owner(sa), surface.slot_owner(sb)}
@@ -315,7 +333,7 @@ class Decomposition:
             "pieces": [
                 {
                     "pair": list(pair),
-                    "completion": completion_description(surface, *pair),
+                    "completion": completion_of(surface, *pair),
                 }
                 for pair in self.pieces
             ],
@@ -323,7 +341,7 @@ class Decomposition:
                 {
                     "saddle": s,
                     "minimum": m,
-                    "fiber": fiber_description(surface, s, m),
+                    "fiber": fiber_of(surface, s, m),
                 }
                 for s, m in self.hypersurfaces
             ],
@@ -357,39 +375,6 @@ def enumerate_decomposition(surface):
         codes = ", ".join(v["code"] for v in bad)
         raise ValueError(f"invalid surface: {codes}")
     return Decomposition(surface)
-
-
-def fiber_of(surface, arc_id, cid):
-    """Fiber description of the hypersurface indexed by (arc, component).
-
-    Raises
-    ------
-    UnknownHypersurfaceError
-        If either index does not exist.
-    """
-    if arc_id not in surface.arc_ids:
-        raise UnknownHypersurfaceError(arc_id)
-    try:
-        surface.component(cid)
-    except KeyError:
-        raise UnknownHypersurfaceError(cid) from None
-    return fiber_description(surface, arc_id, cid)
-
-
-def completion_of(surface, cid_i, cid_j):
-    """Completion description of the piece indexed by two components.
-
-    Raises
-    ------
-    UnknownPieceError
-        If either component id does not exist.
-    """
-    for cid in (cid_i, cid_j):
-        try:
-            surface.component(cid)
-        except KeyError:
-            raise UnknownPieceError(cid) from None
-    return completion_description(surface, cid_i, cid_j)
 
 
 def _four_punctured_structure(surface):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, flow, geometry, sectors, smoothing, surfaces
-from ._accel import available_cpus, using_numba
+from ._accel import available_cpus, can_fork, run_forked, using_numba
 from .flow import FlowSettings
 from .geometry import SteinParams, SymPoint
 
@@ -908,7 +908,7 @@ def run_all(config=None, timings=None):
     """Run the wanted suites and assemble the deterministic report.
 
     Suites run in forked worker processes, at most one per available
-    CPU, or one by one here where fork is unavailable.  The longest
+    CPU, or one by one here where _accel.can_fork says no.  The longest
     suite starts first; results are taken in registry order, so the
     report does not depend on the schedule.  A worker that dies fails
     each suite it left unfinished.
@@ -916,33 +916,23 @@ def run_all(config=None, timings=None):
     time and each suite's wall time in its worker (None if unfinished);
     none of it enters the report.
     """
-    import concurrent.futures
-    import multiprocessing
-
     if config is None:
         config = VerifyConfig()
     idxs = [idx for idx, name in enumerate(SUITE_NAMES)
             if not config.suites or name in config.suites]
     start = time.perf_counter()
-    if "fork" in multiprocessing.get_all_start_methods():
+    if can_fork():
         # Workers inherit the imported modules and REGISTRY as they are
         # now.  The CLI runs no kernel before this fork, so no numba
         # thread pool has started that the children would lack.
         workers = min(len(idxs), available_cpus())
-        runs = []
-        with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            # label-agreement is about half of all suite time at full
-            # scale; it starts first, and the other suites fill the rest
-            first = sorted(idxs, key=lambda i: SUITE_NAMES[i] != "label-agreement")
-            futures = {idx: pool.submit(_run_indexed, config, idx) for idx in first}
-            for idx in idxs:
-                try:
-                    runs.append(futures[idx].result())
-                except concurrent.futures.process.BrokenProcessPool as exc:
-                    out = dict(_raised(exc), name=SUITE_NAMES[idx])
-                    runs.append((out, None))
+        # label-agreement is about half of all suite time at full
+        # scale; it starts first, and the other suites fill the rest
+        first = sorted(idxs, key=lambda i: SUITE_NAMES[i] != "label-agreement")
+        done = dict(zip(first, run_forked(
+            _run_indexed, [(config, idx) for idx in first], workers)))
+        runs = [(dict(_raised(done[i]), name=SUITE_NAMES[i]), None)
+                if isinstance(done[i], Exception) else done[i] for i in idxs]
     else:
         workers = 1
         runs = [_run_indexed(config, idx) for idx in idxs]

@@ -100,7 +100,7 @@ def test_verify_failure_maps_to_exit_1(monkeypatch, capsys):
     from symsector import verify as verify_mod
 
     fake = {"passed": False, "failed": ["x"], "suites": [], "config": {}}
-    monkeypatch.setattr(verify_mod, "run_all", lambda cfg: fake)
+    monkeypatch.setattr(verify_mod, "run_all", lambda cfg, timings=None: fake)
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -272,6 +272,27 @@ def test_unwritable_out_fails_before_computing(
     assert "cannot write" in err and str(target) in err and out == ""
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_verify_out_and_timings_on_one_file_exit_2(link, tmp_path, capsys, monkeypatch):
+    # the timings sidecar used to overwrite the report, with exit 0
+    def never(*args, **kwargs):
+        raise AssertionError("verify.run_all ran before the paths were checked")
+
+    monkeypatch.setattr(cli.verify, "run_all", never)
+    report = tmp_path / "r.json"
+    report.write_text("kept\n")
+    timings = report
+    if link:
+        timings = tmp_path / "t.json"
+        timings.symlink_to(report)
+    code, out, err = run_cli(
+        ["verify", "--out", str(report), "--timings", str(timings)], capsys
+    )
+    _assert_user_error(code, err)
+    assert "same file" in err and out == ""
+    assert report.read_text() == "kept\n"
+
+
 def test_out_check_leaves_no_file_when_run_fails(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("grid failed")
@@ -373,13 +394,17 @@ def test_module_entry_point():
 
 def test_package_never_imports_scipy():
     # scipy may be installed, and the DOP853 tableau was copied from its
-    # source, so an accidental import would pass every other test
+    # source, so an accidental import would pass every other test; the
+    # pool modules load only when a pool starts, which keeps them out of
+    # the start-up time of every command
+    modules = ["scipy", "multiprocessing", "concurrent.futures"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, symsector, symsector.cli; print('scipy' in sys.modules)"],
+         "import sys, symsector, symsector.cli; "
+         f"print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["classify-grid", "slice-plot"])

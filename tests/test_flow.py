@@ -210,6 +210,22 @@ def test_drive_batch_rejects_bad_time_or_direction(pure16, t_end, direction):
                     t_end=t_end, direction=direction)
 
 
+@pytest.mark.parametrize("Y", [
+    np.array([[1, 2, 3, 4], [5, -6, 7, 8]]),
+    np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32),
+    np.array([[1.0, 2.0, 3.0]]),
+    np.array([1.0, 2.0, 3.0, 4.0]),
+], ids=["int64", "float32", "three-columns", "one-row-1d"])
+def test_drive_batch_rejects_rows_it_cannot_integrate_in_place(pure16, Y):
+    # an int64 Y spent the whole step budget: each accepted state was
+    # truncated on its way back into Y, leaving [[1, 0, 3, 0], [5, 0, 7, 0]]
+    before = Y.copy()
+    with pytest.raises(ValueError, match="float64"):
+        drive_batch(Y, pure16, FlowSettings(max_steps=50), _kernels.EVENT_NONE,
+                    t_end=1.0)
+    assert np.array_equal(Y, before)
+
+
 # ----------------------------------------------------------- offset readings
 
 
@@ -493,16 +509,18 @@ def _no_pool(*args, **kwargs):
 
 @pytest.fixture()
 def two_way(monkeypatch):
-    """Two CPUs, and a record of the process count of each Delta batch."""
+    """Two CPUs, the 1,000-row floor _split_keys is sized for, and a
+    record of the worker count of each forked Delta batch."""
     counts = []
-    delta_workers = flow._delta_workers
+    run_forked = flow.run_forked
 
-    def workers(n):
-        counts.append(delta_workers(n))
-        return counts[-1]
+    def record(fn, jobs, workers):
+        counts.append(workers)
+        return run_forked(fn, jobs, workers)
 
     monkeypatch.setattr(flow, "available_cpus", lambda: 2)
-    monkeypatch.setattr(flow, "_delta_workers", workers)
+    monkeypatch.setattr(flow, "_SPLIT_ROWS", 1000)
+    monkeypatch.setattr(flow, "run_forked", record)
     return counts
 
 
@@ -561,7 +579,7 @@ def test_delta_batch_stays_serial(pure16, two_way, monkeypatch):
     below_floor = compute_delta_batch(keys[1:], pure16, settings)
     monkeypatch.setattr(flow, "using_numba", lambda: True)
     serial = compute_delta_batch(keys, pure16, settings)
-    assert two_way == [1, 1]
+    assert two_way == []
     tail = (serial[0][1:], serial[1][1:])
     for got, want in ((in_worker, serial), (below_floor, tail)):
         assert got[1].tolist() == want[1].tolist()

@@ -1,5 +1,6 @@
 """Verification suite runner and report plumbing."""
 
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -151,6 +152,30 @@ def test_pool_report_matches_serial_loop(seed):
         assert r["checks"], r["name"]
         assert {c["sense"] for c in r["checks"]} <= set(SENSES)
         assert r["passed"] is passes(r["checks"])
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was made")
+
+
+def _run_all_without_pool(config):
+    # runs in a pool worker: a nested pool would raise here
+    concurrent.futures.ProcessPoolExecutor = _no_pool
+    timings = {}
+    return report_json(run_all(config, timings)), timings["workers"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs a forked worker to call run_all in")
+def test_run_all_in_a_worker_runs_its_suites_here(monkeypatch):
+    cfg = VerifyConfig(sample_scale=0.05, suites=FAST_SUITES)
+    with concurrent.futures.ProcessPoolExecutor(
+        1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        in_worker = pool.submit(_run_all_without_pool, cfg).result()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(verify, "can_fork", lambda: False)
+    assert in_worker == (report_json(run_all(cfg)), 1)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
