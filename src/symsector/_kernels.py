@@ -33,9 +33,12 @@ skips all of this.
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
 _rhs_np), one DOP853 attempt with its scaled error (_attempt_np), the
-step controller (_next_h_np), the knot cut (_knot_fraction_np and its
-helpers), the pair coordinates (pair_re_np) and the event regions
-(_event_np).  _lockstep is the one numpy loop: it owns the step budget,
+step controller (_next_h_np), the pair coordinates (pair_re_np) and the
+event regions (_event_np).  The knot cut has one definition for both
+backends, the scalar _knot_fraction and its helpers: _knot_cut_np passes
+it only the rows of a batch whose interpolant may reach a knot band, as
+the Bernstein hull of the interpolant shows, and gives every other row
+1.0.  _lockstep is the one numpy loop: it owns the step budget,
 the attempt, acceptance, the knot cut, the controller and the dead-row
 rule.  The batch kernels
 _drive_batch_np and _delta_batch_np pass it the stop rule run before
@@ -60,8 +63,8 @@ without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs_z and _rhs2, one DOP853 step _step2 that takes its right-hand
-side as an argument, _err_norm, _next_h, _knot_fraction and its helpers,
-_pair_re and _event_val (also the region test of sectors).  They are jit-compiled
+side as an argument, _err_norm, _next_h, _pair_re and _event_val (also
+the region test of sectors).  They are jit-compiled
 under numba and run as plain Python otherwise (the decorator degrades to
 a no-op); scalar callers use them directly and never build a one-row
 numpy batch.  Each attempt of the scalar _drive, and of the bisection
@@ -980,101 +983,46 @@ def _next_h_np(err, h_use, h_max):
     return np.minimum(h_use * fac, h_max)
 
 
-def _knot_crossed_np(qa, qb, knots):
-    """Vectorized twin of :func:`_knot_crossed`; knots is _knots(table)."""
-    up = qb > qa
-    knot = np.zeros(qa.size)
-    # the knot crossed first is the one written last
-    for k in knots[::-1]:
+def _holds_band_np(lo_q, hi_q, table):
+    """Rows whose range [lo_q, hi_q] of |w|^2 holds a whole knot band.
+
+    Only such a range can carry |w| across a knot, in the sense of
+    :func:`_knot_crossed`; a nan bound counts as holding one.
+    """
+    hold = np.zeros(lo_q.size, dtype=bool)
+    for k in table[2:5]:
         lo, hi = _band(k)
-        knot[up & (qa < lo) & (qb > hi)] = k
-    for k in knots:
-        lo, hi = _band(k)
-        knot[~up & (qa > hi) & (qb < lo)] = k
-    return knot
+        hold |= ~(lo_q >= lo) & ~(hi_q <= hi)
+    return hold
 
 
-def _on_knot_np(W, knots):
-    """Vectorized twin of :func:`_on_knot` on rows [Re w, Im w]."""
-    q = _sum_sq(W)
-    on = np.zeros(q.size, dtype=bool)
-    for k in knots:
-        lo, hi = _band(k)
-        on |= (lo <= q) & (q <= hi)
-    return on
+def _knot_cut_np(Wa, Fa, Wb, Fb, h, table):
+    """:func:`_knot_fraction` of each row [Re w, Im w] of a batch of steps.
 
-
-def _turning_points_np(da, c2, c3):
-    """Vectorized twin of :func:`_turning_points`."""
-    t1 = np.ones_like(da)
-    t2 = np.ones_like(da)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = c2 * c2 - 3.0 * c3 * da
-        sq = np.sqrt(disc)
-        a = (-c2 - sq) / (3.0 * c3)
-        b = (-c2 + sq) / (3.0 * c3)
-        lin = -da / (2.0 * c2)
-    cub = (c3 != 0.0) & (disc > 0.0)
-    t1[cub] = np.minimum(a, b)[cub]
-    t2[cub] = np.maximum(a, b)[cub]
-    lin_rows = (c3 == 0.0) & (c2 != 0.0)
-    t1[lin_rows] = lin[lin_rows]
-    t2[~((t2 > 0.0) & (t2 < 1.0))] = 1.0
-    out = ~((t1 > 0.0) & (t1 < 1.0))
-    t1[out] = t2[out]
-    t2[out] = 1.0
-    return t1, t2
-
-
-def _hermite_root_np(qa, da, c2, c3, kk, lo, hi, plo, phi):
-    """Vectorized twin of :func:`_hermite_root`."""
-    up = plo < kk
-    th = lo + (hi - lo) * (kk - plo) / (phi - plo)
-    for _ in range(KNOT_NEWTON):
-        g = qa + th * (da + th * (c2 + th * c3)) - kk
-        dg = da + th * (2.0 * c2 + 3.0 * th * c3)
-        below = (g < 0.0) == up
-        lo = np.where(below, th, lo)
-        hi = np.where(below, hi, th)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nt = th - g / dg
-        nt[dg == 0.0] = -1.0
-        out = ~((lo <= nt) & (nt <= hi))
-        nt[out] = 0.5 * (lo[out] + hi[out])
-        th = nt
-    return th
-
-
-def _knot_fraction_np(Wa, Fa, Wb, Fb, h, knots):
-    """Vectorized twin of :func:`_knot_fraction` on rows [Re w, Im w]."""
+    The Hermite interpolant of |w|^2 over a step lies in the convex hull
+    of its Bernstein control points qa, qa + da/3, qb - db/3 and qb, so
+    only rows whose hull holds a knot band (_holds_band_np) go to the
+    scalar rule; the rest cross no knot and get 1.0.
+    """
     xa, ya, xb, yb = Wa[:, 0], Wa[:, 1], Wb[:, 0], Wb[:, 1]
     qa = xa * xa + ya * ya
     qb = xb * xb + yb * yb
     da = 2.0 * h * (xa * Fa[:, 0] + ya * Fa[:, 1])
     db = 2.0 * h * (xb * Fb[:, 0] + yb * Fb[:, 1])
-    d = qb - qa
-    c2 = 3.0 * d - 2.0 * da - db
-    c3 = da + db - 2.0 * d
-    t1, t2 = _turning_points_np(da, c2, c3)
-    # per row: the knot crossed and the piece [lo, hi] that crosses it
-    knot, lo, hi = np.zeros_like(qa), np.zeros_like(qa), np.ones_like(qa)
-    plo, phi = qa.copy(), qb.copy()
-    at, p_at = np.zeros_like(qa), qa
-    for end in (t1, t2, np.ones_like(qa)):
-        live = (end > at) & (knot == 0.0)
-        p_end = np.where(end == 1.0, qb, qa + end * (da + end * (c2 + end * c3)))
-        crossed = np.where(live, _knot_crossed_np(p_at, p_end, knots), 0.0)
-        found = crossed > 0.0
-        knot[found] = crossed[found]
-        lo[found], hi[found] = at[found], end[found]
-        plo[found], phi[found] = p_at[found], p_end[found]
-        at = np.where(live, end, at)
-        p_at = np.where(live, p_end, p_at)
-    frac = np.ones_like(qa)
-    f = np.nonzero(knot)[0]
-    if f.size:
-        frac[f] = _hermite_root_np(qa[f], da[f], c2[f], c3[f], knot[f] * knot[f],
-                                   lo[f], hi[f], plo[f], phi[f])
+    ca, cb = qa + da / 3.0, qb - db / 3.0
+    lo = np.minimum(np.minimum(qa, ca), np.minimum(cb, qb))
+    hi = np.maximum(np.maximum(qa, ca), np.maximum(cb, qb))
+    # The scalar rule tests the interpolant at its turning points as
+    # rounded, which may stray from the hull by a few ulps of its largest
+    # term; all terms are within a small multiple of the largest control
+    # point.  A wider hull only sends more rows to the scalar rule, which
+    # returns 1.0 for them, so the pad may be generous but never short.
+    pad = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    rows = np.nonzero(_holds_band_np(lo - pad, hi + pad, table))[0]
+    frac = np.ones(qa.size)
+    if rows.size:
+        steps = np.column_stack([Wa[rows], Fa[rows], Wb[rows], Fb[rows], h[rows]])
+        frac[rows] = [_knot_fraction(*row, table) for row in steps.tolist()]
     return frac
 
 
@@ -1105,26 +1053,24 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
-def _knots(table):
-    """The cutoff knots table[2:5]; none in pure mode."""
-    return () if table[0] == MODE_PURE else table[2:5]
-
-
-def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.inf,
+def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.inf,
               fdir=1.0, event=None):
     """Advance the rows of Y and t in place, one attempt per active row in
     each of at most max_steps iterations.
 
     Each iteration stop(active, K1) first clears the rows that end there,
     setting their status; steps are clipped to t_end - t and capped at
-    h_max.  The last two columns of Y are w: a finite attempt that carries
-    |w| across one of the knots is retaken, cut to the crossing as in
-    :func:`_drive`, and the step after the cut one resumes at no less than
-    the step it cut.  An accepted step ending where event(Yn) holds is not
-    taken: the row stops with STATUS_EVENT and its step goes to h_event.
-    Returns (K1, h_event).
+    h_max.  The last two columns of Y are w.  In cutoff mode a finite
+    attempt that carries |w| across one of the knots of the smoothing
+    table is retaken, cut to the crossing by :func:`_knot_cut_np` as in
+    :func:`_drive`, and the step after a cut one that lands on a knot
+    (:func:`_on_knot`, row by row) resumes at no less than the step it
+    cut; pure mode runs no knot code.  An accepted step ending where
+    event(Yn) holds is not taken: the row stops with STATUS_EVENT and its
+    step goes to h_event.  Returns (K1, h_event).
     """
     n = Y.shape[0]
+    cutoff = table[0] != MODE_PURE
     h = np.full(n, H_FIRST)
     h_land = np.zeros(n)
     h_event = np.zeros(n)
@@ -1141,17 +1087,17 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.i
         h[idx] = _next_h_np(err, h_use, h_max)
         ok = err <= 1.0
         judged = np.ones(idx.size, dtype=bool)
-        if knots:
+        if cutoff:
             # accepted attempts, and rejected ones whose ends straddle a knot
+            qa, qb = _sum_sq(Y[idx, -2:]), _sum_sq(Yn[:, -2:])
             test = np.isfinite(Yn).all(axis=1) & (
-                ok | (_knot_crossed_np(_sum_sq(Y[idx, -2:]), _sum_sq(Yn[:, -2:]),
-                                       knots) > 0.0))
+                ok | _holds_band_np(np.minimum(qa, qb), np.maximum(qa, qb), table))
             test = np.nonzero(test)[0]
             Kn = np.empty_like(Yn)
             Kn[test] = rhs(Yn[test])
             ti = idx[test]
-            frac = _knot_fraction_np(Y[ti, -2:], K1[ti, -2:], Yn[test, -2:],
-                                     Kn[test, -2:], hs[test], knots)
+            frac = _knot_cut_np(Y[ti, -2:], K1[ti, -2:], Yn[test, -2:],
+                                Kn[test, -2:], hs[test], table)
             cut = frac < 1.0
             c, ci = test[cut], ti[cut]
             h[ci] = h_use[c] * frac[cut]
@@ -1164,7 +1110,8 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.i
             land = np.nonzero(h_land[ai])[0]
             if land.size:
                 li = ai[land]
-                on = li[_on_knot_np(Ya[land, -2:], knots)]
+                on = li[np.array([_on_knot(x, y, table)
+                                  for x, y in Ya[land, -2:].tolist()], dtype=bool)]
                 h[on] = np.maximum(h[on], h_land[on])
                 h_land[li] = 0.0
             if event is not None:
@@ -1176,7 +1123,7 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, knots, t_end=np.i
                 acc, ai, Ya = acc[~hit], ai[~hit], Ya[~hit]
             Y[ai] = Ya
             t[ai] += h_use[acc]
-            K1[ai] = Kn[acc] if knots else rhs(Ya)
+            K1[ai] = Kn[acc] if cutoff else rhs(Ya)
         dead = idx[judged & ~(err < np.inf) & (h[idx] < 1e-14)]
         status[dead] = STATUS_NONFINITE
         active[dead] = False
@@ -1196,14 +1143,13 @@ def _drive_batch_np(
     :func:`_attempt_np`, by the rule of :func:`_bisect_event`: at most 64
     halvings per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
     """
-    knots = _knots(table)
-    table = np.asarray(table)
+    arr = np.asarray(table)
 
     def rhs(Z):
-        return _rhs_np(Z, alpha, table)
+        return _rhs_np(Z, alpha, arr)
 
     def event(Z):
-        return _event_np(Z, radius, table[1], event_kind)[0]
+        return _event_np(Z, radius, arr[1], event_kind)[0]
 
     end_gate = 1e-14 * max(1.0, abs(t_end))
 
@@ -1219,7 +1165,7 @@ def _drive_batch_np(
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
     K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop,
-                            _h_max(event_kind), knots, t_end, fdir, event)
+                            _h_max(event_kind), table, t_end, fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
         P = Y[ev]
@@ -1236,7 +1182,7 @@ def _drive_batch_np(
             hi[live[mhit]] = mid[mhit]
             lo[live[~mhit]] = mid[~mhit]
         Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol)[0]
-        out_sign[ev] = _event_np(Y[ev], radius, table[1], event_kind)[1]
+        out_sign[ev] = _event_np(Y[ev], radius, arr[1], event_kind)[1]
         out_t[ev] += hi
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
@@ -1251,11 +1197,10 @@ def _delta_batch_np(
 
     Each row follows the reading rule of :func:`_delta_one`.
     """
-    knots = _knots(table)
-    table = np.asarray(table)
+    arr = np.asarray(table)
 
     def rhs(Z):
-        return _rhs_w_np(Z, alpha, table)
+        return _rhs_w_np(Z, alpha, arr)
 
     n = W.shape[0]
     y = W.astype(float)
@@ -1301,7 +1246,7 @@ def _delta_batch_np(
     out_re[:] = np.nan
     out_im[:] = np.nan
     out_t[:] = 0.0
-    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, knots)
+    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, table)
 
 
 drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np

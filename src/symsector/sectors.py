@@ -133,6 +133,8 @@ def classify_by_flow_batch(states, params, settings=DEFAULT_SETTINGS):
     Each row gets the label :func:`classify_by_flow` gives its point.
     """
     Y = np.array(states, dtype=float)
+    if Y.shape == (0,):  # an empty batch; any other shape drive_batch checks
+        Y = Y.reshape(0, 4)
     status, _, _ = flow.drive_batch(
         Y, params, settings, _kernels.EVENT_PAIR_ESCAPE
     )

@@ -54,7 +54,7 @@ class VerifyConfig:
     def __post_init__(self):
         if not 0.0 < self.sample_scale < math.inf:
             raise ValueError("sample_scale must be positive and finite")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
         if isinstance(self.suites, str):
             raise TypeError("suites must be a sequence of suite names")

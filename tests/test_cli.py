@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config layering, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -231,6 +232,7 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
         ("classify-grid", {"grid": True}),
         ("classify-grid", {"box": True}),
         ("verify", {"seed": False}),
+        ("verify", {"seed": math.inf}),  # json writes Infinity
         ("classify-grid", {"out": True}),
         ("classify-grid", {"out": 1}),
         ("decompose", {"out": 1, "surface": "example-5.3"}),

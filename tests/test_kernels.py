@@ -217,12 +217,11 @@ def test_step_is_eighth_order():
 
 
 def _knot_cut_both(rows, table):
-    """Fractions of steps w(s) = w0 + s v over [0, 1] from both twins."""
+    """Fractions of steps w(s) = w0 + s v over [0, 1], batch and scalar."""
     W0 = np.array([r[:2] for r in rows], dtype=float)
     V = np.array([r[2:] for r in rows], dtype=float)
     W1 = W0 + V
-    vec = _kernels._knot_fraction_np(W0, V, W1, V, np.ones(len(rows)),
-                                     _kernels._knots(table))
+    vec = _kernels._knot_cut_np(W0, V, W1, V, np.ones(len(rows)), table)
     scalar = [_kernels._knot_fraction(*w0, *v, *w1, *v, 1.0, table)
               for w0, v, w1 in zip(W0.tolist(), V.tolist(), W1.tolist())]
     assert scalar == vec.tolist()
@@ -253,13 +252,74 @@ def test_knot_cut_finds_the_first_crossing():
         assert frac == pytest.approx(want, abs=1e-12)
 
 
+_CUTOFF16 = SteinParams(epsilon=16.0, smoothing="cutoff").table
+
+
+@st.composite
+def _knot_step(draw):
+    """One step (xa, ya, fxa, fya, xb, yb, fxb, fyb, h) of w.
+
+    Near a knot k the radii sit on it, inside or just outside its band or
+    up to 30% off, so steps cross it either way or end on it; a dip starts
+    and ends on one side with h f pointing through k at both ends, so the
+    interpolant may cross k and come back.  Far rows have |w| up to 1e100,
+    huge ones up to the float limit, where |w|^2 overflows.  h takes
+    either sign, as in the upward flow.
+    """
+    k = draw(st.sampled_from(_CUTOFF16[2:5]))
+    kind = draw(st.sampled_from(["near", "dip", "far", "huge"]))
+    sign = st.sampled_from([-1.0, 1.0])
+    h = draw(sign) * draw(st.floats(0.01, 1.0))
+    vr = [k * draw(st.floats(-10.0, 10.0)) for _ in range(2)]
+    if kind == "near":
+        off = st.one_of(st.sampled_from([0.0, 5e-10, 1e-9, 2e-9]), st.floats(0.0, 0.3))
+        r = [k * (1.0 + draw(sign) * draw(off)) for _ in range(2)]
+    elif kind == "dip":
+        side = draw(sign)
+        r = [k * (1.0 + side * draw(st.floats(1e-8, 0.3))) for _ in range(2)]
+        vr = [-side * math.copysign(vr[0], h), side * math.copysign(vr[1], h)]
+    elif kind == "far":
+        r = [10.0 ** draw(st.floats(2.0, 100.0)) for _ in range(2)]
+        vr = [v * r[0] for v in vr]
+    else:
+        r = [draw(st.floats(1e150, 1.7e308)) for _ in range(2)]
+        vr = [v * rk for v, rk in zip(vr, r)]
+    step = []
+    for rk, v in zip(r, vr):
+        angle = draw(st.floats(-math.pi, math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        vt = draw(st.floats(-1.0, 1.0)) * abs(v)
+        step += [rk * c, rk * s, v * c - vt * s, v * s + vt * c]
+    return (*step, h)
+
+
+@hypothesis.settings(max_examples=50)
+@given(steps=st.lists(_knot_step(), min_size=1, max_size=16))
+def test_knot_cut_screen_keeps_every_cut(steps):
+    # the numpy knot cut screens rows by the Bernstein hull of the
+    # interpolant; the rows it passes over must be ones the scalar rule
+    # gives 1.0, and the rejected-step test must be _knot_crossed
+    table = _CUTOFF16
+    S = np.array(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = _kernels._knot_cut_np(S[:, 0:2], S[:, 2:4], S[:, 4:6], S[:, 6:8],
+                                    S[:, 8], table)
+        qa, qb = _kernels._sum_sq(S[:, 0:2]), _kernels._sum_sq(S[:, 4:6])
+        held = _kernels._holds_band_np(np.minimum(qa, qb), np.maximum(qa, qb), table)
+    scalar = [_kernels._knot_fraction(*row, table) for row in steps]
+    assert _bits(vec) == _bits(scalar)
+    crossed = [_kernels._knot_crossed(a, b, table) > 0.0
+               for a, b in zip(qa.tolist(), qb.tolist())]
+    assert held.tolist() == crossed
+
+
 @pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 def test_pure_mode_never_reaches_the_knot_cut(monkeypatch):
     def refuse(*args):
         raise AssertionError("knot code ran in pure mode")
 
-    for name in ("_knot_crossed", "_knot_fraction", "_on_knot", "_knot_crossed_np",
-                 "_knot_fraction_np", "_on_knot_np"):
+    for name in ("_knot_crossed", "_knot_fraction", "_on_knot", "_holds_band_np",
+                 "_knot_cut_np"):
         monkeypatch.setattr(_kernels, name, refuse)
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing="pure")
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)

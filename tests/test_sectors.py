@@ -16,6 +16,7 @@ from symsector.sectors import (
     check_truncation_absorbing,
     check_ZI_scaling,
     classify_by_flow,
+    classify_by_flow_batch,
     classify_closed_form,
     classify_values,
     default_band_tol,
@@ -69,6 +70,15 @@ def test_labels_from_ab_order():
     b = np.array([-9.0, -9.0, -9.0, 0.0, 3.0, 1.0])
     out = labels_from_ab(a, b, band)
     assert list(out) == ["U_MM", "H_MINUS", "U_MP", "H_PLUS", "U_PP", "UNRESOLVED"]
+
+
+def test_flow_batch_of_no_rows(pure16):
+    # an empty list, like compute_c_batch([]); a lone row or a row of
+    # three columns is still refused
+    assert classify_by_flow_batch([], pure16).shape == (0,)
+    for bad in ([1.0, 0.5, 3.5, 0.0], [[1.0, 0.5, 3.5]]):
+        with pytest.raises(ValueError):
+            classify_by_flow_batch(bad, pure16)
 
 
 def test_flow_and_closed_form_agree(pure16, rng):
