@@ -67,10 +67,11 @@ side as an argument, _err_norm, _next_h, _pair_re and _event_val (also
 the region test of sectors).  They are jit-compiled
 under numba and run as plain Python otherwise (the decorator degrades to
 a no-op); scalar callers use them directly and never build a one-row
-numpy batch.  Each attempt of the scalar _drive, and of the bisection
-_bisect_event with which it (and through it the numba _drive_batch)
-refines its events, is one _step2 on z with _rhs_z and one on w with
-_rhs2; _delta_one steps w alone.  Both twins write every stage sum as
+numpy batch.  _advance is the scalar counterpart of _lockstep: the one
+judged attempt of _drive and _delta_one (and so of the numba batch
+kernels), one _step2 on w with _rhs2 and, for the drive, one on z with
+_rhs_z.  _bisect_event, which refines the events of _drive, takes bare
+_step2 attempts.  Both twins write every stage sum as
 h (sum of a_ij k_j) with the same terms in the same order, sum squares
 over components left to right and take err^(-1/8) as three correctly
 rounded square roots, so on the same rows they give the same bits.
@@ -225,6 +226,8 @@ STATUS_EVENT = 1
 STATUS_TIME_END = 2
 STATUS_STALLED = 3
 STATUS_NONFINITE = 4
+
+ACCEPTED, RETAKE, DEAD = 0, 1, 2  # verdicts of one scalar attempt (_advance)
 
 EVENT_NONE = 0
 EVENT_PAIR_ESCAPE = 1
@@ -598,6 +601,65 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
 
 
 @njit(cache=True)
+def _advance(y0, y1, y2, y3, f0, f1, f2, f3, h_use, fdir, h_land, with_z, alpha,
+             table, rtol, h_max):
+    """One judged DOP853 attempt of size fdir h_use from state y, derivative f.
+
+    w is stepped with _rhs2, and z with _rhs_z only if with_z.  The error
+    sums z's squares first, then w's, over 4 or 2 components.  In cutoff
+    mode the attempt is cut at a knot and h_land carries the landing rule,
+    as the module docstring says.  Returns (verdict, n0, n1, n2, n3, k0,
+    k1, k2, k3, h, h_land), verdict ACCEPTED, RETAKE or DEAD (a non-finite
+    attempt with h < 1e-14), n the new state and, on acceptance, k the
+    derivative that seeds the next step; h is the next step size.
+    """
+    hs = fdir * h_use
+    n0, n1 = y0, y1
+    sq5 = sq3 = 0.0  # z's share of the squared scaled errors
+    finite = True
+    if with_z:
+        n0, n1, u0, u1, v0, v1 = _step2(y0, y1, f0, f1, hs, _rhs_z, alpha, table)
+        s0 = ATOL + rtol * max(abs(y0), abs(n0))
+        s1 = ATOL + rtol * max(abs(y1), abs(n1))
+        u0, u1, v0, v1 = u0 / s0, u1 / s1, v0 / s0, v1 / s1
+        sq5 = u0 * u0 + u1 * u1
+        sq3 = v0 * v0 + v1 * v1
+        finite = math.isfinite(n0) and math.isfinite(n1)
+    n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f2, f3, hs, _rhs2, alpha, table)
+    cutoff = table[0] != MODE_PURE
+    k0 = k1 = k2 = k3 = 0.0
+    err = math.inf
+    if finite and math.isfinite(n2) and math.isfinite(n3):
+        s2 = ATOL + rtol * max(abs(y2), abs(n2))
+        s3 = ATOL + rtol * max(abs(y3), abs(n3))
+        u2, u3, v2, v3 = u2 / s2, u3 / s3, v2 / s2, v3 / s3
+        err = _err_norm(sq5 + u2 * u2 + u3 * u3, sq3 + v2 * v2 + v3 * v3,
+                        4.0 if with_z else 2.0, hs)
+        if cutoff and (
+            err <= 1.0
+            or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
+        ):
+            k2, k3 = _rhs2(n2, n3, alpha, table)
+            frac = _knot_fraction(y2, y3, f2, f3, n2, n3, k2, k3, hs, table)
+            if frac < 1.0:
+                return (RETAKE, n0, n1, n2, n3, k0, k1, k2, k3, h_use * frac,
+                        max(h_land, h_use))
+    h = _next_h(err, h_use, h_max)
+    verdict = DEAD if not err < math.inf and h < 1e-14 else RETAKE
+    if err <= 1.0:
+        verdict = ACCEPTED
+        if h_land > 0.0:
+            if _on_knot(n2, n3, table):
+                h = max(h, h_land)
+            h_land = 0.0
+        if with_z:
+            k0, k1 = _rhs_z(n0, n1, alpha, table)
+        if not cutoff:
+            k2, k3 = _rhs2(n2, n3, alpha, table)
+    return verdict, n0, n1, n2, n3, k0, k1, k2, k3, h, h_land
+
+
+@njit(cache=True)
 def _bisect_event(p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, radius,
                   kind):
     """Bisect an event crossing inside one accepted step of size h_acc.
@@ -647,10 +709,8 @@ def _drive(
     h = H_FIRST
     h_land = 0.0
     h_max = _h_max(event_kind)
-    cutoff = table[0] != MODE_PURE
     f10, f11 = _rhs_z(y0, y1, alpha, table)
     f12, f13 = _rhs2(y2, y3, alpha, table)
-    k2 = k3 = 0.0  # the derivative at the end of an attempt, in cutoff mode
     nrec = 0
     cap = rec.shape[0]
     if nrec < cap:
@@ -673,51 +733,15 @@ def _drive(
             status = STATUS_TIME_END
             break
         h_use = h if h < remaining else remaining
-        hs = fdir * h_use
-        n0, n1, u0, u1, v0, v1 = _step2(y0, y1, f10, f11, hs, _rhs_z, alpha, table)
-        n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f12, f13, hs, _rhs2, alpha, table)
+        verdict, n0, n1, n2, n3, k0, k1, k2, k3, h, h_land = _advance(
+            y0, y1, y2, y3, f10, f11, f12, f13, h_use, fdir, h_land, True, alpha,
+            table, rtol, h_max,
+        )
         steps += 1
-        err = math.inf
-        if (
-            math.isfinite(n0)
-            and math.isfinite(n1)
-            and math.isfinite(n2)
-            and math.isfinite(n3)
-        ):
-            s0 = ATOL + rtol * max(abs(y0), abs(n0))
-            s1 = ATOL + rtol * max(abs(y1), abs(n1))
-            s2 = ATOL + rtol * max(abs(y2), abs(n2))
-            s3 = ATOL + rtol * max(abs(y3), abs(n3))
-            u0 /= s0
-            u1 /= s1
-            u2 /= s2
-            u3 /= s3
-            v0 /= s0
-            v1 /= s1
-            v2 /= s2
-            v3 /= s3
-            err = _err_norm(
-                u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3,
-                v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3,
-                4.0,
-                hs,
-            )
-            if cutoff and (
-                err <= 1.0
-                or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
-            ):
-                k2, k3 = _rhs2(n2, n3, alpha, table)
-                frac = _knot_fraction(y2, y3, f12, f13, n2, n3, k2, k3, hs, table)
-                if frac < 1.0:
-                    h = h_use * frac
-                    h_land = max(h_land, h_use)
-                    continue
-        h = _next_h(err, h_use, h_max)
-        if err <= 1.0:
-            if h_land > 0.0:
-                if _on_knot(n2, n3, table):
-                    h = max(h, h_land)
-                h_land = 0.0
+        if verdict == DEAD:
+            status = STATUS_NONFINITE
+            break
+        if verdict == ACCEPTED:
             hit, _ = _event_val(n0, n1, n2, n3, radius, table[1], event_kind)
             if hit:
                 y0, y1, y2, y3, dt, esign = _bisect_event(
@@ -728,12 +752,8 @@ def _drive(
                 status = STATUS_EVENT
             else:
                 y0, y1, y2, y3 = n0, n1, n2, n3
+                f10, f11, f12, f13 = k0, k1, k2, k3
                 t += h_use
-                f10, f11 = _rhs_z(y0, y1, alpha, table)
-                if cutoff:
-                    f12, f13 = k2, k3
-                else:
-                    f12, f13 = _rhs2(y2, y3, alpha, table)
             if nrec < cap:
                 rec[nrec, 0] = t
                 rec[nrec, 1] = y0
@@ -743,9 +763,6 @@ def _drive(
                 nrec += 1
             if hit:
                 break
-        elif not err < math.inf and h < 1e-14:
-            status = STATUS_NONFINITE
-            break
     if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
@@ -797,9 +814,7 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
     t = 0.0
     h = H_FIRST
     h_land = 0.0
-    cutoff = table[0] != MODE_PURE
     f12, f13 = _rhs2(y2, y3, alpha, table)
-    k2 = k3 = 0.0  # the derivative at the end of an attempt, in cutoff mode
     have_prev = False
     prev_re = 0.0
     prev_im = 0.0
@@ -829,40 +844,15 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
                 have_prev = True
                 t_next = t + 0.7
         h_use = h
-        n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f12, f13, h_use, _rhs2, alpha, table)
+        verdict, _, _, n2, n3, _, _, k2, k3, h, h_land = _advance(
+            0.0, 0.0, y2, y3, 0.0, 0.0, f12, f13, h_use, 1.0, h_land, False, alpha,
+            table, rtol, H_MAX,
+        )
         steps += 1
-        err = math.inf
-        if math.isfinite(n2) and math.isfinite(n3):
-            s2 = ATOL + rtol * max(abs(y2), abs(n2))
-            s3 = ATOL + rtol * max(abs(y3), abs(n3))
-            u2 /= s2
-            u3 /= s3
-            v2 /= s2
-            v3 /= s3
-            err = _err_norm(u2 * u2 + u3 * u3, v2 * v2 + v3 * v3, 2.0, h_use)
-            if cutoff and (
-                err <= 1.0
-                or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
-            ):
-                k2, k3 = _rhs2(n2, n3, alpha, table)
-                frac = _knot_fraction(y2, y3, f12, f13, n2, n3, k2, k3, h_use, table)
-                if frac < 1.0:
-                    h = h_use * frac
-                    h_land = max(h_land, h_use)
-                    continue
-        h = _next_h(err, h_use, H_MAX)
-        if err <= 1.0:
-            if h_land > 0.0:
-                if _on_knot(n2, n3, table):
-                    h = max(h, h_land)
-                h_land = 0.0
-            y2, y3 = n2, n3
+        if verdict == ACCEPTED:
+            y2, y3, f12, f13 = n2, n3, k2, k3
             t += h_use
-            if cutoff:
-                f12, f13 = k2, k3
-            else:
-                f12, f13 = _rhs2(y2, y3, alpha, table)
-        elif not err < math.inf and h < 1e-14:
+        elif verdict == DEAD:
             return STATUS_NONFINITE, best_re, best_im, t
     return STATUS_TIME_END, best_re, best_im, t
 
@@ -1063,7 +1053,7 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.i
     h_max.  The last two columns of Y are w.  In cutoff mode a finite
     attempt that carries |w| across one of the knots of the smoothing
     table is retaken, cut to the crossing by :func:`_knot_cut_np` as in
-    :func:`_drive`, and the step after a cut one that lands on a knot
+    :func:`_advance`, and the step after a cut one that lands on a knot
     (:func:`_on_knot`, row by row) resumes at no less than the step it
     cut; pure mode runs no knot code.  An accepted step ending where
     event(Yn) holds is not taken: the row stops with STATUS_EVENT and its

@@ -171,16 +171,21 @@ def cmd_verify(config):
 
 
 def _grid_result(config):
+    """Classified grid; a count of its ERROR cells, if any, goes to stderr."""
     spec = _user_input(gridplot.parse_slice, config.slice)
     params = _stein(config)
-    return gridplot.classify_grid(
-        spec,
-        params,
-        _settings(config),
-        grid_n=config.grid,
-        box=_user_input(gridplot.grid_box, spec, params, config.box),
-        band_tol=config.band_tol,
-    )
+    box = _user_input(gridplot.grid_box, spec, params, config.box)
+    try:
+        result = gridplot.classify_grid(spec, params, _settings(config),
+                                        grid_n=config.grid, box=box,
+                                        band_tol=config.band_tol)
+    except MemoryError as exc:
+        raise ConfigError(f"grid {config.grid} is too large: {exc}") from exc
+    errors = int((result.labels == gridplot.ERROR_LABEL).sum())
+    if errors:
+        sys.stderr.write(f"warning: {errors} of {result.labels.size} grid cells "
+                         f"are {gridplot.ERROR_LABEL} (offset not resolved)\n")
+    return result
 
 
 def cmd_classify_grid(config):

@@ -338,13 +338,14 @@ def _blend_profile(alpha):
 
 
 def disk_laplacian_floor(alpha=ALPHA_DEFAULT):
-    """Designed lower bound of the Laplacian of :func:`phi_D1`.
+    """Designed lower bound of the Laplacian alpha + j'' of :func:`phi_D1`.
 
-    It is alpha plus the plateau value -depth of j'', the least Laplacian
-    of the bridge; both quadratic ends lie above it.
+    j'' is linear between its nodes, so its least node value gives the
+    floor min(alpha - depth, 1): the plateau -depth, or the outer end
+    1 - alpha, whichever is lower.
     """
     _, j2 = _blend_profile(alpha)
-    return alpha + float(j2[1])
+    return alpha + float(j2.min())
 
 
 _DISK_CACHE = {}

@@ -348,8 +348,8 @@ def _suite_product_flow_regression(config, rng):
     p = SymPoint(-5.0, -8.0 + 1.0j)
     out = flow.flow_state_to_time(p.state(), t, tiny, settings)
     q = flow.point_of(out)
-    e1 = flow.flow_unperturbed_z(-5.0, t)
-    e2 = flow.flow_unperturbed_z(-8.0 + 1.0j, t)
+    e1 = flow.flow_unperturbed_z(-5.0, t, config.alpha)
+    e2 = flow.flow_unperturbed_z(-8.0 + 1.0j, t, config.alpha)
     pair_dev = np.min(np.max([
         [abs(q.z1 - e1) / abs(e1), abs(q.z2 - e2) / abs(e2)],
         [abs(q.z1 - e2) / abs(e2), abs(q.z2 - e1) / abs(e1)],

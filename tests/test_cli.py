@@ -424,3 +424,36 @@ def test_grid_beyond_float_range_exits_2(command, args, tmp_path, capsys):
     _assert_user_error(code, err)
     assert "overflows" in err and out == ""
     assert caught == [] and not target.exists()
+
+
+def test_grid_too_large_to_allocate_exits_2(capsys):
+    # (5e6)^2 float64 cells outgrow the 128 TiB user address space, so the
+    # allocation is refused under any overcommit policy; the two axes take
+    # 80 MB before it
+    code, out, err = run_cli(["classify-grid", "--grid", "5000000"], capsys)
+    _assert_user_error(code, err)
+    assert "too large" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["classify-grid", "slice-plot"])
+def test_error_cells_are_counted_on_stderr(command, tmp_path, capsys):
+    # no offset reading is due before max_time, so every cell is ERROR
+    target = tmp_path / "grid.out"
+    args = [command, "--grid", "5", "--out", str(target)]
+    code, out, err = run_cli(args + ["--max-time", "1e-300"], capsys)
+    assert code == 0 and out == ""
+    assert err == "warning: 25 of 25 grid cells are ERROR (offset not resolved)\n"
+    assert run_cli(args, capsys) == (0, "", "")
+
+
+@pytest.mark.parametrize("alpha", ["1.2", "2", "3", "5"])
+def test_alpha_aware_suites_pass(alpha, capsys):
+    # the fixed-pair reference flows at alpha, and the disk floor is the
+    # least Laplacian of the bridge, its outer end once alpha > 2.375
+    code, out, _ = run_cli(
+        ["verify", "--suite", "product-flow-regression", "--suite", "disk-blend-psh",
+         "--sample-scale", "0.05", "--alpha", alpha], capsys)
+    report = json.loads(out)
+    assert [s["name"] for s in report["suites"]] == [
+        "disk-blend-psh", "product-flow-regression"]
+    assert code == 0 and report["passed"] is True

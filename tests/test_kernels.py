@@ -328,9 +328,10 @@ def test_pure_mode_never_reaches_the_knot_cut(monkeypatch):
     batch, scalar = _drive_both(rows, args, 4.0, 1.0)
     _assert_twins(batch, scalar)
     W = np.array([row[2:] for row in rows])
-    d, status = flow.compute_delta_batch(np.sqrt(W[:, 0] + 1j * W[:, 1]), params,
-                                         settings)
+    s = np.sqrt(W[:, 0] + 1j * W[:, 1])
+    d, status = flow.compute_delta_batch(s, params, settings)
     assert np.all(status == _kernels.STATUS_EVENT)
+    assert [flow.compute_delta(v, params, settings) for v in s] == list(d)
 
 
 def test_pair_re_twins_agree_exactly():
