@@ -30,11 +30,23 @@ derivative there, since the right-hand side is continuous at the knots,
 and with no less than the step that was cut.  Pure mode has no knots and
 skips all of this.
 
+An accepted step of a drive that ends inside the event region is not
+taken.  The event is located on the dense output of that step (Hairer's
+contd8, II.6): its stages 2-12 are recomputed once and stages 14-16
+added, which also read the derivative at the end (stage 13), giving a
+7th order interpolant of the step.  The event predicate is bisected on
+the interpolant, at most 64 halvings, stopping once hi - lo < 1e-13
+max(hi, 1); the state at hi is read from it, or is the accepted end
+state itself where the bracket never moved.  A refinement thus costs 14
+right-hand-side evaluations per subsystem, however many halvings it
+makes.
+
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
-_rhs_np), one DOP853 attempt with its scaled error (_attempt_np), the
-step controller (_next_h_np), the pair coordinates (pair_re_np) and the
-event regions (_event_np).  The knot cut has one definition for both
+_rhs_np), the DOP853 stages (_stages_np) of one attempt with its scaled
+error (_attempt_np) and of the dense output (_dense_np), the step
+controller (_next_h_np), the pair coordinates (pair_re_np) and the event
+regions (_event_np).  The knot cut has one definition for both
 backends, the scalar _knot_fraction and its helpers: _knot_cut_np passes
 it only the rows of a batch whose interpolant may reach a knot band, as
 the Bernstein hull of the interpolant shows, and gives every other row
@@ -44,8 +56,9 @@ rule.  The batch kernels
 _drive_batch_np and _delta_batch_np pass it the stop rule run before
 each attempt: stall and end of time for the drive, the reading rule and
 max_time for Delta.  The drive also passes its event predicate, holds
-each row that enters its region and refines all of them in one
-vectorized bisection after the lockstep.  The numpy kernels run when jit
+each row that enters its region and, after the lockstep, builds the
+dense output of all their event steps in one batch and bisects all of
+them together on it.  The numpy kernels run when jit
 is unavailable or disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and
 delta_batch_kernel are bound once to the batch kernels of the active
 backend, whose jit and numpy forms take the same parameters.  Both
@@ -62,16 +75,18 @@ _next_h_np) still take the cap h_max, and the event predicates
 without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
-sides _rhs_z and _rhs2, one DOP853 step _step2 that takes its right-hand
-side as an argument, _err_norm, _next_h, _pair_re and _event_val (also
+sides _rhs_z and _rhs2, one DOP853 step _step2 and its dense output
+_dense2, which take their right-hand side as an argument and share the
+stages of _stages2, _err_norm, _next_h, _pair_re and _event_val (also
 the region test of sectors).  They are jit-compiled
 under numba and run as plain Python otherwise (the decorator degrades to
 a no-op); scalar callers use them directly and never build a one-row
 numpy batch.  _advance is the scalar counterpart of _lockstep: the one
 judged attempt of _drive and _delta_one (and so of the numba batch
 kernels), one _step2 on w with _rhs2 and, for the drive, one on z with
-_rhs_z.  _bisect_event, which refines the events of _drive, takes bare
-_step2 attempts.  Both twins write every stage sum as
+_rhs_z.  _dense_event refines the events of _drive.  The interpolant
+itself, _contd8, is one definition for both backends.  Both twins write
+every stage sum as
 h (sum of a_ij k_j) with the same terms in the same order, sum squares
 over components left to right and take err^(-1/8) as three correctly
 rounded square roots, so on the same rows they give the same bits.
@@ -210,6 +225,105 @@ ERR5 = ((0, ER1), (5, ER6), (6, ER7), (7, ER8), (8, ER9), (9, ER10), (10, ER11),
 ERR3 = ((0, E31), (5, B6), (6, B7), (7, B8), (8, E39), (9, B10), (10, B11),
         (11, E312))
 
+# DOP853 dense output (contd8 of Hairer's code; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6): stages 14-16 at the nodes DENSE_NODES, which also
+# read stage 13, the derivative at the end of the step, and the rows Dij of
+# the last four coefficients of the 7th order interpolant.
+A141 = 5.61675022830479523392909219681e-2
+A147 = 2.53500210216624811088794765333e-1
+A148 = -2.46239037470802489917441475441e-1
+A149 = -1.24191423263816360469010140626e-1
+A1410 = 1.5329179827876569731206322685e-1
+A1411 = 8.20105229563468988491666602057e-3
+A1412 = 7.56789766054569976138603589584e-3
+A1413 = -8.298e-3
+A151 = 3.18346481635021405060768473261e-2
+A156 = 2.83009096723667755288322961402e-2
+A157 = 5.35419883074385676223797384372e-2
+A158 = -5.49237485713909884646569340306e-2
+A1511 = -1.08347328697249322858509316994e-4
+A1512 = 3.82571090835658412954920192323e-4
+A1513 = -3.40465008687404560802977114492e-4
+A1514 = 1.41312443674632500278074618366e-1
+A161 = -4.28896301583791923408573538692e-1
+A166 = -4.69762141536116384314449447206
+A167 = 7.68342119606259904184240953878
+A168 = 4.06898981839711007970213554331
+A169 = 3.56727187455281109270669543021e-1
+A1613 = -1.39902416515901462129418009734e-3
+A1614 = 2.9475147891527723389556272149
+A1615 = -9.15095847217987001081870187138
+D41 = -8.4289382761090128651353491142
+D46 = 5.667149535193777696253178359e-1
+D47 = -3.0689499459498916912797304727
+D48 = 2.384667656512069828772814968
+D49 = 2.1170345824450282767155149946
+D410 = -8.713915837779729920678990749e-1
+D411 = 2.240437430260788275854177165
+D412 = 6.315787787694688181557024929e-1
+D413 = -8.89903364513333108206981174e-2
+D414 = 1.8148505520854727256656404962e1
+D415 = -9.1946323924783554000451984436
+D416 = -4.4360363875948939664310572
+D51 = 1.0427508642579134603413151009e1
+D56 = 2.4228349177525818288430175319e2
+D57 = 1.6520045171727028198505394887e2
+D58 = -3.7454675472269020279518312152e2
+D59 = -2.2113666853125306036270938578e1
+D510 = 7.7334326684722638389603898808
+D511 = -3.0674084731089398182061213626e1
+D512 = -9.3321305264302278729567221706
+D513 = 1.5697238121770843886131091075e1
+D514 = -3.1139403219565177677282850411e1
+D515 = -9.3529243588444783865713862664
+D516 = 3.581684148639408375246589854e1
+D61 = 1.9985053242002433820987653617e1
+D66 = -3.8703730874935176555105901742e2
+D67 = -1.8917813819516756882830838328e2
+D68 = 5.2780815920542364900561016686e2
+D69 = -1.1573902539959630126141871134e1
+D610 = 6.8812326946963000169666922661
+D611 = -1.000605096691083840318386098
+D612 = 7.777137798053443209286926574e-1
+D613 = -2.7782057523535084065932004339
+D614 = -6.0196695231264120758267380846e1
+D615 = 8.4320405506677161018159903784e1
+D616 = 1.199229113618278932803513003e1
+D71 = -2.5693933462703749003312586129e1
+D76 = -1.5418974869023643374053993627e2
+D77 = -2.3152937917604549567536039109e2
+D78 = 3.576391179106141237828534991e2
+D79 = 9.3405324183624310003907691704e1
+D710 = -3.7458323136451633156875139351e1
+D711 = 1.0409964950896230045147246184e2
+D712 = 2.9840293426660503123344363579e1
+D713 = -4.3533456590011143754432175058e1
+D714 = 9.63245539591882829483949506e1
+D715 = -3.9177261675615439165231486172e1
+D716 = -1.4972683625798562581422125276e2
+DENSE_NODES = (0.1, 0.2, 0.777777777777777777777777777778)
+# stages 14-16 and the rows D4-D7 as (stage, coefficient) terms in the order
+# the scalar _dense2 and _contd8_coefs sum them, stage 12 being the
+# derivative at the end of the step
+DENSE_STAGES = (
+    ((0, A141), (6, A147), (7, A148), (8, A149), (9, A1410), (10, A1411),
+     (11, A1412), (12, A1413)),
+    ((0, A151), (5, A156), (6, A157), (7, A158), (10, A1511), (11, A1512),
+     (12, A1513), (13, A1514)),
+    ((0, A161), (5, A166), (6, A167), (7, A168), (8, A169), (12, A1613),
+     (13, A1614), (14, A1615)),
+)
+DENSE = (
+    ((0, D41), (5, D46), (6, D47), (7, D48), (8, D49), (9, D410),
+     (10, D411), (11, D412), (12, D413), (13, D414), (14, D415), (15, D416)),
+    ((0, D51), (5, D56), (6, D57), (7, D58), (8, D59), (9, D510),
+     (10, D511), (11, D512), (12, D513), (13, D514), (14, D515), (15, D516)),
+    ((0, D61), (5, D66), (6, D67), (7, D68), (8, D69), (9, D610),
+     (10, D611), (11, D612), (12, D613), (13, D614), (14, D615), (15, D616)),
+    ((0, D71), (5, D76), (6, D77), (7, D78), (8, D79), (9, D710),
+     (10, D711), (11, D712), (12, D713), (13, D714), (14, D715), (15, D716)),
+)
+
 # fixed integration constants of every kernel
 ATOL = 1e-30  # absolute part of the error scale
 H_FIRST = 0.05  # first step of every drive and Delta trajectory
@@ -319,14 +433,14 @@ def _rhs2(y2, y3, alpha, table):
 
 
 @njit(cache=True)
-def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
-    """One embedded DOP853 attempt on a 2-component subsystem.
+def _stages2(ya, yb, fa, fb, h, rhs, alpha, table):
+    """Stages 2-12 of a DOP853 step of size h on a 2-component subsystem.
 
     rhs is _rhs_z or _rhs2, h carries the flow direction as its sign and
-    (fa, fb) is the derivative at the start.  Returns the 8th order
-    solution and the unscaled 5th and 3rd order error estimates (E5, E3:
-    the error of the step is h times them), (na, nb, e5a, e5b, e3a, e3b).
-    Each stage sum is h (sum of a_ij k_j) in the term order of STAGES.
+    (fa, fb) is the derivative at the start.  Each stage sum is
+    h (sum of a_ij k_j) in the term order of STAGES.  Returns the stages
+    that the solution, the error estimates and the dense output read,
+    (a6, ..., a12, b6, ..., b12).
     """
     a2, b2 = rhs(ya + h * (A21 * fa), yb + h * (A21 * fb), alpha, table)
     a3, b3 = rhs(
@@ -389,6 +503,20 @@ def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
         alpha,
         table,
     )
+    return a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12
+
+
+@njit(cache=True)
+def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
+    """One embedded DOP853 attempt on a 2-component subsystem.
+
+    The arguments are those of _stages2.  Returns the 8th order solution
+    and the unscaled 5th and 3rd order error estimates (E5, E3: the error
+    of the step is h times them), (na, nb, e5a, e5b, e3a, e3b).
+    """
+    a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12 = _stages2(
+        ya, yb, fa, fb, h, rhs, alpha, table
+    )
     na = ya + h * (B1 * fa + B6 * a6 + B7 * a7 + B8 * a8 + B9 * a9 + B10 * a10
                    + B11 * a11 + B12 * a12)
     nb = yb + h * (B1 * fb + B6 * b6 + B7 * b7 + B8 * b8 + B9 * b9 + B10 * b10
@@ -402,6 +530,91 @@ def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
     e3b = (E31 * fb + B6 * b6 + B7 * b7 + B8 * b8 + E39 * b9 + B10 * b10
            + B11 * b11 + E312 * b12)
     return na, nb, e5a, e5b, e3a, e3b
+
+
+@njit(cache=True)
+def _contd8_coefs(y, n, f, k6, k7, k8, k9, k10, k11, k12, g, k14, k15, k16, h):
+    """The 7 dense-output coefficients of one component over a step.
+
+    The step of size h takes y, with derivative f, to n, with derivative
+    g (stage 13); k6 .. k16 are the other stages that the rows D4-D7 read,
+    each summed in the term order of DENSE.
+    """
+    d = n - y
+    return (
+        d,
+        h * f - d,
+        2.0 * d - h * (g + f),
+        h * (D41 * f + D46 * k6 + D47 * k7 + D48 * k8 + D49 * k9 + D410 * k10
+             + D411 * k11 + D412 * k12 + D413 * g + D414 * k14 + D415 * k15
+             + D416 * k16),
+        h * (D51 * f + D56 * k6 + D57 * k7 + D58 * k8 + D59 * k9 + D510 * k10
+             + D511 * k11 + D512 * k12 + D513 * g + D514 * k14 + D515 * k15
+             + D516 * k16),
+        h * (D61 * f + D66 * k6 + D67 * k7 + D68 * k8 + D69 * k9 + D610 * k10
+             + D611 * k11 + D612 * k12 + D613 * g + D614 * k14 + D615 * k15
+             + D616 * k16),
+        h * (D71 * f + D76 * k6 + D77 * k7 + D78 * k8 + D79 * k9 + D710 * k10
+             + D711 * k11 + D712 * k12 + D713 * g + D714 * k14 + D715 * k15
+             + D716 * k16),
+    )
+
+
+@njit(cache=True)
+def _dense2(ya, yb, fa, fb, na, nb, ga, gb, h, rhs, alpha, table):
+    """Dense output of one accepted DOP853 step on a 2-component subsystem.
+
+    The step of size h took (ya, yb), with derivative (fa, fb), to
+    (na, nb), with derivative (ga, gb); rhs is the one it was taken with.
+    Stages 2-12 are recomputed (_stages2) and stages 14-16 added in the
+    term order of DENSE_STAGES.  Returns the coefficients of the a and b
+    components, two tuples that _contd8 reads.
+    """
+    a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12 = _stages2(
+        ya, yb, fa, fb, h, rhs, alpha, table
+    )
+    a14, b14 = rhs(
+        ya + h * (A141 * fa + A147 * a7 + A148 * a8 + A149 * a9 + A1410 * a10
+                  + A1411 * a11 + A1412 * a12 + A1413 * ga),
+        yb + h * (A141 * fb + A147 * b7 + A148 * b8 + A149 * b9 + A1410 * b10
+                  + A1411 * b11 + A1412 * b12 + A1413 * gb),
+        alpha,
+        table,
+    )
+    a15, b15 = rhs(
+        ya + h * (A151 * fa + A156 * a6 + A157 * a7 + A158 * a8 + A1511 * a11
+                  + A1512 * a12 + A1513 * ga + A1514 * a14),
+        yb + h * (A151 * fb + A156 * b6 + A157 * b7 + A158 * b8 + A1511 * b11
+                  + A1512 * b12 + A1513 * gb + A1514 * b14),
+        alpha,
+        table,
+    )
+    a16, b16 = rhs(
+        ya + h * (A161 * fa + A166 * a6 + A167 * a7 + A168 * a8 + A169 * a9
+                  + A1613 * ga + A1614 * a14 + A1615 * a15),
+        yb + h * (A161 * fb + A166 * b6 + A167 * b7 + A168 * b8 + A169 * b9
+                  + A1613 * gb + A1614 * b14 + A1615 * b15),
+        alpha,
+        table,
+    )
+    ca = _contd8_coefs(ya, na, fa, a6, a7, a8, a9, a10, a11, a12, ga, a14, a15,
+                       a16, h)
+    cb = _contd8_coefs(yb, nb, fb, b6, b7, b8, b9, b10, b11, b12, gb, b14, b15,
+                       b16, h)
+    return ca, cb
+
+
+@njit(cache=True)
+def _contd8(y, x, c):
+    """The dense output at fraction x of a step from y, coefficients c.
+
+    Hairer's contd8 in arithmetic operators alone, so that numpy rows of
+    y, x and c give the bits of the scalar rows.  At x = 1 it is
+    y + (n - y), which may differ from the end state n in the last place.
+    """
+    s = 1.0 - x
+    return y + x * (c[0] + s * (c[1] + x * (c[2] + s * (c[3] + x * (
+        c[4] + s * (c[5] + x * c[6]))))))
 
 
 @njit(cache=True)
@@ -660,37 +873,43 @@ def _advance(y0, y1, y2, y3, f0, f1, f2, f3, h_use, fdir, h_land, with_z, alpha,
 
 
 @njit(cache=True)
-def _bisect_event(p0, p1, p2, p3, f0, f1, f2, f3, h_acc, alpha, table, fdir, radius,
-                  kind):
-    """Bisect an event crossing inside one accepted step of size h_acc.
+def _dense_event(p0, p1, p2, p3, f0, f1, f2, f3, n0, n1, n2, n3, k0, k1, k2, k3,
+                 h_acc, fdir, alpha, table, radius, kind):
+    """Locate an event crossing inside one accepted step of size h_acc.
 
-    The step starts at state p, with derivative f there, and ends
-    inside the event region; fdir is the sign of each trial step.
-    Returns (y0, y1, y2, y3, dt, sign): the first state found inside the
-    region, its time offset from p, and the event sign there.  Only the
-    scalar :func:`_drive` (and so the numba :func:`_drive_batch`) calls
-    it; :func:`_drive_batch_np` applies the same rule to all its rows at
-    once.
+    The step took state p, with derivative f, to state n inside the event
+    region, with derivative k; fdir is the sign of the step.  The event
+    predicate is bisected on the dense output of the step (_dense2 on z
+    and on w): at most 64 halvings, stopping once hi - lo < 1e-13
+    max(hi, 1).  Returns (y0, y1, y2, y3, dt, sign): the state at the
+    first time offset dt from p found inside the region, the end state n
+    itself if that is the whole step, and the event sign there.
     """
+    hs = fdir * h_acc
+    c0, c1 = _dense2(p0, p1, f0, f1, n0, n1, k0, k1, hs, _rhs_z, alpha, table)
+    c2, c3 = _dense2(p2, p3, f2, f3, n2, n3, k2, k3, hs, _rhs2, alpha, table)
     lo = 0.0
     hi = h_acc
     for _ in range(64):
         if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
             break
         mid = 0.5 * (lo + hi)
-        hs = fdir * mid
-        mz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
-        mw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
-        mhit, _ = _event_val(mz[0], mz[1], mw[0], mw[1], radius, table[1], kind)
+        x = mid / h_acc
+        mhit, _ = _event_val(_contd8(p0, x, c0), _contd8(p1, x, c1),
+                             _contd8(p2, x, c2), _contd8(p3, x, c3), radius,
+                             table[1], kind)
         if mhit:
             hi = mid
         else:
             lo = mid
-    hs = fdir * hi
-    yz = _step2(p0, p1, f0, f1, hs, _rhs_z, alpha, table)
-    yw = _step2(p2, p3, f2, f3, hs, _rhs2, alpha, table)
-    _, sign = _event_val(yz[0], yz[1], yw[0], yw[1], radius, table[1], kind)
-    return yz[0], yz[1], yw[0], yw[1], hi, sign
+    if hi < h_acc:
+        x = hi / h_acc
+        n0 = _contd8(p0, x, c0)
+        n1 = _contd8(p1, x, c1)
+        n2 = _contd8(p2, x, c2)
+        n3 = _contd8(p3, x, c3)
+    _, sign = _event_val(n0, n1, n2, n3, radius, table[1], kind)
+    return n0, n1, n2, n3, hi, sign
 
 
 @njit(cache=True)
@@ -744,9 +963,9 @@ def _drive(
         if verdict == ACCEPTED:
             hit, _ = _event_val(n0, n1, n2, n3, radius, table[1], event_kind)
             if hit:
-                y0, y1, y2, y3, dt, esign = _bisect_event(
-                    y0, y1, y2, y3, f10, f11, f12, f13, h_use, alpha, table,
-                    fdir, radius, event_kind,
+                y0, y1, y2, y3, dt, esign = _dense_event(
+                    y0, y1, y2, y3, f10, f11, f12, f13, n0, n1, n2, n3, k0, k1,
+                    k2, k3, h_use, fdir, alpha, table, radius, event_kind,
                 )
                 t += dt
                 status = STATUS_EVENT
@@ -944,17 +1163,27 @@ def _sum_sq(Q):
     return acc
 
 
-def _attempt_np(Y, K1, h, rhs, rtol):
-    """One embedded DOP853 attempt for all rows with per-row step h.
+def _stages_np(Y, K1, hc, rhs):
+    """Stages 1-12 of a DOP853 step of per-row size hc (a column) for all rows.
 
     rhs maps state rows to derivative rows and K1 is the derivative at Y.
-    Returns the 8th order states and the scaled error of each row (as
-    :func:`_err_norm`); rows whose new state is not finite get inf.
+    Returns the list of the 12 stage derivatives, K1 first.
     """
-    hc = h[:, None]
     K = [K1]
     for terms in STAGES:
         K.append(rhs(Y + hc * _combo(K, terms)))
+    return K
+
+
+def _attempt_np(Y, K1, h, rhs, rtol):
+    """One embedded DOP853 attempt for all rows with per-row step h.
+
+    rhs and K1 are those of :func:`_stages_np`.  Returns the 8th order
+    states and the scaled error of each row (as :func:`_err_norm`); rows
+    whose new state is not finite get inf.
+    """
+    hc = h[:, None]
+    K = _stages_np(Y, K1, hc, rhs)
     Yn = Y + hc * _combo(K, WEIGHTS)
     scale = ATOL + rtol * np.maximum(np.abs(Y), np.abs(Yn))
     sq5 = _sum_sq(_combo(K, ERR5) / scale)
@@ -963,6 +1192,23 @@ def _attempt_np(Y, K1, h, rhs, rtol):
     err = np.abs(h) * sq5 / np.where(root > 0.0, root, 1.0)
     err[~np.isfinite(Yn).all(axis=1)] = np.inf
     return Yn, err
+
+
+def _dense_np(Y, K1, Yn, Kn, h, rhs):
+    """Dense output of accepted DOP853 steps, row by row, as :func:`_dense2`.
+
+    Each step of size h took Y, with derivative K1, to Yn, with
+    derivative Kn; rhs is the one it was taken with.  Returns the 7
+    coefficients as one array of shape (7, rows, columns) that
+    :func:`_contd8` reads.
+    """
+    hc = h[:, None]
+    K = _stages_np(Y, K1, hc, rhs) + [Kn]
+    for terms in DENSE_STAGES:
+        K.append(rhs(Y + hc * _combo(K, terms)))
+    d = Yn - Y
+    return np.array([d, hc * K1 - d, 2.0 * d - hc * (Kn + K1)]
+                    + [hc * _combo(K, row) for row in DENSE])
 
 
 def _next_h_np(err, h_use, h_max):
@@ -1056,14 +1302,16 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.i
     :func:`_advance`, and the step after a cut one that lands on a knot
     (:func:`_on_knot`, row by row) resumes at no less than the step it
     cut; pure mode runs no knot code.  An accepted step ending where
-    event(Yn) holds is not taken: the row stops with STATUS_EVENT and its
-    step goes to h_event.  Returns (K1, h_event).
+    event(Yn) holds is not taken: the row stops with STATUS_EVENT, its
+    step goes to h_event and its end state and derivative to Y_event and
+    K_event.  Returns (K1, h_event, Y_event, K_event).
     """
     n = Y.shape[0]
     cutoff = table[0] != MODE_PURE
     h = np.full(n, H_FIRST)
     h_land = np.zeros(n)
     h_event = np.zeros(n)
+    Y_event, K_event = np.empty_like(Y), np.empty_like(Y)
     K1 = rhs(Y)
     active = np.ones(n, dtype=bool)
     for _ in range(int(max_steps)):
@@ -1104,20 +1352,22 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.i
                                   for x, y in Ya[land, -2:].tolist()], dtype=bool)]
                 h[on] = np.maximum(h[on], h_land[on])
                 h_land[li] = 0.0
+            Ka = Kn[acc] if cutoff else rhs(Ya)
             if event is not None:
                 hit = event(Ya)
                 ev = ai[hit]
                 h_event[ev] = h_use[acc[hit]]
+                Y_event[ev], K_event[ev] = Ya[hit], Ka[hit]
                 status[ev] = STATUS_EVENT
                 active[ev] = False
-                acc, ai, Ya = acc[~hit], ai[~hit], Ya[~hit]
+                acc, ai, Ya, Ka = acc[~hit], ai[~hit], Ya[~hit], Ka[~hit]
             Y[ai] = Ya
             t[ai] += h_use[acc]
-            K1[ai] = Kn[acc] if cutoff else rhs(Ya)
+            K1[ai] = Ka
         dead = idx[judged & ~(err < np.inf) & (h[idx] < 1e-14)]
         status[dead] = STATUS_NONFINITE
         active[dead] = False
-    return K1, h_event
+    return K1, h_event, Y_event, K_event
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1129,9 +1379,10 @@ def _drive_batch_np(
 
     A row whose accepted step ends inside the event region stops there
     with STATUS_EVENT, keeping its pre-step state, derivative and time.
-    After the lockstep every event row is bisected at once through
-    :func:`_attempt_np`, by the rule of :func:`_bisect_event`: at most 64
-    halvings per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
+    After the lockstep the dense output of every event step is built in
+    one batch (:func:`_dense_np`) and all event rows are bisected on it
+    together, by the rule of :func:`_dense_event`: at most 64 halvings
+    per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
     """
     arr = np.asarray(table)
 
@@ -1154,25 +1405,27 @@ def _drive_batch_np(
     out_t[:] = 0.0
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
-    K1, h_event = _lockstep(Y, out_t, rhs, rtol, max_steps, out_status, stop,
-                            _h_max(event_kind), table, t_end, fdir, event)
+    K1, h_event, Y_event, K_event = _lockstep(
+        Y, out_t, rhs, rtol, max_steps, out_status, stop, _h_max(event_kind),
+        table, t_end, fdir, event)
     ev = np.nonzero(out_status == STATUS_EVENT)[0]
     if ev.size:
-        P = Y[ev]
-        KP = K1[ev]
+        P, h, Pn = Y[ev], h_event[ev], Y_event[ev]
+        C = _dense_np(P, K1[ev], Pn, K_event[ev], fdir * h, rhs)
         lo = np.zeros(ev.size)
-        hi = h_event[ev]
+        hi = h.copy()
         for _ in range(64):
             live = np.nonzero(hi - lo >= 1e-13 * np.maximum(hi, 1.0))[0]
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
-            Ym = _attempt_np(P[live], KP[live], fdir * mid, rhs, rtol)[0]
-            mhit = event(Ym)
+            mhit = event(_contd8(P[live], (mid / h[live])[:, None], C[:, live]))
             hi[live[mhit]] = mid[mhit]
             lo[live[~mhit]] = mid[~mhit]
-        Y[ev] = _attempt_np(P, KP, fdir * hi, rhs, rtol)[0]
-        out_sign[ev] = _event_np(Y[ev], radius, arr[1], event_kind)[1]
+        moved = np.nonzero(hi < h)[0]
+        Pn[moved] = _contd8(P[moved], (hi[moved] / h[moved])[:, None], C[:, moved])
+        Y[ev] = Pn
+        out_sign[ev] = _event_np(Pn, radius, arr[1], event_kind)[1]
         out_t[ev] += hi
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END

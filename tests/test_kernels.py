@@ -7,6 +7,7 @@ exactly, not to a tolerance: each formula, and each whole trajectory of
 the drive and Delta kernels, status, time and state alike.
 """
 
+import collections
 import inspect
 import itertools
 import math
@@ -193,9 +194,13 @@ def test_step_twins_agree_exactly(mode):
 
 
 def test_tableau_is_consistent():
-    # each row of A sums to its node, the weights to 1 and both error
-    # estimates to 0, as in any consistent embedded pair
-    for terms, node in zip(_kernels.STAGES, _kernels.C_NODES[1:]):
+    # each row of A sums to its node, the dense-output stages 14-16
+    # included, the weights to 1 and both error estimates to 0, as in any
+    # consistent embedded pair
+    rows = _kernels.STAGES + _kernels.DENSE_STAGES
+    nodes = _kernels.C_NODES[1:] + _kernels.DENSE_NODES
+    assert _kernels.DENSE_NODES == (0.1, 0.2, 7.0 / 9.0)
+    for terms, node in zip(rows, nodes, strict=True):
         assert sum(a for _, a in terms) == pytest.approx(node, abs=1e-14)
     assert sum(b for _, b in _kernels.WEIGHTS) == pytest.approx(1.0, abs=1e-14)
     for row in (_kernels.ERR5, _kernels.ERR3):
@@ -214,6 +219,46 @@ def test_step_is_eighth_order():
 
     for big, small in zip(error(0.8), error(0.4)):
         assert 2.0**8 < big / small < 2.0**10
+
+
+def _dense_step(y, h, rhs, table):
+    """Start, end, end derivative and dense output of one DOP853 step."""
+    f = rhs(*y, ALPHA, table)
+    n = _kernels._step2(*y, *f, h, rhs, ALPHA, table)[:2]
+    g = rhs(*n, ALPHA, table)
+    return f, n, g, _kernels._dense2(*y, *f, *n, *g, h, rhs, ALPHA, table)
+
+
+@pytest.mark.parametrize("h", [0.3, -0.3])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_dense_output_matches_the_step_at_its_ends(mode, h):
+    # contd8 is y at x = 0 and n at x = 1, to rounding, with derivatives
+    # h f and h g there; _contd8 is made of operators alone, so a complex
+    # step x + 1e-20 i differentiates it exactly
+    table = SteinParams(epsilon=16.0, smoothing=mode).table
+    y = (12.0, -9.0)  # |w| = 15 crosses no knot for |h| = 0.3
+    f, n, g, coefs = _dense_step(y, h, _kernels._rhs2, table)
+    for k, c in enumerate(coefs):
+        assert _kernels._contd8(y[k], 0.0, c) == y[k]
+        assert _kernels._contd8(y[k], 1.0, c) == pytest.approx(n[k], rel=1e-15)
+        d0 = _kernels._contd8(y[k], 1e-20j, c).imag / 1e-20
+        d1 = _kernels._contd8(y[k], 1.0 + 1e-20j, c).imag / 1e-20
+        assert d0 == pytest.approx(h * f[k], rel=1e-13)
+        assert d1 == pytest.approx(h * g[k], rel=1e-13)
+
+
+def test_dense_output_is_seventh_order():
+    # on the linear z-subsystem the interior error of the 7th order
+    # interpolant shrinks 2^8-fold when the step halves
+    table = SteinParams(epsilon=16.0).table
+
+    def error(h):
+        coefs = _dense_step((1.0, 1.0), h, _kernels._rhs_z, table)[3]
+        exact = (math.exp((ALPHA - 1.0) * 0.5 * h), math.exp(-ALPHA * 0.5 * h))
+        return [abs(_kernels._contd8(1.0, 0.5, c) - e) for c, e in zip(coefs, exact)]
+
+    for big, small in zip(error(0.8), error(0.4)):
+        assert 2.0**7.5 < big / small < 2.0**8.5
 
 
 def _knot_cut_both(rows, table):
@@ -416,6 +461,15 @@ def _assert_twins(batch, scalar):
     assert _bits(*batch) == _bits(scalar[0], scalar[1], scalar[2], scalar[3])
 
 
+def _assert_events_hold(batch, args):
+    """Every STATUS_EVENT row of a _drive_both batch is in its region."""
+    status, _, sign, Y = batch
+    radius, kind, epsilon = args[3], args[4], args[1][1]
+    for row, st_k, sg in zip(Y.tolist(), status.tolist(), sign.tolist()):
+        if st_k == _kernels.STATUS_EVENT:
+            assert _kernels._event_val(*row, radius, epsilon, kind) == (True, sg)
+
+
 @pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 @pytest.mark.parametrize(
@@ -425,8 +479,8 @@ def _assert_twins(batch, scalar):
     ids=["pair-escape", "trunc-region", "v-entry"],
 )
 def test_drive_twins_agree_on_events(kind, mode, fdir):
-    # the numpy batch refines all its events after the lockstep, the
-    # scalar kernel bisects each one as it is found
+    # the numpy batch refines all its events together after the lockstep,
+    # the scalar kernel each one as it is found, both on the dense output
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     args = flow._drive_args(params, settings, kind)
@@ -439,6 +493,7 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     rows = flowing + _INSIDE[kind] + [(1.0, 0.5, 1e308, 0.0)]
     batch, scalar = _drive_both(rows, args, 4.0, fdir)
     _assert_twins(batch, scalar)
+    _assert_events_hold(batch, args)
     status, _, sign, _ = batch
     assert np.all(status[8:10] == _kernels.STATUS_EVENT)
     assert status[10] == _kernels.STATUS_NONFINITE
@@ -454,6 +509,91 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     batch, scalar = _drive_both(missed, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
+
+
+def _refined_rows(mode):
+    """Pair-escape drive arguments and rows, some inside at t = 0."""
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    kind = _kernels.EVENT_PAIR_ESCAPE
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-48.0, 48.0, (8, 2))
+    s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
+    rows = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
+    return flow._drive_args(params, settings, kind), rows + _INSIDE[kind]
+
+
+def _count_calls(monkeypatch, name, counter, key):
+    """Count the calls of a kernel function under counter[key()]."""
+    func = getattr(_kernels, name)
+
+    def counted(*args):
+        counter[name, key()] += 1
+        return func(*args)
+
+    monkeypatch.setattr(_kernels, name, counted)
+
+
+# Refining an event recomputes the stages of its step once and adds the
+# dense-output stages 14-16: 14 evaluations of each subsystem, however many
+# halvings the bisection on the dense output makes.
+REFINE_RHS = 14
+
+
+@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
+    args, rows = _refined_rows(mode)
+    counts = collections.Counter()
+    judging = []  # nonempty inside _advance, the judged attempt
+    for name in ("_rhs_z", "_rhs2", "_contd8"):
+        _count_calls(monkeypatch, name, counts, lambda: bool(judging))
+    advance = _kernels._advance
+
+    def judged(*a):
+        judging.append(True)
+        try:
+            return advance(*a)
+        finally:
+            judging.pop()
+
+    monkeypatch.setattr(_kernels, "_advance", judged)
+    rec = np.empty((0, 5))
+    halvings = set()
+    for row in rows:
+        counts.clear()
+        status = _kernels._drive(*row, 4.0, *args, rec, 1.0)[0]
+        refined = status == _kernels.STATUS_EVENT
+        # outside the attempts: the derivative at the start, and refinement
+        assert counts["_rhs_z", False] == counts["_rhs2", False]
+        assert counts["_rhs2", False] == 1 + REFINE_RHS * refined
+        if refined:
+            halvings.add(counts["_contd8", False])
+    assert len(halvings) > 1
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
+    args, rows = _refined_rows(mode)
+    refined = []  # row counts of the _rhs_np calls after the lockstep
+    done = []
+    rhs_np, lockstep = _kernels._rhs_np, _kernels._lockstep
+
+    def counted(Z, *a):
+        if done:
+            refined.append(len(Z))
+        return rhs_np(Z, *a)
+
+    def marked(*a):
+        out = lockstep(*a)
+        done.append(True)
+        return out
+
+    monkeypatch.setattr(_kernels, "_rhs_np", counted)
+    monkeypatch.setattr(_kernels, "_lockstep", marked)
+    status = _drive_both(rows, args, 4.0, 1.0)[0][0]
+    n_event = int(np.sum(status == _kernels.STATUS_EVENT))
+    assert n_event > 2 and refined == [n_event] * REFINE_RHS
 
 
 def test_drive_twins_agree_on_stalls():
@@ -705,7 +845,9 @@ def _drawn_rows(width, half):
 def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir):
     args = flow._drive_args(_PARAMS[mode], _DRAWN_SETTINGS, kind)
     assert args[1] is _PARAMS[mode].table
-    _assert_twins(*_drive_both(rows, args, 2.0, fdir))
+    batch, scalar = _drive_both(rows, args, 2.0, fdir)
+    _assert_twins(batch, scalar)
+    _assert_events_hold(batch, args)
 
 
 @hypothesis.settings(max_examples=20)
