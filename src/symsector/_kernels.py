@@ -84,9 +84,9 @@ a no-op); scalar callers use them directly and never build a one-row
 numpy batch.  _advance is the scalar counterpart of _lockstep: the one
 judged attempt of _drive and _delta_one (and so of the numba batch
 kernels), one _step2 on w with _rhs2 and, for the drive, one on z with
-_rhs_z.  _dense_event refines the events of _drive.  The interpolant
-itself, _contd8, is one definition for both backends.  Both twins write
-every stage sum as
+_rhs_z.  _dense_event refines the events of _drive.  The coefficients
+of the interpolant (_contd8_coefs) and its value (_contd8) have one
+definition for both backends.  Both twins write every stage sum as
 h (sum of a_ij k_j) with the same terms in the same order, sum squares
 over components left to right and take err^(-1/8) as three correctly
 rounded square roots, so on the same rows they give the same bits.
@@ -302,9 +302,8 @@ D714 = 9.63245539591882829483949506e1
 D715 = -3.9177261675615439165231486172e1
 D716 = -1.4972683625798562581422125276e2
 DENSE_NODES = (0.1, 0.2, 0.777777777777777777777777777778)
-# stages 14-16 and the rows D4-D7 as (stage, coefficient) terms in the order
-# the scalar _dense2 and _contd8_coefs sum them, stage 12 being the
-# derivative at the end of the step
+# stages 14-16 as (stage, coefficient) terms in the order the scalar
+# _dense2 sums them, stage 12 being the derivative at the end of the step
 DENSE_STAGES = (
     ((0, A141), (6, A147), (7, A148), (8, A149), (9, A1410), (10, A1411),
      (11, A1412), (12, A1413)),
@@ -312,16 +311,6 @@ DENSE_STAGES = (
      (12, A1513), (13, A1514)),
     ((0, A161), (5, A166), (6, A167), (7, A168), (8, A169), (12, A1613),
      (13, A1614), (14, A1615)),
-)
-DENSE = (
-    ((0, D41), (5, D46), (6, D47), (7, D48), (8, D49), (9, D410),
-     (10, D411), (11, D412), (12, D413), (13, D414), (14, D415), (15, D416)),
-    ((0, D51), (5, D56), (6, D57), (7, D58), (8, D59), (9, D510),
-     (10, D511), (11, D512), (12, D513), (13, D514), (14, D515), (15, D516)),
-    ((0, D61), (5, D66), (6, D67), (7, D68), (8, D69), (9, D610),
-     (10, D611), (11, D612), (12, D613), (13, D614), (14, D615), (15, D616)),
-    ((0, D71), (5, D76), (6, D77), (7, D78), (8, D79), (9, D710),
-     (10, D711), (11, D712), (12, D713), (13, D714), (14, D715), (15, D716)),
 )
 
 # fixed integration constants of every kernel
@@ -537,8 +526,9 @@ def _contd8_coefs(y, n, f, k6, k7, k8, k9, k10, k11, k12, g, k14, k15, k16, h):
     """The 7 dense-output coefficients of one component over a step.
 
     The step of size h takes y, with derivative f, to n, with derivative
-    g (stage 13); k6 .. k16 are the other stages that the rows D4-D7 read,
-    each summed in the term order of DENSE.
+    g (stage 13); k6 .. k16 are the other stages that the rows D4-D7 read.
+    Like _contd8 it is made of arithmetic operators alone, so numpy rows
+    (_dense_np) give the bits of the scalar rows (_dense2).
     """
     d = n - y
     return (
@@ -1206,9 +1196,8 @@ def _dense_np(Y, K1, Yn, Kn, h, rhs):
     K = _stages_np(Y, K1, hc, rhs) + [Kn]
     for terms in DENSE_STAGES:
         K.append(rhs(Y + hc * _combo(K, terms)))
-    d = Yn - Y
-    return np.array([d, hc * K1 - d, 2.0 * d - hc * (Kn + K1)]
-                    + [hc * _combo(K, row) for row in DENSE])
+    # K[5:] holds stages 6-12, stage 13 (Kn) and stages 14-16
+    return np.array(_contd8_coefs(Y, Yn, K1, *K[5:], hc))
 
 
 def _next_h_np(err, h_use, h_max):

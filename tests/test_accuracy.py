@@ -5,12 +5,14 @@ rtol 1e-13, which shares every model formula with the default run, so
 the difference is integration error alone.  A change to the kernels
 that makes answers worse, not only different, fails here.
 
-Each bound is about 4x the error measured with bisection events (the
-event rule up to DOP853 dense output), rounded up:
+Each bound is about 4x the error measured when events were bisected
+with full step attempts, rounded up; on the dense output of the event
+step the error is the second figure:
 
-- escape time, pure mode: median 1.6e-10, q99 1.2e-8
-- escape time, cutoff mode: median 1.6e-10, q99 1.1e-8, max 7.1e-7
-- offset c: max 2.5e-9 pure, 3.9e-9 cutoff
+- escape time, pure mode: median 1.6e-10 (1.6e-10), q99 1.2e-8 (1.35e-8)
+- escape time, cutoff mode: median 1.6e-10 (1.6e-10), q99 1.1e-8
+  (1.2e-8), max 7.1e-7 (9.5e-7)
+- offset c: max 2.5e-9 pure, 3.9e-9 cutoff (Delta has no events)
 
 The pure-mode escape-time max is not bounded: one row of the set enters
 the escape region only briefly, between two step ends of the default
@@ -73,8 +75,8 @@ def test_escape_times_match_a_tight_reference(mode):
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_offsets_match_a_tight_reference(mode):
-    # 600 keys over [0, 48]^2 and 200 inside |sqrt(w)| < 4, whose w-flow
-    # starts within the profile knot |w| = 16 and crosses it in cutoff mode
+    # 600 keys over [0, 48]^2 and 200 over [0, 4]^2, most of whose w-flows
+    # start inside the profile knots and cut steps at them in cutoff mode
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     rng = np.random.default_rng(7)
     s = rng.uniform(0.0, 48.0, 600) + 1j * rng.uniform(0.0, 48.0, 600)

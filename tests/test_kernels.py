@@ -470,6 +470,17 @@ def _assert_events_hold(batch, args):
             assert _kernels._event_val(*row, radius, epsilon, kind) == (True, sg)
 
 
+def _event_drive(mode, kind):
+    """Drive arguments of an event kind, 8 flowing rows and the _INSIDE rows."""
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-48.0, 48.0, (8, 2))
+    s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
+    flowing = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
+    return flow._drive_args(params, settings, kind), flowing, _INSIDE[kind]
+
+
 @pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 @pytest.mark.parametrize(
@@ -481,16 +492,10 @@ def _assert_events_hold(batch, args):
 def test_drive_twins_agree_on_events(kind, mode, fdir):
     # the numpy batch refines all its events together after the lockstep,
     # the scalar kernel each one as it is found, both on the dense output
-    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
-    args = flow._drive_args(params, settings, kind)
-    rng = np.random.default_rng(5)
-    z = rng.uniform(-48.0, 48.0, (8, 2))
-    s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
-    flowing = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
+    args, flowing, inside = _event_drive(mode, kind)
     # the inside rows hit in the first lockstep iteration, the flowing ones
     # later and apart; w = 1e308 overflows kappa: STATUS_NONFINITE
-    rows = flowing + _INSIDE[kind] + [(1.0, 0.5, 1e308, 0.0)]
+    rows = flowing + inside + [(1.0, 0.5, 1e308, 0.0)]
     batch, scalar = _drive_both(rows, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     _assert_events_hold(batch, args)
@@ -509,18 +514,6 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     batch, scalar = _drive_both(missed, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
-
-
-def _refined_rows(mode):
-    """Pair-escape drive arguments and rows, some inside at t = 0."""
-    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    settings = FlowSettings(escape_radius=64.0, max_steps=2000)
-    kind = _kernels.EVENT_PAIR_ESCAPE
-    rng = np.random.default_rng(5)
-    z = rng.uniform(-48.0, 48.0, (8, 2))
-    s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
-    rows = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
-    return flow._drive_args(params, settings, kind), rows + _INSIDE[kind]
 
 
 def _count_calls(monkeypatch, name, counter, key):
@@ -543,7 +536,8 @@ REFINE_RHS = 14
 @pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
-    args, rows = _refined_rows(mode)
+    args, flowing, inside = _event_drive(mode, _kernels.EVENT_PAIR_ESCAPE)
+    rows = flowing + inside
     counts = collections.Counter()
     judging = []  # nonempty inside _advance, the judged attempt
     for name in ("_rhs_z", "_rhs2", "_contd8"):
@@ -567,14 +561,15 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
         # outside the attempts: the derivative at the start, and refinement
         assert counts["_rhs_z", False] == counts["_rhs2", False]
         assert counts["_rhs2", False] == 1 + REFINE_RHS * refined
-        if refined:
+        if refined:  # _contd8 runs 4 times per halving
             halvings.add(counts["_contd8", False])
     assert len(halvings) > 1
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
-    args, rows = _refined_rows(mode)
+    args, flowing, inside = _event_drive(mode, _kernels.EVENT_PAIR_ESCAPE)
+    rows = flowing + inside
     refined = []  # row counts of the _rhs_np calls after the lockstep
     done = []
     rhs_np, lockstep = _kernels._rhs_np, _kernels._lockstep
