@@ -35,11 +35,15 @@ taken.  The event is located on the dense output of that step (Hairer's
 contd8, II.6): its stages 2-12 are recomputed once and stages 14-16
 added, which also read the derivative at the end (stage 13), giving a
 7th order interpolant of the step.  The event predicate is bisected on
-the interpolant, at most 64 halvings, stopping once hi - lo < 1e-13
-max(hi, 1); the state at hi is read from it, or is the accepted end
-state itself where the bracket never moved.  A refinement thus costs 14
-right-hand-side evaluations per subsystem, however many halvings it
-makes.
+the interpolant, at most EVENT_HALVINGS halvings, stopping once hi - lo
+< EVENT_TOL max(hi, 1); the state at hi is read from it, or is the
+accepted end state itself where the bracket never moved.  A refinement
+thus costs 14 right-hand-side evaluations per subsystem, however many
+halvings it makes.  The dense output is written once for both backends:
+its coefficients are the (stage, coefficient) tables DENSE_STAGES
+(stages 14-16) and DENSE_ROWS (the rows D4-D7 of the interpolant), and
+_combo sums such terms left to right, on lists of floats in _dense2 and
+on lists of arrays in _dense_np; _contd8_coefs and _contd8 serve both.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
@@ -78,18 +82,18 @@ The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs_z and _rhs2, one DOP853 step _step2 and its dense output
 _dense2, which take their right-hand side as an argument and share the
 stages of _stages2, _err_norm, _next_h, _pair_re and _event_val (also
-the region test of sectors).  They are jit-compiled
-under numba and run as plain Python otherwise (the decorator degrades to
-a no-op); scalar callers use them directly and never build a one-row
-numpy batch.  _advance is the scalar counterpart of _lockstep: the one
-judged attempt of _drive and _delta_one (and so of the numba batch
-kernels), one _step2 on w with _rhs2 and, for the drive, one on z with
-_rhs_z.  _dense_event refines the events of _drive.  The coefficients
-of the interpolant (_contd8_coefs) and its value (_contd8) have one
-definition for both backends.  Both twins write every stage sum as
-h (sum of a_ij k_j) with the same terms in the same order, sum squares
-over components left to right and take err^(-1/8) as three correctly
-rounded square roots, so on the same rows they give the same bits.
+the region test of sectors).  The sums of _stages2 and _step2 stay
+unrolled: read through _combo, a scalar step takes twice as long.  The
+scalar kernels are jit-compiled under numba and run as plain Python
+otherwise (the decorator degrades to a no-op); scalar callers use them
+directly and never build a one-row numpy batch.  _advance is the scalar
+counterpart of _lockstep: the one judged attempt of _drive and
+_delta_one (and so of the numba batch kernels), one _step2 on w with
+_rhs2 and, for the drive, one on z with _rhs_z.  _dense_event refines
+the events of _drive.  Both twins write every stage sum as h (sum of
+a_ij k_j) with the same terms in the same order, sum squares over
+components left to right and take err^(-1/8) as three correctly rounded
+square roots, so on the same rows they give the same bits.
 
 Every kernel takes the smoothing table as the one tuple of built-in
 floats that SteinParams holds (under numba a UniTuple(float64, 15)).  The
@@ -226,91 +230,53 @@ ERR3 = ((0, E31), (5, B6), (6, B7), (7, B8), (8, E39), (9, B10), (10, B11),
         (11, E312))
 
 # DOP853 dense output (contd8 of Hairer's code; Hairer, Norsett & Wanner,
-# Solving ODEs I, II.6): stages 14-16 at the nodes DENSE_NODES, which also
-# read stage 13, the derivative at the end of the step, and the rows Dij of
-# the last four coefficients of the 7th order interpolant.
-A141 = 5.61675022830479523392909219681e-2
-A147 = 2.53500210216624811088794765333e-1
-A148 = -2.46239037470802489917441475441e-1
-A149 = -1.24191423263816360469010140626e-1
-A1410 = 1.5329179827876569731206322685e-1
-A1411 = 8.20105229563468988491666602057e-3
-A1412 = 7.56789766054569976138603589584e-3
-A1413 = -8.298e-3
-A151 = 3.18346481635021405060768473261e-2
-A156 = 2.83009096723667755288322961402e-2
-A157 = 5.35419883074385676223797384372e-2
-A158 = -5.49237485713909884646569340306e-2
-A1511 = -1.08347328697249322858509316994e-4
-A1512 = 3.82571090835658412954920192323e-4
-A1513 = -3.40465008687404560802977114492e-4
-A1514 = 1.41312443674632500278074618366e-1
-A161 = -4.28896301583791923408573538692e-1
-A166 = -4.69762141536116384314449447206
-A167 = 7.68342119606259904184240953878
-A168 = 4.06898981839711007970213554331
-A169 = 3.56727187455281109270669543021e-1
-A1613 = -1.39902416515901462129418009734e-3
-A1614 = 2.9475147891527723389556272149
-A1615 = -9.15095847217987001081870187138
-D41 = -8.4289382761090128651353491142
-D46 = 5.667149535193777696253178359e-1
-D47 = -3.0689499459498916912797304727
-D48 = 2.384667656512069828772814968
-D49 = 2.1170345824450282767155149946
-D410 = -8.713915837779729920678990749e-1
-D411 = 2.240437430260788275854177165
-D412 = 6.315787787694688181557024929e-1
-D413 = -8.89903364513333108206981174e-2
-D414 = 1.8148505520854727256656404962e1
-D415 = -9.1946323924783554000451984436
-D416 = -4.4360363875948939664310572
-D51 = 1.0427508642579134603413151009e1
-D56 = 2.4228349177525818288430175319e2
-D57 = 1.6520045171727028198505394887e2
-D58 = -3.7454675472269020279518312152e2
-D59 = -2.2113666853125306036270938578e1
-D510 = 7.7334326684722638389603898808
-D511 = -3.0674084731089398182061213626e1
-D512 = -9.3321305264302278729567221706
-D513 = 1.5697238121770843886131091075e1
-D514 = -3.1139403219565177677282850411e1
-D515 = -9.3529243588444783865713862664
-D516 = 3.581684148639408375246589854e1
-D61 = 1.9985053242002433820987653617e1
-D66 = -3.8703730874935176555105901742e2
-D67 = -1.8917813819516756882830838328e2
-D68 = 5.2780815920542364900561016686e2
-D69 = -1.1573902539959630126141871134e1
-D610 = 6.8812326946963000169666922661
-D611 = -1.000605096691083840318386098
-D612 = 7.777137798053443209286926574e-1
-D613 = -2.7782057523535084065932004339
-D614 = -6.0196695231264120758267380846e1
-D615 = 8.4320405506677161018159903784e1
-D616 = 1.199229113618278932803513003e1
-D71 = -2.5693933462703749003312586129e1
-D76 = -1.5418974869023643374053993627e2
-D77 = -2.3152937917604549567536039109e2
-D78 = 3.576391179106141237828534991e2
-D79 = 9.3405324183624310003907691704e1
-D710 = -3.7458323136451633156875139351e1
-D711 = 1.0409964950896230045147246184e2
-D712 = 2.9840293426660503123344363579e1
-D713 = -4.3533456590011143754432175058e1
-D714 = 9.63245539591882829483949506e1
-D715 = -3.9177261675615439165231486172e1
-D716 = -1.4972683625798562581422125276e2
+# Solving ODEs I, II.6) as (stage, coefficient) terms, summed by _combo in
+# the order written: stages 14-16 at the nodes DENSE_NODES, and the rows
+# D4-D7 of the last four coefficients of the 7th order interpolant.  The
+# stage index is 0 for the derivative at the start of the step, 5-11 for
+# stages 6-12, 12 for the derivative at its end and 13-15 for stages 14-16.
 DENSE_NODES = (0.1, 0.2, 0.777777777777777777777777777778)
-# stages 14-16 as (stage, coefficient) terms in the order the scalar
-# _dense2 sums them, stage 12 being the derivative at the end of the step
 DENSE_STAGES = (
-    ((0, A141), (6, A147), (7, A148), (8, A149), (9, A1410), (10, A1411),
-     (11, A1412), (12, A1413)),
-    ((0, A151), (5, A156), (6, A157), (7, A158), (10, A1511), (11, A1512),
-     (12, A1513), (13, A1514)),
-    ((0, A161), (5, A166), (6, A167), (7, A168), (8, A169), (12, A1613),
-     (13, A1614), (14, A1615)),
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+     (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4),
+     (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4),
+     (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+     (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+DENSE_ROWS = (
+    ((0, -8.4289382761090128651353491142), (5, 5.667149535193777696253178359e-1),
+     (6, -3.0689499459498916912797304727), (7, 2.384667656512069828772814968),
+     (8, 2.1170345824450282767155149946), (9, -8.713915837779729920678990749e-1),
+     (10, 2.240437430260788275854177165), (11, 6.315787787694688181557024929e-1),
+     (12, -8.89903364513333108206981174e-2), (13, 1.8148505520854727256656404962e1),
+     (14, -9.1946323924783554000451984436), (15, -4.4360363875948939664310572)),
+    ((0, 1.0427508642579134603413151009e1), (5, 2.4228349177525818288430175319e2),
+     (6, 1.6520045171727028198505394887e2), (7, -3.7454675472269020279518312152e2),
+     (8, -2.2113666853125306036270938578e1), (9, 7.7334326684722638389603898808),
+     (10, -3.0674084731089398182061213626e1), (11, -9.3321305264302278729567221706),
+     (12, 1.5697238121770843886131091075e1), (13, -3.1139403219565177677282850411e1),
+     (14, -9.3529243588444783865713862664), (15, 3.581684148639408375246589854e1)),
+    ((0, 1.9985053242002433820987653617e1), (5, -3.8703730874935176555105901742e2),
+     (6, -1.8917813819516756882830838328e2), (7, 5.2780815920542364900561016686e2),
+     (8, -1.1573902539959630126141871134e1), (9, 6.8812326946963000169666922661),
+     (10, -1.000605096691083840318386098), (11, 7.777137798053443209286926574e-1),
+     (12, -2.7782057523535084065932004339), (13, -6.0196695231264120758267380846e1),
+     (14, 8.4320405506677161018159903784e1), (15, 1.199229113618278932803513003e1)),
+    ((0, -2.5693933462703749003312586129e1), (5, -1.5418974869023643374053993627e2),
+     (6, -2.3152937917604549567536039109e2), (7, 3.576391179106141237828534991e2),
+     (8, 9.3405324183624310003907691704e1), (9, -3.7458323136451633156875139351e1),
+     (10, 1.0409964950896230045147246184e2), (11, 2.9840293426660503123344363579e1),
+     (12, -4.3533456590011143754432175058e1), (13, 9.63245539591882829483949506e1),
+     (14, -3.9177261675615439165231486172e1), (15, -1.4972683625798562581422125276e2)),
 )
 
 # fixed integration constants of every kernel
@@ -320,6 +286,8 @@ H_MAX = 0.5  # largest step of the Delta kernels and of most drives
 H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band
 KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
 KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
+EVENT_HALVINGS = 64  # most halvings of an event bracket on the dense output
+EVENT_TOL = 1e-13  # the halvings stop once hi - lo < EVENT_TOL max(hi, 1)
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
 IM_TOL = 5e-9  # Im Delta residual bound of READ_COMPLEX_IM
@@ -522,32 +490,35 @@ def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
 
 
 @njit(cache=True)
-def _contd8_coefs(y, n, f, k6, k7, k8, k9, k10, k11, k12, g, k14, k15, k16, h):
+def _combo(K, terms):
+    """Sum of a K[j] over the (j, a) of terms, added left to right.
+
+    K is a list of floats in the scalar kernels and of arrays in the
+    numpy ones; each term is one product, so both give the same bits.
+    """
+    j, a = terms[0]
+    acc = a * K[j]
+    for i in range(1, len(terms)):
+        j, a = terms[i]
+        acc += a * K[j]
+    return acc
+
+
+@njit(cache=True)
+def _contd8_coefs(y, n, K, h):
     """The 7 dense-output coefficients of one component over a step.
 
-    The step of size h takes y, with derivative f, to n, with derivative
-    g (stage 13); k6 .. k16 are the other stages that the rows D4-D7 read.
+    The step of size h takes y to n; K holds its stages on the index of
+    DENSE_STAGES, the derivatives at y (K[0]) and at n (K[12]) included.
     Like _contd8 it is made of arithmetic operators alone, so numpy rows
     (_dense_np) give the bits of the scalar rows (_dense2).
     """
     d = n - y
-    return (
-        d,
-        h * f - d,
-        2.0 * d - h * (g + f),
-        h * (D41 * f + D46 * k6 + D47 * k7 + D48 * k8 + D49 * k9 + D410 * k10
-             + D411 * k11 + D412 * k12 + D413 * g + D414 * k14 + D415 * k15
-             + D416 * k16),
-        h * (D51 * f + D56 * k6 + D57 * k7 + D58 * k8 + D59 * k9 + D510 * k10
-             + D511 * k11 + D512 * k12 + D513 * g + D514 * k14 + D515 * k15
-             + D516 * k16),
-        h * (D61 * f + D66 * k6 + D67 * k7 + D68 * k8 + D69 * k9 + D610 * k10
-             + D611 * k11 + D612 * k12 + D613 * g + D614 * k14 + D615 * k15
-             + D616 * k16),
-        h * (D71 * f + D76 * k6 + D77 * k7 + D78 * k8 + D79 * k9 + D710 * k10
-             + D711 * k11 + D712 * k12 + D713 * g + D714 * k14 + D715 * k15
-             + D716 * k16),
-    )
+    f = K[0]
+    g = K[12]
+    return (d, h * f - d, 2.0 * d - h * (g + f), h * _combo(K, DENSE_ROWS[0]),
+            h * _combo(K, DENSE_ROWS[1]), h * _combo(K, DENSE_ROWS[2]),
+            h * _combo(K, DENSE_ROWS[3]))
 
 
 @njit(cache=True)
@@ -556,42 +527,22 @@ def _dense2(ya, yb, fa, fb, na, nb, ga, gb, h, rhs, alpha, table):
 
     The step of size h took (ya, yb), with derivative (fa, fb), to
     (na, nb), with derivative (ga, gb); rhs is the one it was taken with.
-    Stages 2-12 are recomputed (_stages2) and stages 14-16 added in the
-    term order of DENSE_STAGES.  Returns the coefficients of the a and b
-    components, two tuples that _contd8 reads.
+    Stages 2-12 are recomputed (_stages2) and stages 14-16 added from
+    DENSE_STAGES.  Returns the coefficients of the a and b components,
+    two tuples that _contd8 reads.
     """
     a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12 = _stages2(
         ya, yb, fa, fb, h, rhs, alpha, table
     )
-    a14, b14 = rhs(
-        ya + h * (A141 * fa + A147 * a7 + A148 * a8 + A149 * a9 + A1410 * a10
-                  + A1411 * a11 + A1412 * a12 + A1413 * ga),
-        yb + h * (A141 * fb + A147 * b7 + A148 * b8 + A149 * b9 + A1410 * b10
-                  + A1411 * b11 + A1412 * b12 + A1413 * gb),
-        alpha,
-        table,
-    )
-    a15, b15 = rhs(
-        ya + h * (A151 * fa + A156 * a6 + A157 * a7 + A158 * a8 + A1511 * a11
-                  + A1512 * a12 + A1513 * ga + A1514 * a14),
-        yb + h * (A151 * fb + A156 * b6 + A157 * b7 + A158 * b8 + A1511 * b11
-                  + A1512 * b12 + A1513 * gb + A1514 * b14),
-        alpha,
-        table,
-    )
-    a16, b16 = rhs(
-        ya + h * (A161 * fa + A166 * a6 + A167 * a7 + A168 * a8 + A169 * a9
-                  + A1613 * ga + A1614 * a14 + A1615 * a15),
-        yb + h * (A161 * fb + A166 * b6 + A167 * b7 + A168 * b8 + A169 * b9
-                  + A1613 * gb + A1614 * b14 + A1615 * b15),
-        alpha,
-        table,
-    )
-    ca = _contd8_coefs(ya, na, fa, a6, a7, a8, a9, a10, a11, a12, ga, a14, a15,
-                       a16, h)
-    cb = _contd8_coefs(yb, nb, fb, b6, b7, b8, b9, b10, b11, b12, gb, b14, b15,
-                       b16, h)
-    return ca, cb
+    # no dense term reads stages 2-5 (indices 1-4)
+    Ka = [fa, 0.0, 0.0, 0.0, 0.0, a6, a7, a8, a9, a10, a11, a12, ga]
+    Kb = [fb, 0.0, 0.0, 0.0, 0.0, b6, b7, b8, b9, b10, b11, b12, gb]
+    for terms in DENSE_STAGES:
+        a, b = rhs(ya + h * _combo(Ka, terms), yb + h * _combo(Kb, terms), alpha,
+                   table)
+        Ka.append(a)
+        Kb.append(b)
+    return _contd8_coefs(ya, na, Ka, h), _contd8_coefs(yb, nb, Kb, h)
 
 
 @njit(cache=True)
@@ -870,18 +821,18 @@ def _dense_event(p0, p1, p2, p3, f0, f1, f2, f3, n0, n1, n2, n3, k0, k1, k2, k3,
     The step took state p, with derivative f, to state n inside the event
     region, with derivative k; fdir is the sign of the step.  The event
     predicate is bisected on the dense output of the step (_dense2 on z
-    and on w): at most 64 halvings, stopping once hi - lo < 1e-13
-    max(hi, 1).  Returns (y0, y1, y2, y3, dt, sign): the state at the
-    first time offset dt from p found inside the region, the end state n
-    itself if that is the whole step, and the event sign there.
+    and on w): at most EVENT_HALVINGS halvings, stopping once hi - lo <
+    EVENT_TOL max(hi, 1).  Returns (y0, y1, y2, y3, dt, sign): the state
+    at the first time offset dt from p found inside the region, the end
+    state n itself if that is the whole step, and the event sign there.
     """
     hs = fdir * h_acc
     c0, c1 = _dense2(p0, p1, f0, f1, n0, n1, k0, k1, hs, _rhs_z, alpha, table)
     c2, c3 = _dense2(p2, p3, f2, f3, n2, n3, k2, k3, hs, _rhs2, alpha, table)
     lo = 0.0
     hi = h_acc
-    for _ in range(64):
-        if hi - lo < 1e-13 * (hi if hi > 1.0 else 1.0):
+    for _ in range(EVENT_HALVINGS):
+        if hi - lo < EVENT_TOL * (hi if hi > 1.0 else 1.0):
             break
         mid = 0.5 * (lo + hi)
         x = mid / h_acc
@@ -1136,15 +1087,6 @@ def _rhs_np(Y, alpha, table):
     return F
 
 
-def _combo(K, terms):
-    """Sum of a K[j] over the (j, a) of terms, added left to right."""
-    (j, a), *rest = terms
-    acc = a * K[j]
-    for j, a in rest:
-        acc += a * K[j]
-    return acc
-
-
 def _sum_sq(Q):
     """Row sums of squares of Q, over the columns left to right."""
     acc = Q[:, 0] * Q[:, 0]
@@ -1196,8 +1138,7 @@ def _dense_np(Y, K1, Yn, Kn, h, rhs):
     K = _stages_np(Y, K1, hc, rhs) + [Kn]
     for terms in DENSE_STAGES:
         K.append(rhs(Y + hc * _combo(K, terms)))
-    # K[5:] holds stages 6-12, stage 13 (Kn) and stages 14-16
-    return np.array(_contd8_coefs(Y, Yn, K1, *K[5:], hc))
+    return np.array(_contd8_coefs(Y, Yn, K, hc))
 
 
 def _next_h_np(err, h_use, h_max):
@@ -1370,8 +1311,9 @@ def _drive_batch_np(
     with STATUS_EVENT, keeping its pre-step state, derivative and time.
     After the lockstep the dense output of every event step is built in
     one batch (:func:`_dense_np`) and all event rows are bisected on it
-    together, by the rule of :func:`_dense_event`: at most 64 halvings
-    per row, each row stopping once hi - lo < 1e-13 max(hi, 1).
+    together, by the rule of :func:`_dense_event`: at most EVENT_HALVINGS
+    halvings per row, each row stopping once hi - lo < EVENT_TOL
+    max(hi, 1).  A stopped row keeps its bracket.
     """
     arr = np.asarray(table)
 
@@ -1403,14 +1345,14 @@ def _drive_batch_np(
         C = _dense_np(P, K1[ev], Pn, K_event[ev], fdir * h, rhs)
         lo = np.zeros(ev.size)
         hi = h.copy()
-        for _ in range(64):
-            live = np.nonzero(hi - lo >= 1e-13 * np.maximum(hi, 1.0))[0]
-            if not live.size:
+        for _ in range(EVENT_HALVINGS):
+            live = hi - lo >= EVENT_TOL * np.maximum(hi, 1.0)
+            if not live.any():
                 break
-            mid = 0.5 * (lo[live] + hi[live])
-            mhit = event(_contd8(P[live], (mid / h[live])[:, None], C[:, live]))
-            hi[live[mhit]] = mid[mhit]
-            lo[live[~mhit]] = mid[~mhit]
+            mid = 0.5 * (lo + hi)
+            mhit = event(_contd8(P, (mid / h)[:, None], C))
+            hi = np.where(live & mhit, mid, hi)
+            lo = np.where(live & ~mhit, mid, lo)
         moved = np.nonzero(hi < h)[0]
         Pn[moved] = _contd8(P[moved], (hi[moved] / h[moved])[:, None], C[:, moved])
         Y[ev] = Pn

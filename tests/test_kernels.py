@@ -193,6 +193,57 @@ def test_step_twins_agree_exactly(mode):
         assert _kernels._err_norm(sq5, sq3, 4.0, hk) == err[k]
 
 
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_dense_twins_agree_exactly(mode):
+    # the dense output of one step from random states, steps of either
+    # sign: the coefficients of _dense_np on 4-column rows are those of
+    # _dense2 on z and on w, bit for bit
+    table = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode).table
+    rng = np.random.default_rng(9)
+    n = 1500
+    Y = rng.uniform(-48.0, 48.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 1))
+    h = rng.uniform(0.01, 0.5, n) * rng.choice([-1.0, 1.0], n)
+
+    def rhs(Z):
+        return _kernels._rhs_np(Z, ALPHA, table)
+
+    K1 = rhs(Y)
+    Yn = _kernels._attempt_np(Y, K1, h, rhs, 1e-9)[0]
+    Kn = rhs(Yn)
+    C = _kernels._dense_np(Y, K1, Yn, Kn, h, rhs)
+    assert C.shape == (7, n, 4) and np.isfinite(C).all()
+    rows = zip(Y.tolist(), K1.tolist(), Yn.tolist(), Kn.tolist(), h.tolist())
+    for k, (y, f, yn, g, hk) in enumerate(rows):
+        coefs = []
+        for a, rhs2 in ((0, _kernels._rhs_z), (2, _kernels._rhs2)):
+            coefs += _kernels._dense2(y[a], y[a + 1], f[a], f[a + 1], yn[a],
+                                      yn[a + 1], g[a], g[a + 1], hk, rhs2, ALPHA,
+                                      table)
+        assert [list(c) for c in coefs] == C[:, k].T.tolist()
+
+
+def test_tableau_matches_scipy():
+    # every coefficient the kernels hold against the DOP853 tables that
+    # scipy ships (the package itself never imports scipy)
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+    def dense(rows, width):
+        out = np.zeros((len(rows), width))
+        for i, terms in enumerate(rows):
+            for j, a in terms:
+                out[i, j] += a
+        return out
+
+    assert np.array_equal(dense(_kernels.STAGES, 16), ref.A[1:12])
+    assert np.array_equal(dense(_kernels.DENSE_STAGES, 16), ref.A[13:16])
+    assert np.array_equal(dense(_kernels.DENSE_ROWS, 16), ref.D)
+    assert np.array_equal(dense([_kernels.WEIGHTS], 12)[0], ref.B)
+    assert np.array_equal(dense([_kernels.ERR5], 13)[0], ref.E5)
+    assert np.array_equal(dense([_kernels.ERR3], 13)[0], ref.E3)
+    nodes = _kernels.C_NODES + (1.0,) + _kernels.DENSE_NODES
+    assert np.array_equal(nodes, ref.C)
+
+
 def test_tableau_is_consistent():
     # each row of A sums to its node, the dense-output stages 14-16
     # included, the weights to 1 and both error estimates to 0, as in any
