@@ -146,12 +146,22 @@ def _end_time(t_end, direction):
     return t_end
 
 
+def _state4(state):
+    """state as a float array, checked to hold the 4 entries of a drive."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (4,):
+        raise ValueError(f"a flow state has 4 entries, not shape {state.shape}")
+    return state
+
+
 def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
     """Run the scalar kernel from a state at t = 0; returns kernel outputs.
 
     The raw kernel status comes first: STATUS_EVENT, STATUS_TIME_END,
     STATUS_STALLED, STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
+    A state of other than 4 entries raises ValueError.
     """
+    state = _state4(state)
     rec = np.empty((_REC_CAP if record else 0, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
@@ -173,6 +183,8 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
 
     Raises
     ------
+    ValueError
+        If p0 is not a SymPoint or a state of 4 entries.
     NonFiniteFlowError
         If the state leaves the representable range.
     """
@@ -205,12 +217,11 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
 def flow_state_to_time(state, t, params, settings=DEFAULT_SETTINGS, direction=1.0):
     """State advanced by time t along the downward (or upward) flow.
 
-    t must be finite and >= 0, and direction 1.0 (downward) or -1.0
-    (upward); anything else raises ValueError.
+    state must have 4 entries, t be finite and >= 0, and direction 1.0
+    (downward) or -1.0 (upward); anything else raises ValueError.
     """
     status, _, out_state, _, _ = _drive_state(
-        np.asarray(state, dtype=float), t, params, settings,
-        _kernels.EVENT_NONE, False, fdir=direction,
+        state, t, params, settings, _kernels.EVENT_NONE, False, fdir=direction,
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
@@ -224,9 +235,9 @@ def first_event(state, event_kind, params, settings):
 
     Returns (hit, t, state, sign); hit is False if max_time elapsed
     without entering the region.  A start already inside the region
-    returns t = 0.
+    returns t = 0.  A state of other than 4 entries raises ValueError.
     """
-    state = np.asarray(state, dtype=float)
+    state = _state4(state)
     radius = resolve_escape_radius(settings, params)
     hit0, sign0 = _kernels._event_val(
         state[0], state[1], state[2], state[3], radius, params.epsilon, event_kind

@@ -226,6 +226,21 @@ def test_drive_batch_rejects_rows_it_cannot_integrate_in_place(pure16, Y):
     assert np.array_equal(Y, before)
 
 
+@pytest.mark.parametrize("state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 99.0]],
+                         ids=["three-entries", "five-entries"])
+@pytest.mark.parametrize("call", [
+    lambda s, p: integrate_flow(s, p),
+    lambda s, p: integrate_flow(s, p, record=False),
+    lambda s, p: flow.flow_state_to_time(s, 0.5, p),
+    lambda s, p: first_event(s, _kernels.EVENT_PAIR_ESCAPE, p, FlowSettings()),
+], ids=["integrate", "integrate-unrecorded", "to-time", "first-event"])
+def test_scalar_flow_apis_take_only_four_entry_states(pure16, state, call):
+    # as drive_batch takes only 4 columns: a 5th entry was dropped silently
+    # (and failed in np.vstack unrecorded), a 3-entry state raised IndexError
+    with pytest.raises(ValueError, match="4 entries"):
+        call(state, pure16)
+
+
 # ----------------------------------------------------------- offset readings
 
 
