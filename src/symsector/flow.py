@@ -157,11 +157,10 @@ def _state4(state):
 def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
     """Run the scalar kernel from a state at t = 0; returns kernel outputs.
 
-    The raw kernel status comes first: STATUS_EVENT, STATUS_TIME_END,
-    STATUS_STALLED, STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
-    A state of other than 4 entries raises ValueError.
+    state is a float array of 4 entries (see _state4).  The raw kernel
+    status comes first: STATUS_EVENT, STATUS_TIME_END, STATUS_STALLED,
+    STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
     """
-    state = _state4(state)
     rec = np.empty((_REC_CAP if record else 0, 5))
     status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
         float(state[0]), float(state[1]), float(state[2]), float(state[3]),
@@ -188,7 +187,7 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     NonFiniteFlowError
         If the state leaves the representable range.
     """
-    state = p0.state() if isinstance(p0, SymPoint) else np.asarray(p0, dtype=float)
+    state = p0.state() if isinstance(p0, SymPoint) else _state4(p0)
     status, t, out_state, _, rec = _drive_state(
         state, settings.max_time, params, settings, _kernels.EVENT_PAIR_ESCAPE, record
     )
@@ -221,7 +220,7 @@ def flow_state_to_time(state, t, params, settings=DEFAULT_SETTINGS, direction=1.
     (downward) or -1.0 (upward); anything else raises ValueError.
     """
     status, _, out_state, _, _ = _drive_state(
-        state, t, params, settings, _kernels.EVENT_NONE, False, fdir=direction,
+        _state4(state), t, params, settings, _kernels.EVENT_NONE, False, fdir=direction,
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
