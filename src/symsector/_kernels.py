@@ -71,12 +71,11 @@ range ends STATUS_NONFINITE.
 
 What no caller varies is a module constant, not a parameter: the
 absolute tolerance ATOL, the step caps, the knot tolerance, the stall
-speed STALL_SPEED, and for Delta the reading agreement AGREE_TOL and the
-READ_COMPLEX_IM bound IM_TOL.  epsilon and the knots are read from the
-table, and every drive starts at t = 0.  The step controllers (_next_h,
-_next_h_np) still take the cap h_max, and the event predicates
-(_event_val, _event_np) epsilon, since sectors calls the region test
-without a table.
+speed STALL_SPEED, and for Delta the reading agreement AGREE_TOL.
+epsilon and the knots are read from the table, and every drive starts
+at t = 0.  The step controllers (_next_h, _next_h_np) still take the
+cap h_max, and the event predicates (_event_val, _event_np) epsilon,
+since sectors calls the region test without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs_z and _rhs2, one DOP853 step _step2 and its dense output
@@ -290,7 +289,6 @@ EVENT_HALVINGS = 64  # most halvings of an event bracket on the dense output
 EVENT_TOL = 1e-13  # the halvings stop once hi - lo < EVENT_TOL max(hi, 1)
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
-IM_TOL = 5e-9  # Im Delta residual bound of READ_COMPLEX_IM
 
 STATUS_RUNNING = 0
 STATUS_EVENT = 1
@@ -315,7 +313,6 @@ R_BIG = 1e100
 # reading rules of the Delta kernels (see _delta_one)
 READ_COMPLEX = 0
 READ_REAL = 1
-READ_COMPLEX_IM = 2
 
 
 @njit(cache=True)
@@ -963,9 +960,9 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
     root of w0.  Convergence is declared when two
     readings 0.7 apart agree to AGREE_TOL: as complex numbers under
     READ_COMPLEX, in their real parts only under READ_REAL (Im d decays
-    like exp(-(2 alpha - 1) t), long after Re d has settled), and as
-    complex numbers with |Im d| < IM_TOL under READ_COMPLEX_IM.
-    Returns (status, Re d, Im d, t).
+    like exp(-(2 alpha - 1) t), long after Re d has settled).
+    Returns (status, Re d, Im d, t); Re d and Im d are nan unless the
+    status is STATUS_EVENT.
     """
     rate = alpha - 1.0
     y2 = xw
@@ -978,8 +975,6 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
     prev_re = 0.0
     prev_im = 0.0
     t_next = 0.0
-    best_re = math.nan
-    best_im = math.nan
     steps = 0
     while steps < max_steps and t < max_time:
         if t >= t_next:
@@ -988,15 +983,12 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
                 scale = float(np.exp(-rate * t))
                 d_re = scale * s.real
                 d_im = scale * s.imag
-                best_re = d_re
-                best_im = d_im
                 if have_prev:
                     if reading == READ_REAL:
                         gap = abs(d_re - prev_re)
                     else:
                         gap = _hypot(d_re - prev_re, d_im - prev_im)
-                    im_ok = reading != READ_COMPLEX_IM or abs(d_im) < IM_TOL
-                    if gap < AGREE_TOL and im_ok:
+                    if gap < AGREE_TOL:
                         return STATUS_EVENT, d_re, d_im, t
                 prev_re = d_re
                 prev_im = d_im
@@ -1012,8 +1004,8 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
             y2, y3, f12, f13 = n2, n3, k2, k3
             t += h_use
         elif verdict == DEAD:
-            return STATUS_NONFINITE, best_re, best_im, t
-    return STATUS_TIME_END, best_re, best_im, t
+            return STATUS_NONFINITE, math.nan, math.nan, t
+    return STATUS_TIME_END, math.nan, math.nan, t
 
 
 @njit(cache=True, parallel=True)
@@ -1368,7 +1360,8 @@ def _delta_batch_np(
 ):
     """Lockstep vectorized twin of :func:`_delta_batch`.
 
-    Each row follows the reading rule of :func:`_delta_one`.
+    Each row follows the reading rule of :func:`_delta_one`; out_re and
+    out_im are nan unless out_status is STATUS_EVENT.
     """
     arr = np.asarray(table)
 
@@ -1398,17 +1391,16 @@ def _delta_batch_np(
             scale = np.exp(-rate * out_t[ri])
             d_re = scale * s.real[readable]
             d_im = scale * s.imag[readable]
-            out_re[ri] = d_re
-            out_im[ri] = d_im
             if reading == READ_REAL:
                 gap = np.abs(d_re - prev_re[ri])
             else:
                 gap = np.hypot(d_re - prev_re[ri], d_im - prev_im[ri])
             conv = have_prev[ri] & (gap < AGREE_TOL)
-            if reading == READ_COMPLEX_IM:
-                conv &= np.abs(d_im) < IM_TOL
-            out_status[ri[conv]] = STATUS_EVENT
-            active[ri[conv]] = False
+            ci = ri[conv]
+            out_status[ci] = STATUS_EVENT
+            out_re[ci] = d_re[conv]
+            out_im[ci] = d_im[conv]
+            active[ci] = False
             rest = ri[~conv]
             prev_re[rest] = d_re[~conv]
             prev_im[rest] = d_im[~conv]

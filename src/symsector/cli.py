@@ -195,9 +195,8 @@ def cmd_classify_grid(config):
 
 
 def cmd_slice_plot(config):
-    out = config.out or "slice.svg"
-    _check_out(out)
-    _write_out(out, gridplot.grid_svg(_grid_result(config)))
+    _check_out(config.out)
+    _write_out(config.out, gridplot.grid_svg(_grid_result(config)))
     return 0
 
 

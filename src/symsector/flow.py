@@ -25,7 +25,6 @@ TERM_NEAR_CRITICAL = "NEAR_CRITICAL"
 _READINGS = {
     "complex": _kernels.READ_COMPLEX,
     "real": _kernels.READ_REAL,
-    "complex-im": _kernels.READ_COMPLEX_IM,
 }
 _REC_CAP = 65536
 _SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
@@ -232,9 +231,10 @@ def flow_state_to_time(state, t, params, settings=DEFAULT_SETTINGS, direction=1.
 def first_event(state, event_kind, params, settings):
     """First hit of an event region along the downward flow.
 
-    Returns (hit, t, state, sign); hit is False if max_time elapsed
-    without entering the region.  A start already inside the region
-    returns t = 0.  A state of other than 4 entries raises ValueError.
+    Returns (hit, t, state, sign); hit is False if the flow stalled or
+    max_time elapsed without entering the region.  A start already inside
+    the region returns t = 0.  A state of other than 4 entries raises
+    ValueError, a step budget spent before max_time RuntimeError.
     """
     state = _state4(state)
     radius = resolve_escape_radius(settings, params)
@@ -248,6 +248,8 @@ def first_event(state, event_kind, params, settings):
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
+    if status == _kernels.STATUS_RUNNING:
+        raise RuntimeError("step budget exhausted before max_time")
     if status == _kernels.STATUS_EVENT:
         return True, float(t), out_state, int(esign)
     return False, float(t), out_state, 0
@@ -323,8 +325,7 @@ def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     - "complex": they agree to 1e-8 as complex numbers;
     - "real": their real parts agree to 1e-8.  Im d decays like
       exp(-(2 alpha - 1) t) long after Re d has settled, so this rule
-      stops far earlier; Im Delta is then not converged;
-    - "complex-im": as "complex", and |Im d| is below 5e-9.
+      stops far earlier; Im Delta is then not converged.
 
     Raises
     ------
@@ -408,7 +409,6 @@ def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTIN
     delta = np.empty(out_re.size, dtype=complex)
     delta.real, delta.imag = out_re, out_im
     delta[flip] = -delta[flip]
-    delta[out_status != _kernels.STATUS_EVENT] = np.nan
     return delta, out_status
 
 

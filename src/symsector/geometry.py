@@ -33,7 +33,7 @@ _J_MATRIX = np.array(
 
 
 class DegenerateFormError(ValueError):
-    """Raised when an assembled 2-form matrix is numerically singular."""
+    """Raised when a Kahler form fails :func:`form_is_degenerate`."""
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,8 @@ class SymPoint:
 
     @classmethod
     def from_sym(cls, z, w):
-        """Point with given symmetric coordinates (principal root)."""
-        root = complex(np.sqrt(complex(w)))
-        z = complex(z)
-        return cls(z + root, z - root)
+        """Point with given symmetric coordinates (see :func:`pair_from_sym`)."""
+        return cls(*pair_from_sym(z, w))
 
     def state(self):
         """Real state vector [Re z, Im z, Re w, Im w]."""
@@ -274,11 +272,19 @@ def symplectic_form_fd(z, w, params=DEFAULT_PARAMS, h=1e-3):
     return omega
 
 
+def form_is_degenerate(omega):
+    """Whether a form of :func:`symplectic_form_closed` is degenerate: its
+    z-block is the constant 2, so exactly where its w-block 1/kappa is not
+    finite and positive.  A bound on det = (2/kappa)^2 would depend on |w|.
+    """
+    return not 0.0 < omega[2, 3] < math.inf
+
+
 def symplectic_form(p, params=DEFAULT_PARAMS):
-    """Kahler form at a :class:`SymPoint`, checked for numerical degeneracy."""
+    """Kahler form at a :class:`SymPoint`, checked by :func:`form_is_degenerate`."""
     omega = symplectic_form_closed(p.z, p.w, params)
-    if abs(np.linalg.det(omega)) < 1e-12:
-        raise DegenerateFormError("assembled form is numerically degenerate")
+    if form_is_degenerate(omega):
+        raise DegenerateFormError("Kahler form is degenerate")
     return omega
 
 

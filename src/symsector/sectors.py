@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, flow
 from .flow import DEFAULT_SETTINGS
-from .geometry import DEFAULT_PARAMS, SymPoint, symplectic_form_closed
+from .geometry import DEFAULT_PARAMS, SymPoint, form_is_degenerate, symplectic_form_closed
 
 U_MM = "U_MM"
 U_MP = "U_MP"
@@ -260,13 +260,13 @@ def characteristic_direction(p, sign, params=DEFAULT_PARAMS, settings=DEFAULT_SE
     Raises
     ------
     ConditionError
-        If the gradient degenerates or the form matrix is singular.
+        If the gradient degenerates or the Kahler form is degenerate.
     """
     grad = _offset_gradient(p, sign, params, settings)
     if not np.isfinite(grad).all() or np.linalg.norm(grad) < 1e-8:
         raise ConditionError("degenerate hypersurface gradient")
     omega = symplectic_form_closed(p.z, p.w, params)
-    if abs(np.linalg.det(omega)) < 1e-12:
+    if form_is_degenerate(omega):
         raise ConditionError("degenerate form matrix")
     return np.linalg.solve(omega, grad)
 

@@ -504,7 +504,7 @@ def _suite_delta_reading_consistency(config, rng):
     d1, st1 = flow.compute_delta_batch(s, params, st)
     d2, st2 = flow.compute_delta_batch(s, params, st, u_star_factor=1.5)
     u_axis = rng.uniform(0.3 * eps, 2.0 * eps, 10)
-    d_real, st3 = flow.compute_delta_batch(u_axis, params, st, reading="complex-im")
+    d_real, st3 = flow.compute_delta_batch(u_axis, params, st)
     resolved = (
         np.all(st1 == _kernels.STATUS_EVENT)
         and np.all(st2 == _kernels.STATUS_EVENT)

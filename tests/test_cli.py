@@ -136,6 +136,15 @@ def test_slice_plot_svg(tmp_path, capsys):
     assert "<svg" in text
 
 
+def test_slice_plot_without_out_writes_stdout(tmp_path, capsys, monkeypatch):
+    # it used to write slice.svg in the working directory instead
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["slice-plot", "--grid", "5"], capsys)
+    assert code == 0
+    assert out.startswith("<?xml") and "<svg" in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decompose_builtin(capsys):
     code, out, _ = run_cli(["decompose", "--surface", "p1-minus-4pts"], capsys)
     assert code == 0

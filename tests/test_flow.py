@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from symsector import _kernels, flow
+from symsector import _kernels, flow, sectors
 from symsector._accel import using_numba
 from symsector.flow import (
     FlowSettings,
+    NoEscapeError,
     NonFiniteFlowError,
     TERM_ESCAPED,
     TERM_MAX_TIME,
@@ -255,7 +256,6 @@ def test_delta_on_real_axis(pure16):
     eps = pure16.epsilon
     d = compute_delta(2.0 * eps, pure16, settings)
     assert d.real == pytest.approx(2.0 * eps, abs=5e-8)
-    d = compute_delta(2.0 * eps, pure16, settings, reading="complex-im")
     assert abs(d.imag) < 5e-9
 
 
@@ -471,8 +471,13 @@ def test_round_trip_at_the_default_tolerance(mode, rng):
 
 
 def test_unknown_reading_rule_is_rejected(pure16):
-    with pytest.raises(ValueError, match="reading"):
-        compute_delta(1.0, pure16, reading="imag")
+    # "complex-im" was a third rule: "complex", and |Im d| < 5e-9
+    for reading in ("imag", "complex-im"):
+        with pytest.raises(ValueError, match="reading") as info:
+            compute_delta(1.0, pure16, reading=reading)
+        assert "'complex'" in str(info.value) and "'real'" in str(info.value)
+        with pytest.raises(ValueError, match="reading"):
+            compute_delta_batch([1.0], pure16, reading=reading)
 
 
 def test_delta_u_star_factor_consistency(pure16):
@@ -541,7 +546,7 @@ def two_way(monkeypatch):
 
 @needs_split
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-@pytest.mark.parametrize("reading", ["complex", "real", "complex-im"])
+@pytest.mark.parametrize("reading", ["complex", "real"])
 def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=1.0)
@@ -562,7 +567,9 @@ def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
     event = status == _kernels.STATUS_EVENT
     assert _hex(delta.real[event]) == _hex(want[1][event])
     assert _hex(delta.imag[event]) == _hex(want[2][event])
-    assert np.isnan(delta[~event]).all()
+    # the kernel returns no reading on a row that did not converge
+    assert np.isnan(want[1][~event]).all() and np.isnan(want[2][~event]).all()
+    assert np.isnan(delta.real[~event]).all() and np.isnan(delta.imag[~event]).all()
 
 
 @needs_split
@@ -624,3 +631,16 @@ def test_truncation_entry_time():
     assert hit
     # Re z1 = -0.5 e^{t/2} reaches -eps exactly at t = 2 ln 2
     assert t == pytest.approx(LN4, abs=1e-5)
+
+
+def test_first_event_raises_when_the_step_budget_runs_out():
+    # it used to return hit False, read as "max_time elapsed", so the
+    # caller below raised NoEscapeError
+    params = SteinParams(epsilon=1.0)
+    p = SymPoint(-0.5, -10.0)
+    one_step = FlowSettings(max_steps=1)
+    with pytest.raises(RuntimeError, match="step budget exhausted"):
+        first_event(p.state(), _kernels.EVENT_TRUNC_REGION, params, one_step)
+    with pytest.raises(RuntimeError, match="step budget exhausted") as info:
+        sectors.check_truncation_absorbing(p, params, one_step)
+    assert not isinstance(info.value, NoEscapeError)

@@ -18,6 +18,7 @@ from symsector.geometry import (
     disk_mixing_constant,
     flow_field_zw,
     flow_vector_field,
+    form_is_degenerate,
     kahler_factor,
     laplacian_fd,
     liouville_vector_field,
@@ -104,6 +105,27 @@ def test_pair_sym_pair_round_trip(x1, y1, x2, y2):
     direct = abs(r1 - z1) + abs(r2 - z2)
     crossed = abs(r1 - z2) + abs(r2 - z1)
     assert min(direct, crossed) <= 1e-9 * (1.0 + abs(z1) + abs(z2))
+
+
+def _bits(z):
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+def test_from_sym_is_the_scalar_pair_formula_bit_for_bit(rng):
+    # z -+ the principal root of w in Python complex arithmetic, which
+    # from_sym computed before it called pair_from_sym
+    n = 2000
+    mag = 10.0 ** rng.uniform(-300, 150, (4, n))
+    sgn = rng.choice([-1.0, 1.0], (4, n))
+    parts = mag * sgn
+    cases = list(zip(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]))
+    cases += [(0.5 - 2.0j, complex(-x, 0.0)) for x in (4.0, 1e-300, 1e150)]
+    cases += [(0.5 - 2.0j, complex(-x, -0.0)) for x in (4.0, 1e-300, 1e150)]
+    for z, w in cases:
+        root = complex(np.sqrt(complex(w)))
+        z = complex(z)
+        p = SymPoint.from_sym(z, w)
+        assert _bits(p.z1) == _bits(z + root) and _bits(p.z2) == _bits(z - root)
 
 
 def test_sympoint_rejects_nonfinite():
@@ -212,6 +234,24 @@ def test_form_is_antisymmetric_and_nondegenerate(pure16, rng):
         om = symplectic_form(p, pure16)
         assert np.max(np.abs(om + om.T)) <= 1e-9 * (1.0 + np.max(np.abs(om)))
         assert abs(np.linalg.det(om)) > 1e-12
+
+
+@pytest.mark.parametrize("smoothing", ["pure", "cutoff"])
+@pytest.mark.parametrize("w", [2e6, 1e9, -1e9j], ids=["2e6", "1e9", "-1e9j"])
+def test_form_far_out_is_not_degenerate(smoothing, w):
+    # a bound |det| < 1e-12 refused these: det = (2/kappa)^2 and kappa ~ 2|w|
+    params = SteinParams(smoothing=smoothing)
+    p = SymPoint.from_sym(0.5, w)
+    assert np.array_equal(symplectic_form(p, params),
+                          symplectic_form_closed(p.z, p.w, params))
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+def test_form_with_a_bad_w_block_is_degenerate(q):
+    omega = symplectic_form_closed(0.0, 1.0)
+    assert not form_is_degenerate(omega)
+    omega[2, 3], omega[3, 2] = q, -q
+    assert form_is_degenerate(omega)
 
 
 def test_metric_compatibility(pure16, rng):
