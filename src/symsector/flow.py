@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._accel import available_cpus, can_fork, run_forked, using_numba
-from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint
+from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint, complex_square
 
 TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
@@ -400,7 +400,7 @@ def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTIN
     s0 = np.asarray(sqrt_w0s, dtype=complex).ravel()
     # beyond |s| ~ 1.34e154 w0 overflows; the kernel ends such a row NONFINITE
     with np.errstate(over="ignore", invalid="ignore"):
-        w0 = s0 * s0
+        w0 = complex_square(s0)
         flip = _other_branch(w0, s0)
     W = np.column_stack([w0.real, w0.imag])
     args = _delta_args(params, settings, reading, u_star_factor)

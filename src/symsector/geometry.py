@@ -139,12 +139,27 @@ def phi_1d(z, alpha=ALPHA_DEFAULT):
     return 0.5 * (1.0 - alpha) * x * x + 0.5 * alpha * y * y
 
 
+def complex_square(s):
+    """s * s of complex values, with the bits of Python's complex product.
+
+    The square is formed from the real parts as (x*x - y*y, x*y + y*x).
+    numpy's complex multiply fuses the real part into one multiply-add
+    where the CPU dispatches FMA, so its s * s can differ from this in
+    the last bit.
+    """
+    s = np.asarray(s, dtype=complex)
+    x, y = s.real, s.imag
+    out = np.empty(s.shape, dtype=complex)
+    out.real = x * x - y * y
+    out.imag = x * y + y * x
+    return out
+
+
 def sym_from_pair(z1, z2):
     """Symmetric coordinates (z, w) of an unordered pair."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    half = 0.5 * (z1 - z2)
-    return 0.5 * (z1 + z2), half * half
+    return 0.5 * (z1 + z2), complex_square(0.5 * (z1 - z2))
 
 
 def pair_from_sym(z, w):

@@ -321,7 +321,7 @@ def _suite_product_flow_regression(config, rng):
     v0 = rng.uniform(-3.0, 3.0, n)
     z0 = x_z + 1j * y_z
     s0 = u0 + 1j * v0
-    w0 = s0 * s0
+    w0 = geometry.complex_square(s0)
     Y = np.column_stack([x_z, y_z, w0.real, w0.imag])
     t = _LN4
     status, _, _ = flow.drive_batch(Y, params, settings, _kernels.EVENT_NONE, t_end=t)
@@ -373,7 +373,7 @@ def _suite_near_diagonal_escape(config, rng):
     y_z = rng.uniform(-2 * eps, 2 * eps, n)
     u0 = rng.uniform(-root, root, n)
     v0 = rng.uniform(-root, root, n)
-    w0 = (u0 + 1j * v0) ** 2
+    w0 = geometry.complex_square(u0 + 1j * v0)
     im0 = np.abs(w0.imag)
     Y = np.column_stack([x_z, y_z, w0.real, w0.imag])
     status, _, _ = flow.drive_batch(Y, params, settings, _kernels.EVENT_NONE, t_end=18.0)
@@ -537,7 +537,7 @@ def _suite_label_agreement(config, rng):
     a = z0.real + c
     b = z0.real - c
     closed = sectors.labels_from_ab(a, b, band)
-    w0 = s0 * s0
+    w0 = geometry.complex_square(s0)
     Y = np.column_stack([z0.real, z0.imag, w0.real, w0.imag])
     flowed = sectors.classify_by_flow_batch(Y, params, settings)
     agree = closed == flowed
@@ -681,7 +681,7 @@ def _suite_truncation_absorption(config, rng):
         return _result(draw, [], "sampler produced too few points of the "
                        "lower sector")
     keep = keep[:n]
-    w0 = s0[keep] * s0[keep]
+    w0 = geometry.complex_square(s0[keep])
     Y = np.column_stack([z0.real[keep], z0.imag[keep], w0.real, w0.imag])
     status, t, _ = flow.drive_batch(Y, params, settings,
                                     _kernels.EVENT_TRUNC_REGION)

@@ -30,7 +30,7 @@ from symsector.flow import (
     point_of,
     resolve_escape_radius,
 )
-from symsector.geometry import SteinParams, SymPoint, sym2_potential
+from symsector.geometry import SteinParams, SymPoint, complex_square, sym2_potential
 
 LN4 = 2.0 * math.log(2.0)
 
@@ -298,6 +298,19 @@ def test_batch_matches_scalar(pure16):
         assert compute_c(s, pure16, settings) == pytest.approx(float(c), rel=1e-12)
 
 
+def test_scalar_offsets_are_the_batch_offsets_bit_for_bit(pure16):
+    # both square the root as Python's complex product does
+    rng = np.random.default_rng(25)
+    s = rng.uniform(-50.0, 50.0, 300) + 1j * rng.uniform(-50.0, 50.0, 300)
+    c = compute_c_batch(s, pure16)
+    delta, status = compute_delta_batch(s, pure16)
+    assert (status == _kernels.STATUS_EVENT).all()
+    assert _hex(c) == _hex([compute_c(x, pure16) for x in s.tolist()])
+    scalar = [compute_delta(x, pure16) for x in s.tolist()]
+    assert _hex(delta.real) == _hex([d.real for d in scalar])
+    assert _hex(delta.imag) == _hex([d.imag for d in scalar])
+
+
 def test_delta_batch_nonfinite_status_matches_scalar(pure16):
     # w0 = s0^2 overflows in Im for the second: NONFINITE all the same, with
     # Delta and c nan, and no numpy warning reaches the caller
@@ -551,14 +564,14 @@ def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=1.0)
     keys = _split_keys()
-    w0 = keys * keys
     with np.errstate(over="ignore", invalid="ignore"):
+        w0 = complex_square(keys)
         delta, status = compute_delta_batch(keys, params, settings, reading)
         W = np.column_stack([w0.real, w0.imag])
         args = flow._delta_args(params, settings, reading, 1.0)
         n = keys.size
         want = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-        _kernels.delta_batch_kernel(W, *args, *want)
+        _kernels._delta_batch_np(W, *args, *want)
     assert two_way == [2]
     assert status.tolist() == want[0].tolist()
     assert set(status.tolist()) == {

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from symsector import flow, geometry, gridplot, sectors
 from symsector.flow import FlowSettings
 from symsector.geometry import (
+    complex_square,
     SteinParams,
     SymPoint,
     check_psh,
@@ -126,6 +127,28 @@ def test_from_sym_is_the_scalar_pair_formula_bit_for_bit(rng):
         z = complex(z)
         p = SymPoint.from_sym(z, w)
         assert _bits(p.z1) == _bits(z + root) and _bits(p.z2) == _bits(z - root)
+
+
+def test_complex_square_is_the_python_product_bit_for_bit(rng):
+    # numpy's complex multiply may fuse the real part into one FMA
+    mag = 10.0 ** rng.uniform(-300, 150, (2, 2000))
+    parts = mag * rng.choice([-1.0, 1.0], (2, 2000))
+    values = list(parts[0] + 1j * parts[1])
+    values += list(rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000))
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e200, 1.5]
+    values += [complex(x, y) for x in special for y in special]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = complex_square(np.array(values))
+    for s, g in zip(values, got.tolist()):
+        assert _bits(g) == _bits(s * s)
+
+
+def test_sym_from_pair_squares_as_sympoint_w(rng):
+    z1 = rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000)
+    z2 = rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000)
+    _, w = sym_from_pair(z1, z2)
+    for a, b, got in zip(z1.tolist(), z2.tolist(), w.tolist()):
+        assert _bits(got) == _bits(SymPoint(a, b).w)
 
 
 def test_sympoint_rejects_nonfinite():
