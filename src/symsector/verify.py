@@ -42,7 +42,8 @@ class VerifyConfig:
 
     sample_scale multiplies the sample counts (and shrinks grids), so a
     small scale gives a fast determinism check with the same code paths.
-    Every suite pins its own smoothing profile.
+    Every suite pins its own smoothing profile.  alpha and epsilon must
+    be values SteinParams accepts; it raises ValueError for others.
     """
 
     seed: int = 0
@@ -56,6 +57,7 @@ class VerifyConfig:
             raise ValueError("sample_scale must be positive and finite")
         if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
+        SteinParams(alpha=self.alpha, epsilon=self.epsilon)
         if isinstance(self.suites, str):
             raise TypeError("suites must be a sequence of suite names")
         unknown = sorted(set(self.suites or ()) - set(SUITE_NAMES))

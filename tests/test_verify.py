@@ -85,6 +85,18 @@ def test_config_validation(kwargs):
         run_all(cfg)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(alpha=a) for a in (0.5, 1.0, math.inf, math.nan)]
+    + [dict(epsilon=e) for e in (0.0, -1.0, math.inf, math.nan)],
+)
+def test_config_refuses_model_parameters_steinparams_refuses(kwargs):
+    # before any suite runs: run_all would report every suite failed, and
+    # an infinite or NaN value would make the report invalid JSON
+    with pytest.raises(ValueError):
+        VerifyConfig(sample_scale=0.02, **kwargs)
+
+
 def test_report_numbers_are_valid_json():
     out = _result(1, [("signed zero", -0.0, "==", 0.0),
                       ("nan", float("nan"), "<=", 1.0),
