@@ -62,12 +62,12 @@ each attempt: stall and end of time for the drive, the reading rule and
 max_time for Delta.  The drive also passes its event predicate, holds
 each row that enters its region and, after the lockstep, builds the
 dense output of all their event steps in one batch and bisects all of
-them together on it.  The numpy kernels run when jit
-is unavailable or disabled via SYMSECTOR_NUMBA=0; drive_batch_kernel and
-delta_batch_kernel are bound once to the batch kernels of the active
-backend, whose jit and numpy forms take the same parameters.  Both
-ignore overflow and invalid-value warnings: a row that leaves the float
-range ends STATUS_NONFINITE.
+them together on it.  The batch kernels _drive_batch and _delta_batch
+run the scalar kernels row by row (in parallel under numba) and take
+the same parameters as their numpy forms; flow picks one of the two per
+call, by backend and row count.  The numpy kernels ignore overflow and
+invalid-value warnings: a row that leaves the float range ends
+STATUS_NONFINITE.
 
 What no caller varies is a module constant, not a parameter: the
 absolute tolerance ATOL, the step caps, the knot tolerance, the stall
@@ -84,10 +84,12 @@ stages of _stages2, _err_norm, _next_h, _pair_re and _event_val (also
 the region test of sectors).  The sums of _stages2 and _step2 stay
 unrolled: read through _combo, a scalar step takes 1.7 times as long.  The
 scalar kernels are jit-compiled under numba and run as plain Python
-otherwise (the decorator degrades to a no-op); scalar callers use them
-directly and never build a one-row numpy batch.  _advance is the scalar
-counterpart of _lockstep: the one judged attempt of _drive and
-_delta_one (and so of the numba batch kernels), one _step2 on w with
+otherwise (the decorator degrades to a no-op); so does the row loop of
+the batch kernels, which serves every batch under numba and, on the
+numpy backend, every batch of fewer than flow._LOCKSTEP_ROWS rows,
+scalar calls included.  _advance is the scalar counterpart of
+_lockstep: the one judged attempt of _drive and _delta_one (and so of
+the row loop), one _step2 on w with
 _rhs2 and, for the drive, one on z with _rhs_z.  _dense_event refines
 the events of _drive.  Both twins write every stage sum as h (sum of
 a_ij k_j) with the same terms in the same order, sum squares over
@@ -113,7 +115,7 @@ import math
 import numpy as np
 
 from . import smoothing
-from ._accel import njit, prange, using_numba
+from ._accel import njit, prange
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # II.5; Prince & Dormand, J. Comput. Appl. Math. 7, 1981), named after the
@@ -936,8 +938,8 @@ def _drive_batch(
     rec = np.empty((0, 5))
     for i in prange(n):
         res = _drive(
-            Y[i, 0], Y[i, 1], Y[i, 2], Y[i, 3], t_end, alpha, table, rtol, radius,
-            event_kind, max_steps, rec, fdir,
+            float(Y[i, 0]), float(Y[i, 1]), float(Y[i, 2]), float(Y[i, 3]), t_end,
+            alpha, table, rtol, radius, event_kind, max_steps, rec, fdir,
         )
         out_status[i] = res[0]
         out_t[i] = res[1]
@@ -1020,7 +1022,8 @@ def _delta_batch(
     n = W.shape[0]
     for i in prange(n):
         res = _delta_one(
-            W[i, 0], W[i, 1], alpha, table, rtol, u_star, reading, max_time, max_steps
+            float(W[i, 0]), float(W[i, 1]), alpha, table, rtol, u_star, reading,
+            max_time, max_steps,
         )
         out_status[i] = res[0]
         out_re[i] = res[1]
@@ -1412,10 +1415,6 @@ def _delta_batch_np(
     out_im[:] = np.nan
     out_t[:] = 0.0
     _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, table)
-
-
-drive_batch_kernel = _drive_batch if using_numba() else _drive_batch_np
-delta_batch_kernel = _delta_batch if using_numba() else _delta_batch_np
 
 
 def warmup():

@@ -1,11 +1,12 @@
 """Trajectory integration, escape detection, and branch-direction limits.
 
-Public wrappers around the adaptive kernels: single trajectories with
-optional recording, batched integration (the backend _kernels selects:
-jit or vectorized numpy), and the rescaled limit Delta of the w-flow
-whose real part is the hypersurface offset c.  This module is the one
-front end of the kernels: each kernel's shared arguments are built once
-here (_drive_args, _delta_args).
+Public wrappers around the adaptive kernels: recorded trajectories,
+batched integration and the rescaled limit Delta of the w-flow whose
+real part is the hypersurface offset c.  This module is the one front
+end of the kernels: each kernel's shared arguments are built once here
+(_drive_args, _delta_args), one rule (_row_loop) picks the batch kernel,
+and each scalar query is a one-row batch, with the batch's bits.  Only
+integrate_flow, which records, calls the scalar kernel _drive itself.
 """
 
 import math
@@ -28,6 +29,7 @@ _READINGS = {
 }
 _REC_CAP = 65536
 _SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
+_LOCKSTEP_ROWS = 16  # fewest rows the numpy lockstep runs; see _row_loop
 
 
 class NoEscapeError(RuntimeError):
@@ -128,6 +130,15 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
+def _row_loop(n):
+    """Whether a batch of n rows runs the scalar kernels row by row.
+
+    Under numba always; the numpy lockstep loses below about 30 rows.
+    Both give the same bits, so the choice never changes an output.
+    """
+    return using_numba() or n < _LOCKSTEP_ROWS
+
+
 def _drive_args(params, settings, event_kind):
     """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels."""
     radius = resolve_escape_radius(settings, params)
@@ -153,23 +164,6 @@ def _state4(state):
     return state
 
 
-def _drive_state(state, t_end, params, settings, event_kind, record, fdir=1.0):
-    """Run the scalar kernel from a state at t = 0; returns kernel outputs.
-
-    state is a float array of 4 entries (see _state4).  The raw kernel
-    status comes first: STATUS_EVENT, STATUS_TIME_END, STATUS_STALLED,
-    STATUS_NONFINITE or STATUS_RUNNING (step budget spent).
-    """
-    rec = np.empty((_REC_CAP if record else 0, 5))
-    status, t, y0, y1, y2, y3, esign, nrec, _ = _kernels._drive(
-        float(state[0]), float(state[1]), float(state[2]), float(state[3]),
-        _end_time(t_end, fdir), *_drive_args(params, settings, event_kind),
-        rec, fdir,
-    )
-    out_state = np.array([y0, y1, y2, y3])
-    return status, t, out_state, esign, rec[:nrec]
-
-
 def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
                    record=True):
     """Integrate the downward flow from p0 until escape or max_time.
@@ -187,16 +181,19 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
         If the state leaves the representable range.
     """
     state = p0.state() if isinstance(p0, SymPoint) else _state4(p0)
-    status, t, out_state, _, rec = _drive_state(
-        state, settings.max_time, params, settings, _kernels.EVENT_PAIR_ESCAPE, record
+    rec = np.empty((_REC_CAP if record else 0, 5))
+    status, t, y0, y1, y2, y3, _, nrec, _ = _kernels._drive(
+        *state.tolist(), float(settings.max_time),
+        *_drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE), rec, 1.0,
     )
+    out_state = np.array([y0, y1, y2, y3])
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
     if status == _kernels.STATUS_RUNNING:
         raise RuntimeError("step budget exhausted before max_time")
     if record:
-        times = rec[:, 0].copy()
-        states = rec[:, 1:5].copy()
+        times = rec[:nrec, 0].copy()
+        states = rec[:nrec, 1:5].copy()
     else:
         times = np.array([0.0, t])
         states = np.vstack([state, out_state])
@@ -218,14 +215,13 @@ def flow_state_to_time(state, t, params, settings=DEFAULT_SETTINGS, direction=1.
     state must have 4 entries, t be finite and >= 0, and direction 1.0
     (downward) or -1.0 (upward); anything else raises ValueError.
     """
-    status, _, out_state, _, _ = _drive_state(
-        _state4(state), t, params, settings, _kernels.EVENT_NONE, False, fdir=direction,
-    )
+    Y = np.array([_state4(state)])
+    (status,), _, _ = drive_batch(Y, params, settings, _kernels.EVENT_NONE, t, direction)
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
     if status != _kernels.STATUS_TIME_END:
         raise RuntimeError("time integration terminated early")
-    return out_state
+    return Y[0]
 
 
 def first_event(state, event_kind, params, settings):
@@ -236,31 +232,27 @@ def first_event(state, event_kind, params, settings):
     the region returns t = 0.  A state of other than 4 entries raises
     ValueError, a step budget spent before max_time RuntimeError.
     """
-    state = _state4(state)
+    Y = np.array([_state4(state)])
     radius = resolve_escape_radius(settings, params)
-    hit0, sign0 = _kernels._event_val(
-        state[0], state[1], state[2], state[3], radius, params.epsilon, event_kind
-    )
+    hit0, sign0 = _kernels._event_val(*Y[0].tolist(), radius, params.epsilon, event_kind)
     if hit0:
-        return True, 0.0, state.copy(), int(sign0)
-    status, t, out_state, esign, _ = _drive_state(
-        state, settings.max_time, params, settings, event_kind, False
-    )
+        return True, 0.0, Y[0], int(sign0)
+    (status,), (t,), (sign,) = drive_batch(Y, params, settings, event_kind)
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
     if status == _kernels.STATUS_RUNNING:
         raise RuntimeError("step budget exhausted before max_time")
     if status == _kernels.STATUS_EVENT:
-        return True, float(t), out_state, int(esign)
-    return False, float(t), out_state, 0
+        return True, float(t), Y[0], int(sign)
+    return False, float(t), Y[0], 0
 
 
 def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     """Integrate every row of Y in place; returns (status, t, sign).
 
-    Runs the batch kernel of the active backend (jit or numpy) up to
-    t_end (default max_time), which must be finite and >= 0, downward
-    for direction 1.0 and upward for -1.0.  Y must be a 2-D float64
+    Runs the batch kernel that :func:`_row_loop` picks up to t_end
+    (default max_time), which must be finite and >= 0, downward for
+    direction 1.0 and upward for -1.0.  Y must be a 2-D float64
     array of 4 columns: another dtype would truncate each state written
     back, and a converted copy would leave the caller's Y as it was.
     """
@@ -272,7 +264,8 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    _kernels.drive_batch_kernel(
+    kernel = _kernels._drive_batch if _row_loop(n) else _kernels._drive_batch_np
+    kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,
     )
@@ -296,15 +289,6 @@ def _delta_args(params, settings, reading, u_star_factor):
     u_star = default_u_star(params.epsilon) * u_star_factor
     return (params.alpha, params.table, settings.step_tolerance, u_star,
             _READINGS[reading], settings.max_time, settings.max_steps)
-
-
-def _other_branch(w0, s0):
-    """Whether s0 is the negative of the principal root of w0 = s0^2.
-
-    The kernels read the branch through the principal root; where this
-    holds, Delta is negated to follow the branch through s0 itself.
-    """
-    return np.abs(np.sqrt(w0) - s0) > np.abs(np.sqrt(w0) + s0)
 
 
 def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
@@ -332,18 +316,14 @@ def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     NoEscapeError
         If no stable reading is reached within max_time.
     """
-    s0 = complex(sqrt_w0)
-    w0 = s0 * s0
-    status, dre, dim, _ = _kernels._delta_one(
-        w0.real, w0.imag,
-        *_delta_args(params, settings, reading, u_star_factor),
+    (delta,), (status,) = compute_delta_batch(
+        [complex(sqrt_w0)], params, settings, reading, u_star_factor
     )
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")
     if status != _kernels.STATUS_EVENT:
         raise NoEscapeError("no stable branch-direction reading before max_time")
-    d = complex(dre, dim)
-    return -d if _other_branch(w0, s0) else d
+    return complex(delta)
 
 
 def compute_c(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
@@ -359,7 +339,8 @@ def _delta_rows(W, args):
     """(status, re, im, t) of the batch Delta kernel on the rows of W."""
     n = W.shape[0]
     out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-    _kernels.delta_batch_kernel(W, *args, *out)
+    kernel = _kernels._delta_batch if _row_loop(n) else _kernels._delta_batch_np
+    kernel(W, *args, *out)
     return out
 
 
@@ -369,13 +350,14 @@ def _delta_split(W, args):
     Only the numpy kernel splits (the jit kernel is parallel already,
     and fork is unsafe once numba threads run), only where
     _accel.can_fork allows, and only with _SPLIT_ROWS rows or more per
-    process.  Worker j takes rows j, j+k, ...: the rows of
-    compute_c_batch come sorted, so strided chunks mix short and long
-    trajectories.  Every kernel operation is per row, and each active
-    row makes one attempt per lockstep iteration, so any split gives the
-    same bits.  A chunk whose worker died is run here.
+    process; a smaller W asks for no CPU count.  Worker j takes rows j,
+    j+k, ...: the rows of compute_c_batch come sorted, so strided chunks
+    mix short and long trajectories.  Every kernel operation is per row,
+    and each active row makes one attempt per lockstep iteration, so any
+    split gives the same bits.  A chunk whose worker died is run here.
     """
-    k = min(available_cpus(), W.shape[0] // _SPLIT_ROWS)
+    n = W.shape[0]
+    k = min(available_cpus(), n // _SPLIT_ROWS) if n >= 2 * _SPLIT_ROWS else 1
     if k < 2 or using_numba() or not can_fork():
         return _delta_rows(W, args)
     parts = run_forked(_delta_rows, [(W[j::k], args) for j in range(k)], k)
@@ -401,7 +383,10 @@ def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTIN
     # beyond |s| ~ 1.34e154 w0 overflows; the kernel ends such a row NONFINITE
     with np.errstate(over="ignore", invalid="ignore"):
         w0 = complex_square(s0)
-        flip = _other_branch(w0, s0)
+        # the kernels read the branch of the principal root of w0; negate
+        # Delta where s0 is the other root, to follow the branch through s0
+        root = np.sqrt(w0)
+        flip = np.abs(root - s0) > np.abs(root + s0)
     W = np.column_stack([w0.real, w0.imag])
     args = _delta_args(params, settings, reading, u_star_factor)
     out_status, out_re, out_im, _ = _delta_split(W, args)

@@ -140,12 +140,10 @@ def phi_1d(z, alpha=ALPHA_DEFAULT):
 
 
 def complex_square(s):
-    """s * s of complex values, with the bits of Python's complex product.
+    """s * s as Python's complex product forms it: (x*x - y*y, x*y + y*x).
 
-    The square is formed from the real parts as (x*x - y*y, x*y + y*x).
     numpy's complex multiply fuses the real part into one multiply-add
-    where the CPU dispatches FMA, so its s * s can differ from this in
-    the last bit.
+    where the CPU has FMA, which can change the last bit.
     """
     s = np.asarray(s, dtype=complex)
     x, y = s.real, s.imag

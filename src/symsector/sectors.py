@@ -87,8 +87,7 @@ def classify_closed_form(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
 def _flow_label(x_hi, x_lo, status, radius, epsilon):
     """Flow label from the final pair coordinates and kernel status.
 
-    The one label rule behind :func:`classify_by_flow` and
-    :func:`classify_by_flow_batch`.
+    The one label rule of :func:`classify_by_flow_batch`.
     """
     if status == _kernels.STATUS_EVENT:
         if x_hi < 0:
@@ -112,25 +111,17 @@ def classify_by_flow(p, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     coordinate pinned near zero and the other far out, gets the
     hypersurface label of the far coordinate's sign; anything else is
     UNRESOLVED: a stall, a non-finite state or a spent step budget
-    (FlowSettings.max_steps).  Never raises for a flow failure, and
-    always gives the label :func:`classify_by_flow_batch` gives.
+    (FlowSettings.max_steps).  Never raises for a flow failure.  The
+    point is a one-row batch of :func:`classify_by_flow_batch`.
     """
-    status, _, state, _, _ = flow._drive_state(
-        p.state(), settings.max_time, params, settings,
-        _kernels.EVENT_PAIR_ESCAPE, False,
-    )
-    y0, _, y2, y3 = state.tolist()
-    x_hi, x_lo = _kernels._pair_re(y0, y2, _kernels._hypot(y2, y3))
-    return _flow_label(
-        x_hi, x_lo, status, flow.resolve_escape_radius(settings, params),
-        params.epsilon,
-    )
+    return classify_by_flow_batch([p.state()], params, settings)[0]
 
 
 def classify_by_flow_batch(states, params, settings=DEFAULT_SETTINGS):
-    """Flow labels for rows [Re z, Im z, Re w, Im w]; states are consumed.
+    """Flow labels for rows [Re z, Im z, Re w, Im w].
 
-    Each row gets the label :func:`classify_by_flow` gives its point.
+    The states are copied, so the caller's rows stay as they were.  Each
+    row gets the label :func:`classify_by_flow` gives its point.
     """
     Y = np.array(states, dtype=float)
     if Y.shape == (0,):  # an empty batch; any other shape drive_batch checks

@@ -42,8 +42,8 @@ class VerifyConfig:
 
     sample_scale multiplies the sample counts (and shrinks grids), so a
     small scale gives a fast determinism check with the same code paths.
-    Every suite pins its own smoothing profile.  alpha and epsilon must
-    be values SteinParams accepts; it raises ValueError for others.
+    Every suite pins its own smoothing profile.  alpha and epsilon are
+    checked by SteinParams.
     """
 
     seed: int = 0

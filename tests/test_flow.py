@@ -108,10 +108,12 @@ def test_drive_batch_nonfinite_status_matches_scalar(pure16):
     settings = FlowSettings(max_steps=2000)
     state = [1.0, 0.5, 1e308, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
+        # enough rows for the numpy lockstep, which the scalar call never runs
         status, t, _ = drive_batch(
-            np.array([state]), pure16, settings, _kernels.EVENT_PAIR_ESCAPE
+            np.array([state] * flow._LOCKSTEP_ROWS), pure16, settings,
+            _kernels.EVENT_PAIR_ESCAPE,
         )
-        assert status[0] == _kernels.STATUS_NONFINITE and t[0] == 0.0
+        assert (status == _kernels.STATUS_NONFINITE).all() and (t == 0.0).all()
         with pytest.raises(NonFiniteFlowError):
             integrate_flow(state, pure16, settings, record=False)
 
@@ -292,7 +294,9 @@ def test_offset_symmetries_bitwise(pure16):
 
 def test_batch_matches_scalar(pure16):
     settings = FlowSettings(step_tolerance=1e-11)
-    seeds = np.array([0.5 + 0.1j, 8.0 - 3.0j, 0.0 + 5.0j])
+    # padded to enough distinct keys for the numpy lockstep
+    pad = np.random.default_rng(3).uniform(0.0, 48.0, (2, flow._LOCKSTEP_ROWS))
+    seeds = np.array([0.5 + 0.1j, 8.0 - 3.0j, 0.0 + 5.0j, *(pad[0] + 1j * pad[1])])
     batch = compute_c_batch(seeds, pure16, settings)
     for s, c in zip(seeds, batch):
         assert compute_c(s, pure16, settings) == pytest.approx(float(c), rel=1e-12)
@@ -315,13 +319,16 @@ def test_delta_batch_nonfinite_status_matches_scalar(pure16):
     # w0 = s0^2 overflows in Im for the second: NONFINITE all the same, with
     # Delta and c nan, and no numpy warning reaches the caller
     settings = FlowSettings(max_steps=2000)
+    # 1.0 padded to enough distinct keys for the numpy lockstep
+    ones = [1.0 + 0.5 * k for k in range(flow._LOCKSTEP_ROWS)]
     for s0 in (1e154, 1e154 + 1e154j):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            delta, status = compute_delta_batch([s0, 1.0], pure16, settings)
-            c = compute_c_batch([s0, 1.0], pure16, settings)
-        assert status.tolist() == [_kernels.STATUS_NONFINITE, _kernels.STATUS_EVENT]
-        assert np.isnan(delta[0]) and np.isnan(c[0]) and np.isfinite(c[1])
+            delta, status = compute_delta_batch([s0, *ones], pure16, settings)
+            c = compute_c_batch([s0, *ones], pure16, settings)
+        assert status.tolist() == [_kernels.STATUS_NONFINITE] + [
+            _kernels.STATUS_EVENT] * len(ones)
+        assert np.isnan(delta[0]) and np.isnan(c[0]) and np.isfinite(c[1:]).all()
         with pytest.raises(NonFiniteFlowError):
             compute_delta(s0, pure16, settings)
 
@@ -445,8 +452,9 @@ def test_backward_flow_undoes_forward_flow(mode, rng):
     # or in the w part alone misses the start by O(1)
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(step_tolerance=1e-11)
-    z = rng.uniform(-8.0, 8.0, (8, 2))
-    s = rng.uniform(-8.0, 8.0, 8) + 1j * rng.uniform(-8.0, 8.0, 8)
+    n = flow._LOCKSTEP_ROWS  # enough rows for the numpy lockstep
+    z = rng.uniform(-8.0, 8.0, (n, 2))
+    s = rng.uniform(-8.0, 8.0, n) + 1j * rng.uniform(-8.0, 8.0, n)
     X = np.column_stack([z, (s * s).real, (s * s).imag])
     tol = 1e-6 * (1.0 + np.abs(X))
     for tau in (0.2, 0.5, 1.0):
@@ -657,3 +665,127 @@ def test_first_event_raises_when_the_step_budget_runs_out():
     with pytest.raises(RuntimeError, match="step budget exhausted") as info:
         sectors.check_truncation_absorbing(p, params, one_step)
     assert not isinstance(info.value, NoEscapeError)
+
+
+# ----------------------------------------- scalar calls are one-row batches
+
+
+def _front_end_rows(rng, n):
+    # pair states with z and sqrt(w) in [-48, 48]^2, and their roots
+    z = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
+    s = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
+    w = complex_square(s)
+    return s, np.column_stack([z.real, z.imag, w.real, w.imag])
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_scalar_calls_are_their_batch_rows_bit_for_bit(mode, rng):
+    # the batches have _LOCKSTEP_ROWS rows or more, so on the numpy backend
+    # they run the lockstep and every scalar call the row loop
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(max_time=8.0, escape_radius=64.0)
+    n = flow._LOCKSTEP_ROWS + 4
+    s, X = _front_end_rows(rng, n)
+    for reading in ("complex", "real"):
+        delta, status = compute_delta_batch(s, params, reading=reading)
+        assert (status == _kernels.STATUS_EVENT).all()
+        scalar = [compute_delta(x, params, reading=reading) for x in s.tolist()]
+        assert _hex(delta.real) == _hex([d.real for d in scalar])
+        assert _hex(delta.imag) == _hex([d.imag for d in scalar])
+    c = compute_c_batch(s, params)
+    assert _hex(c) == _hex([compute_c(x, params) for x in s.tolist()])
+
+    labels = sectors.classify_by_flow_batch(X, params, settings)
+    points = [point_of(x) for x in X]
+    assert labels.tolist() == [
+        sectors.classify_by_flow(p, params, settings) for p in points
+    ]
+    # the batch labels the pair states of the points, as classify_by_flow does
+    assert labels.tolist() == sectors.classify_by_flow_batch(
+        [p.state() for p in points], params, settings).tolist()
+
+    radius = resolve_escape_radius(settings, params)
+    for kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
+                 _kernels.EVENT_V_ENTRY):
+        Y = X.copy()
+        status, t, sign = drive_batch(Y, params, settings, kind)
+        for x, y, st_, t_, sg in zip(X, Y, status, t, sign):
+            hit, t1, y1, sg1 = first_event(x, kind, params, settings)
+            if _kernels._event_val(*x.tolist(), radius, params.epsilon, kind)[0]:
+                assert hit and t1 == 0.0 and _hex(y1) == _hex(x)
+                continue
+            assert hit == (st_ == _kernels.STATUS_EVENT)
+            assert _hex([t1, sg1]) == _hex([t_, sg]) and _hex(y1) == _hex(y)
+
+    for direction in (1.0, -1.0):
+        Y = X.copy()
+        status, _, _ = drive_batch(Y, params, settings, _kernels.EVENT_NONE,
+                                   t_end=0.3, direction=direction)
+        assert (status == _kernels.STATUS_TIME_END).all()
+        for x, y in zip(X, Y):
+            got = flow.flow_state_to_time(x, 0.3, params, settings, direction)
+            assert _hex(got) == _hex(y)
+
+
+def _spy(monkeypatch, names):
+    """Record, in order, which of the named _kernels functions run."""
+    ran = []
+    for name in names:
+        kernel = getattr(_kernels, name)
+
+        def spy(*args, _name=name, _kernel=kernel):
+            ran.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    return ran
+
+
+@pytest.mark.skipif(using_numba(), reason="the jit batch kernels always loop over rows")
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_lockstep_runs_from_lockstep_rows_on(mode, rng, monkeypatch):
+    params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
+    settings = FlowSettings(max_time=8.0, escape_radius=64.0)
+    n = flow._LOCKSTEP_ROWS
+    s, X = _front_end_rows(rng, n)
+    ran = _spy(monkeypatch, ["_drive_batch", "_drive_batch_np",
+                             "_delta_batch", "_delta_batch_np"])
+    below = compute_delta_batch(s[:-1], params)
+    at = compute_delta_batch(s, params)
+    assert (at[1] == _kernels.STATUS_EVENT).all()
+    Y_below, Y_at = X[:-1].copy(), X.copy()
+    drive_below = drive_batch(Y_below, params, settings, _kernels.EVENT_PAIR_ESCAPE)
+    drive_at = drive_batch(Y_at, params, settings, _kernels.EVENT_PAIR_ESCAPE)
+    assert ran == ["_delta_batch", "_delta_batch_np", "_drive_batch", "_drive_batch_np"]
+    for got, want in zip(below, at):
+        assert _hex(got.real) == _hex(want.real[:-1])
+        assert _hex(got.imag) == _hex(np.imag(want)[:-1])
+    for got, want in zip(drive_below, drive_at):
+        assert _hex(got) == _hex(want[:-1])
+    assert _hex(Y_below.ravel()) == _hex(Y_at[:-1].ravel())
+
+
+def test_scalar_calls_never_reach_the_lockstep(pure16, monkeypatch):
+    def lockstep_attempt(*args):
+        raise AssertionError("a scalar call ran the numpy lockstep")
+
+    monkeypatch.setattr(_kernels, "_attempt_np", lockstep_attempt)
+    settings = FlowSettings(max_time=8.0, escape_radius=64.0)
+    p = SymPoint(3.0 + 1.0j, -5.0 + 2.0j)
+    x = p.state()
+    compute_delta(8.0 - 3.0j, pure16)
+    compute_c(8.0 - 3.0j, pure16)
+    sectors.classify_closed_form(p, pure16)
+    sectors.hypersurface_point(-1, 8.0 - 3.0j, 1.0, pure16)
+    sectors.classify_by_flow(p, pure16, settings)
+    first_event(x, _kernels.EVENT_PAIR_ESCAPE, pure16, settings)
+    flow.flow_state_to_time(x, 0.3, pure16, settings, direction=-1.0)
+    integrate_flow(p, pure16, settings)
+
+
+@pytest.mark.parametrize("value", [None, [1.0, 2.0]], ids=["none", "list"])
+def test_compute_delta_refuses_a_non_number_with_type_error(pure16, value):
+    # its complex() conversion comes before the batch call, which would
+    # read None as a NaN row and a list as two rows
+    with pytest.raises(TypeError):
+        compute_delta(value, pure16)

@@ -708,7 +708,7 @@ def test_jit_batch_kernels_loop_the_scalar_kernels(mode):
     (_kernels._delta_batch, _kernels._delta_batch_np),
 ], ids=["drive", "delta"])
 def test_batch_kernel_backends_share_one_signature(jit, vec):
-    # drive_batch_kernel and delta_batch_kernel are either backend
+    # flow runs either backend's batch kernel with the same arguments
     def signature(f):
         return inspect.signature(getattr(f, "py_func", f))
 
@@ -722,32 +722,33 @@ def test_batch_rows_are_independent(mode):
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     rng = np.random.default_rng(9)
-    s = rng.uniform(-48.0, 48.0, 10) + 1j * rng.uniform(-48.0, 48.0, 10)
+    n = flow._LOCKSTEP_ROWS - 3  # 16 rows in all, enough for the numpy lockstep
+    s = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
     s = np.append(s, [2.0j, -2.0j, 1e154])  # w0 on the negative axis; overflow
     perm = rng.permutation(s.size)
     d, status = flow.compute_delta_batch(s, params, settings, reading="real")
     d_p, status_p = flow.compute_delta_batch(s[perm], params, settings, reading="real")
     assert _bits(d[perm], status[perm]) == _bits(d_p, status_p)
-    for k in (0, 10, 12):
+    for k in (0, n, n + 2):
         d_k, status_k = flow.compute_delta_batch(s[k:k + 1], params, settings,
                                                  reading="real")
         assert _bits(d[k:k + 1], status[k:k + 1]) == _bits(d_k, status_k)
     assert status[-1] == _kernels.STATUS_NONFINITE
 
     kind = _kernels.EVENT_PAIR_ESCAPE
-    z = rng.uniform(-48.0, 48.0, (8, 2))
-    Y = np.column_stack([z, (s[:8] * s[:8]).real, (s[:8] * s[:8]).imag])
+    z = rng.uniform(-48.0, 48.0, (n, 2))
+    Y = np.column_stack([z, (s[:n] * s[:n]).real, (s[:n] * s[:n]).imag])
     Y = np.vstack([Y, _INSIDE[kind], [(1.0, 0.5, 1e308, 0.0)]])
     perm = rng.permutation(len(Y))
     Y_all, Y_p = Y.copy(), Y[perm]
     out = flow.drive_batch(Y_all, params, settings, kind, t_end=4.0)
     out_p = flow.drive_batch(Y_p, params, settings, kind, t_end=4.0)
     assert _bits(Y_all[perm], *(o[perm] for o in out)) == _bits(Y_p, *out_p)
-    for k in (0, 8, 10):
+    for k in (0, n, n + 2):
         Y_k = Y[k:k + 1].copy()
         out_k = flow.drive_batch(Y_k, params, settings, kind, t_end=4.0)
         assert _bits(Y_all[k:k + 1], *(o[k:k + 1] for o in out)) == _bits(Y_k, *out_k)
-    assert (out[0][:8] == _kernels.STATUS_EVENT).any()
+    assert (out[0][:n] == _kernels.STATUS_EVENT).any()
 
 
 @pytest.mark.parametrize(
