@@ -310,6 +310,9 @@ def test_scalar_offsets_are_the_batch_offsets_bit_for_bit(pure16):
     delta, status = compute_delta_batch(s, pure16)
     assert (status == _kernels.STATUS_EVENT).all()
     assert _hex(c) == _hex([compute_c(x, pure16) for x in s.tolist()])
+    args = flow._delta_args(pure16, flow.DEFAULT_SETTINGS, "real", 1.0)
+    kernel = [_kernels._delta_one((x * x).real, (x * x).imag, *args) for x in s.tolist()]
+    assert _hex(c) == _hex([abs(out[1]) for out in kernel])
     scalar = [compute_delta(x, pure16) for x in s.tolist()]
     assert _hex(delta.real) == _hex([d.real for d in scalar])
     assert _hex(delta.imag) == _hex([d.imag for d in scalar])
