@@ -350,14 +350,13 @@ def _delta_split(W, args):
     Only the numpy kernel splits (the jit kernel is parallel already,
     and fork is unsafe once numba threads run), only where
     _accel.can_fork allows, and only with _SPLIT_ROWS rows or more per
-    process; a smaller W asks for no CPU count.  Worker j takes rows j,
-    j+k, ...: the rows of compute_c_batch come sorted, so strided chunks
-    mix short and long trajectories.  Every kernel operation is per row,
-    and each active row makes one attempt per lockstep iteration, so any
-    split gives the same bits.  A chunk whose worker died is run here.
+    process.  Worker j takes rows j, j+k, ...: the rows of
+    compute_c_batch come sorted, so strided chunks mix short and long
+    trajectories.  Every kernel operation is per row, and each active
+    row makes one attempt per lockstep iteration, so any split gives the
+    same bits.  A chunk whose worker died is run here.
     """
-    n = W.shape[0]
-    k = min(available_cpus(), n // _SPLIT_ROWS) if n >= 2 * _SPLIT_ROWS else 1
+    k = min(available_cpus(), W.shape[0] // _SPLIT_ROWS)
     if k < 2 or using_numba() or not can_fork():
         return _delta_rows(W, args)
     parts = run_forked(_delta_rows, [(W[j::k], args) for j in range(k)], k)

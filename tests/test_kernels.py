@@ -768,7 +768,9 @@ def test_batch_rows_are_independent(mode):
 def test_flow_label_scalar_matches_batch(pure16, p, settings, want):
     label = classify_by_flow(p, pure16, settings)
     assert label == want
-    assert list(classify_by_flow_batch([p.state()], pure16, settings)) == [label]
+    # _LOCKSTEP_ROWS copies, so on the numpy backend the batch runs the lockstep
+    rows = [p.state()] * flow._LOCKSTEP_ROWS
+    assert list(classify_by_flow_batch(rows, pure16, settings)) == [label] * len(rows)
 
 
 def _same_bits(got, want):
