@@ -4,68 +4,98 @@ The downward gradient flow on the symmetric square is integrated with the
 embedded Dormand-Prince 8(5,3) pair (DOP853) and its step-size controller
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10).  An attempt
 takes 11 new stage derivatives; an accepted one adds the derivative at
-its end, which seeds the next step.  The state is [Re z, Im z, Re w,
+its end, which seeds the next step.  A state is [Re z, Im z, Re w,
 Im w]; the linear z-subsystem and the autonomous w-subsystem are
 decoupled, and the w-subsystem alone also serves the branch-locus
-asymptotics.  The flow direction (+1 downward, -1 upward) is the sign of
-the step h: derivatives, seeds included, are those of the downward flow.
-Negation is exact, so h (-f) and (-h) f round alike and either form
-gives the same bits.
+asymptotics (Delta).  The flow direction (+1 downward, -1 upward) is the
+sign of the step h: derivatives, seeds included, are those of the
+downward flow.  Negation is exact, so h (-f) and (-h) f round alike and
+either form gives the same bits.
+
+A drive integrates only a pair of numbers, in one of two frames.  With
+tau = fdir t and L = diag(alpha - 1, -alpha) on (Re, Im), z is taken in
+closed form, z(tau) = e^(L tau) z0, from the factors e^((alpha-1) tau)
+and e^(-alpha tau) of _factors.  The pair is w itself (the w-frame) from
+t = 0, and u = e^(-L tau) s, s = sqrt(w) (the u-frame), from the end of
+the first accepted step where |w| >= epsilon and Re(conj(w) fdir w') > 0,
+one switch per row, with s the principal root (np.sqrt, as _delta_one
+takes it).  Far out the flow is the linear saddle s' = L s, so
+u' = e^(-L tau) (G(s) - L s), G(s) = w'(s^2) / (2 s), vanishes at
+infinity, and exactly beyond the outer knot |w| = table[4] = epsilon in
+cutoff mode: the u-frame's steps are set by the nonlinearity, not by the
+e^((alpha-1) tau) growth (Lawson, SIAM J. Numer. Anal. 4, 1967;
+Hochbruck & Ostermann, Acta Numerica 19, 2010).  Along the linear saddle
+x^2 / y^2 of s = x + i y is monotone, so a row that grows outside epsilon
+keeps growing and does not come back inside.  States are converted back
+to [z, w] (_to_zw) wherever a state is read: events, stall speed,
+records and results.  Delta keeps the w-frame.
 
 The scaled error of an attempt is |h| E5^2 / sqrt(n (E5^2 + 0.01 E3^2)),
-from the 5th and 3rd order estimates summed over the n components, and
-the controller scales the step by 0.9 err^(-1/8) within [0.2, 10].  The
-largest step is H_MAX_V_ENTRY for the V-entry event, whose band one long
-step could jump over, and H_MAX for every other drive and for Delta
-(whose readings are due every 0.7).  In cutoff mode the profile knots
-|w| = table[2:5], where m'' has kinks that the error estimate misjudges,
-are step boundaries (Gear & Osterby, ACM TOMS 10, 1984).  An accepted
-attempt, or a rejected one whose ends lie on either side of a knot, is
-retaken if |w| crosses a knot within it: h is cut to the first crossing
-of the cubic Hermite interpolant of |w|^2 over the step (_knot_fraction),
-which needs no stage beyond the derivative at the end: the next seed of
-an accepted attempt, one more evaluation for a rejected one.  A step that ends within
-KNOT_TOL of the knot has landed on it; the next one starts from the
-derivative there, since the right-hand side is continuous at the knots,
-and with no less than the step that was cut.  Pure mode has no knots and
-skips all of this.
+from the 5th and 3rd order estimates summed over the n = 2 components,
+and the controller scales the step by 0.9 err^(-1/8) within [0.2, 10].
+The largest step is H_MAX_V_ENTRY for the V-entry event in both frames,
+whose band one long step could jump over, and H_MAX for every other
+w-frame drive and for Delta (whose readings are due every 0.7); the
+u-frame has no other cap than the controller and the end time.  There
+|x_1,2| = e^((alpha-1) tau) |Re z0 +- Re u| with Re u almost constant,
+so the escape and truncation regions cannot be entered and left within
+one step.  In cutoff mode the profile knots |w| = table[2:5], where m''
+has kinks that the error estimate misjudges, are step boundaries of the
+w-frame (Gear & Osterby, ACM TOMS 10, 1984); the u-frame runs outside
+them.  An accepted attempt, or a rejected one whose ends lie on either
+side of a knot, is retaken if |w| crosses a knot within it: h is cut to
+the first crossing of the cubic Hermite interpolant of |w|^2 over the
+step (_knot_fraction), which needs no stage beyond the derivative at the
+end: the next seed of an accepted attempt, one more evaluation for a
+rejected one.  A step that ends within KNOT_TOL of the knot has landed on
+it; the next one starts from the derivative there, since the right-hand
+side is continuous at the knots, and with no less than the step that was
+cut.  The escape region counts such a landing on the outer knot as
+outside the band |w| <= epsilon.  Pure mode has no knots and skips all
+of this.
 
 An accepted step of a drive that ends inside the event region is not
-taken.  The event is located on the dense output of that step (Hairer's
-contd8, II.6): its stages 2-12 are recomputed once and stages 14-16
-added, which also read the derivative at the end (stage 13), giving a
-7th order interpolant of the step.  The event predicate is bisected on
-the interpolant, at most EVENT_HALVINGS halvings, stopping once hi - lo
-< EVENT_TOL max(hi, 1); the state at hi is read from it, or is the
+taken, nor is one whose state [z, w] is not finite (the drive ends
+STATUS_NONFINITE).  The event is located on the dense output of the
+pair over that step (Hairer's contd8, II.6): its stages 2-12 are
+recomputed once and stages 14-16 added, which also read the derivative
+at the end (stage 13), giving a 7th order interpolant of the step.  The
+event predicate is bisected on the interpolant, each state converted at
+its own time, at most EVENT_HALVINGS halvings, stopping once hi - lo <
+EVENT_TOL max(hi, 1); the state at hi is read from it, or is the
 accepted end state itself where the bracket never moved.  A refinement
-thus costs 14 right-hand-side evaluations per subsystem, however many
-halvings it makes.  The dense output is written once for both backends:
-its coefficients are the (stage, coefficient) tables DENSE_STAGES
-(stages 14-16) and DENSE_ROWS (the rows D4-D7 of the interpolant), and
-_combo sums such terms left to right, on lists of floats in _dense2 and
-on lists of arrays in _dense_np; _contd8_coefs and _contd8 serve both.
+thus costs 14 right-hand-side evaluations of the one integrated pair,
+however many halvings it makes.  The dense output is written once for
+both backends: its coefficients are the (stage, coefficient) tables
+DENSE_STAGES (stages 14-16) and DENSE_ROWS (the rows D4-D7 of the
+interpolant), and _combo sums such terms left to right, on lists of
+floats in _dense2 and on lists of arrays in _dense_np; _contd8_coefs and
+_contd8 serve both.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
-(_kappa_shrink_np, on the smoothing evaluator in cutoff mode; _rhs_w_np,
-_rhs_np), the DOP853 stages (_stages_np) of one attempt with its scaled
-error (_attempt_np) and of the dense output (_dense_np), the step
-controller (_next_h_np), the pair coordinates (pair_re_np) and the event
-regions (_event_np).  The knot cut has one definition for both
-backends, the scalar _knot_fraction and its helpers: _knot_cut_np passes
-it only the rows of a batch whose interpolant may reach a knot band, as
-the Bernstein hull of the interpolant shows, and gives every other row
-1.0.  _lockstep is the one numpy loop: it owns the step budget,
-the attempt, acceptance, the knot cut, the controller and the dead-row
-rule.  The batch kernels
+(_kappa_shrink_np, on the smoothing evaluator in cutoff mode;
+_rhs_w_np), the u-frame right-hand side (_rhs_u_np), the DOP853 stages
+(_stages_np) of one attempt with its scaled error (_attempt_np) and of
+the dense output (_dense_np), the step controller (_next_h_np), the pair
+coordinates (pair_re_np) and the event regions (_event_np); _factors,
+_to_zw and _w_dot, made of arithmetic alone, serve both backends.  The
+knot cut has one definition for both backends, the scalar _knot_fraction
+and its helpers: _knot_cut_np passes it only the rows of a batch whose
+interpolant may reach a knot band, as the Bernstein hull of the
+interpolant shows, and gives every other row 1.0.  _lockstep is the one
+numpy loop: it owns the step budget, the attempt, acceptance, the knot
+cut, the controller and the dead-row rule.  The batch kernels
 _drive_batch_np and _delta_batch_np pass it the stop rule run before
 each attempt: stall and end of time for the drive, the reading rule and
-max_time for Delta.  The drive also passes its event predicate, holds
-each row that enters its region and, after the lockstep, builds the
-dense output of all their event steps in one batch and bisects all of
-them together on it.  The batch kernels _drive_batch and _delta_batch
-run the scalar kernels row by row (in parallel under numba) and take
-the same parameters as their numpy forms; flow picks one of the two per
-call, by backend and row count.  The numpy kernels ignore overflow and
+max_time for Delta.  The drive runs it twice, a w-frame pass and a
+u-frame pass for the rows that switched, each with one right-hand side,
+and passes it the rule for accepted steps: conversion, events and the
+switch.  It holds each row that enters its region and, after each pass,
+builds the dense output of all their event steps in one batch and
+bisects all of them together on it.  The batch kernels _drive_batch and
+_delta_batch run the scalar kernels row by row and take the same
+parameters as their numpy forms; flow picks one of the two per call, by
+backend and row count.  The numpy kernels and _drive ignore overflow and
 invalid-value warnings: a row that leaves the float range ends
 STATUS_NONFINITE.
 
@@ -78,23 +108,24 @@ cap h_max, and the event predicates (_event_val, _event_np) epsilon,
 since sectors calls the region test without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
-sides _rhs_z and _rhs2, one DOP853 step _step2 and its dense output
-_dense2, which take their right-hand side as an argument and share the
-stages of _stages2, _err_norm, _next_h, _pair_re and _event_val (also
-the region test of sectors).  The sums of _stages2 and _step2 stay
-unrolled: read through _combo, a scalar step takes 1.7 times as long.  The
-scalar kernels are jit-compiled under numba and run as plain Python
-otherwise (the decorator degrades to a no-op); so does the row loop of
-the batch kernels, which serves every batch under numba and, on the
-numpy backend, every batch of fewer than flow._LOCKSTEP_ROWS rows,
-scalar calls included.  _advance is the scalar counterpart of
+sides _rhs_z, _rhs2 and _rhs_u, one DOP853 step _step2 and its dense
+output _dense2, which take their right-hand side as an argument, call it
+with the stage index of FRAME_NODES and share the stages of _stages2,
+_err_norm, _next_h, _pair_re and _event_val (also the region test of
+sectors).  The sums of _stages2 and _step2 stay unrolled: read through
+_combo, a scalar step takes 1.7 times as long.  The scalar kernels are
+jit-compiled under numba and run as plain Python otherwise (the
+decorator degrades to a no-op), as does the row loop of the batch
+kernels, which on the numpy backend serves every batch of fewer than
+flow._LOCKSTEP_ROWS rows, scalar calls included.  The drive's frame code
+(_drive, _dense_event, _factors) is plain Python only: the jit path of
+the drive is untested.  _advance is the scalar counterpart of
 _lockstep: the one judged attempt of _drive and _delta_one (and so of
-the row loop), one _step2 on w with
-_rhs2 and, for the drive, one on z with _rhs_z.  _dense_event refines
-the events of _drive.  Both twins write every stage sum as h (sum of
-a_ij k_j) with the same terms in the same order, sum squares over
-components left to right and take err^(-1/8) as three correctly rounded
-square roots, so on the same rows they give the same bits.
+the row loop), one _step2 on the pair, w with _rhs2 or u with _rhs_u.
+_dense_event refines the events of _drive.  Both twins write every stage sum as h (sum of a_ij k_j) with
+the same terms in the same order, sum squares over components left to
+right and take err^(-1/8) as three correctly rounded square roots, so
+on the same rows they give the same bits.
 
 Every kernel takes the smoothing table as the one tuple of built-in
 floats that SteinParams holds (under numba a UniTuple(float64, 15)).  The
@@ -106,8 +137,11 @@ calls libm hypot as np.hypot does), and real roots and finiteness tests
 come from math.  Three stdlib twins are avoided because their bits differ:
 math.hypot rounds some pairs apart from libm hypot, cmath.sqrt differs
 from np.sqrt on the imaginary axis (so the complex roots of _delta_one
-stay np.sqrt), and math.exp differs from np.exp in the last place on
-some arguments (so the reading scale stays np.exp).
+and of the switch stay np.sqrt), and math.exp differs from np.exp in the
+last place on some arguments (so the reading scale and the factors of
+the frame stay np.exp, which gives the same bits for one value as for
+many: the scalar drive takes the factors of an attempt's 13 stage times
+in one array).
 """
 
 import math
@@ -280,11 +314,18 @@ DENSE_ROWS = (
      (14, -3.9177261675615439165231486172e1), (15, -1.4972683625798562581422125276e2)),
 )
 
+# The node of each stage index k, as a fraction of the step: stages 1-12
+# (k = 0-11), the end of the step (12) and the dense stages 14-16 (13-15).
+# A u-frame stage reads its factors at tau + FRAME_NODES[k] (fdir h).
+FRAME_NODES = C_NODES + (1.0,) + DENSE_NODES
+_STEP_NODES = np.array(FRAME_NODES[:13])
+_DENSE_NODES = np.array(DENSE_NODES)
+
 # fixed integration constants of every kernel
 ATOL = 1e-30  # absolute part of the error scale
 H_FIRST = 0.05  # first step of every drive and Delta trajectory
-H_MAX = 0.5  # largest step of the Delta kernels and of most drives
-H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band
+H_MAX = 0.5  # largest step of the Delta kernels and of w-frame drives
+H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band, in both frames
 KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
 KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
 EVENT_HALVINGS = 64  # most halvings of an event bracket on the dense output
@@ -372,92 +413,158 @@ def _w_terms(r, alpha, table):
 
 
 @njit(cache=True)
-def _rhs_z(y0, y1, alpha, table):
+def _rhs_z(y0, y1, alpha, table, k=0):
     """Right-hand side of the linear z-subsystem.
 
-    table is unused; it keeps the signature of _rhs2 for _step2.
+    table and the stage index k are unused; they keep the signature of
+    _rhs_u for _step2.
     """
     return (alpha - 1.0) * y0, -alpha * y1
 
 
 @njit(cache=True)
-def _rhs2(y2, y3, alpha, table):
-    """Right-hand side of the autonomous w-subsystem."""
+def _rhs2(y2, y3, alpha, table, k=0):
+    """Right-hand side of the autonomous w-subsystem (k is unused)."""
     r = _hypot(y2, y3)
     drift, shrink = _w_terms(r, alpha, table)
     return drift - shrink * y2, -shrink * y3
 
 
 @njit(cache=True)
+def _rhs_u(u0, u1, alpha, frame, k):
+    """Right-hand side of the u-frame at stage k of an attempt.
+
+    frame is (table, EA, EB), EA[k] and EB[k] the factors of stage k
+    (_factors), so that s = (EA[k] u0, EB[k] u1) and |w| = r = |s|^2.
+    With p = kappa/(2r) - 1 and q = shrink - 1, G(s) - L s is
+    (alpha - 1/2) p conj(s) - q s/2, and u' = (u0 cr, -u1 ci) with
+    cr, ci = (alpha - 1/2) p -+ q/2.  p and q are taken in x = eps/r^2
+    without cancellation on the pure profile, and are 0 exactly beyond
+    the outer knot in cutoff mode; between the knots they come from
+    _w_terms.
+    """
+    table, fa, fb = frame
+    sx = fa[k] * u0
+    sy = fb[k] * u1
+    r = sx * sx + sy * sy
+    if table[0] == MODE_PURE or r < table[2]:
+        x = table[1] / r / r if r != 0.0 else math.inf  # as numpy divides by 0
+        g = math.sqrt(1.0 + x)
+        d = 1.0 + 2.0 * x
+        p = x * (x - g) / ((g + 1.0) * d)
+        q = -x / d
+    elif r >= table[4]:
+        p = q = 0.0
+    else:
+        drift, shrink = _w_terms(r, alpha, table)
+        p = drift / ((2.0 * alpha - 1.0) * r) - 1.0
+        q = shrink - 1.0
+    c = (alpha - 0.5) * p
+    return u0 * (c - 0.5 * q), -u1 * (c + 0.5 * q)
+
+
+def _factors(alpha, tau):
+    """The factors (e^((alpha-1) tau), e^(-alpha tau)) of z and s at tau.
+
+    z(tau) = (e^((alpha-1) tau) Re z0, e^(-alpha tau) Im z0), and in the
+    u-frame s = (e^((alpha-1) tau) Re u, e^(-alpha tau) Im u).  tau is a
+    float or an array; both twins take the factors from np.exp, whose
+    bits do not depend on how many values one call takes (math.exp
+    differs from it in the last place on some arguments).
+    """
+    return np.exp((alpha - 1.0) * tau), np.exp(-alpha * tau)
+
+
+def _to_zw(va, vb, zx, zy, ea, eb, uframe):
+    """[z, w] at a time with factors (ea, eb), as a 4-tuple.
+
+    z0 = (zx, zy) is the start of z, and (va, vb) the integrated pair: w
+    itself, or u if uframe, where w = s^2 is squared as
+    geometry.complex_square squares.  Arithmetic alone, so that numpy
+    rows give the bits of scalar rows.
+    """
+    if uframe:
+        sx = ea * va
+        sy = eb * vb
+        va, vb = sx * sx - sy * sy, sx * sy + sy * sx
+    return ea * zx, eb * zy, va, vb
+
+
+def _w_dot(ua, ub, ka, kb, ea, eb, alpha):
+    """w' = 2 s s' in the u-frame, from u, u' = (ka, kb) and the factors.
+
+    s' = L s + (ea ka, eb kb).  Arithmetic alone, as _to_zw.
+    """
+    sx = ea * ua
+    sy = eb * ub
+    dx = (alpha - 1.0) * sx + ea * ka
+    dy = -alpha * sy + eb * kb
+    return 2.0 * (sx * dx - sy * dy), 2.0 * (sx * dy + sy * dx)
+
+
+@njit(cache=True)
 def _stages2(ya, yb, fa, fb, h, rhs, alpha, table):
     """Stages 2-12 of a DOP853 step of size h on a 2-component subsystem.
 
-    rhs is _rhs_z or _rhs2, h carries the flow direction as its sign and
-    (fa, fb) is the derivative at the start.  Each stage sum is
+    rhs is _rhs_z, _rhs2 or _rhs_u, called with the stage index k of
+    FRAME_NODES as its last argument; h carries the flow direction as its
+    sign and (fa, fb) is the derivative at the start.  Each stage sum is
     h (sum of a_ij k_j) in the term order of STAGES.  Returns the stages
     that the solution, the error estimates and the dense output read,
     (a6, ..., a12, b6, ..., b12).
     """
-    a2, b2 = rhs(ya + h * (A21 * fa), yb + h * (A21 * fb), alpha, table)
+    a2, b2 = rhs(ya + h * (A21 * fa), yb + h * (A21 * fb), alpha, table, 1)
     a3, b3 = rhs(
-        ya + h * (A31 * fa + A32 * a2), yb + h * (A31 * fb + A32 * b2), alpha, table
+        ya + h * (A31 * fa + A32 * a2), yb + h * (A31 * fb + A32 * b2), alpha, table, 2
     )
     a4, b4 = rhs(
-        ya + h * (A41 * fa + A43 * a3), yb + h * (A41 * fb + A43 * b3), alpha, table
+        ya + h * (A41 * fa + A43 * a3), yb + h * (A41 * fb + A43 * b3), alpha, table, 3
     )
     a5, b5 = rhs(
         ya + h * (A51 * fa + A53 * a3 + A54 * a4),
         yb + h * (A51 * fb + A53 * b3 + A54 * b4),
-        alpha,
-        table,
+        alpha, table, 4,
     )
     a6, b6 = rhs(
         ya + h * (A61 * fa + A64 * a4 + A65 * a5),
         yb + h * (A61 * fb + A64 * b4 + A65 * b5),
-        alpha,
-        table,
+        alpha, table, 5,
     )
     a7, b7 = rhs(
         ya + h * (A71 * fa + A74 * a4 + A75 * a5 + A76 * a6),
         yb + h * (A71 * fb + A74 * b4 + A75 * b5 + A76 * b6),
-        alpha,
-        table,
+        alpha, table, 6,
     )
     a8, b8 = rhs(
         ya + h * (A81 * fa + A84 * a4 + A85 * a5 + A86 * a6 + A87 * a7),
         yb + h * (A81 * fb + A84 * b4 + A85 * b5 + A86 * b6 + A87 * b7),
-        alpha,
-        table,
+        alpha, table, 7,
     )
     a9, b9 = rhs(
         ya + h * (A91 * fa + A94 * a4 + A95 * a5 + A96 * a6 + A97 * a7 + A98 * a8),
         yb + h * (A91 * fb + A94 * b4 + A95 * b5 + A96 * b6 + A97 * b7 + A98 * b8),
-        alpha,
-        table,
+        alpha, table, 8,
     )
     a10, b10 = rhs(
         ya + h * (A101 * fa + A104 * a4 + A105 * a5 + A106 * a6 + A107 * a7
                   + A108 * a8 + A109 * a9),
         yb + h * (A101 * fb + A104 * b4 + A105 * b5 + A106 * b6 + A107 * b7
                   + A108 * b8 + A109 * b9),
-        alpha,
-        table,
+        alpha, table, 9,
     )
     a11, b11 = rhs(
         ya + h * (A111 * fa + A114 * a4 + A115 * a5 + A116 * a6 + A117 * a7
                   + A118 * a8 + A119 * a9 + A1110 * a10),
         yb + h * (A111 * fb + A114 * b4 + A115 * b5 + A116 * b6 + A117 * b7
                   + A118 * b8 + A119 * b9 + A1110 * b10),
-        alpha,
-        table,
+        alpha, table, 10,
     )
     a12, b12 = rhs(
         ya + h * (A121 * fa + A124 * a4 + A125 * a5 + A126 * a6 + A127 * a7
                   + A128 * a8 + A129 * a9 + A1210 * a10 + A1211 * a11),
         yb + h * (A121 * fb + A124 * b4 + A125 * b5 + A126 * b6 + A127 * b7
                   + A128 * b8 + A129 * b9 + A1210 * b10 + A1211 * b11),
-        alpha,
-        table,
+        alpha, table, 11,
     )
     return a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12
 
@@ -535,9 +642,9 @@ def _dense2(ya, yb, fa, fb, na, nb, ga, gb, h, rhs, alpha, table):
     # no dense term reads stages 2-5 (indices 1-4)
     Ka = [fa, 0.0, 0.0, 0.0, 0.0, a6, a7, a8, a9, a10, a11, a12, ga]
     Kb = [fb, 0.0, 0.0, 0.0, 0.0, b6, b7, b8, b9, b10, b11, b12, gb]
-    for terms in DENSE_STAGES:
+    for k, terms in enumerate(DENSE_STAGES, 13):
         a, b = rhs(ya + h * _combo(Ka, terms), yb + h * _combo(Kb, terms), alpha,
-                   table)
+                   table, k)
         Ka.append(a)
         Kb.append(b)
     return _contd8_coefs(ya, na, Ka, h), _contd8_coefs(yb, nb, Kb, h)
@@ -605,9 +712,16 @@ def _next_h(err, h_use, h_max):
 
 
 @njit(cache=True)
-def _h_max(event_kind):
-    """Largest step of a drive to the event region event_kind."""
-    return H_MAX_V_ENTRY if event_kind == EVENT_V_ENTRY else H_MAX
+def _h_max(event_kind, uframe):
+    """Largest step of a drive to the event region event_kind in a frame.
+
+    The u-frame has no cap but for the V-entry band, which one long step
+    could jump over: its escape and truncation regions cannot be entered
+    and left within one step (module docstring).
+    """
+    if event_kind == EVENT_V_ENTRY:
+        return H_MAX_V_ENTRY
+    return math.inf if uframe else H_MAX
 
 
 @njit(cache=True)
@@ -740,7 +854,9 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
         a1 = abs(x1)
         a2 = abs(x2)
         lo = a1 if a1 < a2 else a2
-        return lo > radius and r > epsilon, 0
+        # a step that lands on the outer knot, within KNOT_TOL of |w| =
+        # epsilon (cutoff mode), is outside the band on either side of it
+        return lo > radius and r > epsilon - KNOT_TOL * epsilon, 0
     if kind == EVENT_TRUNC_REGION:
         hit = x1 <= -epsilon and x2 <= -epsilon and x1 + x2 <= -3.0 * epsilon
         return hit, 0
@@ -753,80 +869,73 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
 
 
 @njit(cache=True)
-def _advance(y0, y1, y2, y3, f0, f1, f2, f3, h_use, fdir, h_land, with_z, alpha,
-             table, rtol, h_max):
-    """One judged DOP853 attempt of size fdir h_use from state y, derivative f.
+def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame):
+    """One judged DOP853 attempt of size fdir h_use from (ya, yb), derivative (fa, fb).
 
-    w is stepped with _rhs2, and z with _rhs_z only if with_z.  The error
-    sums z's squares first, then w's, over 4 or 2 components.  In cutoff
-    mode the attempt is cut at a knot and h_land carries the landing rule,
-    as the module docstring says.  Returns (verdict, n0, n1, n2, n3, k0,
-    k1, k2, k3, h, h_land), verdict ACCEPTED, RETAKE or DEAD (a non-finite
-    attempt with h < 1e-14), n the new state and, on acceptance, k the
+    frame is None in the w-frame, where the pair is w, stepped with
+    _rhs2; in cutoff mode the attempt is cut at a knot and h_land carries
+    the landing rule, as the module docstring says.  In the u-frame frame
+    is the (table, EA, EB) of _rhs_u for this attempt, and no knot is
+    cut.  The error sums the pair's squares.  Returns (verdict, na, nb,
+    ka, kb, h, h_land), verdict ACCEPTED, RETAKE or DEAD (a non-finite
+    attempt with h < 1e-14), n the new pair and, on acceptance, k the
     derivative that seeds the next step; h is the next step size.
     """
     hs = fdir * h_use
-    n0, n1 = y0, y1
-    sq5 = sq3 = 0.0  # z's share of the squared scaled errors
-    finite = True
-    if with_z:
-        n0, n1, u0, u1, v0, v1 = _step2(y0, y1, f0, f1, hs, _rhs_z, alpha, table)
-        s0 = ATOL + rtol * max(abs(y0), abs(n0))
-        s1 = ATOL + rtol * max(abs(y1), abs(n1))
-        u0, u1, v0, v1 = u0 / s0, u1 / s1, v0 / s0, v1 / s1
-        sq5 = u0 * u0 + u1 * u1
-        sq3 = v0 * v0 + v1 * v1
-        finite = math.isfinite(n0) and math.isfinite(n1)
-    n2, n3, u2, u3, v2, v3 = _step2(y2, y3, f2, f3, hs, _rhs2, alpha, table)
-    cutoff = table[0] != MODE_PURE
-    k0 = k1 = k2 = k3 = 0.0
+    rhs, ctx, cutoff = _rhs2, table, table[0] != MODE_PURE
+    if frame is not None:
+        rhs, ctx, cutoff = _rhs_u, frame, False
+    na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, rhs, alpha, ctx)
+    ka = kb = 0.0
     err = math.inf
-    if finite and math.isfinite(n2) and math.isfinite(n3):
-        s2 = ATOL + rtol * max(abs(y2), abs(n2))
-        s3 = ATOL + rtol * max(abs(y3), abs(n3))
+    if math.isfinite(na) and math.isfinite(nb):
+        s2 = ATOL + rtol * max(abs(ya), abs(na))
+        s3 = ATOL + rtol * max(abs(yb), abs(nb))
         u2, u3, v2, v3 = u2 / s2, u3 / s3, v2 / s2, v3 / s3
-        err = _err_norm(sq5 + u2 * u2 + u3 * u3, sq3 + v2 * v2 + v3 * v3,
-                        4.0 if with_z else 2.0, hs)
+        err = _err_norm(u2 * u2 + u3 * u3, v2 * v2 + v3 * v3, 2.0, hs)
         if cutoff and (
             err <= 1.0
-            or _knot_crossed(y2 * y2 + y3 * y3, n2 * n2 + n3 * n3, table) > 0.0
+            or _knot_crossed(ya * ya + yb * yb, na * na + nb * nb, table) > 0.0
         ):
-            k2, k3 = _rhs2(n2, n3, alpha, table)
-            frac = _knot_fraction(y2, y3, f2, f3, n2, n3, k2, k3, hs, table)
+            ka, kb = _rhs2(na, nb, alpha, table)
+            frac = _knot_fraction(ya, yb, fa, fb, na, nb, ka, kb, hs, table)
             if frac < 1.0:
-                return (RETAKE, n0, n1, n2, n3, k0, k1, k2, k3, h_use * frac,
-                        max(h_land, h_use))
+                return RETAKE, na, nb, ka, kb, h_use * frac, max(h_land, h_use)
     h = _next_h(err, h_use, h_max)
     verdict = DEAD if not err < math.inf and h < 1e-14 else RETAKE
     if err <= 1.0:
         verdict = ACCEPTED
         if h_land > 0.0:
-            if _on_knot(n2, n3, table):
+            if _on_knot(na, nb, table):
                 h = max(h, h_land)
             h_land = 0.0
-        if with_z:
-            k0, k1 = _rhs_z(n0, n1, alpha, table)
         if not cutoff:
-            k2, k3 = _rhs2(n2, n3, alpha, table)
-    return verdict, n0, n1, n2, n3, k0, k1, k2, k3, h, h_land
+            ka, kb = rhs(na, nb, alpha, ctx, 12)
+    return verdict, na, nb, ka, kb, h, h_land
 
 
-@njit(cache=True)
-def _dense_event(p0, p1, p2, p3, f0, f1, f2, f3, n0, n1, n2, n3, k0, k1, k2, k3,
-                 h_acc, fdir, alpha, table, radius, kind):
-    """Locate an event crossing inside one accepted step of size h_acc.
+def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, end, h_acc, t, fdir, zx, zy, alpha,
+                 table, frame, radius, kind):
+    """Locate an event crossing inside one accepted step of size h_acc from time t.
 
-    The step took state p, with derivative f, to state n inside the event
-    region, with derivative k; fdir is the sign of the step.  The event
-    predicate is bisected on the dense output of the step (_dense2 on z
-    and on w): at most EVENT_HALVINGS halvings, stopping once hi - lo <
-    EVENT_TOL max(hi, 1).  Returns (y0, y1, y2, y3, dt, sign): the state
-    at the first time offset dt from p found inside the region, the end
-    state n itself if that is the whole step, and the event sign there.
+    The step took the pair p, with derivative f, to n, with derivative k,
+    and to the state end = [z, w] inside the event region; frame is that
+    of its _advance.  The event predicate is bisected on the dense output
+    of the pair (_dense2), each state converted (_to_zw) with the factors
+    at its own time: at most EVENT_HALVINGS halvings, stopping once
+    hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the state
+    at the first time offset dt from t found inside the region, end
+    itself if that is the whole step, and the event sign there.
     """
     hs = fdir * h_acc
-    c0, c1 = _dense2(p0, p1, f0, f1, n0, n1, k0, k1, hs, _rhs_z, alpha, table)
-    c2, c3 = _dense2(p2, p3, f2, f3, n2, n3, k2, k3, hs, _rhs2, alpha, table)
+    uframe = frame is not None
+    if uframe:
+        da, db = _factors(alpha, fdir * t + _DENSE_NODES * hs)
+        frame = (table, frame[1] + da.tolist(), frame[2] + db.tolist())
+        ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs_u, alpha, frame)
+    else:
+        ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs2, alpha, table)
+    _, sign = _event_val(*end, radius, table[1], kind)
     lo = 0.0
     hi = h_acc
     for _ in range(EVENT_HALVINGS):
@@ -834,24 +943,18 @@ def _dense_event(p0, p1, p2, p3, f0, f1, f2, f3, n0, n1, n2, n3, k0, k1, k2, k3,
             break
         mid = 0.5 * (lo + hi)
         x = mid / h_acc
-        mhit, _ = _event_val(_contd8(p0, x, c0), _contd8(p1, x, c1),
-                             _contd8(p2, x, c2), _contd8(p3, x, c3), radius,
-                             table[1], kind)
+        ea, eb = _factors(alpha, fdir * (t + mid))
+        state = _to_zw(_contd8(pa, x, ca), _contd8(pb, x, cb), zx, zy, float(ea),
+                       float(eb), uframe)
+        mhit, msign = _event_val(*state, radius, table[1], kind)
         if mhit:
-            hi = mid
+            hi, end, sign = mid, state, msign
         else:
             lo = mid
-    if hi < h_acc:
-        x = hi / h_acc
-        n0 = _contd8(p0, x, c0)
-        n1 = _contd8(p1, x, c1)
-        n2 = _contd8(p2, x, c2)
-        n3 = _contd8(p3, x, c3)
-    _, sign = _event_val(n0, n1, n2, n3, radius, table[1], kind)
-    return n0, n1, n2, n3, hi, sign
+    return end, hi, sign
 
 
-@njit(cache=True)
+@np.errstate(over="ignore")
 def _drive(
     y0, y1, y2, y3, t_end, alpha, table, rtol, radius, event_kind, max_steps, rec, fdir
 ):
@@ -859,29 +962,33 @@ def _drive(
 
     Returns (status, t, y0, y1, y2, y3, event_sign, n_recorded, n_steps).
     t advances by the step size; fdir (+1 or -1) is the sign of every
-    step, so fdir = -1 follows the upward flow.  The start and accepted
-    states are appended to rec as rows (t, y0, y1, y2, y3) until its
-    capacity is reached; a rec of zero rows records nothing.
+    step, so fdir = -1 follows the upward flow.  z is taken in closed
+    form (_factors at tau = fdir t) and the pair integrated is w, then u
+    from the switch on (module docstring).  The start and accepted states
+    [z, w] are appended to rec as rows (t, y0, y1, y2, y3) until its
+    capacity is reached; a rec of zero rows records nothing.  An accepted
+    step whose state [z, w] is not finite ends the drive STATUS_NONFINITE
+    at the state before it.
     """
+    zx, zy = y0, y1
+    va, vb = y2, y3
     t = 0.0
     h = H_FIRST
     h_land = 0.0
-    h_max = _h_max(event_kind)
-    f10, f11 = _rhs_z(y0, y1, alpha, table)
-    f12, f13 = _rhs2(y2, y3, alpha, table)
+    uframe = False
+    h_max = _h_max(event_kind, uframe)
+    fa, fb = _rhs2(y2, y3, alpha, table)
+    f12, f13 = fa, fb  # w' at the state [z, w], for the stall speed
     nrec = 0
     cap = rec.shape[0]
     if nrec < cap:
-        rec[nrec, 0] = t
-        rec[nrec, 1] = y0
-        rec[nrec, 2] = y1
-        rec[nrec, 3] = y2
-        rec[nrec, 4] = y3
+        rec[nrec] = t, y0, y1, y2, y3
         nrec += 1
     status = STATUS_RUNNING
     esign = 0
     steps = 0
     while steps < max_steps:
+        f10, f11 = _rhs_z(y0, y1, alpha, table)
         speed = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
         if speed < STALL_SPEED:
             status = STATUS_STALLED
@@ -891,36 +998,56 @@ def _drive(
             status = STATUS_TIME_END
             break
         h_use = h if h < remaining else remaining
-        verdict, n0, n1, n2, n3, k0, k1, k2, k3, h, h_land = _advance(
-            y0, y1, y2, y3, f10, f11, f12, f13, h_use, fdir, h_land, True, alpha,
-            table, rtol, h_max,
+        hs = fdir * h_use
+        frame = None
+        if uframe:
+            ea, eb = _factors(alpha, fdir * t + _STEP_NODES * hs)
+            frame = (table, ea.tolist(), eb.tolist())
+            ea, eb = frame[1][12], frame[2][12]
+        else:
+            ea, eb = _factors(alpha, fdir * t + hs)
+            ea, eb = float(ea), float(eb)
+        verdict, na, nb, ka, kb, h, h_land = _advance(
+            va, vb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame
         )
         steps += 1
         if verdict == DEAD:
             status = STATUS_NONFINITE
             break
-        if verdict == ACCEPTED:
-            hit, _ = _event_val(n0, n1, n2, n3, radius, table[1], event_kind)
-            if hit:
-                y0, y1, y2, y3, dt, esign = _dense_event(
-                    y0, y1, y2, y3, f10, f11, f12, f13, n0, n1, n2, n3, k0, k1,
-                    k2, k3, h_use, fdir, alpha, table, radius, event_kind,
-                )
-                t += dt
-                status = STATUS_EVENT
+        if verdict != ACCEPTED:
+            continue
+        end = _to_zw(na, nb, zx, zy, ea, eb, uframe)
+        if not all(map(math.isfinite, end)):
+            status = STATUS_NONFINITE
+            break
+        hit, _ = _event_val(*end, radius, table[1], event_kind)
+        if hit:
+            end, dt, esign = _dense_event(
+                va, vb, fa, fb, na, nb, ka, kb, end, h_use, t, fdir, zx, zy, alpha,
+                table, frame, radius, event_kind,
+            )
+            t += dt
+            status = STATUS_EVENT
+        else:
+            va, vb, fa, fb = na, nb, ka, kb
+            t += h_use
+            if uframe:
+                f12, f13 = _w_dot(va, vb, fa, fb, ea, eb, alpha)
             else:
-                y0, y1, y2, y3 = n0, n1, n2, n3
-                f10, f11, f12, f13 = k0, k1, k2, k3
-                t += h_use
-            if nrec < cap:
-                rec[nrec, 0] = t
-                rec[nrec, 1] = y0
-                rec[nrec, 2] = y1
-                rec[nrec, 3] = y2
-                rec[nrec, 4] = y3
-                nrec += 1
-            if hit:
-                break
+                f12, f13 = ka, kb
+                # the switch: |w| >= epsilon and growing along the drive
+                if _hypot(na, nb) >= table[1] and fdir * (na * ka + nb * kb) > 0.0:
+                    s = complex(np.sqrt(complex(na, nb)))
+                    va, vb = s.real / ea, s.imag / eb
+                    fa, fb = _rhs_u(va, vb, alpha, (table, (ea,), (eb,)), 0)
+                    uframe = True
+                    h_max = _h_max(event_kind, uframe)
+        y0, y1, y2, y3 = end
+        if nrec < cap:
+            rec[nrec] = t, y0, y1, y2, y3
+            nrec += 1
+        if hit:
+            break
     if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
@@ -997,9 +1124,8 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
                 have_prev = True
                 t_next = t + 0.7
         h_use = h
-        verdict, _, _, n2, n3, _, _, k2, k3, h, h_land = _advance(
-            0.0, 0.0, y2, y3, 0.0, 0.0, f12, f13, h_use, 1.0, h_land, False, alpha,
-            table, rtol, H_MAX,
+        verdict, n2, n3, k2, k3, h, h_land = _advance(
+            y2, y3, f12, f13, h_use, 1.0, h_land, alpha, table, rtol, H_MAX, None
         )
         steps += 1
         if verdict == ACCEPTED:
@@ -1072,12 +1198,29 @@ def _rhs_w_np(W, alpha, table):
     return F
 
 
-def _rhs_np(Y, alpha, table):
-    """Vectorized right-hand side on rows [Re z, Im z, Re w, Im w]."""
-    F = np.empty_like(Y)
-    F[:, 0] = (alpha - 1.0) * Y[:, 0]
-    F[:, 1] = -alpha * Y[:, 1]
-    F[:, 2:] = _rhs_w_np(Y[:, 2:], alpha, table)
+def _rhs_u_np(U, ea, eb, alpha, table):
+    """Vectorized twin of :func:`_rhs_u` on rows [Re u, Im u], factors ea, eb."""
+    sx = ea * U[:, 0]
+    sy = eb * U[:, 1]
+    r = sx * sx + sy * sy
+    x = table[1] / r / r
+    g = np.sqrt(1.0 + x)
+    d = 1.0 + 2.0 * x
+    p = x * (x - g) / ((g + 1.0) * d)
+    q = -x / d
+    if table[0] != MODE_PURE:
+        out = r >= table[4]
+        p[out] = q[out] = 0.0
+        mid = ~(r < table[2]) & ~out
+        if mid.any():
+            kappa, shrink = _kappa_shrink_np(r[mid], table)
+            drift = 0.5 * kappa * (2.0 * alpha - 1.0)
+            p[mid] = drift / ((2.0 * alpha - 1.0) * r[mid]) - 1.0
+            q[mid] = shrink - 1.0
+    c = (alpha - 0.5) * p
+    F = np.empty_like(U)
+    F[:, 0] = U[:, 0] * (c - 0.5 * q)
+    F[:, 1] = -U[:, 1] * (c + 0.5 * q)
     return F
 
 
@@ -1089,28 +1232,30 @@ def _sum_sq(Q):
     return acc
 
 
-def _stages_np(Y, K1, hc, rhs):
-    """Stages 1-12 of a DOP853 step of per-row size hc (a column) for all rows.
+def _stages_np(Y, K1, h, rhs, t):
+    """Stages 1-12 of a DOP853 step of per-row signed size h for all rows.
 
-    rhs maps state rows to derivative rows and K1 is the derivative at Y.
-    Returns the list of the 12 stage derivatives, K1 first.
+    rhs(Z, k, t, h) maps the state rows Z of stage index k (FRAME_NODES)
+    of steps of size h from times t to derivative rows, and K1 is the
+    derivative at Y.  Returns the list of the 12 stage derivatives, K1
+    first.
     """
+    hc = h[:, None]
     K = [K1]
-    for terms in STAGES:
-        K.append(rhs(Y + hc * _combo(K, terms)))
+    for k, terms in enumerate(STAGES, 1):
+        K.append(rhs(Y + hc * _combo(K, terms), k, t, h))
     return K
 
 
-def _attempt_np(Y, K1, h, rhs, rtol):
-    """One embedded DOP853 attempt for all rows with per-row step h.
+def _attempt_np(Y, K1, h, rhs, rtol, t):
+    """One embedded DOP853 attempt for all rows with per-row step h from times t.
 
     rhs and K1 are those of :func:`_stages_np`.  Returns the 8th order
     states and the scaled error of each row (as :func:`_err_norm`); rows
     whose new state is not finite get inf.
     """
-    hc = h[:, None]
-    K = _stages_np(Y, K1, hc, rhs)
-    Yn = Y + hc * _combo(K, WEIGHTS)
+    K = _stages_np(Y, K1, h, rhs, t)
+    Yn = Y + h[:, None] * _combo(K, WEIGHTS)
     scale = ATOL + rtol * np.maximum(np.abs(Y), np.abs(Yn))
     sq5 = _sum_sq(_combo(K, ERR5) / scale)
     sq3 = _sum_sq(_combo(K, ERR3) / scale)
@@ -1120,18 +1265,18 @@ def _attempt_np(Y, K1, h, rhs, rtol):
     return Yn, err
 
 
-def _dense_np(Y, K1, Yn, Kn, h, rhs):
+def _dense_np(Y, K1, Yn, Kn, h, rhs, t):
     """Dense output of accepted DOP853 steps, row by row, as :func:`_dense2`.
 
-    Each step of size h took Y, with derivative K1, to Yn, with
-    derivative Kn; rhs is the one it was taken with.  Returns the 7
-    coefficients as one array of shape (7, rows, columns) that
+    Each step of signed size h from time t took Y, with derivative K1,
+    to Yn, with derivative Kn; rhs is the one it was taken with.  Returns
+    the 7 coefficients as one array of shape (7, rows, columns) that
     :func:`_contd8` reads.
     """
     hc = h[:, None]
-    K = _stages_np(Y, K1, hc, rhs) + [Kn]
-    for terms in DENSE_STAGES:
-        K.append(rhs(Y + hc * _combo(K, terms)))
+    K = _stages_np(Y, K1, h, rhs, t) + [Kn]
+    for k, terms in enumerate(DENSE_STAGES, 13):
+        K.append(rhs(Y + hc * _combo(K, terms), k, t, h))
     return np.array(_contd8_coefs(Y, Yn, K, hc))
 
 
@@ -1201,7 +1346,8 @@ def _event_np(Y, radius, epsilon, kind):
     x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
     sign = np.zeros(n, dtype=np.int64)
     if kind == EVENT_PAIR_ESCAPE:
-        hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
+        hit = ((np.minimum(np.abs(x1), np.abs(x2)) > radius)
+               & (r > epsilon - KNOT_TOL * epsilon))
         return hit, sign
     if kind == EVENT_TRUNC_REGION:
         hit = (x1 <= -epsilon) & (x2 <= -epsilon) & (x1 + x2 <= -3.0 * epsilon)
@@ -1214,54 +1360,61 @@ def _event_np(Y, radius, epsilon, kind):
 
 
 def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.inf,
-              fdir=1.0, event=None):
-    """Advance the rows of Y and t in place, one attempt per active row in
-    each of at most max_steps iterations.
+              fdir=1.0, accept=None, start=None):
+    """Advance the active rows of Y and t in place, one attempt per active
+    row in each iteration, until no row is active.
 
-    Each iteration stop(active, K1) first clears the rows that end there,
+    rhs(Z, k, t, h) is that of :func:`_stages_np`.  Every row is active
+    from H_FIRST at first, or start = (active, h, K1, steps) gives the
+    active rows, their next step sizes, derivatives and the attempts they
+    have made; a row leaves once it has made max_steps attempts.  Each
+    iteration stop(active, K1) first clears the rows that end there,
     setting their status; steps are clipped to t_end - t and capped at
-    h_max.  The last two columns of Y are w.  In cutoff mode a finite
-    attempt that carries |w| across one of the knots of the smoothing
-    table is retaken, cut to the crossing by :func:`_knot_cut_np` as in
-    :func:`_advance`, and the step after a cut one that lands on a knot
-    (:func:`_on_knot`, row by row) resumes at no less than the step it
-    cut; pure mode runs no knot code.  An accepted step ending where
-    event(Yn) holds is not taken: the row stops with STATUS_EVENT, its
-    step goes to h_event and its end state and derivative to Y_event and
-    K_event.  Returns (K1, h_event, Y_event, K_event).
+    h_max.  With a smoothing table in cutoff mode (table None: no knots)
+    the two columns of Y are w, and a finite attempt that carries |w|
+    across one of its knots is retaken, cut to the crossing by
+    :func:`_knot_cut_np` as in :func:`_advance`, and the step after a cut
+    one that lands on a knot (:func:`_on_knot`, row by row) resumes at no
+    less than the step it cut; pure mode runs no knot code.  The accepted
+    steps of rows ai, with end states Ya, derivatives Ka and sizes h_use,
+    go to accept(ai, Ya, Ka, h_use) before they are taken: it returns the
+    masks of those taken and of those whose rows stay active.  Returns
+    (h, K1, steps).
     """
     n = Y.shape[0]
-    cutoff = table[0] != MODE_PURE
-    h = np.full(n, H_FIRST)
+    cutoff = table is not None and table[0] != MODE_PURE
+    if start is None:
+        active, h = np.ones(n, dtype=bool), np.full(n, H_FIRST)
+        K1, steps = rhs(Y, 0, t, np.zeros(n)), np.zeros(n, dtype=np.int64)
+    else:
+        active, h, K1, steps = start
     h_land = np.zeros(n)
-    h_event = np.zeros(n)
-    Y_event, K_event = np.empty_like(Y), np.empty_like(Y)
-    K1 = rhs(Y)
-    active = np.ones(n, dtype=bool)
-    for _ in range(int(max_steps)):
+    while True:
+        active &= steps < max_steps
         stop(active, K1)
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        h_use = np.minimum(h[idx], t_end - t[idx])
+        steps[idx] += 1
+        ti = t[idx]
+        h_use = np.minimum(h[idx], t_end - ti)
         hs = fdir * h_use
-        Yn, err = _attempt_np(Y[idx], K1[idx], hs, rhs, rtol)
+        Yn, err = _attempt_np(Y[idx], K1[idx], hs, rhs, rtol, ti)
         h[idx] = _next_h_np(err, h_use, h_max)
         ok = err <= 1.0
         judged = np.ones(idx.size, dtype=bool)
         if cutoff:
             # accepted attempts, and rejected ones whose ends straddle a knot
-            qa, qb = _sum_sq(Y[idx, -2:]), _sum_sq(Yn[:, -2:])
+            qa, qb = _sum_sq(Y[idx]), _sum_sq(Yn)
             test = np.isfinite(Yn).all(axis=1) & (
                 ok | _holds_band_np(np.minimum(qa, qb), np.maximum(qa, qb), table))
             test = np.nonzero(test)[0]
             Kn = np.empty_like(Yn)
-            Kn[test] = rhs(Yn[test])
-            ti = idx[test]
-            frac = _knot_cut_np(Y[ti, -2:], K1[ti, -2:], Yn[test, -2:],
-                                Kn[test, -2:], hs[test], table)
+            Kn[test] = rhs(Yn[test], 12, ti[test], hs[test])
+            ci = idx[test]
+            frac = _knot_cut_np(Y[ci], K1[ci], Yn[test], Kn[test], hs[test], table)
             cut = frac < 1.0
-            c, ci = test[cut], ti[cut]
+            c, ci = test[cut], ci[cut]
             h[ci] = h_use[c] * frac[cut]
             h_land[ci] = np.maximum(h_land[ci], h_use[c])
             judged[c] = False
@@ -1273,25 +1426,21 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.i
             if land.size:
                 li = ai[land]
                 on = li[np.array([_on_knot(x, y, table)
-                                  for x, y in Ya[land, -2:].tolist()], dtype=bool)]
+                                  for x, y in Ya[land].tolist()], dtype=bool)]
                 h[on] = np.maximum(h[on], h_land[on])
                 h_land[li] = 0.0
-            Ka = Kn[acc] if cutoff else rhs(Ya)
-            if event is not None:
-                hit = event(Ya)
-                ev = ai[hit]
-                h_event[ev] = h_use[acc[hit]]
-                Y_event[ev], K_event[ev] = Ya[hit], Ka[hit]
-                status[ev] = STATUS_EVENT
-                active[ev] = False
-                acc, ai, Ya, Ka = acc[~hit], ai[~hit], Ya[~hit], Ka[~hit]
+            Ka = Kn[acc] if cutoff else rhs(Ya, 12, ti[acc], hs[acc])
+            if accept is not None:
+                take, stay = accept(ai, Ya, Ka, h_use[acc])
+                active[ai[~stay]] = False
+                acc, ai, Ya, Ka = acc[take], ai[take], Ya[take], Ka[take]
             Y[ai] = Ya
             t[ai] += h_use[acc]
             K1[ai] = Ka
         dead = idx[judged & ~(err < np.inf) & (h[idx] < 1e-14)]
         status[dead] = STATUS_NONFINITE
         active[dead] = False
-    return K1, h_event, Y_event, K_event
+    return h, K1, steps
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1301,42 +1450,79 @@ def _drive_batch_np(
 ):
     """Lockstep vectorized twin of :func:`_drive_batch`.
 
-    A row whose accepted step ends inside the event region stops there
-    with STATUS_EVENT, keeping its pre-step state, derivative and time.
-    After the lockstep the dense output of every event step is built in
-    one batch (:func:`_dense_np`) and all event rows are bisected on it
-    together, by the rule of :func:`_dense_event`: at most EVENT_HALVINGS
-    halvings per row, each row stopping once hi - lo < EVENT_TOL
-    max(hi, 1).  A stopped row keeps its bracket.
+    Two lockstep passes follow the rule of :func:`_drive`: every row
+    starts in the w-frame, and the rows that switch continue in a second
+    pass in the u-frame, so each pass has one right-hand side.  A row
+    whose accepted step ends inside the event region stops there with
+    STATUS_EVENT, keeping its pre-step pair, derivative and time.  After
+    each pass the dense output of its event steps is built in one batch
+    (:func:`_dense_np`) and all its event rows are bisected on it
+    together, by the rule of :func:`_dense_event`: at most
+    EVENT_HALVINGS halvings per row, each row stopping once hi - lo <
+    EVENT_TOL max(hi, 1).  A stopped row keeps its bracket.
     """
     arr = np.asarray(table)
-
-    def rhs(Z):
-        return _rhs_np(Z, alpha, arr)
+    n = Y.shape[0]
+    Z0 = Y[:, :2].copy()
+    V = Y[:, 2:].copy()  # the pair of the w-frame pass
+    U, KU = np.zeros((n, 2)), np.zeros((n, 2))  # the pair of the u-frame pass
+    K1 = _rhs_w_np(V, alpha, arr)
+    F = np.column_stack([(alpha - 1.0) * Z0[:, 0], -alpha * Z0[:, 1], K1])
+    switched = np.zeros(n, dtype=bool)
+    h_event, V_event, K_event = np.zeros(n), np.empty((n, 2)), np.empty((n, 2))
+    end_gate = 1e-14 * max(1.0, abs(t_end))
 
     def event(Z):
         return _event_np(Z, radius, arr[1], event_kind)[0]
 
-    end_gate = 1e-14 * max(1.0, abs(t_end))
+    def to_zw(P, rows, tau, uframe):
+        ea, eb = _factors(alpha, tau)
+        return np.column_stack(_to_zw(P[:, 0], P[:, 1], Z0[rows, 0], Z0[rows, 1],
+                                      ea, eb, uframe)), ea, eb
 
     def stop(active, K1):
-        stalled = active & (np.sqrt(_sum_sq(K1)) < STALL_SPEED)
+        stalled = active & (np.sqrt(_sum_sq(F)) < STALL_SPEED)
         out_status[stalled] = STATUS_STALLED
         active &= ~stalled
         done = active & (t_end - out_t <= end_gate)
         out_status[done] = STATUS_TIME_END
         active &= ~done
 
-    out_t[:] = 0.0
-    out_status[:] = STATUS_RUNNING
-    out_sign[:] = 0
-    K1, h_event, Y_event, K_event = _lockstep(
-        Y, out_t, rhs, rtol, max_steps, out_status, stop, _h_max(event_kind),
-        table, t_end, fdir, event)
-    ev = np.nonzero(out_status == STATUS_EVENT)[0]
-    if ev.size:
-        P, h, Pn = Y[ev], h_event[ev], Y_event[ev]
-        C = _dense_np(P, K1[ev], Pn, K_event[ev], fdir * h, rhs)
+    def accepter(uframe):
+        def accept(ai, Pa, Ka, h_use):
+            Yn, ea, eb = to_zw(Pa, ai, fdir * out_t[ai] + fdir * h_use, uframe)
+            bad = ~np.isfinite(Yn).all(axis=1)
+            out_status[ai[bad]] = STATUS_NONFINITE
+            hit = ~bad & event(Yn)
+            ev = ai[hit]
+            out_status[ev] = STATUS_EVENT
+            h_event[ev], V_event[ev], K_event[ev] = h_use[hit], Pa[hit], Ka[hit]
+            take = ~bad & ~hit
+            ti = ai[take]
+            Y[ti] = Yn[take]
+            F[ti, 0] = (alpha - 1.0) * Y[ti, 0]
+            F[ti, 1] = -alpha * Y[ti, 1]
+            if uframe:
+                F[ti, 2], F[ti, 3] = _w_dot(Pa[take, 0], Pa[take, 1], Ka[take, 0],
+                                            Ka[take, 1], ea[take], eb[take], alpha)
+                return take, take
+            F[ti, 2:] = Ka[take]
+            grow = fdir * (Yn[:, 2] * Ka[:, 0] + Yn[:, 3] * Ka[:, 1]) > 0.0
+            sw = take & (np.hypot(Yn[:, 2], Yn[:, 3]) >= arr[1]) & grow
+            if sw.any():
+                s = np.empty(np.count_nonzero(sw), dtype=complex)
+                s.real, s.imag = Yn[sw, 2], Yn[sw, 3]
+                s = np.sqrt(s)
+                si = ai[sw]
+                U[si, 0], U[si, 1] = s.real / ea[sw], s.imag / eb[sw]
+                KU[si] = _rhs_u_np(U[si], ea[sw], eb[sw], alpha, arr)
+                switched[si] = True
+            return take, take & ~sw
+        return accept
+
+    def refine(ev, P, K, rhs, uframe):
+        t, h = out_t[ev], h_event[ev]
+        C = _dense_np(P, K, V_event[ev], K_event[ev], fdir * h, rhs, t)
         lo = np.zeros(ev.size)
         hi = h.copy()
         for _ in range(EVENT_HALVINGS):
@@ -1344,14 +1530,41 @@ def _drive_batch_np(
             if not live.any():
                 break
             mid = 0.5 * (lo + hi)
-            mhit = event(_contd8(P, (mid / h)[:, None], C))
+            Pm = _contd8(P, (mid / h)[:, None], C)
+            mhit = event(to_zw(Pm, ev, fdir * (t + mid), uframe)[0])
             hi = np.where(live & mhit, mid, hi)
             lo = np.where(live & ~mhit, mid, lo)
-        moved = np.nonzero(hi < h)[0]
-        Pn[moved] = _contd8(P[moved], (hi[moved] / h[moved])[:, None], C[:, moved])
-        Y[ev] = Pn
-        out_sign[ev] = _event_np(Pn, radius, arr[1], event_kind)[1]
+        Yn = to_zw(V_event[ev], ev, fdir * t + fdir * h, uframe)[0]
+        m = np.nonzero(hi < h)[0]
+        Pm = _contd8(P[m], (hi[m] / h[m])[:, None], C[:, m])
+        Yn[m] = to_zw(Pm, ev[m], fdir * (t[m] + hi[m]), uframe)[0]
+        Y[ev] = Yn
+        out_sign[ev] = _event_np(Yn, radius, arr[1], event_kind)[1]
         out_t[ev] += hi
+
+    def w_rhs(Z, k, t, h):
+        return _rhs_w_np(Z, alpha, arr)
+
+    def u_rhs(Z, k, t, h):
+        return _rhs_u_np(Z, *_factors(alpha, fdir * t + FRAME_NODES[k] * h), alpha, arr)
+
+    out_t[:] = 0.0
+    out_status[:] = STATUS_RUNNING
+    out_sign[:] = 0
+    for uframe in (False, True):
+        if uframe:
+            P, rhs, active = U, u_rhs, switched.copy()
+            start = (active, h, KU, steps)
+        else:
+            P, rhs, active = V, w_rhs, np.ones(n, dtype=bool)
+            start = (active, np.full(n, H_FIRST), K1, np.zeros(n, dtype=np.int64))
+        h, K, steps = _lockstep(P, out_t, rhs, rtol, max_steps, out_status, stop,
+                                _h_max(event_kind, uframe), None if uframe else table,
+                                t_end, fdir, accepter(uframe), start)
+        # no row that switched had an event in the w-frame pass
+        ev = np.nonzero((out_status == STATUS_EVENT) & (switched == uframe))[0]
+        if ev.size:
+            refine(ev, P[ev], K[ev], rhs, uframe)
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
 
@@ -1368,7 +1581,7 @@ def _delta_batch_np(
     """
     arr = np.asarray(table)
 
-    def rhs(Z):
+    def rhs(Z, *_):
         return _rhs_w_np(Z, alpha, arr)
 
     n = W.shape[0]

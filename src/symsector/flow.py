@@ -49,9 +49,12 @@ class FlowSettings:
     the hypersurfaces live.  step_tolerance is the relative tolerance of
     every adaptive step and max_steps (an integer >= 1) the step budget
     of one trajectory; the three floats must be finite and positive.
-    The largest step and the stall speed are fixed: _kernels.H_MAX (0.5;
-    _kernels.H_MAX_V_ENTRY, 0.1, for the V-entry event) and
-    _kernels.STALL_SPEED (1e-10).
+    The largest step and the stall speed are fixed: _kernels.H_MAX (0.5)
+    for Delta and for a drive while it integrates w, no cap once a drive
+    integrates u = e^(-Lt) sqrt(w) beyond |w| = epsilon, in either frame
+    _kernels.H_MAX_V_ENTRY (0.1) for the V-entry event, and
+    _kernels.STALL_SPEED (1e-10).  A drive takes z in closed form, so the
+    step tolerance bounds the error of w (or u) alone.
     """
 
     max_time: float = 60.0
@@ -112,10 +115,16 @@ def flow_unperturbed_z(z0, t, alpha=ALPHA_DEFAULT):
     """Exact saddle flow of the z-coordinate, ignoring the w-coupling.
 
     Downward flow for t > 0: Re z grows at rate alpha-1, Im z decays at
-    rate alpha.  Negative t flows upward.
+    rate alpha.  Negative t flows upward.  This is the closed form the
+    drive kernels take for z (_kernels._factors), with the same bits; the
+    real and imaginary parts are set apart, so an infinite part leaves
+    the other finite.
     """
     z0 = np.asarray(z0, dtype=complex)
-    return np.exp((alpha - 1.0) * t) * z0.real + 1j * np.exp(-alpha * t) * z0.imag
+    ea, eb = _kernels._factors(alpha, np.asarray(t, dtype=float))
+    z = np.empty(np.broadcast(z0, ea).shape, dtype=complex)
+    z.real, z.imag = ea * z0.real, eb * z0.imag
+    return z[()]
 
 
 def point_of(state):
@@ -170,8 +179,11 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
 
     The trajectory terminates ESCAPED when both pair coordinates have
     |Re| beyond the escape radius and the point is outside the perturbed
-    band |w| <= epsilon; it terminates NEAR_CRITICAL if the speed drops
-    below the stall threshold, and MAX_TIME otherwise.
+    band |w| <= epsilon (within KNOT_TOL of |w| = epsilon counts as
+    outside, as a cutoff step landed on the outer knot does); it
+    terminates NEAR_CRITICAL if the speed drops below the stall
+    threshold, and MAX_TIME otherwise.  A recorded trajectory holds the
+    state [z, w] at the start and at each accepted step.
 
     Raises
     ------

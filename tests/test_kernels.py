@@ -70,12 +70,45 @@ def test_rhs_w_twins_agree_exactly(mode):
     assert np.isfinite(vec).all()
     for (y2, y3), row in zip(W.tolist(), vec.tolist()):
         assert tuple(_kernels._rhs2(y2, y3, ALPHA, table)) == tuple(row)
-    # _rhs_z is the z-part of _rhs_np, here fed the w rows as z values
-    Y = np.column_stack([W, W])
-    full = _kernels._rhs_np(Y, ALPHA, table)
-    assert np.array_equal(full[:, 2:], vec)
-    for (y0, y1), row in zip(W.tolist(), full[:, :2].tolist()):
-        assert _kernels._rhs_z(y0, y1, ALPHA, table) == tuple(row)
+    # the u-frame twins, on u rows whose s = (ea u0, eb u1) has |s|^2 near
+    # each radius; the factors of tau = 0 are 1.0, so there |s|^2 is r
+    S = _w_rows(np.sqrt(radii))
+    tau = np.where(np.arange(len(S)) % 2, np.linspace(-2.0, 2.0, len(S)), 0.0)
+    ea, eb = _kernels._factors(ALPHA, tau)
+    U = S / np.column_stack([ea, eb])
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 gives nan
+        vec = _kernels._rhs_u_np(U, ea, eb, ALPHA, table)
+    rows = zip(U.tolist(), ea.tolist(), eb.tolist(), vec.tolist())
+    for (u0, u1), a, b, row in rows:
+        got = _kernels._rhs_u(u0, u1, ALPHA, (table, (a,), (b,)), 0)
+        assert _bits(got) == _bits(row)
+    if mode == "cutoff":
+        # beyond the outer knot s moves linearly, so u does not move at all
+        outside = (_kernels._sum_sq(S) >= table[4]) & (tau == 0.0)
+        assert outside.any() and not vec[outside].any()
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_u_frame_rhs_is_the_w_flow(mode):
+    # u' = e^(-L tau) (G(s) - L s) with G(s) = w'(s^2) / (2 s): against that
+    # definition, from _rhs2 in complex arithmetic, which cancels where the
+    # kernel's closed form in x = eps/r^2 does not
+    table = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode).table
+    rng = np.random.default_rng(4)
+    s = (rng.uniform(-1.0, 1.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400)) * 10.0 ** (
+        rng.uniform(0.0, 3.0, 400))
+    s = s[np.abs(s) ** 2 >= 4.0]  # the pure form and every cutoff segment
+    tau = rng.uniform(-2.0, 2.0, s.size)
+    ea, eb = _kernels._factors(ALPHA, tau)
+    for sk, a, b in zip(s.tolist(), ea.tolist(), eb.tolist()):
+        w = sk * sk
+        g = complex(*_kernels._rhs2(w.real, w.imag, ALPHA, table)) / (2.0 * sk)
+        ls = complex((ALPHA - 1.0) * sk.real, -ALPHA * sk.imag)
+        d = g - ls
+        want = (d.real / a, d.imag / b)
+        got = _kernels._rhs_u(sk.real / a, sk.imag / b, ALPHA, (table, (a,), (b,)), 0)
+        scale = 1e-13 * abs(ls)
+        assert abs(got[0] - want[0]) * a <= scale and abs(got[1] - want[1]) * b <= scale
 
 
 def _bits(*arrays):
@@ -168,64 +201,81 @@ def test_step_controller_twins_agree_exactly(h_max):
     assert [_kernels._next_h(e, h_use, h_max) for e in errs] == vec.tolist()
 
 
+def _frames(mode, rng, n):
+    """Random (rhs_np, scalar rhs, context of stage k, pair rows) of both frames.
+
+    The w-frame rows are w, the u-frame rows u with their attempts from
+    random times t; the scalar context of an attempt of size h from t is
+    its table, or the frame of _rhs_u (what _drive passes to _advance).
+    """
+    table = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode).table
+    t = rng.uniform(0.0, 3.0, n)
+
+    def w_rhs(Z, k, t, h):
+        return _kernels._rhs_w_np(Z, ALPHA, table)
+
+    def u_rhs(Z, k, t, h):
+        tau = t + _kernels.FRAME_NODES[k] * h
+        return _kernels._rhs_u_np(Z, *_kernels._factors(ALPHA, tau), ALPHA, table)
+
+    def u_frame(tk, hk):
+        ea, eb = _kernels._factors(ALPHA, tk + _kernels._STEP_NODES * hk)
+        da, db = _kernels._factors(ALPHA, tk + _kernels._DENSE_NODES * hk)
+        return table, ea.tolist() + da.tolist(), eb.tolist() + db.tolist()
+
+    Y = rng.uniform(-48.0, 48.0, (n, 2)) * 10.0 ** rng.integers(-2, 3, (n, 1))
+    Y[np.hypot(Y[:, 0], Y[:, 1]) < 1.0] += 3.0  # away from w = 0 and s = 0
+    return t, [(w_rhs, _kernels._rhs2, lambda tk, hk: table, Y),
+               (u_rhs, _kernels._rhs_u, u_frame, Y / 8.0)]
+
+
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_step_twins_agree_exactly(mode):
-    # one attempt from random states, steps of either sign: the numpy
-    # attempt and two scalar steps (z, then w) give the same new state and
+    # one attempt from random pairs of either frame, steps of either sign:
+    # the numpy attempt and the scalar step give the same new pair and
     # scaled error; a regrouped stage sum parts them on a few rows in 1e3
-    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    table = params.table
     rng = np.random.default_rng(8)
-    n = 4000
-    Y = rng.uniform(-48.0, 48.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 1))
+    n = 2000
     h = rng.uniform(0.01, 0.5, n) * rng.choice([-1.0, 1.0], n)
     rtol = 1e-9
-
-    def rhs(Z):
-        return _kernels._rhs_np(Z, ALPHA, table)
-
-    K1 = rhs(Y)
-    Yn, err = _kernels._attempt_np(Y, K1, h, rhs, rtol)
-    for k, (y, f, hk) in enumerate(zip(Y.tolist(), K1.tolist(), h.tolist())):
-        z = _kernels._step2(y[0], y[1], f[0], f[1], hk, _kernels._rhs_z, ALPHA, table)
-        w = _kernels._step2(y[2], y[3], f[2], f[3], hk, _kernels._rhs2, ALPHA, table)
-        new = [z[0], z[1], w[0], w[1]]
-        scale = [_kernels.ATOL + rtol * max(abs(a), abs(b)) for a, b in zip(y, new)]
-        q5 = [e / c for e, c in zip([z[2], z[3], w[2], w[3]], scale)]
-        q3 = [e / c for e, c in zip([z[4], z[5], w[4], w[5]], scale)]
-        sq5 = q5[0] * q5[0] + q5[1] * q5[1] + q5[2] * q5[2] + q5[3] * q5[3]
-        sq3 = q3[0] * q3[0] + q3[1] * q3[1] + q3[2] * q3[2] + q3[3] * q3[3]
-        assert new == Yn[k].tolist()
-        assert _kernels._err_norm(sq5, sq3, 4.0, hk) == err[k]
+    t, frames = _frames(mode, rng, n)
+    for rhs, rhs2, ctx, Y in frames:
+        K1 = rhs(Y, 0, t, h)
+        Yn, err = _kernels._attempt_np(Y, K1, h, rhs, rtol, t)
+        rows = zip(Y.tolist(), K1.tolist(), h.tolist(), t.tolist())
+        for k, (y, f, hk, tk) in enumerate(rows):
+            c = ctx(tk, hk)
+            assert _bits(rhs2(*y, ALPHA, c, 0)) == _bits(f)
+            na, nb, e5a, e5b, e3a, e3b = _kernels._step2(*y, *f, hk, rhs2, ALPHA, c)
+            sa, sb = (_kernels.ATOL + rtol * max(abs(p), abs(q))
+                      for p, q in zip(y, (na, nb)))
+            e5a, e5b, e3a, e3b = e5a / sa, e5b / sb, e3a / sa, e3b / sb
+            sq5 = e5a * e5a + e5b * e5b
+            sq3 = e3a * e3a + e3b * e3b
+            assert [na, nb] == Yn[k].tolist()
+            assert _kernels._err_norm(sq5, sq3, 2.0, hk) == err[k]
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_dense_twins_agree_exactly(mode):
-    # the dense output of one step from random states, steps of either
-    # sign: the coefficients of _dense_np on 4-column rows are those of
-    # _dense2 on z and on w, bit for bit
-    table = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode).table
+    # the dense output of one step from random pairs of either frame, steps
+    # of either sign: the coefficients of _dense_np are those of _dense2, bit
+    # for bit
     rng = np.random.default_rng(9)
-    n = 1500
-    Y = rng.uniform(-48.0, 48.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 1))
+    n = 1000
     h = rng.uniform(0.01, 0.5, n) * rng.choice([-1.0, 1.0], n)
-
-    def rhs(Z):
-        return _kernels._rhs_np(Z, ALPHA, table)
-
-    K1 = rhs(Y)
-    Yn = _kernels._attempt_np(Y, K1, h, rhs, 1e-9)[0]
-    Kn = rhs(Yn)
-    C = _kernels._dense_np(Y, K1, Yn, Kn, h, rhs)
-    assert C.shape == (7, n, 4) and np.isfinite(C).all()
-    rows = zip(Y.tolist(), K1.tolist(), Yn.tolist(), Kn.tolist(), h.tolist())
-    for k, (y, f, yn, g, hk) in enumerate(rows):
-        coefs = []
-        for a, rhs2 in ((0, _kernels._rhs_z), (2, _kernels._rhs2)):
-            coefs += _kernels._dense2(y[a], y[a + 1], f[a], f[a + 1], yn[a],
-                                      yn[a + 1], g[a], g[a + 1], hk, rhs2, ALPHA,
-                                      table)
-        assert [list(c) for c in coefs] == C[:, k].T.tolist()
+    t, frames = _frames(mode, rng, n)
+    for rhs, rhs2, ctx, Y in frames:
+        K1 = rhs(Y, 0, t, h)
+        Yn = _kernels._attempt_np(Y, K1, h, rhs, 1e-9, t)[0]
+        Kn = rhs(Yn, 12, t, h)
+        C = _kernels._dense_np(Y, K1, Yn, Kn, h, rhs, t)
+        assert C.shape == (7, n, 2) and np.isfinite(C).all()
+        rows = zip(Y.tolist(), K1.tolist(), Yn.tolist(), Kn.tolist(), h.tolist(),
+                   t.tolist())
+        for k, (y, f, yn, g, hk, tk) in enumerate(rows):
+            coefs = _kernels._dense2(*y, *f, *yn, *g, hk, rhs2, ALPHA, ctx(tk, hk))
+            assert [list(c) for c in coefs] == C[:, k].T.tolist()
 
 
 def test_tableau_matches_scipy():
@@ -492,6 +542,20 @@ def test_event_twins_agree_exactly(kind):
         assert (bool(got[0]), int(got[1])) == (h, sg)
 
 
+def test_escape_region_counts_the_outer_knot_as_outside():
+    # a step that ends an entry into the escape region by |w| shrinking
+    # through epsilon lands on the outer knot in cutoff mode, on either side
+    # of it within KNOT_TOL; the region counts that whole band as outside
+    epsilon, radius = 16.0, 64.0
+    tol = _kernels.KNOT_TOL
+    for r, hit in ((epsilon * (1.0 - 0.5 * tol), True), (epsilon, True),
+                   (epsilon * (1.0 - 2.0 * tol), False)):
+        row = (-100.0, 0.0, 0.0, r)  # w = i r: |Re sqrt(w)| = sqrt(r / 2)
+        assert _kernels._event_val(*row, radius, epsilon, 1) == (hit, 0)
+        vec = _kernels._event_np(np.array([row]), radius, epsilon, 1)
+        assert vec[0].tolist() == [hit]
+
+
 # two rows inside each region at t = 0, with the event signs they take
 _INSIDE = {
     _kernels.EVENT_PAIR_ESCAPE: [(300.0, 0.0, 1e4, 0.0), (-300.0, 0.0, 1e4, 0.0)],
@@ -573,6 +637,62 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
 
 
+# z values and roots sqrt(w0) around the switch at |w| = epsilon = 16: roots
+# inside it, outside it near the imaginary axis (|w| shrinks before it grows)
+# and outside it near the real axis (|w| grows at once)
+_SWITCH_Z = [(-40.0, 3.0), (30.0, -1.0), (5.0, 0.5), (-10.0, 20.0)]
+_SWITCH_S = [0.5 + 0.2j, 1.0 + 3.0j, 2.0 - 1.0j, 3.5 + 0.5j,
+             0.3 + 6.0j, -0.2 + 9.0j, 0.1 - 20.0j, 1.0 + 40.0j,
+             6.0 + 0.3j, -9.0 + 1.0j, 20.0 - 2.0j, 45.0 + 5.0j]
+
+
+@pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+@pytest.mark.parametrize("kind", range(4),
+                         ids=["none", "pair-escape", "trunc-region", "v-entry"])
+def test_drive_twins_agree_across_the_switch(kind, mode, fdir):
+    # every root with every z: 48 rows, enough for the lockstep, whose
+    # w-frame and u-frame passes give the bits of the scalar drive
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    args = flow._drive_args(params, FlowSettings(escape_radius=64.0, max_steps=2000),
+                            kind)
+    rows = [(x, y, (v * v).real, (v * v).imag) for x, y in _SWITCH_Z for v in _SWITCH_S]
+    batch, scalar = _drive_both(rows, args, 4.0, fdir)
+    _assert_twins(batch, scalar)
+    _assert_events_hold(batch, args)
+    if kind == _kernels.EVENT_NONE:
+        # fixed-time drives from inside epsilon end in the u-frame
+        status, _, _, Y = batch
+        assert np.all(status == _kernels.STATUS_TIME_END)
+        r = np.hypot(Y[:, 2], Y[:, 3])
+        start = np.abs(np.array(_SWITCH_S * len(_SWITCH_Z))) ** 2
+        assert (r[start < 16.0] > 64.0).any()
+
+
+@pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_no_drive_returns_inside_epsilon(mode, fdir):
+    # beyond |w| = epsilon the flow is near the linear saddle, along which
+    # x^2 / y^2 of s = x + i y is monotone, so |w| once growing outside
+    # epsilon keeps growing: the one switch per row never needs undoing
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    args = flow._drive_args(params, FlowSettings(), _kernels.EVENT_NONE)
+    rng = np.random.default_rng(14)
+    z = rng.uniform(-48.0, 48.0, (100, 2))
+    s = rng.uniform(-48.0, 48.0, 100) + 1j * rng.uniform(-48.0, 48.0, 100)
+    s = np.append(s, _SWITCH_S)
+    grew = 0
+    for (x, y), v in zip(itertools.cycle(z.tolist()), (s * s).tolist()):
+        rec = np.empty((2000, 5))
+        res = _kernels._drive(x, y, v.real, v.imag, 6.0, *args, rec, fdir)
+        r = np.hypot(rec[:res[7], 3], rec[:res[7], 4])
+        out = np.nonzero((r[1:] >= 16.0) & (r[1:] > r[:-1]))[0]
+        if out.size:
+            grew += 1
+            assert np.all(np.diff(r[out[0]:]) > 0.0)
+    assert grew > 100
+
+
 def _count_calls(monkeypatch, name, counter, key):
     """Count the calls of a kernel function under counter[key()]."""
     func = getattr(_kernels, name)
@@ -585,8 +705,9 @@ def _count_calls(monkeypatch, name, counter, key):
 
 
 # Refining an event recomputes the stages of its step once and adds the
-# dense-output stages 14-16: 14 evaluations of each subsystem, however many
-# halvings the bisection on the dense output makes.
+# dense-output stages 14-16: 14 evaluations of the one integrated pair (w in
+# the w-frame, u in the u-frame), however many halvings the bisection on the
+# dense output makes.
 REFINE_RHS = 14
 
 
@@ -597,7 +718,7 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     rows = flowing + inside
     counts = collections.Counter()
     judging = []  # nonempty inside _advance, the judged attempt
-    for name in ("_rhs_z", "_rhs2", "_contd8"):
+    for name in ("_rhs2", "_rhs_u", "_contd8"):
         _count_calls(monkeypatch, name, counts, lambda: bool(judging))
     advance = _kernels._advance
 
@@ -611,47 +732,65 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     monkeypatch.setattr(_kernels, "_advance", judged)
     rec = np.empty((0, 5))
     halvings = set()
+    frames = set()
     for row in rows:
         counts.clear()
         status = _kernels._drive(*row, 4.0, *args, rec, 1.0)[0]
         refined = status == _kernels.STATUS_EVENT
-        # outside the attempts: the derivative at the start, and refinement
-        assert counts["_rhs_z", False] == counts["_rhs2", False]
-        assert counts["_rhs2", False] == 1 + REFINE_RHS * refined
-        if refined:  # _contd8 runs 4 times per halving
+        # outside the attempts: the w' at the start, u' at the switch if the
+        # row switched, and the refinement in the frame of the event step
+        w_calls, u_calls = counts["_rhs2", False], counts["_rhs_u", False]
+        switched = u_calls % REFINE_RHS
+        assert switched in (0, 1)
+        assert w_calls + u_calls == 1 + switched + REFINE_RHS * refined
+        if refined:  # _contd8 runs twice per halving
+            frames.add(bool(switched))
             halvings.add(counts["_contd8", False])
-    assert len(halvings) > 1
+    assert len(halvings) > 1 and frames == {False, True}
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     args, flowing, inside = _event_drive(mode, _kernels.EVENT_PAIR_ESCAPE)
     rows = flowing + inside
-    refined = []  # row counts of the _rhs_np calls after the lockstep
-    done = []
-    rhs_np, lockstep = _kernels._rhs_np, _kernels._lockstep
+    calls = {"_rhs_w_np": [], "_rhs_u_np": []}  # row counts outside the lockstep
+    depth = []
+    lockstep = _kernels._lockstep
 
-    def counted(Z, *a):
-        if done:
-            refined.append(len(Z))
-        return rhs_np(Z, *a)
+    def spy(name):
+        func = getattr(_kernels, name)
+
+        def counted(Z, *a):
+            if not depth:
+                calls[name].append(len(Z))
+            return func(Z, *a)
+
+        return counted
 
     def marked(*a):
-        out = lockstep(*a)
-        done.append(True)
-        return out
+        depth.append(True)
+        try:
+            return lockstep(*a)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(_kernels, "_rhs_np", counted)
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, spy(name))
     monkeypatch.setattr(_kernels, "_lockstep", marked)
     status = _drive_both(rows, args, 4.0, 1.0)[0][0]
     n_event = int(np.sum(status == _kernels.STATUS_EVENT))
-    assert n_event > 2 and refined == [n_event] * REFINE_RHS
+    # the w' of every row at the start, then 14 calls per refined frame
+    w_calls, u_calls = calls["_rhs_w_np"], calls["_rhs_u_np"]
+    assert w_calls[0] == len(rows)
+    n_w, n_u = w_calls[1:2] or [0], u_calls[:1] or [0]
+    assert w_calls[1:] == n_w * REFINE_RHS and u_calls == n_u * REFINE_RHS
+    assert n_w[0] > 0 and n_u[0] > 0 and n_w[0] + n_u[0] == n_event
 
 
 def test_drive_twins_agree_on_stalls():
     # at epsilon = 1e-30 the flow from (0, 1e-9 i, 0) has speed
     # 1.5e-9 exp(-1.5 t), below the stall speed from t = ln(15)/1.5 = 1.805;
-    # the kernels see it at the end of the step past it, t = 1.911, and the
+    # the kernels see it at the end of the step past it, t = 1.988, and the
     # critical point stalls at once
     params = SteinParams(alpha=ALPHA, epsilon=1e-30, smoothing="pure")
     settings = FlowSettings()
@@ -660,7 +799,7 @@ def test_drive_twins_agree_on_stalls():
     batch, scalar = _drive_both(rows, args, settings.max_time, 1.0)
     _assert_twins(batch, scalar)
     assert np.all(batch[0] == _kernels.STATUS_STALLED)
-    assert batch[1][0] == pytest.approx(1.911, abs=1e-3) and batch[1][1] == 0.0
+    assert batch[1][0] == pytest.approx(1.988, abs=1e-3) and batch[1][1] == 0.0
     for row in rows:
         traj = flow.integrate_flow(np.array(row), params, settings, record=False)
         assert traj.termination == flow.TERM_NEAR_CRITICAL
