@@ -49,10 +49,10 @@ class FlowSettings:
     the hypersurfaces live.  step_tolerance is the relative tolerance of
     every adaptive step and max_steps (an integer >= 1) the step budget
     of one trajectory; the three floats must be finite and positive.
-    The largest step and the stall speed are fixed: _kernels.H_MAX (0.5)
-    for Delta and for a drive while it integrates w, no cap once a drive
-    integrates u = e^(-Lt) sqrt(w) beyond |w| = epsilon, in either frame
-    _kernels.H_MAX_V_ENTRY (0.1) for the V-entry event, and
+    The largest step is fixed: _kernels.H_MAX (0.5) for Delta and for a
+    drive while it integrates w, none once a drive integrates
+    u = e^(-Lt) sqrt(w) beyond |w| = epsilon, and _kernels.H_MAX_V_ENTRY
+    (0.1) in both frames for the V-entry event.  So is the stall speed,
     _kernels.STALL_SPEED (1e-10).  A drive takes z in closed form, so the
     step tolerance bounds the error of w (or u) alone.
     """
