@@ -50,9 +50,11 @@ end: the next seed of an accepted attempt, one more evaluation for a
 rejected one.  A step that ends within KNOT_TOL of the knot has landed on
 it; the next one starts from the derivative there, since the right-hand
 side is continuous at the knots, and with no less than the step that was
-cut.  The escape region counts such a landing on the outer knot as
-outside the band |w| <= epsilon.  Pure mode has no knots and skips all
-of this.
+cut.  A cutoff drive to the escape region reads a state on the outer
+knot as outside the band |w| <= epsilon (_event_eps), so that a step
+that leaves the region through that knot and lands on its inner side
+does not hide the entry before it.  Pure mode has no knots and skips
+all of this.
 
 An accepted step of a drive that ends inside the event region is not
 taken, nor is one whose state [z, w] is not finite (the drive ends
@@ -108,21 +110,24 @@ cap h_max, and the event predicates (_event_val, _event_np) epsilon,
 since sectors calls the region test without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
-sides _rhs_z, _rhs2 and _rhs_u, one DOP853 step _step2 and its dense
+sides _rhs2 and _rhs_u, one DOP853 step _step2 and its dense
 output _dense2, which take their right-hand side as an argument, call it
 with the stage index of FRAME_NODES and share the stages of _stages2,
 _err_norm, _next_h, _pair_re and _event_val (also the region test of
 sectors).  The sums of _stages2 and _step2 stay unrolled: read through
 _combo, a scalar step takes 1.7 times as long.  The scalar kernels are
 jit-compiled under numba and run as plain Python otherwise (the
-decorator degrades to a no-op), as does the row loop of the batch
-kernels, which on the numpy backend serves every batch of fewer than
-flow._LOCKSTEP_ROWS rows, scalar calls included.  The drive's frame code
-(_drive, _dense_event, _factors) is plain Python only: the jit path of
-the drive is untested.  _advance is the scalar counterpart of
-_lockstep: the one judged attempt of _drive and _delta_one (and so of
-the row loop), one _step2 on the pair, w with _rhs2 or u with _rhs_u.
-_dense_event refines the events of _drive.  Both twins write every stage sum as h (sum of a_ij k_j) with
+decorator degrades to a no-op), as does the row loop _delta_batch.  The
+drive is plain Python under either backend: _drive, its row loop
+_drive_batch (which on the numpy backend serves every batch of fewer
+than flow._LOCKSTEP_ROWS rows, scalar calls included), _dense_event,
+which refines its events, and _factors, _to_zw and _w_dot.  Under numba
+it calls the jit kernels _advance, _dense2, _contd8 and _event_val with
+arguments numba can type (the factors of the frame as tuples); that
+path is untested where numba is not installed.  _advance is the scalar
+counterpart of _lockstep: the one judged attempt of _drive and
+_delta_one, one _step2 on the pair, w with _rhs2 or u with _rhs_u.
+Both twins write every stage sum as h (sum of a_ij k_j) with
 the same terms in the same order, sum squares over components left to
 right and take err^(-1/8) as three correctly rounded square roots, so
 on the same rows they give the same bits.
@@ -413,12 +418,9 @@ def _w_terms(r, alpha, table):
 
 
 @njit(cache=True)
-def _rhs_z(y0, y1, alpha, table, k=0):
-    """Right-hand side of the linear z-subsystem.
-
-    table and the stage index k are unused; they keep the signature of
-    _rhs_u for _step2.
-    """
+def _rhs_z(y0, y1, alpha):
+    """z' = L z, the linear z-subsystem, as the stall speed and
+    geometry.flow_field_zw read it (drives take z in closed form)."""
     return (alpha - 1.0) * y0, -alpha * y1
 
 
@@ -506,7 +508,7 @@ def _w_dot(ua, ub, ka, kb, ea, eb, alpha):
 def _stages2(ya, yb, fa, fb, h, rhs, alpha, table):
     """Stages 2-12 of a DOP853 step of size h on a 2-component subsystem.
 
-    rhs is _rhs_z, _rhs2 or _rhs_u, called with the stage index k of
+    rhs is _rhs2 or _rhs_u, called with the stage index k of
     FRAME_NODES as its last argument; h carries the flow direction as its
     sign and (fa, fb) is the derivative at the start.  Each stage sum is
     h (sum of a_ij k_j) in the term order of STAGES.  Returns the stages
@@ -854,9 +856,7 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
         a1 = abs(x1)
         a2 = abs(x2)
         lo = a1 if a1 < a2 else a2
-        # a step that lands on the outer knot, within KNOT_TOL of |w| =
-        # epsilon (cutoff mode), is outside the band on either side of it
-        return lo > radius and r > epsilon - KNOT_TOL * epsilon, 0
+        return lo > radius and r > epsilon, 0
     if kind == EVENT_TRUNC_REGION:
         hit = x1 <= -epsilon and x2 <= -epsilon and x1 + x2 <= -3.0 * epsilon
         return hit, 0
@@ -866,6 +866,22 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
         if -epsilon < x2 < epsilon and x1 > 2.0 * epsilon:
             return True, 1
     return False, 0
+
+
+@njit(cache=True)
+def _event_eps(table, kind):
+    """The epsilon with which a drive reads its event region.
+
+    In cutoff mode a w-frame step that leaves the escape region through
+    |w| = epsilon, the outer knot, is cut to land on it, on either side
+    within KNOT_TOL as rounding falls; a drive counts a state on that knot
+    (_on_knot) as outside the band |w| <= epsilon, so that the landing
+    cannot hide the entry before it.  Every other drive reads epsilon.
+    """
+    eps = table[1]
+    if kind == EVENT_PAIR_ESCAPE and table[0] != MODE_PURE:
+        return eps - KNOT_TOL * eps
+    return eps
 
 
 @njit(cache=True)
@@ -882,10 +898,14 @@ def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, fra
     derivative that seeds the next step; h is the next step size.
     """
     hs = fdir * h_use
-    rhs, ctx, cutoff = _rhs2, table, table[0] != MODE_PURE
-    if frame is not None:
-        rhs, ctx, cutoff = _rhs_u, frame, False
-    na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, rhs, alpha, ctx)
+    # one branch per frame, so that numba prunes the other by the type of
+    # frame (None or a tuple)
+    if frame is None:
+        cutoff = table[0] != MODE_PURE
+        na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, _rhs2, alpha, table)
+    else:
+        cutoff = False
+        na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, _rhs_u, alpha, frame)
     ka = kb = 0.0
     err = math.inf
     if math.isfinite(na) and math.isfinite(nb):
@@ -909,33 +929,36 @@ def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, fra
             if _on_knot(na, nb, table):
                 h = max(h, h_land)
             h_land = 0.0
-        if not cutoff:
-            ka, kb = rhs(na, nb, alpha, ctx, 12)
+        if frame is not None:
+            ka, kb = _rhs_u(na, nb, alpha, frame, 12)
+        elif not cutoff:
+            ka, kb = _rhs2(na, nb, alpha, table)
     return verdict, na, nb, ka, kb, h, h_land
 
 
 def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, end, h_acc, t, fdir, zx, zy, alpha,
-                 table, frame, radius, kind):
+                 table, frame, radius, eps, kind):
     """Locate an event crossing inside one accepted step of size h_acc from time t.
 
     The step took the pair p, with derivative f, to n, with derivative k,
-    and to the state end = [z, w] inside the event region; frame is that
-    of its _advance.  The event predicate is bisected on the dense output
-    of the pair (_dense2), each state converted (_to_zw) with the factors
-    at its own time: at most EVENT_HALVINGS halvings, stopping once
-    hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the state
-    at the first time offset dt from t found inside the region, end
-    itself if that is the whole step, and the event sign there.
+    and to the state end = [z, w] inside the event region, read with
+    epsilon eps (_event_eps); frame is that of its _advance.  The event
+    predicate is bisected on the dense output of the pair (_dense2), each
+    state converted (_to_zw) with the factors at its own time: at most
+    EVENT_HALVINGS halvings, stopping once hi - lo < EVENT_TOL max(hi, 1).
+    Returns (state, dt, sign): the state at the first time offset dt from
+    t found inside the region, end itself if that is the whole step, and
+    the event sign there.
     """
     hs = fdir * h_acc
     uframe = frame is not None
     if uframe:
         da, db = _factors(alpha, fdir * t + _DENSE_NODES * hs)
-        frame = (table, frame[1] + da.tolist(), frame[2] + db.tolist())
+        frame = (table, frame[1] + tuple(da.tolist()), frame[2] + tuple(db.tolist()))
         ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs_u, alpha, frame)
     else:
         ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs2, alpha, table)
-    _, sign = _event_val(*end, radius, table[1], kind)
+    _, sign = _event_val(*end, radius, eps, kind)
     lo = 0.0
     hi = h_acc
     for _ in range(EVENT_HALVINGS):
@@ -946,7 +969,7 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, end, h_acc, t, fdir, zx, zy, al
         ea, eb = _factors(alpha, fdir * (t + mid))
         state = _to_zw(_contd8(pa, x, ca), _contd8(pb, x, cb), zx, zy, float(ea),
                        float(eb), uframe)
-        mhit, msign = _event_val(*state, radius, table[1], kind)
+        mhit, msign = _event_val(*state, radius, eps, kind)
         if mhit:
             hi, end, sign = mid, state, msign
         else:
@@ -977,6 +1000,7 @@ def _drive(
     h_land = 0.0
     uframe = False
     h_max = _h_max(event_kind, uframe)
+    eps = _event_eps(table, event_kind)
     fa, fb = _rhs2(y2, y3, alpha, table)
     f12, f13 = fa, fb  # w' at the state [z, w], for the stall speed
     nrec = 0
@@ -988,7 +1012,7 @@ def _drive(
     esign = 0
     steps = 0
     while steps < max_steps:
-        f10, f11 = _rhs_z(y0, y1, alpha, table)
+        f10, f11 = _rhs_z(y0, y1, alpha)
         speed = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
         if speed < STALL_SPEED:
             status = STATUS_STALLED
@@ -1002,7 +1026,7 @@ def _drive(
         frame = None
         if uframe:
             ea, eb = _factors(alpha, fdir * t + _STEP_NODES * hs)
-            frame = (table, ea.tolist(), eb.tolist())
+            frame = (table, tuple(ea.tolist()), tuple(eb.tolist()))
             ea, eb = frame[1][12], frame[2][12]
         else:
             ea, eb = _factors(alpha, fdir * t + hs)
@@ -1020,11 +1044,11 @@ def _drive(
         if not all(map(math.isfinite, end)):
             status = STATUS_NONFINITE
             break
-        hit, _ = _event_val(*end, radius, table[1], event_kind)
+        hit, _ = _event_val(*end, radius, eps, event_kind)
         if hit:
             end, dt, esign = _dense_event(
                 va, vb, fa, fb, na, nb, ka, kb, end, h_use, t, fdir, zx, zy, alpha,
-                table, frame, radius, event_kind,
+                table, frame, radius, eps, event_kind,
             )
             t += dt
             status = STATUS_EVENT
@@ -1055,7 +1079,6 @@ def _drive(
     return status, t, y0, y1, y2, y3, esign, nrec, steps
 
 
-@njit(cache=True, parallel=True)
 def _drive_batch(
     Y, t_end, alpha, table, rtol, radius, event_kind, max_steps,
     out_status, out_t, out_sign, fdir,
@@ -1063,7 +1086,7 @@ def _drive_batch(
     """Integrate every row of Y in place; fill status, time, event sign."""
     n = Y.shape[0]
     rec = np.empty((0, 5))
-    for i in prange(n):
+    for i in range(n):
         res = _drive(
             float(Y[i, 0]), float(Y[i, 1]), float(Y[i, 2]), float(Y[i, 3]), t_end,
             alpha, table, rtol, radius, event_kind, max_steps, rec, fdir,
@@ -1346,8 +1369,7 @@ def _event_np(Y, radius, epsilon, kind):
     x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
     sign = np.zeros(n, dtype=np.int64)
     if kind == EVENT_PAIR_ESCAPE:
-        hit = ((np.minimum(np.abs(x1), np.abs(x2)) > radius)
-               & (r > epsilon - KNOT_TOL * epsilon))
+        hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
         return hit, sign
     if kind == EVENT_TRUNC_REGION:
         hit = (x1 <= -epsilon) & (x2 <= -epsilon) & (x1 + x2 <= -3.0 * epsilon)
@@ -1471,9 +1493,10 @@ def _drive_batch_np(
     switched = np.zeros(n, dtype=bool)
     h_event, V_event, K_event = np.zeros(n), np.empty((n, 2)), np.empty((n, 2))
     end_gate = 1e-14 * max(1.0, abs(t_end))
+    eps = _event_eps(table, event_kind)
 
     def event(Z):
-        return _event_np(Z, radius, arr[1], event_kind)[0]
+        return _event_np(Z, radius, eps, event_kind)[0]
 
     def to_zw(P, rows, tau, uframe):
         ea, eb = _factors(alpha, tau)
@@ -1539,7 +1562,7 @@ def _drive_batch_np(
         Pm = _contd8(P[m], (hi[m] / h[m])[:, None], C[:, m])
         Yn[m] = to_zw(Pm, ev[m], fdir * (t[m] + hi[m]), uframe)[0]
         Y[ev] = Yn
-        out_sign[ev] = _event_np(Yn, radius, arr[1], event_kind)[1]
+        out_sign[ev] = _event_np(Yn, radius, eps, event_kind)[1]
         out_t[ev] += hi
 
     def w_rhs(Z, k, t, h):
@@ -1634,18 +1657,18 @@ def warmup():
     """Touch every jit kernel once so later timings exclude compilation.
 
     The table is a cutoff table, as SteinParams builds it, and the
-    trajectories cross its knots, so the knot cut runs too.
+    trajectories cross its knots, so the knot cut runs too.  The drive,
+    plain Python, switches to the u-frame and escapes there, so that the
+    jit kernels it calls are compiled for both frames.
     """
     table = smoothing.build_smoothing_table(4.0, "cutoff")
     rec = np.empty((4, 5))
     _drive(
-        1.0, 0.5, 0.5, 0.2, 1.0, 1.5, table, 1e-6, 1e3, EVENT_PAIR_ESCAPE, 100, rec, 1.0,
+        1.0, 0.5, 0.5, 0.2, 50.0, 1.5, table, 1e-6, 10.0, EVENT_PAIR_ESCAPE, 100, rec,
+        1.0,
     )
-    Y = np.array([[1.0, 0.0, 0.5, 0.2]])
     st = np.zeros(1, dtype=np.int64)
     tt = np.zeros(1)
-    sg = np.zeros(1, dtype=np.int64)
-    _drive_batch(Y, 1.0, 1.5, table, 1e-6, 1e3, EVENT_NONE, 100, st, tt, sg, 1.0)
     _delta_one(1.0, 0.5, 1.5, table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
     W = np.array([[1.0, 0.5]])
     dr = np.zeros(1)

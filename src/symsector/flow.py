@@ -139,13 +139,15 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _row_loop(n):
+def _row_loop(n, jit=True):
     """Whether a batch of n rows runs the scalar kernels row by row.
 
-    Under numba always; the numpy lockstep loses below about 30 rows.
+    Always where numba compiles the row loop (Delta; the drive, jit
+    False, is plain Python under either backend); otherwise below
+    _LOCKSTEP_ROWS, since the numpy lockstep loses below about 30 rows.
     Both give the same bits, so the choice never changes an output.
     """
-    return using_numba() or n < _LOCKSTEP_ROWS
+    return (jit and using_numba()) or n < _LOCKSTEP_ROWS
 
 
 def _drive_args(params, settings, event_kind):
@@ -179,8 +181,8 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
 
     The trajectory terminates ESCAPED when both pair coordinates have
     |Re| beyond the escape radius and the point is outside the perturbed
-    band |w| <= epsilon (within KNOT_TOL of |w| = epsilon counts as
-    outside, as a cutoff step landed on the outer knot does); it
+    band |w| <= epsilon (in cutoff mode within KNOT_TOL of |w| = epsilon
+    counts as outside, as a step landed on the outer knot does); it
     terminates NEAR_CRITICAL if the speed drops below the stall
     threshold, and MAX_TIME otherwise.  A recorded trajectory holds the
     state [z, w] at the start and at each accepted step.
@@ -276,7 +278,8 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    kernel = _kernels._drive_batch if _row_loop(n) else _kernels._drive_batch_np
+    row_loop = _row_loop(n, jit=False)
+    kernel = _kernels._drive_batch if row_loop else _kernels._drive_batch_np
     kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,

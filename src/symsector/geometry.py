@@ -320,7 +320,7 @@ def flow_field_zw(z, w, params=DEFAULT_PARAMS):
     a = params.alpha
     z = complex(z)
     w = complex(w)
-    dz = complex(*_kernels._rhs_z(z.real, z.imag, a, params.table))
+    dz = complex(*_kernels._rhs_z(z.real, z.imag, a))
     r = _kernels._hypot(w.real, w.imag)
     drift, shrink = _kernels._w_terms(r, a, params.table)
     return dz, drift - shrink * w

@@ -18,9 +18,11 @@ and 1.35e-8 in both modes, and 9.5e-7 at most in cutoff mode.
 
 The pure-mode escape-time max is not bounded: two rows of the set enter
 the escape region only briefly, between two step ends of one of the two
-runs (test_brief_first_entry_is_found).  In cutoff mode the step that
-ends such an entry lands on the outer knot |w| = epsilon, where the
-region test counts it as outside the band, so no entry is missed.
+runs: the default run steps over the entry of row 65
+(test_brief_first_entry_is_found), the reference over that of row 494.
+In cutoff mode the step that ends such an entry lands on the outer knot
+|w| = epsilon, which a cutoff escape drive counts as outside the band,
+so neither entry is missed.
 """
 
 import numpy as np
@@ -37,8 +39,11 @@ TIGHT_SETTINGS = FlowSettings(escape_radius=64.0, step_tolerance=TIGHT)
 # (median, q99, max) bounds of the escape-time difference; None: unbounded
 ESCAPE_BOUNDS = {"pure": (1e-10, 9e-9, None), "cutoff": (1e-10, 9e-9, 7e-7)}
 OFFSET_BOUND = 1e-8
-# the row of the pure-mode set whose first entry the reference steps over
-BRIEF_ENTRY = 494
+# rows of the pure-mode set that enter the escape region only briefly,
+# while |w| shrinks through epsilon: the default run steps over the entry
+# of the first, the reference over that of the second
+MISSED_ENTRY = 65
+FOUND_ENTRY = 494
 
 
 def _drive_rows():
@@ -94,18 +99,25 @@ def test_offsets_match_a_tight_reference(mode):
 @pytest.mark.xfail(strict=True, reason=(
     "events are tested only at accepted step ends, so an entry into the "
     "escape region that begins and ends within one step is missed: the "
-    "rtol 1e-13 reference steps over this entry and reports t = 3.263"))
+    "default run steps over this entry and reports t = 4.384"))
 def test_brief_first_entry_is_found(pure16):
-    # z = (-41.336, -23.196), w = (-225.393, -22.053): the region is entered
-    # at t = 0.910, while |w| shrinks through epsilon, so in the w-frame; the
-    # default run finds it, the reference does not.  Row 65 is the converse:
-    # the reference finds its entry at t = 0.796, the default run reports 4.384
-    state = _drive_rows()[BRIEF_ENTRY]
+    # z = (43.020, 7.040), w = (-224.121, -0.686): the region is entered at
+    # t = 0.796, while |w| shrinks through epsilon, so in the w-frame
+    state = _drive_rows()[MISSED_ENTRY]
     got = flow.integrate_flow(state, pure16, SETTINGS, record=False)
     ref = flow.integrate_flow(state, pure16, TIGHT_SETTINGS, record=False)
-    assert ref.escape_data["time"] == pytest.approx(0.910, abs=1e-3)
+    assert ref.escape_data["time"] == pytest.approx(0.796, abs=1e-3)
     assert got.escape_data["time"] == pytest.approx(ref.escape_data["time"],
                                                     abs=1e-6)
+
+
+def test_brief_entry_missed_by_the_reference_is_found(pure16):
+    # z = (-41.336, -23.196), w = (-225.393, -22.053): the region is entered
+    # at t = 0.910, while |w| shrinks through epsilon; the default run finds
+    # the entry, the reference steps over it and reports t = 3.263
+    state = _drive_rows()[FOUND_ENTRY]
+    got = flow.integrate_flow(state, pure16, SETTINGS, record=False)
+    assert got.escape_data["time"] == pytest.approx(0.910, abs=1e-3)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 3.0, 10.0])

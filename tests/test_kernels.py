@@ -314,14 +314,19 @@ def test_tableau_is_consistent():
         assert sum(e for _, e in row) == pytest.approx(0.0, abs=1e-14)
 
 
+def _rhs_z(ya, yb, alpha, table, k=0):
+    """_kernels._rhs_z called as _step2 calls a right-hand side."""
+    return _kernels._rhs_z(ya, yb, alpha)
+
+
 def test_step_is_eighth_order():
     # the z-subsystem is linear with a known flow; the local error of an
     # 8th order step shrinks 2^9-fold when the step halves
     table = SteinParams(epsilon=16.0).table
 
     def error(h):
-        f = _kernels._rhs_z(1.0, 1.0, ALPHA, table)
-        na, nb = _kernels._step2(1.0, 1.0, *f, h, _kernels._rhs_z, ALPHA, table)[:2]
+        f = _rhs_z(1.0, 1.0, ALPHA, table)
+        na, nb = _kernels._step2(1.0, 1.0, *f, h, _rhs_z, ALPHA, table)[:2]
         return abs(na - math.exp((ALPHA - 1.0) * h)), abs(nb - math.exp(-ALPHA * h))
 
     for big, small in zip(error(0.8), error(0.4)):
@@ -360,7 +365,7 @@ def test_dense_output_is_seventh_order():
     table = SteinParams(epsilon=16.0).table
 
     def error(h):
-        coefs = _dense_step((1.0, 1.0), h, _kernels._rhs_z, table)[3]
+        coefs = _dense_step((1.0, 1.0), h, _rhs_z, table)[3]
         exact = (math.exp((ALPHA - 1.0) * 0.5 * h), math.exp(-ALPHA * 0.5 * h))
         return [abs(_kernels._contd8(1.0, 0.5, c) - e) for c, e in zip(coefs, exact)]
 
@@ -542,18 +547,32 @@ def test_event_twins_agree_exactly(kind):
         assert (bool(got[0]), int(got[1])) == (h, sg)
 
 
-def test_escape_region_counts_the_outer_knot_as_outside():
-    # a step that ends an entry into the escape region by |w| shrinking
-    # through epsilon lands on the outer knot in cutoff mode, on either side
-    # of it within KNOT_TOL; the region counts that whole band as outside
+def test_cutoff_escape_drives_count_the_outer_knot_as_outside():
+    # a cutoff step that ends an entry into the escape region by |w|
+    # shrinking through epsilon lands on the outer knot, on either side of
+    # it within KNOT_TOL; a cutoff escape drive reads that band as outside,
+    # every other drive and the region test itself read epsilon
     epsilon, radius = 16.0, 64.0
     tol = _kernels.KNOT_TOL
-    for r, hit in ((epsilon * (1.0 - 0.5 * tol), True), (epsilon, True),
-                   (epsilon * (1.0 - 2.0 * tol), False)):
+    lowered = epsilon - tol * epsilon
+    for mode in ("pure", "cutoff"):
+        table = SteinParams(epsilon=epsilon, smoothing=mode).table
+        for kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
+                     _kernels.EVENT_V_ENTRY):
+            cut = mode == "cutoff" and kind == _kernels.EVENT_PAIR_ESCAPE
+            assert _kernels._event_eps(table, kind) == (lowered if cut else epsilon)
+    table = SteinParams(epsilon=epsilon, smoothing="cutoff").table
+    # (|w|, on the outer knot, inside the region as read with epsilon)
+    for r, on_knot, plain in ((epsilon * (1.0 - 0.5 * tol), True, False),
+                              (epsilon, True, False),
+                              (epsilon * (1.0 + 0.5 * tol), True, True),
+                              (epsilon * (1.0 - 2.0 * tol), False, False)):
         row = (-100.0, 0.0, 0.0, r)  # w = i r: |Re sqrt(w)| = sqrt(r / 2)
-        assert _kernels._event_val(*row, radius, epsilon, 1) == (hit, 0)
-        vec = _kernels._event_np(np.array([row]), radius, epsilon, 1)
-        assert vec[0].tolist() == [hit]
+        assert _kernels._on_knot(0.0, r, table) == on_knot
+        for eps, hit in ((epsilon, plain), (lowered, on_knot or plain)):
+            assert _kernels._event_val(*row, radius, eps, 1) == (hit, 0)
+            vec = _kernels._event_np(np.array([row]), radius, eps, 1)
+            assert vec[0].tolist() == [hit]
 
 
 # two rows inside each region at t = 0, with the event signs they take
@@ -585,7 +604,8 @@ def _assert_twins(batch, scalar):
 def _assert_events_hold(batch, args):
     """Every STATUS_EVENT row of a _drive_both batch is in its region."""
     status, _, sign, Y = batch
-    radius, kind, epsilon = args[3], args[4], args[1][1]
+    radius, kind = args[3], args[4]
+    epsilon = _kernels._event_eps(args[1], kind)
     for row, st_k, sg in zip(Y.tolist(), status.tolist(), sign.tolist()):
         if st_k == _kernels.STATUS_EVENT:
             assert _kernels._event_val(*row, radius, epsilon, kind) == (True, sg)
