@@ -419,8 +419,11 @@ def _w_terms(r, alpha, table):
 
 @njit(cache=True)
 def _rhs_z(y0, y1, alpha):
-    """z' = L z, the linear z-subsystem, as the stall speed and
-    geometry.flow_field_zw read it (drives take z in closed form)."""
+    """Right-hand side z' = L z of the linear z-subsystem.
+
+    The stall speed and geometry.flow_field_zw read it; drives take z in
+    closed form.
+    """
     return (alpha - 1.0) * y0, -alpha * y1
 
 
