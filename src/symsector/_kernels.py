@@ -333,8 +333,9 @@ H_MAX = 0.5  # largest step of the Delta kernels and of w-frame drives
 H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band, in both frames
 KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
 KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
-EVENT_HALVINGS = 64  # most halvings of an event bracket on the dense output
-EVENT_TOL = 1e-13  # the halvings stop once hi - lo < EVENT_TOL max(hi, 1)
+EVENT_ITERATIONS = 64  # most iterations on an event bracket on the dense output
+EVENT_TOL = 1e-13  # the iterations stop once hi - lo < EVENT_TOL max(hi, 1)
+EVENT_NUDGE = 0.25  # a secant probe moves this many EVENT_TOL past its root
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
 
@@ -887,6 +888,71 @@ def _event_eps(table, kind):
     return eps
 
 
+def _lesser(a, b):
+    """min(a, b) of floats as np.minimum takes it: nan if either is nan."""
+    return a if a < b or a != a else b
+
+
+def _greater(a, b):
+    """max(a, b) of floats as np.maximum takes it: nan if either is nan."""
+    return a if a > b or a != a else b
+
+
+def _gap_ratio(x1, x2, r, radius, epsilon, kind, lesser, greater):
+    """The event margin as a ratio: > 1 only inside the region, >= 1 there.
+
+    Each bound of the region _event_val reads, as a ratio against 1 (its
+    strict or non-strict edges are left to _event_val), from the pair
+    coordinates x1, x2 and |w| = r.  Arithmetic, abs and the given
+    lesser and greater alone, so floats with _lesser and _greater give
+    the bits of arrays with np.minimum and np.maximum.
+    """
+    if kind == EVENT_PAIR_ESCAPE:
+        return lesser(lesser(abs(x1), abs(x2)) / radius, r / epsilon)
+    if kind == EVENT_TRUNC_REGION:
+        return lesser(lesser(-x1 / epsilon, -x2 / epsilon), -(x1 + x2) / (3.0 * epsilon))
+    # 5e-324 is the least positive float: epsilon / 0 is inf, not an error
+    e2 = 2.0 * epsilon
+    return greater(lesser(epsilon / greater(abs(x1), 5e-324), -x2 / e2),
+                   lesser(epsilon / greater(abs(x2), 5e-324), x1 / e2))
+
+
+def _log_gap(v):
+    """log v by math.log in both twins, -inf where v <= 0 or is nan."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _event_gap(y0, y1, y2, y3, radius, epsilon, kind):
+    """The event gap at a state: the log of its _gap_ratio.
+
+    Continuous where finite, and positive only inside the region of
+    _event_val: g > 0 implies a hit, and a hit g >= 0.  Along a u-frame
+    step |x_1,2| = e^((alpha-1) tau) |Re z0 +- Re u| with Re u almost
+    constant, so g is almost linear in tau.
+    """
+    r = _hypot(y2, y3)
+    x1, x2 = _pair_re(y0, y2, r)
+    return _log_gap(_gap_ratio(x1, x2, r, radius, epsilon, kind, _lesser, _greater))
+
+
+def _event_probe(lo, hi, g_lo, g_hi, side, slow, tol):
+    """The next time at which _dense_event reads the event bracket [lo, hi].
+
+    The secant root of the gaps g_lo < 0 <= g_hi, moved EVENT_NUDGE tol
+    towards hi, or towards lo once hi was the last end to move (side 1),
+    so that the bracket closes from both sides; the midpoint where a gap
+    is not finite, g_hi <= g_lo, the root is not strictly inside, or the
+    two iterations before did not halve the bracket (slow 2).
+    """
+    mid = 0.5 * (lo + hi)
+    if not (slow < 2 and math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
+        return mid
+    x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+    nudge = EVENT_NUDGE * tol
+    x += -nudge if side > 0 else nudge
+    return x if lo < x < hi else mid
+
+
 @njit(cache=True)
 def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame):
     """One judged DOP853 attempt of size fdir h_use from (ya, yb), derivative (fa, fb).
@@ -939,19 +1005,23 @@ def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, fra
     return verdict, na, nb, ka, kb, h, h_land
 
 
-def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, end, h_acc, t, fdir, zx, zy, alpha,
-                 table, frame, radius, eps, kind):
+def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, zy,
+                 alpha, table, frame, radius, eps, kind):
     """Locate an event crossing inside one accepted step of size h_acc from time t.
 
     The step took the pair p, with derivative f, to n, with derivative k,
-    and to the state end = [z, w] inside the event region, read with
-    epsilon eps (_event_eps); frame is that of its _advance.  The event
-    predicate is bisected on the dense output of the pair (_dense2), each
-    state converted (_to_zw) with the factors at its own time: at most
-    EVENT_HALVINGS halvings, stopping once hi - lo < EVENT_TOL max(hi, 1).
-    Returns (state, dt, sign): the state at the first time offset dt from
-    t found inside the region, end itself if that is the whole step, and
-    the event sign there.
+    and the state pre = [z, w] outside the event region, read with
+    epsilon eps (_event_eps), to the state end inside it; frame is that of
+    its _advance.  The bracket [0, h_acc] of the time offset closes on the
+    dense output of the pair (_dense2), each state converted (_to_zw) with
+    the factors at its own time and judged by _event_val: a hit moves hi,
+    a miss lo.  Each next time is _event_probe's, from the event gaps
+    (_event_gap) at lo and hi, the gap of the end that did not move halved
+    when the other moved twice running (the Illinois rule; Dowell &
+    Jarratt, BIT 11, 1971).  At most EVENT_ITERATIONS iterations, stopping
+    once hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the
+    state at the first time offset dt from t found inside the region, end
+    itself if that is the whole step, and the event sign there.
     """
     hs = fdir * h_acc
     uframe = frame is not None
@@ -961,22 +1031,35 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, end, h_acc, t, fdir, zx, zy, al
         ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs_u, alpha, frame)
     else:
         ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs2, alpha, table)
+    inside, sign = _event_val(*pre, radius, eps, kind)
+    if inside:  # only a drive's start state can be
+        return pre, 0.0, sign
     _, sign = _event_val(*end, radius, eps, kind)
     lo = 0.0
     hi = h_acc
-    for _ in range(EVENT_HALVINGS):
-        if hi - lo < EVENT_TOL * (hi if hi > 1.0 else 1.0):
+    g_lo = _event_gap(*pre, radius, eps, kind)
+    g_hi = _event_gap(*end, radius, eps, kind)
+    side = slow = 0
+    for _ in range(EVENT_ITERATIONS):
+        width = hi - lo
+        tol = EVENT_TOL * (hi if hi > 1.0 else 1.0)
+        if width < tol:
             break
-        mid = 0.5 * (lo + hi)
-        x = mid / h_acc
-        ea, eb = _factors(alpha, fdir * (t + mid))
-        state = _to_zw(_contd8(pa, x, ca), _contd8(pb, x, cb), zx, zy, float(ea),
-                       float(eb), uframe)
+        x = _event_probe(lo, hi, g_lo, g_hi, side, slow, tol)
+        ea, eb = _factors(alpha, fdir * (t + x))
+        state = _to_zw(_contd8(pa, x / h_acc, ca), _contd8(pb, x / h_acc, cb), zx, zy,
+                       float(ea), float(eb), uframe)
         mhit, msign = _event_val(*state, radius, eps, kind)
+        g = _event_gap(*state, radius, eps, kind)
         if mhit:
-            hi, end, sign = mid, state, msign
+            if side > 0:
+                g_lo *= 0.5
+            hi, g_hi, end, sign, side = x, g, state, msign, 1
         else:
-            lo = mid
+            if side < 0:
+                g_hi *= 0.5
+            lo, g_lo, side = x, g, -1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
     return end, hi, sign
 
 
@@ -1050,8 +1133,8 @@ def _drive(
         hit, _ = _event_val(*end, radius, eps, event_kind)
         if hit:
             end, dt, esign = _dense_event(
-                va, vb, fa, fb, na, nb, ka, kb, end, h_use, t, fdir, zx, zy, alpha,
-                table, frame, radius, eps, event_kind,
+                va, vb, fa, fb, na, nb, ka, kb, (y0, y1, y2, y3), end, h_use, t, fdir,
+                zx, zy, alpha, table, frame, radius, eps, event_kind,
             )
             t += dt
             status = STATUS_EVENT
@@ -1384,6 +1467,14 @@ def _event_np(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
+def _event_gap_np(Y, radius, epsilon, kind):
+    """Vectorized twin of :func:`_event_gap`, math.log mapped over the rows."""
+    r = np.hypot(Y[:, 2], Y[:, 3])
+    x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
+    ratio = _gap_ratio(x1, x2, r, radius, epsilon, kind, np.minimum, np.maximum)
+    return np.array([_log_gap(v) for v in ratio.tolist()])
+
+
 def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.inf,
               fdir=1.0, accept=None, start=None):
     """Advance the active rows of Y and t in place, one attempt per active
@@ -1501,6 +1592,9 @@ def _drive_batch_np(
     def event(Z):
         return _event_np(Z, radius, eps, event_kind)[0]
 
+    def gap(Z):
+        return _event_gap_np(Z, radius, eps, event_kind)
+
     def to_zw(P, rows, tau, uframe):
         ea, eb = _factors(alpha, tau)
         return np.column_stack(_to_zw(P[:, 0], P[:, 1], Z0[rows, 0], Z0[rows, 1],
@@ -1549,21 +1643,40 @@ def _drive_batch_np(
     def refine(ev, P, K, rhs, uframe):
         t, h = out_t[ev], h_event[ev]
         C = _dense_np(P, K, V_event[ev], K_event[ev], fdir * h, rhs, t)
-        lo = np.zeros(ev.size)
-        hi = h.copy()
-        for _ in range(EVENT_HALVINGS):
-            live = hi - lo >= EVENT_TOL * np.maximum(hi, 1.0)
-            if not live.any():
-                break
-            mid = 0.5 * (lo + hi)
-            Pm = _contd8(P, (mid / h)[:, None], C)
-            mhit = event(to_zw(Pm, ev, fdir * (t + mid), uframe)[0])
-            hi = np.where(live & mhit, mid, hi)
-            lo = np.where(live & ~mhit, mid, lo)
         Yn = to_zw(V_event[ev], ev, fdir * t + fdir * h, uframe)[0]
-        m = np.nonzero(hi < h)[0]
+        pre = Y[ev]  # the pre-step states
+        inside = event(pre)
+        lo, hi = np.zeros(ev.size), np.where(inside, 0.0, h)
+        g_lo, g_hi = gap(pre), gap(Yn)
+        side, slow = np.zeros(ev.size, dtype=np.int64), np.zeros(ev.size, dtype=np.int64)
+        for _ in range(EVENT_ITERATIONS):
+            width = hi - lo
+            tol = EVENT_TOL * np.maximum(hi, 1.0)
+            i = np.nonzero(width >= tol)[0]
+            if not i.size:
+                break
+            # the probe of _event_probe
+            li, hii, gl, gh = lo[i], hi[i], g_lo[i], g_hi[i]
+            with np.errstate(divide="ignore"):
+                x = hii - gh * (hii - li) / (gh - gl)
+            nudge = EVENT_NUDGE * tol[i]
+            x += np.where(side[i] > 0, -nudge, nudge)
+            secant = ((slow[i] < 2) & np.isfinite(gl) & np.isfinite(gh) & (gl < gh)
+                      & (li < x) & (x < hii))
+            x = np.where(secant, x, 0.5 * (li + hii))
+            Z = to_zw(_contd8(P[i], (x / h[i])[:, None], C[:, i]), ev[i],
+                      fdir * (t[i] + x), uframe)[0]
+            mhit, g = event(Z), gap(Z)
+            up, down = i[mhit], i[~mhit]
+            g_lo[up[side[up] > 0]] *= 0.5
+            g_hi[down[side[down] < 0]] *= 0.5
+            hi[up], g_hi[up], side[up] = x[mhit], g[mhit], 1
+            lo[down], g_lo[down], side[down] = x[~mhit], g[~mhit], -1
+            slow[i] = np.where(hi[i] - lo[i] > 0.5 * width[i], slow[i] + 1, 0)
+        m = np.nonzero((hi < h) & ~inside)[0]
         Pm = _contd8(P[m], (hi[m] / h[m])[:, None], C[:, m])
         Yn[m] = to_zw(Pm, ev[m], fdir * (t[m] + hi[m]), uframe)[0]
+        Yn[inside] = pre[inside]
         Y[ev] = Yn
         out_sign[ev] = _event_np(Yn, radius, eps, event_kind)[1]
         out_t[ev] += hi

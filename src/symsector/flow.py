@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels
 from ._accel import available_cpus, can_fork, run_forked, using_numba
 from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint, complex_square
+from .smoothing import MODE_CUTOFF, MODE_PURE
 
 TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
@@ -29,7 +30,8 @@ _READINGS = {
 }
 _REC_CAP = 65536
 _SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
-_LOCKSTEP_ROWS = 16  # fewest rows the numpy lockstep runs; see _row_loop
+# fewest rows the numpy lockstep runs, by smoothing mode (table[0]); see _row_loop
+_LOCKSTEP_ROWS = {MODE_PURE: 72, MODE_CUTOFF: 544}
 
 
 class NoEscapeError(RuntimeError):
@@ -139,15 +141,19 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _row_loop(n, jit=True):
+def _row_loop(n, table, jit=True):
     """Whether a batch of n rows runs the scalar kernels row by row.
 
     Always where numba compiles the row loop (Delta; the drive, jit
     False, is plain Python under either backend); otherwise below
-    _LOCKSTEP_ROWS, since the numpy lockstep loses below about 30 rows.
-    Both give the same bits, so the choice never changes an output.
+    _LOCKSTEP_ROWS of the smoothing mode of table.  Those are where the
+    lockstep overtook the row loop, for the drive and Delta alike, on
+    random rows (numpy backend, 2 cores): near 72 rows in pure mode and
+    544 in cutoff mode, where knot landings hold the lockstep's slowest
+    rows for many iterations.  Both give the same bits, so the choice
+    never changes an output.
     """
-    return (jit and using_numba()) or n < _LOCKSTEP_ROWS
+    return (jit and using_numba()) or n < _LOCKSTEP_ROWS[table[0]]
 
 
 def _drive_args(params, settings, event_kind):
@@ -278,8 +284,8 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    row_loop = _row_loop(n, jit=False)
-    kernel = _kernels._drive_batch if row_loop else _kernels._drive_batch_np
+    kernel = (_kernels._drive_batch if _row_loop(n, params.table, jit=False)
+              else _kernels._drive_batch_np)
     kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,
@@ -354,7 +360,7 @@ def _delta_rows(W, args):
     """(status, re, im, t) of the batch Delta kernel on the rows of W."""
     n = W.shape[0]
     out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-    kernel = _kernels._delta_batch if _row_loop(n) else _kernels._delta_batch_np
+    kernel = _kernels._delta_batch if _row_loop(n, args[1]) else _kernels._delta_batch_np
     kernel(W, *args, *out)
     return out
 

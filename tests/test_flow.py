@@ -75,7 +75,7 @@ def test_drives_take_z_in_closed_form(mode, direction, rng):
     # from the lockstep and the row loop, at events and at the end of time
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_time=8.0)
-    n = flow._LOCKSTEP_ROWS + 4
+    n = flow._LOCKSTEP_ROWS[params.table[0]] + 4
     z = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
     w = complex_square(rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n))
     Y = np.column_stack([z.real, z.imag, w.real, w.imag])
@@ -155,10 +155,8 @@ def test_drive_batch_nonfinite_status_matches_scalar(pure16):
     state = [1.0, 0.5, 1e308, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         # enough rows for the numpy lockstep, which the scalar call never runs
-        status, t, _ = drive_batch(
-            np.array([state] * flow._LOCKSTEP_ROWS), pure16, settings,
-            _kernels.EVENT_PAIR_ESCAPE,
-        )
+        rows = np.array([state] * flow._LOCKSTEP_ROWS[pure16.table[0]])
+        status, t, _ = drive_batch(rows, pure16, settings, _kernels.EVENT_PAIR_ESCAPE)
         assert (status == _kernels.STATUS_NONFINITE).all() and (t == 0.0).all()
         with pytest.raises(NonFiniteFlowError):
             integrate_flow(state, pure16, settings, record=False)
@@ -341,7 +339,8 @@ def test_offset_symmetries_bitwise(pure16):
 def test_batch_matches_scalar(pure16):
     settings = FlowSettings(step_tolerance=1e-11)
     # padded to enough distinct keys for the numpy lockstep
-    pad = np.random.default_rng(3).uniform(0.0, 48.0, (2, flow._LOCKSTEP_ROWS))
+    n = flow._LOCKSTEP_ROWS[pure16.table[0]]
+    pad = np.random.default_rng(3).uniform(0.0, 48.0, (2, n))
     seeds = np.array([0.5 + 0.1j, 8.0 - 3.0j, 0.0 + 5.0j, *(pad[0] + 1j * pad[1])])
     batch = compute_c_batch(seeds, pure16, settings)
     for s, c in zip(seeds, batch):
@@ -369,7 +368,7 @@ def test_delta_batch_nonfinite_status_matches_scalar(pure16):
     # Delta and c nan, and no numpy warning reaches the caller
     settings = FlowSettings(max_steps=2000)
     # 1.0 padded to enough distinct keys for the numpy lockstep
-    ones = [1.0 + 0.5 * k for k in range(flow._LOCKSTEP_ROWS)]
+    ones = [1.0 + 0.5 * k for k in range(flow._LOCKSTEP_ROWS[pure16.table[0]])]
     for s0 in (1e154, 1e154 + 1e154j):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -501,7 +500,7 @@ def test_backward_flow_undoes_forward_flow(mode, rng):
     # or in the w part alone misses the start by O(1)
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(step_tolerance=1e-11)
-    n = flow._LOCKSTEP_ROWS  # enough rows for the numpy lockstep
+    n = flow._LOCKSTEP_ROWS[params.table[0]]  # enough rows for the numpy lockstep
     z = rng.uniform(-8.0, 8.0, (n, 2))
     s = rng.uniform(-8.0, 8.0, n) + 1j * rng.uniform(-8.0, 8.0, n)
     X = np.column_stack([z, (s * s).real, (s * s).imag])
@@ -733,7 +732,7 @@ def test_scalar_calls_are_their_batch_rows_bit_for_bit(mode, rng):
     # they run the lockstep and every scalar call the row loop
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=8.0, escape_radius=64.0)
-    n = flow._LOCKSTEP_ROWS + 4
+    n = flow._LOCKSTEP_ROWS[params.table[0]] + 4
     s, X = _front_end_rows(rng, n)
     for reading in ("complex", "real"):
         delta, status = compute_delta_batch(s, params, reading=reading)
@@ -795,7 +794,7 @@ def _spy(monkeypatch, names):
 def test_lockstep_runs_from_lockstep_rows_on(mode, rng, monkeypatch):
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=8.0, escape_radius=64.0)
-    n = flow._LOCKSTEP_ROWS
+    n = flow._LOCKSTEP_ROWS[params.table[0]]
     s, X = _front_end_rows(rng, n)
     ran = _spy(monkeypatch, ["_drive_batch", "_drive_batch_np",
                              "_delta_batch", "_delta_batch_np"])

@@ -881,7 +881,7 @@ def test_batch_rows_are_independent(mode):
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     rng = np.random.default_rng(9)
-    n = flow._LOCKSTEP_ROWS - 3  # 16 rows in all, enough for the numpy lockstep
+    n = flow._LOCKSTEP_ROWS[params.table[0]] - 3  # enough rows for the numpy lockstep
     s = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
     s = np.append(s, [2.0j, -2.0j, 1e154])  # w0 on the negative axis; overflow
     perm = rng.permutation(s.size)
@@ -928,7 +928,7 @@ def test_flow_label_scalar_matches_batch(pure16, p, settings, want):
     label = classify_by_flow(p, pure16, settings)
     assert label == want
     # _LOCKSTEP_ROWS copies, so on the numpy backend the batch runs the lockstep
-    rows = [p.state()] * flow._LOCKSTEP_ROWS
+    rows = [p.state()] * flow._LOCKSTEP_ROWS[pure16.table[0]]
     assert list(classify_by_flow_batch(rows, pure16, settings)) == [label] * len(rows)
 
 
