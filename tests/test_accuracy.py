@@ -13,8 +13,11 @@ beyond |w| = epsilon), rounded:
 - escape time, cutoff mode: median 2.6e-11, q99 2.1e-9, max 1.6e-7
 - offset c: max 2.5e-9 pure, 3.9e-9 cutoff (Delta has no events)
 
-Before that frame, with z and w stepped together, they were 1.6e-10
-and 1.35e-8 in both modes, and 9.5e-7 at most in cutoff mode.
+Before that frame, with z and w stepped together, the escape times were
+1.6e-10 and 1.35e-8 in both modes, and 9.5e-7 at most in cutoff mode.
+Upward drives to the V-entry band, whose steps H_MAX_V_ENTRY caps, differ
+from the reference by a median of 1.9e-15 and at most 1.3e-12 in time,
+and by 2.0e-12 relative in the event state, in both modes.
 
 The pure-mode escape-time max is not bounded: two rows of the set enter
 the escape region only briefly, between two step ends of one of the two
@@ -22,7 +25,8 @@ runs: the default run steps over the entry of row 65
 (test_brief_first_entry_is_found), the reference over that of row 494.
 In cutoff mode the step that ends such an entry lands on the outer knot
 |w| = epsilon, which a cutoff escape drive counts as outside the band,
-so neither entry is missed.
+so neither entry is missed.  Upward drives visit the V-entry band as
+briefly, in both modes: each run steps over a few of those visits.
 """
 
 import numpy as np
@@ -134,6 +138,50 @@ def test_escape_drives_match_a_tight_reference_at_any_alpha(mode, alpha):
     assert np.array_equal(status, status_ref)
     assert np.array_equal(sign, sign_ref)
     assert pairs == pairs_ref
+
+
+# rows of the accuracy set whose upward flow visits the V-entry band for
+# 0.026 to 0.08 time units, less than the step cap H_MAX_V_ENTRY = 0.1:
+# the default run steps over the visits of the first four, the reference
+# over those of the last two
+V_MISSED_BY_DEFAULT = [87, 177, 370, 453]
+V_MISSED_BY_REFERENCE = [402, 875]
+# (median, max) bounds of the upward V-entry time difference, and the max
+# bound of the relative difference of the event states
+V_ENTRY_BOUNDS = (1e-14, 6e-12)
+V_ENTRY_STATE_BOUND = 8e-12
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_upward_v_entry_drives_match_a_tight_reference(mode):
+    # drives to the V-entry band, whose entry eval_I locates downward, run
+    # upward; measured: time median 1.9e-15, max 1.3e-12, state max 2.0e-12
+    # relative, in both modes, over the 143 rows that enter the band from
+    # outside.  409 rows start inside it and end there at t = 0, and 446
+    # never reach it before max_time.
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    Y = _drive_rows()
+    out = []
+    for settings in (SETTINGS, TIGHT_SETTINGS):
+        Yk = Y.copy()
+        out.append((*flow.drive_batch(Yk, params, settings, _kernels.EVENT_V_ENTRY,
+                                      direction=-1.0), Yk))
+    (status, t, sign, got), (status_ref, t_ref, sign_ref, ref) = out
+    differ = np.nonzero((status != status_ref) | (sign != sign_ref))[0]
+    assert differ.tolist() == sorted(V_MISSED_BY_DEFAULT + V_MISSED_BY_REFERENCE)
+    assert np.all(status[V_MISSED_BY_DEFAULT] == _kernels.STATUS_TIME_END)
+    assert np.all(status_ref[V_MISSED_BY_REFERENCE] == _kernels.STATUS_TIME_END)
+    event = status == _kernels.STATUS_EVENT
+    event[differ] = False
+    start = event & (t == 0.0)
+    assert np.array_equal(start, event & (t_ref == 0.0))
+    assert np.array_equal(got[start], Y[start])
+    located = event & ~start
+    assert np.count_nonzero(located) > 100
+    err = np.abs(t - t_ref)[located]
+    assert np.median(err) < V_ENTRY_BOUNDS[0] and err.max() < V_ENTRY_BOUNDS[1]
+    rel = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert rel[located].max() < V_ENTRY_STATE_BOUND
 
 
 # (sqrt(w0), direction, t): |w| grows from inside epsilon = 16 to far

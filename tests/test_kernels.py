@@ -575,6 +575,38 @@ def test_cutoff_escape_drives_count_the_outer_knot_as_outside():
             assert vec[0].tolist() == [hit]
 
 
+@pytest.mark.parametrize("reading", ["epsilon", "knot"])
+@pytest.mark.parametrize(
+    "kind",
+    [_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION, _kernels.EVENT_V_ENTRY],
+    ids=["pair-escape", "trunc-region", "v-entry"],
+)
+def test_event_gap_is_positive_only_inside_the_region(kind, reading):
+    # g > 0 implies a hit of _event_val and a hit implies g >= 0, so the
+    # secant on g never moves an end of the bracket the predicate would not;
+    # read with epsilon and with the lowered epsilon of a cutoff escape
+    # drive (_event_eps), on drawn rows, on the region edges of _event_rows
+    # and on |w| = eps and its neighbouring floats.  The twins agree bit for
+    # bit, nan and infinite gaps included.
+    epsilon = 16.0
+    radius = 2.0 * epsilon
+    eps = epsilon
+    if reading == "knot":
+        eps = _kernels._event_eps(SteinParams(epsilon=epsilon, smoothing="cutoff").table,
+                                  _kernels.EVENT_PAIR_ESCAPE)
+        assert eps < epsilon
+    edge = [(x, 0.0, 0.0, r) for x in eps * np.arange(-4.0, 4.5, 0.5)
+            for r in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf))]
+    Y = np.vstack([_event_rows(eps, np.random.default_rng(8)), edge])
+    hit, _ = _kernels._event_np(Y, radius, eps, kind)
+    with np.errstate(over="ignore"):  # epsilon / |x| at x = 0
+        gap = _kernels._event_gap_np(Y, radius, eps, kind)
+    assert hit.any() and not hit.all() and (gap == 0.0).any()
+    assert np.all(hit[gap > 0.0]) and np.all(gap[hit] >= 0.0)
+    scalar = [_kernels._event_gap(*row, radius, eps, kind) for row in Y.tolist()]
+    assert _bits(gap) == _bits(scalar)
+
+
 # two rows inside each region at t = 0, with the event signs they take
 _INSIDE = {
     _kernels.EVENT_PAIR_ESCAPE: [(300.0, 0.0, 1e4, 0.0), (-300.0, 0.0, 1e4, 0.0)],
@@ -726,8 +758,8 @@ def _count_calls(monkeypatch, name, counter, key):
 
 # Refining an event recomputes the stages of its step once and adds the
 # dense-output stages 14-16: 14 evaluations of the one integrated pair (w in
-# the w-frame, u in the u-frame), however many halvings the bisection on the
-# dense output makes.
+# the w-frame, u in the u-frame), however many times the event location
+# reads the dense output.
 REFINE_RHS = 14
 
 
@@ -751,7 +783,7 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
 
     monkeypatch.setattr(_kernels, "_advance", judged)
     rec = np.empty((0, 5))
-    halvings = set()
+    reads = set()
     frames = set()
     for row in rows:
         counts.clear()
@@ -763,10 +795,10 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
         switched = u_calls % REFINE_RHS
         assert switched in (0, 1)
         assert w_calls + u_calls == 1 + switched + REFINE_RHS * refined
-        if refined:  # _contd8 runs twice per halving
+        if refined:  # _contd8 runs twice per read of the dense output
             frames.add(bool(switched))
-            halvings.add(counts["_contd8", False])
-    assert len(halvings) > 1 and frames == {False, True}
+            reads.add(counts["_contd8", False])
+    assert len(reads) > 1 and frames == {False, True}
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
@@ -805,6 +837,57 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     n_w, n_u = w_calls[1:2] or [0], u_calls[:1] or [0]
     assert w_calls[1:] == n_w * REFINE_RHS and u_calls == n_u * REFINE_RHS
     assert n_w[0] > 0 and n_u[0] > 0 and n_w[0] + n_u[0] == n_event
+
+
+# most dense-output reads per located event, on the mean; bisecting the
+# event predicate to EVENT_TOL took about 45
+EVENT_READS = 8
+
+
+@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_events_take_few_dense_output_reads(monkeypatch, mode):
+    # the secant on the event gap locates an event in a few reads of the
+    # dense output, in both frames; an event step from a start already
+    # inside the region needs none.  The batch twin makes the same reads:
+    # the rows of its refinement iterations, which read the gap once each
+    # after reading it at both ends of every event step.
+    reads = collections.defaultdict(list)  # frame -> reads per located event
+    counts = collections.Counter()
+    _count_calls(monkeypatch, "_contd8", counts, lambda: None)
+    dense_event, gap_np = _kernels._dense_event, _kernels._event_gap_np
+    gap_rows = []
+
+    def located(*a):
+        counts.clear()
+        out = dense_event(*a)
+        pre, frame, radius, eps, kind = a[8], a[17], a[18], a[19], a[20]
+        n_reads = counts["_contd8", None] // 2
+        if _kernels._event_val(*pre, radius, eps, kind)[0]:
+            assert n_reads == 0 and out[1] == 0.0
+        else:
+            reads[frame is not None].append(n_reads)
+        return out
+
+    def gap_spy(Y, *a):
+        gap_rows.append(len(Y))
+        return gap_np(Y, *a)
+
+    monkeypatch.setattr(_kernels, "_dense_event", located)
+    monkeypatch.setattr(_kernels, "_event_gap_np", gap_spy)
+    for kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
+                 _kernels.EVENT_V_ENTRY):
+        for fdir in (1.0, -1.0):
+            args, flowing, inside = _event_drive(mode, kind)
+            total = sum(map(sum, reads.values()))
+            gap_rows.clear()
+            status = _drive_both(flowing + inside, args, 4.0, fdir)[0][0]
+            n_event = np.count_nonzero(status == _kernels.STATUS_EVENT)
+            total = sum(map(sum, reads.values())) - total
+            assert sum(gap_rows) - 2 * n_event == total
+    assert set(reads) == {False, True}
+    for frame_reads in reads.values():
+        assert np.mean(frame_reads) <= EVENT_READS
 
 
 def test_drive_twins_agree_on_stalls():
