@@ -61,18 +61,27 @@ taken, nor is one whose state [z, w] is not finite (the drive ends
 STATUS_NONFINITE).  The event is located on the dense output of the
 pair over that step (Hairer's contd8, II.6): its stages 2-12 are
 recomputed once and stages 14-16 added, which also read the derivative
-at the end (stage 13), giving a 7th order interpolant of the step.  The
-event predicate is bisected on the interpolant, each state converted at
-its own time, at most EVENT_HALVINGS halvings, stopping once hi - lo <
-EVENT_TOL max(hi, 1); the state at hi is read from it, or is the
-accepted end state itself where the bracket never moved.  A refinement
-thus costs 14 right-hand-side evaluations of the one integrated pair,
-however many halvings it makes.  The dense output is written once for
-both backends: its coefficients are the (stage, coefficient) tables
-DENSE_STAGES (stages 14-16) and DENSE_ROWS (the rows D4-D7 of the
-interpolant), and _combo sums such terms left to right, on lists of
-floats in _dense2 and on lists of arrays in _dense_np; _contd8_coefs and
-_contd8 serve both.
+at the end (stage 13), giving a 7th order interpolant of the step.  On
+it a bracket [lo, hi] of the time closes around the entry, each state
+converted at its own time: the event predicate decides whether a state
+moves hi (a hit) or lo, and the next time is a safeguarded secant root
+of the event gap, the log of the least margin of the region's bounds
+(_event_gap, _event_probe; Shampine & Thompson, Comput. Math. Appl. 39,
+2000).  The gap is positive only inside the region and almost linear in
+time along a u-frame step, so a located event takes 2 or 3 reads of the
+dense output, where bisecting the predicate took about 45.  It stops
+once hi - lo < EVENT_TOL max(hi, 1), after at most EVENT_ITERATIONS
+iterations; the state at hi is read from the interpolant, or is the
+accepted end state itself where hi never moved.  A step that starts
+inside the region, as only a drive's first step can, has its event at
+its start.  A refinement thus costs 14 right-hand-side evaluations of
+the one integrated pair, however many reads it makes.  The dense output
+is written once for both backends: its coefficients are the (stage,
+coefficient) tables DENSE_STAGES (stages 14-16) and DENSE_ROWS (the rows
+D4-D7 of the interpolant), and _combo sums such terms left to right, on
+lists of floats in _dense2 and on lists of arrays in _dense_np;
+_contd8_coefs and _contd8 serve both, as _gap_ratio serves the gap of
+both.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode;
@@ -94,7 +103,7 @@ u-frame pass for the rows that switched, each with one right-hand side,
 and passes it the rule for accepted steps: conversion, events and the
 switch.  It holds each row that enters its region and, after each pass,
 builds the dense output of all their event steps in one batch and
-bisects all of them together on it.  The batch kernels _drive_batch and
+locates all of their events together on it.  The batch kernels _drive_batch and
 _delta_batch run the scalar kernels row by row and take the same
 parameters as their numpy forms; flow picks one of the two per call, by
 backend and row count.  The numpy kernels and _drive ignore overflow and
@@ -146,7 +155,9 @@ and of the switch stay np.sqrt), and math.exp differs from np.exp in the
 last place on some arguments (so the reading scale and the factors of
 the frame stay np.exp, which gives the same bits for one value as for
 many: the scalar drive takes the factors of an attempt's 13 stage times
-in one array).
+in one array).  For the same reason the event gap takes math.log in
+both twins, mapped over the rows of the numpy one (np.log differs from
+it on some arguments); only event rows, a few times each, reach it.
 """
 
 import math
@@ -335,7 +346,7 @@ KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
 KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
 EVENT_ITERATIONS = 64  # most iterations on an event bracket on the dense output
 EVENT_TOL = 1e-13  # the iterations stop once hi - lo < EVENT_TOL max(hi, 1)
-EVENT_NUDGE = 0.25  # a secant probe moves this many EVENT_TOL past its root
+EVENT_NUDGE = 0.25  # a secant probe moves this share of the stop width past its root
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
 AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
 
@@ -939,10 +950,11 @@ def _event_probe(lo, hi, g_lo, g_hi, side, slow, tol):
     """The next time at which _dense_event reads the event bracket [lo, hi].
 
     The secant root of the gaps g_lo < 0 <= g_hi, moved EVENT_NUDGE tol
-    towards hi, or towards lo once hi was the last end to move (side 1),
-    so that the bracket closes from both sides; the midpoint where a gap
-    is not finite, g_hi <= g_lo, the root is not strictly inside, or the
-    two iterations before did not halve the bracket (slow 2).
+    (tol = EVENT_TOL max(hi, 1), the stop width) towards hi, or towards
+    lo once hi was the last end to move (side 1), so that the bracket
+    closes from both sides; the midpoint where a gap is not finite,
+    g_hi <= g_lo, the moved root is not strictly inside, or the two
+    iterations before did not halve the bracket (slow 2).
     """
     mid = 0.5 * (lo + hi)
     if not (slow < 2 and math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
@@ -1570,12 +1582,14 @@ def _drive_batch_np(
     starts in the w-frame, and the rows that switch continue in a second
     pass in the u-frame, so each pass has one right-hand side.  A row
     whose accepted step ends inside the event region stops there with
-    STATUS_EVENT, keeping its pre-step pair, derivative and time.  After
-    each pass the dense output of its event steps is built in one batch
-    (:func:`_dense_np`) and all its event rows are bisected on it
-    together, by the rule of :func:`_dense_event`: at most
-    EVENT_HALVINGS halvings per row, each row stopping once hi - lo <
-    EVENT_TOL max(hi, 1).  A stopped row keeps its bracket.
+    STATUS_EVENT, keeping its pre-step state, pair, derivative and time.
+    After each pass the dense output of its event steps is built in one
+    batch (:func:`_dense_np`) and the events of all its rows are located
+    on it together, with the per-row arithmetic of :func:`_dense_event`
+    and :func:`_event_probe`: per-row brackets, gaps (:func:`_event_gap_np`),
+    sides and counts of slow iterations, at most EVENT_ITERATIONS
+    iterations, each row stopping once hi - lo < EVENT_TOL max(hi, 1).
+    A stopped row keeps its bracket.
     """
     arr = np.asarray(table)
     n = Y.shape[0]
