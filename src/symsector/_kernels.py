@@ -1662,7 +1662,8 @@ def _drive_batch_np(
         inside = event(pre)
         lo, hi = np.zeros(ev.size), np.where(inside, 0.0, h)
         g_lo, g_hi = gap(pre), gap(Yn)
-        side, slow = np.zeros(ev.size, dtype=np.int64), np.zeros(ev.size, dtype=np.int64)
+        side = np.zeros(ev.size, dtype=np.int64)
+        slow = np.zeros(ev.size, dtype=np.int64)
         for _ in range(EVENT_ITERATIONS):
             width = hi - lo
             tol = EVENT_TOL * np.maximum(hi, 1.0)
