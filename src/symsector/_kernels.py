@@ -946,23 +946,27 @@ def _event_gap(y0, y1, y2, y3, radius, epsilon, kind):
     return _log_gap(_gap_ratio(x1, x2, r, radius, epsilon, kind, _lesser, _greater))
 
 
-def _event_probe(lo, hi, g_lo, g_hi, side, slow, tol):
-    """The next time at which _dense_event reads the event bracket [lo, hi].
+def _pick(c, a, b):
+    """a if c else b: np.where for floats."""
+    return a if c else b
+
+
+def _event_probe(lo, hi, g_lo, g_hi, side, slow, tol, where):
+    """The next time at which an event bracket [lo, hi] reads the dense output.
 
     The secant root of the gaps g_lo < 0 <= g_hi, moved EVENT_NUDGE tol
     (tol = EVENT_TOL max(hi, 1), the stop width) towards hi, or towards
     lo once hi was the last end to move (side 1), so that the bracket
     closes from both sides; the midpoint where a gap is not finite,
     g_hi <= g_lo, the moved root is not strictly inside, or the two
-    iterations before did not halve the bracket (slow 2).
+    iterations before did not halve the bracket (slow 2).  Arithmetic,
+    comparisons and where alone, so floats with _pick give the bits of
+    arrays with np.where.
     """
-    mid = 0.5 * (lo + hi)
-    if not (slow < 2 and math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
-        return mid
-    x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-    nudge = EVENT_NUDGE * tol
-    x += -nudge if side > 0 else nudge
-    return x if lo < x < hi else mid
+    secant = (slow < 2) & (abs(g_lo) < math.inf) & (abs(g_hi) < math.inf) & (g_lo < g_hi)
+    x = hi - g_hi * (hi - lo) / where(secant, g_hi - g_lo, 1.0)
+    x += where(side > 0, -EVENT_NUDGE * tol, EVENT_NUDGE * tol)
+    return where(secant & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
 
 
 @njit(cache=True)
@@ -1057,10 +1061,11 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
         tol = EVENT_TOL * (hi if hi > 1.0 else 1.0)
         if width < tol:
             break
-        x = _event_probe(lo, hi, g_lo, g_hi, side, slow, tol)
+        x = _event_probe(lo, hi, g_lo, g_hi, side, slow, tol, _pick)
         ea, eb = _factors(alpha, fdir * (t + x))
-        state = _to_zw(_contd8(pa, x / h_acc, ca), _contd8(pb, x / h_acc, cb), zx, zy,
-                       float(ea), float(eb), uframe)
+        f = x / h_acc
+        state = _to_zw(_contd8(pa, f, ca), _contd8(pb, f, cb), zx, zy, float(ea),
+                       float(eb), uframe)
         mhit, msign = _event_val(*state, radius, eps, kind)
         g = _event_gap(*state, radius, eps, kind)
         if mhit:
@@ -1670,15 +1675,8 @@ def _drive_batch_np(
             i = np.nonzero(width >= tol)[0]
             if not i.size:
                 break
-            # the probe of _event_probe
-            li, hii, gl, gh = lo[i], hi[i], g_lo[i], g_hi[i]
-            with np.errstate(divide="ignore"):
-                x = hii - gh * (hii - li) / (gh - gl)
-            nudge = EVENT_NUDGE * tol[i]
-            x += np.where(side[i] > 0, -nudge, nudge)
-            secant = ((slow[i] < 2) & np.isfinite(gl) & np.isfinite(gh) & (gl < gh)
-                      & (li < x) & (x < hii))
-            x = np.where(secant, x, 0.5 * (li + hii))
+            x = _event_probe(lo[i], hi[i], g_lo[i], g_hi[i], side[i], slow[i], tol[i],
+                             np.where)
             Z = to_zw(_contd8(P[i], (x / h[i])[:, None], C[:, i]), ev[i],
                       fdir * (t[i] + x), uframe)[0]
             mhit, g = event(Z), gap(Z)
