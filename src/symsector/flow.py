@@ -284,8 +284,8 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    kernel = (_kernels._drive_batch if _row_loop(n, params.table, jit=False)
-              else _kernels._drive_batch_np)
+    row_loop = _row_loop(n, params.table, jit=False)
+    kernel = _kernels._drive_batch if row_loop else _kernels._drive_batch_np
     kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,

@@ -587,7 +587,7 @@ def test_event_gap_is_positive_only_inside_the_region(kind, reading):
     # read with epsilon and with the lowered epsilon of a cutoff escape
     # drive (_event_eps), on drawn rows, on the region edges of _event_rows
     # and on |w| = eps and its neighbouring floats.  The twins agree bit for
-    # bit, nan and infinite gaps included.
+    # bit, infinite gaps included.
     epsilon = 16.0
     radius = 2.0 * epsilon
     eps = epsilon
@@ -879,12 +879,11 @@ def test_events_take_few_dense_output_reads(monkeypatch, mode):
                  _kernels.EVENT_V_ENTRY):
         for fdir in (1.0, -1.0):
             args, flowing, inside = _event_drive(mode, kind)
-            total = sum(map(sum, reads.values()))
+            before = sum(map(sum, reads.values()))
             gap_rows.clear()
             status = _drive_both(flowing + inside, args, 4.0, fdir)[0][0]
             n_event = np.count_nonzero(status == _kernels.STATUS_EVENT)
-            total = sum(map(sum, reads.values())) - total
-            assert sum(gap_rows) - 2 * n_event == total
+            assert sum(gap_rows) - 2 * n_event == sum(map(sum, reads.values())) - before
     assert set(reads) == {False, True}
     for frame_reads in reads.values():
         assert np.mean(frame_reads) <= EVENT_READS
