@@ -951,21 +951,21 @@ def _pick(c, a, b):
     return a if c else b
 
 
-def _event_probe(lo, hi, g_lo, g_hi, side, slow, tol, where):
+def _event_probe(lo, hi, g_lo, g_hi, slow, tol, where):
     """The next time at which an event bracket [lo, hi] reads the dense output.
 
     The secant root of the gaps g_lo < 0 <= g_hi, moved EVENT_NUDGE tol
-    (tol = EVENT_TOL max(hi, 1), the stop width) towards hi, or towards
-    lo once hi was the last end to move (side 1), so that the bracket
-    closes from both sides; the midpoint where a gap is not finite,
-    g_hi <= g_lo, the moved root is not strictly inside, or the two
-    iterations before did not halve the bracket (slow 2).  Arithmetic,
-    comparisons and where alone, so floats with _pick give the bits of
-    arrays with np.where.
+    (tol = EVENT_TOL max(hi, 1), the stop width) towards the farther end,
+    past the root as seen from the nearer one, so that the bracket closes
+    from both sides; the midpoint where a gap is not finite, g_hi <= g_lo,
+    the moved root is not strictly inside, or the three iterations before
+    did not halve the bracket (slow 3).  Arithmetic, comparisons and
+    where alone, so floats with _pick give the bits of arrays with
+    np.where.
     """
-    secant = (slow < 2) & (abs(g_lo) < math.inf) & (abs(g_hi) < math.inf) & (g_lo < g_hi)
+    secant = (slow < 3) & (abs(g_lo) < math.inf) & (abs(g_hi) < math.inf) & (g_lo < g_hi)
     x = hi - g_hi * (hi - lo) / where(secant, g_hi - g_lo, 1.0)
-    x += where(side > 0, -EVENT_NUDGE * tol, EVENT_NUDGE * tol)
+    x += where(hi - x > x - lo, EVENT_NUDGE * tol, -EVENT_NUDGE * tol)
     return where(secant & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
 
 
@@ -1061,7 +1061,7 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
         tol = EVENT_TOL * (hi if hi > 1.0 else 1.0)
         if width < tol:
             break
-        x = _event_probe(lo, hi, g_lo, g_hi, side, slow, tol, _pick)
+        x = _event_probe(lo, hi, g_lo, g_hi, slow, tol, _pick)
         ea, eb = _factors(alpha, fdir * (t + x))
         f = x / h_acc
         state = _to_zw(_contd8(pa, f, ca), _contd8(pb, f, cb), zx, zy, float(ea),
@@ -1675,8 +1675,7 @@ def _drive_batch_np(
             i = np.nonzero(width >= tol)[0]
             if not i.size:
                 break
-            x = _event_probe(lo[i], hi[i], g_lo[i], g_hi[i], side[i], slow[i], tol[i],
-                             np.where)
+            x = _event_probe(lo[i], hi[i], g_lo[i], g_hi[i], slow[i], tol[i], np.where)
             Z = to_zw(_contd8(P[i], (x / h[i])[:, None], C[:, i]), ev[i],
                       fdir * (t[i] + x), uframe)[0]
             mhit, g = event(Z), gap(Z)
