@@ -58,30 +58,30 @@ all of this.
 
 An accepted step of a drive that ends inside the event region is not
 taken, nor is one whose state [z, w] is not finite (the drive ends
-STATUS_NONFINITE).  The event is located on the dense output of the
-pair over that step (Hairer's contd8, II.6): its stages 2-12 are
-recomputed once and stages 14-16 added, which also read the derivative
-at the end (stage 13), giving a 7th order interpolant of the step.  On
-it a bracket [lo, hi] of the time closes around the entry, each state
-converted at its own time: the event predicate decides whether a state
-moves hi (a hit) or lo, and the next time is a safeguarded secant root
-of the event gap, the log of the least margin of the region's bounds
-(_event_gap, _event_probe; Shampine & Thompson, Comput. Math. Appl. 39,
-2000).  The gap is positive only inside the region and almost linear in
-time along a u-frame step, so a located event takes 2 or 3 reads of the
-dense output, where bisecting the predicate took about 45.  It stops
-once hi - lo < EVENT_TOL max(hi, 1), after at most EVENT_ITERATIONS
-iterations; the state at hi is read from the interpolant, or is the
-accepted end state itself where hi never moved.  A step that starts
-inside the region, as only a drive's first step can, has its event at
-its start.  A refinement thus costs 14 right-hand-side evaluations of
-the one integrated pair, however many reads it makes.  The dense output
-is written once for both backends: its coefficients are the (stage,
-coefficient) tables DENSE_STAGES (stages 14-16) and DENSE_ROWS (the rows
-D4-D7 of the interpolant), and _combo sums such terms left to right, on
-lists of floats in _dense2 and on lists of arrays in _dense_np;
-_contd8_coefs and _contd8 serve both, as _gap_ratio serves the gap of
-both.
+STATUS_NONFINITE).  The event is located on the dense output of the pair
+over that step (Hairer's contd8, II.6): its stages 2-12 are recomputed
+once and stages 14-16 added, which also read the derivative at the end
+(stage 13), giving a 7th order interpolant of the step.  On it a bracket
+[lo, hi] of the time closes around the entry, each state converted at
+its own time: the event predicate decides whether a state moves hi (a
+hit) or lo, and the next time is a safeguarded secant root of the event
+gap, the log of the least margin of the region's bounds (_event_gap,
+_event_probe; Shampine & Thompson, Comput. Math. Appl. 39, 2000).  The
+gap is positive only inside the region and almost linear in time along a
+u-frame step, so a located event takes 2 or 3 reads of the dense output,
+where bisecting the predicate took about 45.  It stops once hi - lo <
+EVENT_TOL max(hi, 1), after at most EVENT_ITERATIONS iterations; the
+state at hi is read from the interpolant, or is the accepted end state
+itself where hi never moved.  A step that starts inside the region, as
+only a drive's first step can, has its event at its start, and builds no
+dense output.  Any other refinement thus costs 14 right-hand-side
+evaluations of the one integrated pair, however many reads it makes.
+The dense output is written once for both backends: its coefficients are
+the (stage, coefficient) tables DENSE_STAGES (stages 14-16) and
+DENSE_ROWS (the rows D4-D7 of the interpolant), and _combo sums such
+terms left to right, on lists of floats in _dense2 and on lists of
+arrays in _dense_np; _contd8_coefs and _contd8 serve both, as _gap_ratio
+serves the gap of both.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode;
@@ -103,12 +103,12 @@ u-frame pass for the rows that switched, each with one right-hand side,
 and passes it the rule for accepted steps: conversion, events and the
 switch.  It holds each row that enters its region and, after each pass,
 builds the dense output of all their event steps in one batch and
-locates all of their events together on it.  The batch kernels _drive_batch and
-_delta_batch run the scalar kernels row by row and take the same
-parameters as their numpy forms; flow picks one of the two per call, by
-backend and row count.  The numpy kernels and _drive ignore overflow and
-invalid-value warnings: a row that leaves the float range ends
-STATUS_NONFINITE.
+locates all of their events together on it.  The batch kernels
+_drive_batch and _delta_batch run the scalar kernels row by row and
+take the same parameters as their numpy forms; flow picks one of the
+two per call, by row count.  The numpy kernels and _drive ignore
+overflow and invalid-value warnings: a row that leaves the float range
+ends STATUS_NONFINITE.
 
 What no caller varies is a module constant, not a parameter: the
 absolute tolerance ATOL, the step caps, the knot tolerance, the stall
@@ -124,40 +124,34 @@ output _dense2, which take their right-hand side as an argument, call it
 with the stage index of FRAME_NODES and share the stages of _stages2,
 _err_norm, _next_h, _pair_re and _event_val (also the region test of
 sectors).  The sums of _stages2 and _step2 stay unrolled: read through
-_combo, a scalar step takes 1.7 times as long.  The scalar kernels are
-jit-compiled under numba and run as plain Python otherwise (the
-decorator degrades to a no-op), as does the row loop _delta_batch.  The
-drive is plain Python under either backend: _drive, its row loop
-_drive_batch (which on the numpy backend serves every batch of fewer
-than flow._LOCKSTEP_ROWS rows, scalar calls included), _dense_event,
-which refines its events, and _factors, _to_zw and _w_dot.  Under numba
-it calls the jit kernels _advance, _dense2, _contd8 and _event_val with
-arguments numba can type (the factors of the frame as tuples); that
-path is untested where numba is not installed.  _advance is the scalar
-counterpart of _lockstep: the one judged attempt of _drive and
+_combo, a scalar step takes 1.7 times as long.  _drive, which refines
+its events with _dense_event, and _delta_one run row by row in
+_drive_batch and _delta_batch, which serve every batch of fewer than
+flow._LOCKSTEP_ROWS rows, scalar calls included.  _advance is the
+scalar counterpart of _lockstep: the one judged attempt of _drive and
 _delta_one, one _step2 on the pair, w with _rhs2 or u with _rhs_u.
-Both twins write every stage sum as h (sum of a_ij k_j) with
-the same terms in the same order, sum squares over components left to
-right and take err^(-1/8) as three correctly rounded square roots, so
-on the same rows they give the same bits.
+Both twins write every stage sum as h (sum of a_ij k_j) with the same
+terms in the same order, sum squares over components left to right and
+take err^(-1/8) as three correctly rounded square roots, so on the same
+rows they give the same bits.
 
 Every kernel takes the smoothing table as the one tuple of built-in
-floats that SteinParams holds (under numba a UniTuple(float64, 15)).  The
-numpy batch kernels read it as an array once per call: numpy combines
-its own scalars with arrays faster than built-in floats.  As plain Python
-the scalar kernels run on built-in floats, with the same bits as numpy
-scalars at several times the speed: |w| is _hypot (abs(complex), which
-calls libm hypot as np.hypot does), and real roots and finiteness tests
-come from math.  Three stdlib twins are avoided because their bits differ:
-math.hypot rounds some pairs apart from libm hypot, cmath.sqrt differs
-from np.sqrt on the imaginary axis (so the complex roots of _delta_one
-and of the switch stay np.sqrt), and math.exp differs from np.exp in the
-last place on some arguments (so the reading scale and the factors of
-the frame stay np.exp, which gives the same bits for one value as for
-many: the scalar drive takes the factors of an attempt's 13 stage times
-in one array).  For the same reason the event gap takes math.log in
-both twins, mapped over the rows of the numpy one (np.log differs from
-it on some arguments); only event rows, a few times each, reach it.
+floats that SteinParams holds.  The numpy batch kernels read it as an
+array once per call: numpy combines its own scalars with arrays faster
+than built-in floats.  The scalar kernels run on built-in floats, with
+the same bits as numpy scalars at several times the speed: |w| is _hypot
+(abs(complex), which calls libm hypot as np.hypot does), and real roots
+and finiteness tests come from math.  Three stdlib twins are avoided
+because their bits differ: math.hypot rounds some pairs apart from libm
+hypot, cmath.sqrt differs from np.sqrt on the imaginary axis (so the
+complex roots of _delta_one and of the switch stay np.sqrt), and
+math.exp differs from np.exp in the last place on some arguments (so the
+reading scale and the factors of the frame stay np.exp, which gives the
+same bits for one value as for many: the scalar drive takes the factors
+of an attempt's 13 stage times in one array).  For the same reason the
+event gap takes math.log in both twins, mapped over the rows of the
+numpy one (np.log differs from it on some arguments); only event rows, a
+few times each, reach it.
 """
 
 import math
@@ -165,7 +159,6 @@ import math
 import numpy as np
 
 from . import smoothing
-from ._accel import njit, prange
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # II.5; Prince & Dormand, J. Comput. Appl. Math. 7, 1981), named after the
@@ -375,7 +368,6 @@ READ_COMPLEX = 0
 READ_REAL = 1
 
 
-@njit(cache=True)
 def _hypot(x, y):
     """hypot(x, y), bitwise as np.hypot, returned as a built-in float.
 
@@ -389,7 +381,6 @@ def _hypot(x, y):
     return 2.0 * abs(complex(0.5 * x, 0.5 * y))
 
 
-@njit(cache=True)
 def _w_terms(r, alpha, table):
     """Drift and shrink coefficients of the w-subsystem at radius r.
 
@@ -411,16 +402,7 @@ def _w_terms(r, alpha, table):
         kappa = 2.0 * r
         shrink = 1.0
     else:
-        if r < table[3]:
-            c0 = table[5]
-            c1 = table[6]
-            c2 = table[7]
-            c3 = table[8]
-        else:
-            c0 = table[9]
-            c1 = table[10]
-            c2 = table[11]
-            c3 = table[12]
+        c0, c1, c2, c3 = table[5:9] if r < table[3] else table[9:13]
         m = c0 + r * (c1 + r * (c2 + r * c3))
         mp = c1 + r * (2.0 * c2 + 3.0 * r * c3)
         kappa = 2.0 * r / mp
@@ -429,7 +411,6 @@ def _w_terms(r, alpha, table):
     return drift, shrink
 
 
-@njit(cache=True)
 def _rhs_z(y0, y1, alpha):
     """Right-hand side z' = L z of the linear z-subsystem.
 
@@ -439,7 +420,6 @@ def _rhs_z(y0, y1, alpha):
     return (alpha - 1.0) * y0, -alpha * y1
 
 
-@njit(cache=True)
 def _rhs2(y2, y3, alpha, table, k=0):
     """Right-hand side of the autonomous w-subsystem (k is unused)."""
     r = _hypot(y2, y3)
@@ -447,7 +427,6 @@ def _rhs2(y2, y3, alpha, table, k=0):
     return drift - shrink * y2, -shrink * y3
 
 
-@njit(cache=True)
 def _rhs_u(u0, u1, alpha, frame, k):
     """Right-hand side of the u-frame at stage k of an attempt.
 
@@ -519,7 +498,6 @@ def _w_dot(ua, ub, ka, kb, ea, eb, alpha):
     return 2.0 * (sx * dx - sy * dy), 2.0 * (sx * dy + sy * dx)
 
 
-@njit(cache=True)
 def _stages2(ya, yb, fa, fb, h, rhs, alpha, table):
     """Stages 2-12 of a DOP853 step of size h on a 2-component subsystem.
 
@@ -586,7 +564,6 @@ def _stages2(ya, yb, fa, fb, h, rhs, alpha, table):
     return a6, a7, a8, a9, a10, a11, a12, b6, b7, b8, b9, b10, b11, b12
 
 
-@njit(cache=True)
 def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
     """One embedded DOP853 attempt on a 2-component subsystem.
 
@@ -612,7 +589,6 @@ def _step2(ya, yb, fa, fb, h, rhs, alpha, table):
     return na, nb, e5a, e5b, e3a, e3b
 
 
-@njit(cache=True)
 def _combo(K, terms):
     """Sum of a K[j] over the (j, a) of terms, added left to right.
 
@@ -626,7 +602,6 @@ def _combo(K, terms):
     return acc
 
 
-@njit(cache=True)
 def _contd8_coefs(y, n, K, h):
     """The 7 dense-output coefficients of one component over a step.
 
@@ -643,7 +618,6 @@ def _contd8_coefs(y, n, K, h):
             h * _combo(K, DENSE_ROWS[3]))
 
 
-@njit(cache=True)
 def _dense2(ya, yb, fa, fb, na, nb, ga, gb, h, rhs, alpha, table):
     """Dense output of one accepted DOP853 step on a 2-component subsystem.
 
@@ -667,7 +641,6 @@ def _dense2(ya, yb, fa, fb, na, nb, ga, gb, h, rhs, alpha, table):
     return _contd8_coefs(ya, na, Ka, h), _contd8_coefs(yb, nb, Kb, h)
 
 
-@njit(cache=True)
 def _contd8(y, x, c):
     """The dense output at fraction x of a step from y, coefficients c.
 
@@ -680,7 +653,6 @@ def _contd8(y, x, c):
         c[4] + s * (c[5] + x * c[6]))))))
 
 
-@njit(cache=True)
 def _err_norm(sq5, sq3, n, h):
     """Scaled DOP853 error of an attempt of size h over n components.
 
@@ -691,7 +663,6 @@ def _err_norm(sq5, sq3, n, h):
     return abs(h) * sq5 / (root if root > 0.0 else 1.0)
 
 
-@njit(cache=True)
 def _pair_re(x, re_w, r):
     """Real parts (x_hi, x_lo) of the two pair coordinates.
 
@@ -705,7 +676,6 @@ def _pair_re(x, re_w, r):
     return x + u, x - u
 
 
-@njit(cache=True)
 def _next_h(err, h_use, h_max):
     """Step size after an attempt of size h_use with scaled error err.
 
@@ -728,7 +698,6 @@ def _next_h(err, h_use, h_max):
     return h
 
 
-@njit(cache=True)
 def _h_max(event_kind, uframe):
     """Largest step of a drive to the event region event_kind in a frame.
 
@@ -741,7 +710,6 @@ def _h_max(event_kind, uframe):
     return math.inf if uframe else H_MAX
 
 
-@njit(cache=True)
 def _band(k):
     """Squares of k (1 - KNOT_TOL) and k (1 + KNOT_TOL) for a knot k."""
     lo = k - KNOT_TOL * k
@@ -749,7 +717,6 @@ def _band(k):
     return lo * lo, hi * hi
 
 
-@njit(cache=True)
 def _knot_crossed(qa, qb, table):
     """The cutoff knot that |w|^2 crosses first going monotonically from qa to qb.
 
@@ -770,7 +737,6 @@ def _knot_crossed(qa, qb, table):
     return 0.0
 
 
-@njit(cache=True)
 def _on_knot(x, y, table):
     """Whether w = (x, y) is on a cutoff knot, in the sense of _knot_crossed."""
     q = x * x + y * y
@@ -781,7 +747,6 @@ def _on_knot(x, y, table):
     return False
 
 
-@njit(cache=True)
 def _turning_points(da, c2, c3):
     """Roots in (0, 1) of da + 2 c2 s + 3 c3 s^2, ascending; 1.0 fills for none."""
     t1 = 1.0
@@ -804,7 +769,6 @@ def _turning_points(da, c2, c3):
     return t1, t2
 
 
-@njit(cache=True)
 def _hermite_root(qa, da, c2, c3, kk, lo, hi, plo, phi):
     """Root of p(s) = qa + s (da + s (c2 + s c3)) = kk in [lo, hi].
 
@@ -828,7 +792,6 @@ def _hermite_root(qa, da, c2, c3, kk, lo, hi, plo, phi):
     return th
 
 
-@njit(cache=True)
 def _knot_fraction(xa, ya, fxa, fya, xb, yb, fxb, fyb, h, table):
     """Fraction of a step of size h before |w| first crosses a cutoff knot.
 
@@ -860,7 +823,6 @@ def _knot_fraction(xa, ya, fxa, fya, xb, yb, fxb, fyb, h, table):
     return 1.0
 
 
-@njit(cache=True)
 def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
     """Event predicate at a state; returns (hit, sign)."""
     if kind == EVENT_NONE:
@@ -883,7 +845,6 @@ def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
     return False, 0
 
 
-@njit(cache=True)
 def _event_eps(table, kind):
     """The epsilon with which a drive reads its event region.
 
@@ -969,7 +930,6 @@ def _event_probe(lo, hi, g_lo, g_hi, slow, tol, where):
     return where(secant & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
 
 
-@njit(cache=True)
 def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame):
     """One judged DOP853 attempt of size fdir h_use from (ya, yb), derivative (fa, fb).
 
@@ -983,14 +943,9 @@ def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, fra
     derivative that seeds the next step; h is the next step size.
     """
     hs = fdir * h_use
-    # one branch per frame, so that numba prunes the other by the type of
-    # frame (None or a tuple)
-    if frame is None:
-        cutoff = table[0] != MODE_PURE
-        na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, _rhs2, alpha, table)
-    else:
-        cutoff = False
-        na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, _rhs_u, alpha, frame)
+    rhs, arg = (_rhs2, table) if frame is None else (_rhs_u, frame)
+    cutoff = frame is None and table[0] != MODE_PURE
+    na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, rhs, alpha, arg)
     ka = kb = 0.0
     err = math.inf
     if math.isfinite(na) and math.isfinite(nb):
@@ -1014,10 +969,8 @@ def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, fra
             if _on_knot(na, nb, table):
                 h = max(h, h_land)
             h_land = 0.0
-        if frame is not None:
-            ka, kb = _rhs_u(na, nb, alpha, frame, 12)
-        elif not cutoff:
-            ka, kb = _rhs2(na, nb, alpha, table)
+        if not cutoff:
+            ka, kb = rhs(na, nb, alpha, arg, 12)
     return verdict, na, nb, ka, kb, h, h_land
 
 
@@ -1026,30 +979,31 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
     """Locate an event crossing inside one accepted step of size h_acc from time t.
 
     The step took the pair p, with derivative f, to n, with derivative k,
-    and the state pre = [z, w] outside the event region, read with
-    epsilon eps (_event_eps), to the state end inside it; frame is that of
-    its _advance.  The bracket [0, h_acc] of the time offset closes on the
-    dense output of the pair (_dense2), each state converted (_to_zw) with
-    the factors at its own time and judged by _event_val: a hit moves hi,
-    a miss lo.  Each next time is _event_probe's, from the event gaps
-    (_event_gap) at lo and hi, the gap of the end that did not move halved
-    when the other moved twice running (the Illinois rule; Dowell &
-    Jarratt, BIT 11, 1971).  At most EVENT_ITERATIONS iterations, stopping
-    once hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the
-    state at the first time offset dt from t found inside the region, end
-    itself if that is the whole step, and the event sign there.
+    and the state pre = [z, w] to the state end inside the event region,
+    read with epsilon eps (_event_eps); frame is that of its _advance.  A
+    pre inside the region, as only a drive's start state can be, is the
+    event, found without the dense output.  Otherwise the bracket
+    [0, h_acc] of the time offset closes on the dense output of the pair
+    (_dense2), each state converted (_to_zw) with the factors at its own
+    time and judged by _event_val: a hit moves hi, a miss lo.  Each next
+    time is _event_probe's, from the event gaps (_event_gap) at lo and hi,
+    the gap of the end that did not move halved when the other moved twice
+    running (the Illinois rule; Dowell & Jarratt, BIT 11, 1971).  At most
+    EVENT_ITERATIONS iterations, stopping once
+    hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the state
+    at the first time offset dt from t found inside the region, end itself
+    if that is the whole step, and the event sign there.
     """
+    inside, sign = _event_val(*pre, radius, eps, kind)
+    if inside:
+        return pre, 0.0, sign
     hs = fdir * h_acc
     uframe = frame is not None
+    rhs, arg = _rhs2, table
     if uframe:
         da, db = _factors(alpha, fdir * t + _DENSE_NODES * hs)
-        frame = (table, frame[1] + tuple(da.tolist()), frame[2] + tuple(db.tolist()))
-        ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs_u, alpha, frame)
-    else:
-        ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, _rhs2, alpha, table)
-    inside, sign = _event_val(*pre, radius, eps, kind)
-    if inside:  # only a drive's start state can be
-        return pre, 0.0, sign
+        rhs, arg = _rhs_u, (table, frame[1] + da.tolist(), frame[2] + db.tolist())
+    ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, rhs, alpha, arg)
     _, sign = _event_val(*end, radius, eps, kind)
     lo = 0.0
     hi = h_acc
@@ -1129,7 +1083,7 @@ def _drive(
         frame = None
         if uframe:
             ea, eb = _factors(alpha, fdir * t + _STEP_NODES * hs)
-            frame = (table, tuple(ea.tolist()), tuple(eb.tolist()))
+            frame = (table, ea.tolist(), eb.tolist())
             ea, eb = frame[1][12], frame[2][12]
         else:
             ea, eb = _factors(alpha, fdir * t + hs)
@@ -1187,23 +1141,14 @@ def _drive_batch(
     out_status, out_t, out_sign, fdir,
 ):
     """Integrate every row of Y in place; fill status, time, event sign."""
-    n = Y.shape[0]
     rec = np.empty((0, 5))
-    for i in range(n):
-        res = _drive(
-            float(Y[i, 0]), float(Y[i, 1]), float(Y[i, 2]), float(Y[i, 3]), t_end,
-            alpha, table, rtol, radius, event_kind, max_steps, rec, fdir,
-        )
-        out_status[i] = res[0]
-        out_t[i] = res[1]
-        Y[i, 0] = res[2]
-        Y[i, 1] = res[3]
-        Y[i, 2] = res[4]
-        Y[i, 3] = res[5]
-        out_sign[i] = res[6]
+    for i, row in enumerate(Y.tolist()):
+        res = _drive(*row, t_end, alpha, table, rtol, radius, event_kind, max_steps,
+                     rec, fdir)
+        out_status[i], out_t[i], out_sign[i] = res[0], res[1], res[6]
+        Y[i] = res[2:6]
 
 
-@njit(cache=True)
 def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps):
     """Rescaled branch-direction limit of one w-trajectory.
 
@@ -1262,7 +1207,6 @@ def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
     return STATUS_TIME_END, math.nan, math.nan, t
 
 
-@njit(cache=True, parallel=True)
 def _delta_batch(
     W, alpha, table, rtol, u_star, reading, max_time, max_steps,
     out_status, out_re, out_im, out_t,
@@ -1271,16 +1215,9 @@ def _delta_batch(
 
     Each row follows the reading rule of :func:`_delta_one`.
     """
-    n = W.shape[0]
-    for i in prange(n):
-        res = _delta_one(
-            float(W[i, 0]), float(W[i, 1]), alpha, table, rtol, u_star, reading,
-            max_time, max_steps,
-        )
-        out_status[i] = res[0]
-        out_re[i] = res[1]
-        out_im[i] = res[2]
-        out_t[i] = res[3]
+    for i, (xw, yw) in enumerate(W.tolist()):
+        out_status[i], out_re[i], out_im[i], out_t[i] = _delta_one(
+            xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
 
 
 def _kappa_shrink_np(r, table):
@@ -1588,12 +1525,13 @@ def _drive_batch_np(
     pass in the u-frame, so each pass has one right-hand side.  A row
     whose accepted step ends inside the event region stops there with
     STATUS_EVENT, keeping its pre-step state, pair, derivative and time.
-    After each pass the dense output of its event steps is built in one
-    batch (:func:`_dense_np`) and the events of all its rows are located
-    on it together, with the per-row arithmetic of :func:`_dense_event`
-    and :func:`_event_probe`: per-row brackets, gaps (:func:`_event_gap_np`),
-    sides and counts of slow iterations, at most EVENT_ITERATIONS
-    iterations, each row stopping once hi - lo < EVENT_TOL max(hi, 1).
+    After each pass the dense output of its event steps that start
+    outside the region is built in one batch (:func:`_dense_np`) and
+    their events are located on it together, with the per-row arithmetic
+    of :func:`_dense_event` and :func:`_event_probe`: per-row brackets,
+    gaps (:func:`_event_gap_np`), sides and counts of slow iterations, at
+    most EVENT_ITERATIONS iterations, each row stopping once
+    hi - lo < EVENT_TOL max(hi, 1).
     A stopped row keeps its bracket.
     """
     arr = np.asarray(table)
@@ -1663,10 +1601,8 @@ def _drive_batch_np(
         t, h = out_t[ev], h_event[ev]
         C = _dense_np(P, K, V_event[ev], K_event[ev], fdir * h, rhs, t)
         Yn = to_zw(V_event[ev], ev, fdir * t + fdir * h, uframe)[0]
-        pre = Y[ev]  # the pre-step states
-        inside = event(pre)
-        lo, hi = np.zeros(ev.size), np.where(inside, 0.0, h)
-        g_lo, g_hi = gap(pre), gap(Yn)
+        lo, hi = np.zeros(ev.size), h.copy()
+        g_lo, g_hi = gap(Y[ev]), gap(Yn)  # Y holds the pre-step states
         side = np.zeros(ev.size, dtype=np.int64)
         slow = np.zeros(ev.size, dtype=np.int64)
         for _ in range(EVENT_ITERATIONS):
@@ -1685,12 +1621,10 @@ def _drive_batch_np(
             hi[up], g_hi[up], side[up] = x[mhit], g[mhit], 1
             lo[down], g_lo[down], side[down] = x[~mhit], g[~mhit], -1
             slow[i] = np.where(hi[i] - lo[i] > 0.5 * width[i], slow[i] + 1, 0)
-        m = np.nonzero((hi < h) & ~inside)[0]
+        m = np.nonzero(hi < h)[0]
         Pm = _contd8(P[m], (hi[m] / h[m])[:, None], C[:, m])
         Yn[m] = to_zw(Pm, ev[m], fdir * (t[m] + hi[m]), uframe)[0]
-        Yn[inside] = pre[inside]
         Y[ev] = Yn
-        out_sign[ev] = _event_np(Yn, radius, eps, event_kind)[1]
         out_t[ev] += hi
 
     def w_rhs(Z, k, t, h):
@@ -1712,10 +1646,15 @@ def _drive_batch_np(
         h, K, steps = _lockstep(P, out_t, rhs, rtol, max_steps, out_status, stop,
                                 _h_max(event_kind, uframe), None if uframe else table,
                                 t_end, fdir, accepter(uframe), start)
-        # no row that switched had an event in the w-frame pass
+        # no row that switched had an event in the w-frame pass; a row whose
+        # pre-step state is inside, as only a start state can be, has its
+        # event there and is not refined
         ev = np.nonzero((out_status == STATUS_EVENT) & (switched == uframe))[0]
+        ev = ev[~event(Y[ev])]
         if ev.size:
             refine(ev, P[ev], K[ev], rhs, uframe)
+    ev = out_status == STATUS_EVENT
+    out_sign[ev] = _event_np(Y[ev], radius, eps, event_kind)[1]
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
 
@@ -1779,26 +1718,3 @@ def _delta_batch_np(
     out_im[:] = np.nan
     out_t[:] = 0.0
     _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, table)
-
-
-def warmup():
-    """Touch every jit kernel once so later timings exclude compilation.
-
-    The table is a cutoff table, as SteinParams builds it, and the
-    trajectories cross its knots, so the knot cut runs too.  The drive,
-    plain Python, switches to the u-frame and escapes there, so that the
-    jit kernels it calls are compiled for both frames.
-    """
-    table = smoothing.build_smoothing_table(4.0, "cutoff")
-    rec = np.empty((4, 5))
-    _drive(
-        1.0, 0.5, 0.5, 0.2, 50.0, 1.5, table, 1e-6, 10.0, EVENT_PAIR_ESCAPE, 100, rec,
-        1.0,
-    )
-    st = np.zeros(1, dtype=np.int64)
-    tt = np.zeros(1)
-    _delta_one(1.0, 0.5, 1.5, table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50)
-    W = np.array([[1.0, 0.5]])
-    dr = np.zeros(1)
-    di = np.zeros(1)
-    _delta_batch(W, 1.5, table, 1e-6, 2.0, READ_COMPLEX, 1.0, 50, st, dr, di, tt)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._accel import available_cpus, can_fork, run_forked, using_numba
+from ._accel import available_cpus, can_fork, run_forked
 from .geometry import ALPHA_DEFAULT, DEFAULT_PARAMS, SymPoint, complex_square
 from .smoothing import MODE_CUTOFF, MODE_PURE
 
@@ -141,19 +141,17 @@ def escape_sign_pair(state):
     return (int(np.sign(x_lo)), int(np.sign(x_hi)))
 
 
-def _row_loop(n, table, jit=True):
+def _row_loop(n, table):
     """Whether a batch of n rows runs the scalar kernels row by row.
 
-    Always where numba compiles the row loop (Delta; the drive, jit
-    False, is plain Python under either backend); otherwise below
-    _LOCKSTEP_ROWS of the smoothing mode of table.  Those are where the
-    lockstep overtook the row loop, for the drive and Delta alike, on
-    random rows (numpy backend, 2 cores): near 72 rows in pure mode and
-    544 in cutoff mode, where knot landings hold the lockstep's slowest
-    rows for many iterations.  Both give the same bits, so the choice
-    never changes an output.
+    Below _LOCKSTEP_ROWS of the smoothing mode of table.  Those are where
+    the lockstep overtook the row loop, for the drive and Delta alike, on
+    random rows (2 cores): near 72 rows in pure mode and 544 in cutoff
+    mode, where knot landings hold the lockstep's slowest rows for many
+    iterations.  Both give the same bits, so the choice never changes an
+    output.
     """
-    return (jit and using_numba()) or n < _LOCKSTEP_ROWS[table[0]]
+    return n < _LOCKSTEP_ROWS[table[0]]
 
 
 def _drive_args(params, settings, event_kind):
@@ -284,7 +282,7 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    row_loop = _row_loop(n, params.table, jit=False)
+    row_loop = _row_loop(n, params.table)
     kernel = _kernels._drive_batch if row_loop else _kernels._drive_batch_np
     kernel(
         Y, t_end, *_drive_args(params, settings, event_kind),
@@ -368,17 +366,15 @@ def _delta_rows(W, args):
 def _delta_split(W, args):
     """:func:`_delta_rows` of W, with its rows shared among forked workers.
 
-    Only the numpy kernel splits (the jit kernel is parallel already,
-    and fork is unsafe once numba threads run), only where
-    _accel.can_fork allows, and only with _SPLIT_ROWS rows or more per
-    process.  Worker j takes rows j, j+k, ...: the rows of
+    Only where _accel.can_fork allows, and only with _SPLIT_ROWS rows or
+    more per process.  Worker j takes rows j, j+k, ...: the rows of
     compute_c_batch come sorted, so strided chunks mix short and long
     trajectories.  Every kernel operation is per row, and each active
     row makes one attempt per lockstep iteration, so any split gives the
     same bits.  A chunk whose worker died is run here.
     """
     k = min(available_cpus(), W.shape[0] // _SPLIT_ROWS)
-    if k < 2 or using_numba() or not can_fork():
+    if k < 2 or not can_fork():
         return _delta_rows(W, args)
     parts = run_forked(_delta_rows, [(W[j::k], args) for j in range(k)], k)
     parts = [_delta_rows(W[j::k], args) if isinstance(part, Exception) else part

@@ -43,8 +43,8 @@ class SteinParams:
     Immutable: equal parameters compare and hash equal, one object can be
     shared, and :func:`dataclasses.replace` makes a changed copy.  The
     smoothing ``table`` is built once, at construction: the tuple of
-    floats of :func:`smoothing.build_smoothing_table` that the scalar,
-    numpy and jit kernels all take.  A table that cannot be built raises
+    floats of :func:`smoothing.build_smoothing_table` that the scalar
+    and numpy kernels all take.  A table that cannot be built raises
     :class:`smoothing.SmoothingError`, a ValueError (a cutoff profile below
     epsilon ~ 2.1, for one).
 

@@ -17,8 +17,7 @@ The potential on the symmetric square contains a term ``n(|w|)/2`` where
     feasible only for ``epsilon`` above roughly ``2.1``.
 
 Profiles are frozen into a flat table, an immutable tuple of 15 built-in
-floats that every kernel takes; jit-compiled code sees a homogeneous
-tuple, never a Python object.  One numpy evaluator reads it for n, m, m'
+floats that every kernel takes.  One numpy evaluator reads it for n, m, m'
 and the kernels' cutoff coefficients.
 """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, flow, geometry, sectors, smoothing, surfaces
-from ._accel import available_cpus, can_fork, run_forked, using_numba
+from ._accel import available_cpus, can_fork, run_forked
 from .flow import FlowSettings
 from .geometry import SteinParams, SymPoint
 
@@ -924,9 +924,7 @@ def run_all(config=None, timings=None):
             if not config.suites or name in config.suites]
     start = time.perf_counter()
     if can_fork():
-        # Workers inherit the imported modules and REGISTRY as they are
-        # now.  The CLI runs no kernel before this fork, so no numba
-        # thread pool has started that the children would lack.
+        # Workers inherit the imported modules and REGISTRY as they are now.
         workers = min(len(idxs), available_cpus())
         # label-agreement is about half of all suite time at full
         # scale; it starts first, and the other suites fill the rest
@@ -950,7 +948,6 @@ def run_all(config=None, timings=None):
         "config": {
             "alpha": float(config.alpha),
             "epsilon": float(config.epsilon),
-            "numba": bool(using_numba()),
             "sample_scale": float(config.sample_scale),
             "seed": int(config.seed),
         },

@@ -1,21 +1,13 @@
-"""Shared fixtures: warm the jit kernels once per session."""
+"""Shared fixtures: the hypothesis profile and the standard parameters."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from symsector import _kernels
 from symsector.geometry import SteinParams
 
 settings.register_profile("package", deadline=None, max_examples=25)
 settings.load_profile("package")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # first call compiles (or no-ops without numba); keeps per-test
-    # timings honest, especially the acceptance runtime caps
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from symsector import _kernels, flow, sectors
-from symsector._accel import using_numba
 from symsector.flow import (
     FlowSettings,
     NoEscapeError,
@@ -560,8 +559,8 @@ def test_delta_u_star_factor_consistency(pure16):
 # --------------------------------------------------- Delta batches split by fork
 
 needs_split = pytest.mark.skipif(
-    using_numba() or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="only the numpy backend splits, and only with fork",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only fork splits a batch",
 )
 _delta_rows = flow._delta_rows
 
@@ -668,7 +667,7 @@ def test_delta_batch_stays_serial(pure16, two_way, monkeypatch):
         in_worker = in_worker.result()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     below_floor = compute_delta_batch(keys[1:], pure16, settings)
-    monkeypatch.setattr(flow, "using_numba", lambda: True)
+    monkeypatch.setattr(flow, "can_fork", lambda: False)
     serial = compute_delta_batch(keys, pure16, settings)
     assert two_way == []
     tail = (serial[0][1:], serial[1][1:])
@@ -789,7 +788,6 @@ def _spy(monkeypatch, names):
     return ran
 
 
-@pytest.mark.skipif(using_numba(), reason="the jit batch kernels always loop over rows")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_lockstep_runs_from_lockstep_rows_on(mode, rng, monkeypatch):
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)

@@ -1,10 +1,10 @@
 """Parity of the scalar kernels with their vectorized numpy twins.
 
-The scalar kernels (jit-compiled when numba is present) and the numpy
-batch kernels evaluate the same formulas in the same order, with the
-same correctly rounded operations, so they are required to agree
-exactly, not to a tolerance: each formula, and each whole trajectory of
-the drive and Delta kernels, status, time and state alike.
+The plain-Python scalar kernels and the numpy batch kernels evaluate the
+same formulas in the same order, with the same correctly rounded
+operations, so they are required to agree exactly, not to a tolerance:
+each formula, and each whole trajectory of the drive and Delta kernels,
+status, time and state alike.
 """
 
 import collections
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symsector import _kernels, flow, smoothing
-from symsector._accel import using_numba
 from symsector.flow import FlowSettings
 from symsector.geometry import SteinParams, SymPoint
 from symsector.sectors import (
@@ -470,7 +469,6 @@ def test_knot_cut_screen_keeps_every_cut(steps):
     assert held.tolist() == crossed
 
 
-@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 def test_pure_mode_never_reaches_the_knot_cut(monkeypatch):
     def refuse(*args):
         raise AssertionError("knot code ran in pure mode")
@@ -759,15 +757,18 @@ def _count_calls(monkeypatch, name, counter, key):
 # Refining an event recomputes the stages of its step once and adds the
 # dense-output stages 14-16: 14 evaluations of the one integrated pair (w in
 # the w-frame, u in the u-frame), however many times the event location
-# reads the dense output.
+# reads the dense output.  An event step from a start already inside the
+# region has its event at that start and builds no dense output.
 REFINE_RHS = 14
 
 
-@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     args, flowing, inside = _event_drive(mode, _kernels.EVENT_PAIR_ESCAPE)
-    rows = flowing + inside
+    # the roots around the switch locate their events in 2 to 5 reads
+    around = [(x, y, (v * v).real, (v * v).imag)
+              for x, y in _SWITCH_Z for v in _SWITCH_S]
+    rows = flowing + around + inside
     counts = collections.Counter()
     judging = []  # nonempty inside _advance, the judged attempt
     for name in ("_rhs2", "_rhs_u", "_contd8"):
@@ -787,8 +788,10 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     frames = set()
     for row in rows:
         counts.clear()
-        status = _kernels._drive(*row, 4.0, *args, rec, 1.0)[0]
-        refined = status == _kernels.STATUS_EVENT
+        status, t = _kernels._drive(*row, 4.0, *args, rec, 1.0)[:2]
+        event = status == _kernels.STATUS_EVENT
+        assert (row in inside) == (event and t == 0.0)
+        refined = event and row not in inside
         # outside the attempts: the w' at the start, u' at the switch if the
         # row switched, and the refinement in the frame of the event step
         w_calls, u_calls = counts["_rhs2", False], counts["_rhs_u", False]
@@ -829,14 +832,17 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     for name in calls:
         monkeypatch.setattr(_kernels, name, spy(name))
     monkeypatch.setattr(_kernels, "_lockstep", marked)
-    status = _drive_both(rows, args, 4.0, 1.0)[0][0]
-    n_event = int(np.sum(status == _kernels.STATUS_EVENT))
-    # the w' of every row at the start, then 14 calls per refined frame
+    status, t = _drive_both(rows, args, 4.0, 1.0)[0][:2]
+    event = status == _kernels.STATUS_EVENT
+    assert np.all(event[len(flowing):]) and np.all(t[len(flowing):] == 0.0)
+    # the w' of every row at the start, then 14 calls per refined frame, on
+    # the event rows that start outside the region
     w_calls, u_calls = calls["_rhs_w_np"], calls["_rhs_u_np"]
     assert w_calls[0] == len(rows)
     n_w, n_u = w_calls[1:2] or [0], u_calls[:1] or [0]
     assert w_calls[1:] == n_w * REFINE_RHS and u_calls == n_u * REFINE_RHS
-    assert n_w[0] > 0 and n_u[0] > 0 and n_w[0] + n_u[0] == n_event
+    assert n_w[0] > 0 and n_u[0] > 0
+    assert n_w[0] + n_u[0] == np.count_nonzero(event[:len(flowing)])
 
 
 # most dense-output reads per located event, on the mean; bisecting the
@@ -844,14 +850,13 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
 EVENT_READS = 8
 
 
-@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_events_take_few_dense_output_reads(monkeypatch, mode):
     # the secant on the event gap locates an event in a few reads of the
     # dense output, in both frames; an event step from a start already
     # inside the region needs none.  The batch twin makes the same reads:
     # the rows of its refinement iterations, which read the gap once each
-    # after reading it at both ends of every event step.
+    # after reading it at both ends of every event step that starts outside.
     reads = collections.defaultdict(list)  # frame -> reads per located event
     counts = collections.Counter()
     _count_calls(monkeypatch, "_contd8", counts, lambda: None)
@@ -881,9 +886,11 @@ def test_events_take_few_dense_output_reads(monkeypatch, mode):
             args, flowing, inside = _event_drive(mode, kind)
             before = sum(map(sum, reads.values()))
             gap_rows.clear()
-            status = _drive_both(flowing + inside, args, 4.0, fdir)[0][0]
-            n_event = np.count_nonzero(status == _kernels.STATUS_EVENT)
-            assert sum(gap_rows) - 2 * n_event == sum(map(sum, reads.values())) - before
+            status, t = _drive_both(flowing + inside, args, 4.0, fdir)[0][:2]
+            # the events at t = 0 are those of rows that start inside
+            n_refined = np.count_nonzero((status == _kernels.STATUS_EVENT) & (t > 0.0))
+            n_reads = sum(map(sum, reads.values())) - before
+            assert sum(gap_rows) - 2 * n_refined == n_reads
     assert set(reads) == {False, True}
     for frame_reads in reads.values():
         assert np.mean(frame_reads) <= EVENT_READS
@@ -908,10 +915,10 @@ def test_drive_twins_agree_on_stalls():
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-def test_jit_batch_kernels_loop_the_scalar_kernels(mode):
-    # without numba _drive_batch and _delta_batch run as plain Python; each
-    # row gets the bits of its scalar kernel called with the same arguments,
-    # which pins the argument order of both bindings
+def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
+    # each row of _drive_batch and _delta_batch gets the bits of its scalar
+    # kernel called with the same arguments, which pins the argument order
+    # of both row loops
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     rng = np.random.default_rng(13)
@@ -944,16 +951,13 @@ def test_jit_batch_kernels_loop_the_scalar_kernels(mode):
         assert _bits(*out) == _bits(*(np.array(col) for col in zip(*want)))
 
 
-@pytest.mark.parametrize("jit, vec", [
+@pytest.mark.parametrize("loop, vec", [
     (_kernels._drive_batch, _kernels._drive_batch_np),
     (_kernels._delta_batch, _kernels._delta_batch_np),
 ], ids=["drive", "delta"])
-def test_batch_kernel_backends_share_one_signature(jit, vec):
-    # flow runs either backend's batch kernel with the same arguments
-    def signature(f):
-        return inspect.signature(getattr(f, "py_func", f))
-
-    assert signature(jit) == signature(vec)
+def test_batch_kernel_backends_share_one_signature(loop, vec):
+    # flow runs either batch kernel with the same arguments
+    assert inspect.signature(loop) == inspect.signature(vec)
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
@@ -1051,7 +1055,6 @@ def test_hypot_matches_np_hypot_where_it_overflows():
     assert _same_bits(got, want)
 
 
-@pytest.mark.skipif(using_numba(), reason="plain-Python scalar kernels only")
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_scalar_kernels_stay_on_builtin_floats(mode):
     # the table is a tuple of floats, so no numpy scalar enters the

@@ -9,7 +9,6 @@ import os
 import pytest
 
 from symsector import geometry, sectors, verify
-from symsector._accel import using_numba
 from symsector.verify import (
     SENSES,
     SUITE_NAMES,
@@ -153,8 +152,8 @@ def test_pool_report_matches_serial_loop(seed):
     results = [run_suite(name, cfg) for name in SUITE_NAMES]
     failed = [r["name"] for r in results if not r["passed"]]
     serial = {
-        "config": {"alpha": 1.5, "epsilon": 16.0, "numba": using_numba(),
-                   "sample_scale": 0.05, "seed": seed},
+        "config": {"alpha": 1.5, "epsilon": 16.0, "sample_scale": 0.05,
+                   "seed": seed},
         "failed": failed,
         "passed": not failed,
         "suites": results,
