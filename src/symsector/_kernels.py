@@ -56,40 +56,42 @@ that leaves the region through that knot and lands on its inner side
 does not hide the entry before it.  Pure mode has no knots and skips
 all of this.
 
-An accepted step of a drive that ends inside the event region is not
-taken, nor is one whose state [z, w] is not finite (the drive ends
-STATUS_NONFINITE).  The event is located on the dense output of the pair
-over that step (Hairer's contd8, II.6): its stages 2-12 are recomputed
-once and stages 14-16 added, which also read the derivative at the end
-(stage 13), giving a 7th order interpolant of the step.  On it a bracket
-[lo, hi] of the time closes around the entry, each state converted at
-its own time: the event predicate decides whether a state moves hi (a
-hit) or lo, and the next time is a safeguarded secant root of the event
-gap, the log of the least margin of the region's bounds (_event_gap,
-_event_probe; Shampine & Thompson, Comput. Math. Appl. 39, 2000).  The
-gap is positive only inside the region and almost linear in time along a
-u-frame step, so a located event takes 2 or 3 reads of the dense output,
-where bisecting the predicate took about 45.  It stops once hi - lo <
-EVENT_TOL max(hi, 1), after at most EVENT_ITERATIONS iterations; the
-state at hi is read from the interpolant, or is the accepted end state
-itself where hi never moved.  A step that starts inside the region, as
-only a drive's first step can, has its event at its start, and builds no
-dense output.  Any other refinement thus costs 14 right-hand-side
-evaluations of the one integrated pair, however many reads it makes.
-The dense output is written once for both backends: its coefficients are
-the (stage, coefficient) tables DENSE_STAGES (stages 14-16) and
-DENSE_ROWS (the rows D4-D7 of the interpolant), and _combo sums such
-terms left to right, on lists of floats in _dense2 and on lists of
-arrays in _dense_np; _contd8_coefs and _contd8 serve both, as _gap_ratio
-serves the gap of both.
+Each event region is defined once, for both backends, by its margin
+ratio (_gap_ratio), which each twin reads with one function
+(_event_ratio, _event_ratio_np): the event predicates (_event_val,
+_event_np) and the event gap, the log of the ratio (_log_gap), are read
+off it (Shampine & Thompson, Comput. Math. Appl. 39, 2000).  A drive
+that starts inside its event region ends STATUS_EVENT at t = 0, before
+its first attempt.  An accepted step of a drive that ends inside
+the event region is not taken, nor is one whose state [z, w] is not
+finite (the drive ends STATUS_NONFINITE).  The event is located on the
+dense output of the pair over that step (Hairer's contd8, II.6): its
+stages 2-12 are recomputed once and stages 14-16 added, which also read
+the derivative at the end (stage 13), giving a 7th order interpolant of
+the step.  On it a bracket [lo, hi] of the time closes around the entry,
+each state converted at its own time and read once, by its ratio: a hit
+moves hi and a miss lo, and the next time is a safeguarded secant root
+of the event gap (_event_probe).  The gap is positive only inside the
+region and almost linear in time along a u-frame step, so a located
+event takes 2 or 3 reads of the dense output, where bisecting the
+predicate took about 45.  It stops once hi - lo < EVENT_TOL max(hi, 1),
+after at most EVENT_ITERATIONS iterations; the state at hi is read from
+the interpolant, or is the accepted end state itself where hi never
+moved.  A refinement thus costs 14 right-hand-side evaluations of the
+one integrated pair, however many reads it makes.  The dense output is
+written once for both backends: its coefficients are the (stage,
+coefficient) tables DENSE_STAGES (stages 14-16) and DENSE_ROWS (the
+rows D4-D7 of the interpolant), and _combo sums such terms left to
+right, on lists of floats in _dense2 and on lists of arrays in
+_dense_np; _contd8_coefs and _contd8 serve both.
 
 Each formula has one vectorized numpy definition: the w-flow coefficients
 (_kappa_shrink_np, on the smoothing evaluator in cutoff mode;
 _rhs_w_np), the u-frame right-hand side (_rhs_u_np), the DOP853 stages
 (_stages_np) of one attempt with its scaled error (_attempt_np) and of
-the dense output (_dense_np), the step controller (_next_h_np), the pair
-coordinates (pair_re_np) and the event regions (_event_np); _factors,
-_to_zw and _w_dot, made of arithmetic alone, serve both backends.  The
+the dense output (_dense_np), the step controller (_next_h_np) and the
+pair coordinates (pair_re_np); _factors, _to_zw, _w_dot and _gap_ratio,
+made of arithmetic alone, serve both backends.  The
 knot cut has one definition for both backends, the scalar _knot_fraction
 and its helpers: _knot_cut_np passes it only the rows of a batch whose
 interpolant may reach a knot band, as the Bernstein hull of the
@@ -101,9 +103,10 @@ each attempt: stall and end of time for the drive, the reading rule and
 max_time for Delta.  The drive runs it twice, a w-frame pass and a
 u-frame pass for the rows that switched, each with one right-hand side,
 and passes it the rule for accepted steps: conversion, events and the
-switch.  It holds each row that enters its region and, after each pass,
-builds the dense output of all their event steps in one batch and
-locates all of their events together on it.  The batch kernels
+switch.  It never activates a row that starts inside its region, holds
+each row that enters its region and, after each pass, builds the dense
+output of all their event steps in one batch and locates all of their
+events together on it.  The batch kernels
 _drive_batch and _delta_batch run the scalar kernels row by row and
 take the same parameters as their numpy forms; flow picks one of the
 two per call, by row count.  The numpy kernels and _drive ignore
@@ -122,18 +125,18 @@ The scalar kernels are the one permitted twin: _w_terms, the right-hand
 sides _rhs2 and _rhs_u, one DOP853 step _step2 and its dense
 output _dense2, which take their right-hand side as an argument, call it
 with the stage index of FRAME_NODES and share the stages of _stages2,
-_err_norm, _next_h, _pair_re and _event_val (also the region test of
-sectors).  The sums of _stages2 and _step2 stay unrolled: read through
-_combo, a scalar step takes 1.7 times as long.  _drive, which refines
-its events with _dense_event, and _delta_one run row by row in
-_drive_batch and _delta_batch, which serve every batch of fewer than
-flow._LOCKSTEP_ROWS rows, scalar calls included.  _advance is the
-scalar counterpart of _lockstep: the one judged attempt of _drive and
-_delta_one, one _step2 on the pair, w with _rhs2 or u with _rhs_u.
-Both twins write every stage sum as h (sum of a_ij k_j) with the same
-terms in the same order, sum squares over components left to right and
-take err^(-1/8) as three correctly rounded square roots, so on the same
-rows they give the same bits.
+_err_norm, _next_h, _pair_re and _event_ratio with its reader
+_event_val (also the region test of sectors).  The sums of _stages2 and
+_step2 stay unrolled: read through _combo, a scalar step takes 1.7
+times as long.  _drive, which refines its events with _dense_event, and
+_delta_one run row by row in _drive_batch and _delta_batch, which
+serve every batch of fewer than flow._LOCKSTEP_ROWS rows, scalar calls
+included.  _advance is the scalar counterpart of _lockstep: the one
+judged attempt of _drive and _delta_one, one _step2 on the pair, w
+with _rhs2 or u with _rhs_u.  Both twins write every stage sum as h
+(sum of a_ij k_j) with the same terms in the same order, sum squares
+over components left to right and take err^(-1/8) as three correctly
+rounded square roots, so on the same rows they give the same bits.
 
 Every kernel takes the smoothing table as the one tuple of built-in
 floats that SteinParams holds.  The numpy batch kernels read it as an
@@ -823,28 +826,6 @@ def _knot_fraction(xa, ya, fxa, fya, xb, yb, fxb, fyb, h, table):
     return 1.0
 
 
-def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
-    """Event predicate at a state; returns (hit, sign)."""
-    if kind == EVENT_NONE:
-        return False, 0
-    r = _hypot(y2, y3)
-    x1, x2 = _pair_re(y0, y2, r)
-    if kind == EVENT_PAIR_ESCAPE:
-        a1 = abs(x1)
-        a2 = abs(x2)
-        lo = a1 if a1 < a2 else a2
-        return lo > radius and r > epsilon, 0
-    if kind == EVENT_TRUNC_REGION:
-        hit = x1 <= -epsilon and x2 <= -epsilon and x1 + x2 <= -3.0 * epsilon
-        return hit, 0
-    if kind == EVENT_V_ENTRY:
-        if -epsilon < x1 < epsilon and x2 < -2.0 * epsilon:
-            return True, -1
-        if -epsilon < x2 < epsilon and x1 > 2.0 * epsilon:
-            return True, 1
-    return False, 0
-
-
 def _event_eps(table, kind):
     """The epsilon with which a drive reads its event region.
 
@@ -871,13 +852,18 @@ def _greater(a, b):
 
 
 def _gap_ratio(x1, x2, r, radius, epsilon, kind, lesser, greater):
-    """The event margin as a ratio: > 1 only inside the region, >= 1 there.
+    """The margin ratio of an event region, the one definition of the regions.
 
-    Each bound of the region _event_val reads, as a ratio against 1 (its
-    strict or non-strict edges are left to _event_val), from the pair
-    coordinates x1, x2 and |w| = r.  Arithmetic, abs and the given
-    lesser and greater alone, so floats with _lesser and _greater give
-    the bits of arrays with np.minimum and np.maximum.
+    The least ratio of the bounds, from the pair coordinates x1, x2 and
+    |w| = r: escape min(|x1|, |x2|) > radius and r > epsilon; truncation
+    x1, x2 <= -epsilon and x1 + x2 <= -3 epsilon; V-entry the greater of
+    V- (|x1| < epsilon, x2 < -2 epsilon) and V+ (|x2| < epsilon,
+    x1 > 2 epsilon).  A state is inside where it exceeds 1, or is at least
+    1 for the closed truncation region (_inside): division is correctly
+    rounded and monotone, so for b > 0, a / b > 1 exactly when a > b and
+    a / b >= 1 exactly when a >= b.  radius and epsilon are positive (only
+    escape reads radius).  Floats with _lesser and _greater give the bits
+    of arrays with np.minimum and np.maximum.
     """
     if kind == EVENT_PAIR_ESCAPE:
         return lesser(lesser(abs(x1), abs(x2)) / radius, r / epsilon)
@@ -889,22 +875,39 @@ def _gap_ratio(x1, x2, r, radius, epsilon, kind, lesser, greater):
                    lesser(epsilon / greater(abs(x2), 5e-324), x1 / e2))
 
 
+def _inside(ratio, kind):
+    """Whether margin ratios (floats or arrays) lie inside the region kind."""
+    return ratio >= 1.0 if kind == EVENT_TRUNC_REGION else ratio > 1.0
+
+
 def _log_gap(v):
     """log v by math.log in both twins, -inf where v <= 0 or is nan."""
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _event_gap(y0, y1, y2, y3, radius, epsilon, kind):
-    """The event gap at a state: the log of its _gap_ratio.
+def _event_ratio(y0, y1, y2, y3, radius, epsilon, kind):
+    """The _gap_ratio of a state [z, w].
 
-    Continuous where finite, and positive only inside the region of
-    _event_val: g > 0 implies a hit, and a hit g >= 0.  Along a u-frame
-    step |x_1,2| = e^((alpha-1) tau) |Re z0 +- Re u| with Re u almost
-    constant, so g is almost linear in tau.
+    Its log, the event gap (_log_gap), is continuous where finite and
+    positive only inside the region: g > 0 implies a hit and a hit
+    g >= 0.  Along a u-frame step |x_1,2| = e^((alpha-1) tau)
+    |Re z0 +- Re u| with Re u almost constant, so g is almost linear in tau.
     """
     r = _hypot(y2, y3)
     x1, x2 = _pair_re(y0, y2, r)
-    return _log_gap(_gap_ratio(x1, x2, r, radius, epsilon, kind, _lesser, _greater))
+    return _gap_ratio(x1, x2, r, radius, epsilon, kind, _lesser, _greater)
+
+
+def _event_val(y0, y1, y2, y3, radius, epsilon, kind):
+    """Event predicate at a state, from its _event_ratio; returns (hit, sign).
+
+    A V-entry hit takes the sign of Re z, that of the band end it enters
+    (x1 + x2 < -epsilon in V-, > epsilon in V+); any other state 0.
+    """
+    if kind == EVENT_NONE:
+        return False, 0
+    hit = _inside(_event_ratio(y0, y1, y2, y3, radius, epsilon, kind), kind)
+    return hit, (1 if y0 > 0.0 else -1) if hit and kind == EVENT_V_ENTRY else 0
 
 
 def _pick(c, a, b):
@@ -979,24 +982,19 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
     """Locate an event crossing inside one accepted step of size h_acc from time t.
 
     The step took the pair p, with derivative f, to n, with derivative k,
-    and the state pre = [z, w] to the state end inside the event region,
-    read with epsilon eps (_event_eps); frame is that of its _advance.  A
-    pre inside the region, as only a drive's start state can be, is the
-    event, found without the dense output.  Otherwise the bracket
-    [0, h_acc] of the time offset closes on the dense output of the pair
-    (_dense2), each state converted (_to_zw) with the factors at its own
-    time and judged by _event_val: a hit moves hi, a miss lo.  Each next
-    time is _event_probe's, from the event gaps (_event_gap) at lo and hi,
-    the gap of the end that did not move halved when the other moved twice
-    running (the Illinois rule; Dowell & Jarratt, BIT 11, 1971).  At most
-    EVENT_ITERATIONS iterations, stopping once
-    hi - lo < EVENT_TOL max(hi, 1).  Returns (state, dt, sign): the state
-    at the first time offset dt from t found inside the region, end itself
-    if that is the whole step, and the event sign there.
+    and the state pre = [z, w] outside the event region to the state end
+    inside it, read with epsilon eps (_event_eps); frame is that of its
+    _advance.  The bracket [0, h_acc] of the time offset closes on the
+    dense output of the pair (_dense2), each state converted (_to_zw) with
+    the factors at its own time and read once, by its _event_ratio: a hit
+    (_inside) moves hi, a miss lo.  Each next time is _event_probe's, from
+    the event gaps (_log_gap of the ratios) at lo and hi, the gap of the
+    end that did not move halved when the other moved twice running (the
+    Illinois rule; Dowell & Jarratt, BIT 11, 1971).  At most
+    EVENT_ITERATIONS iterations, stopping once hi - lo < EVENT_TOL
+    max(hi, 1).  Returns (state, dt): the state at the first time offset dt
+    from t found inside the region, end itself if that is the whole step.
     """
-    inside, sign = _event_val(*pre, radius, eps, kind)
-    if inside:
-        return pre, 0.0, sign
     hs = fdir * h_acc
     uframe = frame is not None
     rhs, arg = _rhs2, table
@@ -1004,11 +1002,10 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
         da, db = _factors(alpha, fdir * t + _DENSE_NODES * hs)
         rhs, arg = _rhs_u, (table, frame[1] + da.tolist(), frame[2] + db.tolist())
     ca, cb = _dense2(pa, pb, fa, fb, na, nb, ka, kb, hs, rhs, alpha, arg)
-    _, sign = _event_val(*end, radius, eps, kind)
     lo = 0.0
     hi = h_acc
-    g_lo = _event_gap(*pre, radius, eps, kind)
-    g_hi = _event_gap(*end, radius, eps, kind)
+    g_lo = _log_gap(_event_ratio(*pre, radius, eps, kind))
+    g_hi = _log_gap(_event_ratio(*end, radius, eps, kind))
     side = slow = 0
     for _ in range(EVENT_ITERATIONS):
         width = hi - lo
@@ -1020,18 +1017,18 @@ def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, z
         f = x / h_acc
         state = _to_zw(_contd8(pa, f, ca), _contd8(pb, f, cb), zx, zy, float(ea),
                        float(eb), uframe)
-        mhit, msign = _event_val(*state, radius, eps, kind)
-        g = _event_gap(*state, radius, eps, kind)
-        if mhit:
+        v = _event_ratio(*state, radius, eps, kind)
+        g = _log_gap(v)
+        if _inside(v, kind):
             if side > 0:
                 g_lo *= 0.5
-            hi, g_hi, end, sign, side = x, g, state, msign, 1
+            hi, g_hi, end, side = x, g, state, 1
         else:
             if side < 0:
                 g_hi *= 0.5
             lo, g_lo, side = x, g, -1
         slow = slow + 1 if hi - lo > 0.5 * width else 0
-    return end, hi, sign
+    return end, hi
 
 
 @np.errstate(over="ignore")
@@ -1044,11 +1041,12 @@ def _drive(
     t advances by the step size; fdir (+1 or -1) is the sign of every
     step, so fdir = -1 follows the upward flow.  z is taken in closed
     form (_factors at tau = fdir t) and the pair integrated is w, then u
-    from the switch on (module docstring).  The start and accepted states
-    [z, w] are appended to rec as rows (t, y0, y1, y2, y3) until its
-    capacity is reached; a rec of zero rows records nothing.  An accepted
-    step whose state [z, w] is not finite ends the drive STATUS_NONFINITE
-    at the state before it.
+    from the switch on (module docstring).  A start inside the event
+    region is the event: the drive ends STATUS_EVENT at t = 0 after no
+    attempt.  The start and accepted states [z, w] are appended to rec as
+    rows (t, y0, y1, y2, y3) until its capacity is reached; a rec of zero
+    rows records nothing.  An accepted step whose state [z, w] is not
+    finite ends the drive STATUS_NONFINITE at the state before it.
     """
     zx, zy = y0, y1
     va, vb = y2, y3
@@ -1066,9 +1064,9 @@ def _drive(
         rec[nrec] = t, y0, y1, y2, y3
         nrec += 1
     status = STATUS_RUNNING
-    esign = 0
     steps = 0
-    while steps < max_steps:
+    hit, esign = _event_val(y0, y1, y2, y3, radius, eps, event_kind)
+    while not hit and steps < max_steps:
         f10, f11 = _rhs_z(y0, y1, alpha)
         speed = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12 + f13 * f13)
         if speed < STALL_SPEED:
@@ -1101,14 +1099,14 @@ def _drive(
         if not all(map(math.isfinite, end)):
             status = STATUS_NONFINITE
             break
-        hit, _ = _event_val(*end, radius, eps, event_kind)
+        # Re z keeps its sign along the drive, and with it a V-entry sign
+        hit, esign = _event_val(*end, radius, eps, event_kind)
         if hit:
-            end, dt, esign = _dense_event(
+            end, dt = _dense_event(
                 va, vb, fa, fb, na, nb, ka, kb, (y0, y1, y2, y3), end, h_use, t, fdir,
                 zx, zy, alpha, table, frame, radius, eps, event_kind,
             )
             t += dt
-            status = STATUS_EVENT
         else:
             va, vb, fa, fb = na, nb, ka, kb
             t += h_use
@@ -1127,9 +1125,9 @@ def _drive(
         if nrec < cap:
             rec[nrec] = t, y0, y1, y2, y3
             nrec += 1
-        if hit:
-            break
-    if status == STATUS_RUNNING and t_end - t <= 1e-14 * (
+    if hit:
+        status = STATUS_EVENT
+    elif status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
         status = STATUS_TIME_END
@@ -1400,33 +1398,25 @@ def pair_re_np(x, re_w, r):
     return x + u, x - u
 
 
+@np.errstate(over="ignore")  # epsilon / 5e-324 of a V-entry margin at x = 0
+def _event_ratio_np(Y, radius, epsilon, kind):
+    """Vectorized twin of :func:`_event_ratio`."""
+    r = np.hypot(Y[:, 2], Y[:, 3])
+    x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
+    return _gap_ratio(x1, x2, r, radius, epsilon, kind, np.minimum, np.maximum)
+
+
 def _event_np(Y, radius, epsilon, kind):
-    """Vectorized event predicate; returns (hit, sign) arrays."""
+    """Vectorized twin of :func:`_event_val`; returns (hit, sign) arrays."""
     n = Y.shape[0]
     if kind == EVENT_NONE:
-        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-    r = np.hypot(Y[:, 2], Y[:, 3])
-    x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
+        hit = np.zeros(n, dtype=bool)
+    else:
+        hit = _inside(_event_ratio_np(Y, radius, epsilon, kind), kind)
     sign = np.zeros(n, dtype=np.int64)
-    if kind == EVENT_PAIR_ESCAPE:
-        hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
-        return hit, sign
-    if kind == EVENT_TRUNC_REGION:
-        hit = (x1 <= -epsilon) & (x2 <= -epsilon) & (x1 + x2 <= -3.0 * epsilon)
-        return hit, sign
-    minus = (x1 > -epsilon) & (x1 < epsilon) & (x2 < -2.0 * epsilon)
-    plus = (x2 > -epsilon) & (x2 < epsilon) & (x1 > 2.0 * epsilon)
-    sign[minus] = -1
-    sign[plus] = 1
-    return minus | plus, sign
-
-
-def _event_gap_np(Y, radius, epsilon, kind):
-    """Vectorized twin of :func:`_event_gap`, math.log mapped over the rows."""
-    r = np.hypot(Y[:, 2], Y[:, 3])
-    x1, x2 = pair_re_np(Y[:, 0], Y[:, 2], r)
-    ratio = _gap_ratio(x1, x2, r, radius, epsilon, kind, np.minimum, np.maximum)
-    return np.array([_log_gap(v) for v in ratio.tolist()])
+    if kind == EVENT_V_ENTRY:
+        sign[hit] = np.where(Y[hit, 0] > 0.0, 1, -1)
+    return hit, sign
 
 
 def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.inf,
@@ -1520,19 +1510,20 @@ def _drive_batch_np(
 ):
     """Lockstep vectorized twin of :func:`_drive_batch`.
 
-    Two lockstep passes follow the rule of :func:`_drive`: every row
-    starts in the w-frame, and the rows that switch continue in a second
-    pass in the u-frame, so each pass has one right-hand side.  A row
-    whose accepted step ends inside the event region stops there with
-    STATUS_EVENT, keeping its pre-step state, pair, derivative and time.
-    After each pass the dense output of its event steps that start
-    outside the region is built in one batch (:func:`_dense_np`) and
-    their events are located on it together, with the per-row arithmetic
-    of :func:`_dense_event` and :func:`_event_probe`: per-row brackets,
-    gaps (:func:`_event_gap_np`), sides and counts of slow iterations, at
-    most EVENT_ITERATIONS iterations, each row stopping once
-    hi - lo < EVENT_TOL max(hi, 1).
-    A stopped row keeps its bracket.
+    Two lockstep passes follow the rule of :func:`_drive`: a row that
+    starts inside the event region ends STATUS_EVENT at t = 0 and is never
+    active; every other row starts in the w-frame, and the rows that
+    switch continue in a second pass in the u-frame, so each pass has one
+    right-hand side.  A row whose accepted step ends inside the event
+    region stops there with STATUS_EVENT, keeping its pre-step state,
+    pair, derivative and time.  After each pass the dense output of its
+    event steps is built in one batch (:func:`_dense_np`) and their events
+    are located on it together, with the per-row arithmetic of
+    :func:`_dense_event` and :func:`_event_probe`: per-row brackets, gaps
+    and hits from one :func:`_event_ratio_np` per read, sides and counts
+    of slow iterations, at most EVENT_ITERATIONS iterations, each row
+    stopping once hi - lo < EVENT_TOL max(hi, 1).  A stopped row keeps its
+    bracket.
     """
     arr = np.asarray(table)
     n = Y.shape[0]
@@ -1549,8 +1540,11 @@ def _drive_batch_np(
     def event(Z):
         return _event_np(Z, radius, eps, event_kind)[0]
 
-    def gap(Z):
-        return _event_gap_np(Z, radius, eps, event_kind)
+    def ratio(Z):
+        return _event_ratio_np(Z, radius, eps, event_kind)
+
+    def gap(v):  # math.log over the rows, as the scalar twin takes it
+        return np.array([_log_gap(g) for g in v.tolist()])
 
     def to_zw(P, rows, tau, uframe):
         ea, eb = _factors(alpha, tau)
@@ -1602,7 +1596,7 @@ def _drive_batch_np(
         C = _dense_np(P, K, V_event[ev], K_event[ev], fdir * h, rhs, t)
         Yn = to_zw(V_event[ev], ev, fdir * t + fdir * h, uframe)[0]
         lo, hi = np.zeros(ev.size), h.copy()
-        g_lo, g_hi = gap(Y[ev]), gap(Yn)  # Y holds the pre-step states
+        g_lo, g_hi = gap(ratio(Y[ev])), gap(ratio(Yn))  # Y holds the pre-step states
         side = np.zeros(ev.size, dtype=np.int64)
         slow = np.zeros(ev.size, dtype=np.int64)
         for _ in range(EVENT_ITERATIONS):
@@ -1614,7 +1608,8 @@ def _drive_batch_np(
             x = _event_probe(lo[i], hi[i], g_lo[i], g_hi[i], slow[i], tol[i], np.where)
             Z = to_zw(_contd8(P[i], (x / h[i])[:, None], C[:, i]), ev[i],
                       fdir * (t[i] + x), uframe)[0]
-            mhit, g = event(Z), gap(Z)
+            v = ratio(Z)
+            mhit, g = _inside(v, event_kind), gap(v)
             up, down = i[mhit], i[~mhit]
             g_lo[up[side[up] > 0]] *= 0.5
             g_hi[down[side[down] < 0]] *= 0.5
@@ -1636,23 +1631,22 @@ def _drive_batch_np(
     out_t[:] = 0.0
     out_status[:] = STATUS_RUNNING
     out_sign[:] = 0
+    inside = event(Y)
     for uframe in (False, True):
         if uframe:
             P, rhs, active = U, u_rhs, switched.copy()
             start = (active, h, KU, steps)
         else:
-            P, rhs, active = V, w_rhs, np.ones(n, dtype=bool)
+            P, rhs, active = V, w_rhs, ~inside
             start = (active, np.full(n, H_FIRST), K1, np.zeros(n, dtype=np.int64))
         h, K, steps = _lockstep(P, out_t, rhs, rtol, max_steps, out_status, stop,
                                 _h_max(event_kind, uframe), None if uframe else table,
                                 t_end, fdir, accepter(uframe), start)
-        # no row that switched had an event in the w-frame pass; a row whose
-        # pre-step state is inside, as only a start state can be, has its
-        # event there and is not refined
+        # no row that switched had an event in the w-frame pass
         ev = np.nonzero((out_status == STATUS_EVENT) & (switched == uframe))[0]
-        ev = ev[~event(Y[ev])]
         if ev.size:
             refine(ev, P[ev], K[ev], rhs, uframe)
+    out_status[inside] = STATUS_EVENT
     ev = out_status == STATUS_EVENT
     out_sign[ev] = _event_np(Y[ev], radius, eps, event_kind)[1]
     leftover = out_status == STATUS_RUNNING

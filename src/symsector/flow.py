@@ -247,14 +247,11 @@ def first_event(state, event_kind, params, settings):
 
     Returns (hit, t, state, sign); hit is False if the flow stalled or
     max_time elapsed without entering the region.  A start already inside
-    the region returns t = 0.  A state of other than 4 entries raises
-    ValueError, a step budget spent before max_time RuntimeError.
+    the region is the event, at t = 0 (drive_batch).  A state of other
+    than 4 entries or an unknown event kind raises ValueError, a step
+    budget spent before max_time RuntimeError.
     """
     Y = np.array([_state4(state)])
-    radius = resolve_escape_radius(settings, params)
-    hit0, sign0 = _kernels._event_val(*Y[0].tolist(), radius, params.epsilon, event_kind)
-    if hit0:
-        return True, 0.0, Y[0], int(sign0)
     (status,), (t,), (sign,) = drive_batch(Y, params, settings, event_kind)
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state during integration")
@@ -272,11 +269,15 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     (default max_time), which must be finite and >= 0, downward for
     direction 1.0 and upward for -1.0.  Y must be a 2-D float64
     array of 4 columns: another dtype would truncate each state written
-    back, and a converted copy would leave the caller's Y as it was.
+    back, and a converted copy would leave the caller's Y as it was.  A
+    row that starts inside the region of event_kind, one of EVENT_NONE ..
+    EVENT_V_ENTRY, ends STATUS_EVENT at t = 0.
     """
     if not (isinstance(Y, np.ndarray) and Y.dtype == np.float64
             and Y.ndim == 2 and Y.shape[1] == 4):
         raise ValueError("Y must be a 2-D float64 array with 4 columns")
+    if event_kind not in range(_kernels.EVENT_NONE, _kernels.EVENT_V_ENTRY + 1):
+        raise ValueError(f"unknown event kind {event_kind!r}")
     n = Y.shape[0]
     out_status = np.zeros(n, dtype=np.int64)
     out_t = np.zeros(n)

@@ -149,9 +149,10 @@ def test_near_diagonal_pairs_escape(pure16, rng):
 
 
 def test_drive_batch_nonfinite_status_matches_scalar(pure16):
-    # kappa = 2|w| overflows at |w| = 1e308, so every attempt is non-finite
+    # kappa = 2|w| overflows at |w| = 1e308, so every attempt is non-finite;
+    # w = -1e308 has both pair coordinates at Re z, outside the escape region
     settings = FlowSettings(max_steps=2000)
-    state = [1.0, 0.5, 1e308, 0.0]
+    state = [1.0, 0.5, -1e308, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         # enough rows for the numpy lockstep, which the scalar call never runs
         rows = np.array([state] * flow._LOCKSTEP_ROWS[pure16.table[0]])
@@ -159,6 +160,13 @@ def test_drive_batch_nonfinite_status_matches_scalar(pure16):
         assert (status == _kernels.STATUS_NONFINITE).all() and (t == 0.0).all()
         with pytest.raises(NonFiniteFlowError):
             integrate_flow(state, pure16, settings, record=False)
+        # w = 1e308 puts the pair coordinates at +-inf: the start is the escape
+        state = [1.0, 0.5, 1e308, 0.0]
+        rows = np.array([state] * flow._LOCKSTEP_ROWS[pure16.table[0]])
+        status, t, _ = drive_batch(rows, pure16, settings, _kernels.EVENT_PAIR_ESCAPE)
+        assert (status == _kernels.STATUS_EVENT).all() and (t == 0.0).all()
+        traj = integrate_flow(state, pure16, settings, record=False)
+    assert traj.termination == TERM_ESCAPED and traj.escape_data["time"] == 0.0
 
 
 def test_opposite_imaginary_pair_escape_signs():
@@ -701,6 +709,38 @@ def test_truncation_entry_time():
     assert t == pytest.approx(LN4, abs=1e-5)
 
 
+# in V-: Re z1 = 15.84 within epsilon = 16, Re z2 = -48 below -2 epsilon; the
+# first step carries Re z1 past epsilon
+_IN_V_MINUS = SymPoint(15.84 + 1.0j, -48.0 + 0.5j)
+
+
+@pytest.mark.parametrize("rows", ["row-loop", "lockstep"])
+def test_a_start_inside_the_region_is_the_event(rows):
+    # both drive kernels test the start state before their first attempt
+    params = SteinParams(epsilon=16.0)
+    settings = FlowSettings()
+    x = _IN_V_MINUS.state()
+    n = 1 if rows == "row-loop" else flow._LOCKSTEP_ROWS[params.table[0]]
+    Y = np.array([x] * n)
+    status, t, sign = drive_batch(Y, params, settings, _kernels.EVENT_V_ENTRY)
+    assert (status == _kernels.STATUS_EVENT).all()
+    assert (t == 0.0).all() and (sign == -1).all() and _hex(Y.ravel()) == _hex([*x] * n)
+    hit, t, y, sign = first_event(x, _kernels.EVENT_V_ENTRY, params, settings)
+    assert (hit, t, sign) == (True, 0.0, -1) and _hex(y) == _hex(x)
+
+
+@pytest.mark.parametrize("rows", ["row-loop", "lockstep"])
+@pytest.mark.parametrize("kind", [-1, 4, 7])
+def test_an_unknown_event_kind_is_refused(pure16, kind, rows):
+    # the scalar twin read no region for such a kind, the numpy one V-entry
+    x = SymPoint(0.5 + 1.0j, -48.0 + 0.5j).state()
+    n = 1 if rows == "row-loop" else flow._LOCKSTEP_ROWS[pure16.table[0]]
+    with pytest.raises(ValueError, match="unknown event kind"):
+        drive_batch(np.array([x] * n), pure16, FlowSettings(), kind)
+    with pytest.raises(ValueError, match="unknown event kind"):
+        first_event(x, kind, pure16, FlowSettings())
+
+
 def test_first_event_raises_when_the_step_budget_runs_out():
     # it used to return hit False, read as "max_time elapsed", so the
     # caller below raised NoEscapeError
@@ -751,16 +791,12 @@ def test_scalar_calls_are_their_batch_rows_bit_for_bit(mode, rng):
     assert labels.tolist() == sectors.classify_by_flow_batch(
         [p.state() for p in points], params, settings).tolist()
 
-    radius = resolve_escape_radius(settings, params)
     for kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
                  _kernels.EVENT_V_ENTRY):
         Y = X.copy()
         status, t, sign = drive_batch(Y, params, settings, kind)
         for x, y, st_, t_, sg in zip(X, Y, status, t, sign):
             hit, t1, y1, sg1 = first_event(x, kind, params, settings)
-            if _kernels._event_val(*x.tolist(), radius, params.epsilon, kind)[0]:
-                assert hit and t1 == 0.0 and _hex(y1) == _hex(x)
-                continue
             assert hit == (st_ == _kernels.STATUS_EVENT)
             assert _hex([t1, sg1]) == _hex([t_, sg]) and _hex(y1) == _hex(y)
 

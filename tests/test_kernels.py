@@ -512,9 +512,9 @@ def test_cutoff_kappa_shrink_reads_smoothing_profile(epsilon):
     assert np.array_equal(shrink, smoothing.norm_m(r, table) / (r * mp))
 
 
-def _event_rows(epsilon, rng):
-    x = rng.uniform(-4.0 * epsilon, 4.0 * epsilon, 20000)
-    w = rng.uniform(-1.0, 1.0, (20000, 2)) * (4.0 * epsilon) ** 2
+def _event_rows(epsilon, rng, n=20000):
+    x = rng.uniform(-4.0 * epsilon, 4.0 * epsilon, n)
+    w = rng.uniform(-1.0, 1.0, (n, 2)) * (4.0 * epsilon) ** 2
     rows = [np.column_stack([x, np.zeros_like(x), w])]
     # real w = u^2 gives pair coordinates x +- u exactly, so these rows
     # sit on the region boundaries x = +-eps, +-2 eps and x1 + x2 = -3 eps
@@ -527,6 +527,32 @@ def _event_rows(epsilon, rng):
     return np.vstack(rows)
 
 
+def _reference_event(Y, radius, epsilon, kind):
+    """The event regions as comparisons of the pair coordinates; (hit, sign).
+
+    A reference implementation: the kernels read the regions off the
+    margin ratios of _kernels._gap_ratio, and must decide every state as
+    these comparisons do.
+    """
+    n = Y.shape[0]
+    if kind == _kernels.EVENT_NONE:
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    r = np.hypot(Y[:, 2], Y[:, 3])
+    x1, x2 = _kernels.pair_re_np(Y[:, 0], Y[:, 2], r)
+    sign = np.zeros(n, dtype=np.int64)
+    if kind == _kernels.EVENT_PAIR_ESCAPE:
+        hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
+        return hit, sign
+    if kind == _kernels.EVENT_TRUNC_REGION:
+        hit = (x1 <= -epsilon) & (x2 <= -epsilon) & (x1 + x2 <= -3.0 * epsilon)
+        return hit, sign
+    minus = (x1 > -epsilon) & (x1 < epsilon) & (x2 < -2.0 * epsilon)
+    plus = (x2 > -epsilon) & (x2 < epsilon) & (x1 > 2.0 * epsilon)
+    sign[minus] = -1
+    sign[plus] = 1
+    return minus | plus, sign
+
+
 @pytest.mark.parametrize(
     "kind",
     [_kernels.EVENT_NONE, _kernels.EVENT_PAIR_ESCAPE,
@@ -534,15 +560,27 @@ def _event_rows(epsilon, rng):
     ids=["none", "pair-escape", "trunc-region", "v-entry"],
 )
 def test_event_twins_agree_exactly(kind):
-    epsilon = 16.0
-    radius = 2.0 * epsilon
-    Y = _event_rows(epsilon, np.random.default_rng(5))
-    hit, sign = _kernels._event_np(Y, radius, epsilon, kind)
-    if kind != _kernels.EVENT_NONE:
-        assert hit.any() and not hit.all()
-    for row, h, sg in zip(Y.tolist(), hit.tolist(), sign.tolist()):
-        got = _kernels._event_val(*row, radius, epsilon, kind)
-        assert (bool(got[0]), int(got[1])) == (h, sg)
+    # both twins read the regions off their margin ratios, and give the
+    # hits and signs of the reference comparisons bit for bit: on drawn
+    # rows, on the region edges of _event_rows (|w| = eps among them) and
+    # on every row with one coordinate moved one ulp either way
+    hits = set()
+    for epsilon in (16.0, 1.0, 1e-3, 3.7e5):
+        rows = _event_rows(epsilon, np.random.default_rng(5), 2000)
+        moved = [rows]
+        for j, to in itertools.product(range(4), (-np.inf, np.inf)):
+            near = rows.copy()
+            near[:, j] = np.nextafter(near[:, j], to)
+            moved.append(near)
+        Y = np.vstack(moved)
+        for radius in (2.0 * epsilon, 1e3 * max(1.0, epsilon)):
+            want = _reference_event(Y, radius, epsilon, kind)
+            hit, sign = _kernels._event_np(Y, radius, epsilon, kind)
+            assert _bits(hit, sign) == _bits(*want)
+            hits.update(hit.tolist())
+            for row, h, sg in zip(Y.tolist(), *(w.tolist() for w in want)):
+                assert _kernels._event_val(*row, radius, epsilon, kind) == (h, sg)
+    assert hits == ({False} if kind == _kernels.EVENT_NONE else {False, True})
 
 
 def test_cutoff_escape_drives_count_the_outer_knot_as_outside():
@@ -597,12 +635,12 @@ def test_event_gap_is_positive_only_inside_the_region(kind, reading):
             for r in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf))]
     Y = np.vstack([_event_rows(eps, np.random.default_rng(8)), edge])
     hit, _ = _kernels._event_np(Y, radius, eps, kind)
-    with np.errstate(over="ignore"):  # epsilon / |x| at x = 0
-        gap = _kernels._event_gap_np(Y, radius, eps, kind)
+    ratio = _kernels._event_ratio_np(Y, radius, eps, kind)
+    gap = np.array([_kernels._log_gap(v) for v in ratio.tolist()])
     assert hit.any() and not hit.all() and (gap == 0.0).any()
     assert np.all(hit[gap > 0.0]) and np.all(gap[hit] >= 0.0)
-    scalar = [_kernels._event_gap(*row, radius, eps, kind) for row in Y.tolist()]
-    assert _bits(gap) == _bits(scalar)
+    scalar = [_kernels._event_ratio(*row, radius, eps, kind) for row in Y.tolist()]
+    assert _bits(ratio) == _bits(scalar)
 
 
 # two rows inside each region at t = 0, with the event signs they take
@@ -664,15 +702,17 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     # the numpy batch refines all its events together after the lockstep,
     # the scalar kernel each one as it is found, both on the dense output
     args, flowing, inside = _event_drive(mode, kind)
-    # the inside rows hit in the first lockstep iteration, the flowing ones
-    # later and apart; w = 1e308 overflows kappa: STATUS_NONFINITE
-    rows = flowing + inside + [(1.0, 0.5, 1e308, 0.0)]
+    # the inside rows are the event at their start, the flowing ones hit
+    # later and apart; w = -1e308 overflows kappa and starts outside every
+    # region: STATUS_NONFINITE
+    rows = flowing + inside + [(1.0, 0.5, -1e308, 0.0)]
     batch, scalar = _drive_both(rows, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     _assert_events_hold(batch, args)
-    status, _, sign, _ = batch
-    assert np.all(status[8:10] == _kernels.STATUS_EVENT)
-    assert status[10] == _kernels.STATUS_NONFINITE
+    status, t, sign, Y = batch
+    assert np.all(status[8:10] == _kernels.STATUS_EVENT) and np.all(t[8:10] == 0.0)
+    assert _bits(Y[8:10]) == _bits(np.array(inside))
+    assert status[10] == _kernels.STATUS_NONFINITE and t[10] == 0.0
     if kind == _kernels.EVENT_V_ENTRY:
         assert sign[8:10].tolist() == [-1, 1]
     # the upward flow shrinks both pair coordinates, so it never enters
@@ -757,8 +797,8 @@ def _count_calls(monkeypatch, name, counter, key):
 # Refining an event recomputes the stages of its step once and adds the
 # dense-output stages 14-16: 14 evaluations of the one integrated pair (w in
 # the w-frame, u in the u-frame), however many times the event location
-# reads the dense output.  An event step from a start already inside the
-# region has its event at that start and builds no dense output.
+# reads the dense output.  A drive that starts inside the region has its event
+# at that start and makes no attempt.
 REFINE_RHS = 14
 
 
@@ -788,9 +828,10 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     frames = set()
     for row in rows:
         counts.clear()
-        status, t = _kernels._drive(*row, 4.0, *args, rec, 1.0)[:2]
+        res = _kernels._drive(*row, 4.0, *args, rec, 1.0)
+        status, t, steps = res[0], res[1], res[8]
         event = status == _kernels.STATUS_EVENT
-        assert (row in inside) == (event and t == 0.0)
+        assert (row in inside) == (event and t == 0.0) == (steps == 0)
         refined = event and row not in inside
         # outside the attempts: the w' at the start, u' at the switch if the
         # row switched, and the refinement in the frame of the event step
@@ -810,6 +851,7 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     rows = flowing + inside
     calls = {"_rhs_w_np": [], "_rhs_u_np": []}  # row counts outside the lockstep
     depth = []
+    starts = []  # the rows each lockstep pass activates
     lockstep = _kernels._lockstep
 
     def spy(name):
@@ -823,6 +865,7 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
         return counted
 
     def marked(*a):
+        starts.append(a[-1][0].copy())
         depth.append(True)
         try:
             return lockstep(*a)
@@ -835,6 +878,8 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     status, t = _drive_both(rows, args, 4.0, 1.0)[0][:2]
     event = status == _kernels.STATUS_EVENT
     assert np.all(event[len(flowing):]) and np.all(t[len(flowing):] == 0.0)
+    assert starts[0].tolist() == [True] * len(flowing) + [False] * len(inside)
+    assert not starts[1][len(flowing):].any()
     # the w' of every row at the start, then 14 calls per refined frame, on
     # the event rows that start outside the region
     w_calls, u_calls = calls["_rhs_w_np"], calls["_rhs_u_np"]
@@ -853,44 +898,53 @@ EVENT_READS = 8
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_events_take_few_dense_output_reads(monkeypatch, mode):
     # the secant on the event gap locates an event in a few reads of the
-    # dense output, in both frames; an event step from a start already
-    # inside the region needs none.  The batch twin makes the same reads:
-    # the rows of its refinement iterations, which read the gap once each
-    # after reading it at both ends of every event step that starts outside.
+    # dense output, in both frames; every event step starts outside the
+    # region.  The batch twin makes the same reads: the rows of its
+    # refinement iterations, which read the margin ratio once each after
+    # reading it at both ends of every event step.  Its other reads of the
+    # ratio go through the event predicate _event_np.
     reads = collections.defaultdict(list)  # frame -> reads per located event
     counts = collections.Counter()
     _count_calls(monkeypatch, "_contd8", counts, lambda: None)
-    dense_event, gap_np = _kernels._dense_event, _kernels._event_gap_np
-    gap_rows = []
+    dense_event, ratio_np = _kernels._dense_event, _kernels._event_ratio_np
+    event_np = _kernels._event_np
+    ratio_rows = []
+    judging = []  # nonempty inside _event_np
 
     def located(*a):
         counts.clear()
         out = dense_event(*a)
         pre, frame, radius, eps, kind = a[8], a[17], a[18], a[19], a[20]
-        n_reads = counts["_contd8", None] // 2
-        if _kernels._event_val(*pre, radius, eps, kind)[0]:
-            assert n_reads == 0 and out[1] == 0.0
-        else:
-            reads[frame is not None].append(n_reads)
+        assert not _kernels._event_val(*pre, radius, eps, kind)[0]
+        reads[frame is not None].append(counts["_contd8", None] // 2)
         return out
 
-    def gap_spy(Y, *a):
-        gap_rows.append(len(Y))
-        return gap_np(Y, *a)
+    def ratio_spy(Y, *a):
+        if not judging:
+            ratio_rows.append(len(Y))
+        return ratio_np(Y, *a)
+
+    def judged(*a):
+        judging.append(True)
+        try:
+            return event_np(*a)
+        finally:
+            judging.pop()
 
     monkeypatch.setattr(_kernels, "_dense_event", located)
-    monkeypatch.setattr(_kernels, "_event_gap_np", gap_spy)
+    monkeypatch.setattr(_kernels, "_event_ratio_np", ratio_spy)
+    monkeypatch.setattr(_kernels, "_event_np", judged)
     for kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
                  _kernels.EVENT_V_ENTRY):
         for fdir in (1.0, -1.0):
             args, flowing, inside = _event_drive(mode, kind)
             before = sum(map(sum, reads.values()))
-            gap_rows.clear()
+            ratio_rows.clear()
             status, t = _drive_both(flowing + inside, args, 4.0, fdir)[0][:2]
             # the events at t = 0 are those of rows that start inside
             n_refined = np.count_nonzero((status == _kernels.STATUS_EVENT) & (t > 0.0))
             n_reads = sum(map(sum, reads.values())) - before
-            assert sum(gap_rows) - 2 * n_refined == n_reads
+            assert sum(ratio_rows) - 2 * n_refined == n_reads
     assert set(reads) == {False, True}
     for frame_reads in reads.values():
         assert np.mean(frame_reads) <= EVENT_READS
@@ -924,7 +978,8 @@ def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
     rng = np.random.default_rng(13)
     z = rng.uniform(-48.0, 48.0, (5, 2))
     s = rng.uniform(-48.0, 48.0, 4) + 1j * rng.uniform(-48.0, 48.0, 4)
-    w = np.append(s * s, 1e308)  # STATUS_NONFINITE
+    # w = 1e308 ends STATUS_NONFINITE, or at the start under EVENT_PAIR_ESCAPE
+    w = np.append(s * s, 1e308)
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(z, w)]
     rec = np.empty((0, 5))
     for kind, fdir in [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0)]:
@@ -1003,12 +1058,15 @@ def test_batch_rows_are_independent(mode):
         (SymPoint(30.0 + 1.0j, -30.0), FlowSettings(), U_MP),
         (SymPoint(40.0, 64.0 + 1.0j), FlowSettings(), U_PP),
         (SymPoint(1.0j, -1.0j), FlowSettings(max_time=0.5), UNRESOLVED),
-        # w = 1e308: the kernels end the row STATUS_NONFINITE
-        (SymPoint(1e154, -1e154), FlowSettings(max_steps=2000), UNRESOLVED),
+        # w = -1e308: the kernels end the row STATUS_NONFINITE
+        (SymPoint(1e154j, -1e154j), FlowSettings(max_steps=2000), UNRESOLVED),
+        # w = 1e308: the pair coordinates are +-inf, and the start the escape
+        (SymPoint(1e154, -1e154), FlowSettings(max_steps=2000), U_MP),
         # step budget spent: STATUS_RUNNING
         (SymPoint(-40.0, -64.0 + 1.0j), FlowSettings(max_steps=3), UNRESOLVED),
     ],
-    ids=["U_MM", "U_MP", "U_PP", "time-end", "nonfinite", "running"],
+    ids=["U_MM", "U_MP", "U_PP", "time-end", "nonfinite", "escaped-at-start",
+         "running"],
 )
 def test_flow_label_scalar_matches_batch(pure16, p, settings, want):
     label = classify_by_flow(p, pure16, settings)
@@ -1089,22 +1147,36 @@ _HOSTILE_W = sorted(
 def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     # built-in floats raise where numpy scalars only warned: x / 0.0,
     # ** and abs(complex) past the float range, math.sqrt below zero; the
-    # numpy twins end every row with the same bits
+    # numpy twins end every row with the same bits.  A row that starts
+    # inside its region, as the reference comparisons read it, is the event
+    # at t = 0; under EVENT_PAIR_ESCAPE those are the rows whose pair
+    # coordinates are +-inf.
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=4.0, max_steps=2000)
     rec = np.empty((0, 5))
     ends = []
+    n_inside = 0
     for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
         args = flow._drive_args(params, settings, kind)
         scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)
                   for w in _HOSTILE_W]
         Y = np.array([(1.0, 0.5, *w) for w in _HOSTILE_W])
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = _reference_event(Y, args[3], _kernels._event_eps(args[1], kind),
+                                      kind)[0]
         out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
                np.zeros(len(Y), dtype=np.int64))
         _kernels._drive_batch_np(Y, 4.0, *args, *out, fdir)
         assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in scalar])
                                          for k in (0, 1, 6)), [r[2:6] for r in scalar])
-        ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
+        for w, r, start in zip(_HOSTILE_W, scalar, inside.tolist()):
+            if start:
+                assert kind == _kernels.EVENT_PAIR_ESCAPE
+                assert r[:2] == (_kernels.STATUS_EVENT, 0.0) and r[8] == 0
+                n_inside += 1
+            else:
+                ends.append((w, r[0]))
+    assert n_inside > 0
     W = np.array(_HOSTILE_W)
     for reading in flow._READINGS:
         args = flow._delta_args(params, settings, reading, 1.0)
