@@ -37,17 +37,24 @@ def run_forked(fn, jobs, workers):
     Jobs start in the order given.  A job whose worker died gets its
     BrokenProcessPool in place of its result.
     """
-    import concurrent.futures
+    import concurrent.futures.process
     import multiprocessing
 
+    broken = concurrent.futures.process.BrokenProcessPool
     with concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork")
     ) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
+        futures = []
+        for job in jobs:
+            try:
+                futures.append(pool.submit(fn, *job))
+            except broken as exc:  # a worker died before this job went in
+                futures.append(concurrent.futures.Future())
+                futures[-1].set_exception(exc)
         results = []
         for future in futures:
             try:
                 results.append(future.result())
-            except concurrent.futures.process.BrokenProcessPool as exc:
+            except broken as exc:
                 results.append(exc)
     return results

@@ -1,60 +1,68 @@
 """Adaptive Dormand-Prince 8(5,3) kernels for the model flow.
 
-The downward gradient flow on the symmetric square is integrated with the
-embedded Dormand-Prince 8(5,3) pair (DOP853) and its step-size controller
-(Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10).  An attempt
-takes 11 new stage derivatives; an accepted one adds the derivative at
-its end, which seeds the next step.  A state is [Re z, Im z, Re w,
-Im w]; the linear z-subsystem and the autonomous w-subsystem are
-decoupled, and the w-subsystem alone also serves the branch-locus
-asymptotics (Delta).  The flow direction (+1 downward, -1 upward) is the
-sign of the step h: derivatives, seeds included, are those of the
-downward flow.  Negation is exact, so h (-f) and (-h) f round alike and
-either form gives the same bits.
+The downward gradient flow on the symmetric square is integrated with
+the embedded Dormand-Prince 8(5,3) pair (DOP853) and its step-size
+controller (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10).
+An attempt takes 11 new stage derivatives; an accepted one adds the
+derivative at its end, which seeds the next step.  A state is
+[Re z, Im z, Re w, Im w]; the linear z-subsystem and the autonomous
+w-subsystem are decoupled, and a drive of [0, 0, w0] also serves the
+branch-locus asymptotics, Delta = lim Re u (Delta rows, below).  The
+flow direction (+1 downward, -1 upward) is the sign of the step h:
+derivatives, seeds included, are those of the downward flow.  Negation
+is exact, so h (-f) and (-h) f round alike and either form gives the
+same bits.
 
 A drive integrates only a pair of numbers, in one of two frames.  With
 tau = fdir t and L = diag(alpha - 1, -alpha) on (Re, Im), z is taken in
 closed form, z(tau) = e^(L tau) z0, from the factors e^((alpha-1) tau)
 and e^(-alpha tau) of _factors.  The pair is w itself (the w-frame) from
 t = 0, and u = e^(-L tau) s, s = sqrt(w) (the u-frame), from the end of
-the first accepted step where |w| >= epsilon and Re(conj(w) fdir w') > 0,
-one switch per row, with s the principal root (np.sqrt, as _delta_one
-takes it).  Far out the flow is the linear saddle s' = L s, so
-u' = e^(-L tau) (G(s) - L s), G(s) = w'(s^2) / (2 s), vanishes at
-infinity, and exactly beyond the outer knot |w| = table[4] = epsilon in
-cutoff mode: the u-frame's steps are set by the nonlinearity, not by the
+the first accepted step where |w| >= epsilon and
+Re(conj(w) fdir w') > 0, one switch per row, with s the principal root
+(np.sqrt).  Far out the flow is the linear saddle s' = L s, so u' =
+e^(-L tau) (G(s) - L s), G(s) = w'(s^2) / (2 s), vanishes at infinity,
+and exactly beyond the outer knot |w| = table[4] = epsilon in cutoff
+mode: the u-frame's steps are set by the nonlinearity, not by the
 e^((alpha-1) tau) growth (Lawson, SIAM J. Numer. Anal. 4, 1967;
 Hochbruck & Ostermann, Acta Numerica 19, 2010).  Along the linear saddle
-x^2 / y^2 of s = x + i y is monotone, so a row that grows outside epsilon
-keeps growing and does not come back inside.  States are converted back
-to [z, w] (_to_zw) wherever a state is read: events, stall speed,
-records and results.  Delta keeps the w-frame.
+x^2 / y^2 of s = x + i y is monotone, so a row that grows outside
+epsilon keeps growing and does not come back inside.  States are
+converted back to [z, w] (_to_zw) wherever a state is read: events,
+stall speed, records and results.
+
+A Delta row is the drive of [0, 0, Re w0, Im w0] to the region
+EVENT_DELTA: the escape region of that row, whose pair coordinates are
++-Re s, with the radius s_star of _delta_radius, beyond which Re u has
+settled to DELTA_TOL relatively (exactly, in cutoff mode).  Every state
+inside that region gives the same Delta to within the tolerance, so a
+Delta row is read where a step ends inside it, with no refinement;
+flow reads Delta = Re u = Re sqrt(w) / e^((alpha-1) t) there.
 
 The scaled error of an attempt is |h| E5^2 / sqrt(n (E5^2 + 0.01 E3^2)),
 from the 5th and 3rd order estimates summed over the n = 2 components,
 and the controller scales the step by 0.9 err^(-1/8) within [0.2, 10].
 The largest step is H_MAX_V_ENTRY for the V-entry event in both frames,
 whose band one long step could jump over, and H_MAX for every other
-w-frame drive and for Delta (whose readings are due every 0.7); the
-u-frame has no other cap than the controller and the end time.  There
-|x_1,2| = e^((alpha-1) tau) |Re z0 +- Re u| with Re u almost constant,
-so the escape and truncation regions cannot be entered and left within
-one step.  In cutoff mode the profile knots |w| = table[2:5], where m''
-has kinks that the error estimate misjudges, are step boundaries of the
-w-frame (Gear & Osterby, ACM TOMS 10, 1984); the u-frame runs outside
-them.  An accepted attempt, or a rejected one whose ends lie on either
-side of a knot, is retaken if |w| crosses a knot within it: h is cut to
-the first crossing of the cubic Hermite interpolant of |w|^2 over the
-step (_knot_fraction), which needs no stage beyond the derivative at the
-end: the next seed of an accepted attempt, one more evaluation for a
-rejected one.  A step that ends within KNOT_TOL of the knot has landed on
-it; the next one starts from the derivative there, since the right-hand
-side is continuous at the knots, and with no less than the step that was
-cut.  A cutoff drive to the escape region reads a state on the outer
-knot as outside the band |w| <= epsilon (_event_eps), so that a step
-that leaves the region through that knot and lands on its inner side
-does not hide the entry before it.  Pure mode has no knots and skips
-all of this.
+w-frame drive; the u-frame has no other cap than the controller and the
+end time.  There |x_1,2| = e^((alpha-1) tau) |Re z0 +- Re u| with Re u
+almost constant, so the escape, Delta and truncation regions cannot be
+entered and left within one step.  In cutoff mode the profile knots
+|w| = table[2:5], where m'' has kinks that the error estimate misjudges,
+are step boundaries of the w-frame (Gear & Osterby, ACM TOMS 10, 1984);
+the u-frame runs outside them.  An accepted attempt, or a rejected one
+whose ends lie on either side of a knot, is retaken if |w| crosses a
+knot within it: h is cut to the first crossing of the cubic Hermite
+interpolant of |w|^2 over the step (_knot_fraction), which needs no
+stage beyond the derivative at the end: the next seed of an accepted
+attempt, one more evaluation for a rejected one.  A step that ends
+within KNOT_TOL of the knot has landed on it; the next one starts from
+the derivative there, since the right-hand side is continuous at the
+knots, and with no less than the step that was cut.  A cutoff drive to
+the escape region reads a state on the outer knot as outside the band
+|w| <= epsilon (_event_eps), so that a step that leaves the region
+through that knot and lands on its inner side does not hide the entry
+before it.  Pure mode has no knots and skips all of this.
 
 Each event region is defined once, for both backends, by its margin
 ratio (_gap_ratio), which each twin reads with one function
@@ -85,58 +93,55 @@ rows D4-D7 of the interpolant), and _combo sums such terms left to
 right, on lists of floats in _dense2 and on lists of arrays in
 _dense_np; _contd8_coefs and _contd8 serve both.
 
-Each formula has one vectorized numpy definition: the w-flow coefficients
-(_kappa_shrink_np, on the smoothing evaluator in cutoff mode;
-_rhs_w_np), the u-frame right-hand side (_rhs_u_np), the DOP853 stages
-(_stages_np) of one attempt with its scaled error (_attempt_np) and of
-the dense output (_dense_np), the step controller (_next_h_np) and the
-pair coordinates (pair_re_np); _factors, _to_zw, _w_dot and _gap_ratio,
-made of arithmetic alone, serve both backends.  The
-knot cut has one definition for both backends, the scalar _knot_fraction
-and its helpers: _knot_cut_np passes it only the rows of a batch whose
+Each formula has one vectorized numpy definition: the w-flow
+coefficients (_kappa_shrink_np, on the smoothing evaluator in cutoff
+mode; _rhs_w_np), the u-frame right-hand side (_rhs_u_np), the DOP853
+stages (_stages_np) of one attempt with its scaled error (_attempt_np)
+and of the dense output (_dense_np), the step controller (_next_h_np)
+and the pair coordinates (pair_re_np); _factors, _to_zw, _w_dot and
+_gap_ratio, made of arithmetic alone, serve both backends.  The knot cut
+has one definition for both backends, the scalar _knot_fraction and its
+helpers: _knot_cut_np passes it only the rows of a batch whose
 interpolant may reach a knot band, as the Bernstein hull of the
 interpolant shows, and gives every other row 1.0.  _lockstep is the one
 numpy loop: it owns the step budget, the attempt, acceptance, the knot
-cut, the controller and the dead-row rule.  The batch kernels
-_drive_batch_np and _delta_batch_np pass it the stop rule run before
-each attempt: stall and end of time for the drive, the reading rule and
-max_time for Delta.  The drive runs it twice, a w-frame pass and a
-u-frame pass for the rows that switched, each with one right-hand side,
-and passes it the rule for accepted steps: conversion, events and the
-switch.  It never activates a row that starts inside its region, holds
-each row that enters its region and, after each pass, builds the dense
-output of all their event steps in one batch and locates all of their
-events together on it.  The batch kernels
-_drive_batch and _delta_batch run the scalar kernels row by row and
-take the same parameters as their numpy forms; flow picks one of the
-two per call, by row count.  The numpy kernels and _drive ignore
-overflow and invalid-value warnings: a row that leaves the float range
-ends STATUS_NONFINITE.
+cut, the controller and the dead-row rule.  The batch kernel
+_drive_batch_np passes it the stop rule run before each attempt (stall
+and end of time) and runs it twice, a w-frame pass and a u-frame pass
+for the rows that switched, each with one right-hand side, passing it
+the rule for accepted steps: conversion, events and the switch.  It
+never activates a row that starts inside its region, holds each row that
+enters its region and, after each pass, builds the dense output of all
+their event steps in one batch and locates all of their events together
+on it (but for Delta rows).  The batch kernel _drive_batch runs the
+scalar kernel row by row and takes the same parameters as its numpy
+form; flow picks one of the two per call, by row count.  The numpy
+kernels and _drive ignore overflow and invalid-value warnings: a row
+that leaves the float range ends STATUS_NONFINITE.
 
 What no caller varies is a module constant, not a parameter: the
 absolute tolerance ATOL, the step caps, the knot tolerance, the stall
-speed STALL_SPEED, and for Delta the reading agreement AGREE_TOL.
+speed STALL_SPEED, and for Delta the drift tolerance DELTA_TOL.
 epsilon and the knots are read from the table, and every drive starts
 at t = 0.  The step controllers (_next_h, _next_h_np) still take the
 cap h_max, and the event predicates (_event_val, _event_np) epsilon,
 since sectors calls the region test without a table.
 
 The scalar kernels are the one permitted twin: _w_terms, the right-hand
-sides _rhs2 and _rhs_u, one DOP853 step _step2 and its dense
-output _dense2, which take their right-hand side as an argument, call it
-with the stage index of FRAME_NODES and share the stages of _stages2,
-_err_norm, _next_h, _pair_re and _event_ratio with its reader
-_event_val (also the region test of sectors).  The sums of _stages2 and
-_step2 stay unrolled: read through _combo, a scalar step takes 1.7
-times as long.  _drive, which refines its events with _dense_event, and
-_delta_one run row by row in _drive_batch and _delta_batch, which
-serve every batch of fewer than flow._LOCKSTEP_ROWS rows, scalar calls
-included.  _advance is the scalar counterpart of _lockstep: the one
-judged attempt of _drive and _delta_one, one _step2 on the pair, w
-with _rhs2 or u with _rhs_u.  Both twins write every stage sum as h
-(sum of a_ij k_j) with the same terms in the same order, sum squares
-over components left to right and take err^(-1/8) as three correctly
-rounded square roots, so on the same rows they give the same bits.
+sides _rhs2 and _rhs_u, one DOP853 step _step2 and its dense output
+_dense2, which take their right-hand side as an argument, call it with
+the stage index of FRAME_NODES and share the stages of _stages2,
+_err_norm, _next_h, _pair_re and _event_ratio with its reader _event_val
+(also the region test of sectors).  The sums of _stages2 and _step2 stay
+unrolled: read through _combo, a scalar step takes 1.7 times as long.
+_drive, which refines its events with _dense_event, runs row by row in
+_drive_batch, which serves every batch of fewer than flow._LOCKSTEP_ROWS
+rows, scalar calls included.  _advance is the scalar counterpart of
+_lockstep: the one judged attempt of _drive, one _step2 on the pair, w
+with _rhs2 or u with _rhs_u.  Both twins write every stage sum as h (sum
+of a_ij k_j) with the same terms in the same order, sum squares over
+components left to right and take err^(-1/8) as three correctly rounded
+square roots, so on the same rows they give the same bits.
 
 Every kernel takes the smoothing table as the one tuple of built-in
 floats that SteinParams holds.  The numpy batch kernels read it as an
@@ -147,11 +152,11 @@ the same bits as numpy scalars at several times the speed: |w| is _hypot
 and finiteness tests come from math.  Three stdlib twins are avoided
 because their bits differ: math.hypot rounds some pairs apart from libm
 hypot, cmath.sqrt differs from np.sqrt on the imaginary axis (so the
-complex roots of _delta_one and of the switch stay np.sqrt), and
-math.exp differs from np.exp in the last place on some arguments (so the
-reading scale and the factors of the frame stay np.exp, which gives the
-same bits for one value as for many: the scalar drive takes the factors
-of an attempt's 13 stage times in one array).  For the same reason the
+complex root of the switch stays np.sqrt), and math.exp differs from
+np.exp in the last place on some arguments (so the factors of the frame
+stay np.exp, which gives the same bits for one value as for many: the
+scalar drive takes the factors of an attempt's 13 stage times in one
+array).  For the same reason the
 event gap takes math.log in both twins, mapped over the rows of the
 numpy one (np.log differs from it on some arguments); only event rows, a
 few times each, reach it.
@@ -335,8 +340,8 @@ _DENSE_NODES = np.array(DENSE_NODES)
 
 # fixed integration constants of every kernel
 ATOL = 1e-30  # absolute part of the error scale
-H_FIRST = 0.05  # first step of every drive and Delta trajectory
-H_MAX = 0.5  # largest step of the Delta kernels and of w-frame drives
+H_FIRST = 0.05  # first step of every drive
+H_MAX = 0.5  # largest step of a w-frame drive
 H_MAX_V_ENTRY = 0.1  # largest step of a drive to the V-entry band, in both frames
 KNOT_TOL = 1e-9  # a step ending this close to a knot, relatively, lands on it
 KNOT_NEWTON = 6  # safeguarded Newton iterations of the knot cut
@@ -344,7 +349,7 @@ EVENT_ITERATIONS = 64  # most iterations on an event bracket on the dense output
 EVENT_TOL = 1e-13  # the iterations stop once hi - lo < EVENT_TOL max(hi, 1)
 EVENT_NUDGE = 0.25  # a secant probe moves this share of the stop width past its root
 STALL_SPEED = 1e-10  # a trajectory slower than this has stalled
-AGREE_TOL = 1e-8  # Delta readings 0.7 apart agree to this
+DELTA_TOL = 1e-12  # Re u drifts less than this, relatively, inside EVENT_DELTA
 
 STATUS_RUNNING = 0
 STATUS_EVENT = 1
@@ -358,6 +363,7 @@ EVENT_NONE = 0
 EVENT_PAIR_ESCAPE = 1
 EVENT_TRUNC_REGION = 2
 EVENT_V_ENTRY = 3
+EVENT_DELTA = 4  # the region where a Delta row stops (_delta_radius)
 
 MODE_PURE = smoothing.MODE_PURE
 
@@ -365,10 +371,6 @@ MODE_PURE = smoothing.MODE_PURE
 # r*r (and rho2^1.5 a little earlier) would overflow; below it they keep
 # the closed form in rho2 = r^2 + eps.
 R_BIG = 1e100
-
-# reading rules of the Delta kernels (see _delta_one)
-READ_COMPLEX = 0
-READ_REAL = 1
 
 
 def _hypot(x, y):
@@ -460,6 +462,32 @@ def _rhs_u(u0, u1, alpha, frame, k):
         q = shrink - 1.0
     c = (alpha - 0.5) * p
     return u0 * (c - 0.5 * q), -u1 * (c + 0.5 * q)
+
+
+def _delta_radius(alpha, table):
+    """s_star, the |Re s| beyond which Re u is Delta to DELTA_TOL.
+
+    A Delta row is a drive of [0, 0, Re w0, Im w0] to EVENT_DELTA, the
+    escape region of that row with radius s_star: its pair coordinates
+    are +-Re s, s = sqrt(w).  In cutoff mode s_star = sqrt(epsilon), so
+    |w| >= (Re s)^2 > epsilon, beyond the outer knot, where u' = 0 and
+    Re s only grows: Re u is Delta exactly.  In pure mode
+    (ln Re u)' = cr(x) = (alpha - 1/2) p - q/2 of _rhs_u, in
+    x = epsilon / |w|^2 <= X = epsilon / (Re s)^4; by the expansions
+    p = -x/2 + 11 x^2/8 and q = -x + 2 x^2,
+    cr = (3/2 - alpha) x/2 + (11 alpha/8 - 27/16) x^2 + O(x^3).  Re s grows
+    like e^((alpha-1) t), so x <= X e^(-4 (alpha-1) t), and the drift of
+    ln Re u still to come is at most a X + b X^2, a = |3/2 - alpha| /
+    (8 (alpha-1)), b = |11 alpha/8 - 27/16| / (8 (alpha-1)), to second
+    order.  s_star = (epsilon / X)^(1/4) for the X where that is DELTA_TOL.
+    """
+    eps = table[1]
+    if table[0] != MODE_PURE:
+        return math.sqrt(eps)
+    a = abs(1.5 - alpha) / (8.0 * (alpha - 1.0))
+    b = abs(11.0 * alpha / 8.0 - 27.0 / 16.0) / (8.0 * (alpha - 1.0))
+    x = 2.0 * DELTA_TOL / (a + math.sqrt(a * a + 4.0 * b * DELTA_TOL))
+    return math.sqrt(math.sqrt(eps / x))
 
 
 def _factors(alpha, tau):
@@ -855,7 +883,8 @@ def _gap_ratio(x1, x2, r, radius, epsilon, kind, lesser, greater):
     """The margin ratio of an event region, the one definition of the regions.
 
     The least ratio of the bounds, from the pair coordinates x1, x2 and
-    |w| = r: escape min(|x1|, |x2|) > radius and r > epsilon; truncation
+    |w| = r: escape (and EVENT_DELTA) min(|x1|, |x2|) > radius and
+    r > epsilon; truncation
     x1, x2 <= -epsilon and x1 + x2 <= -3 epsilon; V-entry the greater of
     V- (|x1| < epsilon, x2 < -2 epsilon) and V+ (|x2| < epsilon,
     x1 > 2 epsilon).  A state is inside where it exceeds 1, or is at least
@@ -865,7 +894,7 @@ def _gap_ratio(x1, x2, r, radius, epsilon, kind, lesser, greater):
     escape reads radius).  Floats with _lesser and _greater give the bits
     of arrays with np.minimum and np.maximum.
     """
-    if kind == EVENT_PAIR_ESCAPE:
+    if kind == EVENT_PAIR_ESCAPE or kind == EVENT_DELTA:
         return lesser(lesser(abs(x1), abs(x2)) / radius, r / epsilon)
     if kind == EVENT_TRUNC_REGION:
         return lesser(lesser(-x1 / epsilon, -x2 / epsilon), -(x1 + x2) / (3.0 * epsilon))
@@ -1043,7 +1072,10 @@ def _drive(
     form (_factors at tau = fdir t) and the pair integrated is w, then u
     from the switch on (module docstring).  A start inside the event
     region is the event: the drive ends STATUS_EVENT at t = 0 after no
-    attempt.  The start and accepted states [z, w] are appended to rec as
+    attempt.  An accepted step that ends inside it is refined to the
+    entry (_dense_event), but for EVENT_DELTA, whose every state gives
+    Delta to DELTA_TOL (_delta_radius): the drive ends at that step's
+    end.  The start and accepted states [z, w] are appended to rec as
     rows (t, y0, y1, y2, y3) until its capacity is reached; a rec of zero
     rows records nothing.  An accepted step whose state [z, w] is not
     finite ends the drive STATUS_NONFINITE at the state before it.
@@ -1102,10 +1134,12 @@ def _drive(
         # Re z keeps its sign along the drive, and with it a V-entry sign
         hit, esign = _event_val(*end, radius, eps, event_kind)
         if hit:
-            end, dt = _dense_event(
-                va, vb, fa, fb, na, nb, ka, kb, (y0, y1, y2, y3), end, h_use, t, fdir,
-                zx, zy, alpha, table, frame, radius, eps, event_kind,
-            )
+            dt = h_use  # a Delta row is read where it is found inside
+            if event_kind != EVENT_DELTA:
+                end, dt = _dense_event(
+                    va, vb, fa, fb, na, nb, ka, kb, (y0, y1, y2, y3), end, h_use, t,
+                    fdir, zx, zy, alpha, table, frame, radius, eps, event_kind,
+                )
             t += dt
         else:
             va, vb, fa, fb = na, nb, ka, kb
@@ -1145,77 +1179,6 @@ def _drive_batch(
                      rec, fdir)
         out_status[i], out_t[i], out_sign[i] = res[0], res[1], res[6]
         Y[i] = res[2:6]
-
-
-def _delta_one(xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps):
-    """Rescaled branch-direction limit of one w-trajectory.
-
-    Integrates the autonomous w-subsystem and reads d = exp(-(alpha-1) t)
-    sqrt(w) once |Re sqrt(w)| clears u_star > 0.  sqrt is the principal
-    root, taken only when a reading is due.  Im w keeps its sign along
-    the w-flow, so off the negative real axis (where |Re sqrt(w)| = 0 and
-    no reading is taken) this is the branch continued from the principal
-    root of w0.  Convergence is declared when two
-    readings 0.7 apart agree to AGREE_TOL: as complex numbers under
-    READ_COMPLEX, in their real parts only under READ_REAL (Im d decays
-    like exp(-(2 alpha - 1) t), long after Re d has settled).
-    Returns (status, Re d, Im d, t); Re d and Im d are nan unless the
-    status is STATUS_EVENT.
-    """
-    rate = alpha - 1.0
-    y2 = xw
-    y3 = yw
-    t = 0.0
-    h = H_FIRST
-    h_land = 0.0
-    f12, f13 = _rhs2(y2, y3, alpha, table)
-    have_prev = False
-    prev_re = 0.0
-    prev_im = 0.0
-    t_next = 0.0
-    steps = 0
-    while steps < max_steps and t < max_time:
-        if t >= t_next:
-            s = complex(np.sqrt(complex(y2, y3)))
-            if abs(s.real) >= u_star:
-                scale = float(np.exp(-rate * t))
-                d_re = scale * s.real
-                d_im = scale * s.imag
-                if have_prev:
-                    if reading == READ_REAL:
-                        gap = abs(d_re - prev_re)
-                    else:
-                        gap = _hypot(d_re - prev_re, d_im - prev_im)
-                    if gap < AGREE_TOL:
-                        return STATUS_EVENT, d_re, d_im, t
-                prev_re = d_re
-                prev_im = d_im
-                have_prev = True
-                t_next = t + 0.7
-        h_use = h
-        verdict, n2, n3, k2, k3, h, h_land = _advance(
-            y2, y3, f12, f13, h_use, 1.0, h_land, alpha, table, rtol, H_MAX, None
-        )
-        steps += 1
-        if verdict == ACCEPTED:
-            y2, y3, f12, f13 = n2, n3, k2, k3
-            t += h_use
-        elif verdict == DEAD:
-            return STATUS_NONFINITE, math.nan, math.nan, t
-    return STATUS_TIME_END, math.nan, math.nan, t
-
-
-def _delta_batch(
-    W, alpha, table, rtol, u_star, reading, max_time, max_steps,
-    out_status, out_re, out_im, out_t,
-):
-    """Branch-direction limits for every row (Re w, Im w) of W.
-
-    Each row follows the reading rule of :func:`_delta_one`.
-    """
-    for i, (xw, yw) in enumerate(W.tolist()):
-        out_status[i], out_re[i], out_im[i], out_t[i] = _delta_one(
-            xw, yw, alpha, table, rtol, u_star, reading, max_time, max_steps)
 
 
 def _kappa_shrink_np(r, table):
@@ -1419,39 +1382,34 @@ def _event_np(Y, radius, epsilon, kind):
     return hit, sign
 
 
-def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.inf,
-              fdir=1.0, accept=None, start=None):
+def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end, fdir,
+              accept, start):
     """Advance the active rows of Y and t in place, one attempt per active
     row in each iteration, until no row is active.
 
-    rhs(Z, k, t, h) is that of :func:`_stages_np`.  Every row is active
-    from H_FIRST at first, or start = (active, h, K1, steps) gives the
-    active rows, their next step sizes, derivatives and the attempts they
-    have made; a row leaves once it has made max_steps attempts.  Each
-    iteration stop(active, K1) first clears the rows that end there,
-    setting their status; steps are clipped to t_end - t and capped at
-    h_max.  With a smoothing table in cutoff mode (table None: no knots)
-    the two columns of Y are w, and a finite attempt that carries |w|
-    across one of its knots is retaken, cut to the crossing by
-    :func:`_knot_cut_np` as in :func:`_advance`, and the step after a cut
-    one that lands on a knot (:func:`_on_knot`, row by row) resumes at no
-    less than the step it cut; pure mode runs no knot code.  The accepted
+    rhs(Z, k, t, h) is that of :func:`_stages_np`.  start = (active, h,
+    K1, steps) gives the active rows, their next step sizes, derivatives
+    and the attempts they have made; a row leaves once it has made
+    max_steps attempts.  Each iteration stop(active) first clears the rows
+    that end there, setting their status; steps of sign fdir are clipped
+    to t_end - t and capped at h_max.  With a smoothing table in cutoff
+    mode (table None: no knots) the two columns of Y are w, and a finite
+    attempt that carries |w| across one of its knots is retaken, cut to
+    the crossing by :func:`_knot_cut_np` as in :func:`_advance`, and the
+    step after a cut one that lands on a knot (:func:`_on_knot`, row by
+    row) resumes at no less than the step it cut; pure mode runs no knot
+    code.  The accepted
     steps of rows ai, with end states Ya, derivatives Ka and sizes h_use,
     go to accept(ai, Ya, Ka, h_use) before they are taken: it returns the
     masks of those taken and of those whose rows stay active.  Returns
     (h, K1, steps).
     """
-    n = Y.shape[0]
     cutoff = table is not None and table[0] != MODE_PURE
-    if start is None:
-        active, h = np.ones(n, dtype=bool), np.full(n, H_FIRST)
-        K1, steps = rhs(Y, 0, t, np.zeros(n)), np.zeros(n, dtype=np.int64)
-    else:
-        active, h, K1, steps = start
-    h_land = np.zeros(n)
+    active, h, K1, steps = start
+    h_land = np.zeros(Y.shape[0])
     while True:
         active &= steps < max_steps
-        stop(active, K1)
+        stop(active)
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -1490,10 +1448,9 @@ def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end=np.i
                 h[on] = np.maximum(h[on], h_land[on])
                 h_land[li] = 0.0
             Ka = Kn[acc] if cutoff else rhs(Ya, 12, ti[acc], hs[acc])
-            if accept is not None:
-                take, stay = accept(ai, Ya, Ka, h_use[acc])
-                active[ai[~stay]] = False
-                acc, ai, Ya, Ka = acc[take], ai[take], Ya[take], Ka[take]
+            take, stay = accept(ai, Ya, Ka, h_use[acc])
+            active[ai[~stay]] = False
+            acc, ai, Ya, Ka = acc[take], ai[take], Ya[take], Ka[take]
             Y[ai] = Ya
             t[ai] += h_use[acc]
             K1[ai] = Ka
@@ -1515,8 +1472,10 @@ def _drive_batch_np(
     active; every other row starts in the w-frame, and the rows that
     switch continue in a second pass in the u-frame, so each pass has one
     right-hand side.  A row whose accepted step ends inside the event
-    region stops there with STATUS_EVENT, keeping its pre-step state,
-    pair, derivative and time.  After each pass the dense output of its
+    region stops there with STATUS_EVENT: a Delta row (EVENT_DELTA) takes
+    the step and is read at its end, as in :func:`_drive`; any other row
+    keeps its pre-step state, pair, derivative and time.  After each pass
+    the dense output of its
     event steps is built in one batch (:func:`_dense_np`) and their events
     are located on it together, with the per-row arithmetic of
     :func:`_dense_event` and :func:`_event_probe`: per-row brackets, gaps
@@ -1536,6 +1495,7 @@ def _drive_batch_np(
     h_event, V_event, K_event = np.zeros(n), np.empty((n, 2)), np.empty((n, 2))
     end_gate = 1e-14 * max(1.0, abs(t_end))
     eps = _event_eps(table, event_kind)
+    read_at_end = event_kind == EVENT_DELTA  # a Delta row is read where it is found
 
     def event(Z):
         return _event_np(Z, radius, eps, event_kind)[0]
@@ -1551,7 +1511,7 @@ def _drive_batch_np(
         return np.column_stack(_to_zw(P[:, 0], P[:, 1], Z0[rows, 0], Z0[rows, 1],
                                       ea, eb, uframe)), ea, eb
 
-    def stop(active, K1):
+    def stop(active):
         stalled = active & (np.sqrt(_sum_sq(F)) < STALL_SPEED)
         out_status[stalled] = STATUS_STALLED
         active &= ~stalled
@@ -1568,7 +1528,7 @@ def _drive_batch_np(
             ev = ai[hit]
             out_status[ev] = STATUS_EVENT
             h_event[ev], V_event[ev], K_event[ev] = h_use[hit], Pa[hit], Ka[hit]
-            take = ~bad & ~hit
+            take = ~bad if read_at_end else ~bad & ~hit
             ti = ai[take]
             Y[ti] = Yn[take]
             F[ti, 0] = (alpha - 1.0) * Y[ti, 0]
@@ -1576,10 +1536,10 @@ def _drive_batch_np(
             if uframe:
                 F[ti, 2], F[ti, 3] = _w_dot(Pa[take, 0], Pa[take, 1], Ka[take, 0],
                                             Ka[take, 1], ea[take], eb[take], alpha)
-                return take, take
+                return take, take & ~hit
             F[ti, 2:] = Ka[take]
             grow = fdir * (Yn[:, 2] * Ka[:, 0] + Yn[:, 3] * Ka[:, 1]) > 0.0
-            sw = take & (np.hypot(Yn[:, 2], Yn[:, 3]) >= arr[1]) & grow
+            sw = take & ~hit & (np.hypot(Yn[:, 2], Yn[:, 3]) >= arr[1]) & grow
             if sw.any():
                 s = np.empty(np.count_nonzero(sw), dtype=complex)
                 s.real, s.imag = Yn[sw, 2], Yn[sw, 3]
@@ -1588,7 +1548,7 @@ def _drive_batch_np(
                 U[si, 0], U[si, 1] = s.real / ea[sw], s.imag / eb[sw]
                 KU[si] = _rhs_u_np(U[si], ea[sw], eb[sw], alpha, arr)
                 switched[si] = True
-            return take, take & ~sw
+            return take, take & ~hit & ~sw
         return accept
 
     def refine(ev, P, K, rhs, uframe):
@@ -1644,71 +1604,10 @@ def _drive_batch_np(
                                 t_end, fdir, accepter(uframe), start)
         # no row that switched had an event in the w-frame pass
         ev = np.nonzero((out_status == STATUS_EVENT) & (switched == uframe))[0]
-        if ev.size:
+        if ev.size and not read_at_end:
             refine(ev, P[ev], K[ev], rhs, uframe)
     out_status[inside] = STATUS_EVENT
     ev = out_status == STATUS_EVENT
     out_sign[ev] = _event_np(Y[ev], radius, eps, event_kind)[1]
     leftover = out_status == STATUS_RUNNING
     out_status[leftover & (out_t >= t_end - end_gate)] = STATUS_TIME_END
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _delta_batch_np(
-    W, alpha, table, rtol, u_star, reading, max_time, max_steps,
-    out_status, out_re, out_im, out_t,
-):
-    """Lockstep vectorized twin of :func:`_delta_batch`.
-
-    Each row follows the reading rule of :func:`_delta_one`; out_re and
-    out_im are nan unless out_status is STATUS_EVENT.
-    """
-    arr = np.asarray(table)
-
-    def rhs(Z, *_):
-        return _rhs_w_np(Z, alpha, arr)
-
-    n = W.shape[0]
-    y = W.astype(float)
-    rate = alpha - 1.0
-    have_prev = np.zeros(n, dtype=bool)
-    prev_re = np.zeros(n)
-    prev_im = np.zeros(n)
-    t_next = np.zeros(n)
-
-    def stop(active, K1):
-        # as in _delta_one, a row at max_time takes no further reading
-        active[out_t >= max_time] = False
-        due = np.nonzero(active & (out_t >= t_next))[0]
-        if due.size:
-            s = np.empty(due.size, dtype=complex)  # x + 1j y is nan for y = inf
-            s.real, s.imag = y[due, 0], y[due, 1]
-            s = np.sqrt(s)
-            readable = np.abs(s.real) >= u_star
-            ri = due[readable]
-            # scaled apart, as _delta_one scales them (a complex product
-            # would turn an infinite part into nan)
-            scale = np.exp(-rate * out_t[ri])
-            d_re = scale * s.real[readable]
-            d_im = scale * s.imag[readable]
-            if reading == READ_REAL:
-                gap = np.abs(d_re - prev_re[ri])
-            else:
-                gap = np.hypot(d_re - prev_re[ri], d_im - prev_im[ri])
-            conv = have_prev[ri] & (gap < AGREE_TOL)
-            ci = ri[conv]
-            out_status[ci] = STATUS_EVENT
-            out_re[ci] = d_re[conv]
-            out_im[ci] = d_im[conv]
-            active[ci] = False
-            rest = ri[~conv]
-            prev_re[rest] = d_re[~conv]
-            prev_im[rest] = d_im[~conv]
-            have_prev[rest] = True
-            t_next[rest] = out_t[rest] + 0.7
-
-    out_status[:] = STATUS_TIME_END
-    out_re[:] = np.nan
-    out_im[:] = np.nan
-    out_t[:] = 0.0
-    _lockstep(y, out_t, rhs, rtol, max_steps, out_status, stop, H_MAX, table)

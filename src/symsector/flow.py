@@ -3,10 +3,11 @@
 Public wrappers around the adaptive kernels: recorded trajectories,
 batched integration and the rescaled limit Delta of the w-flow whose
 real part is the hypersurface offset c.  This module is the one front
-end of the kernels: each kernel's shared arguments are built once here
-(_drive_args, _delta_args), one rule (_row_loop) picks the batch kernel,
-and each scalar query is a one-row batch, with the batch's bits.  Only
-integrate_flow, which records, calls the scalar kernel _drive itself.
+end of the kernels: their shared arguments are built once here
+(_drive_args), one rule (_row_loop) picks the batch kernel, and each
+scalar query is a one-row batch, with the batch's bits.  Delta is a
+drive too (_delta_rows).  Only integrate_flow, which records, calls the
+scalar kernel _drive itself.
 """
 
 import math
@@ -24,10 +25,6 @@ TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
 TERM_NEAR_CRITICAL = "NEAR_CRITICAL"
 
-_READINGS = {
-    "complex": _kernels.READ_COMPLEX,
-    "real": _kernels.READ_REAL,
-}
 _REC_CAP = 65536
 _SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
 # fewest rows the numpy lockstep runs, by smoothing mode (table[0]); see _row_loop
@@ -51,12 +48,13 @@ class FlowSettings:
     the hypersurfaces live.  step_tolerance is the relative tolerance of
     every adaptive step and max_steps (an integer >= 1) the step budget
     of one trajectory; the three floats must be finite and positive.
-    The largest step is fixed: _kernels.H_MAX (0.5) for Delta and for a
-    drive while it integrates w, none once a drive integrates
-    u = e^(-Lt) sqrt(w) beyond |w| = epsilon, and _kernels.H_MAX_V_ENTRY
-    (0.1) in both frames for the V-entry event.  So is the stall speed,
-    _kernels.STALL_SPEED (1e-10).  A drive takes z in closed form, so the
-    step tolerance bounds the error of w (or u) alone.
+    Delta is a drive too, with the same controls; escape_radius does not
+    apply to it.  The largest step is fixed: _kernels.H_MAX (0.5) while a
+    drive integrates w, none once it integrates u = e^(-Lt) sqrt(w)
+    beyond |w| = epsilon, and _kernels.H_MAX_V_ENTRY (0.1) in both frames
+    for the V-entry event.  So is the stall speed, _kernels.STALL_SPEED
+    (1e-10).  A drive takes z in closed form, so the step tolerance
+    bounds the error of w (or u) alone.
     """
 
     max_time: float = 60.0
@@ -155,8 +153,14 @@ def _row_loop(n, table):
 
 
 def _drive_args(params, settings, event_kind):
-    """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels."""
-    radius = resolve_escape_radius(settings, params)
+    """Arguments alpha .. max_steps of _drive (scalar) or the batch kernels.
+
+    The radius is the escape radius, or s_star for EVENT_DELTA.
+    """
+    if event_kind == _kernels.EVENT_DELTA:
+        radius = _kernels._delta_radius(params.alpha, params.table)
+    else:
+        radius = resolve_escape_radius(settings, params)
     return (params.alpha, params.table, settings.step_tolerance, radius, event_kind,
             settings.max_steps)
 
@@ -292,27 +296,7 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     return out_status, out_t, out_sign
 
 
-def default_u_star(epsilon):
-    """Reading threshold for the branch-direction limit.
-
-    Beyond this |Re sqrt(w)| the drift left in the rescaled reading is
-    below 1e-9 per unit time, so two readings 0.7 apart agreeing to
-    1e-8 certify convergence.
-    """
-    return max(4.0 * epsilon, (3e9 * epsilon * epsilon) ** (1.0 / 7.0))
-
-
-def _delta_args(params, settings, reading, u_star_factor):
-    """Arguments alpha .. max_steps of _delta_one (scalar) or the batch kernels."""
-    if reading not in _READINGS:
-        raise ValueError(f"reading must be one of {sorted(_READINGS)}, not {reading!r}")
-    u_star = default_u_star(params.epsilon) * u_star_factor
-    return (params.alpha, params.table, settings.step_tolerance, u_star,
-            _READINGS[reading], settings.max_time, settings.max_steps)
-
-
-def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
-                  reading="complex", u_star_factor=1.0):
+def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Rescaled branch-direction limit Delta of one w-trajectory.
 
     The w-flow started at w0 = sqrt_w0^2 is integrated, and
@@ -322,46 +306,54 @@ def compute_delta(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     Where sqrt_w0 is the other root, Delta is negated, so Delta is exactly
     odd in sqrt_w0 and Re Delta is even under conjugation.
 
-    A reading d is taken once |Re sqrt(w)| passes u_star_factor times
-    :func:`default_u_star`, and every 0.7 in time after that.  The reading
-    rule says when two successive readings have converged:
-
-    - "complex": they agree to 1e-8 as complex numbers;
-    - "real": their real parts agree to 1e-8.  Im d decays like
-      exp(-(2 alpha - 1) t) long after Re d has settled, so this rule
-      stops far earlier; Im Delta is then not converged.
+    Re Delta is read once |Re sqrt(w)| passes s_star, beyond which it
+    drifts by less than _kernels.DELTA_TOL relatively (_delta_rows).
+    Im Delta decays like exp(-(2 alpha - 1) t) and is returned as its
+    limit, 0.
 
     Raises
     ------
     NoEscapeError
-        If no stable reading is reached within max_time.
+        If |Re sqrt(w)| does not pass s_star within max_time.
     """
-    (delta,), (status,) = compute_delta_batch(
-        [complex(sqrt_w0)], params, settings, reading, u_star_factor
-    )
+    (delta,), (status,) = compute_delta_batch([complex(sqrt_w0)], params, settings)
     if status == _kernels.STATUS_NONFINITE:
         raise NonFiniteFlowError("non-finite state in w-flow")
     if status != _kernels.STATUS_EVENT:
-        raise NoEscapeError("no stable branch-direction reading before max_time")
+        raise NoEscapeError("no branch-direction reading before max_time")
     return complex(delta)
 
 
 def compute_c(sqrt_w0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
-    """Hypersurface offset c = |Re Delta| >= 0 of one w-value.
-
-    Delta is read with the "real" rule of :func:`compute_delta`: the
-    reading stops once Re Delta has settled to 1e-8.
-    """
-    return abs(compute_delta(sqrt_w0, params, settings, reading="real").real)
+    """Hypersurface offset c = |Re Delta| >= 0 of one w-value (compute_delta)."""
+    return abs(compute_delta(sqrt_w0, params, settings).real)
 
 
 def _delta_rows(W, args):
-    """(status, re, im, t) of the batch Delta kernel on the rows of W."""
+    """(status, Re Delta, t) of the Delta rows [Re w0, Im w0] of W.
+
+    A Delta row is the drive of [0, 0, Re w0, Im w0] to the region
+    EVENT_DELTA, whose arguments args are (max_time, *_drive_args), run
+    by the batch kernel that _row_loop picks.  Where it ends STATUS_EVENT
+    at time t, Re Delta = Re u = Re sqrt(w) / e^((alpha-1) t), the
+    principal root of its w, as at the switch to the u-frame; a row whose
+    reading is not finite ends STATUS_NONFINITE, and Re Delta is nan on
+    every row that does not end STATUS_EVENT.
+    """
     n = W.shape[0]
-    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-    kernel = _kernels._delta_batch if _row_loop(n, args[1]) else _kernels._delta_batch_np
-    kernel(W, *args, *out)
-    return out
+    Y = np.zeros((n, 4))
+    Y[:, 2:] = W
+    status, t = np.zeros(n, dtype=np.int64), np.zeros(n)
+    kernel = _kernels._drive_batch if _row_loop(n, args[2]) else _kernels._drive_batch_np
+    kernel(Y, *args, status, t, np.zeros(n, dtype=np.int64), 1.0)
+    s = np.empty(n, dtype=complex)  # x + 1j y is nan for y = inf
+    s.real, s.imag = Y[:, 2], Y[:, 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = np.sqrt(s).real / _kernels._factors(args[1], t)[0]
+    event = status == _kernels.STATUS_EVENT
+    status[event & ~np.isfinite(re)] = _kernels.STATUS_NONFINITE
+    re[status != _kernels.STATUS_EVENT] = np.nan
+    return status, re, t
 
 
 def _delta_split(W, args):
@@ -387,17 +379,15 @@ def _delta_split(W, args):
     return outs
 
 
-def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
-                        reading="complex", u_star_factor=1.0):
+def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Branch-direction limits of many w-values.
 
-    Returns (delta, status) where delta is complex (nan where the
-    reading did not converge) and status is the raw kernel status row.
-    Each row is read as :func:`compute_delta` reads its value, with the
-    same reading rule.
+    Returns (delta, status) where delta is complex (nan where Delta was
+    not resolved) and status is the raw kernel status row.  Each row is
+    read as :func:`compute_delta` reads its value.
     """
     s0 = np.asarray(sqrt_w0s, dtype=complex).ravel()
-    # beyond |s| ~ 1.34e154 w0 overflows; the kernel ends such a row NONFINITE
+    # beyond |s| ~ 1.34e154 w0 overflows; such a row ends NONFINITE
     with np.errstate(over="ignore", invalid="ignore"):
         w0 = complex_square(s0)
         # the kernels read the branch of the principal root of w0; negate
@@ -405,19 +395,18 @@ def compute_delta_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTIN
         root = np.sqrt(w0)
         flip = np.abs(root - s0) > np.abs(root + s0)
     W = np.column_stack([w0.real, w0.imag])
-    args = _delta_args(params, settings, reading, u_star_factor)
-    out_status, out_re, out_im, _ = _delta_split(W, args)
-    # out_re + 1j out_im would turn an infinite Im into a nan Re, with a warning
-    delta = np.empty(out_re.size, dtype=complex)
-    delta.real, delta.imag = out_re, out_im
+    args = _drive_args(params, settings, _kernels.EVENT_DELTA)
+    status, re, _ = _delta_split(W, (float(settings.max_time), *args))
+    delta = np.empty(re.size, dtype=complex)
+    delta.real = re
+    delta.imag = np.where(status == _kernels.STATUS_EVENT, 0.0, np.nan)
     delta[flip] = -delta[flip]
-    return delta, out_status
+    return delta, status
 
 
 def compute_c_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     """Offsets c = |Re Delta| for many w-values (nan where unresolved).
 
-    Delta is read with the "real" rule, as :func:`compute_c` reads it.
     c is bitwise even under s -> -s and s -> conj(s), so each distinct
     (|Re s|, |Im s|) is integrated once and its offset scattered back
     to every query that folds to it, in the shape of sqrt_w0s.
@@ -427,5 +416,5 @@ def compute_c_batch(sqrt_w0s, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS):
     key.real = np.abs(s.real).ravel()
     key.imag = np.abs(s.imag).ravel()
     key, inverse = np.unique(key, return_inverse=True)
-    delta, _ = compute_delta_batch(key, params, settings, reading="real")
+    delta, _ = compute_delta_batch(key, params, settings)
     return np.abs(delta.real)[inverse].reshape(s.shape)

@@ -453,13 +453,11 @@ def _suite_offset_evenness(config, rng):
     n = _count(config, 60)
     s = _cbox(rng, n, 3 * eps)
     st = _c_settings()
-    # the kernel in the reading compute_c_batch uses, not compute_c_batch
-    # itself: that folds all three arguments to the same keys and would
-    # compare a result with itself.  Lockstep rows are independent, so one
-    # batch of all three gives each the bits of its own batch.
-    delta, _ = flow.compute_delta_batch(
-        np.concatenate([s, -s, np.conj(s)]), params, st, reading="real"
-    )
+    # Delta, not compute_c_batch itself: that folds all three arguments to
+    # the same keys and would compare a result with itself.  Lockstep rows
+    # are independent, so one batch of all three gives each the bits of
+    # its own batch.
+    delta, _ = flow.compute_delta_batch(np.concatenate([s, -s, np.conj(s)]), params, st)
     c0, c_neg, c_conj = np.split(np.abs(delta.real), 3)
     # an unresolved offset makes its difference non-finite, so it fails
     checks = [
@@ -503,8 +501,8 @@ def _suite_delta_reading_consistency(config, rng):
     d_id = flow.compute_delta(2.0 * eps, params, st)
     n = _count(config, 30)
     s = _cbox(rng, n, 3 * eps)
-    d1, st1 = flow.compute_delta_batch(s, params, st)
-    d2, st2 = flow.compute_delta_batch(s, params, st, u_star_factor=1.5)
+    d1, st1 = flow.compute_delta_batch(s, params, FlowSettings())
+    d2, st2 = flow.compute_delta_batch(s, params, FlowSettings(step_tolerance=1e-13))
     u_axis = rng.uniform(0.3 * eps, 2.0 * eps, 10)
     d_real, st3 = flow.compute_delta_batch(u_axis, params, st)
     resolved = (
@@ -515,11 +513,11 @@ def _suite_delta_reading_consistency(config, rng):
     checks = [
         ("all readings resolved", resolved, "==", True),
         ("identity point error", abs(d_id - 2.0 * eps), "<=", 5e-8),
-        ("reading-threshold dependence", np.max(np.abs(d1 - d2)), "<=", 1e-7),
+        ("step-tolerance dependence", np.max(np.abs(d1 - d2)), "<=", 1e-7),
         ("real-axis imaginary part", np.max(np.abs(d_real.imag)), "<=", 5e-9),
     ]
-    return _result(n + 11, checks, "Delta readings agree across thresholds and "
-                   "with the identity region")
+    return _result(n + 11, checks, "Delta readings agree across step tolerances "
+                   "and with the identity region")
 
 
 # ----------------------------------------------------------------- sectors

@@ -11,7 +11,8 @@ beyond |w| = epsilon), rounded:
 
 - escape time, pure mode: median 2.6e-11, q99 2.1e-9
 - escape time, cutoff mode: median 2.6e-11, q99 2.1e-9, max 1.6e-7
-- offset c: max 2.5e-9 pure, 3.9e-9 cutoff (Delta has no events)
+- offset c: max 1.3e-9 pure, 3.8e-9 cutoff (a Delta drive is read at
+  the end of the step that enters its region, not refined)
 
 Before that frame, with z and w stepped together, the escape times were
 1.6e-10 and 1.35e-8 in both modes, and 9.5e-7 at most in cutoff mode.

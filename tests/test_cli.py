@@ -446,13 +446,32 @@ def test_grid_too_large_to_allocate_exits_2(capsys):
 
 @pytest.mark.parametrize("command", ["classify-grid", "slice-plot"])
 def test_error_cells_are_counted_on_stderr(command, tmp_path, capsys):
-    # no offset reading is due before max_time, so every cell is ERROR
+    # no Delta row takes a step before max_time, so only the two cells whose
+    # s = +-48 starts beyond s_star (47.05) resolve, at t = 0; every other
+    # cell is ERROR
     target = tmp_path / "grid.out"
     args = [command, "--grid", "5", "--out", str(target)]
     code, out, err = run_cli(args + ["--max-time", "1e-300"], capsys)
     assert code == 0 and out == ""
-    assert err == "warning: 25 of 25 grid cells are ERROR (offset not resolved)\n"
+    assert err == "warning: 23 of 25 grid cells are ERROR (offset not resolved)\n"
     assert run_cli(args, capsys) == (0, "", "")
+
+
+def test_large_offsets_resolve(tmp_path, capsys):
+    # the Delta stop rule is relative, so offsets near 400 resolve too:
+    # c = |Re s| where |Re s| starts beyond s_star
+    target = tmp_path / "grid.csv"
+    code, out, err = run_cli(["classify-grid", "--grid", "5", "--box", "400",
+                              "--slice", "z1:-40", "--out", str(target)], capsys)
+    assert (code, out, err) == (0, "", "")
+    cells = {}
+    for line in target.read_text().splitlines()[1:]:
+        x, y, label, a, b = line.split(",")
+        assert label != "ERROR"
+        cells[float(x), float(y)] = (float(a) - float(b)) / 2.0
+    # s = (z1 - z2)/2 = (-40 - x)/2 at Im z2 = 0
+    for x in (-400.0, 200.0, 400.0):
+        assert cells[x, 0.0] == abs(-40.0 - x) / 2.0
 
 
 @pytest.mark.parametrize("alpha", ["1.2", "2", "3", "5"])

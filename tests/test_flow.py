@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from symsector import _kernels, flow, sectors
+from symsector._accel import run_forked
 from symsector.flow import (
     FlowSettings,
     NoEscapeError,
@@ -362,21 +364,25 @@ def test_scalar_offsets_are_the_batch_offsets_bit_for_bit(pure16):
     delta, status = compute_delta_batch(s, pure16)
     assert (status == _kernels.STATUS_EVENT).all()
     assert _hex(c) == _hex([compute_c(x, pure16) for x in s.tolist()])
-    args = flow._delta_args(pure16, flow.DEFAULT_SETTINGS, "real", 1.0)
-    kernel = [_kernels._delta_one((x * x).real, (x * x).imag, *args) for x in s.tolist()]
-    assert _hex(c) == _hex([abs(out[1]) for out in kernel])
+    args = _delta_args(pure16, flow.DEFAULT_SETTINGS)
+    kernel = [_delta_rows(np.array([[(x * x).real, (x * x).imag]]), args)[1][0]
+              for x in s.tolist()]
+    assert _hex(c) == _hex(np.abs(kernel))
     scalar = [compute_delta(x, pure16) for x in s.tolist()]
     assert _hex(delta.real) == _hex([d.real for d in scalar])
     assert _hex(delta.imag) == _hex([d.imag for d in scalar])
 
 
 def test_delta_batch_nonfinite_status_matches_scalar(pure16):
-    # w0 = s0^2 overflows in Im for the second: NONFINITE all the same, with
-    # Delta and c nan, and no numpy warning reaches the caller
+    # w0 = s0^2 overflows in Re for the first and in Im for the second: a
+    # start inside the Delta region whose reading is infinite ends
+    # NONFINITE, with Delta and c nan, and no numpy warning reaches the
+    # caller.  w0 = 1e308 is finite, and Delta = 1e154 at t = 0.
     settings = FlowSettings(max_steps=2000)
     # 1.0 padded to enough distinct keys for the numpy lockstep
     ones = [1.0 + 0.5 * k for k in range(flow._LOCKSTEP_ROWS[pure16.table[0]])]
-    for s0 in (1e154, 1e154 + 1e154j):
+    assert compute_delta(1e154, pure16, settings) == 1e154
+    for s0 in (1e155, 1e154 + 1e154j):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             delta, status = compute_delta_batch([s0, *ones], pure16, settings)
@@ -395,7 +401,7 @@ def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
     x = np.array([
         [3.0 + 2.0j, -3.0 - 2.0j, 3.0 - 2.0j, -3.0 + 2.0j, 3.0 + 2.0j],
         [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5.0j],
-        [-5.0j, 2.0, -2.0, 1e154, complex(np.nan, 1.0)],
+        [-5.0j, 2.0, -2.0, 1e155, complex(np.nan, 1.0)],
     ])
     rows = []
 
@@ -407,7 +413,7 @@ def test_offset_batch_integrates_each_folded_value_once(pure16, monkeypatch):
     monkeypatch.setattr(flow, "compute_delta_batch", counted)
     with np.errstate(over="ignore", invalid="ignore"):
         c = compute_c_batch(x, pure16, settings)
-        delta, status = compute_delta_batch(x, pure16, settings, reading="real")
+        delta, status = compute_delta_batch(x, pure16, settings)
     assert rows == [6] and c.shape == x.shape
     assert status[13] == _kernels.STATUS_NONFINITE
     expect = [float.hex(float(v)) for v in np.abs(delta.real)]
@@ -431,19 +437,63 @@ def test_pure_offset_scaling_law(rng):
         assert np.all(np.abs(d - q * d1) <= 1e-7 * (1.0 + np.abs(d)))
 
 
+def _fixed_time_offsets(s, params, t_end):
+    """|Re sqrt(w(t_end))| / e^((alpha-1) t_end), w0 = s^2, at step tolerance 1e-13."""
+    w = s * s
+    Y = np.column_stack([np.zeros((s.size, 2)), w.real, w.imag])
+    settings = FlowSettings(step_tolerance=1e-13)
+    status, _, _ = drive_batch(Y, params, settings, _kernels.EVENT_NONE, t_end=t_end)
+    assert np.all(status == _kernels.STATUS_TIME_END)
+    return np.abs(np.sqrt(Y[:, 2] + 1j * Y[:, 3]).real) / np.exp(
+        (params.alpha - 1.0) * t_end)
+
+
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_offset_matches_tight_reference(mode, rng):
-    # c at the default tolerance against |Re Delta| read in the complex
-    # rule at step tolerance 1e-13 with u_star doubled; a reading rule
-    # that stops well before Re Delta settles misses by more than 1e-7
+    # c at the default tolerance against a reference that does not share
+    # its stop rule: drives to t = 40 at step tolerance 1e-13, where
+    # |Re sqrt(w)| is beyond 1e8 and Re u has settled far below 1e-20 (a
+    # stop rule that reads Re u before it settles misses by more)
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     s = rng.uniform(-48.0, 48.0, 32) + 1j * rng.uniform(-48.0, 48.0, 32)
     c = compute_c_batch(s, params)
-    ref, status = compute_delta_batch(
-        s, params, FlowSettings(step_tolerance=1e-13), u_star_factor=2.0
-    )
+    ref = _fixed_time_offsets(s, params, 40.0)
+    assert np.max(np.abs(c - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 5.0, 10.0])
+def test_delta_region_bounds_the_drift_of_re_u(alpha):
+    # keys just beyond s_star start inside the Delta region and are read at
+    # t = 0; the drift of Re u still to come is at most DELTA_TOL
+    # relatively, and on the real axis, where x = eps/|w|^2 is largest, it
+    # is the bound itself (the bound is not slack): to a few ulps of c
+    params = SteinParams(alpha=alpha, epsilon=16.0, smoothing="pure")
+    s_star = _kernels._delta_radius(alpha, params.table)
+    s = s_star * (1.0 + 1e-7) + 1j * np.linspace(0.0, 3.0 * s_star, 7)
+    delta, status = compute_delta_batch(s, params)
     assert np.all(status == _kernels.STATUS_EVENT)
-    assert np.max(np.abs(c - np.abs(ref.real))) <= 1e-7
+    assert np.allclose(delta.real, s.real, rtol=1e-15, atol=0.0)  # Re sqrt(s^2)
+    ref = _fixed_time_offsets(s, params, 30.0 / (alpha - 1.0))
+    drift = np.abs(delta.real - ref) / ref
+    assert 0.9 * _kernels.DELTA_TOL <= drift.max() <= 1.01 * _kernels.DELTA_TOL
+
+
+def test_large_real_roots_resolve(pure16):
+    # beyond s_star Delta is the root itself, read at t = 0, however large
+    s = np.geomspace(50.0, 1e6, 60)
+    delta, status = compute_delta_batch(s, pure16)
+    assert np.all(status == _kernels.STATUS_EVENT)
+    assert _hex(delta.real) == _hex(s)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_no_delta_row_overflows_at_alpha_10(mode, rng):
+    # w grows like e^(18 t) at alpha = 10; the Delta rows integrate
+    # u = e^(-L t) sqrt(w), which stays bounded
+    params = SteinParams(alpha=10.0, epsilon=16.0, smoothing=mode)
+    s = rng.uniform(-48.0, 48.0, 200) + 1j * rng.uniform(-48.0, 48.0, 200)
+    delta, status = compute_delta_batch(s, params)
+    assert np.all(status == _kernels.STATUS_EVENT) and np.isfinite(delta).all()
 
 
 def test_cutoff_offsets_match_tight_reference(cutoff16, rng):
@@ -546,24 +596,6 @@ def test_round_trip_at_the_default_tolerance(mode, rng):
         assert np.all(np.abs(Y - X) <= 1e-7 * (1.0 + np.abs(X)))
 
 
-def test_unknown_reading_rule_is_rejected(pure16):
-    # "complex-im" was a third rule: "complex", and |Im d| < 5e-9
-    for reading in ("imag", "complex-im"):
-        with pytest.raises(ValueError, match="reading") as info:
-            compute_delta(1.0, pure16, reading=reading)
-        assert "'complex'" in str(info.value) and "'real'" in str(info.value)
-        with pytest.raises(ValueError, match="reading"):
-            compute_delta_batch([1.0], pure16, reading=reading)
-
-
-def test_delta_u_star_factor_consistency(pure16):
-    settings = FlowSettings(step_tolerance=1e-11)
-    s = 1.5 + 4.0j
-    d1 = compute_delta(s, pure16, settings, u_star_factor=1.0)
-    d2 = compute_delta(s, pure16, settings, u_star_factor=1.5)
-    assert abs(d1 - d2) <= 1e-7 * (1.0 + abs(d1))
-
-
 # --------------------------------------------------- Delta batches split by fork
 
 needs_split = pytest.mark.skipif(
@@ -573,13 +605,24 @@ needs_split = pytest.mark.skipif(
 _delta_rows = flow._delta_rows
 
 
-def _split_keys():
-    # 2,005 principal roots: far real ones converge at once, near ones
-    # run out of time, and 1e154 (w overflows) and NaN end NONFINITE
+def _delta_args(params, settings):
+    """The arguments of flow._delta_rows, as compute_delta_batch builds them."""
+    return (settings.max_time, *flow._drive_args(params, settings, _kernels.EVENT_DELTA))
+
+
+def _split_keys(start="complex"):
+    # 2,005 principal roots: far real ones start inside the Delta region,
+    # near ones run out of time, 1e154 (w = 1e308) is read at its start and
+    # NaN ends NONFINITE.  Start "complex" puts the far keys just off the
+    # real axis and the near ones off both axes; start "real" puts the far
+    # keys on the real axis and the near ones alternately on the real and
+    # the imaginary axis, so that every w0 is real.
     rng = np.random.default_rng(5)
     x = rng.uniform(64.0, 400.0, 1000)
     far = x + 1j * x * rng.uniform(-1e-10, 1e-10, 1000)
     near = rng.uniform(0.0, 48.0, 1000) + 1j * rng.uniform(-48.0, 48.0, 1000)
+    if start == "real":
+        far, near = x + 0j, near.real * np.where(np.arange(1000) % 2, 1.0, 1j)
     return np.concatenate([far, near, [1e154, np.nan, 0.0, 1e-300, 3.0j]])
 
 
@@ -622,19 +665,16 @@ def two_way(monkeypatch):
 
 @needs_split
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-@pytest.mark.parametrize("reading", ["complex", "real"])
-def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
+@pytest.mark.parametrize("start", ["complex", "real"])
+def test_split_delta_batch_is_bit_identical(mode, start, two_way):
     params = SteinParams(alpha=1.5, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=1.0)
-    keys = _split_keys()
+    keys = _split_keys(start)
     with np.errstate(over="ignore", invalid="ignore"):
         w0 = complex_square(keys)
-        delta, status = compute_delta_batch(keys, params, settings, reading)
+        delta, status = compute_delta_batch(keys, params, settings)
         W = np.column_stack([w0.real, w0.imag])
-        args = flow._delta_args(params, settings, reading, 1.0)
-        n = keys.size
-        want = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-        _kernels._delta_batch_np(W, *args, *want)
+        want = _delta_rows(W, _delta_args(params, settings))  # one numpy batch
     assert two_way == [2]
     assert status.tolist() == want[0].tolist()
     assert set(status.tolist()) == {
@@ -642,9 +682,9 @@ def test_split_delta_batch_is_bit_identical(mode, reading, two_way):
     }
     event = status == _kernels.STATUS_EVENT
     assert _hex(delta.real[event]) == _hex(want[1][event])
-    assert _hex(delta.imag[event]) == _hex(want[2][event])
-    # the kernel returns no reading on a row that did not converge
-    assert np.isnan(want[1][~event]).all() and np.isnan(want[2][~event]).all()
+    assert not delta.imag[event].any()
+    # no reading on a row that did not resolve
+    assert np.isnan(want[1][~event]).all()
     assert np.isnan(delta.real[~event]).all() and np.isnan(delta.imag[~event]).all()
 
 
@@ -653,7 +693,7 @@ def test_split_delta_survives_a_dead_worker(pure16, two_way, monkeypatch):
     keys = _split_keys()
     w0 = keys * keys
     W = np.column_stack([w0.real, w0.imag])
-    args = flow._delta_args(pure16, FlowSettings(max_time=1.0), "real", 1.0)
+    args = _delta_args(pure16, FlowSettings(max_time=1.0))
     monkeypatch.setattr(flow, "_delta_rows", _die_in_worker)
     with np.errstate(over="ignore", invalid="ignore"):
         got = flow._delta_split(W, args)
@@ -661,6 +701,25 @@ def test_split_delta_survives_a_dead_worker(pure16, two_way, monkeypatch):
     assert two_way == [2]
     for g, w in zip(got, want):
         assert _hex(g) == _hex(w)
+
+
+def _die_in_any_worker():
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+
+
+def _jobs_after_a_death():
+    yield ()
+    time.sleep(0.5)  # long enough for the pool to see its first worker die
+    yield ()
+
+
+@needs_split
+def test_run_forked_survives_a_death_between_submits():
+    # a pool broken before a job goes in refuses it at submit; that job
+    # gets its BrokenProcessPool in place of a result all the same
+    got = run_forked(_die_in_any_worker, _jobs_after_a_death(), 2)
+    assert [type(g) for g in got] == [concurrent.futures.process.BrokenProcessPool] * 2
 
 
 @needs_split
@@ -732,7 +791,9 @@ def test_a_start_inside_the_region_is_the_event(rows):
 @pytest.mark.parametrize("rows", ["row-loop", "lockstep"])
 @pytest.mark.parametrize("kind", [-1, 4, 7])
 def test_an_unknown_event_kind_is_refused(pure16, kind, rows):
-    # the scalar twin read no region for such a kind, the numpy one V-entry
+    # the scalar twin read no region for such a kind, the numpy one V-entry;
+    # 4, EVENT_DELTA, is the region of Delta rows, which only
+    # compute_delta_batch drives
     x = SymPoint(0.5 + 1.0j, -48.0 + 0.5j).state()
     n = 1 if rows == "row-loop" else flow._LOCKSTEP_ROWS[pure16.table[0]]
     with pytest.raises(ValueError, match="unknown event kind"):
@@ -773,12 +834,18 @@ def test_scalar_calls_are_their_batch_rows_bit_for_bit(mode, rng):
     settings = FlowSettings(max_time=8.0, escape_radius=64.0)
     n = flow._LOCKSTEP_ROWS[params.table[0]] + 4
     s, X = _front_end_rows(rng, n)
-    for reading in ("complex", "real"):
-        delta, status = compute_delta_batch(s, params, reading=reading)
-        assert (status == _kernels.STATUS_EVENT).all()
-        scalar = [compute_delta(x, params, reading=reading) for x in s.tolist()]
-        assert _hex(delta.real) == _hex([d.real for d in scalar])
-        assert _hex(delta.imag) == _hex([d.imag for d in scalar])
+    delta, status = compute_delta_batch(s, params)
+    assert (status == _kernels.STATUS_EVENT).all()
+    scalar = [compute_delta(x, params) for x in s.tolist()]
+    assert _hex(delta.real) == _hex([d.real for d in scalar])
+    assert _hex(delta.imag) == _hex([d.imag for d in scalar])
+    # the Delta rows, times included, through the batch and the row loop
+    w = complex_square(s)
+    W = np.column_stack([w.real, w.imag])
+    args = _delta_args(params, FlowSettings())
+    rows = _delta_rows(W, args)
+    for k in range(n):
+        assert _hex(o[k] for o in rows) == _hex(o[0] for o in _delta_rows(W[k:k + 1], args))
     c = compute_c_batch(s, params)
     assert _hex(c) == _hex([compute_c(x, params) for x in s.tolist()])
 
@@ -830,15 +897,14 @@ def test_lockstep_runs_from_lockstep_rows_on(mode, rng, monkeypatch):
     settings = FlowSettings(max_time=8.0, escape_radius=64.0)
     n = flow._LOCKSTEP_ROWS[params.table[0]]
     s, X = _front_end_rows(rng, n)
-    ran = _spy(monkeypatch, ["_drive_batch", "_drive_batch_np",
-                             "_delta_batch", "_delta_batch_np"])
+    ran = _spy(monkeypatch, ["_drive_batch", "_drive_batch_np"])
     below = compute_delta_batch(s[:-1], params)
     at = compute_delta_batch(s, params)
     assert (at[1] == _kernels.STATUS_EVENT).all()
     Y_below, Y_at = X[:-1].copy(), X.copy()
     drive_below = drive_batch(Y_below, params, settings, _kernels.EVENT_PAIR_ESCAPE)
     drive_at = drive_batch(Y_at, params, settings, _kernels.EVENT_PAIR_ESCAPE)
-    assert ran == ["_delta_batch", "_delta_batch_np", "_drive_batch", "_drive_batch_np"]
+    assert ran == ["_drive_batch", "_drive_batch_np"] * 2
     for got, want in zip(below, at):
         assert _hex(got.real) == _hex(want.real[:-1])
         assert _hex(got.imag) == _hex(np.imag(want)[:-1])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symsector.flow import FlowSettings
+from symsector.geometry import SteinParams
 from symsector.gridplot import (
     CSV_HEADER,
     ERROR_LABEL,
@@ -23,6 +24,17 @@ from symsector.gridplot import (
     grid_svg,
     parse_slice,
 )
+
+
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+@pytest.mark.parametrize("alpha", [5.0, 10.0])
+@pytest.mark.parametrize("spec", ["im:0", "z1:-40"])
+def test_grids_at_large_alpha_have_no_error_cells(spec, alpha, mode):
+    # Delta rows integrate u = e^(-L t) sqrt(w), which stays bounded where
+    # w overflows, and stop on a relative drift bound at any alpha
+    params = SteinParams(alpha=alpha, epsilon=16.0, smoothing=mode)
+    result = classify_grid(parse_slice(spec), params, grid_n=41)
+    assert not (result.labels == ERROR_LABEL).any()
 
 
 def test_parse_slice_variants():

@@ -3,8 +3,8 @@
 The plain-Python scalar kernels and the numpy batch kernels evaluate the
 same formulas in the same order, with the same correctly rounded
 operations, so they are required to agree exactly, not to a tolerance:
-each formula, and each whole trajectory of the drive and Delta kernels,
-status, time and state alike.
+each formula, and each whole trajectory of the drive kernels, Delta rows
+included, status, time and state alike.
 """
 
 import collections
@@ -114,78 +114,91 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-def _delta_both(W, args):
-    """Statuses of the Delta rows W; both twins must give the same bits,
-    and a reading only on the rows they stop with STATUS_EVENT."""
-    n = len(W)
-    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _kernels._delta_batch_np(W, *args, *out)
-        scalar = [_kernels._delta_one(xw, yw, *args) for xw, yw in W.tolist()]
-    assert _bits(*out) == _bits(*(np.array(col) for col in zip(*scalar)))
-    # the twins agree bit for bit, so this holds for both
-    status, d_re, d_im, _ = out
-    unread = status != _kernels.STATUS_EVENT
-    assert np.isnan(d_re[unread]).all() and np.isnan(d_im[unread]).all()
-    assert np.isfinite(d_re[~unread]).all() and np.isfinite(d_im[~unread]).all()
-    return status
+def _delta_both(W, params, settings):
+    """Both drive twins on the Delta rows [0, 0, Re w0, Im w0] of W, to
+    max_time; they must give the same bits, and end STATUS_EVENT only
+    inside the Delta region.  Returns (status, t, sign, states)."""
+    args = flow._drive_args(params, settings, _kernels.EVENT_DELTA)
+    rows = [(0.0, 0.0, x, y) for x, y in np.asarray(W, dtype=float).tolist()]
+    batch, scalar = _drive_both(rows, args, settings.max_time, 1.0)
+    _assert_twins(batch, scalar)
+    _assert_events_hold(batch, args)
+    return batch
 
 
-@pytest.mark.parametrize("reading", ["complex", "real"])
+def _delta_starts(start, rng, n):
+    """n keys s0 drawn from [-48, 48]: off both axes for start "complex",
+    and alternately on the real and the imaginary axis for start "real",
+    where w0 = s0^2 is real with Im w0 = +-0."""
+    if start == "complex":
+        return rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
+    return rng.uniform(-48.0, 48.0, n) * np.where(np.arange(n) % 2, 1.0, 1j)
+
+
+# keys whose Delta rows run out of max_time = 1, by start
+_SLOW_STARTS = {
+    "complex": [0.1 + 40.0j, 2.0 + 2.0j, 10.0 + 10.0j, 0.5 - 20.0j],
+    "real": [2.0, 10.0, 20.0j, 0.5j],
+}
+
+
+@pytest.mark.parametrize("start", ["complex", "real"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-def test_delta_twins_agree(mode, reading):
+def test_delta_twins_agree(mode, start):
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    args = flow._delta_args(params, FlowSettings(max_steps=2000), reading, 1.0)
-    rng = np.random.default_rng(3)
-    s = rng.uniform(-48.0, 48.0, 24) + 1j * rng.uniform(-48.0, 48.0, 24)
-    w = np.append(s * s, 1e308)  # kappa = 2|w| overflows: STATUS_NONFINITE
-    status = _delta_both(np.column_stack([w.real, w.imag]), args)
-    assert status[-1] == _kernels.STATUS_NONFINITE
-    assert np.all(status[:-1] == _kernels.STATUS_EVENT)
-    # rows stopped by max_time, some with a reading due when they reach it:
-    # neither twin takes that reading
-    args = flow._delta_args(params, FlowSettings(max_time=4.0, max_steps=2000),
-                            reading, 1.0)
-    w = np.array([150.0, 1000.0, 200.0 + 50.0j, 80.0 + 1.0j]) ** 2
-    status = _delta_both(np.column_stack([w.real, w.imag]), args)
+    s = _delta_starts(start, np.random.default_rng(3), 24)
+    # w = -1e308 starts outside the region, and kappa = 2|w| overflows:
+    # STATUS_NONFINITE; w = 1e308 starts inside it
+    w = np.append(s * s, [-1e308, 1e308])
+    settings = FlowSettings(max_steps=2000)
+    status, t = _delta_both(np.column_stack([w.real, w.imag]), params, settings)[:2]
+    assert status[-2] == _kernels.STATUS_NONFINITE
+    assert status[-1] == _kernels.STATUS_EVENT and t[-1] == 0.0
+    assert np.all(status[:-2] == _kernels.STATUS_EVENT) and (t[:-2] > 0.0).any()
+    # rows stopped by max_time
+    settings = FlowSettings(max_time=1.0, max_steps=2000)
+    w = np.array(_SLOW_STARTS[start]) ** 2
+    status = _delta_both(np.column_stack([w.real, w.imag]), params, settings)[0]
     assert (status == _kernels.STATUS_TIME_END).any()
 
 
-@pytest.mark.parametrize("reading", ["complex", "real"])
-def test_delta_twins_spend_the_same_step_budget(reading):
-    # three attempts take w0 = 9 + 40i to t = 0.4695, long before a reading
+@pytest.mark.parametrize("start, w0, t_end", [
+    ("complex", (9.0, 40.0), 0.46949795488546775),
+    ("real", (-1600.0, 0.0), 0.3386199784153654),
+], ids=["complex", "real"])
+def test_delta_twins_spend_the_same_step_budget(start, w0, t_end):
+    # three attempts take w0 = 9 + 40i to t = 0.4695, and w0 = -1600
+    # (s0 = 40i, Re s0 = 0) to t = 0.3386, long before |Re s| reaches s_star
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing="pure")
-    args = flow._delta_args(params, FlowSettings(max_steps=3), reading, 1.0)
-    status = np.zeros(1, dtype=np.int64)
-    d_re, d_im, t = np.zeros(1), np.zeros(1), np.zeros(1)
-    _kernels._delta_batch_np(np.array([[9.0, 40.0]]), *args, status, d_re, d_im, t)
-    got, re_k, im_k, t_k = _kernels._delta_one(9.0, 40.0, *args)
-    assert got == status[0] == _kernels.STATUS_TIME_END
-    assert t_k == t[0] == pytest.approx(0.46949795488546775, rel=1e-12)
-    assert np.isnan([re_k, im_k, d_re[0], d_im[0]]).all()
+    settings = FlowSettings(max_steps=3)
+    status, t = _delta_both([w0], params, settings)[:2]
+    assert status[0] == _kernels.STATUS_RUNNING
+    assert t[0] == pytest.approx(t_end, rel=1e-12)
+    with pytest.raises(flow.NoEscapeError):
+        flow.compute_delta(complex(np.sqrt(complex(*w0))), params, settings)
 
 
-@pytest.mark.parametrize("reading", ["complex", "real"])
+@pytest.mark.parametrize("start", ["complex", "real"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-def test_delta_twins_on_the_negative_real_axis(mode, reading):
+def test_delta_twins_on_the_negative_real_axis(mode, start):
     # sqrt(w0) is +i or -i times sqrt(-w0) by the sign of the zero Im w0,
-    # but no reading is taken before w has drifted right, and the first
-    # accepted step sets Im w to +0.0: both zeros give the same bits
+    # but Re s is 0 there, and the region is entered only once w has
+    # drifted right: both zeros give the same status, time and Delta.
+    # Start "complex" takes w0 just off the axis, on either side of the
+    # branch cut of sqrt: the flow of conj(w0) is the conjugate of the flow
+    # of w0, so both sides give the same status, time and Re Delta too.
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
-    args = flow._delta_args(params, FlowSettings(max_steps=2000), reading, 1.0)
-    W = np.array([[x, z] for x in (-0.5, -40.0, -900.0) for z in (0.0, -0.0)])
-    n = len(W)
-    status = np.zeros(n, dtype=np.int64)
-    d_re, d_im, t = np.zeros(n), np.zeros(n), np.zeros(n)
-    _kernels._delta_batch_np(W, *args, status, d_re, d_im, t)
-    scalar = [_kernels._delta_one(xw, yw, *args) for xw, yw in W.tolist()]
-    assert np.all(status == _kernels.STATUS_EVENT)
-    for k in range(0, n, 2):
-        assert scalar[k] == scalar[k + 1]
-        assert _bits(d_re[k], d_im[k], t[k]) == _bits(d_re[k + 1], d_im[k + 1], t[k + 1])
+    settings = FlowSettings(max_steps=2000)
+    side = (0.0,) if start == "real" else (1e-3, 1e-200)
+    W = np.array([[x, z] for x in (-0.5, -40.0, -900.0) for y in side for z in (y, -y)])
     # in cutoff mode these rows cross the profile knots radially, which the
     # kernels land on as step boundaries, as bitwise twins in both modes
-    assert _bits(status, d_re, d_im, t) == _bits(*(np.array(c) for c in zip(*scalar)))
+    status = _delta_both(W, params, settings)[0]
+    assert np.all(status == _kernels.STATUS_EVENT)
+    args = (settings.max_time, *flow._drive_args(params, settings, _kernels.EVENT_DELTA))
+    rows = flow._delta_rows(W, args)
+    for k in range(0, len(W), 2):
+        assert _bits(*(o[k] for o in rows)) == _bits(*(o[k + 1] for o in rows))
 
 
 @pytest.mark.parametrize("h_max", [0.1, 0.01])
@@ -512,6 +525,9 @@ def test_cutoff_kappa_shrink_reads_smoothing_profile(epsilon):
     assert np.array_equal(shrink, smoothing.norm_m(r, table) / (r * mp))
 
 
+_KINDS = ["none", "pair-escape", "trunc-region", "v-entry", "delta"]
+
+
 def _event_rows(epsilon, rng, n=20000):
     x = rng.uniform(-4.0 * epsilon, 4.0 * epsilon, n)
     w = rng.uniform(-1.0, 1.0, (n, 2)) * (4.0 * epsilon) ** 2
@@ -540,7 +556,7 @@ def _reference_event(Y, radius, epsilon, kind):
     r = np.hypot(Y[:, 2], Y[:, 3])
     x1, x2 = _kernels.pair_re_np(Y[:, 0], Y[:, 2], r)
     sign = np.zeros(n, dtype=np.int64)
-    if kind == _kernels.EVENT_PAIR_ESCAPE:
+    if kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_DELTA):
         hit = (np.minimum(np.abs(x1), np.abs(x2)) > radius) & (r > epsilon)
         return hit, sign
     if kind == _kernels.EVENT_TRUNC_REGION:
@@ -553,12 +569,7 @@ def _reference_event(Y, radius, epsilon, kind):
     return minus | plus, sign
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [_kernels.EVENT_NONE, _kernels.EVENT_PAIR_ESCAPE,
-     _kernels.EVENT_TRUNC_REGION, _kernels.EVENT_V_ENTRY],
-    ids=["none", "pair-escape", "trunc-region", "v-entry"],
-)
+@pytest.mark.parametrize("kind", range(5), ids=_KINDS)
 def test_event_twins_agree_exactly(kind):
     # both twins read the regions off their margin ratios, and give the
     # hits and signs of the reference comparisons bit for bit: on drawn
@@ -648,6 +659,7 @@ _INSIDE = {
     _kernels.EVENT_PAIR_ESCAPE: [(300.0, 0.0, 1e4, 0.0), (-300.0, 0.0, 1e4, 0.0)],
     _kernels.EVENT_TRUNC_REGION: [(-40.0, 0.0, 4.0, 0.0), (-60.0, 0.0, 100.0, 0.0)],
     _kernels.EVENT_V_ENTRY: [(-20.0, 0.0, 400.0, 0.0), (20.0, 0.0, 400.0, 0.0)],
+    _kernels.EVENT_DELTA: [(0.0, 0.0, 1e4, 0.0), (0.0, 0.0, 3000.0, -500.0)],
 }
 
 
@@ -680,11 +692,14 @@ def _assert_events_hold(batch, args):
 
 
 def _event_drive(mode, kind):
-    """Drive arguments of an event kind, 8 flowing rows and the _INSIDE rows."""
+    """Drive arguments of an event kind, 8 flowing rows and the _INSIDE rows.
+
+    The flowing rows of EVENT_DELTA are Delta rows, with z = 0.
+    """
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     rng = np.random.default_rng(5)
-    z = rng.uniform(-48.0, 48.0, (8, 2))
+    z = rng.uniform(-48.0, 48.0, (8, 2)) * (kind != _kernels.EVENT_DELTA)
     s = rng.uniform(-48.0, 48.0, 8) + 1j * rng.uniform(-48.0, 48.0, 8)
     flowing = [(x, y, (v * v).real, (v * v).imag) for (x, y), v in zip(z, s)]
     return flow._drive_args(params, settings, kind), flowing, _INSIDE[kind]
@@ -692,15 +707,11 @@ def _event_drive(mode, kind):
 
 @pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-@pytest.mark.parametrize(
-    "kind",
-    [_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_TRUNC_REGION,
-     _kernels.EVENT_V_ENTRY],
-    ids=["pair-escape", "trunc-region", "v-entry"],
-)
+@pytest.mark.parametrize("kind", range(1, 5), ids=_KINDS[1:])
 def test_drive_twins_agree_on_events(kind, mode, fdir):
     # the numpy batch refines all its events together after the lockstep,
-    # the scalar kernel each one as it is found, both on the dense output
+    # the scalar kernel each one as it is found, both on the dense output;
+    # both read a Delta row at the end of the step that enters its region
     args, flowing, inside = _event_drive(mode, kind)
     # the inside rows are the event at their start, the flowing ones hit
     # later and apart; w = -1e308 overflows kappa and starts outside every
@@ -716,12 +727,16 @@ def test_drive_twins_agree_on_events(kind, mode, fdir):
     if kind == _kernels.EVENT_V_ENTRY:
         assert sign[8:10].tolist() == [-1, 1]
     # the upward flow shrinks both pair coordinates, so it never enters
-    # the escape region from outside
-    if not (kind == _kernels.EVENT_PAIR_ESCAPE and fdir == -1.0):
+    # the escape region, or the Delta region, from outside
+    escape = kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_DELTA)
+    if not (escape and fdir == -1.0):
         assert (status[:8] == _kernels.STATUS_EVENT).any()
     # a batch in which no row reaches the region
     missed = [row for row, st in zip(flowing, status)
               if st != _kernels.STATUS_EVENT]
+    if not missed:  # every Delta row reaches s_star = sqrt(epsilon) = 4 in time
+        assert (kind, mode, fdir) == (_kernels.EVENT_DELTA, "cutoff", 1.0)
+        return
     batch, scalar = _drive_both(missed, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     assert missed and np.all(batch[0] == _kernels.STATUS_TIME_END)
@@ -738,15 +753,15 @@ _SWITCH_S = [0.5 + 0.2j, 1.0 + 3.0j, 2.0 - 1.0j, 3.5 + 0.5j,
 
 @pytest.mark.parametrize("fdir", [1.0, -1.0], ids=["down", "up"])
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
-@pytest.mark.parametrize("kind", range(4),
-                         ids=["none", "pair-escape", "trunc-region", "v-entry"])
+@pytest.mark.parametrize("kind", range(5), ids=_KINDS)
 def test_drive_twins_agree_across_the_switch(kind, mode, fdir):
-    # every root with every z: 48 rows, enough for the lockstep, whose
-    # w-frame and u-frame passes give the bits of the scalar drive
+    # every root with every z (z = 0 for the Delta rows): the w-frame and
+    # u-frame passes of the lockstep give the bits of the scalar drive
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     args = flow._drive_args(params, FlowSettings(escape_radius=64.0, max_steps=2000),
                             kind)
-    rows = [(x, y, (v * v).real, (v * v).imag) for x, y in _SWITCH_Z for v in _SWITCH_S]
+    zs = [(0.0, 0.0)] if kind == _kernels.EVENT_DELTA else _SWITCH_Z
+    rows = [(x, y, (v * v).real, (v * v).imag) for x, y in zs for v in _SWITCH_S]
     batch, scalar = _drive_both(rows, args, 4.0, fdir)
     _assert_twins(batch, scalar)
     _assert_events_hold(batch, args)
@@ -890,6 +905,23 @@ def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     assert n_w[0] + n_u[0] == np.count_nonzero(event[:len(flowing)])
 
 
+@pytest.mark.parametrize("mode", ["pure", "cutoff"])
+def test_delta_rows_are_read_without_refinement(monkeypatch, mode):
+    # every state inside the Delta region gives Delta to DELTA_TOL, so both
+    # twins read a Delta row at the end of the step that enters it, and
+    # never build the dense output
+    def refuse(*args):
+        raise AssertionError("a Delta row was refined")
+
+    for name in ("_dense_event", "_dense2", "_dense_np"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
+    s = np.array(_SWITCH_S) * 2.0
+    w = np.column_stack([(s * s).real, (s * s).imag])
+    status, t = _delta_both(w, params, FlowSettings())[:2]
+    assert np.all(status == _kernels.STATUS_EVENT) and (t > 0.0).any()
+
+
 # most dense-output reads per located event, on the mean; bisecting the
 # event predicate to EVENT_TOL took about 45
 EVENT_READS = 8
@@ -970,9 +1002,8 @@ def test_drive_twins_agree_on_stalls():
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
 def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
-    # each row of _drive_batch and _delta_batch gets the bits of its scalar
-    # kernel called with the same arguments, which pins the argument order
-    # of both row loops
+    # each row of _drive_batch gets the bits of its scalar kernel called
+    # with the same arguments, which pins the argument order of the row loop
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(escape_radius=64.0, max_steps=2000)
     rng = np.random.default_rng(13)
@@ -982,7 +1013,7 @@ def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
     w = np.append(s * s, 1e308)
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(z, w)]
     rec = np.empty((0, 5))
-    for kind, fdir in [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0)]:
+    for kind, fdir in [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0), (4, 1.0)]:
         args = flow._drive_args(params, settings, kind)
         Y = np.array(rows + _INSIDE.get(kind, []))
         out = (np.zeros(len(Y), dtype=np.int64), np.zeros(len(Y)),
@@ -995,24 +1026,12 @@ def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
         assert [r[7] for r in want] == [0] * len(Y)  # a zero-row rec records none
         assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in want])
                                          for k in (0, 1, 6)), [r[2:6] for r in want])
-    W = np.column_stack([w.real, w.imag])
-    n = len(W)
-    for reading in flow._READINGS:
-        args = flow._delta_args(params, settings, reading, 1.0)
-        out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = [_kernels._delta_one(*row, *args) for row in W.tolist()]
-            _kernels._delta_batch(W, *args, *out)
-        assert _bits(*out) == _bits(*(np.array(col) for col in zip(*want)))
 
 
-@pytest.mark.parametrize("loop, vec", [
-    (_kernels._drive_batch, _kernels._drive_batch_np),
-    (_kernels._delta_batch, _kernels._delta_batch_np),
-], ids=["drive", "delta"])
-def test_batch_kernel_backends_share_one_signature(loop, vec):
+def test_batch_kernel_backends_share_one_signature():
     # flow runs either batch kernel with the same arguments
-    assert inspect.signature(loop) == inspect.signature(vec)
+    assert (inspect.signature(_kernels._drive_batch)
+            == inspect.signature(_kernels._drive_batch_np))
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
@@ -1024,14 +1043,15 @@ def test_batch_rows_are_independent(mode):
     rng = np.random.default_rng(9)
     n = flow._LOCKSTEP_ROWS[params.table[0]] - 3  # enough rows for the numpy lockstep
     s = rng.uniform(-48.0, 48.0, n) + 1j * rng.uniform(-48.0, 48.0, n)
-    s = np.append(s, [2.0j, -2.0j, 1e154])  # w0 on the negative axis; overflow
+    s = np.append(s, [2.0j, -2.0j, 1e155])  # w0 on the negative axis; overflow
     perm = rng.permutation(s.size)
-    d, status = flow.compute_delta_batch(s, params, settings, reading="real")
-    d_p, status_p = flow.compute_delta_batch(s[perm], params, settings, reading="real")
+    with np.errstate(over="ignore"):  # 1e155 squared, here and below
+        d, status = flow.compute_delta_batch(s, params, settings)
+        d_p, status_p = flow.compute_delta_batch(s[perm], params, settings)
     assert _bits(d[perm], status[perm]) == _bits(d_p, status_p)
     for k in (0, n, n + 2):
-        d_k, status_k = flow.compute_delta_batch(s[k:k + 1], params, settings,
-                                                 reading="real")
+        with np.errstate(over="ignore"):
+            d_k, status_k = flow.compute_delta_batch(s[k:k + 1], params, settings)
         assert _bits(d[k:k + 1], status[k:k + 1]) == _bits(d_k, status_k)
     assert status[-1] == _kernels.STATUS_NONFINITE
 
@@ -1127,11 +1147,11 @@ def test_scalar_kernels_stay_on_builtin_floats(mode):
     res = _kernels._drive(*state, 60.0, *args, np.empty((0, 5)), 1.0)
     assert res[0] == _kernels.STATUS_EVENT
     assert all(type(v) is float for v in res[1:6])
-    for reading in flow._READINGS:
-        args = flow._delta_args(params, settings, reading, 1.0)
-        res = _kernels._delta_one(300.0, 400.0, *args)
-        assert res[0] == _kernels.STATUS_EVENT
-        assert all(type(v) is float for v in res[1:])
+    args = flow._drive_args(params, settings, _kernels.EVENT_DELTA)
+    # s0 = 1 + 20i starts outside the Delta region in both modes
+    res = _kernels._drive(0.0, 0.0, -399.0, 40.0, 60.0, *args, np.empty((0, 5)), 1.0)
+    assert res[0] == _kernels.STATUS_EVENT and res[1] > 0.0
+    assert all(type(v) is float for v in res[1:6])
 
 
 _HOSTILE = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7e308, 1e-320]
@@ -1149,14 +1169,14 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     # ** and abs(complex) past the float range, math.sqrt below zero; the
     # numpy twins end every row with the same bits.  A row that starts
     # inside its region, as the reference comparisons read it, is the event
-    # at t = 0; under EVENT_PAIR_ESCAPE those are the rows whose pair
-    # coordinates are +-inf.
+    # at t = 0; under EVENT_PAIR_ESCAPE and EVENT_DELTA those are the rows
+    # whose pair coordinates are +-inf.
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=4.0, max_steps=2000)
     rec = np.empty((0, 5))
     ends = []
     n_inside = 0
-    for kind, fdir in itertools.product(range(4), (1.0, -1.0)):
+    for kind, fdir in itertools.product(range(5), (1.0, -1.0)):
         args = flow._drive_args(params, settings, kind)
         scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)
                   for w in _HOSTILE_W]
@@ -1171,21 +1191,12 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
                                          for k in (0, 1, 6)), [r[2:6] for r in scalar])
         for w, r, start in zip(_HOSTILE_W, scalar, inside.tolist()):
             if start:
-                assert kind == _kernels.EVENT_PAIR_ESCAPE
+                assert kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_DELTA)
                 assert r[:2] == (_kernels.STATUS_EVENT, 0.0) and r[8] == 0
                 n_inside += 1
             else:
                 ends.append((w, r[0]))
     assert n_inside > 0
-    W = np.array(_HOSTILE_W)
-    for reading in flow._READINGS:
-        args = flow._delta_args(params, settings, reading, 1.0)
-        scalar = [_kernels._delta_one(*w, *args) for w in _HOSTILE_W]
-        out = (np.zeros(len(W), dtype=np.int64), np.zeros(len(W)), np.zeros(len(W)),
-               np.zeros(len(W)))
-        _kernels._delta_batch_np(W, *args, *out)
-        assert _bits(*out) == _bits(*(np.array(col) for col in zip(*scalar)))
-        ends += [(w, r[0]) for w, r in zip(_HOSTILE_W, scalar)]
     for w, status in ends:
         if all(abs(v) < 1e-300 for v in w):
             assert status in (_kernels.STATUS_EVENT, _kernels.STATUS_TIME_END)
@@ -1212,7 +1223,7 @@ def _drawn_rows(width, half):
 
 @hypothesis.settings(max_examples=20)
 @given(rows=_drawn_rows(4, 64.0), mode=st.sampled_from(sorted(_PARAMS)),
-       kind=st.sampled_from(range(4)), fdir=st.sampled_from([1.0, -1.0]))
+       kind=st.sampled_from(range(5)), fdir=st.sampled_from([1.0, -1.0]))
 def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir):
     args = flow._drive_args(_PARAMS[mode], _DRAWN_SETTINGS, kind)
     assert args[1] is _PARAMS[mode].table
@@ -1222,10 +1233,8 @@ def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir):
 
 
 @hypothesis.settings(max_examples=20)
-@given(rows=_drawn_rows(2, 4096.0), mode=st.sampled_from(sorted(_PARAMS)),
-       reading=st.sampled_from(sorted(flow._READINGS)))
-def test_delta_twins_agree_on_drawn_rows(rows, mode, reading):
-    # w rows up to 4096 start at |sqrt(w)| up to 64, around u_star
-    args = flow._delta_args(_PARAMS[mode], _DRAWN_SETTINGS, reading, 1.0)
-    assert args[1] is _PARAMS[mode].table
-    _delta_both(np.array(rows), args)
+@given(rows=_drawn_rows(2, 4096.0), mode=st.sampled_from(sorted(_PARAMS)))
+def test_delta_twins_agree_on_drawn_rows(rows, mode):
+    # w rows up to 4096 start at |sqrt(w)| up to 64, around s_star in pure
+    # mode and beyond it in cutoff mode
+    _delta_both(np.array(rows), _PARAMS[mode], _DRAWN_SETTINGS)
