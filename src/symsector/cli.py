@@ -2,9 +2,10 @@
 
 Subcommands: verify (property suites, JSON report), classify-grid (CSV
 of one slice), slice-plot (SVG of one slice), decompose (JSON report of
-a surface decomposition).  Options resolve as CLI flag over config-file
-entry over built-in default.  Exit codes: 0 success, 1 suite failure,
-2 usage or configuration error.
+a surface decomposition).  Each subcommand takes only the options it
+reads (_COMMANDS), as flags or config-file keys; they resolve as CLI
+flag over config-file entry over built-in default.  Exit codes: 0
+success, 1 suite failure, 2 usage or configuration error.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import gridplot, smoothing, surfaces, verify
 from .flow import FlowSettings
@@ -21,7 +22,7 @@ from .geometry import SteinParams
 
 @dataclass
 class RunConfig:
-    """Resolved options shared by every subcommand."""
+    """Resolved options; each subcommand sets and reads only its own."""
 
     epsilon: float = 16.0
     alpha: float = 1.5
@@ -29,7 +30,6 @@ class RunConfig:
     grid: int = 201
     seed: int = 0
     max_time: float = 60.0
-    escape_radius: float = None
     out: str = None
     smoothing: str = "pure"
     surface: str = None
@@ -65,8 +65,6 @@ def _validate(config):
         raise ConfigError("sample-scale must be positive and finite")
     if not 0.0 < config.max_time < math.inf:
         raise ConfigError("max-time must be positive and finite")
-    if config.escape_radius is not None and not 0.0 < config.escape_radius < math.inf:
-        raise ConfigError("escape-radius must be positive and finite")
     if config.band_tol is not None and not 0.0 <= config.band_tol < math.inf:
         raise ConfigError("band-tol must be nonnegative and finite")
     if config.box is not None and not 0.0 < config.box < math.inf:
@@ -74,10 +72,15 @@ def _validate(config):
 
 
 def resolve_config(args):
-    """RunConfig from defaults, then config file, then CLI flags."""
+    """RunConfig from defaults, then config file, then CLI flags.
+
+    The config file may set only the options its subcommand takes.
+    """
     config = RunConfig()
-    names = {f.name for f in fields(RunConfig)}
-    if getattr(args, "config", None):
+    _run, _help, options = _COMMANDS[args.command]
+    names = {option.replace("-", "_") for option in options}
+    names.discard("config")
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -88,12 +91,13 @@ def resolve_config(args):
         for key, value in data.items():
             name = key.replace("-", "_")
             if name not in names:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(
+                    f"config key {key!r} is not an option of {args.command}")
             if isinstance(value, bool):  # no option is a flag
                 raise ConfigError(f"config key {key!r} cannot be {json.dumps(value)}")
             setattr(config, name, value)
     for name in names:
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)
     _user_input(_validate, config)
@@ -142,12 +146,6 @@ def _stein(config):
     )
 
 
-def _settings(config):
-    return FlowSettings(
-        max_time=config.max_time, escape_radius=config.escape_radius
-    )
-
-
 def cmd_verify(config):
     vconf = _user_input(
         verify.VerifyConfig,
@@ -176,7 +174,8 @@ def _grid_result(config):
     params = _stein(config)
     box = _user_input(gridplot.grid_box, spec, params, config.box)
     try:
-        result = gridplot.classify_grid(spec, params, _settings(config),
+        result = gridplot.classify_grid(spec, params,
+                                        FlowSettings(max_time=config.max_time),
                                         grid_n=config.grid, box=box,
                                         band_tol=config.band_tol)
     except MemoryError as exc:
@@ -219,57 +218,54 @@ def cmd_decompose(config):
     return 0
 
 
+# option -> add_argument keywords, each help text written once
+_OPTIONS = {
+    "epsilon": dict(type=float, help="smoothing scale (> 0)"),
+    "alpha": dict(type=float, help="saddle exponent (> 1)"),
+    "seed": dict(type=int, help="seed for randomized suites"),
+    "sample-scale": dict(type=float, help="multiplier on suite sample counts"),
+    "suite": dict(action="append", help="run only this suite (repeatable)"),
+    "timings": dict(help="also write per-suite wall times to this JSON file"),
+    "smoothing": dict(choices=("pure", "cutoff"), help="smoothing profile"),
+    "grid": dict(type=int, help="grid resolution per axis"),
+    "slice": dict(help="drawing plane, e.g. im:0 or z1:-40"),
+    "box": dict(type=float, help="half-width of the grid box"),
+    "band-tol": dict(type=float, help="hypersurface band half-width for labels"),
+    "max-time": dict(type=float, help="flow integration time limit"),
+    "surface": dict(help="surface JSON file or builtin name "
+                    "(example-5.3, p1-minus-4pts)"),
+    "out": dict(help="output path (default stdout)"),
+    "config": dict(help="JSON file with option defaults"),
+}
+
+_GRID_OPTIONS = ("epsilon", "alpha", "smoothing", "grid", "slice", "box",
+                 "band-tol", "max-time", "out", "config")
+
+# subcommand -> (runner, help, the options it reads)
 _COMMANDS = {
-    "verify": cmd_verify,
-    "classify-grid": cmd_classify_grid,
-    "slice-plot": cmd_slice_plot,
-    "decompose": cmd_decompose,
+    "verify": (cmd_verify, "run the property suites and emit a JSON report",
+               ("epsilon", "alpha", "seed", "sample-scale", "suite", "timings",
+                "out", "config")),
+    "classify-grid": (cmd_classify_grid, "classify one slice and emit CSV",
+                      _GRID_OPTIONS),
+    "slice-plot": (cmd_slice_plot, "classify one slice and write an SVG figure",
+                   _GRID_OPTIONS),
+    "decompose": (cmd_decompose, "enumerate the decomposition of a glued surface",
+                  ("surface", "out", "config")),
 }
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--epsilon", type=float, help="smoothing scale (> 0)")
-    common.add_argument("--alpha", type=float, help="saddle exponent (> 1)")
-    common.add_argument("--band-tol", dest="band_tol", type=float,
-                        help="hypersurface band half-width for labels")
-    common.add_argument("--grid", type=int, help="grid resolution per axis")
-    common.add_argument("--seed", type=int, help="seed for randomized suites")
-    common.add_argument("--max-time", dest="max_time", type=float,
-                        help="flow integration time limit")
-    common.add_argument("--escape-radius", dest="escape_radius", type=float,
-                        help="escape detection radius")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--smoothing", choices=("pure", "cutoff"),
-                        help="smoothing profile")
-    common.add_argument("--surface", help="surface JSON file or builtin name "
-                        "(example-5.3, p1-minus-4pts)")
-    common.add_argument("--config", help="JSON file with option defaults")
-    common.add_argument("--slice", help="drawing plane, e.g. im:0 or z1:-40")
-    common.add_argument("--sample-scale", dest="sample_scale", type=float,
-                        help="multiplier on suite sample counts")
-    common.add_argument("--box", type=float, help="half-width of the grid box")
-
     parser = argparse.ArgumentParser(
         prog="symsector",
         description="Sectorial decompositions of the symmetric square: "
         "numerical model and combinatorial enumeration.",
     )
     sub = parser.add_subparsers(dest="command")
-    verify_cmd = sub.add_parser(
-        "verify", parents=[common],
-        help="run the property suites and emit a JSON report")
-    verify_cmd.add_argument("--suite", action="append",
-                            help="run only this suite (repeatable)")
-    verify_cmd.add_argument("--timings",
-                            help="also write per-suite wall times to this "
-                            "JSON file")
-    sub.add_parser("classify-grid", parents=[common],
-                   help="classify one slice and emit CSV")
-    sub.add_parser("slice-plot", parents=[common],
-                   help="classify one slice and write an SVG figure")
-    sub.add_parser("decompose", parents=[common],
-                   help="enumerate the decomposition of a glued surface")
+    for command, (_run, help_text, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for option in options:
+            cmd.add_argument("--" + option, **_OPTIONS[option])
     return parser
 
 
@@ -280,8 +276,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = resolve_config(args)
-        return _COMMANDS[args.command](config)
+        run, _help, _options = _COMMANDS[args.command]
+        return run(resolve_config(args))
     except (ConfigError, smoothing.SmoothingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -140,16 +140,20 @@ def escape_sign_pair(state):
 
 
 def _row_loop(n, table):
-    """Whether a batch of n rows runs the scalar kernels row by row.
+    """The batch kernel for n rows: the row loop or the numpy lockstep.
 
-    Below _LOCKSTEP_ROWS of the smoothing mode of table.  Those are where
+    The row loop _drive_batch, which runs the scalar kernel row by row,
+    takes batches below _LOCKSTEP_ROWS of the smoothing mode of table;
+    _drive_batch_np takes the rest.  Those counts are where
     the lockstep overtook the row loop, for the drive and Delta alike, on
     random rows (2 cores): near 72 rows in pure mode and 544 in cutoff
     mode, where knot landings hold the lockstep's slowest rows for many
     iterations.  Both give the same bits, so the choice never changes an
     output.
     """
-    return n < _LOCKSTEP_ROWS[table[0]]
+    if n < _LOCKSTEP_ROWS[table[0]]:
+        return _kernels._drive_batch
+    return _kernels._drive_batch_np
 
 
 def _drive_args(params, settings, event_kind):
@@ -287,9 +291,7 @@ def drive_batch(Y, params, settings, event_kind, t_end=None, direction=1.0):
     out_t = np.zeros(n)
     out_sign = np.zeros(n, dtype=np.int64)
     t_end = _end_time(settings.max_time if t_end is None else t_end, direction)
-    row_loop = _row_loop(n, params.table)
-    kernel = _kernels._drive_batch if row_loop else _kernels._drive_batch_np
-    kernel(
+    _row_loop(n, params.table)(
         Y, t_end, *_drive_args(params, settings, event_kind),
         out_status, out_t, out_sign, direction,
     )
@@ -340,16 +342,16 @@ def _delta_rows(W, args):
     reading is not finite ends STATUS_NONFINITE, and Re Delta is nan on
     every row that does not end STATUS_EVENT.
     """
+    _max_time, alpha, table, *_ = args
     n = W.shape[0]
     Y = np.zeros((n, 4))
     Y[:, 2:] = W
     status, t = np.zeros(n, dtype=np.int64), np.zeros(n)
-    kernel = _kernels._drive_batch if _row_loop(n, args[2]) else _kernels._drive_batch_np
-    kernel(Y, *args, status, t, np.zeros(n, dtype=np.int64), 1.0)
+    _row_loop(n, table)(Y, *args, status, t, np.zeros(n, dtype=np.int64), 1.0)
     s = np.empty(n, dtype=complex)  # x + 1j y is nan for y = inf
     s.real, s.imag = Y[:, 2], Y[:, 3]
     with np.errstate(over="ignore", invalid="ignore"):
-        re = np.sqrt(s).real / _kernels._factors(args[1], t)[0]
+        re = np.sqrt(s).real / _kernels._factors(alpha, t)[0]
     event = status == _kernels.STATUS_EVENT
     status[event & ~np.isfinite(re)] = _kernels.STATUS_NONFINITE
     re[status != _kernels.STATUS_EVENT] = np.nan

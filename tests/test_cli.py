@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
@@ -85,8 +87,7 @@ def test_verify_infeasible_cutoff_is_expected(capsys):
     # below the bridge threshold the cutoff profile cannot exist, and the
     # profile suite records that as the expected outcome rather than a failure
     code, out, _ = run_cli(
-        ["verify", "--sample-scale", "0.02", "--epsilon", "1.0",
-         "--smoothing", "cutoff"],
+        ["verify", "--sample-scale", "0.02", "--epsilon", "1.0"],
         capsys,
     )
     assert code == 0
@@ -343,20 +344,107 @@ def test_bad_box_exits_2(box, capsys):
     assert "box" in err and out == ""
 
 
+# the options each subcommand reads
+_GRID_READS = ("epsilon", "alpha", "smoothing", "grid", "slice", "box", "band-tol",
+               "max-time", "out", "config")
+_READS = {
+    "verify": ("epsilon", "alpha", "seed", "sample-scale", "suite", "timings",
+               "out", "config"),
+    "classify-grid": _GRID_READS,
+    "slice-plot": _GRID_READS,
+    "decompose": ("surface", "out", "config"),
+}
+# every subcommand used to take these, read or not
+_FORMER_COMMON = ("epsilon", "alpha", "band-tol", "grid", "seed", "max-time",
+                  "escape-radius", "out", "smoothing", "surface", "config", "slice",
+                  "sample-scale", "box")
+_UNREAD = [(command, option) for command in _READS for option in _FORMER_COMMON
+           if option not in _READS[command]]
+# a small run of each subcommand, and a value of each option it changes
+_BASE = {
+    "verify": ["--suite", "kahler-form-consistency", "--sample-scale", "0.05"],
+    "classify-grid": ["--grid", "5"],
+    "slice-plot": ["--grid", "5"],
+    "decompose": ["--surface", "p1-minus-4pts"],
+}
+_CHANGED = {
+    "epsilon": 8.0, "alpha": 3.0, "seed": 3, "sample-scale": 0.1,
+    "suite": "offset-evenness", "timings": "timings.json", "smoothing": "cutoff",
+    "grid": 3, "slice": "z1:-40", "box": 3.0, "band-tol": 1e3, "max-time": 1e-300,
+    "surface": "example-5.3", "escape-radius": 5.0,
+}
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("option", ["--epsilon", "--max-time", "--escape-radius",
-                                    "--band-tol"])
-@pytest.mark.parametrize("command", ["verify", "classify-grid", "slice-plot"])
+@pytest.mark.parametrize("command, option", [
+    ("verify", "--epsilon"),
+    *((command, option) for command in ("classify-grid", "slice-plot")
+      for option in ("--epsilon", "--max-time", "--band-tol")),
+])
 def test_non_finite_value_exits_2(command, option, value, tmp_path, capsys):
     # verify --epsilon inf crashed on the JSON report and exited 1;
     # classify-grid --band-tol nan labelled every cell U_PP and exited 0
     target = tmp_path / "out.txt"
     code, out, err = run_cli(
-        [command, "--grid", "3", "--sample-scale", "0.02", "--out", str(target),
-         option, value], capsys
+        [command, *_BASE[command], "--out", str(target), option, value], capsys
     )
     _assert_user_error(code, err)
     assert option[2:] in err and out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_help_lists_the_options_read(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", out))
+    assert listed == {"--help"} | {"--" + option for option in _READS[command]}
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and whether timings.json was written.
+
+    A verify report loses its echo of the options, which changes with
+    every value, read or not.
+    """
+    code, out, _ = run_cli(argv, capsys)
+    if argv[0] == "verify":
+        report = json.loads(out)
+        del report["config"]
+        out = json.dumps(report)
+    return code, out, os.path.exists("timings.json")
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in _READS for option in _READS[command]
+    if option not in ("out", "config")
+])
+def test_every_option_changes_the_run(command, option, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_BASE[command]]
+    default = _outcome(argv, capsys)
+    assert default[0] == 0
+    changed = _outcome(argv + ["--" + option, str(_CHANGED[option])], capsys)
+    assert changed != default
+
+
+@pytest.mark.parametrize("command, option", _UNREAD)
+def test_unread_option_exits_2(command, option, tmp_path, capsys):
+    # decompose --alpha 7 and verify --smoothing cutoff were accepted and
+    # changed nothing; now they exit 2, as a flag and as a config key,
+    # before anything is computed or written
+    target = tmp_path / "out.txt"
+    argv = [command, *_BASE[command], "--out", str(target)]
+    value = _CHANGED[option]
+    code, out, err = run_cli(argv + ["--" + option, str(value)], capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: --{option}" in err
+    assert not target.exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({option: value}))
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    _assert_user_error(code, err)
+    assert repr(option) in err and command in err and out == ""
     assert not target.exists()
 
 
