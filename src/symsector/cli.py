@@ -271,7 +271,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        # an option the subcommand does not read is a user error like any other
+        sys.stderr.write(f"error: unrecognized arguments: {' '.join(unread)}\n")
+        return 2
     if not args.command:
         parser.print_usage(sys.stderr)
         return 2

@@ -377,13 +377,13 @@ _CHANGED = {
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command, option", [
-    ("verify", "--epsilon"),
-    *((command, option) for command in ("classify-grid", "slice-plot")
-      for option in ("--epsilon", "--max-time", "--band-tol")),
+    (command, option) for command in ("verify", "classify-grid", "slice-plot")
+    for option in ("--epsilon", "--max-time", "--band-tol", "--escape-radius")
 ])
 def test_non_finite_value_exits_2(command, option, value, tmp_path, capsys):
     # verify --epsilon inf crashed on the JSON report and exited 1;
-    # classify-grid --band-tol nan labelled every cell U_PP and exited 0
+    # classify-grid --band-tol nan labelled every cell U_PP and exited 0;
+    # an option the subcommand does not read is refused the same way
     target = tmp_path / "out.txt"
     code, out, err = run_cli(
         [command, *_BASE[command], "--out", str(target), option, value], capsys
