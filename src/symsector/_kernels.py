@@ -103,19 +103,20 @@ _gap_ratio, made of arithmetic alone, serve both backends.  The knot cut
 has one definition for both backends, the scalar _knot_fraction and its
 helpers: _knot_cut_np passes it only the rows of a batch whose
 interpolant may reach a knot band, as the Bernstein hull of the
-interpolant shows, and gives every other row 1.0.  _lockstep is the one
-numpy loop: it owns the step budget, the attempt, acceptance, the knot
-cut, the controller and the dead-row rule.  The batch kernel
-_drive_batch_np passes it the stop rule run before each attempt (stall
-and end of time) and runs it twice, a w-frame pass and a u-frame pass
-for the rows that switched, each with one right-hand side, passing it
-the rule for accepted steps: conversion, events and the switch.  It
-never activates a row that starts inside its region, holds each row that
-enters its region and, after each pass, builds the dense output of all
-their event steps in one batch and locates all of their events together
-on it (but for Delta rows).  The batch kernel _drive_batch runs the
-scalar kernel row by row and takes the same parameters as its numpy
-form; flow picks one of the two per call, by row count.  The numpy
+interpolant shows, and gives every other row 1.0.  The batch kernel
+_drive_batch_np holds the one numpy loop, which it runs twice, a w-frame
+pass and a u-frame pass for the rows that switched, each with one
+right-hand side: in each iteration the rows that have spent the step
+budget, stalled or reached the end of time leave, and every other
+active row makes one attempt, judged (error, knot cut and landing,
+controller, dead rule) and, if accepted, converted, tested for its
+event and for the switch.  It never activates a row that starts inside
+its region, holds each row that enters its region and, after each
+pass, builds the dense output of all their event steps in one batch and
+locates all of their events together on it (but for Delta rows).  The
+batch kernel _drive_batch runs the scalar kernel row by row and takes
+the same parameters as its numpy form; flow picks one of the two per
+call, by row count.  The numpy
 kernels and _drive ignore overflow and invalid-value warnings: a row
 that leaves the float range ends STATUS_NONFINITE.
 
@@ -136,9 +137,9 @@ _err_norm, _next_h, _pair_re and _event_ratio with its reader _event_val
 unrolled: read through _combo, a scalar step takes 1.7 times as long.
 _drive, which refines its events with _dense_event, runs row by row in
 _drive_batch, which serves every batch of fewer than flow._LOCKSTEP_ROWS
-rows, scalar calls included.  _advance is the scalar counterpart of
-_lockstep: the one judged attempt of _drive, one _step2 on the pair, w
-with _rhs2 or u with _rhs_u.  Both twins write every stage sum as h (sum
+rows, scalar calls included; its loop makes and judges each attempt,
+one _step2 on the pair, w with _rhs2 or u with _rhs_u, as the numpy
+loop does for a batch.  Both twins write every stage sum as h (sum
 of a_ij k_j) with the same terms in the same order, sum squares over
 components left to right and take err^(-1/8) as three correctly rounded
 square roots, so on the same rows they give the same bits.
@@ -356,8 +357,6 @@ STATUS_EVENT = 1
 STATUS_TIME_END = 2
 STATUS_STALLED = 3
 STATUS_NONFINITE = 4
-
-ACCEPTED, RETAKE, DEAD = 0, 1, 2  # verdicts of one scalar attempt (_advance)
 
 EVENT_NONE = 0
 EVENT_PAIR_ESCAPE = 1
@@ -962,60 +961,17 @@ def _event_probe(lo, hi, g_lo, g_hi, slow, tol, where):
     return where(secant & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
 
 
-def _advance(ya, yb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame):
-    """One judged DOP853 attempt of size fdir h_use from (ya, yb), derivative (fa, fb).
-
-    frame is None in the w-frame, where the pair is w, stepped with
-    _rhs2; in cutoff mode the attempt is cut at a knot and h_land carries
-    the landing rule, as the module docstring says.  In the u-frame frame
-    is the (table, EA, EB) of _rhs_u for this attempt, and no knot is
-    cut.  The error sums the pair's squares.  Returns (verdict, na, nb,
-    ka, kb, h, h_land), verdict ACCEPTED, RETAKE or DEAD (a non-finite
-    attempt with h < 1e-14), n the new pair and, on acceptance, k the
-    derivative that seeds the next step; h is the next step size.
-    """
-    hs = fdir * h_use
-    rhs, arg = (_rhs2, table) if frame is None else (_rhs_u, frame)
-    cutoff = frame is None and table[0] != MODE_PURE
-    na, nb, u2, u3, v2, v3 = _step2(ya, yb, fa, fb, hs, rhs, alpha, arg)
-    ka = kb = 0.0
-    err = math.inf
-    if math.isfinite(na) and math.isfinite(nb):
-        s2 = ATOL + rtol * max(abs(ya), abs(na))
-        s3 = ATOL + rtol * max(abs(yb), abs(nb))
-        u2, u3, v2, v3 = u2 / s2, u3 / s3, v2 / s2, v3 / s3
-        err = _err_norm(u2 * u2 + u3 * u3, v2 * v2 + v3 * v3, 2.0, hs)
-        if cutoff and (
-            err <= 1.0
-            or _knot_crossed(ya * ya + yb * yb, na * na + nb * nb, table) > 0.0
-        ):
-            ka, kb = _rhs2(na, nb, alpha, table)
-            frac = _knot_fraction(ya, yb, fa, fb, na, nb, ka, kb, hs, table)
-            if frac < 1.0:
-                return RETAKE, na, nb, ka, kb, h_use * frac, max(h_land, h_use)
-    h = _next_h(err, h_use, h_max)
-    verdict = DEAD if not err < math.inf and h < 1e-14 else RETAKE
-    if err <= 1.0:
-        verdict = ACCEPTED
-        if h_land > 0.0:
-            if _on_knot(na, nb, table):
-                h = max(h, h_land)
-            h_land = 0.0
-        if not cutoff:
-            ka, kb = rhs(na, nb, alpha, arg, 12)
-    return verdict, na, nb, ka, kb, h, h_land
-
-
 def _dense_event(pa, pb, fa, fb, na, nb, ka, kb, pre, end, h_acc, t, fdir, zx, zy,
                  alpha, table, frame, radius, eps, kind):
     """Locate an event crossing inside one accepted step of size h_acc from time t.
 
     The step took the pair p, with derivative f, to n, with derivative k,
     and the state pre = [z, w] outside the event region to the state end
-    inside it, read with epsilon eps (_event_eps); frame is that of its
-    _advance.  The bracket [0, h_acc] of the time offset closes on the
-    dense output of the pair (_dense2), each state converted (_to_zw) with
-    the factors at its own time and read once, by its _event_ratio: a hit
+    inside it, read with epsilon eps (_event_eps); frame is None in the
+    w-frame and the (table, EA, EB) of _rhs_u for the step in the u-frame.
+    The bracket [0, h_acc] of the time offset closes on the dense output
+    of the pair (_dense2), each state converted (_to_zw) with the factors
+    at its own time and read once, by its _event_ratio: a hit
     (_inside) moves hi, a miss lo.  Each next time is _event_probe's, from
     the event gaps (_log_gap of the ratios) at lo and hi, the gap of the
     end that did not move halved when the other moved twice running (the
@@ -1066,19 +1022,25 @@ def _drive(
 ):
     """Integrate one trajectory from t = 0 with adaptive steps and event location.
 
-    Returns (status, t, y0, y1, y2, y3, event_sign, n_recorded, n_steps).
-    t advances by the step size; fdir (+1 or -1) is the sign of every
-    step, so fdir = -1 follows the upward flow.  z is taken in closed
-    form (_factors at tau = fdir t) and the pair integrated is w, then u
-    from the switch on (module docstring).  A start inside the event
-    region is the event: the drive ends STATUS_EVENT at t = 0 after no
-    attempt.  An accepted step that ends inside it is refined to the
-    entry (_dense_event), but for EVENT_DELTA, whose every state gives
-    Delta to DELTA_TOL (_delta_radius): the drive ends at that step's
-    end.  The start and accepted states [z, w] are appended to rec as
-    rows (t, y0, y1, y2, y3) until its capacity is reached; a rec of zero
-    rows records nothing.  An accepted step whose state [z, w] is not
-    finite ends the drive STATUS_NONFINITE at the state before it.
+    Returns (status, t, y0, y1, y2, y3, event_sign, n_steps), n_steps the
+    attempts made.  t advances by the step size; fdir (+1 or -1) is the
+    sign of every step, so fdir = -1 follows the upward flow.  z is taken
+    in closed form (_factors at tau = fdir t) and the pair integrated is
+    w, then u from the switch on (module docstring).  Each attempt is one
+    _step2 on the pair, w with _rhs2 or u with _rhs_u, whose error sums
+    the pair's squares.  In the w-frame of a cutoff drive an attempt is
+    cut at a knot and retaken, and the step after a cut that lands on a
+    knot resumes at no less than the step it cut (module docstring).  An
+    attempt that is not finite, with a next step below 1e-14, ends the
+    drive STATUS_NONFINITE.  A start inside the event region is the event:
+    the drive ends STATUS_EVENT at t = 0 after no attempt.  An accepted
+    step that ends inside it is refined to the entry (_dense_event), but
+    for EVENT_DELTA, whose every state gives Delta to DELTA_TOL
+    (_delta_radius): the drive ends at that step's end.  The start and
+    accepted states [z, w] are appended to the list rec as tuples
+    (t, y0, y1, y2, y3); a rec of None records nothing.  An accepted step
+    whose state [z, w] is not finite ends the drive STATUS_NONFINITE at
+    the state before it.
     """
     zx, zy = y0, y1
     va, vb = y2, y3
@@ -1086,15 +1048,13 @@ def _drive(
     h = H_FIRST
     h_land = 0.0
     uframe = False
+    knots = table[0] != MODE_PURE  # attempts are cut at knots: cutoff w-frame
     h_max = _h_max(event_kind, uframe)
     eps = _event_eps(table, event_kind)
     fa, fb = _rhs2(y2, y3, alpha, table)
     f12, f13 = fa, fb  # w' at the state [z, w], for the stall speed
-    nrec = 0
-    cap = rec.shape[0]
-    if nrec < cap:
-        rec[nrec] = t, y0, y1, y2, y3
-        nrec += 1
+    if rec is not None:
+        rec.append((t, y0, y1, y2, y3))
     status = STATUS_RUNNING
     steps = 0
     hit, esign = _event_val(y0, y1, y2, y3, radius, eps, event_kind)
@@ -1110,23 +1070,45 @@ def _drive(
             break
         h_use = h if h < remaining else remaining
         hs = fdir * h_use
-        frame = None
         if uframe:
             ea, eb = _factors(alpha, fdir * t + _STEP_NODES * hs)
             frame = (table, ea.tolist(), eb.tolist())
             ea, eb = frame[1][12], frame[2][12]
+            rhs, arg = _rhs_u, frame
         else:
             ea, eb = _factors(alpha, fdir * t + hs)
             ea, eb = float(ea), float(eb)
-        verdict, na, nb, ka, kb, h, h_land = _advance(
-            va, vb, fa, fb, h_use, fdir, h_land, alpha, table, rtol, h_max, frame
-        )
+            frame, rhs, arg = None, _rhs2, table
+        na, nb, u2, u3, v2, v3 = _step2(va, vb, fa, fb, hs, rhs, alpha, arg)
         steps += 1
-        if verdict == DEAD:
-            status = STATUS_NONFINITE
-            break
-        if verdict != ACCEPTED:
+        err = math.inf
+        if math.isfinite(na) and math.isfinite(nb):
+            s2 = ATOL + rtol * max(abs(va), abs(na))
+            s3 = ATOL + rtol * max(abs(vb), abs(nb))
+            u2, u3, v2, v3 = u2 / s2, u3 / s3, v2 / s2, v3 / s3
+            err = _err_norm(u2 * u2 + u3 * u3, v2 * v2 + v3 * v3, 2.0, hs)
+            if knots and (
+                err <= 1.0
+                or _knot_crossed(va * va + vb * vb, na * na + nb * nb, table) > 0.0
+            ):
+                ka, kb = _rhs2(na, nb, alpha, table)
+                frac = _knot_fraction(va, vb, fa, fb, na, nb, ka, kb, hs, table)
+                if frac < 1.0:  # retaken, cut to the crossing
+                    h = h_use * frac
+                    h_land = max(h_land, h_use)
+                    continue
+        h = _next_h(err, h_use, h_max)
+        if not err <= 1.0:
+            if not err < math.inf and h < 1e-14:
+                status = STATUS_NONFINITE
+                break
             continue
+        if h_land > 0.0:
+            if _on_knot(na, nb, table):
+                h = max(h, h_land)
+            h_land = 0.0
+        if not knots:
+            ka, kb = rhs(na, nb, alpha, arg, 12)
         end = _to_zw(na, nb, zx, zy, ea, eb, uframe)
         if not all(map(math.isfinite, end)):
             status = STATUS_NONFINITE
@@ -1154,18 +1136,18 @@ def _drive(
                     va, vb = s.real / ea, s.imag / eb
                     fa, fb = _rhs_u(va, vb, alpha, (table, (ea,), (eb,)), 0)
                     uframe = True
+                    knots = False
                     h_max = _h_max(event_kind, uframe)
         y0, y1, y2, y3 = end
-        if nrec < cap:
-            rec[nrec] = t, y0, y1, y2, y3
-            nrec += 1
+        if rec is not None:
+            rec.append((t, y0, y1, y2, y3))
     if hit:
         status = STATUS_EVENT
     elif status == STATUS_RUNNING and t_end - t <= 1e-14 * (
         1.0 if t_end < 1.0 else t_end
     ):
         status = STATUS_TIME_END
-    return status, t, y0, y1, y2, y3, esign, nrec, steps
+    return status, t, y0, y1, y2, y3, esign, steps
 
 
 def _drive_batch(
@@ -1173,10 +1155,9 @@ def _drive_batch(
     out_status, out_t, out_sign, fdir,
 ):
     """Integrate every row of Y in place; fill status, time, event sign."""
-    rec = np.empty((0, 5))
     for i, row in enumerate(Y.tolist()):
         res = _drive(*row, t_end, alpha, table, rtol, radius, event_kind, max_steps,
-                     rec, fdir)
+                     None, fdir)
         out_status[i], out_t[i], out_sign[i] = res[0], res[1], res[6]
         Y[i] = res[2:6]
 
@@ -1382,84 +1363,6 @@ def _event_np(Y, radius, epsilon, kind):
     return hit, sign
 
 
-def _lockstep(Y, t, rhs, rtol, max_steps, status, stop, h_max, table, t_end, fdir,
-              accept, start):
-    """Advance the active rows of Y and t in place, one attempt per active
-    row in each iteration, until no row is active.
-
-    rhs(Z, k, t, h) is that of :func:`_stages_np`.  start = (active, h,
-    K1, steps) gives the active rows, their next step sizes, derivatives
-    and the attempts they have made; a row leaves once it has made
-    max_steps attempts.  Each iteration stop(active) first clears the rows
-    that end there, setting their status; steps of sign fdir are clipped
-    to t_end - t and capped at h_max.  With a smoothing table in cutoff
-    mode (table None: no knots) the two columns of Y are w, and a finite
-    attempt that carries |w| across one of its knots is retaken, cut to
-    the crossing by :func:`_knot_cut_np` as in :func:`_advance`, and the
-    step after a cut one that lands on a knot (:func:`_on_knot`, row by
-    row) resumes at no less than the step it cut; pure mode runs no knot
-    code.  The accepted
-    steps of rows ai, with end states Ya, derivatives Ka and sizes h_use,
-    go to accept(ai, Ya, Ka, h_use) before they are taken: it returns the
-    masks of those taken and of those whose rows stay active.  Returns
-    (h, K1, steps).
-    """
-    cutoff = table is not None and table[0] != MODE_PURE
-    active, h, K1, steps = start
-    h_land = np.zeros(Y.shape[0])
-    while True:
-        active &= steps < max_steps
-        stop(active)
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        steps[idx] += 1
-        ti = t[idx]
-        h_use = np.minimum(h[idx], t_end - ti)
-        hs = fdir * h_use
-        Yn, err = _attempt_np(Y[idx], K1[idx], hs, rhs, rtol, ti)
-        h[idx] = _next_h_np(err, h_use, h_max)
-        ok = err <= 1.0
-        judged = np.ones(idx.size, dtype=bool)
-        if cutoff:
-            # accepted attempts, and rejected ones whose ends straddle a knot
-            qa, qb = _sum_sq(Y[idx]), _sum_sq(Yn)
-            test = np.isfinite(Yn).all(axis=1) & (
-                ok | _holds_band_np(np.minimum(qa, qb), np.maximum(qa, qb), table))
-            test = np.nonzero(test)[0]
-            Kn = np.empty_like(Yn)
-            Kn[test] = rhs(Yn[test], 12, ti[test], hs[test])
-            ci = idx[test]
-            frac = _knot_cut_np(Y[ci], K1[ci], Yn[test], Kn[test], hs[test], table)
-            cut = frac < 1.0
-            c, ci = test[cut], ci[cut]
-            h[ci] = h_use[c] * frac[cut]
-            h_land[ci] = np.maximum(h_land[ci], h_use[c])
-            judged[c] = False
-        acc = np.nonzero(judged & ok)[0]
-        if acc.size:
-            ai = idx[acc]
-            Ya = Yn[acc]
-            land = np.nonzero(h_land[ai])[0]
-            if land.size:
-                li = ai[land]
-                on = li[np.array([_on_knot(x, y, table)
-                                  for x, y in Ya[land].tolist()], dtype=bool)]
-                h[on] = np.maximum(h[on], h_land[on])
-                h_land[li] = 0.0
-            Ka = Kn[acc] if cutoff else rhs(Ya, 12, ti[acc], hs[acc])
-            take, stay = accept(ai, Ya, Ka, h_use[acc])
-            active[ai[~stay]] = False
-            acc, ai, Ya, Ka = acc[take], ai[take], Ya[take], Ka[take]
-            Y[ai] = Ya
-            t[ai] += h_use[acc]
-            K1[ai] = Ka
-        dead = idx[judged & ~(err < np.inf) & (h[idx] < 1e-14)]
-        status[dead] = STATUS_NONFINITE
-        active[dead] = False
-    return h, K1, steps
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _drive_batch_np(
     Y, t_end, alpha, table, rtol, radius, event_kind, max_steps,
@@ -1471,13 +1374,19 @@ def _drive_batch_np(
     starts inside the event region ends STATUS_EVENT at t = 0 and is never
     active; every other row starts in the w-frame, and the rows that
     switch continue in a second pass in the u-frame, so each pass has one
-    right-hand side.  A row whose accepted step ends inside the event
-    region stops there with STATUS_EVENT: a Delta row (EVENT_DELTA) takes
-    the step and is read at its end, as in :func:`_drive`; any other row
-    keeps its pre-step state, pair, derivative and time.  After each pass
-    the dense output of its
-    event steps is built in one batch (:func:`_dense_np`) and their events
-    are located on it together, with the per-row arithmetic of
+    right-hand side.  In each iteration of a pass the rows that have made
+    max_steps attempts leave, then the rows that have stalled and those
+    at the end of time, each with its status; every row left makes one
+    attempt (:func:`_attempt_np`), judged as in :func:`_drive`.  In the
+    w-frame of a cutoff drive the knot cut takes :func:`_knot_fraction`
+    on the rows that :func:`_knot_cut_np` screens in, and the landing
+    test :func:`_on_knot` row by row.  A row whose accepted step ends
+    inside the event region stops there with STATUS_EVENT: a Delta row
+    (EVENT_DELTA) takes the step and is read at its end, as in
+    :func:`_drive`; any other row keeps its pre-step state, pair,
+    derivative and time.  After each pass the dense output of its event
+    steps is built in one batch (:func:`_dense_np`) and their events are
+    located on it together, with the per-row arithmetic of
     :func:`_dense_event` and :func:`_event_probe`: per-row brackets, gaps
     and hits from one :func:`_event_ratio_np` per read, sides and counts
     of slow iterations, at most EVENT_ITERATIONS iterations, each row
@@ -1488,10 +1397,12 @@ def _drive_batch_np(
     n = Y.shape[0]
     Z0 = Y[:, :2].copy()
     V = Y[:, 2:].copy()  # the pair of the w-frame pass
+    KV = _rhs_w_np(V, alpha, arr)
     U, KU = np.zeros((n, 2)), np.zeros((n, 2))  # the pair of the u-frame pass
-    K1 = _rhs_w_np(V, alpha, arr)
-    F = np.column_stack([(alpha - 1.0) * Z0[:, 0], -alpha * Z0[:, 1], K1])
+    F = np.column_stack([(alpha - 1.0) * Z0[:, 0], -alpha * Z0[:, 1], KV])
     switched = np.zeros(n, dtype=bool)
+    h, h_land = np.full(n, H_FIRST), np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
     h_event, V_event, K_event = np.zeros(n), np.empty((n, 2)), np.empty((n, 2))
     end_gate = 1e-14 * max(1.0, abs(t_end))
     eps = _event_eps(table, event_kind)
@@ -1510,46 +1421,6 @@ def _drive_batch_np(
         ea, eb = _factors(alpha, tau)
         return np.column_stack(_to_zw(P[:, 0], P[:, 1], Z0[rows, 0], Z0[rows, 1],
                                       ea, eb, uframe)), ea, eb
-
-    def stop(active):
-        stalled = active & (np.sqrt(_sum_sq(F)) < STALL_SPEED)
-        out_status[stalled] = STATUS_STALLED
-        active &= ~stalled
-        done = active & (t_end - out_t <= end_gate)
-        out_status[done] = STATUS_TIME_END
-        active &= ~done
-
-    def accepter(uframe):
-        def accept(ai, Pa, Ka, h_use):
-            Yn, ea, eb = to_zw(Pa, ai, fdir * out_t[ai] + fdir * h_use, uframe)
-            bad = ~np.isfinite(Yn).all(axis=1)
-            out_status[ai[bad]] = STATUS_NONFINITE
-            hit = ~bad & event(Yn)
-            ev = ai[hit]
-            out_status[ev] = STATUS_EVENT
-            h_event[ev], V_event[ev], K_event[ev] = h_use[hit], Pa[hit], Ka[hit]
-            take = ~bad if read_at_end else ~bad & ~hit
-            ti = ai[take]
-            Y[ti] = Yn[take]
-            F[ti, 0] = (alpha - 1.0) * Y[ti, 0]
-            F[ti, 1] = -alpha * Y[ti, 1]
-            if uframe:
-                F[ti, 2], F[ti, 3] = _w_dot(Pa[take, 0], Pa[take, 1], Ka[take, 0],
-                                            Ka[take, 1], ea[take], eb[take], alpha)
-                return take, take & ~hit
-            F[ti, 2:] = Ka[take]
-            grow = fdir * (Yn[:, 2] * Ka[:, 0] + Yn[:, 3] * Ka[:, 1]) > 0.0
-            sw = take & ~hit & (np.hypot(Yn[:, 2], Yn[:, 3]) >= arr[1]) & grow
-            if sw.any():
-                s = np.empty(np.count_nonzero(sw), dtype=complex)
-                s.real, s.imag = Yn[sw, 2], Yn[sw, 3]
-                s = np.sqrt(s)
-                si = ai[sw]
-                U[si, 0], U[si, 1] = s.real / ea[sw], s.imag / eb[sw]
-                KU[si] = _rhs_u_np(U[si], ea[sw], eb[sw], alpha, arr)
-                switched[si] = True
-            return take, take & ~hit & ~sw
-        return accept
 
     def refine(ev, P, K, rhs, uframe):
         t, h = out_t[ev], h_event[ev]
@@ -1594,14 +1465,95 @@ def _drive_batch_np(
     inside = event(Y)
     for uframe in (False, True):
         if uframe:
-            P, rhs, active = U, u_rhs, switched.copy()
-            start = (active, h, KU, steps)
+            P, K, rhs, idx = U, KU, u_rhs, np.nonzero(switched)[0]
         else:
-            P, rhs, active = V, w_rhs, ~inside
-            start = (active, np.full(n, H_FIRST), K1, np.zeros(n, dtype=np.int64))
-        h, K, steps = _lockstep(P, out_t, rhs, rtol, max_steps, out_status, stop,
-                                _h_max(event_kind, uframe), None if uframe else table,
-                                t_end, fdir, accepter(uframe), start)
+            P, K, rhs, idx = V, KV, w_rhs, np.nonzero(~inside)[0]
+        knots = not uframe and table[0] != MODE_PURE  # attempts are cut at knots
+        h_max = _h_max(event_kind, uframe)
+        while True:
+            # rows leave before an attempt: budget, then stall, then end of time
+            idx = idx[steps[idx] < max_steps]
+            stalled = np.sqrt(_sum_sq(F[idx])) < STALL_SPEED
+            out_status[idx[stalled]] = STATUS_STALLED
+            idx = idx[~stalled]
+            done = t_end - out_t[idx] <= end_gate
+            out_status[idx[done]] = STATUS_TIME_END
+            idx = idx[~done]
+            if not idx.size:
+                break
+            steps[idx] += 1
+            ti = out_t[idx]
+            h_use = np.minimum(h[idx], t_end - ti)
+            hs = fdir * h_use
+            Pn, err = _attempt_np(P[idx], K[idx], hs, rhs, rtol, ti)
+            h[idx] = _next_h_np(err, h_use, h_max)
+            ok = err <= 1.0
+            judged = np.ones(idx.size, dtype=bool)
+            if knots:
+                # accepted attempts, and rejected ones whose ends straddle a knot
+                qa, qb = _sum_sq(P[idx]), _sum_sq(Pn)
+                test = np.isfinite(Pn).all(axis=1) & (
+                    ok | _holds_band_np(np.minimum(qa, qb), np.maximum(qa, qb), table))
+                test = np.nonzero(test)[0]
+                Kn = np.empty_like(Pn)
+                Kn[test] = rhs(Pn[test], 12, ti[test], hs[test])
+                ci = idx[test]
+                frac = _knot_cut_np(P[ci], K[ci], Pn[test], Kn[test], hs[test], table)
+                cut = frac < 1.0
+                c, ci = test[cut], ci[cut]
+                h[ci] = h_use[c] * frac[cut]
+                h_land[ci] = np.maximum(h_land[ci], h_use[c])
+                judged[c] = False
+            leave = judged & ~(err < np.inf) & (h[idx] < 1e-14)  # dead rows
+            out_status[idx[leave]] = STATUS_NONFINITE
+            acc = np.nonzero(judged & ok)[0]
+            if acc.size:
+                ai, Pa, ha = idx[acc], Pn[acc], h_use[acc]
+                if knots:
+                    Ka = Kn[acc]
+                    land = np.nonzero(h_land[ai])[0]
+                    if land.size:
+                        li = ai[land]
+                        on = li[np.array([_on_knot(x, y, table)
+                                          for x, y in Pa[land].tolist()], dtype=bool)]
+                        h[on] = np.maximum(h[on], h_land[on])
+                        h_land[li] = 0.0
+                else:
+                    Ka = rhs(Pa, 12, ti[acc], hs[acc])
+                Ya, ea, eb = to_zw(Pa, ai, fdir * ti[acc] + fdir * ha, uframe)
+                bad = ~np.isfinite(Ya).all(axis=1)
+                out_status[ai[bad]] = STATUS_NONFINITE
+                hit = ~bad & event(Ya)
+                ev = ai[hit]
+                out_status[ev] = STATUS_EVENT
+                h_event[ev], V_event[ev], K_event[ev] = ha[hit], Pa[hit], Ka[hit]
+                take = ~bad if read_at_end else ~bad & ~hit
+                stop = bad | hit
+                tk = ai[take]
+                Y[tk] = Ya[take]
+                F[tk, 0] = (alpha - 1.0) * Y[tk, 0]
+                F[tk, 1] = -alpha * Y[tk, 1]
+                if uframe:
+                    F[tk, 2], F[tk, 3] = _w_dot(Pa[take, 0], Pa[take, 1], Ka[take, 0],
+                                                Ka[take, 1], ea[take], eb[take], alpha)
+                else:
+                    F[tk, 2:] = Ka[take]
+                    grow = fdir * (Ya[:, 2] * Ka[:, 0] + Ya[:, 3] * Ka[:, 1]) > 0.0
+                    sw = take & ~hit & (np.hypot(Ya[:, 2], Ya[:, 3]) >= arr[1]) & grow
+                    if sw.any():
+                        s = np.empty(np.count_nonzero(sw), dtype=complex)
+                        s.real, s.imag = Ya[sw, 2], Ya[sw, 3]
+                        s = np.sqrt(s)
+                        si = ai[sw]
+                        U[si, 0], U[si, 1] = s.real / ea[sw], s.imag / eb[sw]
+                        KU[si] = _rhs_u_np(U[si], ea[sw], eb[sw], alpha, arr)
+                        switched[si] = True
+                        stop |= sw
+                P[tk] = Pa[take]
+                out_t[tk] += ha[take]
+                K[tk] = Ka[take]
+                leave[acc[stop]] = True
+            idx = idx[~leave]
         # no row that switched had an event in the w-frame pass
         ev = np.nonzero((out_status == STATUS_EVENT) & (switched == uframe))[0]
         if ev.size and not read_at_end:

@@ -25,7 +25,6 @@ TERM_ESCAPED = "ESCAPED"
 TERM_MAX_TIME = "MAX_TIME"
 TERM_NEAR_CRITICAL = "NEAR_CRITICAL"
 
-_REC_CAP = 65536
 _SPLIT_ROWS = 5000  # fewest Delta rows worth a forked process
 # fewest rows the numpy lockstep runs, by smoothing mode (table[0]); see _row_loop
 _LOCKSTEP_ROWS = {MODE_PURE: 72, MODE_CUTOFF: 544}
@@ -144,12 +143,15 @@ def _row_loop(n, table):
 
     The row loop _drive_batch, which runs the scalar kernel row by row,
     takes batches below _LOCKSTEP_ROWS of the smoothing mode of table;
-    _drive_batch_np takes the rest.  Those counts are where
-    the lockstep overtook the row loop, for the drive and Delta alike, on
-    random rows (2 cores): near 72 rows in pure mode and 544 in cutoff
-    mode, where knot landings hold the lockstep's slowest rows for many
-    iterations.  Both give the same bits, so the choice never changes an
-    output.
+    _drive_batch_np takes the rest.  Those counts are where the lockstep
+    overtook the row loop on random escape drives (2 cores): near 72 rows
+    in pure mode and 544 in cutoff mode, where knot landings hold the
+    lockstep's slowest rows for many iterations.  Delta rows cross over
+    later: on keys uniform in [0, 48]^2 the lockstep took about 1.5 times
+    as long as the row loop at 72 pure-mode rows, and about 4.5 times at
+    544 cutoff-mode rows, most of which start inside EVENT_DELTA and cost
+    the row loop nothing.  Both give the same bits, so the choice never
+    changes an output.
     """
     if n < _LOCKSTEP_ROWS[table[0]]:
         return _kernels._drive_batch
@@ -207,8 +209,8 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
         If the state leaves the representable range.
     """
     state = p0.state() if isinstance(p0, SymPoint) else _state4(p0)
-    rec = np.empty((_REC_CAP if record else 0, 5))
-    status, t, y0, y1, y2, y3, _, nrec, _ = _kernels._drive(
+    rec = [] if record else None
+    status, t, y0, y1, y2, y3, _, _ = _kernels._drive(
         *state.tolist(), float(settings.max_time),
         *_drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE), rec, 1.0,
     )
@@ -218,8 +220,9 @@ def integrate_flow(p0, params=DEFAULT_PARAMS, settings=DEFAULT_SETTINGS,
     if status == _kernels.STATUS_RUNNING:
         raise RuntimeError("step budget exhausted before max_time")
     if record:
-        times = rec[:nrec, 0].copy()
-        states = rec[:nrec, 1:5].copy()
+        rec = np.array(rec)
+        times = rec[:, 0].copy()
+        states = rec[:, 1:].copy()
     else:
         times = np.array([0.0, t])
         states = np.vstack([state, out_state])

@@ -8,6 +8,7 @@ included, status, time and state alike.
 """
 
 import collections
+import dataclasses
 import inspect
 import itertools
 import math
@@ -218,7 +219,7 @@ def _frames(mode, rng, n):
 
     The w-frame rows are w, the u-frame rows u with their attempts from
     random times t; the scalar context of an attempt of size h from t is
-    its table, or the frame of _rhs_u (what _drive passes to _advance).
+    its table, or the frame of _rhs_u (what _drive passes to _step2).
     """
     table = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode).table
     t = rng.uniform(0.0, 3.0, n)
@@ -669,10 +670,9 @@ def _drive_both(rows, args, t_end, fdir):
     Y = np.array(rows)
     status, sign = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     t = np.zeros(n)
-    rec = np.empty((0, 5))
     with np.errstate(over="ignore", invalid="ignore"):
         _kernels._drive_batch_np(Y, t_end, *args, status, t, sign, fdir)
-        res = [_kernels._drive(*row, t_end, *args, rec, fdir) for row in rows]
+        res = [_kernels._drive(*row, t_end, *args, None, fdir) for row in rows]
     scalar = [np.array([r[k] for r in res]) for k in (0, 1, 6)]
     return (status, t, sign, Y), (*scalar, np.array([r[2:6] for r in res]))
 
@@ -788,9 +788,10 @@ def test_no_drive_returns_inside_epsilon(mode, fdir):
     s = np.append(s, _SWITCH_S)
     grew = 0
     for (x, y), v in zip(itertools.cycle(z.tolist()), (s * s).tolist()):
-        rec = np.empty((2000, 5))
-        res = _kernels._drive(x, y, v.real, v.imag, 6.0, *args, rec, fdir)
-        r = np.hypot(rec[:res[7], 3], rec[:res[7], 4])
+        rec = []
+        _kernels._drive(x, y, v.real, v.imag, 6.0, *args, rec, fdir)
+        rec = np.array(rec)
+        r = np.hypot(rec[:, 3], rec[:, 4])
         out = np.nonzero((r[1:] >= 16.0) & (r[1:] > r[:-1]))[0]
         if out.size:
             grew += 1
@@ -825,26 +826,43 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
               for x, y in _SWITCH_Z for v in _SWITCH_S]
     rows = flowing + around + inside
     counts = collections.Counter()
-    judging = []  # nonempty inside _advance, the judged attempt
-    for name in ("_rhs2", "_rhs_u", "_contd8"):
-        _count_calls(monkeypatch, name, counts, lambda: bool(judging))
-    advance = _kernels._advance
+    # an attempt is one _step2 and at most one evaluation at the pair it
+    # ends at: the derivative that seeds the next step, or the knot cut's
+    judging = []  # nonempty inside _step2
+    ends = []  # the end pair of the last _step2, until it is evaluated
+    step2 = _kernels._step2
 
-    def judged(*a):
+    def stepped(*a):
         judging.append(True)
         try:
-            return advance(*a)
+            out = step2(*a)
         finally:
             judging.pop()
+        ends[:] = [out[:2]]
+        return out
 
-    monkeypatch.setattr(_kernels, "_advance", judged)
-    rec = np.empty((0, 5))
+    def spy(name):
+        func = getattr(_kernels, name)
+
+        def counted(*a):
+            attempt = bool(judging) or a[:2] in ends
+            if not judging:
+                ends.clear()
+            counts[name, attempt] += 1
+            return func(*a)
+
+        return counted
+
+    for name in ("_rhs2", "_rhs_u"):
+        monkeypatch.setattr(_kernels, name, spy(name))
+    monkeypatch.setattr(_kernels, "_step2", stepped)
+    _count_calls(monkeypatch, "_contd8", counts, lambda: bool(judging))
     reads = set()
     frames = set()
     for row in rows:
         counts.clear()
-        res = _kernels._drive(*row, 4.0, *args, rec, 1.0)
-        status, t, steps = res[0], res[1], res[8]
+        res = _kernels._drive(*row, 4.0, *args, None, 1.0)
+        status, t, steps = res[0], res[1], res[7]
         event = status == _kernels.STATUS_EVENT
         assert (row in inside) == (event and t == 0.0) == (steps == 0)
         refined = event and row not in inside
@@ -864,43 +882,68 @@ def test_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
 def test_batch_event_refinement_spends_fixed_rhs_evaluations(monkeypatch, mode):
     args, flowing, inside = _event_drive(mode, _kernels.EVENT_PAIR_ESCAPE)
     rows = flowing + inside
-    calls = {"_rhs_w_np": [], "_rhs_u_np": []}  # row counts outside the lockstep
-    depth = []
-    starts = []  # the rows each lockstep pass activates
-    lockstep = _kernels._lockstep
+    # an attempt is one _attempt_np and at most one evaluation on rows of
+    # the pairs it ends at; a dense output is one _dense_np
+    calls = collections.defaultdict(list)  # (name, context) -> row counts
+    context = []  # the innermost of "attempt" and "dense" running
+    ends = []  # the end pairs of the last attempt, until they are evaluated
+    attempts = []  # (pair rows, frame) of each attempt, frame "w" or "u"
 
-    def spy(name):
+    def spy(name, frame):
         func = getattr(_kernels, name)
 
         def counted(Z, *a):
-            if not depth:
-                calls[name].append(len(Z))
+            where = context[-1] if context else None
+            if where is None and ends:
+                if {tuple(r) for r in Z.tolist()} <= ends[0]:
+                    where = "attempt"
+                ends.clear()
+            if where == "attempt":
+                attempts[-1][1] = frame
+            calls[name, where].append(len(Z))
             return func(Z, *a)
 
         return counted
 
-    def marked(*a):
-        starts.append(a[-1][0].copy())
-        depth.append(True)
-        try:
-            return lockstep(*a)
-        finally:
-            depth.pop()
+    def marked(name, where):
+        func = getattr(_kernels, name)
 
-    for name in calls:
-        monkeypatch.setattr(_kernels, name, spy(name))
-    monkeypatch.setattr(_kernels, "_lockstep", marked)
+        def run(Z, *a):
+            context.append(where)
+            if where == "attempt":
+                attempts.append([Z.copy(), None])
+            try:
+                out = func(Z, *a)
+            finally:
+                context.pop()
+            if where == "attempt":
+                ends[:] = [{tuple(r) for r in out[0].tolist()}]
+            return out
+
+        return run
+
+    for name, frame in (("_rhs_w_np", "w"), ("_rhs_u_np", "u")):
+        monkeypatch.setattr(_kernels, name, spy(name, frame))
+    monkeypatch.setattr(_kernels, "_attempt_np", marked("_attempt_np", "attempt"))
+    monkeypatch.setattr(_kernels, "_dense_np", marked("_dense_np", "dense"))
     status, t = _drive_both(rows, args, 4.0, 1.0)[0][:2]
     event = status == _kernels.STATUS_EVENT
     assert np.all(event[len(flowing):]) and np.all(t[len(flowing):] == 0.0)
-    assert starts[0].tolist() == [True] * len(flowing) + [False] * len(inside)
-    assert not starts[1][len(flowing):].any()
-    # the w' of every row at the start, then 14 calls per refined frame, on
-    # the event rows that start outside the region
-    w_calls, u_calls = calls["_rhs_w_np"], calls["_rhs_u_np"]
-    assert w_calls[0] == len(rows)
-    n_w, n_u = w_calls[1:2] or [0], u_calls[:1] or [0]
-    assert w_calls[1:] == n_w * REFINE_RHS and u_calls == n_u * REFINE_RHS
+    # the w-frame pass activates exactly the rows that start outside the
+    # region, and the u-frame pass the rows that switched
+    frames = [frame for _, frame in attempts]
+    n_w_att = frames.count("w")
+    assert frames == ["w"] * n_w_att + ["u"] * (len(frames) - n_w_att)
+    assert _bits(attempts[0][0]) == _bits(np.array(flowing)[:, 2:])
+    switches = calls["_rhs_u_np", None]  # u' of the rows that switch
+    assert len(attempts[n_w_att][0]) == sum(switches) > 0
+    # outside the attempts: the w' of every row at the start, the u' of the
+    # switch, then 14 calls per refined frame, on the event rows that start
+    # outside the region, all in its dense output
+    assert calls["_rhs_w_np", None] == [len(rows)]
+    w_dense, u_dense = calls["_rhs_w_np", "dense"], calls["_rhs_u_np", "dense"]
+    n_w, n_u = w_dense[:1] or [0], u_dense[:1] or [0]
+    assert w_dense == n_w * REFINE_RHS and u_dense == n_u * REFINE_RHS
     assert n_w[0] > 0 and n_u[0] > 0
     assert n_w[0] + n_u[0] == np.count_nonzero(event[:len(flowing)])
 
@@ -998,6 +1041,13 @@ def test_drive_twins_agree_on_stalls():
     for row in rows:
         traj = flow.integrate_flow(np.array(row), params, settings, record=False)
         assert traj.termination == flow.TERM_NEAR_CRITICAL
+    # the 19th attempt is the one after which the stall is seen; the budget
+    # is tested first, so with 19 attempts the row ends STATUS_RUNNING
+    settings = FlowSettings(max_steps=19)
+    args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
+    batch, scalar = _drive_both(rows, args, settings.max_time, 1.0)
+    _assert_twins(batch, scalar)
+    assert batch[0].tolist() == [_kernels.STATUS_RUNNING, _kernels.STATUS_STALLED]
 
 
 @pytest.mark.parametrize("mode", ["pure", "cutoff"])
@@ -1012,7 +1062,6 @@ def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
     # w = 1e308 ends STATUS_NONFINITE, or at the start under EVENT_PAIR_ESCAPE
     w = np.append(s * s, 1e308)
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(z, w)]
-    rec = np.empty((0, 5))
     for kind, fdir in [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0), (4, 1.0)]:
         args = flow._drive_args(params, settings, kind)
         Y = np.array(rows + _INSIDE.get(kind, []))
@@ -1021,9 +1070,8 @@ def test_row_loop_batch_kernels_loop_the_scalar_kernels(mode):
         # the rows are read from the batch as numpy floats, on which the
         # overflow row warns
         with np.errstate(over="ignore", invalid="ignore"):
-            want = [_kernels._drive(*row, 4.0, *args, rec, fdir) for row in Y.tolist()]
+            want = [_kernels._drive(*row, 4.0, *args, None, fdir) for row in Y.tolist()]
             _kernels._drive_batch(Y, 4.0, *args, *out, fdir)
-        assert [r[7] for r in want] == [0] * len(Y)  # a zero-row rec records none
         assert _bits(*out, Y) == _bits(*(np.array([r[k] for r in want])
                                          for k in (0, 1, 6)), [r[2:6] for r in want])
 
@@ -1144,12 +1192,12 @@ def test_scalar_kernels_stay_on_builtin_floats(mode):
         assert all(type(v) is float for v in _kernels._w_terms(float(r), ALPHA, table))
     args = flow._drive_args(params, settings, _kernels.EVENT_PAIR_ESCAPE)
     state = SymPoint(-40.0, -64.0 + 1.0j).state().tolist()
-    res = _kernels._drive(*state, 60.0, *args, np.empty((0, 5)), 1.0)
+    res = _kernels._drive(*state, 60.0, *args, None, 1.0)
     assert res[0] == _kernels.STATUS_EVENT
     assert all(type(v) is float for v in res[1:6])
     args = flow._drive_args(params, settings, _kernels.EVENT_DELTA)
     # s0 = 1 + 20i starts outside the Delta region in both modes
-    res = _kernels._drive(0.0, 0.0, -399.0, 40.0, 60.0, *args, np.empty((0, 5)), 1.0)
+    res = _kernels._drive(0.0, 0.0, -399.0, 40.0, 60.0, *args, None, 1.0)
     assert res[0] == _kernels.STATUS_EVENT and res[1] > 0.0
     assert all(type(v) is float for v in res[1:6])
 
@@ -1173,12 +1221,11 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
     # whose pair coordinates are +-inf.
     params = SteinParams(alpha=ALPHA, epsilon=16.0, smoothing=mode)
     settings = FlowSettings(max_time=4.0, max_steps=2000)
-    rec = np.empty((0, 5))
     ends = []
     n_inside = 0
     for kind, fdir in itertools.product(range(5), (1.0, -1.0)):
         args = flow._drive_args(params, settings, kind)
-        scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, rec, fdir)
+        scalar = [_kernels._drive(1.0, 0.5, *w, 4.0, *args, None, fdir)
                   for w in _HOSTILE_W]
         Y = np.array([(1.0, 0.5, *w) for w in _HOSTILE_W])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1192,7 +1239,7 @@ def test_scalar_kernels_end_hostile_rows_with_a_status(mode):
         for w, r, start in zip(_HOSTILE_W, scalar, inside.tolist()):
             if start:
                 assert kind in (_kernels.EVENT_PAIR_ESCAPE, _kernels.EVENT_DELTA)
-                assert r[:2] == (_kernels.STATUS_EVENT, 0.0) and r[8] == 0
+                assert r[:2] == (_kernels.STATUS_EVENT, 0.0) and r[7] == 0
                 n_inside += 1
             else:
                 ends.append((w, r[0]))
@@ -1223,9 +1270,13 @@ def _drawn_rows(width, half):
 
 @hypothesis.settings(max_examples=20)
 @given(rows=_drawn_rows(4, 64.0), mode=st.sampled_from(sorted(_PARAMS)),
-       kind=st.sampled_from(range(5)), fdir=st.sampled_from([1.0, -1.0]))
-def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir):
-    args = flow._drive_args(_PARAMS[mode], _DRAWN_SETTINGS, kind)
+       kind=st.sampled_from(range(5)), fdir=st.sampled_from([1.0, -1.0]),
+       max_steps=st.sampled_from([3, 7, 2000]))
+def test_drive_twins_agree_on_drawn_rows(rows, mode, kind, fdir, max_steps):
+    # a small step budget leaves rows STATUS_RUNNING in a batch beside
+    # stalled, ended, non-finite and event rows
+    settings = dataclasses.replace(_DRAWN_SETTINGS, max_steps=max_steps)
+    args = flow._drive_args(_PARAMS[mode], settings, kind)
     assert args[1] is _PARAMS[mode].table
     batch, scalar = _drive_both(rows, args, 2.0, fdir)
     _assert_twins(batch, scalar)
